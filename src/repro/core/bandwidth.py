@@ -103,9 +103,10 @@ def allocate_inbound(
         accepted.append(entry)
         remaining -= bandwidth
 
-    must_have = set(view.highest_priority_per_site.values())
     accepted_ids = {entry.stream_id for entry in accepted}
-    request_accepted = must_have.issubset(accepted_ids) and len(accepted) >= view.site_count
+    request_accepted = (
+        view.must_have_stream_ids <= accepted_ids and len(accepted) >= view.site_count
+    )
 
     return InboundAllocation(
         accepted=tuple(accepted),

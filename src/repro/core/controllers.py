@@ -197,8 +197,7 @@ class LocalSessionController:
             if result is not None and result.displaced_node_id is not None:
                 displaced.append((entry.stream_id, result.displaced_node_id))
 
-        must_have = set(view.highest_priority_per_site.values())
-        if not must_have.issubset(set(session.subscriptions)):
+        if not view.must_have_stream_ids <= session.subscriptions.keys():
             self._rollback(group, session)
             return JoinResult(
                 viewer_id=viewer.viewer_id,
@@ -320,10 +319,6 @@ class LocalSessionController:
             entry = old_parent_session.routing_table.lookup_stream(stream_id)
             if entry is not None:
                 entry.remove_child(displaced_id)
-        if old_parent_id == CDN_NODE_ID and not sub.via_cdn:
-            # The CDN slot previously feeding the displaced viewer now feeds
-            # the joining viewer instead; aggregate CDN usage is unchanged.
-            pass
 
     # -- view synchronization --------------------------------------------------
 
@@ -549,12 +544,18 @@ class LocalSessionController:
         request exchange between the LSC and the viewer, including the two
         controller processing steps.
         """
-        dm = self.delay_model
         viewer_id = viewer.viewer_id
+        return self._request_delay(
+            viewer_id, self.delay_model.propagation(self.node_id, viewer_id)
+        )
+
+    def _request_delay(self, viewer_id: str, lsc_hop: float) -> float:
+        """The request leg given the (symmetric) LSC <-> viewer delay."""
+        dm = self.delay_model
         delay = dm.rtt(viewer_id, GSC_NODE_ID)
         delay += dm.propagation(GSC_NODE_ID, self.node_id)
-        delay += dm.propagation(self.node_id, viewer_id)
-        delay += dm.propagation(viewer_id, self.node_id)
+        delay += lsc_hop  # view request, LSC -> viewer
+        delay += lsc_hop  # and the viewer's reply
         delay += 2.0 * dm.control_processing_delay
         return delay
 
@@ -589,8 +590,10 @@ class LocalSessionController:
         """
         dm = self.delay_model
         viewer_id = viewer.viewer_id
-        delay = self.join_request_delay(viewer)
-        fanout = dm.propagation(self.node_id, viewer_id)
+        # Both legs cross the same LSC <-> viewer hop: looked up once.
+        lsc_hop = dm.propagation(self.node_id, viewer_id)
+        delay = self._request_delay(viewer_id, lsc_hop)
+        fanout = lsc_hop
         for parent in parents:
             fanout = max(fanout, dm.propagation(self.node_id, parent))
         delay += fanout

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.model.stream import StreamId
 
@@ -32,24 +32,20 @@ class ForwardingAction(str, Enum):
     RATE_CONTROL = "rate"
 
 
-@dataclass(frozen=True)
-class MatchField:
-    """Match field of a routing entry: (parent viewer, stream id)."""
+class MatchField(NamedTuple):
+    """Match field of a routing entry: (parent viewer, stream id).
+
+    Tuple-backed like :class:`~repro.model.stream.StreamId`: a match
+    field hashes and compares as the plain tuple ``(parent_id,
+    stream_id)``, so the table probes with that tuple and only builds a
+    ``MatchField`` when it stores a new entry.
+    """
 
     parent_id: str
     stream_id: StreamId
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.parent_id}:{self.stream_id}"
-
-    def __hash__(self) -> int:
-        # Match fields key the routing table of every viewer and are
-        # rebuilt per lookup; memoize the (otherwise re-derived) hash.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.parent_id, self.stream_id))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
 
 @dataclass
@@ -119,14 +115,16 @@ class SessionRoutingTable:
 
     def upsert(self, parent_id: str, stream_id: StreamId) -> RoutingEntry:
         """Create (or fetch) the entry for a received stream."""
-        match = MatchField(parent_id=parent_id, stream_id=stream_id)
-        if match not in self._entries:
-            self._entries[match] = RoutingEntry(match=match)
-        return self._entries[match]
+        entry = self._entries.get((parent_id, stream_id))
+        if entry is None:
+            match = MatchField(parent_id, stream_id)
+            entry = RoutingEntry(match=match)
+            self._entries[match] = entry
+        return entry
 
     def lookup(self, parent_id: str, stream_id: StreamId) -> Optional[RoutingEntry]:
         """Exact-match lookup used by the data plane on frame arrival."""
-        return self._entries.get(MatchField(parent_id=parent_id, stream_id=stream_id))
+        return self._entries.get((parent_id, stream_id))
 
     def lookup_stream(self, stream_id: StreamId) -> Optional[RoutingEntry]:
         """Find the entry for a stream regardless of which parent delivers it."""
@@ -137,10 +135,7 @@ class SessionRoutingTable:
 
     def remove(self, parent_id: str, stream_id: StreamId) -> bool:
         """Drop the entry of a stream (e.g. after a view change)."""
-        return (
-            self._entries.pop(MatchField(parent_id=parent_id, stream_id=stream_id), None)
-            is not None
-        )
+        return self._entries.pop((parent_id, stream_id), None) is not None
 
     def remove_stream(self, stream_id: StreamId) -> int:
         """Drop every entry of a stream; returns the number removed."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.layering import (
     DelayLayerConfig,
@@ -38,8 +38,7 @@ from repro.model.stream import StreamId
 from repro.net.latency import DelayModel
 
 
-@dataclass(frozen=True)
-class StreamSubscriptionPlan:
+class StreamSubscriptionPlan(NamedTuple):
     """Planned subscription of one stream at one viewer."""
 
     stream_id: StreamId

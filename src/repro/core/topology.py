@@ -23,7 +23,7 @@ members per admission check.  This version keeps the *observable
 behaviour bit-identical* (enforced by the randomized equivalence suite in
 ``tests/test_properties.py`` against
 :class:`repro.core._topology_reference.ReferenceStreamTree`) while
-maintaining three incremental indices:
+maintaining four incremental indices:
 
 * **per-level member lists**, kept sorted by Algorithm 1's priority key
   ``(out_degree, outbound_capacity, node_id)`` -- the key is immutable
@@ -33,7 +33,12 @@ maintaining three incremental indices:
   the members with an unfilled child slot, so the empty-slot pass and
   :meth:`find_repair_parent` only ever look at viable parents,
 * a **running free-slot total** making :meth:`free_p2p_slots` O(1); the
-  seed recomputed it over all members on every join's supply check.
+  seed recomputed it over all members on every join's supply check,
+* a **root position index** (CDN-fed viewer -> position in
+  ``root.children``): a displacement at the root takes over the
+  displaced viewer's position without scanning a child list as long as
+  the audience.  Appends extend it; a root removal shifts positions, so
+  it is dropped there and rebuilt by the next root displacement.
 
 Structural moves (displacement push-down, reparenting, orphan
 re-attachment) re-settle whole subtrees in one batched walk using the
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.stream import Stream, StreamId
@@ -72,7 +77,7 @@ _BATCH_PREFILTER_MARGIN = 1e-6
 _Key = Tuple[int, float, str]
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """A viewer's position in one stream tree.
 
@@ -113,8 +118,7 @@ class TreeNode:
         return (self.out_degree, self.outbound_capacity, self.node_id)
 
 
-@dataclass(frozen=True)
-class InsertResult:
+class InsertResult(NamedTuple):
     """Outcome of inserting a viewer into a stream tree."""
 
     accepted: bool
@@ -187,6 +191,11 @@ class StreamTree:
         #: or (temporarily) orphaned -- matching the seed's full-member
         #: scan exactly.
         self._free_slots_total = 0
+        #: Position of every CDN-fed viewer in ``root.children``, so a
+        #: displacement at the root splices in O(1) however large the
+        #: audience.  A root removal shifts the positions behind it and
+        #: sets this to ``None``; the next root displacement rebuilds it.
+        self._root_positions: Optional[Dict[str, int]] = {}
 
     # -- inspection ---------------------------------------------------------
 
@@ -336,6 +345,8 @@ class StreamTree:
         root are plain CDN subscriptions with no slot accounting.
         """
         if parent.node_id == CDN_NODE_ID:
+            if self._root_positions is not None:
+                self._root_positions[child_id] = len(parent.children)
             parent.children.append(child_id)
             return
         old_free = parent.free_slots
@@ -349,6 +360,7 @@ class StreamTree:
         """Drop a child, keeping the free-slot index and total exact."""
         if parent.node_id == CDN_NODE_ID:
             parent.children.remove(child_id)
+            self._root_positions = None
             return
         old_free = parent.free_slots
         parent.children.remove(child_id)
@@ -356,6 +368,25 @@ class StreamTree:
         self._free_slots_total += new_free - old_free
         if parent.attached and old_free == 0 and new_free > 0:
             insort(self._levels[parent.depth - 1].free, parent.sort_key)
+
+    def _replace_child(self, parent: TreeNode, old_id: str, new_id: str) -> None:
+        """Put ``new_id`` at ``old_id``'s position among ``parent``'s children.
+
+        A viewer's children are bounded by its out-degree; the root's
+        grow with the audience, so its slot comes from the position index.
+        """
+        if parent.node_id != CDN_NODE_ID:
+            parent.children[parent.children.index(old_id)] = new_id
+            return
+        positions = self._root_positions
+        if positions is None:
+            positions = {
+                child_id: index for index, child_id in enumerate(parent.children)
+            }
+            self._root_positions = positions
+        index = positions.pop(old_id)
+        parent.children[index] = new_id
+        positions[new_id] = index
 
     def _detach_subtree(self, root_id: str) -> None:
         """Remove a subtree from the indices (delays stay as-is, like the seed)."""
@@ -557,8 +588,7 @@ class StreamTree:
 
         # Splice the new node into target's slot (same child count, so the
         # parent's free-slot standing is untouched).
-        index = parent.children.index(target.node_id)
-        parent.children[index] = node_id
+        self._replace_child(parent, target.node_id, node_id)
         new_node = TreeNode(
             node_id=node_id,
             out_degree=out_degree,
@@ -802,8 +832,8 @@ class StreamTree:
         Verifies parent/child symmetry, that no viewer exceeds its
         out-degree, that the structure is acyclic, and that the
         maintained placement indices (levels, free-slot candidates,
-        running free total, depths, cached hops) agree with the actual
-        tree shape.
+        running free total, depths, cached hops, root positions) agree
+        with the actual tree shape.
         """
         for node in self._nodes.values():
             if node.node_id != CDN_NODE_ID and len(node.children) > node.out_degree:
@@ -890,3 +920,7 @@ class StreamTree:
             raise AssertionError(
                 f"free-slot total {self._free_slots_total} != actual {expected_total}"
             )
+        if self._root_positions is not None and self._root_positions != {
+            child_id: index for index, child_id in enumerate(self.root.children)
+        }:
+            raise AssertionError("root position index out of sync")

@@ -11,31 +11,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.util.validation import require_positive
 
 
-@dataclass(frozen=True, order=True)
-class StreamId:
-    """Globally unique stream identifier: (producer site, camera index)."""
+class StreamId(NamedTuple):
+    """Globally unique stream identifier: (producer site, camera index).
+
+    Stream ids key every hot dict of the control plane (routing tables,
+    subscriptions, trees), so the type is tuple-backed: hashing, equality
+    and ordering run in C and are exactly those of the plain tuple
+    ``(site_id, camera_index)`` -- which an id therefore also compares
+    equal to.  The hash derives from the fields on every call, so a
+    pickled id hashes correctly in a process with another string-hash
+    seed.
+    """
 
     site_id: str
     camera_index: int
 
     def __str__(self) -> str:
         return f"S{self.camera_index}@{self.site_id}"
-
-    def __hash__(self) -> int:
-        # Stream ids key every hot dict of the control plane (routing
-        # tables, subscriptions, trees); the generated dataclass hash
-        # rebuilds and hashes a tuple per call, so memoize it.  The value
-        # is identical to the generated ``hash((site_id, camera_index))``.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.site_id, self.camera_index))
-            object.__setattr__(self, "_hash", cached)
-        return cached
 
 
 @dataclass(frozen=True)

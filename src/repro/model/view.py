@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.model.stream import Stream, StreamId
 
@@ -201,17 +202,20 @@ class GlobalView:
                 return lv
         raise KeyError(site_id)
 
-    @property
+    # A view is immutable, so the orderings every join asks for are
+    # derived once per view, not once per join.
+
+    @cached_property
     def prioritized_streams(self) -> Tuple[PrioritizedStream, ...]:
         """All streams of the view in global priority order (best first)."""
         return global_priority_order(self.local_views)
 
-    @property
+    @cached_property
     def streams(self) -> Tuple[Stream, ...]:
         """All streams of the view in global priority order."""
         return tuple(entry.stream for entry in self.prioritized_streams)
 
-    @property
+    @cached_property
     def stream_ids(self) -> Tuple[StreamId, ...]:
         """Stream identifiers of the view in global priority order."""
         return tuple(entry.stream_id for entry in self.prioritized_streams)
@@ -223,6 +227,11 @@ class GlobalView:
             lv.site_id: lv.highest_priority_stream.stream_id
             for lv in self.local_views
         }
+
+    @cached_property
+    def must_have_stream_ids(self) -> FrozenSet[StreamId]:
+        """Every site's most important stream: a request delivering fewer is refused."""
+        return frozenset(self.highest_priority_per_site.values())
 
     def overlapping_streams(self, other: "GlobalView") -> List[StreamId]:
         """Streams shared between this view and ``other``.

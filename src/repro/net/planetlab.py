@@ -226,37 +226,35 @@ class LazyPlanetLabMatrix(LatencyMatrix):
         self._log_intra = log_intra
         self._log_inter = log_inter
         self._sigma = sigma
-        #: Memoized pair delays keyed by (higher, lower) interned id.
-        self._memo: Dict[Tuple[int, int], float] = {}
+        #: Derived pair delays keyed by the name pair in sorted order.
+        #: Never holds a pair with an explicit ``set_delay`` override, so
+        #: a hit needs no second look at the triangular rows.
+        self._memo: Dict[Tuple[str, str], float] = {}
+
+    def delay(self, a: str, b: str) -> float:
+        """One-way delay of the pair: one memo probe once it was derived."""
+        value = self._memo.get((a, b) if a <= b else (b, a))
+        if value is not None:
+            return value
+        return super().delay(a, b)
 
     def _lookup(self, a: str, b: str) -> float:
         value = super()._lookup(a, b)  # explicit set_delay overrides win
         if value == value:
             return value
-        ia = self.interner.get(a)
-        ib = self.interner.get(b)
-        if ia is None or ib is None:
-            return math.nan
-        if ia < ib:
-            ia, ib = ib, ia
-        return self._memo.get((ia, ib), math.nan)
+        return self._memo.get((a, b) if a <= b else (b, a), math.nan)
 
     def set_delay(self, a: str, b: str, delay: float) -> None:
         """Set an explicit delay, retiring any lazily memoized value.
 
-        Without the eviction the pair would be double-counted in the
-        running mean and yielded twice by :meth:`pairs` with conflicting
-        values.
+        Without the eviction the memoized draw would keep answering
+        :meth:`delay`, be double-counted in the running mean and be
+        yielded twice by :meth:`pairs` with conflicting values.
         """
-        ia = self.interner.get(a)
-        ib = self.interner.get(b)
-        if ia is not None and ib is not None:
-            if ia < ib:
-                ia, ib = ib, ia
-            previous = self._memo.pop((ia, ib), None)
-            if previous is not None:
-                self._explicit_sum -= previous
-                self._explicit_count -= 1
+        previous = self._memo.pop((a, b) if a <= b else (b, a), None)
+        if previous is not None:
+            self._explicit_sum -= previous
+            self._explicit_count -= 1
         super().set_delay(a, b, delay)
 
     def _missing_delay(self, a: str, b: str) -> float:
@@ -270,13 +268,10 @@ class LazyPlanetLabMatrix(LatencyMatrix):
         same_region = self.regions.region_of(a) == self.regions.region_of(b)
         log_median = self._log_intra if same_region else self._log_inter
         if a > b:  # pair draws are symmetric in sorted-name order
+            a, b = b, a
             key_a, key_b = key_b, key_a
         delay = _pair_delay(key_a, key_b, log_median, self._sigma)
-        ia = self.interner.id_of(a)
-        ib = self.interner.id_of(b)
-        if ia < ib:
-            ia, ib = ib, ia
-        self._memo[(ia, ib)] = delay
+        self._memo[(a, b)] = delay
         self._record_explicit(delay)
         return delay
 
@@ -344,15 +339,8 @@ class LazyPlanetLabMatrix(LatencyMatrix):
 
     def pairs(self) -> Iterable[Tuple[str, str, float]]:
         yield from super().pairs()
-        name_of = self.interner.name_of
-        for (high_id, low_id), value in self._memo.items():
-            a = name_of(high_id)
-            b = name_of(low_id)
-            if a <= b:
-                yield a, b, value
-            else:
-                yield b, a, value
-
+        for (a, b), value in self._memo.items():
+            yield a, b, value
 
 
 def generate_planetlab_matrix(

@@ -12,7 +12,9 @@ daemon continues with byte-identical placement decisions: an in-flight
 ``JoinAck`` that crossed the snapshot point is delivered at its original
 simulated timestamp in the new process.
 
-File format (version 1)::
+File format (version 2; the version moves whenever the pickled layout
+of a persisted type does, so an older file is refused by name instead
+of failing inside :mod:`pickle`)::
 
     line 1: JSON header {"magic", "version", "sim_time", "sha256",
                          "created_at", "python"}
@@ -39,7 +41,7 @@ import time
 from typing import Any, Dict, Tuple
 
 SNAPSHOT_MAGIC = "repro-service-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):

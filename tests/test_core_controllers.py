@@ -217,3 +217,48 @@ class TestOverlayProperty:
         for stream_id, tree in group.trees.items():
             if strongest in tree and weakest in tree:
                 assert tree.depth_of(strongest) <= tree.depth_of(weakest)
+
+
+class TestJoinLookupBudget:
+    """Deterministic guard on the interpreter-level cost of one join.
+
+    Call counts repeat exactly for a seeded scenario, so they can gate
+    where wall-clock numbers cannot.
+    """
+
+    #: ``LatencyMatrix.delay`` calls the 300 joins of this scenario made
+    #: before `_join_delay` stopped asking for the (LSC, viewer) pair
+    #: three times per join (19.83 per join).
+    LOOKUPS_BEFORE = 5950
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_delay_lookups_per_join_stay_under_budget(self, lazy):
+        from repro.experiments.config import PAPER_CONFIG
+        from repro.experiments.runner import build_scenario, run_telecast_scenario
+
+        config = PAPER_CONFIG.with_scaled_population(
+            300, num_lscs=3, num_views=1
+        ).with_(lazy_latency=lazy)
+        scenario = build_scenario(config)
+        matrix = scenario.delay_model.matrix
+        base = type(matrix)
+        lookups = [0]
+
+        class CountingMatrix(base):
+            def delay(self, a, b):
+                lookups[0] += 1
+                return super().delay(a, b)
+
+        matrix.__class__ = CountingMatrix
+        run_telecast_scenario(config, scenario=scenario, snapshot_every=None)
+        joins = sum(1 for event in scenario.events if event.kind == "join")
+        assert joins == 300
+        # Two of the three (LSC, viewer) probes per join are gone.
+        assert lookups[0] <= self.LOOKUPS_BEFORE - 2 * joins
+
+    def test_hot_id_hash_is_not_a_python_function(self):
+        from repro.core.routing_table import MatchField
+        from repro.model.stream import StreamId
+
+        assert "__hash__" not in vars(StreamId)
+        assert "__hash__" not in vars(MatchField)

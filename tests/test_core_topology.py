@@ -283,3 +283,42 @@ class TestFreeSlotAccounting:
         reference.remove("b")
         assert tree.free_p2p_slots() == reference.free_p2p_slots()
         assert tree.free_p2p_slots() > 0  # the detached subtree's slots count
+
+
+class TestRootPositionIndex:
+    """Displacements at the CDN root keep the displaced viewer's position."""
+
+    @staticmethod
+    def _cdn_fed(tree, count):
+        # Zero-degree viewers offer no slot, so each lands under the CDN.
+        for index in range(count):
+            assert tree.insert(f"leaf-{index}", 0, 0.0).via_cdn
+        return [f"leaf-{index}" for index in range(count)]
+
+    def test_root_displacement_takes_over_the_position(self, tree):
+        leaves = self._cdn_fed(tree, 5)
+        result = tree.insert("big", 1, 5.0)
+        assert result.via_cdn and result.displaced_node_id == "leaf-0"
+        assert tree.cdn_children() == ["big"] + leaves[1:]
+        assert tree._root_positions is not None
+        tree.validate()
+
+    def test_root_removal_drops_the_index_and_displacement_rebuilds_it(self, tree):
+        leaves = self._cdn_fed(tree, 5)
+        tree.remove("leaf-1")
+        assert tree._root_positions is None  # positions behind it shifted
+        tree.validate()
+        tree.insert("big", 1, 5.0)  # displaces leaf-0 at the root
+        assert tree.cdn_children() == ["big", "leaf-2", "leaf-3", "leaf-4"]
+        assert tree._root_positions == {
+            "big": 0, "leaf-2": 1, "leaf-3": 2, "leaf-4": 3
+        }
+        assert tree.reparent("leaf-0", CDN_NODE_ID).accepted  # appended
+        assert tree._root_positions["leaf-0"] == 4
+        tree.validate()
+
+    def test_validate_detects_a_stale_root_index(self, tree):
+        self._cdn_fed(tree, 3)
+        tree._root_positions["leaf-0"], tree._root_positions["leaf-1"] = 1, 0
+        with pytest.raises(AssertionError, match="root position index"):
+            tree.validate()

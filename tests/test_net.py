@@ -258,6 +258,7 @@ class TestLazyPlanetLabMatrix:
         assert lazy.explicit_pair_count() == 0
         lazy.delay("n0", "n1")
         lazy.delay("n0", "n1")  # memoized: still a single stored pair
+        assert lazy.delay("n1", "n0") == lazy.delay("n0", "n1")  # one key per pair
         assert lazy.explicit_pair_count() == 1
         assert lazy.has_pair("n0", "n1")
         delay = lazy.delay("n0", "n1")
@@ -281,8 +282,8 @@ class TestLazyPlanetLabMatrix:
     def test_explicit_set_delay_retires_memoized_value(self):
         lazy = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1), lazy=True)
         lazy.delay("a", "b")  # memoize the derived value
-        lazy.set_delay("a", "b", 0.5)
-        assert lazy.delay("a", "b") == 0.5
+        lazy.set_delay("b", "a", 0.5)
+        assert lazy.delay("a", "b") == lazy.delay("b", "a") == 0.5
         assert lazy.explicit_pair_count() == 1
         assert list(lazy.pairs()) == [("a", "b", 0.5)]
         assert lazy.mean_delay() == 0.5

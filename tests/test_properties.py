@@ -244,30 +244,47 @@ def _make_op_sequence(rng: random.Random, length: int = 70):
     return ops
 
 
+def _result_values(result):
+    """Field values of a result record, dataclass or named tuple alike."""
+    if isinstance(result, tuple):
+        return tuple(result)
+    return dataclasses.astuple(result)
+
+
+def _result_field_names(result_type):
+    if issubclass(result_type, tuple):
+        return list(result_type._fields)
+    return [f.name for f in dataclasses.fields(result_type)]
+
+
 def _replay_ops(tree, ops):
     """Apply an op script to one tree, returning every observable outcome.
 
     Targets of remove/reparent ops are picked by index into the sorted
     member list, so both implementations resolve the same script to the
     same concrete operations as long as their membership stays identical
-    (which the outcome comparison enforces).
+    (which the outcome comparison enforces).  The CDN's child list is
+    observed, order included, after every op: displacements at the root
+    must keep the displaced viewer's position, also once removals and
+    reparents to the CDN have shifted the positions behind them.
     """
     outcomes = []
     for op in ops:
+        outcomes.append(("cdn-children", tree.cdn_children()))
         kind = op[0]
         if kind == "insert":
             _, node_id, degree, capacity = op
             if node_id in tree:
                 continue
             result = tree.insert(node_id, degree, capacity)
-            outcomes.append(("insert", node_id, dataclasses.astuple(result)))
+            outcomes.append(("insert", node_id, _result_values(result)))
         elif kind == "remove":
             members = sorted(tree.members())
             if not members:
                 continue
             target = members[op[1] % len(members)]
             removal = tree.remove(target)
-            outcomes.append(("remove", target, dataclasses.astuple(removal)))
+            outcomes.append(("remove", target, _result_values(removal)))
             # Observed while orphans are still detached: the free-slot
             # aggregate must count them, exactly like the seed's scan.
             outcomes.append(("free-slots-mid-removal", target, tree.free_p2p_slots()))
@@ -275,7 +292,7 @@ def _replay_ops(tree, ops):
                 parent = tree.find_repair_parent(orphan)
                 outcomes.append(("repair-parent", orphan, parent))
                 reattached = tree.reattach_orphan(orphan, parent or CDN_NODE_ID)
-                outcomes.append(("reattach", orphan, dataclasses.astuple(reattached)))
+                outcomes.append(("reattach", orphan, _result_values(reattached)))
                 if not reattached.accepted:
                     # Clean up unplaceable victims like the adaptation layer
                     # does, so later ops see a consistent membership.
@@ -287,7 +304,7 @@ def _replay_ops(tree, ops):
                 continue
             target = members[op[1] % len(members)]
             result = tree.reparent(target, CDN_NODE_ID)
-            outcomes.append(("reparent", target, dataclasses.astuple(result)))
+            outcomes.append(("reparent", target, _result_values(result)))
     return outcomes
 
 
@@ -372,17 +389,17 @@ class TestPlacementEquivalence:
             assert shapes[0] == shapes[1], f"scenario {scenario}: tree shape divergence"
 
     def test_insert_results_share_field_layout_with_reference(self):
-        # astuple-based comparison above relies on both InsertResult
-        # dataclasses having the same fields in the same order.
+        # The value-tuple comparison above relies on both InsertResult
+        # records having the same fields in the same order.
         from repro.core import _topology_reference as ref_mod
         from repro.core import topology as top_mod
 
-        assert [f.name for f in dataclasses.fields(top_mod.InsertResult)] == [
-            f.name for f in dataclasses.fields(ref_mod.InsertResult)
-        ]
-        assert [f.name for f in dataclasses.fields(top_mod.RemovalResult)] == [
-            f.name for f in dataclasses.fields(ref_mod.RemovalResult)
-        ]
+        assert _result_field_names(top_mod.InsertResult) == _result_field_names(
+            ref_mod.InsertResult
+        )
+        assert _result_field_names(top_mod.RemovalResult) == _result_field_names(
+            ref_mod.RemovalResult
+        )
 
 
 class TestGoldenSmokeMetrics:

@@ -16,6 +16,7 @@ messages that were in flight when the snapshot was taken.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 import socket
@@ -287,6 +288,25 @@ class TestSnapshotFile:
     def test_unpicklable_state_fails_loudly(self):
         with pytest.raises(SnapshotError):
             save_snapshot("/tmp/never-written.snap", lambda: None, sim_time=0.0)
+
+    def test_version_1_file_refused_by_name(self, tmp_path):
+        # A v1 payload pickled StreamId/MatchField as dataclass instances;
+        # the version check must refuse it before pickle ever sees it.
+        payload = pickle.dumps({"hello": [1, 2, 3]}, protocol=4)
+        header = {
+            "created_at": "2026-01-01T00:00:00Z",
+            "magic": "repro-service-snapshot",
+            "python": "pickle-p4",
+            "sha256": hashlib.sha256(payload).hexdigest(),
+            "sim_time": 0.0,
+            "version": 1,
+        }
+        path = str(tmp_path / "v1.snap")
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+            handle.write(payload)
+        with pytest.raises(SnapshotError, match="unsupported version 1"):
+            load_snapshot(path)
 
 
 class TestInFlightSnapshot:
