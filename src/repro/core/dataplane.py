@@ -12,9 +12,9 @@ Two replay engines share the :class:`DeliveryRecord` vocabulary:
   with no bandwidth or loss model.  It remains the golden-pinned
   reference semantics.
 * :class:`SimulatedDataPlane` -- the event-driven replay: frames travel
-  as typed :class:`~repro.sim.transport.DataMessage` batches on the
-  :class:`~repro.sim.engine.Simulator`, serialized through each parent's
-  reserved forwarding bin (:class:`~repro.sim.transport.DataLink`), with
+  in per-edge chunks on the :class:`~repro.sim.engine.Simulator`, each
+  chunk serialized in one call through the parent's reserved forwarding
+  bin (:class:`~repro.sim.transport.DataLink`), with
   configurable loss, per-viewer playout accounting
   (startup delay / continuity / inter-stream skew, :class:`QoEReport`),
   and a feedback loop that triggers the ``kappa`` delay-layer refresh of
@@ -27,12 +27,13 @@ Two replay engines share the :class:`DeliveryRecord` vocabulary:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.stream import Frame, StreamId
 from repro.sim.rng import SeededRandom
-from repro.sim.transport import DataChannel, DataMessage, GilbertElliottConfig
+from repro.sim.transport import DataChannel, GilbertElliottConfig
 from repro.traces.teeve import TeeveSessionTrace
 from repro.util.validation import require_non_negative, require_positive
 
@@ -40,9 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (telecast imports us)
     from repro.core.telecast import TeleCastSystem
 
 
-@dataclass(frozen=True, slots=True)
-class DeliveryRecord:
-    """One frame delivered to one viewer."""
+class DeliveryRecord(NamedTuple):
+    """One frame delivered to one viewer.
+
+    Tuple-backed because a replay builds one per delivered frame: the
+    constructor runs in C, and reports sort by field position.
+    """
 
     viewer_id: str
     stream_id: StreamId
@@ -54,6 +58,10 @@ class DeliveryRecord:
     def end_to_end_delay(self) -> float:
         """Capture-to-gateway delay of the frame."""
         return self.delivery_time - self.capture_time
+
+
+#: Report order, ``(delivery_time, viewer_id)``, as a C-level sort key.
+_BY_DELIVERY_THEN_VIEWER = itemgetter(4, 0)
 
 
 @dataclass
@@ -70,15 +78,51 @@ class PlaybackReport:
         self._by_viewer: Optional[Dict[str, List[DeliveryRecord]]] = None
         self._indexed_length = -1
 
-    def deliveries_for(self, viewer_id: str) -> List[DeliveryRecord]:
-        """All deliveries at one viewer (indexed; O(total) only once)."""
+    def _indexed(self, viewer_id: str) -> Sequence[DeliveryRecord]:
+        """One viewer's deliveries straight from the index (do not mutate)."""
         if self._by_viewer is None or self._indexed_length != len(self.deliveries):
             index: Dict[str, List[DeliveryRecord]] = {}
             for record in self.deliveries:
                 index.setdefault(record.viewer_id, []).append(record)
             self._by_viewer = index
             self._indexed_length = len(self.deliveries)
-        return list(self._by_viewer.get(viewer_id, ()))
+        return self._by_viewer.get(viewer_id, ())
+
+    def deliveries_for(self, viewer_id: str) -> List[DeliveryRecord]:
+        """All deliveries at one viewer (indexed; O(total) only once)."""
+        return list(self._indexed(viewer_id))
+
+    def skews_for(
+        self, viewer_id: str, playout_point: float
+    ) -> Tuple[Optional[float], Optional[float]]:
+        """``(skew_for, playout_skew_for)`` from one pass over the records.
+
+        For every frame number present in all of the viewer's streams,
+        the two skews are spreads of the same dependent-frame delays --
+        raw, and clamped from below at ``playout_point`` -- so both follow
+        from the fastest and slowest of those delays.  ``(None, None)``
+        when the viewer received fewer than two streams.
+        """
+        per_stream: Dict[StreamId, Dict[int, float]] = {}
+        for _, stream_id, frame_number, captured, delivered in self._indexed(viewer_id):
+            per_stream.setdefault(stream_id, {})[frame_number] = delivered - captured
+        if len(per_stream) < 2:
+            return None, None
+        tables = list(per_stream.values())
+        skew = playout_skew = 0.0
+        for frame_number in set(tables[0]).intersection(*tables[1:]):
+            delays = [table[frame_number] for table in tables]
+            fastest = min(delays)
+            slowest = max(delays)
+            if slowest - fastest > skew:
+                skew = slowest - fastest
+            # Clamping at the playout point is monotone, so the aligned
+            # extremes are the clamped raw extremes.
+            if slowest > playout_point:
+                aligned = slowest - (fastest if fastest > playout_point else playout_point)
+                if aligned > playout_skew:
+                    playout_skew = aligned
+        return skew, playout_skew
 
     def skew_for(self, viewer_id: str) -> Optional[float]:
         """Worst inter-stream delay skew observed at a viewer.
@@ -89,21 +133,7 @@ class PlaybackReport:
         Property 2 bounds by ``d_buff``); the method returns the maximum
         spread, or ``None`` when the viewer received fewer than two streams.
         """
-        per_stream: Dict[StreamId, Dict[int, float]] = {}
-        for record in self.deliveries_for(viewer_id):
-            per_stream.setdefault(record.stream_id, {})[record.frame_number] = (
-                record.end_to_end_delay
-            )
-        if len(per_stream) < 2:
-            return None
-        worst = 0.0
-        common_frames = set.intersection(
-            *(set(frames) for frames in per_stream.values())
-        )
-        for frame_number in common_frames:
-            delays = [frames[frame_number] for frames in per_stream.values()]
-            worst = max(worst, max(delays) - min(delays))
-        return worst
+        return self.skews_for(viewer_id, 0.0)[0]
 
     def playout_skew_for(
         self, viewer_id: str, playout_point: float
@@ -121,26 +151,7 @@ class PlaybackReport:
         this quantity by ``d_buff``; ``None`` when the viewer received
         fewer than two streams.
         """
-        per_stream: Dict[StreamId, Dict[int, float]] = {}
-        for record in self.deliveries_for(viewer_id):
-            per_stream.setdefault(record.stream_id, {})[record.frame_number] = (
-                record.end_to_end_delay
-            )
-        if len(per_stream) < 2:
-            return None
-        worst = 0.0
-        common_frames = set.intersection(
-            *(set(frames) for frames in per_stream.values())
-        )
-        for frame_number in common_frames:
-            aligned = [
-                delay if delay > playout_point else playout_point
-                for delay in (
-                    frames[frame_number] for frames in per_stream.values()
-                )
-            ]
-            worst = max(worst, max(aligned) - min(aligned))
-        return worst
+        return self.skews_for(viewer_id, playout_point)[1]
 
     def mean_delay_for(self, viewer_id: str, stream_id: StreamId) -> Optional[float]:
         """Mean end-to-end delay of one stream at one viewer."""
@@ -212,7 +223,7 @@ class OverlayDataPlane:
                     for frame in frames
                 )
                 self._buffer_frames(viewer, frames, delay)
-        deliveries.sort(key=lambda d: (d.delivery_time, d.viewer_id))
+        deliveries.sort(key=_BY_DELIVERY_THEN_VIEWER)
         return report
 
     @staticmethod
@@ -481,22 +492,17 @@ class _EdgeState:
         self.gap_len = 0
         self.prev_ok = True
 
-    def frame_unplayable(self) -> None:
-        """Record one lost, late or dropped frame (extends the gap)."""
-        self.gap_len += 1
-
 
 class SimulatedDataPlane:
     """Event-driven frame replay over the overlay of a TeleCast session.
 
-    Frames of every subscribed stream travel as typed
-    :class:`~repro.sim.transport.DataMessage` batches on the session's
+    Frames of every subscribed stream travel in chunks on the session's
     :class:`~repro.sim.engine.Simulator`: each subscription edge schedules
     one engine event per ``batch_quantum`` of trace time, and every event
     serializes the frames due in its quantum through the parent's
-    reserved forwarding bin (FIFO queueing), applies loss, stamps the
-    delivery, inserts the frame into the viewer's gateway buffer and
-    updates the playout accounting.  Edge state (parent, effective delay,
+    reserved forwarding bin in one link call (FIFO queueing, loss), then
+    stamps the deliveries, inserts the frames into the viewer's gateway
+    buffer and updates the playout accounting.  Edge state (parent, effective delay,
     still-subscribed) is re-read at every event, so the observed-delay
     layer refresh running on the same engine feeds back into subsequent
     deliveries.
@@ -674,52 +680,72 @@ class SimulatedDataPlane:
                 edge.window_sum += count * delay
                 edge.window_count += count
         else:
+            # One link call serializes the whole chunk; the loop below
+            # consumes the returned delivery times with the edge's
+            # playout state held in locals and folded back once.
             t0 = self._t0
+            chunk = frames[index:stop]
+            delivered_at = channel.transmit_chunk(
+                link, chunk, epoch=t0, path_delay=delay
+            )
+            viewer_id = edge.viewer_id
+            deadline = edge.deadline + 1e-9
             buffer = edge.viewer.buffer_for(stream_id)
+            insert = buffer.insert
             latest = buffer.latest_frame()
             floor = latest.frame_number if latest is not None else -1
-            for position in range(index, stop):
-                frame = frames[position]
-                edge.expected += 1
-                message = DataMessage(
-                    src=parent_id,
-                    dst=edge.viewer_id,
-                    sent_at=t0 + frame.capture_time,
-                    stream_id=stream_id,
-                    frame_number=frame.frame_number,
-                    capture_time=frame.capture_time,
-                    size_megabits=frame.size_megabits,
-                )
-                delivered_abs = channel.transmit(message, link, path_delay=delay)
+            last_received = edge.last_received
+            first_delivery = edge.first_delivery
+            window_sum = edge.window_sum
+            concealed = edge.concealed
+            gap_len = edge.gap_len
+            prev_ok = edge.prev_ok
+            late = 0
+            append_delivery = deliveries.append
+            for frame, delivered_abs in zip(chunk, delivered_at):
                 if delivered_abs is None:
-                    edge.lost += 1
-                    edge.frame_unplayable()
+                    gap_len += 1
                     continue
+                frame_number = frame.frame_number
+                capture_time = frame.capture_time
                 delivery_rel = delivered_abs - t0
-                edge.delivered += 1
-                observed = delivery_rel - frame.capture_time
-                if observed > edge.deadline + 1e-9:
-                    edge.late += 1
-                    edge.frame_unplayable()
+                observed = delivery_rel - capture_time
+                if observed > deadline:
+                    late += 1
+                    gap_len += 1
                 else:
-                    edge.frame_ok()
-                deliveries.append(
+                    # An on-time frame closes the gap; a closed gap of
+                    # exactly one frame between on-time neighbours is
+                    # concealed (see _EdgeState.frame_ok).
+                    if gap_len == 1 and prev_ok:
+                        concealed += 1
+                    gap_len = 0
+                    prev_ok = True
+                append_delivery(
                     DeliveryRecord(
-                        viewer_id=edge.viewer_id,
-                        stream_id=stream_id,
-                        frame_number=frame.frame_number,
-                        capture_time=frame.capture_time,
-                        delivery_time=delivery_rel,
+                        viewer_id, stream_id, frame_number, capture_time, delivery_rel
                     )
                 )
-                if frame.frame_number > floor and delivery_rel >= edge.last_received:
-                    buffer.insert(frame, delivery_rel)
-                    floor = frame.frame_number
-                    edge.last_received = delivery_rel
-                if edge.first_delivery is None:
-                    edge.first_delivery = delivery_rel
-                edge.window_sum += observed
-                edge.window_count += 1
+                if frame_number > floor and delivery_rel >= last_received:
+                    insert(frame, delivery_rel)
+                    floor = frame_number
+                    last_received = delivery_rel
+                if first_delivery is None:
+                    first_delivery = delivery_rel
+                window_sum += observed
+            lost = delivered_at.count(None)
+            delivered = len(delivered_at) - lost
+            edge.expected += len(delivered_at)
+            edge.lost += lost
+            edge.delivered += delivered
+            edge.late += late
+            edge.concealed = concealed
+            edge.gap_len = gap_len
+            edge.prev_ok = prev_ok
+            edge.last_received = last_received
+            edge.first_delivery = first_delivery
+            edge.window_sum = window_sum
+            edge.window_count += delivered
 
         edge.index = stop
         if stop < total:
@@ -784,7 +810,7 @@ class SimulatedDataPlane:
 
     def _finalize(self) -> QoEReport:
         report = self._report
-        report.playback.deliveries.sort(key=lambda d: (d.delivery_time, d.viewer_id))
+        report.playback.deliveries.sort(key=_BY_DELIVERY_THEN_VIEWER)
         report.frames_sent = self._channel.sent
         report.frames_delivered = self._channel.delivered
         report.frames_lost = self._channel.lost
@@ -811,14 +837,13 @@ class SimulatedDataPlane:
             playout_point = max(edge.deadline for edge in edges) - edges[
                 0
             ].viewer.buffer_duration
+            skew, playout_skew = report.playback.skews_for(viewer_id, playout_point)
             report.per_viewer[viewer_id] = ViewerQoE(
                 viewer_id=viewer_id,
                 startup_delay=startup,
                 continuity=continuity,
-                skew=report.playback.skew_for(viewer_id),
-                playout_skew=report.playback.playout_skew_for(
-                    viewer_id, playout_point
-                ),
+                skew=skew,
+                playout_skew=playout_skew,
                 frames_expected=expected,
                 frames_delivered=delivered,
                 frames_lost=lost,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.util.validation import require_non_negative
@@ -37,16 +37,13 @@ class Event:
     label: str
 
 
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry: ordered by (time, seq)."""
-
-    time: float
-    seq: int
-    callback: Callable[[], Any] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    fired: bool = field(compare=False, default=False)
+# A heap entry is a plain list ``[time, seq, callback, label, state]``:
+# ``heapq`` orders lists element-wise in C, and ``seq`` is unique, so the
+# comparison is decided by ``(time, seq)`` and never reaches the callback.
+# The list is mutable because cancellation and firing flip ``state`` in
+# place while an :class:`EventHandle` shares the entry with the heap.
+_TIME, _SEQ, _CALLBACK, _LABEL, _STATE = range(5)
+_PENDING, _CANCELLED, _FIRED = range(3)
 
 
 class EventHandle:
@@ -65,23 +62,25 @@ class EventHandle:
     []
     """
 
-    def __init__(self, entry: _QueueEntry) -> None:
+    __slots__ = ("_entry",)
+
+    def __init__(self, entry: list) -> None:
         self._entry = entry
 
     @property
     def time(self) -> float:
         """Scheduled firing time of the event."""
-        return self._entry.time
+        return self._entry[_TIME]
 
     @property
     def cancelled(self) -> bool:
         """Whether the event was cancelled before it fired."""
-        return self._entry.cancelled
+        return self._entry[_STATE] == _CANCELLED
 
     @property
     def fired(self) -> bool:
         """Whether the event's callback has already run."""
-        return self._entry.fired
+        return self._entry[_STATE] == _FIRED
 
     def cancel(self) -> bool:
         """Cancel the event; it will be skipped when dequeued.
@@ -105,9 +104,9 @@ class EventHandle:
         >>> handle.fired
         True
         """
-        if self._entry.fired or self._entry.cancelled:
+        if self._entry[_STATE] != _PENDING:
             return False
-        self._entry.cancelled = True
+        self._entry[_STATE] = _CANCELLED
         return True
 
 
@@ -124,7 +123,7 @@ class Simulator:
 
     def __init__(self, *, trace: bool = False) -> None:
         self._now = 0.0
-        self._queue: List[_QueueEntry] = []
+        self._queue: List[list] = []
         self._seq = itertools.count()
         self._trace = trace
         self.history: List[Event] = []
@@ -165,24 +164,27 @@ class Simulator:
         2.5
         """
         require_non_negative(delay, "delay")
-        entry = _QueueEntry(
-            time=self._now + delay,
-            seq=next(self._seq),
-            callback=callback,
-            label=label,
-        )
-        heapq.heappush(self._queue, entry)
-        return EventHandle(entry)
+        return self._push(self._now + delay, callback, label)
 
     def schedule_at(
         self, time: float, callback: Callable[[], Any], *, label: str = ""
     ) -> EventHandle:
-        """Schedule ``callback`` at an absolute simulation time (>= now)."""
+        """Schedule ``callback`` at exactly ``time`` (absolute, >= now).
+
+        The entry carries ``time`` itself, not ``now + (time - now)``,
+        which can differ from it in the last bit and would then miss an
+        inclusive ``run(until=time)`` boundary.
+        """
         if time < self._now:
             raise ValueError(
                 f"cannot schedule event in the past: {time} < now={self._now}"
             )
-        return self.schedule(time - self._now, callback, label=label)
+        return self._push(time, callback, label)
+
+    def _push(self, time: float, callback: Callable[[], Any], label: str) -> EventHandle:
+        entry = [time, next(self._seq), callback, label, _PENDING]
+        heapq.heappush(self._queue, entry)
+        return EventHandle(entry)
 
     def step(self) -> Optional[Event]:
         """Execute the next pending event and return its trace record.
@@ -190,15 +192,16 @@ class Simulator:
         Returns ``None`` when the queue is empty.  Cancelled events are
         silently discarded.
         """
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            if entry.cancelled:
+        queue = self._queue
+        while queue:
+            entry = heapq.heappop(queue)
+            if entry[_STATE] == _CANCELLED:
                 continue
-            self._now = entry.time
-            entry.fired = True
-            entry.callback()
+            self._now = entry[_TIME]
+            entry[_STATE] = _FIRED
+            entry[_CALLBACK]()
             self._fired += 1
-            record = Event(time=entry.time, seq=entry.seq, label=entry.label)
+            record = Event(time=entry[_TIME], seq=entry[_SEQ], label=entry[_LABEL])
             if self._trace:
                 self.history.append(record)
             return record
@@ -212,25 +215,31 @@ class Simulator:
         event fired earlier, so back-to-back ``run(until=...)`` calls behave
         like contiguous epochs.
         """
+        # The engine's hot loop: peek, pop and fire inline (no per-event
+        # method call), and no Event record unless tracing asks for one.
+        queue = self._queue
+        pop = heapq.heappop
+        trace = self._trace
         executed = 0
-        while self._queue:
+        while queue:
             if max_events is not None and executed >= max_events:
                 return executed
-            next_time = self._peek_time()
-            if next_time is None:
+            entry = queue[0]
+            if entry[_STATE] == _CANCELLED:
+                pop(queue)
+                continue
+            if until is not None and entry[_TIME] > until:
                 break
-            if until is not None and next_time > until:
-                break
-            if self.step() is not None:
-                executed += 1
+            pop(queue)
+            self._now = entry[_TIME]
+            entry[_STATE] = _FIRED
+            entry[_CALLBACK]()
+            self._fired += 1
+            if trace:
+                self.history.append(
+                    Event(time=entry[_TIME], seq=entry[_SEQ], label=entry[_LABEL])
+                )
+            executed += 1
         if until is not None and until > self._now:
             self._now = until
         return executed
-
-    def _peek_time(self) -> Optional[float]:
-        """Return the firing time of the next non-cancelled event, if any."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        if not self._queue:
-            return None
-        return self._queue[0].time

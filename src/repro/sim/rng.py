@@ -50,6 +50,15 @@ class SeededRandom:
         """Uniform float in ``[0, 1)``."""
         return self._random.random()
 
+    def randoms(self, count: int) -> List[float]:
+        """The next ``count`` uniform floats in ``[0, 1)``, in draw order.
+
+        Draw-for-draw identical to ``count`` calls of :meth:`random`, at
+        one Python-level call per batch instead of one per draw.
+        """
+        draw = self._random.random
+        return [draw() for _ in range(count)]
+
     def choice(self, items: Sequence[T]) -> T:
         """Uniformly choose one element of a non-empty sequence."""
         return self._random.choice(items)

@@ -18,21 +18,23 @@ The channel's ``scale`` factor multiplies every transit delay; ``0.0``
 collapses the message plane back to instantaneous delivery (used by the
 equivalence tests that pin the simulated driver to the instant one).
 
-The *data* plane has its own message kind and channel:
-:class:`DataMessage` carries one 3D frame over one overlay edge, and
-:class:`DataChannel` applies the two effects the control plane does not
-model -- per-edge bandwidth-constrained serialization (queueing at the
-parent's reserved forwarding bin) and configurable loss.  Frame volume is
-three orders of magnitude above control traffic, so the data channel
-delivers *inline* from batched replay events rather than scheduling one
-engine event per frame; the delivery timestamps are computed by the same
-FIFO recurrence an event-per-frame simulation would produce.
+The *data* plane has its own channel: :class:`DataChannel` applies the
+two effects the control plane does not model -- per-edge
+bandwidth-constrained serialization (queueing at the parent's reserved
+forwarding bin, :class:`DataLink`) and configurable loss.  Frame volume is
+three orders of magnitude above control traffic, so the unit of work is
+the *chunk*: one call serializes a run of a stream's
+:class:`~repro.model.stream.Frame` objects over one edge (there is no
+per-frame message object or per-frame call), and the delivery timestamps
+are computed by the same FIFO recurrence an event-per-frame simulation
+would produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from itertools import repeat
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.latency import DelayModel
 from repro.sim.engine import EventHandle, Simulator
@@ -53,6 +55,15 @@ class ControlMessage:
     src: str
     dst: str
     sent_at: float
+
+    #: Engine event label of a delivery of this message type (read only
+    #: when the simulator traces), fixed per class so ``send`` formats
+    #: nothing per message.
+    LABEL: ClassVar[str] = "msg:ControlMessage"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.LABEL = f"msg:{cls.__name__}"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -308,9 +319,7 @@ class ControlChannel:
         self.sent += 1
         self._in_flight += 1
         return self.simulator.schedule(
-            delay,
-            _Delivery(self, handler, message),
-            label=f"msg:{type(message).__name__}",
+            delay, _Delivery(self, handler, message), label=message.LABEL
         )
 
 
@@ -416,9 +425,14 @@ class BernoulliLoss:
             raise ValueError(f"loss_rate must be in (0, 1), got {loss_rate}")
         self.loss_rate = loss_rate
 
+    def draw(self, rng: SeededRandom, count: int) -> List[bool]:
+        """Fates of the next ``count`` frames (one uniform draw each)."""
+        loss_rate = self.loss_rate
+        return [uniform < loss_rate for uniform in rng.randoms(count)]
+
     def lose(self, rng: SeededRandom) -> bool:
         """Decide the fate of one frame (one uniform draw)."""
-        return rng.random() < self.loss_rate
+        return self.draw(rng, 1)[0]
 
 
 class GilbertElliottLoss:
@@ -434,30 +448,37 @@ class GilbertElliottLoss:
         self.config = config
         self.bad = False
 
-    def lose(self, rng: SeededRandom) -> bool:
-        """Advance the channel one frame and decide that frame's fate.
+    def draw(self, rng: SeededRandom, count: int) -> List[bool]:
+        """Advance the channel ``count`` frames; return each frame's fate.
 
         Probability-one and probability-zero transitions are applied
         without drawing from the RNG -- see
         :class:`GilbertElliottConfig` for why that matters.
         """
-        cfg = self.config
-        if self.bad:
-            if cfg.p_bad_to_good >= 1.0:
-                self.bad = False
-            elif rng.random() >= cfg.p_bad_to_good:
-                return True
-            else:
-                self.bad = False
-        if cfg.p_good_to_bad <= 0.0:
-            return False
-        if rng.random() < cfg.p_good_to_bad:
-            self.bad = True
-            return True
-        return False
+        flip = self.config.p_good_to_bad
+        recover = self.config.p_bad_to_good
+        random = rng.random
+        bad = self.bad
+        fates = []
+        for _ in range(count):
+            if bad:
+                if recover < 1.0 and random() >= recover:
+                    fates.append(True)
+                    continue
+                bad = False
+            if flip > 0.0 and random() < flip:
+                bad = True
+            fates.append(bad)
+        self.bad = bad
+        return fates
+
+    def lose(self, rng: SeededRandom) -> bool:
+        """Advance the channel one frame and decide that frame's fate."""
+        return self.draw(rng, 1)[0]
 
 
-#: A per-link loss process: ``lose(rng) -> bool`` consumed frame by frame.
+#: A per-link loss process: ``draw(rng, count) -> List[bool]`` decides the
+#: fates (``True`` = lost) of the link's next ``count`` frames, in order.
 LossProcess = Any
 
 
@@ -470,26 +491,6 @@ def make_loss_process(
     if loss_rate > 0.0:
         return BernoulliLoss(loss_rate)
     return None
-
-
-@dataclass(frozen=True, slots=True, kw_only=True)
-class DataMessage:
-    """One 3D frame travelling over one overlay edge.
-
-    ``src`` is the node currently forwarding the stream (a viewer id or
-    the CDN), ``dst`` the receiving viewer.  ``sent_at`` is the absolute
-    simulation time the frame entered the edge (its capture time plus the
-    replay epoch offset); the channel stamps the delivery time after
-    serialization and transit.
-    """
-
-    src: str
-    dst: str
-    sent_at: float
-    stream_id: Any
-    frame_number: int
-    capture_time: float
-    size_megabits: float
 
 
 class DataLink:
@@ -517,25 +518,38 @@ class DataLink:
         self.free_at = 0.0
         self._rng = rng
 
-    def transmit(self, message: DataMessage, *, path_delay: float) -> Optional[float]:
-        """Serialize one frame onto the link; return its delivery time.
+    def transmit_chunk(
+        self, frames: Sequence[Any], *, epoch: float, path_delay: float
+    ) -> List[Optional[float]]:
+        """Serialize a chunk of consecutive frames onto the link, in order.
 
-        The frame starts transmitting when the link is free (FIFO
-        queueing), occupies it for ``size / rate`` seconds, then takes
-        ``path_delay`` to reach the child.  Returns ``None`` when the
-        frame is lost in transit (the link time is still consumed -- loss
-        happens on the wire, after serialization).
+        Each frame enters the edge at ``epoch + frame.capture_time``,
+        starts transmitting when the link is free (FIFO queueing),
+        occupies it for ``size_megabits / rate`` seconds, then takes
+        ``path_delay`` to reach the child.  Returns one entry per frame:
+        its absolute delivery time, or ``None`` when it was lost in
+        transit (the link time is still consumed -- loss happens on the
+        wire, after serialization).  The loss process is advanced once
+        per frame from the link's own RNG, so how a frame sequence is
+        split into chunks changes neither the fates nor the times.
         """
-        start = self.free_at if self.free_at > message.sent_at else message.sent_at
-        if self.rate_mbps is None:
-            transmission = 0.0
-        else:
-            transmission = message.size_megabits / self.rate_mbps
-        self.free_at = start + transmission
+        rate = self.rate_mbps
+        free_at = self.free_at
         if self.loss is not None and self._rng is not None:
-            if self.loss.lose(self._rng):
-                return None
-        return self.free_at + path_delay
+            fates = self.loss.draw(self._rng, len(frames))
+        else:
+            fates = repeat(False)
+        delivered_at: List[Optional[float]] = []
+        append = delivered_at.append
+        for frame, lost in zip(frames, fates):
+            sent_at = epoch + frame.capture_time
+            if sent_at > free_at:
+                free_at = sent_at
+            if rate is not None:
+                free_at += frame.size_megabits / rate
+            append(None if lost else free_at + path_delay)
+        self.free_at = free_at
+        return delivered_at
 
 
 class DataChannel:
@@ -590,14 +604,17 @@ class DataChannel:
         self._links[key] = created
         return created
 
-    def transmit(
-        self, message: DataMessage, link: DataLink, *, path_delay: float
-    ) -> Optional[float]:
-        """Send one frame over a link, keeping the channel counters."""
-        self.sent += 1
-        delivered_at = link.transmit(message, path_delay=path_delay)
-        if delivered_at is None:
-            self.lost += 1
-        else:
-            self.delivered += 1
+    def transmit_chunk(
+        self, link: DataLink, frames: Sequence[Any], *, epoch: float, path_delay: float
+    ) -> List[Optional[float]]:
+        """Send a chunk of frames over a link, keeping the channel counters.
+
+        Same contract as :meth:`DataLink.transmit_chunk`; the counters
+        are folded once per chunk.
+        """
+        delivered_at = link.transmit_chunk(frames, epoch=epoch, path_delay=path_delay)
+        lost = delivered_at.count(None)
+        self.sent += len(delivered_at)
+        self.lost += lost
+        self.delivered += len(delivered_at) - lost
         return delivered_at

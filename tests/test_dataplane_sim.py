@@ -32,19 +32,21 @@ from repro.experiments.runner import (
     build_telecast_system,
     run_telecast_scenario,
 )
+from repro.model.stream import Frame, StreamId
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import (
     BernoulliLoss,
     DataChannel,
     DataLink,
-    DataMessage,
     GilbertElliottConfig,
     GilbertElliottLoss,
 )
 from repro.traces.teeve import TeeveSessionTrace
 
 SMALL_CONFIG = PAPER_CONFIG.with_scaled_population(30, num_lscs=1)
+
+STREAM = StreamId("site-0", 0)
 
 #: Equivalence-mode data plane: the simulated engine with every
 #: data-plane effect disabled must reproduce the offline schedule.
@@ -72,64 +74,61 @@ def _joined_system(config):
     return system, trace
 
 
+def _frames(captures, size_megabits=0.2):
+    return [
+        Frame(STREAM, number, capture, size_megabits)
+        for number, capture in enumerate(captures)
+    ]
+
+
 class TestDataMessagePlumbing:
-    def test_data_messages_are_frozen(self):
-        message = DataMessage(
-            src="p",
-            dst="v",
-            sent_at=0.0,
-            stream_id="s",
-            frame_number=0,
-            capture_time=0.0,
-            size_megabits=0.2,
-        )
-        with pytest.raises(AttributeError):
-            message.size_megabits = 1.0
+    """Link/channel plumbing.  (Named from when every frame travelled as a
+    ``DataMessage``; kept so the test ids stay comparable across PRs.)"""
 
     def test_link_serializes_fifo_at_the_reserved_rate(self):
         link = DataLink(2.0)  # 2 Mbps bin
-        first = DataMessage(
-            src="p", dst="v", sent_at=0.0, stream_id="s", frame_number=0,
-            capture_time=0.0, size_megabits=0.2,
-        )
-        second = DataMessage(
-            src="p", dst="v", sent_at=0.0, stream_id="s", frame_number=1,
-            capture_time=0.0, size_megabits=0.2,
-        )
         # 0.2 Mb at 2 Mbps = 100 ms of link time per frame; the second
         # frame queues behind the first.
-        assert link.transmit(first, path_delay=1.0) == pytest.approx(1.1)
-        assert link.transmit(second, path_delay=1.0) == pytest.approx(1.2)
+        assert link.transmit_chunk(
+            _frames([0.0, 0.0]), epoch=0.0, path_delay=1.0
+        ) == pytest.approx([1.1, 1.2])
 
     def test_unconstrained_link_has_zero_serialization(self):
         link = DataLink(None)
-        message = DataMessage(
-            src="p", dst="v", sent_at=3.0, stream_id="s", frame_number=0,
-            capture_time=3.0, size_megabits=5.0,
-        )
-        assert link.transmit(message, path_delay=0.5) == pytest.approx(3.5)
+        assert link.transmit_chunk(
+            _frames([3.0], size_megabits=5.0), epoch=0.0, path_delay=0.5
+        ) == pytest.approx([3.5])
 
     def test_loss_is_deterministic_per_seed_and_consumes_link_time(self):
+        frames = _frames([number * 0.1 for number in range(20)])
         outcomes = []
         for _ in range(2):
             channel = DataChannel(Simulator(), loss_rate=0.5, rng=SeededRandom(7))
             link = channel.link("p", "v", "s", 2.0)
-            deliveries = []
-            for number in range(20):
-                message = DataMessage(
-                    src="p", dst="v", sent_at=number * 0.1, stream_id="s",
-                    frame_number=number, capture_time=number * 0.1,
-                    size_megabits=0.2,
-                )
-                deliveries.append(channel.transmit(message, link, path_delay=0.0))
+            deliveries = channel.transmit_chunk(
+                link, frames, epoch=0.0, path_delay=0.0
+            )
             outcomes.append((tuple(deliveries), channel.sent, channel.lost))
         assert outcomes[0] == outcomes[1]
         deliveries, sent, lost = outcomes[0]
         assert sent == 20
         assert 0 < lost < 20
-        # Lost frames still occupied the link: the survivor after a loss
-        # is delayed exactly as if the lost frame had been delivered.
-        assert all(d is None or d > 0 for d in deliveries)
+        assert deliveries.count(None) == lost
+        # Lost frames still occupied the link: every survivor arrives
+        # exactly when a lossless link of the same rate delivers it.
+        lossless = DataLink(2.0).transmit_chunk(frames, epoch=0.0, path_delay=0.0)
+        assert all(d is None or d == t for d, t in zip(deliveries, lossless))
+
+    def test_channel_counters_fold_once_per_chunk(self):
+        channel = DataChannel(Simulator(), loss_rate=0.4, rng=SeededRandom(3))
+        link = channel.link("p", "v", STREAM, 2.0)
+        frames = _frames([number * 0.05 for number in range(30)])
+        delivered_at = channel.transmit_chunk(
+            link, frames[:10], epoch=0.0, path_delay=0.0
+        ) + channel.transmit_chunk(link, frames[10:], epoch=0.0, path_delay=0.0)
+        assert channel.sent == 30
+        assert channel.lost == delivered_at.count(None) > 0
+        assert channel.delivered == 30 - channel.lost
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -191,17 +190,29 @@ class TestOfflineEquivalence:
                     )
 
     def test_batch_quantum_does_not_change_deliveries(self):
-        reports = []
-        for quantum in (0.25, 2.0):
-            system, trace = _joined_system(SMALL_CONFIG)
-            plane = DataPlaneConfig(
-                bandwidth_headroom=1.0,
-                refresh_interval=None,
-                max_frames_per_stream=80,
-                batch_quantum=quantum,
-            )
-            reports.append(SimulatedDataPlane(system, trace, plane).run())
-        assert reports[0].deliveries == reports[1].deliveries
+        # Chunk boundaries must not move a single RNG draw: under loss the
+        # fates, the counters and every viewer's QoE are quantum-invariant.
+        for loss in (
+            {},
+            {"loss_rate": 0.05, "seed": 7},
+            {"loss_rate": 0.05, "loss_model": "gilbert", "mean_burst_length": 3.0, "seed": 7},
+        ):
+            reports = []
+            for quantum in (0.25, 1.0, 2.0):
+                system, trace = _joined_system(SMALL_CONFIG)
+                plane = DataPlaneConfig(
+                    bandwidth_headroom=1.0,
+                    refresh_interval=None,
+                    max_frames_per_stream=80,
+                    batch_quantum=quantum,
+                    **loss,
+                )
+                reports.append(SimulatedDataPlane(system, trace, plane).run())
+            for other in reports[1:]:
+                assert other.deliveries == reports[0].deliveries
+                assert other.frames_lost == reports[0].frames_lost
+                assert other.per_viewer == reports[0].per_viewer
+            assert (reports[0].frames_lost > 0) == bool(loss)
 
 
 class TestQoEMetrics:

@@ -13,6 +13,8 @@ Covered invariants:
   guarantee the performance core rests on,
 * the smoke sweep's metrics summaries are byte-identical to the golden
   record captured before the performance-core refactor,
+* a data link serializing a frame sequence in chunks -- any split -- is
+  bit-identical to the per-frame FIFO/loss recurrence it replaced,
 * the layer formula of Equation 1 matches the layer implied by the delay
   interval definition,
 * the view-synchronization plan always bounds the layer spread by kappa
@@ -38,13 +40,21 @@ from repro.core.topology import StreamTree
 from repro.metrics.stats import cdf_points
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.producer import make_default_producers
+from repro.model.stream import Frame, StreamId
 from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import generate_planetlab_matrix
 from repro.sim.rng import SeededRandom
+from repro.sim.transport import (
+    BernoulliLoss,
+    DataLink,
+    GilbertElliottConfig,
+    GilbertElliottLoss,
+)
 
 PRODUCERS = make_default_producers()
 VIEW = build_views(PRODUCERS, num_views=1, streams_per_site=3)[0]
 LAYER_CONFIG = DelayLayerConfig()
+LINK_STREAM = StreamId("site-0", 0)
 DELAY_MODEL = DelayModel(LatencyMatrix(default_delay=0.05), processing_delay=0.1, cdn_delta=60.0)
 
 bandwidths = st.floats(min_value=0.0, max_value=40.0, allow_nan=False, allow_infinity=False)
@@ -420,6 +430,72 @@ class TestGoldenSmokeMetrics:
             "smoke metrics summaries drifted from the pre-refactor golden record; "
             "if the change is intentional, regenerate tests/golden/smoke_summaries.json"
         )
+
+
+def _per_frame_reference(frames, rate, loss, rng, *, epoch, path_delay):
+    """The per-frame ``DataLink.transmit`` this repo had before chunking:
+    one FIFO step and one ``lose`` call per frame, kept as the oracle."""
+    free_at = 0.0
+    delivered_at = []
+    for frame in frames:
+        sent_at = epoch + frame.capture_time
+        start = free_at if free_at > sent_at else sent_at
+        transmission = 0.0 if rate is None else frame.size_megabits / rate
+        free_at = start + transmission
+        if loss is not None and loss.lose(rng):
+            delivered_at.append(None)
+        else:
+            delivered_at.append(free_at + path_delay)
+    return delivered_at, free_at
+
+
+class TestChunkedLinkEquivalence:
+    """Satellite (c): a chunk call is frame-by-frame calls, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(0.0, 0.2), min_size=1, max_size=40),
+        sizes=st.lists(st.floats(0.01, 2.0), min_size=40, max_size=40),
+        rate=st.one_of(st.none(), st.floats(0.1, 20.0)),
+        loss_kind=st.sampled_from(["none", "bernoulli", "gilbert"]),
+        cuts=st.sets(st.integers(1, 39)),
+        epoch=st.floats(0.0, 500.0),
+        path_delay=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_chunk_split_matches_per_frame_reference(
+        self, gaps, sizes, rate, loss_kind, cuts, epoch, path_delay, seed
+    ):
+        capture, frames = 0.0, []
+        for number, gap in enumerate(gaps):
+            capture += gap
+            frames.append(Frame(LINK_STREAM, number, capture, sizes[number]))
+
+        def make_link():
+            loss = {
+                "none": lambda: None,
+                "bernoulli": lambda: BernoulliLoss(0.3),
+                "gilbert": lambda: GilbertElliottLoss(
+                    GilbertElliottConfig.from_mean_loss(0.3, mean_burst_length=3.0)
+                ),
+            }[loss_kind]()
+            return loss, SeededRandom(seed)
+
+        loss, rng = make_link()
+        expected, expected_free_at = _per_frame_reference(
+            frames, rate, loss, rng, epoch=epoch, path_delay=path_delay
+        )
+        bounds = [0, *sorted(cut for cut in cuts if cut < len(frames)), len(frames)]
+        for splits in (bounds, list(range(len(frames) + 1)), [0, len(frames)]):
+            loss, rng = make_link()
+            link = DataLink(rate, loss=loss, rng=rng)
+            delivered_at = []
+            for start, stop in zip(splits, splits[1:]):
+                delivered_at += link.transmit_chunk(
+                    frames[start:stop], epoch=epoch, path_delay=path_delay
+                )
+            assert delivered_at == expected
+            assert link.free_at == expected_free_at
 
 
 class TestLayeringProperties:

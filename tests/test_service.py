@@ -289,9 +289,8 @@ class TestSnapshotFile:
         with pytest.raises(SnapshotError):
             save_snapshot("/tmp/never-written.snap", lambda: None, sim_time=0.0)
 
-    def test_version_1_file_refused_by_name(self, tmp_path):
-        # A v1 payload pickled StreamId/MatchField as dataclass instances;
-        # the version check must refuse it before pickle ever sees it.
+    @staticmethod
+    def _assert_version_refused(tmp_path, version):
         payload = pickle.dumps({"hello": [1, 2, 3]}, protocol=4)
         header = {
             "created_at": "2026-01-01T00:00:00Z",
@@ -299,14 +298,24 @@ class TestSnapshotFile:
             "python": "pickle-p4",
             "sha256": hashlib.sha256(payload).hexdigest(),
             "sim_time": 0.0,
-            "version": 1,
+            "version": version,
         }
-        path = str(tmp_path / "v1.snap")
+        path = str(tmp_path / f"v{version}.snap")
         with open(path, "wb") as handle:
             handle.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
             handle.write(payload)
-        with pytest.raises(SnapshotError, match="unsupported version 1"):
+        with pytest.raises(SnapshotError, match=f"unsupported version {version}"):
             load_snapshot(path)
+
+    def test_version_1_file_refused_by_name(self, tmp_path):
+        # A v1 payload pickled StreamId/MatchField as dataclass instances;
+        # the version check must refuse it before pickle ever sees it.
+        self._assert_version_refused(tmp_path, 1)
+
+    def test_version_2_file_refused_by_name(self, tmp_path):
+        # A v2 payload pickled the simulator queue as _QueueEntry
+        # dataclasses (now plain lists) and DeliveryRecord as a dataclass.
+        self._assert_version_refused(tmp_path, 2)
 
 
 class TestInFlightSnapshot:

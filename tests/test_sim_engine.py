@@ -235,6 +235,64 @@ class TestEdgeCases:
         assert sim.now == 5.0
 
 
+class TestHeapEntries:
+    def test_same_time_unorderable_callbacks_fire_fifo(self):
+        # The heap orders entries by (time, seq) alone; it must never fall
+        # through to comparing callbacks, which define no ordering.
+        class Unorderable:
+            def __init__(self, name, fired):
+                self.name, self.fired = name, fired
+
+            def __call__(self):
+                self.fired.append(self.name)
+
+        sim = Simulator()
+        fired = []
+        for name in "abcdef":
+            sim.schedule(1.0, Unorderable(name, fired), label="same")
+        assert sim.run() == 6
+        assert fired == list("abcdef")
+
+    def test_cancelled_head_is_skipped_under_run_until(self):
+        sim = Simulator()
+        fired = []
+        head = sim.schedule(1.0, lambda: fired.append("head"))
+        sim.schedule(2.0, lambda: fired.append("next"))
+        sim.schedule(5.0, lambda: fired.append("later"))
+        head.cancel()
+        assert sim.run(until=3.0) == 1
+        assert fired == ["next"]
+        assert sim.now == 3.0
+        assert sim.pending == 1
+
+    def test_step_returns_the_event_and_history_needs_trace(self):
+        for trace in (False, True):
+            sim = Simulator(trace=trace)
+            sim.schedule(1.0, lambda: None, label="a")
+            sim.schedule(2.0, lambda: None, label="b")
+            record = sim.step()
+            assert (record.time, record.seq, record.label) == (1.0, 0, "a")
+            assert sim.run() == 1
+            assert [event.label for event in sim.history] == (
+                ["a", "b"] if trace else []
+            )
+
+    def test_schedule_at_fires_at_exactly_the_requested_time(self):
+        # now + (t - now) differs from t in the last bit for e.g.
+        # now=0.2, t=0.9, which used to push a boundary event an ulp past
+        # an inclusive run(until=t).
+        for a in range(1, 50):
+            for b in range(a, 100):
+                now, at = a / 10, b / 10
+                sim = Simulator()
+                sim.run(until=now)
+                fired = []
+                handle = sim.schedule_at(at, lambda: fired.append(sim.now))
+                assert handle.time == at
+                assert sim.run(until=at) == 1
+                assert fired == [at]
+
+
 class TestPeriodicProcess:
     def test_ticks_at_period(self):
         sim = Simulator()

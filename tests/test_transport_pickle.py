@@ -25,6 +25,7 @@ import sys
 
 import pytest
 
+from repro.core.dataplane import DeliveryRecord
 from repro.core.routing_table import MatchField
 from repro.core.topology import StreamTree
 from repro.model.stream import Stream, StreamId
@@ -32,7 +33,6 @@ from repro.net.latency import DelayModel, LatencyMatrix
 from repro.sim import transport
 from repro.sim.transport import (
     ControlMessage,
-    DataMessage,
     DepartNotice,
     FailureNotice,
     Heartbeat,
@@ -115,22 +115,6 @@ def test_pickle_round_trip_is_byte_identical(message):
     assert pickle.dumps(clone) == blob
 
 
-def test_data_message_round_trips():
-    message = DataMessage(
-        src="viewer-00001",
-        dst="viewer-00002",
-        sent_at=1.25,
-        stream_id="site-0/cam-3",
-        frame_number=17,
-        capture_time=1.0,
-        size_megabits=0.08,
-    )
-    blob = pickle.dumps(message)
-    clone = pickle.loads(blob)
-    assert clone == message
-    assert pickle.dumps(clone) == blob
-
-
 def test_queue_round_trip_through_shard_transport():
     """ShardQueueTransport over real queues preserves every sample."""
     inbox: "queue.Queue[ControlMessage]" = queue.Queue()
@@ -158,11 +142,14 @@ def test_shard_transport_rejects_non_messages():
 # cross process boundaries inside snapshots and shard results.  They are
 # named tuples: hash, equality and order are those of the plain field
 # tuple, and nothing process-local (a memoized string hash) is pickled.
+# DeliveryRecord (one per delivered frame) is tuple-backed the same way.
 
 ID_SAMPLES = [
     StreamId("site-A", 3),
     MatchField("viewer-00007", StreamId("site-B", 0)),
+    DeliveryRecord("viewer-00007", StreamId("site-B", 0), 17, 1.0, 1.25),
 ]
+ID_SAMPLE_NAMES = ["StreamId", "MatchField", "DeliveryRecord"]
 
 
 def test_ids_hash_like_their_field_tuples():
@@ -200,7 +187,26 @@ def test_id_text_forms_are_unchanged():
     )
 
 
-@pytest.mark.parametrize("value", ID_SAMPLES, ids=["StreamId", "MatchField"])
+def test_delivery_record_keeps_field_order_and_delay():
+    assert DeliveryRecord._fields == (
+        "viewer_id",
+        "stream_id",
+        "frame_number",
+        "capture_time",
+        "delivery_time",
+    )
+    record = ID_SAMPLES[2]
+    assert record == DeliveryRecord(
+        viewer_id="viewer-00007",
+        stream_id=StreamId("site-B", 0),
+        frame_number=17,
+        capture_time=1.0,
+        delivery_time=1.25,
+    )
+    assert record.end_to_end_delay == 0.25
+
+
+@pytest.mark.parametrize("value", ID_SAMPLES, ids=ID_SAMPLE_NAMES)
 def test_ids_are_immutable(value):
     field_name = value._fields[0]
     with pytest.raises(AttributeError):
@@ -209,7 +215,7 @@ def test_ids_are_immutable(value):
         value.extra = 1
 
 
-@pytest.mark.parametrize("value", ID_SAMPLES, ids=["StreamId", "MatchField"])
+@pytest.mark.parametrize("value", ID_SAMPLES, ids=ID_SAMPLE_NAMES)
 def test_ids_round_trip_through_pickle_and_queues(value):
     blob = pickle.dumps(value)
     clone = pickle.loads(blob)
