@@ -251,6 +251,27 @@ def _format_profile(phase_timings: Dict[str, float]) -> str:
     return "\n".join(lines)
 
 
+def _format_worker_stats(sharded) -> str:
+    """One line per shard worker: what it hosted and where its wall time went."""
+    lines = []
+    for index, stats in sharded.worker_stats.items():
+        hosted = ",".join(
+            f"LSC-{lsc}"
+            for lsc, worker in enumerate(sharded.placement)
+            if worker == index
+        )
+        lines.append(
+            f"  worker {index} [{hosted}]: "
+            f"{int(stats['viewers'])} viewers, {int(stats['events'])} events, "
+            f"build={stats['build_s']:.2f}s busy={stats['busy_s']:.2f}s "
+            f"barrier_wait={stats['barrier_wait_s']:.2f}s "
+            f"finalize={stats['finalize_s']:.2f}s "
+            f"maxrss={stats['ru_maxrss'] / 1024:.0f}MiB"
+        )
+    lines.append(f"  imbalance (max/mean busy) = {sharded.imbalance:.2f}")
+    return "\n".join(lines)
+
+
 def _run_main(argv: List[str]) -> int:
     parser = build_run_parser()
     args = parser.parse_args(argv)
@@ -335,6 +356,7 @@ def _run_main(argv: List[str]) -> int:
             f"clock={sharded.merged_clock:.1f}s, "
             f"{elapsed:.2f}s wall clock"
         )
+        print(_format_worker_stats(sharded))
         if args.profile:
             print(_format_profile(result.metrics.phase_timings))
         return 0

@@ -38,6 +38,30 @@ from repro.traces.workload import (
 from repro.util.validation import require_non_negative, require_positive
 
 
+def clamp_shard_workers(requested: int, num_lscs: int) -> int:
+    """Shard workers actually usable: at most one per LSC, warning on a clamp.
+
+    The LSC is the shard unit and the placement rule
+    (:func:`repro.parallel.worker.place_lscs`) gives every worker at
+    least one LSC only while workers do not outnumber LSCs; a worker
+    beyond that would host nothing.  Shared by
+    ``ExperimentConfig(shard_workers=...)`` and
+    ``run_sharded_scenario(num_workers=...)`` so both requests warn alike.
+    """
+    if requested > num_lscs:
+        warnings.warn(
+            f"shard_workers={requested} exceeds "
+            f"num_lscs={num_lscs}; clamping to {num_lscs} "
+            "(the LSC is the shard unit, extra workers would idle)",
+            # Both callers sit two frames below the user's call
+            # (__init__ -> __post_init__, run_sharded_scenario ->
+            # resolve_worker_count), so 4 names the user's line.
+            stacklevel=4,
+        )
+        return num_lscs
+    return requested
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full parameterisation of one simulated 4D TeleCast scenario."""
@@ -142,7 +166,8 @@ class ExperimentConfig:
 
     # Performance core.
     #: Worker processes of the shard-parallel engine (``repro.parallel``):
-    #: each group of LSCs (``lsc_index % workers``) runs its controller,
+    #: each group of LSCs (dealt to workers by load, heaviest LSC first
+    #: onto the least-loaded worker) runs its controller,
     #: stream trees and event loop in its own process, with cross-shard
     #: failovers resolved at deterministic barriers.  ``None`` or ``1``
     #: keeps the regular single-process path; values above ``num_lscs``
@@ -189,18 +214,13 @@ class ExperimentConfig:
                     "data_plane='off' (the simulated planes are whole-system "
                     "event loops)"
                 )
-            if self.shard_workers > self.num_lscs:
-                # A worker beyond the LSC count would own an empty shard
-                # (shard_lsc_indices returns []); clamp here so the
-                # docstring's promise holds at construction time instead
-                # of every consumer re-deriving it.
-                warnings.warn(
-                    f"shard_workers={self.shard_workers} exceeds "
-                    f"num_lscs={self.num_lscs}; clamping to {self.num_lscs} "
-                    "(the LSC is the shard unit, extra workers would idle)",
-                    stacklevel=2,
-                )
-                object.__setattr__(self, "shard_workers", self.num_lscs)
+            # Clamp here so the docstring's promise holds at construction
+            # time instead of every consumer re-deriving it.
+            object.__setattr__(
+                self,
+                "shard_workers",
+                clamp_shard_workers(self.shard_workers, self.num_lscs),
+            )
         if not (0.0 <= self.data_loss_rate < 1.0):
             raise ValueError(
                 f"data_loss_rate must be in [0, 1), got {self.data_loss_rate}"

@@ -18,6 +18,7 @@ which is how the paper scales the control plane (Section III).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -180,12 +181,16 @@ class ShardSelection:
 
     ``build_scenario(config, shard=...)`` with a selection builds only
     the viewers, events and latency nodes owned by the worker's LSC
-    group (ownership: ``viewer -> region -> LSC -> lsc_index %
-    num_workers``), turning per-worker startup from O(n) into O(n/k).
+    group (ownership: ``viewer -> region -> LSC -> placement[lsc_index]``),
+    turning per-worker startup from O(n) into O(n/k).  ``placement`` is
+    the LSC -> worker map the coordinator hands its workers;
+    ``ShardSelection(k, i)`` without one means "worker ``i`` of the
+    placement :func:`shard_placement` derives from the config".
     """
 
     num_workers: int
     worker_index: int
+    placement: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.num_workers < 1:
@@ -211,6 +216,7 @@ class _OwnershipTimeline:
 
     def __init__(self, config: ExperimentConfig, region_names: Sequence[str]):
         lsc_regions = shard_regions(region_names, config.num_lscs)
+        self.region_names = region_names
         self.lsc_regions = lsc_regions
         self.region_to_lsc_index = {
             region: index
@@ -261,20 +267,75 @@ class _OwnershipTimeline:
             return self.target_index
         return index
 
-    def ever_owned_regions(self, num_workers: int, worker_index: int) -> set:
+    def ever_owned_regions(self, placement: Sequence[int], worker_index: int) -> set:
         """Regions owned by one worker at any point in the timeline."""
         owned = {
             region
             for region, index in self.region_to_lsc_index.items()
-            if index % num_workers == worker_index
+            if placement[index] == worker_index
         }
         if (
             self.target_index is not None
             and self.failed_index is not None
-            and self.target_index % num_workers == worker_index
+            and placement[self.target_index] == worker_index
         ):
             owned.update(self.lsc_regions[self.failed_index])
         return owned
+
+    def lsc_weights(self, viewer_regions: Sequence[int]) -> List[int]:
+        """Join load of every LSC over the whole schedule, in viewers.
+
+        An LSC weighs the population of its regions; the target of an
+        outage failover additionally weighs the failed LSC's population
+        (it re-admits the migrated sessions and serves those regions
+        from then on).  ``viewer_regions`` is the region-index table of
+        the population (:func:`_viewer_region_table`).
+        """
+        weights = [0] * len(self.lsc_regions)
+        for region_index, viewers in Counter(viewer_regions).items():
+            region = self.region_names[region_index]
+            weights[self.region_to_lsc_index[region]] += viewers
+        if self.failed_index is not None and self.target_index is not None:
+            weights[self.target_index] += weights[self.failed_index]
+        return weights
+
+    def placement(
+        self, viewer_regions: Sequence[int], num_workers: int
+    ) -> Tuple[int, ...]:
+        """The LSC -> worker map of this schedule (see :func:`shard_placement`)."""
+        # Imported lazily: repro.parallel imports this module.
+        from repro.parallel.worker import place_lscs
+
+        return place_lscs(self.lsc_weights(viewer_regions), num_workers)
+
+
+def _viewer_region_table(config: ExperimentConfig, num_regions: int) -> List[int]:
+    """Region index of every viewer, batch-computed once.
+
+    The vectorized mix when numpy is present: hashing per viewer per
+    event through the scalar path costs more than the construction work
+    the shard projection saves.  Viewer ids are ``viewer-<index>``, so
+    position 7 onward of an id is the index into this table.
+    """
+    return node_region_indices(
+        config.latency_seed,
+        (f"viewer-{index:05d}" for index in range(config.num_viewers)),
+        num_regions,
+    )
+
+
+def shard_placement(config: ExperimentConfig, num_workers: int) -> Tuple[int, ...]:
+    """The worker index hosting each LSC of a sharded run of ``config``.
+
+    Load-aware: :func:`repro.parallel.worker.place_lscs` over the
+    schedule-derived weights of :meth:`_OwnershipTimeline.lsc_weights`.
+    A pure function of the config seeds, so the coordinator, every
+    worker and a bare ``ShardSelection(k, i)`` build agree on it.
+    """
+    region_names = _region_names_for(config)
+    timeline = _OwnershipTimeline(config, region_names)
+    viewer_regions = _viewer_region_table(config, len(region_names))
+    return timeline.placement(viewer_regions, num_workers)
 
 
 def _project_outage_events(
@@ -359,20 +420,12 @@ def _build_shard_scenario(config: ExperimentConfig, shard: ShardSelection) -> Sc
     """
     region_names = _region_names_for(config)
     timeline = _OwnershipTimeline(config, region_names)
-    num_workers, worker_index = shard.num_workers, shard.worker_index
-    ever_owned = timeline.ever_owned_regions(num_workers, worker_index)
-    num_regions = len(region_names)
-
-    # Region of every viewer, batch-computed once (the vectorized mix
-    # when numpy is present): hashing per viewer per event through the
-    # scalar path costs more than the construction work the projection
-    # saves.  Viewer ids are "viewer-<index>", so position 7 onward is
-    # the index into this table.
-    viewer_regions = node_region_indices(
-        config.latency_seed,
-        (f"viewer-{index:05d}" for index in range(config.num_viewers)),
-        num_regions,
+    worker_index = shard.worker_index
+    viewer_regions = _viewer_region_table(config, len(region_names))
+    placement = shard.placement or timeline.placement(
+        viewer_regions, shard.num_workers
     )
+    ever_owned = timeline.ever_owned_regions(placement, worker_index)
     ever_owned_indices = {
         index for index, name in enumerate(region_names) if name in ever_owned
     }
@@ -390,7 +443,7 @@ def _build_shard_scenario(config: ExperimentConfig, shard: ShardSelection) -> Sc
         owner = timeline.owner_lsc_index(
             region_of_viewer(event.viewer_id), (event.time, event.viewer_id)
         )
-        return owner is not None and owner % num_workers == worker_index
+        return owner is not None and placement[owner] == worker_index
 
     workload = ViewerWorkload(_workload_config(config), rng=SeededRandom(config.seed))
     owned_viewers: List[Viewer] = []

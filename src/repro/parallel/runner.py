@@ -24,10 +24,10 @@ import pickle
 import queue as queue_module
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ScenarioResult
+from repro.experiments.config import ExperimentConfig, clamp_shard_workers
+from repro.experiments.runner import ScenarioResult, shard_placement
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
 from repro.parallel.worker import run_shard_worker
 from repro.sim.transport import (
@@ -55,6 +55,21 @@ class ShardedScenarioResult:
     merged_clock: float = 0.0
     #: Placement digest of every LSC (each lives wholly inside one shard).
     placement_digests: Dict[str, str] = field(default_factory=dict)
+    #: Worker index hosting each LSC, by LSC index (the load-aware
+    #: placement the coordinator computed and the workers confirmed).
+    placement: Tuple[int, ...] = ()
+    #: Wall-clock telemetry of each worker, by worker index: ``build_s``,
+    #: ``busy_s`` (applying events and absorbing failovers),
+    #: ``barrier_wait_s``, ``finalize_s``, ``events``, ``viewers`` and
+    #: ``ru_maxrss``.  Always on; never part of any parity comparison.
+    worker_stats: Dict[int, Dict[str, float]] = field(default_factory=dict)
+
+    @property
+    def imbalance(self) -> float:
+        """Max over mean of the workers' ``busy_s``: 1.0 is a perfect split."""
+        busy = [stats["busy_s"] for stats in self.worker_stats.values()]
+        total = sum(busy)
+        return max(busy) * len(busy) / total if total > 0 else 1.0
 
 
 def resolve_worker_count(config: ExperimentConfig, num_workers: Optional[int]) -> int:
@@ -62,7 +77,7 @@ def resolve_worker_count(config: ExperimentConfig, num_workers: Optional[int]) -
     requested = num_workers if num_workers is not None else (config.shard_workers or 1)
     if requested < 1:
         raise ValueError(f"shard workers must be >= 1, got {requested}")
-    return min(requested, config.num_lscs)
+    return clamp_shard_workers(requested, config.num_lscs)
 
 
 def run_sharded_scenario(
@@ -104,6 +119,10 @@ def run_sharded_scenario(
             "whole-system event loop"
         )
     workers = resolve_worker_count(config, num_workers)
+    # Computed once here and handed to every worker, so the filtered and
+    # the full-rebuild workers read the same map; _coordinate checks what
+    # the workers report hosting against it.
+    placement = shard_placement(config, workers)
     ctx = (
         multiprocessing.get_context(mp_start_method)
         if mp_start_method
@@ -123,7 +142,7 @@ def run_sharded_scenario(
                 inboxes[index],
                 coord_queue,
             ),
-            kwargs={"shard_filtered": shard_filtered_build},
+            kwargs={"shard_filtered": shard_filtered_build, "placement": placement},
             name=f"repro-shard-{index}",
         )
         for index in range(workers)
@@ -132,7 +151,7 @@ def run_sharded_scenario(
         process.start()
     try:
         payload_messages = _coordinate(
-            workers, coord_queue, inboxes, processes, stall_timeout
+            workers, coord_queue, inboxes, processes, stall_timeout, config.num_lscs
         )
     except BaseException:
         # Failing fast only helps if teardown is fast too: survivors are
@@ -148,7 +167,7 @@ def run_sharded_scenario(
             if process.is_alive():  # pragma: no cover - stuck worker cleanup
                 process.terminate()
                 process.join(timeout=5.0)
-    return _merge(config, workers, payload_messages)
+    return _merge(config, placement, payload_messages)
 
 
 def _coordinate(
@@ -157,8 +176,14 @@ def _coordinate(
     inboxes,
     processes,
     stall_timeout: float,
+    num_lscs: int,
 ) -> Dict[int, ShardResult]:
     """Pump the coordinator protocol until every shard reported its result.
+
+    The LSC ids the workers report hosting (:class:`ShardReady`) must be
+    pairwise disjoint and together cover ``LSC-0..LSC-(num_lscs-1)``: a
+    worker that derived a different placement would otherwise silently
+    double-host or drop an LSC.
 
     A worker that dies without delivering its :class:`ShardResult` --
     crash, kill signal, or a clean exit that skipped the protocol --
@@ -169,6 +194,7 @@ def _coordinate(
     misread as a death.
     """
     results: Dict[int, ShardResult] = {}
+    hosted: Dict[int, Tuple[str, ...]] = {}
     acks: Dict[int, Dict[int, ShardBarrierAck]] = {}
     waited = 0.0
     missing_polls = 0
@@ -215,6 +241,9 @@ def _coordinate(
                 f"shard {message.shard_index} failed:\n{message.error}"
             )
         if isinstance(message, ShardReady):
+            hosted[message.shard_index] = message.lsc_ids
+            if len(hosted) == workers:
+                _check_hosted_lscs(hosted, num_lscs)
             continue
         if isinstance(message, ShardResult):
             results[message.shard_index] = message
@@ -254,8 +283,24 @@ def _coordinate(
     return results
 
 
+def _check_hosted_lscs(hosted: Dict[int, Tuple[str, ...]], num_lscs: int) -> None:
+    """Fail the run unless the workers host every LSC exactly once."""
+    claimed = [lsc_id for index in sorted(hosted) for lsc_id in hosted[index]]
+    expected = [f"LSC-{i}" for i in range(num_lscs)]
+    if sorted(claimed) != sorted(expected):
+        detail = ", ".join(
+            f"shard-{index}: {list(hosted[index])}" for index in sorted(hosted)
+        )
+        raise RuntimeError(
+            "shard placement mismatch: the workers must host "
+            f"LSC-0..LSC-{num_lscs - 1} exactly once each, got {detail}"
+        )
+
+
 def _merge(
-    config: ExperimentConfig, workers: int, results: Dict[int, ShardResult]
+    config: ExperimentConfig,
+    placement: Tuple[int, ...],
+    results: Dict[int, ShardResult],
 ) -> ShardedScenarioResult:
     """Fold the per-shard payloads into one result, in shard-index order."""
     payloads = {
@@ -300,10 +345,14 @@ def _merge(
     )
     return ShardedScenarioResult(
         result=result,
-        num_workers=workers,
+        num_workers=len(results),
         shard_clocks=shard_clocks,
         merged_clock=max(shard_clocks.values(), default=0.0),
         placement_digests=digests,
+        placement=placement,
+        worker_stats={
+            index: dict(results[index].stats) for index in sorted(results)
+        },
     )
 
 

@@ -10,7 +10,10 @@ schedule with exact instant-driver semantics via
 :class:`~repro.core.session.ShardedDriver`.
 
 Event ownership is a pure function every worker computes identically:
-``viewer -> region -> owning LSC -> worker (lsc_index % num_workers)``.
+``viewer -> region -> owning LSC -> worker``, the last step being the
+weighted placement of :func:`place_lscs` (heaviest LSC first onto the
+least-loaded worker; the coordinator computes it once and hands it to
+every worker).
 The one cross-shard operation, ``lsc_fail``, is a barrier: every worker
 aligns its simulator clock to the event's timestamp, the worker hosting
 the failed LSC tears it down (releasing its CDN reservations) and ships
@@ -25,8 +28,14 @@ partitioned without any shared state.
 from __future__ import annotations
 
 import pickle
+import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - platform without getrusage
+    resource = None
 
 from repro.core.session import ShardedDriver, event_sort_key
 from repro.core.telecast import TeleCastSystem
@@ -44,9 +53,48 @@ from repro.sim.transport import (
 DEFAULT_BARRIER_TIMEOUT = 600.0
 
 
+def place_lscs(weights: Sequence[int], num_workers: int) -> Tuple[int, ...]:
+    """The worker index hosting each LSC: the one shard placement rule.
+
+    Longest-processing-time-first: LSCs are taken heaviest first (ties
+    to the lower LSC index) and each goes to the least-loaded worker,
+    ties to the worker hosting fewer LSCs, then to the lower worker
+    index.  The hosted-count tie-break spreads zero-weight LSCs too, so
+    no worker is left empty while ``num_workers <= len(weights)``, and
+    equal weights -- zero included -- deal round-robin (LSC ``i`` on
+    worker ``i mod k``, the mapping this function replaced).
+    The heaviest worker's load is within ``4/3 - 1/(3k)`` of the
+    optimum.  Weights are integers (viewer counts), so the result is the
+    same in every process that computes it.
+    """
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+    # Per worker: [load, hosted LSCs, worker index] -- min() is the rule.
+    workers = [[0, 0, index] for index in range(num_workers)]
+    placement = [0] * len(weights)
+    for lsc_index in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
+        worker = min(workers)
+        placement[lsc_index] = worker[2]
+        worker[0] += weights[lsc_index]
+        worker[1] += 1
+    return tuple(placement)
+
+
 def shard_lsc_indices(num_lscs: int, num_workers: int, worker_index: int) -> List[int]:
-    """The (global) LSC indices hosted by one worker: ``i % num_workers``."""
-    return [i for i in range(num_lscs) if i % num_workers == worker_index]
+    """The LSC indices one worker hosts when every LSC weighs the same.
+
+    The uniform case of :func:`place_lscs` (round-robin); a real run
+    reads the weighted placement its coordinator computed instead.
+    """
+    placement = place_lscs([1] * num_lscs, num_workers)
+    return [i for i, worker in enumerate(placement) if worker == worker_index]
+
+
+def _ru_maxrss() -> int:
+    """This process's peak resident set as the OS reports it (KiB on Linux)."""
+    if resource is None:  # pragma: no cover - platform without getrusage
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def nearest_surviving_lsc(
@@ -79,13 +127,16 @@ def run_shard_worker(
     outbox,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     shard_filtered: bool = True,
+    placement: Optional[Tuple[int, ...]] = None,
 ) -> None:
     """Process entry point of one shard worker (module-level: picklable).
 
     With ``shard_filtered`` (the default) the worker builds only its own
     slice of the scenario (``build_scenario(config, shard=...)``); pass
     ``False`` to force the legacy full rebuild (the equivalence oracle
-    the parity tests compare against).
+    the parity tests compare against).  ``placement`` is the
+    coordinator's LSC -> worker map; without one the worker derives it
+    from the config by the same function.
     """
     transport = ShardQueueTransport(inbox, outbox)
     try:
@@ -98,6 +149,7 @@ def run_shard_worker(
             transport,
             barrier_timeout,
             shard_filtered,
+            placement,
         )
     except Exception:  # pragma: no cover - surfaced by the coordinator
         transport.send(
@@ -120,12 +172,20 @@ def _run(
     transport: ShardQueueTransport,
     barrier_timeout: float,
     shard_filtered: bool = True,
+    placement: Optional[Tuple[int, ...]] = None,
 ) -> None:
     # Imported here so a spawn-started worker pays the import once, in
     # the child, instead of requiring the parent's module state.
-    from repro.experiments.runner import ShardSelection, build_scenario
+    from repro.experiments.runner import (
+        ShardSelection,
+        build_scenario,
+        shard_placement,
+    )
 
-    my_indices = shard_lsc_indices(config.num_lscs, num_workers, worker_index)
+    started = time.perf_counter()
+    if placement is None:
+        placement = shard_placement(config, num_workers)
+    my_indices = [i for i, worker in enumerate(placement) if worker == worker_index]
     if not my_indices:
         raise ValueError(
             f"shard worker {worker_index} of {num_workers} owns no LSCs "
@@ -133,7 +193,9 @@ def _run(
             "would replay an empty schedule and silently skew the merge"
         )
     shard = (
-        ShardSelection(num_workers=num_workers, worker_index=worker_index)
+        ShardSelection(
+            num_workers=num_workers, worker_index=worker_index, placement=placement
+        )
         if shard_filtered
         else None
     )
@@ -156,6 +218,11 @@ def _run(
         profile=profile,
     )
     me = f"shard-{worker_index}"
+    # Wall-clock telemetry of this worker: a handful of perf_counter
+    # reads per run (per apply batch and per barrier), never per event.
+    build_s = time.perf_counter() - started
+    busy_s = 0.0
+    barrier_wait_s = 0.0
     transport.send(
         ShardReady(
             src=me,
@@ -174,9 +241,7 @@ def _run(
         for i, group in enumerate(scenario.lsc_regions)
         for region in group
     }
-    lsc_to_worker = {
-        f"LSC-{i}": i % num_workers for i in range(config.num_lscs)
-    }
+    lsc_to_worker = {f"LSC-{i}": worker for i, worker in enumerate(placement)}
     region_of = {viewer.viewer_id: viewer.region_name for viewer in scenario.viewers}
     alive = [f"LSC-{i}" for i in range(config.num_lscs)]
     viewers_by_id = {viewer.viewer_id: viewer for viewer in scenario.viewers}
@@ -184,6 +249,7 @@ def _run(
 
     ordered = sorted(scenario.events, key=event_sort_key)
     barrier_seq = 0
+    events_applied = 0
     pending: List = []
     for event in ordered:
         if event.kind != "lsc_fail":
@@ -197,7 +263,10 @@ def _run(
             # the single-process driver; every worker skips it identically,
             # so no barrier round-trip is spent on it.
             continue
+        mark = time.perf_counter()
         driver.apply(pending)
+        busy_s += time.perf_counter() - mark
+        events_applied += len(pending)
         pending = []
         barrier_seq += 1
         driver.advance(event.time)
@@ -223,7 +292,9 @@ def _run(
                 sessions=sessions,
             )
         )
+        mark = time.perf_counter()
         resume = transport.recv(timeout=barrier_timeout)
+        barrier_wait_s += time.perf_counter() - mark
         if not isinstance(resume, ShardResume) or resume.barrier_seq != barrier_seq:
             raise RuntimeError(
                 f"shard {worker_index}: expected resume for barrier "
@@ -233,6 +304,7 @@ def _run(
             region for region, lsc_id in region_to_lsc.items() if lsc_id == failed
         )
         if target is not None and lsc_to_worker[target] == worker_index:
+            mark = time.perf_counter()
             system.absorb_failover(
                 target,
                 resume.sessions,
@@ -241,13 +313,18 @@ def _run(
                 views_by_id=views_by_id,
                 regions=reassigned,
             )
+            busy_s += time.perf_counter() - mark
         for region in reassigned:
             if target is None:
                 del region_to_lsc[region]
             else:
                 region_to_lsc[region] = target
         alive.remove(failed)
+    mark = time.perf_counter()
     driver.apply(pending)
+    finalize_started = time.perf_counter()
+    busy_s += finalize_started - mark
+    events_applied += len(pending)
     metrics = driver.finalize()
     payload = pickle.dumps(
         {
@@ -266,5 +343,14 @@ def _run(
             shard_index=worker_index,
             final_clock=system.simulator.now,
             payload=payload,
+            stats=(
+                ("build_s", build_s),
+                ("busy_s", busy_s),
+                ("barrier_wait_s", barrier_wait_s),
+                ("finalize_s", time.perf_counter() - finalize_started),
+                ("events", events_applied),
+                ("viewers", len(scenario.viewers)),
+                ("ru_maxrss", _ru_maxrss()),
+            ),
         )
     )

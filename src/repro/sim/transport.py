@@ -193,12 +193,15 @@ class ShardResult(ControlMessage):
     ``payload`` is an opaque pickle (metrics, placement digests, CDN
     usage) -- kept as bytes so the message itself stays a flat, cheaply
     picklable record and the round-trip tests can compare it
-    byte-identically.
+    byte-identically.  ``stats`` is the worker's wall-clock telemetry as
+    ``(name, value)`` pairs; it rides outside the payload because it
+    times the payload's pickling.
     """
 
     shard_index: int
     final_clock: float
     payload: bytes
+    stats: Tuple[Tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -10,8 +10,13 @@ the 100k sweep preset rides on.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import multiprocessing
+import os
 import queue
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -21,9 +26,13 @@ from repro.core.session import InstantDriver, ShardedDriver
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     ShardSelection,
+    _OwnershipTimeline,
+    _region_names_for,
+    _viewer_region_table,
     build_scenario,
     build_telecast_system,
     run_telecast_scenario,
+    shard_placement,
 )
 from repro.metrics.placement import (
     lsc_placement_digest,
@@ -33,11 +42,12 @@ from repro.metrics.placement import (
 from repro.parallel.runner import _coordinate, resolve_worker_count, run_sharded_scenario
 from repro.parallel.worker import (
     nearest_surviving_lsc,
+    place_lscs,
     run_shard_worker,
     shard_lsc_indices,
 )
 from repro.sim.rng import SeededRandom
-from repro.sim.transport import ShardError
+from repro.sim.transport import ShardError, ShardReady
 from repro.traces.workload import (
     ChurnConfig,
     OutageConfig,
@@ -55,9 +65,205 @@ def test_shard_lsc_indices_partition_all_lscs():
     assert shard_lsc_indices(7, 3, 0) == [0, 3, 6]
 
 
+def _worker_loads(weights, placement, num_workers):
+    loads = [0] * num_workers
+    for weight, worker in zip(weights, placement):
+        loads[worker] += weight
+    return loads
+
+
+def _optimal_max_load(weights, num_workers):
+    """Brute force over every assignment (n <= 7: at most 7**7 of them)."""
+    return min(
+        max(_worker_loads(weights, assignment, num_workers))
+        for assignment in itertools.product(range(num_workers), repeat=len(weights))
+    )
+
+
+def test_place_lscs_partitions_and_leaves_no_worker_empty():
+    """Every LSC lands on exactly one worker, every worker hosts >= 1 LSC."""
+    rng = SeededRandom(5)
+    for num_lscs in range(1, 9):
+        for num_workers in range(1, num_lscs + 1):
+            for weights in (
+                [1] * num_lscs,
+                [0] * num_lscs,
+                list(range(num_lscs)),
+                [rng.randint(0, 50) for _ in range(num_lscs)],
+                [1000] + [0] * (num_lscs - 1),
+            ):
+                placement = place_lscs(weights, num_workers)
+                assert len(placement) == num_lscs
+                assert set(placement) == set(range(num_workers)), (weights, placement)
+                assert all(0 <= worker < num_workers for worker in placement)
+
+
+def test_place_lscs_equal_weights_is_round_robin():
+    for num_lscs in range(1, 9):
+        for num_workers in range(1, num_lscs + 1):
+            for weight in (0, 1, 17):
+                assert place_lscs([weight] * num_lscs, num_workers) == tuple(
+                    i % num_workers for i in range(num_lscs)
+                )
+
+
+def test_place_lscs_ties_go_to_the_lowest_index():
+    # Heaviest first; equal weights in LSC-index order; an equally loaded
+    # pair of workers resolves to the lower worker index.
+    assert place_lscs([5, 9, 5], 2) == (1, 0, 1)
+    assert place_lscs([4, 4, 8, 8], 2) == (0, 1, 0, 1)
+    assert place_lscs([3, 3, 3, 9], 2) == (1, 1, 1, 0)
+    with pytest.raises(ValueError):
+        place_lscs([1, 2], 0)
+
+
+def test_place_lscs_more_workers_than_lscs_leaves_the_tail_empty():
+    # resolve_worker_count never asks for this; a worker that is handed
+    # such an index fails loudly (see the empty-shard test below).
+    assert place_lscs([7, 7], 3) == (0, 1)
+
+
+def test_place_lscs_zero_weight_lscs_still_partition():
+    """More LSCs than populated regions: the empty ones seed the spare workers."""
+    assert place_lscs([40, 0, 0, 0], 3) == (0, 1, 2, 1)
+    assert place_lscs([0, 0, 40, 0], 4) == (1, 2, 0, 3)
+    config = ExperimentConfig(num_viewers=3, num_lscs=8, cdn_capacity_mbps=math.inf)
+    placement = shard_placement(config, 8)
+    assert sorted(placement) == list(range(8))
+
+
+def test_place_lscs_max_load_within_the_lpt_bound_of_optimal():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        weights=st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=7),
+        data=st.data(),
+    )
+    def check(weights, data):
+        num_workers = data.draw(st.integers(min_value=1, max_value=len(weights)))
+        placement = place_lscs(weights, num_workers)
+        assert set(placement) == set(range(num_workers))
+        worst = max(_worker_loads(weights, placement, num_workers))
+        optimum = _optimal_max_load(weights, num_workers)
+        # Graham's bound, cross-multiplied to stay in integers:
+        # worst <= (4/3 - 1/(3k)) * optimum.
+        assert 3 * num_workers * worst <= (4 * num_workers - 1) * optimum
+
+    check()
+
+
+SKEWED = ExperimentConfig(
+    num_viewers=400, num_views=8, num_lscs=4, cdn_capacity_mbps=math.inf, latency_seed=8
+)
+SKEWED_OUTAGE = SKEWED.with_(
+    outage=OutageConfig(time=5.0, lsc_index=1, viewer_fraction=0.4)
+)
+
+
+def _lsc_weights(config):
+    region_names = _region_names_for(config)
+    timeline = _OwnershipTimeline(config, region_names)
+    return timeline, timeline.lsc_weights(_viewer_region_table(config, len(region_names)))
+
+
+def test_lsc_weights_are_region_populations():
+    timeline, weights = _lsc_weights(SKEWED)
+    by_region = Counter(v.region_name for v in build_scenario(SKEWED).viewers)
+    assert weights == [
+        sum(by_region[region] for region in group) for group in timeline.lsc_regions
+    ]
+    assert sum(weights) == SKEWED.num_viewers
+    # Five regions dealt over four LSCs: LSC-0 serves two of them.
+    assert weights[0] == max(weights)
+
+
+def test_lsc_weights_count_the_failed_population_at_the_failover_target():
+    _, base = _lsc_weights(SKEWED)
+    timeline, weights = _lsc_weights(SKEWED_OUTAGE)
+    assert timeline.failed_index == 1 and timeline.target_index == 0
+    expected = list(base)
+    expected[0] += base[1]
+    assert weights == expected
+    assert shard_placement(SKEWED, 2) == (0, 1, 1, 0)
+    assert shard_placement(SKEWED_OUTAGE, 2) == (0, 1, 1, 1)
+
+
+def test_weighted_placement_never_loads_a_worker_more_than_modulo():
+    strictly_lower = 0
+    for latency_seed in range(1, 9):
+        for config in (
+            SKEWED.with_(latency_seed=latency_seed),
+            SKEWED_OUTAGE.with_(latency_seed=latency_seed),
+        ):
+            _, weights = _lsc_weights(config)
+            weighted = max(_worker_loads(weights, shard_placement(config, 2), 2))
+            modulo = max(_worker_loads(weights, [i % 2 for i in range(4)], 2))
+            assert weighted <= modulo, (latency_seed, weights)
+            strictly_lower += weighted < modulo
+    assert strictly_lower >= 1
+
+
+def test_bare_shard_selection_derives_the_coordinators_placement():
+    """``ShardSelection(k, i)`` means worker i of ``shard_placement(config, k)``."""
+    placement = shard_placement(SKEWED_OUTAGE, 2)
+    assert placement != tuple(i % 2 for i in range(4))
+    for worker in range(2):
+        bare = build_scenario(SKEWED_OUTAGE, shard=ShardSelection(2, worker))
+        handed = build_scenario(
+            SKEWED_OUTAGE, shard=ShardSelection(2, worker, placement=placement)
+        )
+        assert [v.viewer_id for v in bare.viewers] == [v.viewer_id for v in handed.viewers]
+        assert bare.events == handed.events
+    # Worker 0 hosts LSC-0 alone, and LSC-1's regions once they fail over to it.
+    regions = {v.region_name for v in build_scenario(SKEWED_OUTAGE, shard=ShardSelection(2, 0)).viewers}
+    timeline, _ = _lsc_weights(SKEWED_OUTAGE)
+    assert regions == set(timeline.lsc_regions[0]) | set(timeline.lsc_regions[1])
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_shard_placement_is_identical_in_a_child_process(method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method!r} start method on this platform")
+    with multiprocessing.get_context(method).Pool(1) as pool:
+        in_child = pool.apply(shard_placement, (SKEWED_OUTAGE, 2))
+    assert in_child == shard_placement(SKEWED_OUTAGE, 2)
+
+
+def test_shard_placement_is_independent_of_the_hash_seed():
+    code = (
+        "import math\n"
+        "from repro.experiments.config import ExperimentConfig\n"
+        "from repro.experiments.runner import shard_placement\n"
+        "from repro.traces.workload import OutageConfig\n"
+        "config = ExperimentConfig(num_viewers=400, num_views=8, num_lscs=4,\n"
+        "    cdn_capacity_mbps=math.inf, latency_seed=8,\n"
+        "    outage=OutageConfig(time=5.0, lsc_index=1, viewer_fraction=0.4))\n"
+        "print([shard_placement(config, k) for k in (2, 3, 4)])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+            capture_output=True,
+            timeout=60,
+            check=False,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout.decode())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].strip() == str(
+        [shard_placement(SKEWED_OUTAGE, k) for k in (2, 3, 4)]
+    )
+
+
 def test_resolve_worker_count_clamps_to_lscs():
     config = ExperimentConfig(num_viewers=10, num_lscs=3)
-    assert resolve_worker_count(config, 8) == 3
+    with pytest.warns(UserWarning, match="clamping to 3"):
+        assert resolve_worker_count(config, 8) == 3
     assert resolve_worker_count(config, None) == 1
     assert resolve_worker_count(dataclasses.replace(config, shard_workers=2), None) == 2
     with pytest.raises(ValueError):
@@ -284,6 +490,17 @@ def test_config_clamps_shard_workers_to_lsc_count_with_warning():
     assert config.shard_workers == 4
 
 
+def test_run_sharded_scenario_warns_like_the_config_when_it_clamps():
+    """Both ways of asking for too many workers emit the same warning."""
+    with pytest.warns(UserWarning) as from_config:
+        ExperimentConfig(num_viewers=10, num_lscs=4, shard_workers=9)
+    config = ExperimentConfig(num_viewers=10, num_lscs=4)
+    with pytest.warns(UserWarning) as from_runner:
+        assert resolve_worker_count(config, 9) == 4
+    assert [str(w.message) for w in from_config] == [str(w.message) for w in from_runner]
+    assert "shard_workers=9 exceeds num_lscs=4; clamping to 4" in str(from_runner[0].message)
+
+
 def test_worker_with_empty_shard_reports_a_shard_error():
     """A worker index beyond the LSC count must fail loudly, not idle."""
     config = ExperimentConfig(num_viewers=10, num_lscs=2)
@@ -310,7 +527,7 @@ def test_coordinator_fails_fast_on_crashed_worker():
         _FakeProcess("repro-shard-1", alive=True, exitcode=None),
     ]
     with pytest.raises(RuntimeError, match=r"repro-shard-0 \(exit code -9\)"):
-        _coordinate(2, queue.Queue(), [queue.Queue(), queue.Queue()], processes, 60.0)
+        _coordinate(2, queue.Queue(), [queue.Queue(), queue.Queue()], processes, 60.0, 2)
 
 
 def test_coordinator_fails_fast_on_silent_clean_exit():
@@ -321,4 +538,32 @@ def test_coordinator_fails_fast_on_silent_clean_exit():
         _FakeProcess("repro-shard-1", alive=True, exitcode=None),
     ]
     with pytest.raises(RuntimeError, match="without reporting a result"):
-        _coordinate(2, queue.Queue(), [queue.Queue(), queue.Queue()], processes, 60.0)
+        _coordinate(2, queue.Queue(), [queue.Queue(), queue.Queue()], processes, 60.0, 2)
+
+
+def _ready(shard_index: int, *lsc_ids: str) -> ShardReady:
+    return ShardReady(
+        src=f"shard-{shard_index}",
+        dst="coordinator",
+        sent_at=0.0,
+        shard_index=shard_index,
+        lsc_ids=lsc_ids,
+    )
+
+
+@pytest.mark.parametrize(
+    "second",
+    [("LSC-1", "LSC-2"), ("LSC-3",), ("LSC-1", "LSC-3", "LSC-4")],
+    ids=["double-hosted", "dropped", "unknown"],
+)
+def test_coordinator_rejects_a_placement_that_is_not_a_partition(second):
+    """Workers reporting overlapping, missing or foreign LSCs fail the run."""
+    processes = [
+        _FakeProcess("repro-shard-0", alive=True, exitcode=None),
+        _FakeProcess("repro-shard-1", alive=True, exitcode=None),
+    ]
+    coord_queue = queue.Queue()
+    coord_queue.put(_ready(0, "LSC-0", "LSC-2"))
+    coord_queue.put(_ready(1, *second))
+    with pytest.raises(RuntimeError, match="shard placement mismatch.*shard-1"):
+        _coordinate(2, coord_queue, [queue.Queue(), queue.Queue()], processes, 60.0, 4)

@@ -24,6 +24,8 @@ from repro.experiments.runner import (
 )
 from repro.metrics.placement import per_lsc_placement_digests
 from repro.parallel import run_sharded_scenario
+from repro.parallel import runner as parallel_runner
+from repro.parallel.worker import run_shard_worker
 from repro.traces.workload import ChurnConfig, OutageConfig
 
 pytestmark = pytest.mark.parallel
@@ -39,6 +41,12 @@ CHURN = dataclasses.replace(
     ExperimentConfig(num_viewers=300, num_views=6, num_lscs=4).with_uncapped_cdn(),
     churn=ChurnConfig(failure_rate_per_second=0.05, rejoin_probability=0.5),
 )
+
+#: The benchmark's world at test scale: five regions over four LSCs make
+#: LSC-0 twice as heavy as the others, and LSC-1 fails over onto it, so
+#: the weighted placement is {LSC-0} | {LSC-1, LSC-2, LSC-3} -- not
+#: ``i % 2`` -- and the failover crosses workers.
+SKEWED = dataclasses.replace(OUTAGE, latency_seed=8)
 
 
 def _single_process_reference(config):
@@ -92,7 +100,70 @@ def test_sharded_churn_parity(workers):
     assert sharded.result.metrics.summary() == summary
 
 
-@pytest.mark.parametrize("config", [BASE, OUTAGE, CHURN], ids=["base", "outage", "churn"])
+@pytest.mark.parametrize("mp_start_method", [None, "spawn"], ids=["default", "spawn"])
+def test_sharded_parity_on_a_skewed_world(mp_start_method):
+    """Load-aware placement moves wall-clock only: digests and summary hold."""
+    digests, summary, _snapshot = _single_process_reference(SKEWED)
+    assert summary["lsc_failovers"] == 1
+    assert summary["failover_migrated_viewers"] > 0
+    sharded = run_sharded_scenario(
+        SKEWED, num_workers=2, snapshot_every=None, mp_start_method=mp_start_method
+    )
+    # The weighted path, not its equal-weight fallback, is under test.
+    assert sharded.placement == (0, 1, 1, 1)
+    assert sharded.placement != tuple(i % 2 for i in range(SKEWED.num_lscs))
+    # LSC-1 is gone: it failed over to LSC-0, hosted by the other worker.
+    assert sorted(sharded.placement_digests) == ["LSC-0", "LSC-2", "LSC-3"]
+    assert sharded.placement[1] != sharded.placement[0]
+    assert sharded.placement_digests == digests
+    assert sharded.result.metrics.summary() == summary
+
+
+def test_worker_stats_cover_every_worker():
+    sharded = run_sharded_scenario(SKEWED, num_workers=2, snapshot_every=None)
+    assert sorted(sharded.worker_stats) == [0, 1]
+    for stats in sharded.worker_stats.values():
+        assert set(stats) == {
+            "build_s", "busy_s", "barrier_wait_s", "finalize_s",
+            "events", "viewers", "ru_maxrss",
+        }
+        assert stats["busy_s"] > 0 and stats["barrier_wait_s"] > 0
+    # Worker 0 builds LSC-0's regions plus the ones LSC-1 hands over.
+    assert sharded.worker_stats[0]["viewers"] + sharded.worker_stats[1]["viewers"] > (
+        SKEWED.num_viewers
+    )
+    events = sum(stats["events"] for stats in sharded.worker_stats.values())
+    scenario = build_scenario(SKEWED)
+    assert events == sum(1 for event in scenario.events if event.kind != "lsc_fail")
+    assert 1.0 <= sharded.imbalance <= 2.0
+
+
+def _worker_with_modulo_placement(worker_index, num_workers, config, *args, **kwargs):
+    """Worker 1 disregards the coordinator's placement (fork-inherited patch)."""
+    if worker_index == 1:
+        kwargs["placement"] = tuple(i % num_workers for i in range(config.num_lscs))
+    run_shard_worker(worker_index, num_workers, config, *args, **kwargs)
+
+
+def test_coordinator_fails_the_run_on_a_divergent_worker_placement(monkeypatch):
+    """A worker hosting LSCs the coordinator placed elsewhere must not merge."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the doctored worker entry point is inherited by fork")
+    monkeypatch.setattr(
+        parallel_runner, "run_shard_worker", _worker_with_modulo_placement
+    )
+    with pytest.raises(RuntimeError, match="shard placement mismatch"):
+        run_sharded_scenario(
+            SKEWED, num_workers=2, snapshot_every=None, mp_start_method="fork"
+        )
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize(
+    "config", [BASE, OUTAGE, CHURN, SKEWED], ids=["base", "outage", "churn", "skewed"]
+)
 def test_filtered_build_matches_full_rebuild_workers(config):
     """Shard-filtered worker startup is an optimization, not a semantic.
 

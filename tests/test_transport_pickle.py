@@ -80,7 +80,13 @@ SAMPLES = [
         target_lsc_id="LSC-0",
         sessions=(("viewer-00001", "view-0", 0.5),),
     ),
-    ShardResult(**_COMMON, shard_index=1, final_clock=300.0, payload=b"\x00\x01frame"),
+    ShardResult(
+        **_COMMON,
+        shard_index=1,
+        final_clock=300.0,
+        payload=b"\x00\x01frame",
+        stats=(("busy_s", 1.25), ("events", 40)),
+    ),
     ShardError(**_COMMON, shard_index=2, error="Traceback: boom"),
 ]
 
