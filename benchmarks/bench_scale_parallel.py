@@ -16,7 +16,8 @@ over the identical seeded scenario and checks three things:
   (:class:`~repro.experiments.runner.ShardSelection`; every worker's is
   timed, the critical one gates) must be at least
   ``--min-build-speedup`` (default 2x) faster than the
-  legacy full rebuild at the headline population.  This gate needs no
+  one-worker build (the whole world) at the headline population.  This
+  gate needs no
   spare cores -- it compares two builds in the same process -- so it is
   armed everywhere except ``--quick`` (tiny populations, where constant
   substrate costs dominate the build).
@@ -117,10 +118,10 @@ def _broadcast_config(num_viewers: int, num_lscs: int) -> ExperimentConfig:
 def _measure_builds(
     config: ExperimentConfig, workers: int, *, reps: int = 3
 ) -> Dict[str, object]:
-    """Time a worker's scenario build: legacy full rebuild vs filtered.
+    """Time a worker's scenario build: one-worker build vs its own slice.
 
-    ``build_full_s`` is what every worker paid before shard projection
-    (the whole world, rebuilt per process).  Under load-aware placement
+    ``build_full_s`` is the one-worker build -- the whole world, what
+    every worker paid before shard projection.  Under load-aware placement
     no single worker is "the" typical shard, so every worker's projected
     build is timed (``build_filtered_per_worker_s``) and
     ``build_filtered_s`` -- the gated figure -- is the slowest of them:

@@ -8,6 +8,8 @@ in this module, which share one per-event dispatch table
 * :class:`InstantDriver` -- the seed semantics, pinned by the golden
   smoke-metrics test: every event is applied the moment it fires, in
   ``(time, viewer_id)`` order, with zero control-plane transit time.
+  A shard worker of :mod:`repro.parallel` drives the same loop segment
+  by segment (``apply`` / ``advance`` / ``finalize``).
 * :class:`EventDrivenSession` -- the simulated control plane.  Each
   workload intent becomes a typed
   :class:`~repro.sim.transport.ControlMessage` put in flight on the
@@ -143,16 +145,41 @@ class _DriverBase:
 
 
 class InstantDriver(_DriverBase):
-    """Apply every workload event the moment it fires (seed semantics)."""
+    """Apply every workload event the moment it fires (seed semantics).
+
+    :meth:`run` replays a whole schedule.  Inside a shard worker of the
+    parallel engine (:mod:`repro.parallel`) the system holds only that
+    worker's LSCs and the schedule arrives in *segments* separated by
+    cross-shard barriers (LSC failovers), so the same loop is also
+    available in resumable pieces: :meth:`apply` per segment,
+    :meth:`advance` to a barrier, :meth:`finalize` once at the end.
+    """
 
     def run(self, events: Sequence[ViewerEvent]):
+        self.apply(sorted(events, key=event_sort_key))
+        return self.finalize()
+
+    def apply(self, events: Sequence[ViewerEvent]) -> None:
+        """Replay one segment of events (already in replay order)."""
         system = self.system
-        for event in sorted(events, key=event_sort_key):
+        for event in events:
             system.simulator.run(until=event.time)
             dispatch_event(self, event)
+
+    def advance(self, until: float) -> None:
+        """Align the simulator clock to a cross-shard barrier.
+
+        The min-timestamp side of the clock-merge rule: every shard
+        aligns to the barrier's timestamp before the cross-shard
+        operation applies.
+        """
+        self.system.simulator.run(until=until)
+
+    def finalize(self):
+        """The run's epilogue (data-plane replay slot, final snapshot)."""
         self._replay_data_plane()
         self._snapshot()
-        return system.metrics
+        return self.system.metrics
 
     def handle_join(self, event: ViewerEvent) -> None:
         system = self.system
@@ -196,51 +223,6 @@ class InstantDriver(_DriverBase):
         started = self._started()
         system.fail_lsc(event.viewer_id, event.time)
         self._timed("churn", started)
-
-
-class ShardedDriver(InstantDriver):
-    """Shard-local instant driver: one worker's slice of a parallel run.
-
-    The third member of the :data:`EVENT_DISPATCH` family.  Inside a
-    shard worker of the parallel engine (:mod:`repro.parallel`) the
-    system holds only that worker's LSCs, and the schedule arrives in
-    *segments* separated by cross-shard barriers (LSC failovers), so the
-    monolithic :meth:`InstantDriver.run` loop is split into resumable
-    pieces:
-
-    * :meth:`apply` -- replay one pre-sorted batch of shard-local events
-      with exact instant-driver semantics,
-    * :meth:`advance` -- move the local simulator clock to a barrier
-      time (the min-timestamp side of the clock-merge rule: every shard
-      aligns to the barrier's timestamp before the cross-shard operation
-      applies),
-    * :meth:`finalize` -- the instant driver's epilogue (data-plane
-      replay slot, final snapshot) once the whole schedule drained.
-
-    ``run(events)`` still works and is byte-identical to
-    :class:`InstantDriver` -- the degenerate single-shard case.
-    """
-
-    def apply(self, events: Sequence[ViewerEvent]) -> None:
-        """Replay one segment of shard-local events (already sorted)."""
-        system = self.system
-        for event in events:
-            system.simulator.run(until=event.time)
-            dispatch_event(self, event)
-
-    def advance(self, until: float) -> None:
-        """Align the shard's simulator clock to a cross-shard barrier."""
-        self.system.simulator.run(until=until)
-
-    def finalize(self):
-        """Finish the run after the last segment; return the metrics."""
-        self._replay_data_plane()
-        self._snapshot()
-        return self.system.metrics
-
-    def run(self, events: Sequence[ViewerEvent]):
-        self.apply(sorted(events, key=event_sort_key))
-        return self.finalize()
 
 
 class EventDrivenSession(_DriverBase):

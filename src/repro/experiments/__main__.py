@@ -50,11 +50,7 @@ from repro.experiments.figures import (
     figure_15b_vs_random_scale,
 )
 from repro.experiments.reporting import format_distribution_figure, format_scaling_figure
-from repro.experiments.runner import (
-    build_scenario,
-    build_telecast_system,
-    run_random_scenario,
-)
+from repro.experiments.runner import run_random_scenario, run_telecast_scenario
 from repro.experiments.sweep import (
     ResultsStore,
     compare_records,
@@ -361,29 +357,14 @@ def _run_main(argv: List[str]) -> int:
             print(_format_profile(result.metrics.phase_timings))
         return 0
 
-    # TeleCast: keep the system instance so the data plane can replay.
-    build_started = _time.perf_counter()
-    scenario = build_scenario(config)
-    build_seconds = _time.perf_counter() - build_started
-    system = build_telecast_system(scenario)
-    metrics = system.run_workload(
-        scenario.viewers,
-        scenario.events,
-        scenario.views,
-        snapshot_every=args.snapshot_every,
-        profile=args.profile,
-        control_plane=config.control_plane,
-        heartbeat_period=config.heartbeat_period,
-        control_delay_scale=config.control_delay_scale,
-        data_plane=config.data_plane_config(),
+    result = run_telecast_scenario(
+        config, snapshot_every=args.snapshot_every, profile=args.profile
     )
-    if args.profile:
-        metrics.add_phase_time("build", build_seconds)
+    metrics = result.metrics
     if args.replay_frames is not None and not args.data_plane:
         replay_started = _time.perf_counter()
-        trace = TeeveSessionTrace(
-            scenario.producers, rng=SeededRandom(config.seed)
-        )
+        system = result.system
+        trace = TeeveSessionTrace(system.producers, rng=SeededRandom(config.seed))
         report = OverlayDataPlane(system, trace).replay(
             max_frames_per_stream=args.replay_frames
         )
@@ -392,7 +373,7 @@ def _run_main(argv: List[str]) -> int:
             metrics.add_phase_time("replay", replay_seconds)
         print(f"replayed {len(report.deliveries)} frame deliveries")
     metrics_started = _time.perf_counter()
-    snapshot = system.snapshot()
+    snapshot = result.final_snapshot
     summary = metrics.summary()
     if args.profile:
         metrics.add_phase_time("metrics", _time.perf_counter() - metrics_started)

@@ -2,11 +2,15 @@
 
 A *scenario* is one viewer population with one bandwidth distribution run
 against either 4D TeleCast or the Random baseline.  :func:`build_scenario`
-constructs every substrate exactly once -- producers, CDN, synthetic
-PlanetLab latencies (with every control node present in the matrix),
-region-sharded LSC assignments and the workload schedule -- and both
-runners consume the same :class:`Scenario`, so a sweep point never builds
-its substrates twice.
+is the one place that knows how a config becomes substrates -- producers,
+CDN, synthetic PlanetLab latencies (with every control node present in
+the matrix), region-sharded LSC assignments and the workload schedule.
+It builds one worker's slice of the world; the single-process run is the
+one-worker case, whose slice is everything.  Both runners consume the
+same :class:`Scenario`, so a sweep point never builds its substrates
+twice, and :func:`run_telecast_scenario` is the one place that spells
+``build -> build_telecast_system -> run_workload`` (the scenario presets
+and the CLI's ``run`` call it).
 
 With ``config.num_lscs > 1`` the latency trace's geographic regions are
 clustered into one shard per Local Session Controller
@@ -20,7 +24,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.random_routing import RandomDisseminationSystem
 from repro.core.telecast import TeleCastSystem, build_views
@@ -35,7 +40,8 @@ from repro.net.planetlab import (
     DEFAULT_REGION_NAMES,
     PlanetLabTraceConfig,
     generate_planetlab_matrix,
-    node_region_indices,
+    node_keys,
+    region_indices,
 )
 from repro.net.regions import shard_regions
 from repro.sim.rng import SeededRandom
@@ -91,6 +97,9 @@ class ScenarioResult:
     #: Per-LSC placement digests, populated by the shard-parallel engine
     #: (the parity oracle against the single-process run).
     placement_digests: Dict[str, str] = field(default_factory=dict)
+    #: The live system the workload ran on, for callers that inspect the
+    #: overlay afterwards (``None`` for sharded and Random runs).
+    system: Optional[TeleCastSystem] = None
 
     @property
     def acceptance_ratio(self) -> float:
@@ -118,56 +127,6 @@ def _workload_config(config: ExperimentConfig) -> WorkloadConfig:
     )
 
 
-def _build_workload(config: ExperimentConfig):
-    workload = ViewerWorkload(_workload_config(config), rng=SeededRandom(config.seed))
-    viewers = workload.viewers()
-    events = workload.events(viewers)
-    if config.churn is not None:
-        churn = ChurnWorkload(config.churn, rng=SeededRandom(config.churn_seed))
-        events = churn.events(events)
-    if config.oscillation is not None:
-        events = overlay_oscillation(events, config.oscillation)
-    return viewers, events
-
-
-def _inject_outage(
-    events: List[ViewerEvent],
-    viewers: Sequence[Viewer],
-    lsc_regions: Tuple[Tuple[str, ...], ...],
-    outage: OutageConfig,
-) -> List[ViewerEvent]:
-    """Overlay one correlated regional outage on the schedule.
-
-    Emits a single ``lsc_fail`` event for the configured LSC plus abrupt
-    ``fail`` events for a sampled fraction of the viewers connected in
-    that LSC's regions at the outage instant.  Runs after viewers are
-    stamped with their region labels (it needs the region -> LSC map).
-    """
-    lsc_index = outage.lsc_index % len(lsc_regions)
-    region_set = set(lsc_regions[lsc_index])
-    region_of = {viewer.viewer_id: viewer.region_name for viewer in viewers}
-    alive = alive_before(events, outage.time)
-    candidates = sorted(
-        viewer_id for viewer_id in alive if region_of.get(viewer_id) in region_set
-    )
-    count = int(round(outage.viewer_fraction * len(candidates)))
-    rng = SeededRandom(outage.seed)
-    victims = sorted(rng.sample(candidates, min(count, len(candidates))))
-    injected = [
-        ViewerEvent(time=outage.time, kind="lsc_fail", viewer_id=f"LSC-{lsc_index}")
-    ]
-    injected.extend(
-        ViewerEvent(time=outage.time, kind="fail", viewer_id=victim)
-        for victim in victims
-    )
-    merged = list(events) + injected
-    # Stable sort: base events keep causal order, and at the outage
-    # instant the controller crash precedes its viewers' failures (the
-    # drivers' (time, id) sort also puts "LSC-*" before "viewer-*").
-    merged.sort(key=lambda event: event.time)
-    return merged
-
-
 def _region_names_for(config: ExperimentConfig) -> Sequence[str]:
     """Region labels of the latency trace, widened when LSCs outnumber them."""
     if config.num_lscs <= len(DEFAULT_REGION_NAMES):
@@ -177,15 +136,16 @@ def _region_names_for(config: ExperimentConfig) -> Sequence[str]:
 
 @dataclass(frozen=True)
 class ShardSelection:
-    """Which shard of an LSC-sharded run a projected build is for.
+    """Which worker of an LSC-sharded run a scenario build is for.
 
-    ``build_scenario(config, shard=...)`` with a selection builds only
-    the viewers, events and latency nodes owned by the worker's LSC
-    group (ownership: ``viewer -> region -> LSC -> placement[lsc_index]``),
-    turning per-worker startup from O(n) into O(n/k).  ``placement`` is
-    the LSC -> worker map the coordinator hands its workers;
-    ``ShardSelection(k, i)`` without one means "worker ``i`` of the
-    placement :func:`shard_placement` derives from the config".
+    ``build_scenario(config, shard=...)`` builds only the viewers,
+    events and latency nodes owned by the worker's LSC group (ownership:
+    ``viewer -> region -> LSC -> placement[lsc_index]``), so per-worker
+    startup is O(n/k).  ``placement`` is the LSC -> worker map the
+    coordinator hands its workers (one entry per LSC, checked against
+    the config by the build); ``ShardSelection(k, i)`` without one means
+    "worker ``i`` of the placement :func:`shard_placement` derives from
+    the config".
     """
 
     num_workers: int
@@ -200,6 +160,12 @@ class ShardSelection:
                 f"worker_index must be in [0, {self.num_workers}), "
                 f"got {self.worker_index}"
             )
+        for worker in self.placement or ():
+            if not (0 <= worker < self.num_workers):
+                raise ValueError(
+                    f"placement entries must be in [0, {self.num_workers}), "
+                    f"got {worker} in {self.placement}"
+                )
 
 
 class _OwnershipTimeline:
@@ -224,6 +190,8 @@ class _OwnershipTimeline:
             for region in group
         }
         self.failed_index: Optional[int] = None
+        #: Regions of the LSC the configured outage fails (empty without one).
+        self.failed_regions: frozenset = frozenset()
         self.target_index: Optional[int] = None
         self.transition_key: Optional[Tuple[float, str]] = None
         if config.outage is None:
@@ -249,6 +217,7 @@ class _OwnershipTimeline:
         alive = [f"LSC-{i}" for i in range(config.num_lscs)]
         target_id = nearest_surviving_lsc(control_model, failed_id, alive)
         self.failed_index = failed_index
+        self.failed_regions = frozenset(lsc_regions[failed_index])
         self.target_index = (
             int(target_id.rsplit("-", 1)[1]) if target_id is not None else None
         )
@@ -276,10 +245,9 @@ class _OwnershipTimeline:
         }
         if (
             self.target_index is not None
-            and self.failed_index is not None
             and placement[self.target_index] == worker_index
         ):
-            owned.update(self.lsc_regions[self.failed_index])
+            owned.update(self.failed_regions)
         return owned
 
     def lsc_weights(self, viewer_regions: Sequence[int]) -> List[int]:
@@ -309,19 +277,21 @@ class _OwnershipTimeline:
         return place_lscs(self.lsc_weights(viewer_regions), num_workers)
 
 
+def _viewer_keys(config: ExperimentConfig) -> List[int]:
+    """Latency-world node key of every viewer, in viewer-index order."""
+    return node_keys(
+        config.latency_seed,
+        (f"viewer-{index:05d}" for index in range(config.num_viewers)),
+    )
+
+
 def _viewer_region_table(config: ExperimentConfig, num_regions: int) -> List[int]:
     """Region index of every viewer, batch-computed once.
 
-    The vectorized mix when numpy is present: hashing per viewer per
-    event through the scalar path costs more than the construction work
-    the shard projection saves.  Viewer ids are ``viewer-<index>``, so
-    position 7 onward of an id is the index into this table.
+    Viewer ids are ``viewer-<index>``, so position 7 onward of an id is
+    the index into this table.
     """
-    return node_region_indices(
-        config.latency_seed,
-        (f"viewer-{index:05d}" for index in range(config.num_viewers)),
-        num_regions,
-    )
+    return region_indices(_viewer_keys(config), num_regions)
 
 
 def shard_placement(config: ExperimentConfig, num_workers: int) -> Tuple[int, ...]:
@@ -338,219 +308,47 @@ def shard_placement(config: ExperimentConfig, num_workers: int) -> Tuple[int, ..
     return timeline.placement(viewer_regions, num_workers)
 
 
-def _project_outage_events(
-    events: Iterable[ViewerEvent],
+def _overlay_outage(
+    events: List[ViewerEvent],
     outage: OutageConfig,
     timeline: _OwnershipTimeline,
-    region_of_viewer,
-    keep,
+    region_of_viewer: Callable[[str], str],
 ) -> List[ViewerEvent]:
-    """Stream-inject the regional outage and filter by ownership.
+    """Overlay one correlated regional outage on a time-ordered schedule.
 
-    One pass over a time-ordered event stream that replicates
-    :func:`_inject_outage` exactly without materializing the full
-    schedule: connected viewers of the failed LSC's regions are tracked
-    until the first event at or after the outage instant (the
-    ``alive_before`` cut), and the injected block -- the ``lsc_fail``
-    then the sampled victims' ``fail`` events -- is emitted after the
-    last base event with ``time <= outage.time``, which is where the
-    full path's stable time sort places it.  Every emitted event then
-    passes the ownership predicate (``lsc_fail`` barriers reach every
-    worker unconditionally).
+    Emits a single ``lsc_fail`` event for the configured LSC plus abrupt
+    ``fail`` events for a sampled fraction of the viewers connected in
+    that LSC's regions at the outage instant.  ``events`` may be any
+    slice of the schedule that holds every event of those regions'
+    viewers: the victims are sampled from them alone, so every shard
+    derives the same block.
     """
     assert timeline.failed_index is not None
-    failed_regions = set(timeline.lsc_regions[timeline.failed_index])
-    failed_id = f"LSC-{timeline.failed_index}"
-    alive_in_failed: set = set()
-    candidates: Optional[List[str]] = None
-    injected_done = False
-    out: List[ViewerEvent] = []
-
-    def injected_block() -> List[ViewerEvent]:
-        assert candidates is not None
-        count = int(round(outage.viewer_fraction * len(candidates)))
-        rng = SeededRandom(outage.seed)
-        victims = sorted(rng.sample(candidates, min(count, len(candidates))))
-        block = [
-            ViewerEvent(time=outage.time, kind="lsc_fail", viewer_id=failed_id)
-        ]
-        block.extend(
-            ViewerEvent(time=outage.time, kind="fail", viewer_id=victim)
-            for victim in victims
+    candidates = sorted(
+        viewer_id
+        for viewer_id in alive_before(events, outage.time)
+        if region_of_viewer(viewer_id) in timeline.failed_regions
+    )
+    count = int(round(outage.viewer_fraction * len(candidates)))
+    rng = SeededRandom(outage.seed)
+    victims = sorted(rng.sample(candidates, min(count, len(candidates))))
+    injected = [
+        ViewerEvent(
+            time=outage.time,
+            kind="lsc_fail",
+            viewer_id=f"LSC-{timeline.failed_index}",
         )
-        return [event for event in block if keep(event)]
-
-    for event in events:
-        if candidates is None and event.time >= outage.time:
-            candidates = sorted(alive_in_failed)
-        if not injected_done and event.time > outage.time:
-            out.extend(injected_block())
-            injected_done = True
-        if candidates is None and event.kind != "lsc_fail":
-            if event.kind == "join":
-                if region_of_viewer(event.viewer_id) in failed_regions:
-                    alive_in_failed.add(event.viewer_id)
-            elif event.kind in ("depart", "fail"):
-                alive_in_failed.discard(event.viewer_id)
-        if keep(event):
-            out.append(event)
-    if candidates is None:
-        candidates = sorted(alive_in_failed)
-    if not injected_done:
-        out.extend(injected_block())
-    return out
-
-
-def _build_shard_scenario(config: ExperimentConfig, shard: ShardSelection) -> Scenario:
-    """The shard-projected :func:`build_scenario`: O(shard) not O(n).
-
-    Builds only what the selected worker's LSC group can ever touch:
-    the viewers of its ever-owned regions (including regions migrated
-    to it by an outage failover), the filtered slice of the event
-    schedule, and a latency world interning only those viewers plus the
-    control nodes.  Region assignment and pair delays are pure
-    functions of per-node digests, so the projected substrates are
-    byte-identical to the corresponding slice of the full build.
-
-    Schedules with churn or oscillation overlays still generate the
-    full event list before filtering (both overlays are functions of
-    global connectedness); the viewer population and latency world are
-    projected regardless, and overlay-free schedules (the scale-sweep
-    shape) stream end to end without materializing the full schedule.
-    """
-    region_names = _region_names_for(config)
-    timeline = _OwnershipTimeline(config, region_names)
-    worker_index = shard.worker_index
-    viewer_regions = _viewer_region_table(config, len(region_names))
-    placement = shard.placement or timeline.placement(
-        viewer_regions, shard.num_workers
+    ]
+    injected.extend(
+        ViewerEvent(time=outage.time, kind="fail", viewer_id=victim)
+        for victim in victims
     )
-    ever_owned = timeline.ever_owned_regions(placement, worker_index)
-    ever_owned_indices = {
-        index for index, name in enumerate(region_names) if name in ever_owned
-    }
-    owned_flags = [region in ever_owned_indices for region in viewer_regions]
-
-    def owned_viewer(index: int, _viewer_id: str) -> bool:
-        return owned_flags[index]
-
-    def region_of_viewer(viewer_id: str) -> str:
-        return region_names[viewer_regions[int(viewer_id[7:])]]
-
-    def keep(event: ViewerEvent) -> bool:
-        if event.kind == "lsc_fail":
-            return True  # barriers reach every worker
-        owner = timeline.owner_lsc_index(
-            region_of_viewer(event.viewer_id), (event.time, event.viewer_id)
-        )
-        return owner is not None and placement[owner] == worker_index
-
-    workload = ViewerWorkload(_workload_config(config), rng=SeededRandom(config.seed))
-    owned_viewers: List[Viewer] = []
-
-    def viewer_feed() -> Iterator[Viewer]:
-        # Feed the full population to the event generator (its RNG
-        # stream must stay byte-identical) while capturing the owned
-        # viewers as they stream past; viewers of other shards arrive
-        # as id-only stubs that skip Viewer construction entirely.
-        for viewer in workload.iter_viewers(owned=owned_viewer):
-            if viewer.__class__ is Viewer:
-                viewer.region_name = region_of_viewer(viewer.viewer_id)
-                owned_viewers.append(viewer)
-            yield viewer
-
-    if config.churn is None and config.oscillation is None:
-        if config.outage is None:
-            # Ownership is time-invariant, so the viewer-level predicate
-            # is the whole filter: other shards' viewers consume their
-            # RNG draws but never construct events.  The feed already
-            # resolved ownership -- owned viewers arrive as real Viewer
-            # objects, everyone else as a stub.
-            def owned_object(viewer: Viewer) -> bool:
-                return viewer.__class__ is Viewer
-
-            events = list(workload.iter_events(viewer_feed(), owned=owned_object))
-        else:
-            # The outage projection additionally tracks aliveness in the
-            # failed LSC's regions, so those viewers' events must exist
-            # even when another shard owns them pre-failover.
-            failed_regions = set(timeline.lsc_regions[timeline.failed_index])
-            failed_indices = {
-                index
-                for index, name in enumerate(region_names)
-                if name in failed_regions
-            }
-
-            def tracked_viewer(viewer: Viewer) -> bool:
-                return (
-                    viewer.__class__ is Viewer
-                    or viewer_regions[int(viewer.viewer_id[7:])] in failed_indices
-                )
-
-            events = _project_outage_events(
-                workload.iter_events(viewer_feed(), owned=tracked_viewer),
-                config.outage,
-                timeline,
-                region_of_viewer,
-                keep,
-            )
-    else:
-        base: Iterable[ViewerEvent] = workload.iter_events(viewer_feed())
-        if config.churn is not None:
-            churn = ChurnWorkload(config.churn, rng=SeededRandom(config.churn_seed))
-            base = churn.events(base)
-        if config.oscillation is not None:
-            base = overlay_oscillation(list(base), config.oscillation)
-        if config.outage is None:
-            events = [event for event in base if keep(event)]
-        else:
-            events = _project_outage_events(
-                base, config.outage, timeline, region_of_viewer, keep
-            )
-
-    producers = make_default_producers(
-        config.num_sites,
-        config.cameras_per_site,
-        stream_bandwidth_mbps=config.stream_bandwidth_mbps,
-        frame_rate=config.frame_rate,
-    )
-    control_nodes = (
-        ["GSC"] + [f"LSC-{index}" for index in range(config.num_lscs)] + ["CDN"]
-    )
-    lazy = (
-        config.lazy_latency
-        if config.lazy_latency is not None
-        else config.num_viewers >= LAZY_LATENCY_THRESHOLD
-    )
-    matrix = generate_planetlab_matrix(
-        [viewer.viewer_id for viewer in owned_viewers] + control_nodes,
-        rng=SeededRandom(config.latency_seed),
-        config=PlanetLabTraceConfig(region_names=region_names),
-        lazy=lazy,
-    )
-    delay_model = DelayModel(
-        matrix,
-        processing_delay=config.processing_delay,
-        cdn_delta=config.cdn_delta,
-        control_processing_delay=config.control_processing_delay,
-    )
-    cdn = CDN(config.cdn_capacity_mbps, delta=config.cdn_delta)
-    views = build_views(
-        producers,
-        num_views=config.num_views,
-        streams_per_site=config.streams_per_site_in_view,
-    )
-    return Scenario(
-        config=config,
-        viewers=owned_viewers,
-        events=events,
-        producers=producers,
-        delay_model=delay_model,
-        cdn=cdn,
-        views=views,
-        lsc_regions=timeline.lsc_regions,
-        control_node_ids=tuple(control_nodes),
-    )
+    merged = events + injected
+    # Stable sort: base events keep causal order, and at the outage
+    # instant the controller crash precedes its viewers' failures (the
+    # drivers' (time, id) sort also puts "LSC-*" before "viewer-*").
+    merged.sort(key=lambda event: event.time)
+    return merged
 
 
 def build_scenario(
@@ -565,14 +363,107 @@ def build_scenario(
     node so the GSC's region-based LSC assignment operates on real trace
     geography.
 
-    With a :class:`ShardSelection` the build is projected down to one
-    shard worker's slice of the world (see :func:`_build_shard_scenario`);
-    the projected substrates are byte-identical to the corresponding
-    slice of the full build.
+    There is one build, and it is a projection: it constructs only what
+    the selected worker's LSC group can ever touch -- the viewers of its
+    ever-owned regions (including regions migrated to it by an outage
+    failover), its slice of the event schedule, and a latency world
+    interning only those viewers plus the control nodes.  ``shard=None``
+    selects the one worker that hosts every LSC, whose projection is the
+    whole world.  Region assignment and pair delays are pure functions
+    of per-node keys (derived once, in one batch, and shared by the
+    ownership table and the latency matrix), so any worker's substrates
+    are byte-identical to the corresponding slice of the full build.
+
+    Schedules with churn or oscillation overlays generate the full event
+    list before filtering (both overlays are functions of global
+    connectedness); the viewer population and latency world are
+    projected regardless.
     """
-    if shard is not None:
-        return _build_shard_scenario(config, shard)
-    viewers, events = _build_workload(config)
+    if shard is None:
+        shard = ShardSelection(num_workers=1, worker_index=0)
+    region_names = _region_names_for(config)
+    timeline = _OwnershipTimeline(config, region_names)
+    viewer_keys = _viewer_keys(config)
+    viewer_regions = region_indices(viewer_keys, len(region_names))
+    placement = shard.placement or timeline.placement(
+        viewer_regions, shard.num_workers
+    )
+    if len(placement) != config.num_lscs:
+        raise ValueError(
+            f"placement must name a worker for each of the {config.num_lscs} "
+            f"LSCs, got {len(placement)} entries"
+        )
+    worker_index = shard.worker_index
+
+    def region_of_viewer(viewer_id: str) -> str:
+        # Viewer ids are ``viewer-<index>``: position 7 onward indexes
+        # the region table.
+        return region_names[viewer_regions[int(viewer_id[7:])]]
+
+    if all(worker == worker_index for worker in placement):
+        # The one worker hosting every LSC owns every viewer and event
+        # for the whole timeline: no ownership predicate is passed down.
+        # (Ever-owning every *region* is not enough -- a failover target
+        # owns the failed regions only after the barrier.)
+        owned_viewer = tracked = keep = None
+    else:
+        ever_owned = timeline.ever_owned_regions(placement, worker_index)
+        region_owned = [name in ever_owned for name in region_names]
+        owned_flags = [region_owned[region] for region in viewer_regions]
+        viewer_keys = list(compress(viewer_keys, owned_flags))
+        failed_regions = timeline.failed_regions
+
+        def owned_viewer(index: int, _viewer_id: str) -> bool:
+            return owned_flags[index]
+
+        def tracked(viewer: Viewer) -> bool:
+            # Owned viewers arrive from the feed as real Viewer objects,
+            # everyone else as an id-only stub.  The outage overlay
+            # samples its victims from the viewers alive in the failed
+            # LSC's regions, so their events must exist even when another
+            # shard owns them pre-failover.
+            return (
+                viewer.__class__ is Viewer
+                or region_of_viewer(viewer.viewer_id) in failed_regions
+            )
+
+        def keep(event: ViewerEvent) -> bool:
+            if event.kind == "lsc_fail":
+                return True  # barriers reach every worker
+            owner = timeline.owner_lsc_index(
+                region_of_viewer(event.viewer_id), (event.time, event.viewer_id)
+            )
+            return owner is not None and placement[owner] == worker_index
+
+    workload = ViewerWorkload(_workload_config(config), rng=SeededRandom(config.seed))
+    viewers: List[Viewer] = []
+
+    def viewer_feed() -> Iterator[Viewer]:
+        # Feed the full population to the event generator (its RNG
+        # stream must stay byte-identical) while capturing the owned
+        # viewers as they stream past; viewers of other shards arrive
+        # as id-only stubs that skip Viewer construction entirely.
+        population = workload.iter_viewers(owned=owned_viewer)
+        for viewer, region in zip(population, viewer_regions):
+            if viewer.__class__ is Viewer:
+                viewer.region_name = region_names[region]
+                viewers.append(viewer)
+            yield viewer
+
+    # Churn and oscillation are functions of global connectedness, so
+    # they overlay the full stream; it is cut down to the slice after.
+    overlays = config.churn is not None or config.oscillation is not None
+    events = workload.events(viewer_feed(), owned=None if overlays else tracked)
+    if config.churn is not None:
+        churn = ChurnWorkload(config.churn, rng=SeededRandom(config.churn_seed))
+        events = churn.events(events)
+    if config.oscillation is not None:
+        events = overlay_oscillation(events, config.oscillation)
+    if config.outage is not None:
+        events = _overlay_outage(events, config.outage, timeline, region_of_viewer)
+    if keep is not None:
+        events = [event for event in events if keep(event)]
+
     producers = make_default_producers(
         config.num_sites,
         config.cameras_per_site,
@@ -582,23 +473,19 @@ def build_scenario(
     control_nodes = (
         ["GSC"] + [f"LSC-{index}" for index in range(config.num_lscs)] + ["CDN"]
     )
-    region_names = _region_names_for(config)
     lazy = (
         config.lazy_latency
         if config.lazy_latency is not None
         else config.num_viewers >= LAZY_LATENCY_THRESHOLD
     )
+    viewer_ids = [viewer.viewer_id for viewer in viewers]
     matrix = generate_planetlab_matrix(
-        [viewer.viewer_id for viewer in viewers] + control_nodes,
+        viewer_ids + control_nodes,
         rng=SeededRandom(config.latency_seed),
         config=PlanetLabTraceConfig(region_names=region_names),
         lazy=lazy,
+        known_keys=dict(zip(viewer_ids, viewer_keys)),
     )
-    for viewer in viewers:
-        viewer.region_name = matrix.regions.region_of(viewer.viewer_id).name
-    lsc_regions = shard_regions(region_names, config.num_lscs)
-    if config.outage is not None:
-        events = _inject_outage(events, viewers, lsc_regions, config.outage)
     delay_model = DelayModel(
         matrix,
         processing_delay=config.processing_delay,
@@ -619,7 +506,7 @@ def build_scenario(
         delay_model=delay_model,
         cdn=cdn,
         views=views,
-        lsc_regions=lsc_regions,
+        lsc_regions=timeline.lsc_regions,
         control_node_ids=tuple(control_nodes),
     )
 
@@ -712,6 +599,7 @@ def run_telecast_scenario(
         final_snapshot=system.snapshot(),
         cdn_outbound_mbps=scenario.cdn.used_outbound_mbps,
         viewers_per_lsc=system.viewers_per_lsc(),
+        system=system,
     )
 
 

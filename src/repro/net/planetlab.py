@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 try:  # optional: only the vectorized batch path needs it
     import numpy as _np
@@ -103,41 +103,37 @@ def _node_key(seed: int, node_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def node_region_index(seed: int, node_id: str, num_regions: int) -> int:
-    """Region index of one node, without building a matrix.
+def node_keys(seed: int, node_ids: Iterable[str]) -> List[int]:
+    """:func:`_node_key` of many nodes at once, in ``node_ids`` order.
 
-    This is exactly the assignment :func:`generate_planetlab_matrix`
-    makes (``_mix64(node_key) % num_regions``): a pure function of the
-    seed and the node id.  The shard-filtered scenario build uses it to
-    decide viewer ownership before any latency world exists.
+    The scenario build derives every viewer's key here exactly once and
+    reuses the batch twice: :func:`region_indices` turns it into the
+    ownership table, and :func:`generate_planetlab_matrix` takes the
+    owned slice as ``known_keys`` instead of hashing those ids again.
     """
-    if num_regions <= 0:
-        raise ValueError("num_regions must be > 0")
-    return _mix64(_node_key(seed, node_id)) % num_regions
-
-
-def node_region_indices(
-    seed: int, node_ids: Iterable[str], num_regions: int
-) -> List[int]:
-    """Region indices of many nodes at once (see :func:`node_region_index`).
-
-    Streams the per-node sha256 keys and, when numpy is present,
-    finishes the splitmix64 mix vectorized -- uint64 arithmetic wraps
-    mod 2**64, so the result is bit-identical to the scalar function.
-    The shard-filtered scenario build calls this once over the whole
-    population instead of hashing per viewer per event.
-    """
-    if num_regions <= 0:
-        raise ValueError("num_regions must be > 0")
     sha256 = hashlib.sha256
     prefix = f"{seed}|node|".encode("utf-8")
     from_bytes = int.from_bytes
-    keys = (
+    return [
         from_bytes(sha256(prefix + node_id.encode("utf-8")).digest()[:8], "big")
         for node_id in node_ids
-    )
+    ]
+
+
+def region_indices(keys: Sequence[int], num_regions: int) -> List[int]:
+    """Region index of every node key, without building a matrix.
+
+    This is exactly the assignment :func:`generate_planetlab_matrix`
+    makes (``_mix64(node_key) % num_regions``): a pure function of the
+    seed and the node id, so viewer ownership can be decided before any
+    latency world exists.  When numpy is present the splitmix64 mix runs
+    vectorized -- uint64 arithmetic wraps mod 2**64, so the result is
+    bit-identical to the scalar function.
+    """
+    if num_regions <= 0:
+        raise ValueError("num_regions must be > 0")
     if _np is not None:
-        mixed = _mix64_np(_np.fromiter(keys, dtype=_np.uint64))
+        mixed = _mix64_np(_np.fromiter(keys, dtype=_np.uint64, count=len(keys)))
         return (mixed % _np.uint64(num_regions)).tolist()
     return [_mix64(key) % num_regions for key in keys]
 
@@ -349,6 +345,7 @@ def generate_planetlab_matrix(
     rng: Optional[SeededRandom] = None,
     config: Optional[PlanetLabTraceConfig] = None,
     lazy: bool = False,
+    known_keys: Optional[Mapping[str, int]] = None,
 ) -> LatencyMatrix:
     """Generate a synthetic all-pairs one-way delay matrix for ``node_ids``.
 
@@ -366,6 +363,9 @@ def generate_planetlab_matrix(
     front and each pair's delay is derived (and memoized) on first
     lookup -- same values, O(n) instead of O(n^2) construction, which is
     what makes 10k-viewer scenarios feasible.
+
+    ``known_keys`` hands over node keys the caller already derived
+    (:func:`node_keys`); only the remaining ids are hashed here.
     """
     if config is None:
         config = PlanetLabTraceConfig()
@@ -375,7 +375,11 @@ def generate_planetlab_matrix(
 
     log_intra = math.log(config.intra_region_median)
     log_inter = math.log(config.inter_region_median)
-    keys = {node_id: _node_key(seed, node_id) for node_id in node_ids}
+    known = known_keys or {}
+    keys = {
+        node_id: known[node_id] if node_id in known else _node_key(seed, node_id)
+        for node_id in node_ids
+    }
 
     if lazy:
         matrix: LatencyMatrix = LazyPlanetLabMatrix(

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.util.validation import require
-
 
 @dataclass(frozen=True)
 class Region:
@@ -51,7 +49,8 @@ class RegionMap:
 
     def assign(self, node_id: str, region: Region) -> None:
         """Assign a node to a region (overwrites any previous assignment)."""
-        require(region in self.regions, f"unknown region {region!r}")
+        if region not in self.regions:
+            raise ValueError(f"unknown region {region!r}")
         previous = self._assignment.get(node_id)
         if previous is not None:
             if previous == region:

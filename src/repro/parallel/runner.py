@@ -88,7 +88,6 @@ def run_sharded_scenario(
     profile: bool = False,
     mp_start_method: Optional[str] = None,
     stall_timeout: float = DEFAULT_STALL_TIMEOUT,
-    shard_filtered_build: bool = True,
 ) -> ShardedScenarioResult:
     """Run one scenario with the LSC shards spread over worker processes.
 
@@ -99,12 +98,8 @@ def run_sharded_scenario(
     single-process multi-LSC run holds whenever the CDN never saturates
     (each shard accounts its own CDN reservations; an unsaturated CDN
     admits identically either way) -- the regime the parity gate pins.
-
-    ``shard_filtered_build`` (default) makes each worker build only its
-    own slice of the scenario -- O(n/k) startup instead of every worker
-    rebuilding the full world.  ``False`` forces the legacy full
-    rebuild; both paths produce byte-identical placement digests (the
-    parity contract pins this).
+    Each worker builds only its own slice of the scenario, so startup is
+    O(n/k) per worker.
     """
     if config.control_plane != "instant":
         raise ValueError(
@@ -119,9 +114,8 @@ def run_sharded_scenario(
             "whole-system event loop"
         )
     workers = resolve_worker_count(config, num_workers)
-    # Computed once here and handed to every worker, so the filtered and
-    # the full-rebuild workers read the same map; _coordinate checks what
-    # the workers report hosting against it.
+    # Computed once here and handed to every worker; _coordinate checks
+    # what the workers report hosting against it.
     placement = shard_placement(config, workers)
     ctx = (
         multiprocessing.get_context(mp_start_method)
@@ -142,7 +136,7 @@ def run_sharded_scenario(
                 inboxes[index],
                 coord_queue,
             ),
-            kwargs={"shard_filtered": shard_filtered_build, "placement": placement},
+            kwargs={"placement": placement},
             name=f"repro-shard-{index}",
         )
         for index in range(workers)

@@ -1,13 +1,14 @@
 """One shard worker: a group of LSCs running in its own process.
 
-Each worker rebuilds the full scenario deterministically from the
-:class:`~repro.experiments.config.ExperimentConfig` seeds (cheaper and
-safer than pickling a built world across the process boundary -- only
-control messages ever cross it), instantiates a
-:class:`~repro.core.telecast.TeleCastSystem` holding *only its own LSCs*
-under their global ids, and replays the shard-local slice of the
-schedule with exact instant-driver semantics via
-:class:`~repro.core.session.ShardedDriver`.
+Each worker builds its own slice of the scenario deterministically from
+the :class:`~repro.experiments.config.ExperimentConfig` seeds
+(``build_scenario(config, shard=...)``: cheaper and safer than pickling a
+built world across the process boundary -- only control messages ever
+cross it), instantiates a :class:`~repro.core.telecast.TeleCastSystem`
+holding *only its own LSCs* under their global ids, and replays that
+slice of the schedule segment by segment through
+:class:`~repro.core.session.InstantDriver`
+(``apply`` / ``advance`` / ``finalize``).
 
 Event ownership is a pure function every worker computes identically:
 ``viewer -> region -> owning LSC -> worker``, the last step being the
@@ -37,7 +38,7 @@ try:
 except ImportError:  # pragma: no cover - platform without getrusage
     resource = None
 
-from repro.core.session import ShardedDriver, event_sort_key
+from repro.core.session import InstantDriver, event_sort_key
 from repro.core.telecast import TeleCastSystem
 from repro.metrics.placement import per_lsc_placement_digests
 from repro.sim.transport import (
@@ -126,17 +127,12 @@ def run_shard_worker(
     inbox,
     outbox,
     barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
-    shard_filtered: bool = True,
     placement: Optional[Tuple[int, ...]] = None,
 ) -> None:
     """Process entry point of one shard worker (module-level: picklable).
 
-    With ``shard_filtered`` (the default) the worker builds only its own
-    slice of the scenario (``build_scenario(config, shard=...)``); pass
-    ``False`` to force the legacy full rebuild (the equivalence oracle
-    the parity tests compare against).  ``placement`` is the
-    coordinator's LSC -> worker map; without one the worker derives it
-    from the config by the same function.
+    ``placement`` is the coordinator's LSC -> worker map; without one
+    the worker derives it from the config by the same function.
     """
     transport = ShardQueueTransport(inbox, outbox)
     try:
@@ -148,7 +144,6 @@ def run_shard_worker(
             profile,
             transport,
             barrier_timeout,
-            shard_filtered,
             placement,
         )
     except Exception:  # pragma: no cover - surfaced by the coordinator
@@ -171,7 +166,6 @@ def _run(
     profile: bool,
     transport: ShardQueueTransport,
     barrier_timeout: float,
-    shard_filtered: bool = True,
     placement: Optional[Tuple[int, ...]] = None,
 ) -> None:
     # Imported here so a spawn-started worker pays the import once, in
@@ -192,12 +186,8 @@ def _run(
             f"(num_lscs={config.num_lscs}); workers beyond the LSC count "
             "would replay an empty schedule and silently skew the merge"
         )
-    shard = (
-        ShardSelection(
-            num_workers=num_workers, worker_index=worker_index, placement=placement
-        )
-        if shard_filtered
-        else None
+    shard = ShardSelection(
+        num_workers=num_workers, worker_index=worker_index, placement=placement
     )
     scenario = build_scenario(config, shard=shard)
     lsc_ids = [f"LSC-{i}" for i in my_indices]
@@ -210,7 +200,7 @@ def _run(
         lsc_ids=lsc_ids,
         heartbeat_timeout=config.heartbeat_timeout,
     )
-    driver = ShardedDriver(
+    driver = InstantDriver(
         system,
         scenario.viewers,
         scenario.views,

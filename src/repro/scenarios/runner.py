@@ -1,10 +1,10 @@
 """Run a scenario preset and gate it on its declared invariants.
 
-Unlike :func:`repro.experiments.runner.run_telecast_scenario` (which
-returns only metrics), :func:`run_scenario` keeps the live
-:class:`~repro.core.telecast.TeleCastSystem` on the result so the
-post-hoc invariant checks can walk sessions, trees, routing tables and
-failure detectors after the workload drained.
+:func:`run_scenario` runs a preset through
+:func:`repro.experiments.runner.run_telecast_scenario` and keeps the live
+:class:`~repro.core.telecast.TeleCastSystem` that ran it on the result,
+so the post-hoc invariant checks can walk sessions, trees, routing tables
+and failure detectors after the workload drained.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     Scenario,
     build_scenario,
-    build_telecast_system,
+    run_telecast_scenario,
 )
 from repro.experiments.sweep.grid import config_hash
 from repro.experiments.sweep.store import SweepRecord, git_describe, now
@@ -67,33 +67,25 @@ def run_scenario(
 ) -> ScenarioRun:
     """Run one scenario preset end to end and check its invariants.
 
-    The workload runs exactly like ``run_telecast_scenario`` would run
-    it (same builders, same drivers), then every invariant the preset
-    declares is evaluated against the final system state and metrics.
+    The workload runs through ``run_telecast_scenario``, then every
+    invariant the preset declares is evaluated against the final system
+    state and metrics.
     The run is returned either way; callers decide whether violations
     are fatal (the CLI exits non-zero, the tests assert ``passed``).
     """
     resolved = resolve_spec(spec)
     config = resolved.config(viewers=viewers, seed=seed, smoke=smoke)
     scenario = build_scenario(config)
-    system = build_telecast_system(scenario)
-    metrics = system.run_workload(
-        scenario.viewers,
-        scenario.events,
-        scenario.views,
-        snapshot_every=snapshot_every,
-        control_plane=config.control_plane,
-        heartbeat_period=config.heartbeat_period,
-        control_delay_scale=config.control_delay_scale,
-        data_plane=config.data_plane_config(),
+    result = run_telecast_scenario(
+        config, snapshot_every=snapshot_every, scenario=scenario
     )
     run = ScenarioRun(
         spec=resolved,
         config=config,
         scenario=scenario,
-        system=system,
-        metrics=metrics,
-        summary=metrics.summary(),
+        system=result.system,
+        metrics=result.metrics,
+        summary=result.metrics.summary(),
     )
     run.violations = check_invariants(run)
     return run

@@ -151,8 +151,8 @@ class WorkloadConfig:
 class _StubViewer:
     """Placeholder for a viewer some other shard owns.
 
-    Carries only the id the event generator needs; the shard-filtered
-    scenario build never constructs (or validates) a full
+    Carries only the id the event generator needs; a shard's scenario
+    build never constructs (or validates) a full
     :class:`~repro.model.viewer.Viewer` for population it will drop.
     """
 
@@ -182,8 +182,8 @@ class ViewerWorkload:
 
         Yields exactly the sequence :meth:`viewers` returns (same RNG
         consumption, same ids) without materializing the whole list, so
-        a shard-filtered scenario build can walk the population keeping
-        only the viewers its shard owns.
+        a shard's scenario build can walk the population keeping only
+        the viewers its shard owns.
 
         ``owned`` is that build's ownership predicate, called with each
         viewer's ``(index, viewer_id)``: positions it rejects still
@@ -223,21 +223,26 @@ class ViewerWorkload:
             else:
                 yield _StubViewer(viewer_id)  # type: ignore[misc]
 
-    def events(self, viewers: Optional[Sequence[Viewer]] = None) -> List[ViewerEvent]:
+    def events(
+        self,
+        viewers: Optional[Iterable[Viewer]] = None,
+        *,
+        owned: Optional[Callable[[Viewer], bool]] = None,
+    ) -> List[ViewerEvent]:
         """Generate the time-ordered event schedule for the population.
 
         Every viewer joins exactly once.  A subset (per the configured
         probabilities) later changes view and/or departs.  With no arrival
         rate configured, all joins happen at time 0 -- the simultaneous
         flash-crowd arrival the paper calls out as a target scenario.
+        ``owned`` is passed through to :meth:`iter_events`.
         """
-        return list(self.iter_events(viewers))
+        return list(self.iter_events(viewers, owned=owned))
 
     def iter_events(
         self,
         viewers: Optional[Iterable[Viewer]] = None,
         *,
-        keep: Optional[Callable[[ViewerEvent], bool]] = None,
         owned: Optional[Callable[[Viewer], bool]] = None,
     ) -> Iterator[ViewerEvent]:
         """Stream the schedule in sorted order without materializing it.
@@ -252,16 +257,14 @@ class ViewerWorkload:
         key is safe to emit.  A churn-free 100k-viewer schedule streams
         in O(1) memory; churn only buffers the in-flight sessions.
 
-        ``owned`` and ``keep`` are ownership predicates pushed down from
-        the shard-filtered scenario build: every RNG draw still happens
-        for every viewer (so the stream stays byte-identical to the full
-        schedule), but events of viewers ``owned`` rejects are never
-        even constructed, and constructed events ``keep`` rejects are
-        never buffered or yielded.  The result is exactly the filtered
-        subsequence of the unfiltered stream.  ``owned`` is called with
-        the incoming viewer object itself (typically a class check
-        against the stubs :meth:`iter_viewers` substitutes -- use it
-        when ownership is time-invariant), ``keep`` per event.
+        ``owned`` is the ownership predicate pushed down from a shard's
+        scenario build: every RNG draw still happens for every viewer
+        (so the stream stays byte-identical to the full schedule), but
+        events of viewers it rejects are never even constructed.  The
+        result is exactly the filtered subsequence of the unfiltered
+        stream.  It is called with the incoming viewer object itself
+        (typically a class check against the stubs :meth:`iter_viewers`
+        substitutes).
         """
         cfg = self.config
         if viewers is None:
@@ -299,11 +302,7 @@ class ViewerWorkload:
                     viewer_id=viewer_id,
                     view_index=view_index,
                 )
-                if keep is None or keep(join_event):
-                    heappush(
-                        buffered,
-                        (join_time, viewer_id, "join", join_event),
-                    )
+                heappush(buffered, (join_time, viewer_id, "join", join_event))
             horizon_start = join_time
             if change_probability > 0 and rng.random() < change_probability:
                 change_time = horizon_start + rng.uniform(
@@ -320,11 +319,10 @@ class ViewerWorkload:
                         viewer_id=viewer_id,
                         view_index=new_view,
                     )
-                    if keep is None or keep(change_event):
-                        heappush(
-                            buffered,
-                            (change_time, viewer_id, "view_change", change_event),
-                        )
+                    heappush(
+                        buffered,
+                        (change_time, viewer_id, "view_change", change_event),
+                    )
                 horizon_start = change_time
             if depart_probability > 0 and rng.random() < depart_probability:
                 depart_time = horizon_start + rng.uniform(
@@ -336,11 +334,9 @@ class ViewerWorkload:
                         kind="depart",
                         viewer_id=viewer_id,
                     )
-                    if keep is None or keep(depart_event):
-                        heappush(
-                            buffered,
-                            (depart_time, viewer_id, "depart", depart_event),
-                        )
+                    heappush(
+                        buffered, (depart_time, viewer_id, "depart", depart_event)
+                    )
         while buffered:
             yield heappop(buffered)[3]
 

@@ -1,0 +1,114 @@
+"""The CLI's printed text, pinned before ``run`` was rerouted through the runner.
+
+``tests/golden/cli_outputs.json`` was captured at the parent of the
+one-run change, when ``python -m repro.experiments run`` still spelled
+``build -> build_telecast_system -> run_workload`` itself.  Routed
+through ``run_telecast_scenario`` it must print the same bytes: stdout of
+five flag sets (every set runs at ``--viewers 80`` to stay a tier-1
+test), wall-clock fields masked by :data:`WALL_CLOCK`, and the ``--help``
+text of every subcommand (no flag added or removed).
+
+Regenerate (only for an intentional output change) with
+``PYTHONPATH=src python tests/test_cli_pinned.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import warnings
+from pathlib import Path
+
+import pytest
+
+from repro.experiments import __main__ as cli
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "cli_outputs.json"
+
+SCALE = ["--viewers", "80"]
+
+RUN_FLAG_SETS = {
+    "default": [],
+    "profile_replay": ["--profile", "--replay-frames", "3"],
+    "data_plane": ["--data-plane", "--loss-rate", "0.02"],
+    "simulated_control": ["--control-plane", "simulated"],
+    "sharded": ["--lscs", "4", "--shards", "2"],
+}
+
+HELP_PARSERS = {
+    "run": cli.build_run_parser,
+    "sweep": cli.build_sweep_parser,
+    "scenario": cli.build_scenario_parser,
+    "compare": cli.build_compare_parser,
+    "serve": cli.build_serve_parser,
+}
+
+#: Every wall-clock field the ``run`` subcommand prints: the elapsed
+#: total, the ``--profile`` table's padded ms and share columns, and the
+#: per-worker telemetry of a sharded run.  Simulated-time fields
+#: (``clock=``, ``startup p95=``, ``playout skew``) stay unmasked.
+WALL_CLOCK = re.compile(
+    r"\d+\.\d+(?=s wall clock|s busy=|s barrier_wait=|s finalize=|s maxrss=)"
+    r"| +\d+\.\d+(?= ms\b)"
+    r"|(?<= ms ) +\d+\.\d(?=%)"
+    r"|\d+(?=MiB)"
+    r"|(?<=busy\) = )\d+\.\d+"
+)
+
+
+def run_stdout(flags) -> str:
+    """Masked stdout of one ``run`` invocation."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the sharded run's CDN-cap notice
+        assert cli.main(["run", *SCALE, *flags]) == 0
+    return WALL_CLOCK.sub("#", out.getvalue())
+
+
+def help_text(name: str) -> str:
+    previous = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        return HELP_PARSERS[name]().format_help()
+    finally:
+        if previous is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = previous
+
+
+@pytest.mark.parametrize("name", sorted(RUN_FLAG_SETS))
+def test_run_prints_the_pinned_text(name):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert run_stdout(RUN_FLAG_SETS[name]) == golden["run"][name]
+
+
+@pytest.mark.parametrize("name", sorted(HELP_PARSERS))
+def test_help_is_byte_identical(name):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert help_text(name) == golden["help"][name]
+
+
+def test_mask_leaves_simulated_time_alone():
+    line = "clock=60.0s, 1.46s wall clock, startup p95=61.25s, skew p99=122ms"
+    assert WALL_CLOCK.sub("#", line) == (
+        "clock=60.0s, #s wall clock, startup p95=61.25s, skew p99=122ms"
+    )
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps(
+            {
+                "run": {name: run_stdout(flags) for name, flags in RUN_FLAG_SETS.items()},
+                "help": {name: help_text(name) for name in HELP_PARSERS},
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    print(f"wrote {GOLDEN_PATH}")

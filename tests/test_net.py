@@ -52,7 +52,7 @@ class TestRegionMap:
     def test_assign_unknown_region_rejected(self):
         regions = RegionMap()
         other = RegionMap().add_region("elsewhere")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unknown region Region\(region_id=0, name='elsewhere'\)"):
             regions.assign("node-1", other)
 
     def test_len_counts_assignments(self):

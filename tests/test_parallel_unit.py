@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.session import InstantDriver, ShardedDriver
+from repro.core.session import InstantDriver, event_sort_key
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     ShardSelection,
@@ -304,16 +304,29 @@ def test_runner_rejects_prebuilt_scenario():
 
 
 def test_sharded_driver_degenerate_case_matches_instant_driver():
-    """With all LSCs in one shard, ShardedDriver.run == InstantDriver.run."""
+    """``run(events)`` equals the segmented replay a shard worker performs.
+
+    The same schedule through ``apply`` (two segments) + ``advance`` +
+    ``finalize`` -- the pieces :mod:`repro.parallel.worker` drives -- must
+    leave the overlay and metrics ``InstantDriver.run`` leaves.
+    """
     config = ExperimentConfig(num_viewers=120, num_views=4, num_lscs=3)
     results = []
-    for driver_class in (InstantDriver, ShardedDriver):
+    for segmented in (False, True):
         scenario = build_scenario(config)
         system = build_telecast_system(scenario)
-        driver = driver_class(
+        driver = InstantDriver(
             system, scenario.viewers, scenario.views, snapshot_every=None
         )
-        driver.run(scenario.events)
+        if segmented:
+            ordered = sorted(scenario.events, key=event_sort_key)
+            cut = len(ordered) // 2
+            driver.apply(ordered[:cut])
+            driver.advance(ordered[cut].time)
+            driver.apply(ordered[cut:])
+            driver.finalize()
+        else:
+            driver.run(scenario.events)
         results.append(
             (per_lsc_placement_digests(system), system.metrics.summary())
         )
@@ -359,30 +372,30 @@ def test_iter_events_flash_crowd_buffers_one_join_at_a_time():
     assert len(rest) == 49
 
 
-def test_iter_events_keep_predicate_filters_without_perturbing_the_stream():
-    config = WorkloadConfig(
-        num_viewers=200,
-        num_views=4,
-        arrival_rate_per_second=20.0,
-        view_change_probability=0.4,
-        departure_probability=0.3,
-    )
-    full = list(ViewerWorkload(config, rng=SeededRandom(7)).iter_events())
-
-    def keep(event: ViewerEvent) -> bool:
-        return int(event.viewer_id.rsplit("-", 1)[1]) % 3 == 1
-
-    filtered = list(ViewerWorkload(config, rng=SeededRandom(7)).iter_events(keep=keep))
-    assert filtered == [event for event in full if keep(event)]
-    assert 0 < len(filtered) < len(full)
-
-
 def test_shard_selection_validates_bounds():
     with pytest.raises(ValueError):
         ShardSelection(num_workers=0, worker_index=0)
     with pytest.raises(ValueError):
         ShardSelection(num_workers=2, worker_index=2)
     ShardSelection(num_workers=2, worker_index=1)
+
+
+def test_shard_selection_rejects_a_placement_naming_a_missing_worker():
+    """An entry >= num_workers would silently drop that LSC from every shard."""
+    with pytest.raises(ValueError, match="placement"):
+        ShardSelection(num_workers=2, worker_index=0, placement=(0, 2, 1))
+    with pytest.raises(ValueError, match="placement"):
+        ShardSelection(num_workers=2, worker_index=0, placement=(0, -1, 1))
+    ShardSelection(num_workers=2, worker_index=0, placement=(0, 1, 1))
+
+
+@pytest.mark.parametrize("placement", [(0, 1), (0, 1, 1, 0)])
+def test_build_rejects_a_placement_of_the_wrong_length(placement):
+    """One entry per LSC: a short map used to raise IndexError mid-generator."""
+    config = ExperimentConfig(num_viewers=60, num_views=2, num_lscs=3)
+    shard = ShardSelection(num_workers=2, worker_index=0, placement=placement)
+    with pytest.raises(ValueError, match="placement"):
+        build_scenario(config, shard=shard)
 
 
 def _event_key(event: ViewerEvent):

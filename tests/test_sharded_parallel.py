@@ -161,50 +161,6 @@ def test_coordinator_fails_the_run_on_a_divergent_worker_placement(monkeypatch):
     assert not multiprocessing.active_children()
 
 
-@pytest.mark.parametrize(
-    "config", [BASE, OUTAGE, CHURN, SKEWED], ids=["base", "outage", "churn", "skewed"]
-)
-def test_filtered_build_matches_full_rebuild_workers(config):
-    """Shard-filtered worker startup is an optimization, not a semantic.
-
-    The same sharded run with ``shard_filtered_build`` off (every worker
-    rebuilds the full world, the pre-projection behaviour) must produce
-    byte-identical digests, metrics and clocks.
-    """
-    config = dataclasses.replace(config, shard_workers=2)
-    filtered = run_sharded_scenario(config, snapshot_every=None)
-    full_rebuild = run_sharded_scenario(
-        config, snapshot_every=None, shard_filtered_build=False
-    )
-    assert filtered.placement_digests == full_rebuild.placement_digests
-    assert (
-        filtered.result.metrics.summary() == full_rebuild.result.metrics.summary()
-    )
-    assert filtered.shard_clocks == full_rebuild.shard_clocks
-
-
-@pytest.mark.slow
-def test_filtered_build_equivalence_at_100k_viewers():
-    """The scale regime the projection exists for: 100k viewers, 4 shards.
-
-    Slow-marked: the filtered and full-rebuild engines each admit 100k
-    viewers across 8 LSCs; their per-LSC digests must agree exactly.
-    """
-    config = dataclasses.replace(
-        ExperimentConfig(num_viewers=100_000, num_views=1, num_lscs=8)
-        .with_uncapped_cdn(),
-        shard_workers=4,
-    )
-    filtered = run_sharded_scenario(config, snapshot_every=None)
-    full_rebuild = run_sharded_scenario(
-        config, snapshot_every=None, shard_filtered_build=False
-    )
-    assert filtered.placement_digests == full_rebuild.placement_digests
-    assert (
-        filtered.result.metrics.summary() == full_rebuild.result.metrics.summary()
-    )
-
-
 def test_killed_worker_fails_the_run_promptly():
     """A worker killed mid-run must surface within seconds, not after the
     600 s stall timeout, and name the dead worker."""
