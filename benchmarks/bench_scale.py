@@ -8,7 +8,7 @@ as the audience.  The benchmark measures the wall clock of the join
 phase (control-plane joins only, no snapshots) at increasing populations
 and compares the indexed :class:`~repro.core.topology.StreamTree`
 against the frozen pre-refactor implementation
-(:class:`~repro.core._topology_reference.ReferenceStreamTree`) at 2k
+(``ReferenceStreamTree`` in ``tests/reference_topology.py``) at 2k
 viewers.
 
 Output is the machine-readable ``BENCH_scale.json`` perf-trajectory
@@ -36,10 +36,13 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 import repro.core.group as group_module
-from repro.core._topology_reference import ReferenceStreamTree
 from repro.core.topology import StreamTree
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.experiments.runner import build_scenario, build_telecast_system
+
+# The reference tree lives with the tests that compare against it.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_topology import ReferenceStreamTree  # noqa: E402
 
 #: Populations of the full benchmark (the --quick CI mode keeps only the first).
 POPULATIONS = (2000, 5000, 10000)

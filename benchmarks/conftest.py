@@ -1,7 +1,7 @@
 """Shared fixtures for the figure-reproduction benchmark harness.
 
-Every ``bench_fig*`` module regenerates one figure of the paper's
-evaluation, prints the series it plots and asserts its qualitative shape.
+``bench_figures.py`` regenerates every figure of the paper's evaluation,
+prints the series it plots and asserts its qualitative shape.
 The default population is the paper's maximum of 1000 viewers; set
 ``REPRO_BENCH_VIEWERS`` to a smaller value for a quicker (but less
 faithful) run -- the shape assertions are calibrated for the full scale

@@ -5,23 +5,26 @@ level, but the view-synchronization claim (Layer Property 2) is ultimately
 about frames: dependent frames of a view must be present in the gateway
 buffers simultaneously so the renderer can display a consistent scene.
 
-Two replay engines share the :class:`DeliveryRecord` vocabulary:
+There is one replay.  :func:`_collect_edges` turns the overlay into one
+:class:`_EdgeState` per subscription, and a frame batch reaches its
+viewer under one of two cost models, selected by what the configuration
+says about the link:
 
-* :class:`OverlayDataPlane` -- the original *offline* replay: every frame
-  is delivered instantaneously at ``capture_time + effective_delay``,
-  with no bandwidth or loss model.  It remains the golden-pinned
-  reference semantics.
-* :class:`SimulatedDataPlane` -- the event-driven replay: frames travel
-  in per-edge chunks on the :class:`~repro.sim.engine.Simulator`, each
-  chunk serialized in one call through the parent's reserved forwarding
-  bin (:class:`~repro.sim.transport.DataLink`), with
-  configurable loss, per-viewer playout accounting
-  (startup delay / continuity / inter-stream skew, :class:`QoEReport`),
-  and a feedback loop that triggers the ``kappa`` delay-layer refresh of
-  :class:`~repro.core.adaptation.AdaptationManager` from *observed*
-  frame delays.  At zero extra transit, zero loss and unconstrained
-  bandwidth it produces byte-identical ``DeliveryRecord``s to the
-  offline replay (pinned by ``tests/test_dataplane_sim.py``).
+* **constant delay** (:func:`_deliver_constant_delay`) -- no bandwidth
+  model and no loss: every frame arrives at ``capture_time + delay``.
+  Nothing in it depends on simulated time, so
+  :meth:`OverlayDataPlane.replay` runs it without an engine, one call
+  per edge with the whole trace.
+* **FIFO link with loss** (:meth:`SimulatedDataPlane._transmit_chunk`)
+  -- each chunk is serialized in one call through the parent's reserved
+  forwarding bin (:class:`~repro.sim.transport.DataLink`).
+
+:class:`SimulatedDataPlane` adds what needs the
+:class:`~repro.sim.engine.Simulator`: per-edge chunk events, per-viewer
+playout accounting (:class:`QoEReport`) and the observed-delay ``kappa``
+refresh of :class:`~repro.core.adaptation.AdaptationManager`.  With
+``bandwidth_headroom=None`` and zero loss its chunks go through the same
+constant-delay function, one call per ``batch_quantum``.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ class PlaybackReport:
 
 
 class OverlayDataPlane:
-    """Replays frame traces over the overlay trees of a TeleCast session."""
+    """The engine-free replay: every edge delivers at its constant delay."""
 
     def __init__(self, system: TeleCastSystem, trace: TeeveSessionTrace) -> None:
         self.system = system
@@ -180,68 +183,21 @@ class OverlayDataPlane:
         effective delay comes from the viewer's subscription (overlay
         position plus any deliberate layer push-down).  Frames are also
         inserted into the viewer's gateway buffers so buffer/cache behaviour
-        can be inspected afterwards.
-
-        Delivery is batched per tree edge: the seed walked
-        viewer -> stream -> frame, regenerating the stream's frame
-        sequence for *every* subscriber; here each stream's frames are
-        generated once and fanned out over the stream's subscription
-        edges (the per-edge delay is a single scalar), which turns the
-        inner loop into one list comprehension per edge.  Records,
-        delivery times and buffered frames are identical -- the report is
-        sorted by (delivery_time, viewer_id) either way.
+        can be inspected afterwards; replaying again on the same system
+        inserts nothing (the buffers already hold every frame).  The
+        report is sorted by (delivery_time, viewer_id).
         """
         report = PlaybackReport()
-        deliveries = report.deliveries
-        # Phase 1: collect the subscription edges, grouped per stream in
-        # first-seen (lsc -> viewer -> subscription) order.
-        edges: Dict[StreamId, List] = {}
-        for lsc in self.system.gsc.lscs:
-            for viewer_id, session in lsc.sessions.items():
-                for stream_id, sub in session.subscriptions.items():
-                    delay = sub.effective_delay or sub.end_to_end_delay
-                    edges.setdefault(stream_id, []).append(
-                        (viewer_id, delay, session.viewer)
-                    )
-        # Phase 2: per stream, generate the frames once and fan the batch
-        # out over every subscribed edge.
-        for stream_id, subscribers in edges.items():
-            frames = self.trace.frames_for_stream(stream_id)
-            if max_frames_per_stream is not None:
-                frames = frames[:max_frames_per_stream]
-            if not frames:
-                continue
-            for viewer_id, delay, viewer in subscribers:
-                deliveries.extend(
-                    DeliveryRecord(
-                        viewer_id=viewer_id,
-                        stream_id=stream_id,
-                        frame_number=frame.frame_number,
-                        capture_time=frame.capture_time,
-                        delivery_time=frame.capture_time + delay,
-                    )
-                    for frame in frames
-                )
-                self._buffer_frames(viewer, frames, delay)
-        deliveries.sort(key=_BY_DELIVERY_THEN_VIEWER)
+        for edge in _collect_edges(self.system, self.trace, max_frames_per_stream):
+            sub = edge.session.subscriptions[edge.stream_id]
+            _deliver_constant_delay(
+                report.deliveries,
+                edge,
+                edge.frames,
+                sub.effective_delay or sub.end_to_end_delay,
+            )
+        report.deliveries.sort(key=_BY_DELIVERY_THEN_VIEWER)
         return report
-
-    @staticmethod
-    def _buffer_frames(viewer, frames: Sequence[Frame], delay: float) -> None:
-        """Insert a stream's frame batch into one viewer's gateway buffer.
-
-        Frames arrive in capture (and therefore frame-number) order; any
-        prefix at or below the buffer's latest frame number is skipped,
-        which is exactly the seed's per-frame guard against out-of-order
-        insertion on idempotent replays.
-        """
-        buffer = viewer.buffer_for(frames[0].stream_id)
-        latest = buffer.latest_frame()
-        floor = latest.frame_number if latest is not None else -1
-        for frame in frames:
-            if frame.frame_number <= floor:
-                continue
-            buffer.insert(frame, frame.capture_time + delay)
 
 
 @dataclass(frozen=True)
@@ -435,7 +391,7 @@ class QoEReport:
 
 
 class _EdgeState:
-    """Mutable per-subscription replay state of the simulated data plane."""
+    """Mutable per-subscription replay state."""
 
     __slots__ = (
         "viewer_id",
@@ -460,11 +416,11 @@ class _EdgeState:
         "callback",
     )
 
-    def __init__(self, viewer_id, stream_id, session, viewer, frames, deadline):
+    def __init__(self, viewer_id, stream_id, session, frames, deadline):
         self.viewer_id = viewer_id
         self.stream_id = stream_id
         self.session = session
-        self.viewer = viewer
+        self.viewer = session.viewer
         self.frames = frames
         self.index = 0
         self.deadline = deadline
@@ -491,6 +447,101 @@ class _EdgeState:
             self.concealed += 1
         self.gap_len = 0
         self.prev_ok = True
+
+
+def _playout_deadline(session) -> float:
+    """Latest on-time delay at a viewer: its slowest stream plus ``d_buff``."""
+    playout = max(
+        (
+            sub.effective_delay or sub.end_to_end_delay
+            for sub in session.subscriptions.values()
+        ),
+        default=0.0,
+    )
+    return playout + session.viewer.buffer_duration
+
+
+def _collect_edges(
+    system: "TeleCastSystem", trace: TeeveSessionTrace, max_frames: Optional[int]
+) -> List[_EdgeState]:
+    """One edge per subscription, in lsc -> viewer -> subscription order.
+
+    Each stream's frames are generated once (truncated to ``max_frames``)
+    and shared by all of its subscribers; a stream without frames gets no
+    edge.
+    """
+    edges: List[_EdgeState] = []
+    frames_by_stream: Dict[StreamId, List[Frame]] = {}
+    for lsc in system.gsc.lscs:
+        for viewer_id, session in lsc.sessions.items():
+            deadline = _playout_deadline(session)
+            for stream_id in session.subscriptions:
+                frames = frames_by_stream.get(stream_id)
+                if frames is None:
+                    frames = trace.frames_for_stream(stream_id)
+                    if max_frames is not None:
+                        frames = frames[:max_frames]
+                    frames_by_stream[stream_id] = frames
+                if frames:
+                    edges.append(
+                        _EdgeState(viewer_id, stream_id, session, frames, deadline)
+                    )
+    return edges
+
+
+def _deliver_constant_delay(
+    deliveries: List[DeliveryRecord],
+    edge: _EdgeState,
+    batch: Sequence[Frame],
+    delay: float,
+) -> None:
+    """Deliver ``batch`` on ``edge`` at ``capture_time + delay``.
+
+    Appends the records, inserts the frames into the viewer's gateway
+    buffer and updates the edge's playout accounting.  A frame at or
+    below the buffer's latest frame number (a repeated replay), or whose
+    arrival would precede an already-buffered one (a re-provision
+    shortened the path mid-replay), is skipped individually, so buffer
+    contents track the delivery records frame for frame.
+    """
+    viewer_id = edge.viewer_id
+    stream_id = edge.stream_id
+    deliveries.extend(
+        DeliveryRecord(
+            viewer_id,
+            stream_id,
+            frame.frame_number,
+            frame.capture_time,
+            frame.capture_time + delay,
+        )
+        for frame in batch
+    )
+    buffer = edge.viewer.buffer_for(stream_id)
+    latest = buffer.latest_frame()
+    floor = latest.frame_number if latest is not None else -1
+    last_received = edge.last_received
+    for frame in batch:
+        received = frame.capture_time + delay
+        if frame.frame_number <= floor or received < last_received:
+            continue
+        buffer.insert(frame, received)
+        floor = frame.frame_number
+        last_received = received
+    edge.last_received = last_received
+    count = len(batch)
+    edge.expected += count
+    edge.delivered += count
+    if delay > edge.deadline + 1e-9:
+        edge.late += count
+        edge.gap_len += count
+    else:
+        # Only the first frame of the batch can close a gap; the rest
+        # are consecutive on-time deliveries.
+        edge.frame_ok()
+    if edge.first_delivery is None:
+        edge.first_delivery = batch[0].capture_time + delay
+    edge.window_sum += count * delay
+    edge.window_count += count
 
 
 class SimulatedDataPlane:
@@ -544,46 +595,16 @@ class SimulatedDataPlane:
         self._report = QoEReport(
             playback=playback, d_buff=self.system.layer_config.buffer_duration
         )
-        self._edges = []
-        horizon = 0.0
-        frames_by_stream: Dict[StreamId, List[Frame]] = {}
-        deadlines: Dict[str, float] = {}
-        for lsc in self.system.gsc.lscs:
-            for viewer_id, session in lsc.sessions.items():
-                playout = max(
-                    (
-                        sub.effective_delay or sub.end_to_end_delay
-                        for sub in session.subscriptions.values()
-                    ),
-                    default=0.0,
-                )
-                deadlines[viewer_id] = playout + session.viewer.buffer_duration
-                for stream_id in session.subscriptions:
-                    frames = frames_by_stream.get(stream_id)
-                    if frames is None:
-                        frames = self.trace.frames_for_stream(stream_id)
-                        if cfg.max_frames_per_stream is not None:
-                            frames = frames[: cfg.max_frames_per_stream]
-                        frames_by_stream[stream_id] = frames
-                    if not frames:
-                        continue
-                    horizon = max(horizon, frames[-1].capture_time)
-                    self._edges.append(
-                        _EdgeState(
-                            viewer_id,
-                            stream_id,
-                            session,
-                            session.viewer,
-                            frames,
-                            deadlines[viewer_id],
-                        )
-                    )
+        self._edges = _collect_edges(
+            self.system, self.trace, cfg.max_frames_per_stream
+        )
         for edge in self._edges:
             edge.callback = self._make_chunk_callback(edge)
             sim.schedule_at(
                 self._t0 + edge.frames[0].capture_time, edge.callback, label="data:chunk"
             )
         if cfg.refresh_interval is not None and self._edges:
+            horizon = max(edge.frames[-1].capture_time for edge in self._edges)
             self._schedule_refresh(self._t0 + cfg.refresh_interval, horizon)
         sim.run()
         return self._finalize()
@@ -614,15 +635,8 @@ class SimulatedDataPlane:
         if cfg.refresh_interval is not None:
             # The playout point tracks the refreshed layers: a push-down
             # re-buffers the viewer, moving its deadline along (static
-            # without the feedback loop, so the fast path skips this).
-            playout = max(
-                (
-                    s.effective_delay or s.end_to_end_delay
-                    for s in edge.session.subscriptions.values()
-                ),
-                default=0.0,
-            )
-            edge.deadline = playout + edge.viewer.buffer_duration
+            # without the feedback loop, so such runs skip this).
+            edge.deadline = _playout_deadline(edge.session)
         frames = edge.frames
         total = len(frames)
         index = edge.index
@@ -647,38 +661,11 @@ class SimulatedDataPlane:
             stop += 1
 
         if rate is None and cfg.loss_rate == 0.0:
-            # Fast path: no serialization, no loss -- the whole batch is a
-            # constant-delay fan-out, exactly the offline replay's inner
-            # loop (and the same per-frame cost).
+            # No serialization, no loss: the constant-delay cost model.
             batch = frames[index:stop]
-            if batch:
-                count = len(batch)
-                channel.sent += count
-                channel.delivered += count
-                deliveries.extend(
-                    DeliveryRecord(
-                        viewer_id=edge.viewer_id,
-                        stream_id=stream_id,
-                        frame_number=frame.frame_number,
-                        capture_time=frame.capture_time,
-                        delivery_time=frame.capture_time + delay,
-                    )
-                    for frame in batch
-                )
-                self._buffer_batch(edge, batch, delay)
-                edge.expected += count
-                edge.delivered += count
-                if delay > edge.deadline + 1e-9:
-                    edge.late += count
-                    edge.gap_len += count
-                else:
-                    # Only the first frame of the batch can close a gap;
-                    # the rest are consecutive on-time deliveries.
-                    edge.frame_ok()
-                if edge.first_delivery is None:
-                    edge.first_delivery = batch[0].capture_time + delay
-                edge.window_sum += count * delay
-                edge.window_count += count
+            channel.sent += len(batch)
+            channel.delivered += len(batch)
+            _deliver_constant_delay(deliveries, edge, batch, delay)
         else:
             # One link call serializes the whole chunk; the loop below
             # consumes the returned delivery times with the edge's
@@ -752,26 +739,6 @@ class SimulatedDataPlane:
             sim.schedule_at(
                 self._t0 + frames[stop].capture_time, edge.callback, label="data:chunk"
             )
-
-    def _buffer_batch(self, edge: _EdgeState, batch: Sequence[Frame], delay: float) -> None:
-        """Insert a constant-delay batch into the viewer's gateway buffer.
-
-        Frames whose arrival would precede an already-buffered one (a
-        re-provision shortened the path mid-replay) are skipped
-        individually, mirroring the per-frame guard of the serialized
-        path, so buffer contents track the delivery records frame for
-        frame.
-        """
-        buffer = edge.viewer.buffer_for(edge.stream_id)
-        latest = buffer.latest_frame()
-        floor = latest.frame_number if latest is not None else -1
-        for frame in batch:
-            received = frame.capture_time + delay
-            if frame.frame_number <= floor or received < edge.last_received:
-                continue
-            buffer.insert(frame, received)
-            floor = frame.frame_number
-            edge.last_received = received
 
     # -- observed-delay layer refresh --------------------------------------------
 

@@ -21,8 +21,8 @@ The seed implementation rebuilt and re-sorted every level on every insert
 (an O(n log n) full-tree scan per join) and summed free slots across all
 members per admission check.  This version keeps the *observable
 behaviour bit-identical* (enforced by the randomized equivalence suite in
-``tests/test_properties.py`` against
-:class:`repro.core._topology_reference.ReferenceStreamTree`) while
+``tests/test_properties.py`` against ``ReferenceStreamTree`` in
+``tests/reference_topology.py``) while
 maintaining four incremental indices:
 
 * **per-level member lists**, kept sorted by Algorithm 1's priority key

@@ -39,17 +39,7 @@ from typing import Callable, Dict, List
 
 from repro.core.dataplane import OverlayDataPlane
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
-from repro.experiments.figures import (
-    figure_13a_cdn_bandwidth,
-    figure_13b_cdn_fraction,
-    figure_13c_acceptance_ratio,
-    figure_14a_layer_distribution,
-    figure_14b_accepted_streams,
-    figure_14c_overhead,
-    figure_15a_vs_random_bandwidth,
-    figure_15b_vs_random_scale,
-)
-from repro.experiments.reporting import format_distribution_figure, format_scaling_figure
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import run_random_scenario, run_telecast_scenario
 from repro.experiments.sweep import (
     ResultsStore,
@@ -63,50 +53,10 @@ from repro.experiments.sweep.compare import DEFAULT_TOLERANCE
 from repro.sim.rng import SeededRandom
 from repro.traces.teeve import TeeveSessionTrace
 
-#: Figure id -> (description, renderer) registry.
-_FIGURES: Dict[str, str] = {
-    "13a": "CDN bandwidth required for full acceptance (uncapped CDN)",
-    "13b": "fraction of subscriptions served by the CDN",
-    "13c": "acceptance ratio with a capped CDN",
-    "14a": "delay layer distribution at the viewers",
-    "14b": "accepted streams per viewer",
-    "14c": "join and view-change overhead",
-    "15a": "TeleCast vs Random over outbound bandwidth",
-    "15b": "TeleCast vs Random over audience size",
-}
-
-
-def _scaled_config(args: argparse.Namespace) -> ExperimentConfig:
-    return PAPER_CONFIG.with_scaled_population(args.viewers)
-
-
 def render_figure(figure_id: str, config: ExperimentConfig, step: int) -> str:
     """Run one figure driver and return its text table."""
-    if figure_id == "13a":
-        return format_scaling_figure(figure_13a_cdn_bandwidth(config, step=step))
-    if figure_id == "13b":
-        return format_scaling_figure(figure_13b_cdn_fraction(config, step=step))
-    if figure_id == "13c":
-        return format_scaling_figure(figure_13c_acceptance_ratio(config, step=step))
-    if figure_id == "14a":
-        return format_distribution_figure(
-            figure_14a_layer_distribution(config), thresholds=(0.0, 4.0)
-        )
-    if figure_id == "14b":
-        return format_distribution_figure(
-            figure_14b_accepted_streams(config), thresholds=(0.0, 5.0)
-        )
-    if figure_id == "14c":
-        return format_distribution_figure(
-            figure_14c_overhead(config), thresholds=(0.5, 1.5)
-        )
-    if figure_id == "15a":
-        return format_scaling_figure(
-            figure_15a_vs_random_bandwidth(config), x_label="obw_mbps"
-        )
-    if figure_id == "15b":
-        return format_scaling_figure(figure_15b_vs_random_scale(config, step=step))
-    raise KeyError(figure_id)
+    spec = FIGURES[figure_id]
+    return spec.format(spec.run(config, step))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -801,8 +751,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(arguments)
     if args.list or not args.figure:
-        for figure_id, description in sorted(_FIGURES.items()):
-            print(f"  {figure_id}: {description}")
+        for figure_id, spec in sorted(FIGURES.items()):
+            print(f"  {figure_id}: {spec.description}")
         print("  run: run one scenario end to end (--profile for phase timings)")
         print("  serve: run the live service daemon (ops over TCP, GET /metrics, "
               "snapshot/restore)")
@@ -811,12 +761,12 @@ def main(argv=None) -> int:
               "(see `scenario --list`)")
         print("  compare: diff two sweep results files")
         return 0
-    figure_id = args.figure.lower().lstrip("fig").lstrip(".")
-    if figure_id not in _FIGURES:
+    figure_id = args.figure.lower().removeprefix("fig").lstrip(".")
+    if figure_id not in FIGURES:
         parser.error(f"unknown figure {args.figure!r}; use --list to see the options")
     if args.viewers <= 0:
         parser.error("--viewers must be > 0")
-    config = _scaled_config(args)
+    config = PAPER_CONFIG.with_scaled_population(args.viewers)
     print(render_figure(figure_id, config, max(10, args.step)))
     return 0
 

@@ -174,13 +174,6 @@ class ExperimentConfig:
     #: are clamped to it.  Requires ``control_plane="instant"`` and
     #: ``data_plane="off"``.
     shard_workers: Optional[int] = None
-    #: Whether the synthetic latency matrix derives pair delays lazily on
-    #: first lookup instead of materializing all O(n^2) pairs up front.
-    #: The delays are bit-identical either way; ``None`` (the default)
-    #: picks lazy generation automatically for populations of
-    #: :data:`LAZY_LATENCY_THRESHOLD` viewers or more, where the eager
-    #: matrix build starts to dominate scenario construction.
-    lazy_latency: Optional[bool] = None
 
     # Reproducibility.
     seed: int = 7
@@ -221,27 +214,9 @@ class ExperimentConfig:
                 "shard_workers",
                 clamp_shard_workers(self.shard_workers, self.num_lscs),
             )
-        if not (0.0 <= self.data_loss_rate < 1.0):
-            raise ValueError(
-                f"data_loss_rate must be in [0, 1), got {self.data_loss_rate}"
-            )
-        if self.data_loss_model not in ("bernoulli", "gilbert"):
-            raise ValueError(
-                f"data_loss_model must be 'bernoulli' or 'gilbert', "
-                f"got {self.data_loss_model!r}"
-            )
-        if self.data_mean_burst_length < 1.0:
-            raise ValueError(
-                f"data_mean_burst_length must be >= 1, "
-                f"got {self.data_mean_burst_length}"
-            )
-        if self.data_bandwidth_headroom is not None:
-            require_positive(self.data_bandwidth_headroom, "data_bandwidth_headroom")
-        require_non_negative(self.data_transit_delay_scale, "data_transit_delay_scale")
-        if self.data_refresh_interval is not None:
-            require_positive(self.data_refresh_interval, "data_refresh_interval")
-        if self.replay_frames_per_stream is not None and self.replay_frames_per_stream < 0:
-            raise ValueError("replay_frames_per_stream must be >= 0 or None")
+        # The data_* rules live on DataPlaneConfig: building the one this
+        # config would hand out applies them, whether or not the plane is on.
+        self._data_plane_config()
         if self.d_max <= self.cdn_delta:
             raise ValueError("d_max must exceed the CDN delay Delta")
 
@@ -269,6 +244,9 @@ class ExperimentConfig:
         """The simulated data-plane parameters, or ``None`` when off."""
         if self.data_plane == "off":
             return None
+        return self._data_plane_config()
+
+    def _data_plane_config(self) -> DataPlaneConfig:
         return DataPlaneConfig(
             loss_rate=self.data_loss_rate,
             loss_model=self.data_loss_model,
@@ -317,10 +295,6 @@ class ExperimentConfig:
         """Copy with the control plane sharded across ``num_lscs`` LSCs."""
         return self.with_(num_lscs=num_lscs)
 
-
-#: Population size at which ``lazy_latency=None`` switches to lazy
-#: latency generation (the eager all-pairs build is O(n^2)).
-LAZY_LATENCY_THRESHOLD = 2000
 
 #: The defaults of Section VII with a bounded 6000 Mbps CDN.
 PAPER_CONFIG = ExperimentConfig()

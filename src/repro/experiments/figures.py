@@ -11,7 +11,7 @@ checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.experiments.config import (
     ExperimentConfig,
@@ -19,6 +19,7 @@ from repro.experiments.config import (
     PAPER_CONFIG,
     viewer_counts,
 )
+from repro.experiments.reporting import format_distribution_figure, format_scaling_figure
 from repro.experiments.runner import run_random_scenario, run_telecast_scenario
 from repro.metrics.stats import cdf_points
 from repro.traces.workload import BandwidthDistribution
@@ -300,3 +301,86 @@ def figure_15b_vs_random_scale(
         random_series.add(viewers, value)
     figure.series.extend([telecast, random_series])
     return figure
+
+
+class FigureSpec(NamedTuple):
+    """How one figure is regenerated and printed."""
+
+    description: str
+    driver: Callable[..., object]
+    formatter: Callable[..., str]
+    formatter_kwargs: Dict[str, object]
+    #: Scaling figures take the snapshot interval as ``step=``.
+    takes_step: bool
+
+    def run(self, config: ExperimentConfig, step: int, **driver_kwargs):
+        """Run the driver; extra keyword arguments reach it unchanged."""
+        if self.takes_step:
+            driver_kwargs["step"] = step
+        return self.driver(config, **driver_kwargs)
+
+    def format(self, figure) -> str:
+        """The figure's text table."""
+        return self.formatter(figure, **self.formatter_kwargs)
+
+
+#: Figure id -> spec; the CLI and ``benchmarks/bench_figures.py`` both
+#: regenerate figures through this table.
+FIGURES: Dict[str, FigureSpec] = {
+    "13a": FigureSpec(
+        "CDN bandwidth required for full acceptance (uncapped CDN)",
+        figure_13a_cdn_bandwidth,
+        format_scaling_figure,
+        {},
+        True,
+    ),
+    "13b": FigureSpec(
+        "fraction of subscriptions served by the CDN",
+        figure_13b_cdn_fraction,
+        format_scaling_figure,
+        {},
+        True,
+    ),
+    "13c": FigureSpec(
+        "acceptance ratio with a capped CDN",
+        figure_13c_acceptance_ratio,
+        format_scaling_figure,
+        {},
+        True,
+    ),
+    "14a": FigureSpec(
+        "delay layer distribution at the viewers",
+        figure_14a_layer_distribution,
+        format_distribution_figure,
+        {"thresholds": (0.0, 4.0)},
+        False,
+    ),
+    "14b": FigureSpec(
+        "accepted streams per viewer",
+        figure_14b_accepted_streams,
+        format_distribution_figure,
+        {"thresholds": (0.0, 5.0)},
+        False,
+    ),
+    "14c": FigureSpec(
+        "join and view-change overhead",
+        figure_14c_overhead,
+        format_distribution_figure,
+        {"thresholds": (0.5, 1.5)},
+        False,
+    ),
+    "15a": FigureSpec(
+        "TeleCast vs Random over outbound bandwidth",
+        figure_15a_vs_random_bandwidth,
+        format_scaling_figure,
+        {"x_label": "obw_mbps"},
+        False,
+    ),
+    "15b": FigureSpec(
+        "TeleCast vs Random over audience size",
+        figure_15b_vs_random_scale,
+        format_scaling_figure,
+        {},
+        True,
+    ),
+}

@@ -7,10 +7,12 @@ series the paper plots.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
-from repro.experiments.figures import DistributionFigure, FigureSeries
 from repro.metrics.stats import fraction_at_most, percentile
+
+if TYPE_CHECKING:  # pragma: no cover - figures imports the formatters
+    from repro.experiments.figures import DistributionFigure, FigureSeries
 
 
 def format_scaling_figure(figure: FigureSeries, *, x_label: str = "viewers") -> str:

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.random_routing import RandomDisseminationSystem
 from repro.core.telecast import TeleCastSystem, build_views
-from repro.experiments.config import LAZY_LATENCY_THRESHOLD, ExperimentConfig
+from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
 from repro.model.cdn import CDN
 from repro.model.producer import ProducerSite, make_default_producers
@@ -199,7 +199,7 @@ class _OwnershipTimeline:
         failed_index = config.outage.lsc_index % len(lsc_regions)
         failed_id = f"LSC-{failed_index}"
         # The failover target is derived from the control-node delays
-        # alone; delays are composition-independent, so this tiny lazy
+        # alone; delays are composition-independent, so this tiny
         # matrix resolves the same target as any worker's full world.
         control_nodes = (
             ["GSC"] + [f"LSC-{i}" for i in range(config.num_lscs)] + ["CDN"]
@@ -208,7 +208,6 @@ class _OwnershipTimeline:
             control_nodes,
             rng=SeededRandom(config.latency_seed),
             config=PlanetLabTraceConfig(region_names=region_names),
-            lazy=True,
         )
         control_model = DelayModel(control_matrix)
         # Imported lazily: repro.parallel imports this module.
@@ -473,17 +472,11 @@ def build_scenario(
     control_nodes = (
         ["GSC"] + [f"LSC-{index}" for index in range(config.num_lscs)] + ["CDN"]
     )
-    lazy = (
-        config.lazy_latency
-        if config.lazy_latency is not None
-        else config.num_viewers >= LAZY_LATENCY_THRESHOLD
-    )
     viewer_ids = [viewer.viewer_id for viewer in viewers]
     matrix = generate_planetlab_matrix(
         viewer_ids + control_nodes,
         rng=SeededRandom(config.latency_seed),
         config=PlanetLabTraceConfig(region_names=region_names),
-        lazy=lazy,
         known_keys=dict(zip(viewer_ids, viewer_keys)),
     )
     delay_model = DelayModel(

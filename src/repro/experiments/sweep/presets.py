@@ -121,10 +121,9 @@ def scale10k_sweep(
 ) -> SweepSpec:
     """Order-of-magnitude scale curve: 2k / 5k / 10k-viewer telecasts.
 
-    Only feasible on the performance core: populations of this size use
-    lazy latency generation (``ExperimentConfig.lazy_latency`` auto) and
-    the indexed degree push-down, so a 10k-viewer point joins in seconds
-    instead of minutes.  TeleCast only -- the Random baseline's probe
+    Only feasible on the performance core: the latency world derives
+    pair delays on first lookup and the degree push-down is indexed, so
+    a 10k-viewer point joins in seconds instead of minutes.  TeleCast only -- the Random baseline's probe
     loop contributes nothing to a scale ceiling measurement.
     """
     return SweepSpec(
@@ -150,9 +149,7 @@ def scale100k_sweep(
 
     Every point runs on the shard-parallel engine
     (``shard_workers`` worker processes over ``num_lscs`` LSCs), the
-    lazy latency world (auto above
-    :data:`~repro.experiments.config.LAZY_LATENCY_THRESHOLD` viewers)
-    and the streamed, generator-based workload
+    lazy latency world and the streamed, generator-based workload
     (:meth:`~repro.traces.workload.ViewerWorkload.iter_events`), so no
     phase materializes O(n^2) state up front.  TeleCast only, like
     ``scale10k``.  Run with ``--jobs 1`` (the default): each point

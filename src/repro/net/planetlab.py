@@ -153,11 +153,7 @@ def _pair_gauss(key_low: int, key_high: int) -> float:
 def _pair_delay(
     key_low: int, key_high: int, log_median: float, sigma: float
 ) -> float:
-    """Log-normal pair delay from the two node keys (name-sorted order).
-
-    Shared by the eager and lazy generators so both produce bit-identical
-    values for any pair.
-    """
+    """Log-normal pair delay from the two node keys (name-sorted order)."""
     return math.exp(log_median + sigma * _pair_gauss(key_low, key_high))
 
 
@@ -194,34 +190,25 @@ def _pair_delays_np(key_low, key_high, log_median, sigma: float):
 class LazyPlanetLabMatrix(LatencyMatrix):
     """A PlanetLab matrix that derives pair delays on first access.
 
-    The eager generator materializes all ``n*(n-1)/2`` pairs up front --
-    fine at 1k nodes, minutes of work and hundreds of MB at 10k.  Because
-    every delay is a pure function of the per-node digests, it can
-    equally be computed when a pair is first asked for; overlay
-    construction only ever touches the O(viewers x streams) pairs that
-    actually become tree edges or control hops.  Computed delays are
-    memoized in a sparse per-pair map (a dense triangular row would have
-    to be materialized up to the higher interned id, re-introducing the
-    O(n^2) storage this class exists to avoid), so repeated lookups are
-    one dict probe and :meth:`pairs` / :meth:`mean_delay` /
-    :meth:`has_pair` reflect the materialized subset (documented
-    divergence from the eager all-pairs view).
+    Materializing all ``n*(n-1)/2`` pairs up front is minutes of work and
+    hundreds of MB at 10k nodes.  Because every delay is a pure function
+    of the per-node digests, it is computed when a pair is first asked
+    for; overlay construction only ever touches the O(viewers x streams)
+    pairs that actually become tree edges or control hops.  Computed
+    delays are memoized in a sparse per-pair map (a dense triangular row
+    would have to be materialized up to the higher interned id,
+    re-introducing the O(n^2) storage this class exists to avoid), so
+    repeated lookups are one dict probe and :meth:`pairs` /
+    :meth:`mean_delay` / :meth:`has_pair` reflect the materialized subset
+    plus any explicit :meth:`set_delay` override.
     """
 
-    def __init__(
-        self,
-        *,
-        keys: dict,
-        log_intra: float,
-        log_inter: float,
-        sigma: float,
-        default_delay: float,
-    ) -> None:
-        super().__init__(default_delay=default_delay)
+    def __init__(self, keys: Dict[str, int], config: PlanetLabTraceConfig) -> None:
+        super().__init__(default_delay=config.inter_region_median)
         self._keys = keys
-        self._log_intra = log_intra
-        self._log_inter = log_inter
-        self._sigma = sigma
+        self._log_intra = math.log(config.intra_region_median)
+        self._log_inter = math.log(config.inter_region_median)
+        self._sigma = config.sigma
         #: Derived pair delays keyed by the name pair in sorted order.
         #: Never holds a pair with an explicit ``set_delay`` override, so
         #: a hit needs no second look at the triangular rows.
@@ -259,7 +246,7 @@ class LazyPlanetLabMatrix(LatencyMatrix):
         key_b = keys.get(b)
         if key_a is None or key_b is None:
             # Nodes outside the generated world keep the flat default,
-            # exactly like unknown pairs of the eager matrix.
+            # exactly like unknown pairs of an explicit LatencyMatrix.
             return self.default_delay
         same_region = self.regions.region_of(a) == self.regions.region_of(b)
         log_median = self._log_intra if same_region else self._log_inter
@@ -344,10 +331,9 @@ def generate_planetlab_matrix(
     *,
     rng: Optional[SeededRandom] = None,
     config: Optional[PlanetLabTraceConfig] = None,
-    lazy: bool = False,
     known_keys: Optional[Mapping[str, int]] = None,
-) -> LatencyMatrix:
-    """Generate a synthetic all-pairs one-way delay matrix for ``node_ids``.
+) -> LazyPlanetLabMatrix:
+    """Generate a synthetic one-way delay matrix for ``node_ids``.
 
     Nodes are assigned to regions and every pair receives a log-normal
     delay around the intra- or inter-region median.  Both draws derive
@@ -359,10 +345,10 @@ def generate_planetlab_matrix(
     differ only in their control-plane layout (e.g. the ``shards``
     sweep) over an identical network world.
 
-    With ``lazy=True`` only the region assignment is materialized up
-    front and each pair's delay is derived (and memoized) on first
-    lookup -- same values, O(n) instead of O(n^2) construction, which is
-    what makes 10k-viewer scenarios feasible.
+    Only the region assignment is materialized up front; each pair's
+    delay is derived (and memoized) on first lookup, so construction is
+    O(n) and :meth:`~LatencyMatrix.pairs` / ``mean_delay`` / ``has_pair``
+    reflect the pairs looked up so far (:class:`LazyPlanetLabMatrix`).
 
     ``known_keys`` hands over node keys the caller already derived
     (:func:`node_keys`); only the remaining ids are hashed here.
@@ -373,45 +359,19 @@ def generate_planetlab_matrix(
         rng = SeededRandom(0)
     seed = rng.seed if rng.seed is not None else 0
 
-    log_intra = math.log(config.intra_region_median)
-    log_inter = math.log(config.inter_region_median)
     known = known_keys or {}
     keys = {
         node_id: known[node_id] if node_id in known else _node_key(seed, node_id)
         for node_id in node_ids
     }
-
-    if lazy:
-        matrix: LatencyMatrix = LazyPlanetLabMatrix(
-            keys=keys,
-            log_intra=log_intra,
-            log_inter=log_inter,
-            sigma=config.sigma,
-            default_delay=config.inter_region_median,
-        )
-    else:
-        matrix = LatencyMatrix(default_delay=config.inter_region_median)
+    matrix = LazyPlanetLabMatrix(keys, config)
     regions = RegionMap()
     region_objs = [regions.add_region(name) for name in config.region_names]
-
     for node_id in node_ids:
         matrix.add_node(node_id)
         region_index = _mix64(keys[node_id]) % len(region_objs)
         regions.assign(node_id, region_objs[region_index])
     matrix.regions = regions
-
-    if not lazy:
-        nodes: List[str] = sorted(node_ids)  # sorted so pair draws are symmetric
-        for i, a in enumerate(nodes):
-            key_a = keys[a]
-            region_a = regions.region_of(a)
-            for b in nodes[i + 1 :]:
-                same_region = region_a == regions.region_of(b)
-                log_median = log_intra if same_region else log_inter
-                matrix.set_delay(
-                    a, b, _pair_delay(key_a, keys[b], log_median, config.sigma)
-                )
-
     return matrix
 
 

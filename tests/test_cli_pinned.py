@@ -6,7 +6,10 @@ one-run change, when ``python -m repro.experiments run`` still spelled
 through ``run_telecast_scenario`` it must print the same bytes: stdout of
 five flag sets (every set runs at ``--viewers 80`` to stay a tier-1
 test), wall-clock fields masked by :data:`WALL_CLOCK`, and the ``--help``
-text of every subcommand (no flag added or removed).
+text of every subcommand (no flag added or removed).  The ``figures``
+entries (``--list`` and one scaling / one distribution table) were
+captured at the parent of the one-figure-registry change, when
+``render_figure`` was an if-chain.
 
 Regenerate (only for an intentional output change) with
 ``PYTHONPATH=src python tests/test_cli_pinned.py``.
@@ -36,6 +39,13 @@ RUN_FLAG_SETS = {
     "data_plane": ["--data-plane", "--loss-rate", "0.02"],
     "simulated_control": ["--control-plane", "simulated"],
     "sharded": ["--lscs", "4", "--shards", "2"],
+}
+
+#: Figure-mode invocations: ``--list`` and one table of each renderer.
+FIGURE_ARGS = {
+    "list": ["--list"],
+    "13c_viewers120_step40": ["13c", "--viewers", "120", "--step", "40"],
+    "14a_viewers120": ["14a", "--viewers", "120"],
 }
 
 HELP_PARSERS = {
@@ -68,6 +78,14 @@ def run_stdout(flags) -> str:
     return WALL_CLOCK.sub("#", out.getvalue())
 
 
+def figure_stdout(arguments) -> str:
+    """Stdout of one figure-mode invocation (simulated numbers only)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(arguments) == 0
+    return out.getvalue()
+
+
 def help_text(name: str) -> str:
     previous = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
@@ -84,6 +102,36 @@ def help_text(name: str) -> str:
 def test_run_prints_the_pinned_text(name):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert run_stdout(RUN_FLAG_SETS[name]) == golden["run"][name]
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_ARGS))
+def test_figure_mode_prints_the_pinned_text(name):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert figure_stdout(FIGURE_ARGS[name]) == golden["figures"][name]
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """Figure ids handed to ``render_figure`` (stubbed: no scenario runs)."""
+    calls = []
+    monkeypatch.setattr(
+        cli, "render_figure", lambda figure_id, config, step: calls.append(figure_id)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("spelling", ["13a", "fig13a", "Fig.13a", "FIG13A"])
+def test_fig_prefix_is_optional(spelling, rendered):
+    assert cli.main([spelling, "--viewers", "20"]) == 0
+    assert rendered == ["13a"]
+
+
+@pytest.mark.parametrize("spelling", ["gif13a", "iii13a"])
+def test_fig_prefix_is_a_prefix_not_a_character_set(spelling, rendered, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([spelling, "--viewers", "20"])
+    assert f"unknown figure {spelling!r}" in capsys.readouterr().err
+    assert rendered == []
 
 
 @pytest.mark.parametrize("name", sorted(HELP_PARSERS))
@@ -104,6 +152,10 @@ if __name__ == "__main__":
         json.dumps(
             {
                 "run": {name: run_stdout(flags) for name, flags in RUN_FLAG_SETS.items()},
+                "figures": {
+                    name: figure_stdout(arguments)
+                    for name, arguments in FIGURE_ARGS.items()
+                },
                 "help": {name: help_text(name) for name in HELP_PARSERS},
             },
             indent=2,

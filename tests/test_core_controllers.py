@@ -231,14 +231,11 @@ class TestJoinLookupBudget:
     #: three times per join (19.83 per join).
     LOOKUPS_BEFORE = 5950
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
-    def test_delay_lookups_per_join_stay_under_budget(self, lazy):
+    def test_delay_lookups_per_join_stay_under_budget(self):
         from repro.experiments.config import PAPER_CONFIG
         from repro.experiments.runner import build_scenario, run_telecast_scenario
 
-        config = PAPER_CONFIG.with_scaled_population(
-            300, num_lscs=3, num_views=1
-        ).with_(lazy_latency=lazy)
+        config = PAPER_CONFIG.with_scaled_population(300, num_lscs=3, num_views=1)
         scenario = build_scenario(config)
         matrix = scenario.delay_model.matrix
         base = type(matrix)

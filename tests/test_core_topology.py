@@ -274,7 +274,7 @@ class TestFreeSlotAccounting:
         tree.insert("c", 1, 1.0)
         removal = tree.remove("b")
         assert removal.orphaned_children  # a (with its subtree) detached
-        from repro.core._topology_reference import ReferenceStreamTree
+        from reference_topology import ReferenceStreamTree
 
         reference = ReferenceStreamTree(tree.stream, tree.delay_model, d_max=tree.d_max)
         reference.insert("a", 2, 8.0)

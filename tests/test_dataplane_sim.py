@@ -21,6 +21,7 @@ import json
 
 import pytest
 
+from repro.core import dataplane
 from repro.core.dataplane import (
     DataPlaneConfig,
     OverlayDataPlane,
@@ -72,6 +73,14 @@ def _joined_system(config):
     system.run_workload(scenario.viewers, scenario.events, scenario.views)
     trace = TeeveSessionTrace(scenario.producers, rng=SeededRandom(config.seed))
     return system, trace
+
+
+def _held(viewer, stream_id):
+    """``(frame_number, received_at)`` of every frame in one gateway buffer."""
+    return [
+        (held.frame.frame_number, held.received_at)
+        for held in viewer.buffer_for(stream_id)._frames
+    ]
 
 
 def _frames(captures, size_megabits=0.2):
@@ -178,16 +187,57 @@ class TestOfflineEquivalence:
         )
         SimulatedDataPlane(system_b, trace_b, plane).run()
         for lsc_a, lsc_b in zip(system_a.gsc.lscs, system_b.gsc.lscs):
+            assert list(lsc_a.sessions) == list(lsc_b.sessions)
             for viewer_id, session_a in lsc_a.sessions.items():
                 viewer_a = session_a.viewer
                 viewer_b = lsc_b.sessions[viewer_id].viewer
-                # Creation order differs (stream-major offline vs
-                # subscription-major simulated); contents must not.
-                assert set(viewer_a.buffered_streams) == set(viewer_b.buffered_streams)
+                # One collector: both walk lsc -> viewer -> subscription,
+                # so even the buffer creation order agrees.
+                assert viewer_a.buffered_streams == viewer_b.buffered_streams
+                assert viewer_a.buffered_streams
                 for stream_id in viewer_a.buffered_streams:
-                    assert len(viewer_a.buffer_for(stream_id)) == len(
-                        viewer_b.buffer_for(stream_id)
-                    )
+                    assert _held(viewer_a, stream_id) == _held(viewer_b, stream_id)
+
+    def test_replaying_twice_inserts_nothing_the_second_time(self):
+        system, trace = _joined_system(SMALL_CONFIG)
+        plane = OverlayDataPlane(system, trace)
+        first = plane.replay(max_frames_per_stream=30)
+        viewers = [
+            session.viewer
+            for lsc in system.gsc.lscs
+            for session in lsc.sessions.values()
+        ]
+        held = [
+            [_held(viewer, stream_id) for stream_id in viewer.buffered_streams]
+            for viewer in viewers
+        ]
+        assert any(held)
+        second = plane.replay(max_frames_per_stream=30)
+        assert second.deliveries == first.deliveries
+        assert held == [
+            [_held(viewer, stream_id) for stream_id in viewer.buffered_streams]
+            for viewer in viewers
+        ]
+
+    def test_constant_delay_batch_skips_frames_that_would_arrive_early(self):
+        # A re-provision shortened the path mid-replay: the next batch's
+        # first frames would land before the last buffered one.  They are
+        # recorded as delivered but skipped in the buffer one by one.
+        system, trace = _joined_system(SMALL_CONFIG)
+        edge = dataplane._collect_edges(system, trace, 6)[0]
+        frames = edge.frames
+        deliveries = []
+        dataplane._deliver_constant_delay(deliveries, edge, frames[:3], 1.0)
+        gap = frames[3].capture_time - frames[2].capture_time
+        shorter = 1.0 - 1.5 * gap  # frame 3 too early, frame 4 on time
+        dataplane._deliver_constant_delay(deliveries, edge, frames[3:], shorter)
+        assert [record.frame_number for record in deliveries] == [0, 1, 2, 3, 4, 5]
+        held = _held(edge.viewer, edge.stream_id)
+        assert [number for number, _ in held] == [0, 1, 2, 4, 5]
+        assert [received for _, received in held] == sorted(
+            received for _, received in held
+        )
+        assert edge.delivered == edge.expected == 6
 
     def test_batch_quantum_does_not_change_deliveries(self):
         # Chunk boundaries must not move a single RNG draw: under loss the

@@ -75,6 +75,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(d_max=50.0, cdn_delta=60.0)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"data_loss_rate": 1.0},
+            {"data_loss_model": "markov"},
+            {"data_mean_burst_length": 0.5},
+            {"data_bandwidth_headroom": 0.0},
+            {"data_transit_delay_scale": -1.0},
+            {"data_refresh_interval": 0.0},
+            {"replay_frames_per_stream": -1},
+        ],
+        ids=lambda override: next(iter(override)),
+    )
+    def test_data_plane_fields_validated_even_when_off(self, override):
+        # The rules live once, on DataPlaneConfig; they must not turn lazy.
+        with pytest.raises(ValueError):
+            ExperimentConfig(data_plane="off", **override)
+
     def test_figure13_settings_cover_paper_legend(self):
         labels = {setting.label() for setting in FIGURE_13_BANDWIDTH_SETTINGS}
         assert "C_obw=0" in labels

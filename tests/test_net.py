@@ -1,5 +1,8 @@
 """Tests for the network substrate: regions, latency matrix, PlanetLab traces."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.net.ids import NodeInterner
@@ -7,7 +10,9 @@ from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import (
     LazyPlanetLabMatrix,
     PlanetLabTraceConfig,
+    _pair_delay,
     generate_planetlab_matrix,
+    node_keys,
     sample_jittered_delay,
 )
 from repro.net.regions import RegionMap
@@ -183,24 +188,37 @@ class TestDelayModel:
             DelayModel(LatencyMatrix(), processing_delay=-0.1)
 
 
+def _world(nodes, seed):
+    """A generated matrix with every pair looked up once.
+
+    Pair delays derive on first lookup, so ``pairs()`` covers the whole
+    world only after each pair was asked for.
+    """
+    matrix = generate_planetlab_matrix(nodes, rng=SeededRandom(seed))
+    for a, b in itertools.combinations(nodes, 2):
+        matrix.delay(a, b)
+    return matrix
+
+
 class TestPlanetLabGenerator:
     def test_all_pairs_present(self):
         nodes = [f"n{i}" for i in range(10)]
-        matrix = generate_planetlab_matrix(nodes, rng=SeededRandom(1))
+        matrix = _world(nodes, 1)
         assert len(list(matrix.pairs())) == 45
         assert all(node in matrix.regions for node in nodes)
 
     def test_deterministic_for_seed(self):
         nodes = [f"n{i}" for i in range(8)]
-        a = generate_planetlab_matrix(nodes, rng=SeededRandom(5))
-        b = generate_planetlab_matrix(nodes, rng=SeededRandom(5))
+        a = _world(nodes, 5)
+        b = _world(nodes, 5)
+        assert len(list(a.pairs())) == 28
         assert [round(d, 9) for *_pair, d in a.pairs()] == [
             round(d, 9) for *_pair, d in b.pairs()
         ]
 
     def test_intra_region_faster_than_inter_region_on_average(self):
         nodes = [f"n{i}" for i in range(60)]
-        matrix = generate_planetlab_matrix(nodes, rng=SeededRandom(3))
+        matrix = _world(nodes, 3)
         intra, inter = [], []
         for a, b, delay in matrix.pairs():
             if matrix.regions.region_of(a) == matrix.regions.region_of(b):
@@ -211,7 +229,8 @@ class TestPlanetLabGenerator:
         assert sum(intra) / len(intra) < sum(inter) / len(inter)
 
     def test_all_delays_positive(self):
-        matrix = generate_planetlab_matrix([f"n{i}" for i in range(20)], rng=SeededRandom(4))
+        matrix = _world([f"n{i}" for i in range(20)], 4)
+        assert len(list(matrix.pairs())) == 190
         assert all(delay > 0 for *_pair, delay in matrix.pairs())
 
     def test_config_validation(self):
@@ -241,20 +260,109 @@ class TestPlanetLabGenerator:
             sample_jittered_delay(matrix, "a", "b", SeededRandom(0), jitter_fraction=1.0)
 
 
+#: The 28 nodes of the lazy-vs-eager pin, and what the eager all-pairs
+#: build (deleted with the ``lazy=`` parameter) produced for them at seed
+#: 7: every node's region and 22 pair delays, captured from that matrix
+#: at the parent commit.  The oracle is data, not a copy of the loop.
+PINNED_NODES = [f"n{i}" for i in range(25)] + ["GSC", "LSC-0", "CDN"]
+EAGER_REGIONS_SEED7 = {
+    "n0": "south-america",
+    "n1": "us-west",
+    "n2": "europe",
+    "n3": "us-east",
+    "n4": "europe",
+    "n5": "us-west",
+    "n6": "europe",
+    "n7": "asia",
+    "n8": "us-west",
+    "n9": "south-america",
+    "n10": "us-east",
+    "n11": "europe",
+    "n12": "us-east",
+    "n13": "europe",
+    "n14": "europe",
+    "n15": "us-west",
+    "n16": "south-america",
+    "n17": "south-america",
+    "n18": "europe",
+    "n19": "europe",
+    "n20": "us-west",
+    "n21": "us-east",
+    "n22": "us-east",
+    "n23": "south-america",
+    "n24": "asia",
+    "GSC": "asia",
+    "LSC-0": "us-west",
+    "CDN": "us-west",
+}
+EAGER_DELAYS_SEED7 = [
+    ("n0", "n1", 0.07771113323024957),
+    ("n1", "n0", 0.07771113323024957),
+    ("n0", "n24", 0.07782828478998696),
+    ("n3", "n17", 0.1152701138500117),
+    ("n10", "n2", 0.07452763220417519),
+    ("n5", "n5", 0.0),
+    ("GSC", "n0", 0.09804616444975392),
+    ("n7", "GSC", 0.013227320776562183),
+    ("LSC-0", "n12", 0.06745665707416683),
+    ("n24", "LSC-0", 0.06726459496362394),
+    ("CDN", "n0", 0.07492492864337895),
+    ("n9", "CDN", 0.08786167550787913),
+    ("GSC", "LSC-0", 0.05745610633382826),
+    ("CDN", "GSC", 0.11842153729124662),
+    ("LSC-0", "CDN", 0.01830595490414443),
+    ("n11", "n19", 0.016377050408414622),
+    ("n20", "n21", 0.07970507019602766),
+    ("n6", "n23", 0.03753183131552091),
+    ("n13", "n14", 0.009971626116316334),
+    ("n22", "n4", 0.06547078853522233),
+    ("n8", "n15", 0.014027464251066738),
+    ("n16", "n18", 0.06612608194112517),
+]
+
+
 class TestLazyPlanetLabMatrix:
-    def test_lazy_delays_bit_identical_to_eager(self):
-        nodes = [f"n{i}" for i in range(25)] + ["GSC", "LSC-0", "CDN"]
-        eager = generate_planetlab_matrix(nodes, rng=SeededRandom(7))
-        lazy = generate_planetlab_matrix(nodes, rng=SeededRandom(7), lazy=True)
-        assert isinstance(lazy, LazyPlanetLabMatrix)
-        for a in nodes:
-            assert eager.regions.region_of(a) == lazy.regions.region_of(a)
-            for b in nodes:
-                assert eager.delay(a, b) == lazy.delay(a, b)
+    def test_every_pair_is_the_pure_function_of_its_keys(self):
+        config = PlanetLabTraceConfig()
+        matrix = generate_planetlab_matrix(PINNED_NODES, rng=SeededRandom(7))
+        assert isinstance(matrix, LazyPlanetLabMatrix)
+        keys = dict(zip(PINNED_NODES, node_keys(7, PINNED_NODES)))
+        region_of = matrix.regions.region_of
+        for a in PINNED_NODES:
+            assert matrix.delay(a, a) == 0.0
+            for b in PINNED_NODES:
+                if a == b:
+                    continue
+                low, high = sorted((a, b))
+                median = (
+                    config.intra_region_median
+                    if region_of(a) == region_of(b)
+                    else config.inter_region_median
+                )
+                assert matrix.delay(a, b) == _pair_delay(
+                    keys[low], keys[high], math.log(median), config.sigma
+                )
+
+    def test_delays_and_regions_match_the_captured_eager_matrix(self):
+        matrix = generate_planetlab_matrix(PINNED_NODES, rng=SeededRandom(7))
+        assert {
+            node: matrix.regions.region_of(node).name for node in PINNED_NODES
+        } == EAGER_REGIONS_SEED7
+        assert len(EAGER_DELAYS_SEED7) >= 16
+        for a, b, delay in EAGER_DELAYS_SEED7:
+            assert matrix.delay(a, b) == delay
+
+    def test_default_build_materializes_no_pair_at_any_size(self):
+        small = generate_planetlab_matrix(["a", "b", "c"], rng=SeededRandom(1))
+        assert small.explicit_pair_count() == 0
+        nodes = [f"n{i:05d}" for i in range(10_000)]
+        large = generate_planetlab_matrix(nodes, rng=SeededRandom(2))
+        assert large.explicit_pair_count() == 0
+        assert large._rows == []  # no row of the dense triangle was built
 
     def test_lazy_materializes_only_queried_pairs(self):
         nodes = [f"n{i}" for i in range(10)]
-        lazy = generate_planetlab_matrix(nodes, rng=SeededRandom(2), lazy=True)
+        lazy = generate_planetlab_matrix(nodes, rng=SeededRandom(2))
         assert lazy.explicit_pair_count() == 0
         lazy.delay("n0", "n1")
         lazy.delay("n0", "n1")  # memoized: still a single stored pair
@@ -269,18 +377,18 @@ class TestLazyPlanetLabMatrix:
         # One lookup between late-interned nodes must not materialize the
         # dense triangle (the O(n^2) storage lazy mode exists to avoid).
         nodes = [f"n{i:04d}" for i in range(3000)]
-        lazy = generate_planetlab_matrix(nodes, rng=SeededRandom(2), lazy=True)
+        lazy = generate_planetlab_matrix(nodes, rng=SeededRandom(2))
         lazy.delay(nodes[0], nodes[-1])
         assert lazy._rows == []  # dense storage untouched
         assert lazy.explicit_pair_count() == 1
 
     def test_lazy_unknown_nodes_fall_back_to_default(self):
-        lazy = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1), lazy=True)
+        lazy = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1))
         assert lazy.delay("a", "ghost") == lazy.default_delay
         assert not lazy.has_pair("a", "ghost")
 
     def test_explicit_set_delay_retires_memoized_value(self):
-        lazy = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1), lazy=True)
+        lazy = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1))
         lazy.delay("a", "b")  # memoize the derived value
         lazy.set_delay("b", "a", 0.5)
         assert lazy.delay("a", "b") == lazy.delay("b", "a") == 0.5

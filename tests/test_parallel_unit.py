@@ -472,7 +472,6 @@ def test_shard_projection_build_peak_memory_tracks_shard_not_population():
         num_views=2,
         num_lscs=8,
         cdn_capacity_mbps=math.inf,
-        lazy_latency=True,
     )
     tracemalloc.start()
     build_scenario(config)

@@ -30,7 +30,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core._topology_reference import ReferenceStreamTree
+from reference_topology import ReferenceStreamTree
 from repro.core.bandwidth import allocate_inbound, allocate_outbound, priority_monotonic
 from repro.core.layering import DelayLayerConfig, compute_layer
 from repro.core.state import StreamSubscription
@@ -386,7 +386,7 @@ class TestPlacementEquivalence:
             for threshold in (0, 1 << 30):  # always-batch vs never-batch
                 monkeypatch.setattr(top_mod, "BATCH_PREFILTER_MIN", threshold)
                 matrix = generate_planetlab_matrix(
-                    node_ids, rng=SeededRandom(600 + scenario), lazy=True
+                    node_ids, rng=SeededRandom(600 + scenario)
                 )
                 delay_model = DelayModel(
                     matrix, processing_delay=processing, cdn_delta=60.0
@@ -401,7 +401,7 @@ class TestPlacementEquivalence:
     def test_insert_results_share_field_layout_with_reference(self):
         # The value-tuple comparison above relies on both InsertResult
         # records having the same fields in the same order.
-        from repro.core import _topology_reference as ref_mod
+        import reference_topology as ref_mod
         from repro.core import topology as top_mod
 
         assert _result_field_names(top_mod.InsertResult) == _result_field_names(

@@ -3,7 +3,7 @@
 ``tests/golden/scenario_build_digests.json`` was written at the parent of
 the one-build change, when the full build had its own body
 (``_build_workload`` + ``_inject_outage``) beside the shard projection.
-The single body must reproduce both byte for byte: for eight configs, the
+The single body must reproduce both byte for byte: for seven configs, the
 event list, every viewer's ``(viewer_id, outbound, region_name)``,
 ``lsc_regions``, ``control_node_ids`` and 64 sampled pair delays, for the
 full build and for every worker's slice at 2 and 3 workers.
@@ -51,7 +51,6 @@ CONFIGS = {
     "outage": BASE.with_(arrival_rate_per_second=20.0, outage=OUTAGE),
     "churn_outage": BASE.with_(churn=CHURN, outage=OUTAGE),
     "geo_regions": BASE.with_(num_lscs=7),
-    "lazy_latency": BASE.with_(lazy_latency=True),
 }
 
 WORKER_COUNTS = (2, 3)
@@ -105,11 +104,6 @@ def test_build_matches_two_path_golden(name):
 
 def test_golden_covers_every_config():
     assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(CONFIGS)
-
-
-def test_lazy_world_equals_the_eager_one():
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert golden["lazy_latency"] == golden["flash_crowd"]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
