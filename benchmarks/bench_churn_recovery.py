@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 
-from repro.core import RepairStrategy
 from repro.core.telecast import TeleCastSystem, build_views
 from repro.experiments.config import PAPER_CONFIG
 from repro.model.cdn import CDN
@@ -90,23 +89,60 @@ def _pick_victims(system: TeleCastSystem) -> list:
     return [vid for vid in ranked if fanout[vid] > 0][:NUM_FAILURES]
 
 
-def _run_failures(strategy: RepairStrategy):
-    """Fail the victim set under one strategy; returns (seconds, metrics)."""
+def _fail_and_rejoin(system: TeleCastSystem, viewer_id: str) -> None:
+    """The rejoin-from-scratch baseline for one abrupt departure.
+
+    The victim is torn down like any crash, but nothing is repaired in
+    place: every viewer in an orphaned subtree is fully disconnected --
+    which cascades into further orphans that are torn down too -- and
+    then re-admitted through the normal join pipeline.  Lost
+    subscriptions are the net drop in delivered streams across the
+    affected viewers.
+    """
+    lsc = system.lsc_of(viewer_id)
+    system.recovery_managers()[lsc.lsc_id].detector.forget(viewer_id)
+    group, orphans = lsc.teardown_session(viewer_id)
+    affected = {}
+    subs_before = subs_after = 0
+    worklist = []
+    for stream_id, orphan_id in orphans:
+        worklist.extend(group.tree(stream_id).subtree_ids(orphan_id))
+    while worklist:
+        session = lsc.session_of(worklist.pop())
+        if session is None:
+            continue  # already torn down via another stream's subtree
+        affected[session.viewer_id] = session
+        subs_before += len(session.subscriptions)
+        _group, secondary = lsc.teardown_session(session.viewer_id)
+        worklist.extend(orphan_id for _stream_id, orphan_id in secondary)
+    for member_id in sorted(affected):
+        session = affected[member_id]
+        subs_after += lsc.join(session.viewer, session.view).num_accepted
+    system.metrics.record_repair(
+        repaired_p2p=0, repaired_cdn=0, lost=max(0, subs_before - subs_after)
+    )
+
+
+def _run_failures(fail):
+    """Fail the victim set through ``fail(system, viewer_id)``.
+
+    Returns ``(seconds, metrics, system)``.
+    """
     system = _build_session()
     victims = _pick_victims(system)
     assert len(victims) == NUM_FAILURES
     started = time.perf_counter()
     for victim in victims:
-        system.fail_viewer(victim, strategy=strategy)
+        fail(system, victim)
     elapsed = time.perf_counter() - started
     return elapsed, system.metrics, system
 
 
 def test_incremental_repair_beats_full_rejoin():
     incremental_s, incremental_m, incremental_sys = _run_failures(
-        RepairStrategy.INCREMENTAL
+        TeleCastSystem.fail_viewer
     )
-    rejoin_s, rejoin_m, rejoin_sys = _run_failures(RepairStrategy.REJOIN)
+    rejoin_s, rejoin_m, rejoin_sys = _run_failures(_fail_and_rejoin)
 
     repaired = (
         incremental_m.repaired_subscriptions_p2p

@@ -45,7 +45,6 @@ from repro.core.recovery import (
     FailureDetector,
     RecoveryManager,
     RepairResult,
-    RepairStrategy,
     failover_lsc,
 )
 from repro.core.routing_table import (
@@ -80,7 +79,6 @@ __all__ = [
     "FailureDetector",
     "RecoveryManager",
     "RepairResult",
-    "RepairStrategy",
     "failover_lsc",
     "ForwardingAction",
     "MatchField",

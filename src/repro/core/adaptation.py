@@ -28,10 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.core.controllers import JoinResult, LocalSessionController
-from repro.core.group import ViewGroup
-from repro.core.state import ViewerSession
-from repro.model.cdn import CDN_NODE_ID
+from repro.core.controllers import CDN_FIRST, JoinResult, LocalSessionController
 from repro.model.stream import StreamId
 from repro.model.view import GlobalView
 from repro.model.viewer import Viewer
@@ -71,26 +68,21 @@ class AdaptationManager:
     # -- departures ------------------------------------------------------------
 
     def handle_departure(self, viewer_id: str, now: float = 0.0) -> DepartureResult:
-        """Remove a viewer and recover the victims it leaves behind."""
-        session = self.lsc.session_of(viewer_id)
-        if session is None:
+        """Remove a viewer and recover the victims it leaves behind.
+
+        Victims keep their subtrees and are supported from the CDN first,
+        then re-positioned into any free P2P slot (Section VI).
+        """
+        torn_down = self.lsc.teardown_session(viewer_id)
+        if torn_down is None:
             return DepartureResult(viewer_id=viewer_id, departed=False)
-        group = self.lsc.groups.get(session.view.view_id)
-        victims: List[Tuple[StreamId, str]] = []
-        if group is not None:
-            for stream_id in list(session.subscriptions):
-                orphans = self.lsc._detach_stream(
-                    group, viewer_id, stream_id, reattach_to_parent=False
-                )
-                victims.extend((stream_id, orphan) for orphan in orphans)
-            group.remove_session(viewer_id)
-        self.lsc.sessions.pop(viewer_id, None)
-        recovered, lost = self._recover_victims(group, victims, now) if group else (0, 0)
+        group, victims = torn_down
+        p2p, cdn, lost = self.lsc.repair_orphans(group, victims, now, CDN_FIRST)
         return DepartureResult(
             viewer_id=viewer_id,
             departed=True,
             victims=tuple(victims),
-            recovered_victims=recovered,
+            recovered_victims=p2p + cdn,
             lost_subscriptions=lost,
         )
 
@@ -125,58 +117,6 @@ class AdaptationManager:
             victims=departure.victims,
             recovered_victims=departure.recovered_victims,
         )
-
-    # -- victim recovery ------------------------------------------------------------
-
-    def _recover_victims(
-        self,
-        group: ViewGroup,
-        victims: List[Tuple[StreamId, str]],
-        now: float,
-    ) -> Tuple[int, int]:
-        """Re-attach orphaned viewers, CDN first, then any free P2P slot.
-
-        Returns ``(recovered, lost)`` counts.  A victim that cannot be
-        re-attached loses that stream subscription; its own children then
-        become victims of the same stream and are processed recursively.
-        """
-        recovered = 0
-        lost = 0
-        queue = list(victims)
-        while queue:
-            stream_id, victim_id = queue.pop(0)
-            victim_session = self.lsc.session_of(victim_id)
-            tree = group.tree(stream_id)
-            if victim_session is None or victim_id not in tree:
-                continue
-            stream = tree.stream
-            attached = False
-            # CDN first, at the victim's current delay layer.
-            if self.lsc.cdn.can_serve(stream.bandwidth_mbps):
-                if self.lsc.cdn.allocate(stream_id, stream.bandwidth_mbps):
-                    result = tree.reattach_orphan(victim_id, CDN_NODE_ID)
-                    if result.accepted:
-                        attached = True
-                    else:
-                        self.lsc.cdn.release(stream_id, stream.bandwidth_mbps)
-            if not attached:
-                parent_id = tree.find_repair_parent(victim_id)
-                if parent_id is not None:
-                    result = tree.reattach_orphan(victim_id, parent_id)
-                    attached = result.accepted
-            if attached:
-                recovered += 1
-                self.lsc._after_reattach(group, stream_id, victim_id, tree.node(victim_id).parent_id)
-                self.lsc._propagate_subscription(group, stream_id, victim_id, now)
-            else:
-                lost += 1
-                orphans = self.lsc._detach_stream(
-                    group, victim_id, stream_id, reattach_to_parent=False
-                )
-                if victim_session is not None:
-                    victim_session.drop_subscription(stream_id)
-                queue.extend((stream_id, orphan) for orphan in orphans)
-        return recovered, lost
 
     # -- delay layer adaptation -------------------------------------------------------
 
@@ -309,8 +249,11 @@ class AdaptationManager:
                     session.drop_subscription(stream_id)
                     dropped.append(stream_id)
                     if orphans:
-                        self._recover_victims(
-                            group, [(stream_id, orphan) for orphan in orphans], now
+                        self.lsc.repair_orphans(
+                            group,
+                            [(stream_id, orphan) for orphan in orphans],
+                            now,
+                            CDN_FIRST,
                         )
             for stream_id, observed_layer in kept_layers.items():
                 sub = session.subscriptions.get(stream_id)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import allocate_inbound, allocate_outbound
 from repro.core.group import ViewGroup
@@ -34,6 +34,32 @@ from repro.net.latency import DelayModel
 
 #: Node identifier of the Global Session Controller in the latency matrix.
 GSC_NODE_ID = "GSC"
+
+#: Attempt orders of :meth:`LocalSessionController.repair_orphans`: whether
+#: each attempt, in turn, goes to the CDN.  Graceful victims (Section VI)
+#: are supported from the CDN first and fall back to a free P2P slot;
+#: crash orphans try the overlay first and the CDN only as a last resort.
+CDN_FIRST = (True, False)
+P2P_FIRST = (False, True)
+
+
+def nearest_lsc(
+    delay_model: DelayModel, node_id: str, lsc_ids: Iterable[str]
+) -> Optional[str]:
+    """The LSC (of ``lsc_ids``) with the smallest propagation delay to a node.
+
+    The one nearest-survivor rule: the failover target of a failed
+    controller and the fallback of a join whose region mapping went
+    stale.  Ties are broken by LSC id, and delays are derived from seeds,
+    so every process that evaluates it -- the GSC, each shard worker, the
+    scenario build's ownership timeline -- resolves the same controller
+    without a vote.  An LSC's latency-world node carries its id.
+    """
+    return min(
+        lsc_ids,
+        key=lambda lsc_id: (delay_model.propagation(node_id, lsc_id), lsc_id),
+        default=None,
+    )
 
 
 @dataclass(frozen=True)
@@ -520,6 +546,97 @@ class LocalSessionController:
             grandparent = parent_sub.parent_id if parent_sub else CDN_NODE_ID
             parent_session.routing_table.upsert(grandparent, stream_id).add_child(viewer_id)
 
+    def teardown_session(
+        self, viewer_id: str
+    ) -> Optional[Tuple[ViewGroup, List[Tuple[StreamId, str]]]]:
+        """Disconnect a viewer: the one way a session leaves this controller.
+
+        Every stream is detached without in-place re-attachment, the
+        viewer leaves its view group and the session is dropped.  Returns
+        the group and the ``(stream, orphan)`` pairs the viewer leaves
+        behind -- the input of :meth:`repair_orphans` -- or ``None`` when
+        the viewer is not connected here.  Graceful leaves, crashes,
+        detector sweeps and view changes all disconnect through here.
+        """
+        session = self.sessions.get(viewer_id)
+        if session is None:
+            return None
+        group = self.groups[session.view.view_id]
+        orphans: List[Tuple[StreamId, str]] = []
+        for stream_id in list(session.subscriptions):
+            orphans.extend(
+                (stream_id, orphan)
+                for orphan in self._detach_stream(
+                    group, viewer_id, stream_id, reattach_to_parent=False
+                )
+            )
+        group.remove_session(viewer_id)
+        del self.sessions[viewer_id]
+        return group, orphans
+
+    def repair_orphans(
+        self,
+        group: ViewGroup,
+        orphans: Sequence[Tuple[StreamId, str]],
+        now: float,
+        order: Tuple[bool, bool],
+    ) -> Tuple[int, int, int]:
+        """Re-parent orphans in place; returns ``(p2p, cdn, lost)`` counts.
+
+        Each orphan keeps its subtree and is offered, in ``order``
+        (:data:`CDN_FIRST` or :data:`P2P_FIRST`), a direct CDN
+        subscription and the free forwarding slot the degree push-down
+        level order finds (:meth:`StreamTree.find_repair_parent
+        <repro.core.topology.StreamTree.find_repair_parent>`).  After a
+        successful re-parent the orphan's session and routing table are
+        patched and the view-synchronization process propagates down its
+        subtree, so delay layers stay acceptable and within ``kappa``.
+        An orphan neither attempt can place loses the subscription and
+        its own children become orphans of the same stream.
+        """
+        repaired_p2p = repaired_cdn = lost = 0
+        cdn = self.cdn
+        queue = list(orphans)
+        while queue:
+            stream_id, orphan_id = queue.pop(0)
+            orphan_session = self.sessions.get(orphan_id)
+            tree = group.tree(stream_id)
+            if orphan_session is None or orphan_id not in tree:
+                continue
+            if tree.node(orphan_id).parent_id is not None:
+                continue  # queued twice: an earlier entry re-parented it
+            bandwidth = tree.stream.bandwidth_mbps
+            attached_to: Optional[str] = None
+            for via_cdn in order:
+                if not via_cdn:
+                    parent_id = tree.find_repair_parent(orphan_id)
+                    if parent_id is None:
+                        continue
+                elif cdn.can_serve(bandwidth) and cdn.allocate(stream_id, bandwidth):
+                    parent_id = CDN_NODE_ID
+                else:
+                    continue
+                if tree.reattach_orphan(orphan_id, parent_id).accepted:
+                    attached_to = parent_id
+                    break
+                if via_cdn:
+                    cdn.release(stream_id, bandwidth)
+            if attached_to is None:
+                lost += 1
+                children = self._detach_stream(
+                    group, orphan_id, stream_id, reattach_to_parent=False
+                )
+                orphan_session.drop_subscription(stream_id)
+                queue.extend((stream_id, child) for child in children)
+                continue
+            if attached_to == CDN_NODE_ID:
+                repaired_cdn += 1
+            else:
+                repaired_p2p += 1
+            self._after_reattach(group, stream_id, orphan_id, attached_to)
+            self._propagate_subscription(group, stream_id, orphan_id, now)
+        return repaired_p2p, repaired_cdn, lost
+
     def _rollback(self, group: ViewGroup, session: ViewerSession) -> None:
         """Undo all tree placements of a join that is ultimately rejected."""
         for stream_id in list(session.subscriptions):
@@ -706,31 +823,16 @@ class GlobalSessionController:
     def remove_lsc(self, lsc_id: str) -> LocalSessionController:
         """Unregister an LSC (controller failure) and return its last state.
 
-        Region mappings pointing at the removed LSC are left in place so
-        the failover path (:func:`repro.core.recovery.failover_lsc`) can
-        repoint them via :meth:`reassign_regions` once a target is chosen.
-        Until then :meth:`lsc_for_viewer` treats such mappings as stale and
-        falls back to the nearest surviving LSC instead of the dead id.
+        Region mappings pointing at the removed LSC are left in place:
+        the failover path (:func:`repro.core.recovery.evict_sessions`)
+        collects them with :meth:`reassign_regions` for the target to
+        take over.  Until then :meth:`lsc_for_viewer` treats such mappings
+        as stale and falls back to the nearest surviving LSC instead of
+        the dead id.
         """
         if lsc_id not in self._lscs:
             raise KeyError(f"unknown LSC {lsc_id!r}")
         return self._lscs.pop(lsc_id)
-
-    def nearest_lsc_to(self, node_id: str) -> Optional[LocalSessionController]:
-        """The registered LSC with the smallest propagation delay to a node.
-
-        Used to pick the failover target for a failed controller; ties are
-        broken by LSC id so the choice is deterministic.
-        """
-        if not self._lscs:
-            return None
-        return min(
-            self._lscs.values(),
-            key=lambda lsc: (
-                self.delay_model.propagation(node_id, lsc.node_id),
-                lsc.lsc_id,
-            ),
-        )
 
     def reassign_regions(self, old_lsc_id: str, new_lsc_id: Optional[str]) -> Tuple[str, ...]:
         """Repoint every region mapped to ``old_lsc_id``.
@@ -768,10 +870,8 @@ class GlobalSessionController:
         if lsc_id is None:
             return next(iter(self._lscs.values()))
         if lsc_id not in self._lscs:
-            survivor = self.nearest_lsc_to(viewer.node_id)
-            assert survivor is not None  # self._lscs is non-empty
-            self._region_to_lsc[viewer.region_name] = survivor.lsc_id
-            return survivor
+            lsc_id = nearest_lsc(self.delay_model, viewer.node_id, self._lscs)
+            self._region_to_lsc[viewer.region_name] = lsc_id
         return self._lscs[lsc_id]
 
     def lsc_of_connected_viewer(self, viewer_id: str) -> Optional[LocalSessionController]:

@@ -18,17 +18,21 @@ events an explicit subsystem with three parts:
   sent every :data:`DEFAULT_HEARTBEAT_PERIOD` seconds, so a slow or lossy
   control path can produce spurious failures -- a first-class outcome.
 * **Incremental subtree repair** -- orphaned viewers keep their subtrees
-  and are re-parented in place via the degree push-down level order
-  (:meth:`~repro.core.topology.StreamTree.find_repair_parent`), falling
-  back to a direct CDN subscription only when no forwarding capacity
-  remains.  The alternative -- tearing the orphaned subtrees down and
-  pushing every affected viewer through the full join pipeline again -- is
-  kept as the :attr:`RepairStrategy.REJOIN` baseline so experiments can
-  quantify the benefit (``benchmarks/bench_churn_recovery.py``).
-* **LSC failover** -- when a Local Session Controller itself fails, the
-  GSC reassigns the region's viewers to the nearest surviving LSC
-  (:func:`failover_lsc`); their overlay state is rebuilt there through
-  normal joins and the failed region's CDN reservations are released.
+  and are re-parented in place by the one repair loop
+  (:meth:`LocalSessionController.repair_orphans
+  <repro.core.controllers.LocalSessionController.repair_orphans>`), here
+  in P2P-first order: the degree push-down level order
+  (:meth:`~repro.core.topology.StreamTree.find_repair_parent`) first, a
+  direct CDN subscription only when no forwarding capacity remains.  The
+  alternative -- tearing the orphaned subtrees down and pushing every
+  affected viewer through the full join pipeline again -- is the baseline
+  ``benchmarks/bench_churn_recovery.py`` builds to quantify the benefit.
+* **LSC failover** -- when a Local Session Controller itself fails, its
+  sessions are evicted (:func:`evict_sessions`: CDN share released,
+  region mappings collected) and re-admitted at the nearest surviving LSC
+  through normal joins (:func:`readmit_sessions`).  :func:`failover_lsc`
+  runs both halves in one process; the shard-parallel engine runs them in
+  two, on either side of a barrier.
 
 Repair preserves the routing-table and delay-layer invariants: every
 re-parented viewer patches its session routing table, its new parent
@@ -40,14 +44,18 @@ the old delay layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.controllers import GlobalSessionController, LocalSessionController
-from repro.core.group import ViewGroup
+from repro.core.controllers import (
+    P2P_FIRST,
+    GlobalSessionController,
+    LocalSessionController,
+    nearest_lsc,
+)
 from repro.core.state import ViewerSession
-from repro.model.cdn import CDN_NODE_ID
 from repro.model.stream import StreamId
+from repro.model.view import GlobalView
+from repro.model.viewer import Viewer
 from repro.util.validation import require_positive
 
 #: Default heartbeat timeout (seconds) before a silent viewer is declared failed.
@@ -58,19 +66,6 @@ DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 #: timeout or healthy viewers are swept away as failed -- which is exactly
 #: the regime the ``controlplane`` sweep preset explores.
 DEFAULT_HEARTBEAT_PERIOD = 2.0
-
-
-class RepairStrategy(str, Enum):
-    """How the orphaned subtrees of an abrupt departure are recovered.
-
-    ``INCREMENTAL`` re-parents each orphan in place, keeping its subtree
-    (the subsystem's contribution); ``REJOIN`` tears the orphaned subtrees
-    down and re-runs the full join pipeline for every affected viewer (the
-    from-scratch baseline).
-    """
-
-    INCREMENTAL = "incremental"
-    REJOIN = "rejoin"
 
 
 class FailureDetector:
@@ -128,7 +123,6 @@ class RepairResult:
 
     viewer_id: str
     departed: bool
-    strategy: RepairStrategy = RepairStrategy.INCREMENTAL
     #: (stream, viewer) pairs directly orphaned by the departure.
     orphaned: Tuple[Tuple[StreamId, str], ...] = ()
     #: Orphaned subscriptions re-parented onto another viewer (P2P).
@@ -137,8 +131,6 @@ class RepairResult:
     repaired_cdn: int = 0
     #: Subscriptions lost because neither the overlay nor the CDN could help.
     lost_subscriptions: int = 0
-    #: Viewers pushed through the full join pipeline (REJOIN strategy only).
-    rejoined_viewers: int = 0
 
     @property
     def repaired(self) -> int:
@@ -172,60 +164,29 @@ class RecoveryManager:
 
     # -- abrupt departures ----------------------------------------------------
 
-    def handle_abrupt_departure(
-        self,
-        viewer_id: str,
-        now: float = 0.0,
-        *,
-        strategy: RepairStrategy = RepairStrategy.INCREMENTAL,
-    ) -> RepairResult:
+    def handle_abrupt_departure(self, viewer_id: str, now: float = 0.0) -> RepairResult:
         """Remove a failed viewer and repair the subtrees it strands.
 
         Unlike :meth:`AdaptationManager.handle_departure
         <repro.core.adaptation.AdaptationManager.handle_departure>` (the
-        graceful path, which supports victims from the CDN first), the
-        incremental strategy is P2P-first: orphans are re-parented into
-        free forwarding slots in degree push-down order and only fall back
-        to the CDN when the overlay has no capacity left for them.
+        graceful path, which supports victims from the CDN first), a
+        crash repairs P2P-first: orphans are re-parented into free
+        forwarding slots in degree push-down order and only fall back to
+        the CDN when the overlay has no capacity left for them.
         """
         self.detector.forget(viewer_id)
-        session = self.lsc.session_of(viewer_id)
-        if session is None:
-            return RepairResult(viewer_id=viewer_id, departed=False, strategy=strategy)
-        group = self.lsc.groups.get(session.view.view_id)
-        orphans: List[Tuple[StreamId, str]] = []
-        if group is not None:
-            for stream_id in list(session.subscriptions):
-                victims = self.lsc._detach_stream(
-                    group, viewer_id, stream_id, reattach_to_parent=False
-                )
-                orphans.extend((stream_id, victim) for victim in victims)
-            group.remove_session(viewer_id)
-        self.lsc.sessions.pop(viewer_id, None)
-        if group is None or not orphans:
-            return RepairResult(
-                viewer_id=viewer_id,
-                departed=True,
-                strategy=strategy,
-                orphaned=tuple(orphans),
-            )
-        if strategy is RepairStrategy.INCREMENTAL:
-            repaired_p2p, repaired_cdn, lost = self._repair_incremental(
-                group, orphans, now
-            )
-            rejoined = 0
-        else:
-            rejoined, lost = self._repair_rejoin(group, orphans, now)
-            repaired_p2p = repaired_cdn = 0
+        torn_down = self.lsc.teardown_session(viewer_id)
+        if torn_down is None:
+            return RepairResult(viewer_id=viewer_id, departed=False)
+        group, orphans = torn_down
+        p2p, cdn, lost = self.lsc.repair_orphans(group, orphans, now, P2P_FIRST)
         return RepairResult(
             viewer_id=viewer_id,
             departed=True,
-            strategy=strategy,
             orphaned=tuple(orphans),
-            repaired_p2p=repaired_p2p,
-            repaired_cdn=repaired_cdn,
+            repaired_p2p=p2p,
+            repaired_cdn=cdn,
             lost_subscriptions=lost,
-            rejoined_viewers=rejoined,
         )
 
     def sweep(self, now: float) -> List[RepairResult]:
@@ -235,124 +196,18 @@ class RecoveryManager:
             for viewer_id in self.detector.expired(now)
         ]
 
-    # -- repair strategies ----------------------------------------------------
 
-    def _repair_incremental(
-        self,
-        group: ViewGroup,
-        orphans: List[Tuple[StreamId, str]],
-        now: float,
-    ) -> Tuple[int, int, int]:
-        """Re-parent orphans in place; returns ``(p2p, cdn, lost)`` counts.
+def evict_sessions(
+    gsc: GlobalSessionController, failed_lsc_id: str
+) -> Tuple[List[ViewerSession], Tuple[str, ...]]:
+    """Owner half of a failover: tear a failed LSC out of its GSC.
 
-        Each orphan keeps its subtree.  After a successful re-parent the
-        orphan's session and routing table are patched and the
-        view-synchronization process propagates down its subtree so delay
-        layers stay within the acceptable range and the ``kappa`` skew
-        bound.  An orphan that cannot be placed loses the subscription and
-        its own children become orphans of the same stream.
-        """
-        repaired_p2p = repaired_cdn = lost = 0
-        queue = list(orphans)
-        while queue:
-            stream_id, orphan_id = queue.pop(0)
-            orphan_session = self.lsc.session_of(orphan_id)
-            tree = group.tree(stream_id)
-            if orphan_session is None or orphan_id not in tree:
-                continue
-            if tree.node(orphan_id).parent_id is not None:
-                continue  # already repaired via an earlier queue entry
-            stream = tree.stream
-            attached_to: Optional[str] = None
-            parent_id = tree.find_repair_parent(orphan_id)
-            if parent_id is not None:
-                if tree.reattach_orphan(orphan_id, parent_id).accepted:
-                    attached_to = parent_id
-            if attached_to is None and self.lsc.cdn.can_serve(stream.bandwidth_mbps):
-                if self.lsc.cdn.allocate(stream_id, stream.bandwidth_mbps):
-                    if tree.reattach_orphan(orphan_id, CDN_NODE_ID).accepted:
-                        attached_to = CDN_NODE_ID
-                    else:
-                        self.lsc.cdn.release(stream_id, stream.bandwidth_mbps)
-            if attached_to is not None:
-                if attached_to == CDN_NODE_ID:
-                    repaired_cdn += 1
-                else:
-                    repaired_p2p += 1
-                self.lsc._after_reattach(group, stream_id, orphan_id, attached_to)
-                self.lsc._propagate_subscription(group, stream_id, orphan_id, now)
-            else:
-                lost += 1
-                children = self.lsc._detach_stream(
-                    group, orphan_id, stream_id, reattach_to_parent=False
-                )
-                orphan_session.drop_subscription(stream_id)
-                queue.extend((stream_id, child) for child in children)
-        return repaired_p2p, repaired_cdn, lost
-
-    def _repair_rejoin(
-        self,
-        group: ViewGroup,
-        orphans: List[Tuple[StreamId, str]],
-        now: float,
-    ) -> Tuple[int, int]:
-        """Rejoin-from-scratch baseline; returns ``(rejoined, lost_subs)``.
-
-        Every viewer in an orphaned subtree is fully disconnected -- all of
-        its subscriptions across all streams are torn down, which cascades
-        into further orphans that are torn down too -- and then re-admitted
-        through the normal join pipeline.  Lost subscriptions are counted
-        as the net drop in delivered streams across the affected viewers.
-        """
-        affected: Dict[str, ViewerSession] = {}
-        subs_before = 0
-        worklist: List[str] = []
-        for stream_id, orphan_id in orphans:
-            worklist.extend(group.tree(stream_id).subtree_ids(orphan_id))
-        while worklist:
-            member_id = worklist.pop()
-            if member_id in affected:
-                continue
-            session = self.lsc.session_of(member_id)
-            if session is None:
-                continue
-            affected[member_id] = session
-            subs_before += len(session.subscriptions)
-            for stream_id in list(session.subscriptions):
-                secondary = self.lsc._detach_stream(
-                    group, member_id, stream_id, reattach_to_parent=False
-                )
-                session.drop_subscription(stream_id)
-                worklist.extend(secondary)
-            group.remove_session(member_id)
-            self.lsc.sessions.pop(member_id, None)
-        rejoined = 0
-        subs_after = 0
-        for member_id in sorted(affected):
-            session = affected[member_id]
-            result = self.lsc.join(session.viewer, session.view, now)
-            if result.accepted:
-                rejoined += 1
-                subs_after += result.num_accepted
-        return rejoined, max(0, subs_before - subs_after)
-
-
-def failover_lsc(
-    gsc: GlobalSessionController,
-    failed_lsc_id: str,
-    now: float = 0.0,
-    *,
-    target_lsc_id: Optional[str] = None,
-) -> FailoverResult:
-    """Fail over a Local Session Controller to a surviving neighbor.
-
-    The failed LSC's overlay state (trees, sessions, routing tables) is
-    considered lost with it: its CDN reservations are released, its region
-    mappings are repointed at the target, and every viewer it managed is
-    re-admitted at the target through a normal join.  When no target is
-    given the surviving LSC with the smallest propagation delay to the
-    failed controller's node is chosen; when no LSC survives at all, every
-    viewer of the region is lost.
+    The controller's overlay state (trees, sessions, routing tables) is
+    considered lost with it: it is unregistered, the CDN reservations of
+    its sessions are released and its region mappings are dropped.
+    Returns its sessions in the order the target re-admits them --
+    ``(join_time, viewer_id)`` -- and the regions it served, which the
+    target takes over.
     """
     failed = gsc.remove_lsc(failed_lsc_id)
     sessions = sorted(failed.sessions.values(), key=lambda s: (s.join_time, s.viewer_id))
@@ -360,29 +215,54 @@ def failover_lsc(
         for sub in session.subscriptions.values():
             if sub.via_cdn:
                 gsc.cdn.release(sub.stream_id, sub.bandwidth_mbps)
+    return sessions, gsc.reassign_regions(failed_lsc_id, None)
+
+
+def readmit_sessions(
+    gsc: GlobalSessionController,
+    failed_lsc_id: str,
+    target_lsc_id: Optional[str],
+    admissions: Sequence[Tuple[Viewer, GlobalView]],
+    now: float,
+    regions: Sequence[str],
+) -> FailoverResult:
+    """Target half of a failover: re-admit the evicted sessions.
+
+    ``regions`` (the failed controller's service area) are pointed at the
+    target and every ``(viewer, view)`` goes through the target's normal
+    join pipeline, in the order given.  Without a target -- no LSC
+    survives -- every viewer of the region is lost.
+    """
+    migrated = 0
     if target_lsc_id is not None:
-        target: Optional[LocalSessionController] = gsc.lsc(target_lsc_id)
-    else:
-        target = gsc.nearest_lsc_to(failed.node_id)
-    regions = gsc.reassign_regions(failed_lsc_id, target.lsc_id if target else None)
-    if target is None:
-        return FailoverResult(
-            failed_lsc_id=failed_lsc_id,
-            target_lsc_id=None,
-            lost_viewers=len(sessions),
-            reassigned_regions=regions,
-        )
-    migrated = lost = 0
-    for session in sessions:
-        result = target.join(session.viewer, session.view, now)
-        if result.accepted:
-            migrated += 1
-        else:
-            lost += 1
+        target = gsc.lsc(target_lsc_id)
+        for region_name in regions:
+            gsc.add_lsc(target_lsc_id, region_name=region_name)
+        for viewer, view in admissions:
+            if target.join(viewer, view, now).accepted:
+                migrated += 1
     return FailoverResult(
         failed_lsc_id=failed_lsc_id,
-        target_lsc_id=target.lsc_id,
+        target_lsc_id=target_lsc_id,
         migrated_viewers=migrated,
-        lost_viewers=lost,
-        reassigned_regions=regions,
+        lost_viewers=len(admissions) - migrated,
+        reassigned_regions=tuple(regions),
     )
+
+
+def failover_lsc(
+    gsc: GlobalSessionController, failed_lsc_id: str, now: float = 0.0
+) -> FailoverResult:
+    """Fail over a Local Session Controller to its nearest surviving neighbor.
+
+    Evict, choose the target, re-admit: :func:`evict_sessions`, then the
+    surviving LSC with the smallest propagation delay to the failed one
+    (:func:`~repro.core.controllers.nearest_lsc`), then
+    :func:`readmit_sessions`.
+    """
+    sessions, regions = evict_sessions(gsc, failed_lsc_id)
+    target_lsc_id = nearest_lsc(
+        gsc.delay_model, failed_lsc_id, (lsc.lsc_id for lsc in gsc.lscs)
+    )
+    admissions = [(session.viewer, session.view) for session in sessions]
+    return readmit_sessions(gsc, failed_lsc_id, target_lsc_id, admissions, now, regions)

@@ -36,8 +36,9 @@ from repro.core.recovery import (
     FailoverResult,
     RecoveryManager,
     RepairResult,
-    RepairStrategy,
+    evict_sessions,
     failover_lsc,
+    readmit_sessions,
 )
 from repro.core.session import EventDrivenSession, InstantDriver
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
@@ -214,27 +215,18 @@ class TeleCastSystem:
 
     # -- churn and failure recovery ------------------------------------------------
 
-    def fail_viewer(
-        self,
-        viewer_id: str,
-        now: Optional[float] = None,
-        *,
-        strategy: RepairStrategy = RepairStrategy.INCREMENTAL,
-    ) -> RepairResult:
+    def fail_viewer(self, viewer_id: str, now: Optional[float] = None) -> RepairResult:
         """Handle an abrupt viewer departure (crash / silent disconnect).
 
-        The viewer's subtrees are repaired according to ``strategy``:
-        incrementally in place (the default) or by tearing them down and
-        rejoining every affected viewer from scratch (the baseline used by
-        ``benchmarks/bench_churn_recovery.py``).
+        The subtrees the viewer strands are repaired incrementally, in
+        place (:meth:`RecoveryManager.handle_abrupt_departure
+        <repro.core.recovery.RecoveryManager.handle_abrupt_departure>`).
         """
         time = self.simulator.now if now is None else now
         lsc = self.gsc.lsc_of_connected_viewer(viewer_id)
         if lsc is None:
-            return RepairResult(viewer_id=viewer_id, departed=False, strategy=strategy)
-        result = self._recovery[lsc.lsc_id].handle_abrupt_departure(
-            viewer_id, time, strategy=strategy
-        )
+            return RepairResult(viewer_id=viewer_id, departed=False)
+        result = self._recovery[lsc.lsc_id].handle_abrupt_departure(viewer_id, time)
         self.metrics.record_repair(
             repaired_p2p=result.repaired_p2p,
             repaired_cdn=result.repaired_cdn,
@@ -288,82 +280,53 @@ class TeleCastSystem:
                 results.append(result)
         return results
 
-    def fail_lsc(
-        self,
-        lsc_id: str,
-        now: Optional[float] = None,
-        *,
-        target_lsc_id: Optional[str] = None,
-    ) -> FailoverResult:
-        """Fail over a Local Session Controller to a surviving neighbor.
+    # -- LSC failover ------------------------------------------------------------
+    #
+    # One failover, two halves (:func:`repro.core.recovery.evict_sessions`
+    # and :func:`~repro.core.recovery.readmit_sessions`).  In one process
+    # :meth:`fail_lsc` runs them back to back through
+    # :func:`~repro.core.recovery.failover_lsc`; under the shard-parallel
+    # engine the failed LSC and its target may live in different
+    # processes, so the owning worker calls :meth:`evict_lsc`, the
+    # sessions cross the barrier as records, and the target's worker calls
+    # :meth:`absorb_failover`.  Either way the facade's own bookkeeping
+    # (managers, request accounting, detector, metrics) is the same two
+    # steps, :meth:`_lsc_evicted` and :meth:`_failover_absorbed`.
+
+    def fail_lsc(self, lsc_id: str, now: Optional[float] = None) -> FailoverResult:
+        """Fail over a Local Session Controller to its nearest surviving neighbor.
 
         The GSC reassigns the failed region's viewers (and region
-        mappings) to ``target_lsc_id``, or to the nearest surviving LSC
-        when no explicit target is given.
+        mappings) to the surviving LSC nearest the failed one; with no
+        survivor every viewer of the region is lost.
         """
         time = self.simulator.now if now is None else now
-        affected = set(self.gsc.lsc(lsc_id).sessions)
-        result = failover_lsc(self.gsc, lsc_id, time, target_lsc_id=target_lsc_id)
-        self._adaptation.pop(lsc_id, None)
-        self._recovery.pop(lsc_id, None)
-        # Viewers the failover could not re-admit leave the session, just
-        # like any other departure path.
-        for viewer_id in affected:
-            if self.gsc.lsc_of_connected_viewer(viewer_id) is None:
-                self._requested.pop(viewer_id, None)
-        if result.target_lsc_id is not None:
-            # Migrated viewers are now monitored by the target's detector.
-            detector = self._recovery[result.target_lsc_id].detector
-            for viewer_id in self.gsc.lsc(result.target_lsc_id).sessions:
-                if viewer_id not in detector:
-                    detector.watch(viewer_id, time)
-        self.metrics.record_failover(
-            migrated=result.migrated_viewers, lost=result.lost_viewers
-        )
+        evicted = list(self.gsc.lsc(lsc_id).sessions)
+        result = failover_lsc(self.gsc, lsc_id, time)
+        self._lsc_evicted(lsc_id, evicted)
+        self._failover_absorbed(result, evicted, time)
         return result
-
-    # -- cross-shard failover halves (repro.parallel) ----------------------------
-    #
-    # Under the shard-parallel engine the failed LSC and its failover
-    # target live in different processes, so :func:`failover_lsc` is split
-    # in two: the owning worker tears the controller down and serializes
-    # its sessions (:meth:`evict_lsc`), the target's worker re-admits them
-    # (:meth:`absorb_failover`).  Together they replicate the
-    # single-process semantics operation for operation -- same session
-    # order, same CDN releases, same detector re-watch -- which is what
-    # the sharded placement-parity golden pins.
 
     def evict_lsc(self, lsc_id: str, now: float) -> List[Tuple[str, str, float]]:
         """Tear down a failed LSC locally; return its sessions to migrate.
 
-        Mirrors the owner-side half of
-        :func:`repro.core.recovery.failover_lsc`: CDN reservations of the
-        failed controller are released, its region mappings dropped (the
-        target worker repoints them), and the sessions are returned as
-        ``(viewer_id, view_id, join_time)`` records sorted by
-        ``(join_time, viewer_id)`` -- the order the target re-admits them.
+        The owner-side half of a cross-shard failover.  The sessions come
+        back as ``(viewer_id, view_id, join_time)`` records in the order
+        the target re-admits them; hand them to :meth:`absorb_failover`
+        (on the target's worker, or here with no target when no LSC
+        survives anywhere).
         """
-        failed = self.gsc.remove_lsc(lsc_id)
-        sessions = sorted(
-            failed.sessions.values(), key=lambda s: (s.join_time, s.viewer_id)
-        )
-        for session in sessions:
-            for sub in session.subscriptions.values():
-                if sub.via_cdn:
-                    self.cdn.release(sub.stream_id, sub.bandwidth_mbps)
-        self.gsc.reassign_regions(lsc_id, None)
-        self._adaptation.pop(lsc_id, None)
-        self._recovery.pop(lsc_id, None)
-        for session in sessions:
-            self._requested.pop(session.viewer_id, None)
+        sessions, _regions = evict_sessions(self.gsc, lsc_id)
+        self._lsc_evicted(lsc_id, [session.viewer_id for session in sessions])
         return [
-            (session.viewer.viewer_id, session.view.view_id, session.join_time)
+            (session.viewer_id, session.view.view_id, session.join_time)
             for session in sessions
         ]
 
     def absorb_failover(
         self,
-        target_lsc_id: str,
+        failed_lsc_id: str,
+        target_lsc_id: Optional[str],
         sessions: Sequence[Tuple[str, str, float]],
         now: float,
         *,
@@ -374,33 +337,47 @@ class TeleCastSystem:
         """Re-admit the evicted sessions of a failed remote LSC here.
 
         The target-side half of a cross-shard failover: ``regions`` (the
-        failed controller's service area) are repointed at the target,
+        failed controller's service area) are repointed at the target and
         every migrated session goes through the target's normal join
-        pipeline in eviction order, accepted viewers are watched by the
-        target's failure detector, and one failover is recorded in the
-        metrics -- exactly what :meth:`fail_lsc` does in-process.
+        pipeline in eviction order.  With ``target_lsc_id=None`` nobody
+        survives and the sessions are booked as lost.
         """
-        target = self.gsc.lsc(target_lsc_id)
-        for region_name in regions:
-            self.gsc.add_lsc(target_lsc_id, region_name=region_name)
-        detector = self._recovery[target_lsc_id].detector
-        migrated = lost = 0
-        for viewer_id, view_id, _join_time in sessions:
-            result = target.join(viewers_by_id[viewer_id], views_by_id[view_id], now)
-            if result.accepted:
-                migrated += 1
-                self._requested[viewer_id] = result.num_requested
-                if viewer_id not in detector:
-                    detector.watch(viewer_id, now)
-            else:
-                lost += 1
-        self.metrics.record_failover(migrated=migrated, lost=lost)
-        return FailoverResult(
-            failed_lsc_id="",
-            target_lsc_id=target_lsc_id,
-            migrated_viewers=migrated,
-            lost_viewers=lost,
-            reassigned_regions=tuple(regions),
+        admissions = [
+            (viewers_by_id[viewer_id], views_by_id[view_id])
+            for viewer_id, view_id, _join_time in sessions
+        ]
+        result = readmit_sessions(
+            self.gsc, failed_lsc_id, target_lsc_id, admissions, now, regions
+        )
+        self._failover_absorbed(result, [record[0] for record in sessions], now)
+        return result
+
+    def _lsc_evicted(self, lsc_id: str, viewer_ids: Sequence[str]) -> None:
+        """A failed LSC's managers and its viewers' requests leave the books."""
+        self._adaptation.pop(lsc_id, None)
+        self._recovery.pop(lsc_id, None)
+        for viewer_id in viewer_ids:
+            self._requested.pop(viewer_id, None)
+
+    def _failover_absorbed(
+        self, result: FailoverResult, viewer_ids: Sequence[str], now: float
+    ) -> None:
+        """Book one failover.
+
+        The viewers the target re-admitted re-enter the request accounting
+        and are watched by the target's failure detector from ``now``.
+        """
+        if result.target_lsc_id is not None:
+            admitted = self.gsc.lsc(result.target_lsc_id).sessions
+            detector = self._recovery[result.target_lsc_id].detector
+            for viewer_id in viewer_ids:
+                session = admitted.get(viewer_id)
+                if session is not None:
+                    self._requested[viewer_id] = len(session.view.stream_ids)
+                    if viewer_id not in detector:
+                        detector.watch(viewer_id, now)
+        self.metrics.record_failover(
+            migrated=result.migrated_viewers, lost=result.lost_viewers
         )
 
     def refresh_layers(self, now: Optional[float] = None) -> None:

@@ -674,24 +674,18 @@ class StreamTree:
         """Attach a viewer under an explicit parent (victim recovery, CDN fast path)."""
         if node_id in self._nodes:
             raise ValueError(f"{node_id} is already in the tree")
-        parent = self._nodes[parent_id]
-        if parent_id != CDN_NODE_ID and parent.free_slots <= 0:
-            return InsertResult(accepted=False, reason=f"{parent_id} has no free slot")
-        if parent_id == CDN_NODE_ID:
-            hop: Optional[float] = None
-            delay = self.delay_model.cdn_end_to_end(node_id)
-        else:
-            hop = self.delay_model.hop_delay(parent_id, node_id)
-            delay = parent.end_to_end_delay + hop
-        if delay > self.d_max:
-            return InsertResult(accepted=False, reason="delay bound exceeded")
-        self._attach(node_id, parent_id, out_degree, outbound_capacity, delay, hop=hop)
-        return InsertResult(
-            accepted=True,
-            parent_id=parent_id,
-            end_to_end_delay=delay,
-            via_cdn=parent_id == CDN_NODE_ID,
+        node = TreeNode(
+            node_id=node_id,
+            out_degree=out_degree,
+            outbound_capacity=outbound_capacity,
+            parent_id=None,
+            end_to_end_delay=0.0,
         )
+        result = self._hang(node, parent_id)
+        if result.accepted:
+            self._nodes[node_id] = node
+            self._free_slots_total += node.free_slots
+        return result
 
     def reparent(self, node_id: str, new_parent_id: str) -> InsertResult:
         """Move a member (with its subtree) under a new parent.
@@ -710,36 +704,51 @@ class StreamTree:
                 end_to_end_delay=node.end_to_end_delay,
                 via_cdn=new_parent_id == CDN_NODE_ID,
             )
-        new_parent = self._nodes[new_parent_id]
-        if new_parent_id != CDN_NODE_ID and new_parent.free_slots <= 0:
-            return InsertResult(accepted=False, reason=f"{new_parent_id} has no free slot")
-        # Reject cycles: the new parent must not be a descendant of the node.
-        ancestor = new_parent
-        while ancestor.parent_id is not None:
-            if ancestor.node_id == node_id:
-                return InsertResult(accepted=False, reason="would create a cycle")
-            ancestor = self._nodes[ancestor.parent_id]
-        if new_parent_id == CDN_NODE_ID:
+        return self._hang(node, new_parent_id)
+
+    def _hang(self, node: TreeNode, parent_id: str) -> InsertResult:
+        """Hang ``node`` -- new, orphaned or moving, subtree and all -- under a parent.
+
+        The one place an explicit placement is checked and wired: the
+        parent needs a free slot (the CDN always has one), a moving
+        member must not end up below itself, a CDN-fed node sees the CDN
+        delay and caches no hop while a viewer-fed one adds the edge's
+        hop to its parent's delay, and the result must stay within
+        ``d_max``.  A moving member then leaves its former parent, and
+        the subtree re-settles in one batched walk.
+        """
+        node_id = node.node_id
+        former_id = node.parent_id
+        parent = self._nodes[parent_id]
+        if parent_id != CDN_NODE_ID and parent.free_slots <= 0:
+            return InsertResult(accepted=False, reason=f"{parent_id} has no free slot")
+        if former_id is not None:
+            ancestor = parent
+            while ancestor.parent_id is not None:
+                if ancestor.node_id == node_id:
+                    return InsertResult(accepted=False, reason="would create a cycle")
+                ancestor = self._nodes[ancestor.parent_id]
+        if parent_id == CDN_NODE_ID:
             hop: Optional[float] = None
             delay = self.delay_model.cdn_end_to_end(node_id)
         else:
-            hop = self.delay_model.hop_delay(new_parent_id, node_id)
-            delay = new_parent.end_to_end_delay + hop
+            hop = self.delay_model.hop_delay(parent_id, node_id)
+            delay = parent.end_to_end_delay + hop
         if delay > self.d_max:
             return InsertResult(accepted=False, reason="delay bound exceeded")
-        if node.parent_id is not None and node_id in self._nodes[node.parent_id].children:
-            self._remove_child(self._nodes[node.parent_id], node_id)
-        node.parent_id = new_parent_id
+        if former_id is not None and node_id in self._nodes[former_id].children:
+            self._remove_child(self._nodes[former_id], node_id)
+        node.parent_id = parent_id
         node.hop_from_parent = hop
-        self._add_child(new_parent, node_id)
+        self._add_child(parent, node_id)
         self._settle_subtree(
-            node, new_parent.depth + 1, delay, target_attached=new_parent.attached
+            node, parent.depth + 1, delay, target_attached=parent.attached
         )
         return InsertResult(
             accepted=True,
-            parent_id=new_parent_id,
+            parent_id=parent_id,
             end_to_end_delay=delay,
-            via_cdn=new_parent_id == CDN_NODE_ID,
+            via_cdn=parent_id == CDN_NODE_ID,
         )
 
     # -- removal --------------------------------------------------------------
@@ -788,29 +797,7 @@ class StreamTree:
         node = self._nodes[node_id]
         if node.parent_id is not None:
             raise ValueError(f"{node_id} is not an orphan")
-        parent = self._nodes[parent_id]
-        if parent_id != CDN_NODE_ID and parent.free_slots <= 0:
-            return InsertResult(accepted=False, reason=f"{parent_id} has no free slot")
-        if parent_id == CDN_NODE_ID:
-            hop: Optional[float] = None
-            delay = self.delay_model.cdn_end_to_end(node_id)
-        else:
-            hop = self.delay_model.hop_delay(parent_id, node_id)
-            delay = parent.end_to_end_delay + hop
-        if delay > self.d_max:
-            return InsertResult(accepted=False, reason="delay bound exceeded")
-        node.parent_id = parent_id
-        node.hop_from_parent = hop
-        self._add_child(parent, node_id)
-        self._settle_subtree(
-            node, parent.depth + 1, delay, target_attached=parent.attached
-        )
-        return InsertResult(
-            accepted=True,
-            parent_id=parent_id,
-            end_to_end_delay=delay,
-            via_cdn=parent_id == CDN_NODE_ID,
-        )
+        return self._hang(node, parent_id)
 
     # -- delays ---------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from itertools import compress
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.random_routing import RandomDisseminationSystem
+from repro.core.controllers import nearest_lsc
 from repro.core.telecast import TeleCastSystem, build_views
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
@@ -171,13 +172,13 @@ class ShardSelection:
 class _OwnershipTimeline:
     """Event ownership as a pure function of the config seeds.
 
-    Mirrors the ownership maps every shard worker maintains: a region is
-    owned by the LSC of its shard group until that LSC fails, after
-    which it is owned by the nearest surviving LSC (the same failover
-    target the workers resolve at the barrier).  The transition applies
-    to every event sorting strictly after the ``lsc_fail`` event's
-    ``(time, "LSC-i")`` key -- exactly where the workers repoint their
-    maps in the sorted replay.
+    The one place events are assigned to workers: a region is owned by
+    the LSC of its shard group until that LSC fails, after which it is
+    owned by the nearest surviving LSC (the same failover target the
+    workers resolve at the barrier).  The transition applies to every
+    event sorting strictly after the ``lsc_fail`` event's
+    ``(time, "LSC-i")`` key -- exactly where the barrier sits in a
+    worker's sorted replay.
     """
 
     def __init__(self, config: ExperimentConfig, region_names: Sequence[str]):
@@ -209,12 +210,10 @@ class _OwnershipTimeline:
             rng=SeededRandom(config.latency_seed),
             config=PlanetLabTraceConfig(region_names=region_names),
         )
-        control_model = DelayModel(control_matrix)
-        # Imported lazily: repro.parallel imports this module.
-        from repro.parallel.worker import nearest_surviving_lsc
-
-        alive = [f"LSC-{i}" for i in range(config.num_lscs)]
-        target_id = nearest_surviving_lsc(control_model, failed_id, alive)
+        survivors = [
+            f"LSC-{i}" for i in range(config.num_lscs) if i != failed_index
+        ]
+        target_id = nearest_lsc(DelayModel(control_matrix), failed_id, survivors)
         self.failed_index = failed_index
         self.failed_regions = frozenset(lsc_regions[failed_index])
         self.target_index = (

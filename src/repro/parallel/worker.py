@@ -10,20 +10,21 @@ slice of the schedule segment by segment through
 :class:`~repro.core.session.InstantDriver`
 (``apply`` / ``advance`` / ``finalize``).
 
-Event ownership is a pure function every worker computes identically:
-``viewer -> region -> owning LSC -> worker``, the last step being the
-weighted placement of :func:`place_lscs` (heaviest LSC first onto the
-least-loaded worker; the coordinator computes it once and hands it to
-every worker).
+Event ownership is a pure function of the config seeds, applied once, by
+the build: ``viewer -> region -> owning LSC -> worker``, the last step
+being the weighted placement of :func:`place_lscs` (heaviest LSC first
+onto the least-loaded worker; the coordinator computes it once and hands
+it to every worker).  A worker replays every event its slice holds.
 The one cross-shard operation, ``lsc_fail``, is a barrier: every worker
 aligns its simulator clock to the event's timestamp, the worker hosting
-the failed LSC tears it down (releasing its CDN reservations) and ships
-its sessions -- sorted by ``(join_time, viewer_id)``, the single-process
-failover order -- through the coordinator to the worker hosting the
-nearest surviving LSC, which re-admits them through its normal join
-pipeline.  Afterwards every worker repoints the failed regions at the
-target in its ownership map, so the schedule stays consistently
-partitioned without any shared state.
+the failed LSC evicts it (``TeleCastSystem.evict_lsc``: CDN reservations
+released, sessions sorted by ``(join_time, viewer_id)``) and ships the
+sessions through the coordinator to the worker hosting the nearest
+surviving LSC, which re-admits them through its normal join pipeline
+(``TeleCastSystem.absorb_failover``) -- the same two halves
+:func:`repro.core.recovery.failover_lsc` runs back to back in one
+process.  Afterwards every worker repoints the failed regions at the
+target in its barrier maps, so a later failover moves them again.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ try:
 except ImportError:  # pragma: no cover - platform without getrusage
     resource = None
 
+from repro.core.controllers import nearest_lsc
 from repro.core.session import InstantDriver, event_sort_key
 from repro.core.telecast import TeleCastSystem
 from repro.metrics.placement import per_lsc_placement_digests
@@ -96,26 +98,6 @@ def _ru_maxrss() -> int:
     if resource is None:  # pragma: no cover - platform without getrusage
         return 0
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-def nearest_surviving_lsc(
-    delay_model, failed_lsc_id: str, alive: Sequence[str]
-) -> Optional[str]:
-    """The failover target every worker computes identically.
-
-    Mirrors :meth:`~repro.core.controllers.GlobalSessionController.nearest_lsc_to`
-    over the *global* set of surviving controllers (a worker's local GSC
-    only knows its own shard): smallest propagation delay from the failed
-    controller's node, ties broken by LSC id.  Delays are derived from
-    seeds, so every process resolves the same target without a vote.
-    """
-    survivors = [lsc_id for lsc_id in alive if lsc_id != failed_lsc_id]
-    if not survivors:
-        return None
-    return min(
-        survivors,
-        key=lambda lsc_id: (delay_model.propagation(failed_lsc_id, lsc_id), lsc_id),
-    )
 
 
 def run_shard_worker(
@@ -223,16 +205,17 @@ def _run(
         )
     )
 
-    # Global ownership maps; every worker maintains identical copies and
-    # updates them at the same barriers, so the schedule partition never
-    # needs to be communicated.
+    # The scenario build already cut the schedule down to this worker's
+    # events (the ownership timeline applies the failover transition), so
+    # nothing is filtered here.  The global maps below serve the barrier
+    # alone -- who hosts the failed LSC and its target, which regions move
+    # -- and every worker updates identical copies at the same barriers.
     region_to_lsc: Dict[str, str] = {
         region: f"LSC-{i}"
         for i, group in enumerate(scenario.lsc_regions)
         for region in group
     }
     lsc_to_worker = {f"LSC-{i}": worker for i, worker in enumerate(placement)}
-    region_of = {viewer.viewer_id: viewer.region_name for viewer in scenario.viewers}
     alive = [f"LSC-{i}" for i in range(config.num_lscs)]
     viewers_by_id = {viewer.viewer_id: viewer for viewer in scenario.viewers}
     views_by_id = {view.view_id: view for view in scenario.views}
@@ -243,9 +226,7 @@ def _run(
     pending: List = []
     for event in ordered:
         if event.kind != "lsc_fail":
-            owner_lsc = region_to_lsc.get(region_of[event.viewer_id])
-            if owner_lsc is not None and lsc_to_worker[owner_lsc] == worker_index:
-                pending.append(event)
+            pending.append(event)
             continue
         failed = event.viewer_id
         if failed not in alive:
@@ -260,15 +241,11 @@ def _run(
         pending = []
         barrier_seq += 1
         driver.advance(event.time)
-        target = nearest_surviving_lsc(scenario.delay_model, failed, alive)
+        alive.remove(failed)
+        target = nearest_lsc(scenario.delay_model, failed, alive)
         sessions: Tuple[Tuple[str, str, float], ...] = ()
         if lsc_to_worker[failed] == worker_index:
-            records = system.evict_lsc(failed, event.time)
-            sessions = tuple(records)
-            if target is None:
-                # No survivor anywhere: the owner records the failover the
-                # way the single-process path does (everyone is lost).
-                system.metrics.record_failover(migrated=0, lost=len(records))
+            sessions = tuple(system.evict_lsc(failed, event.time))
         transport.send(
             ShardBarrierAck(
                 src=me,
@@ -293,9 +270,12 @@ def _run(
         reassigned = sorted(
             region for region, lsc_id in region_to_lsc.items() if lsc_id == failed
         )
-        if target is not None and lsc_to_worker[target] == worker_index:
+        # The target's worker re-admits the sessions; with no survivor
+        # anywhere the owner books them as lost.
+        if lsc_to_worker[target or failed] == worker_index:
             mark = time.perf_counter()
             system.absorb_failover(
+                failed,
                 target,
                 resume.sessions,
                 event.time,
@@ -309,7 +289,6 @@ def _run(
                 del region_to_lsc[region]
             else:
                 region_to_lsc[region] = target
-        alive.remove(failed)
     mark = time.perf_counter()
     driver.apply(pending)
     finalize_started = time.perf_counter()

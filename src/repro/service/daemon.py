@@ -72,6 +72,11 @@ VOLATILE_STATS_KEYS = frozenset(
     }
 )
 
+#: Longest op line (or HTTP request head) a connection may buffer before
+#: its terminator arrives: one ``recv``.  A peer that exceeds it is
+#: answered ``err line too long`` and disconnected.
+MAX_LINE_BYTES = 65536
+
 #: Invariant parameters the ``check`` op evaluates the full catalog
 #: under.  A live session sees orders of magnitude more control traffic
 #: than a batch scenario (heartbeats accrue forever), so the stale
@@ -570,7 +575,7 @@ class ServiceDaemon:
         conn: _Connection = key.data
         if mask & selectors.EVENT_READ:
             try:
-                chunk = conn.sock.recv(65536)
+                chunk = conn.sock.recv(MAX_LINE_BYTES)
             except (BlockingIOError, InterruptedError):
                 chunk = None
             except OSError:
@@ -578,9 +583,15 @@ class ServiceDaemon:
             if chunk == b"":
                 self._drop(conn, selector)
                 return
-            if chunk:
+            if chunk and not conn.closing:
                 conn.inbound += chunk
                 self._consume(conn)
+                if len(conn.inbound) > MAX_LINE_BYTES:
+                    # What is left after every complete line was consumed
+                    # is one unterminated line (or HTTP head).
+                    conn.inbound.clear()
+                    conn.outbound += b"err line too long\n"
+                    conn.closing = True
         if mask & selectors.EVENT_WRITE or conn.outbound:
             self._flush(conn, selector)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.adaptation import AdaptationManager
-from repro.core.controllers import GlobalSessionController
+from repro.core.controllers import CDN_FIRST, P2P_FIRST, GlobalSessionController
 from repro.model.cdn import CDN, CDN_NODE_ID
 from repro.model.viewer import Viewer
 
@@ -81,6 +81,36 @@ class TestDeparture:
         child_session = lsc.session_of("child")
         assert result.recovered_victims + result.lost_subscriptions == len(result.victims)
         assert child_session.num_accepted_streams <= 6
+
+
+class TestRepairLoop:
+    """The one orphan-repair loop behind graceful and abrupt departures."""
+
+    @pytest.mark.parametrize("order", [CDN_FIRST, P2P_FIRST], ids=["cdn_first", "p2p_first"])
+    def test_orphan_queued_twice_is_repaired_once(self, lsc, default_view, order):
+        join(lsc, "seed", default_view, outbound=12.0)
+        join(lsc, "child", default_view, outbound=0.0)
+        group, orphans = lsc.teardown_session("seed")
+        assert orphans and {orphan for _, orphan in orphans} == {"child"}
+        used_before = lsc.cdn.used_outbound_mbps
+        # The second entry of each orphan finds it already re-parented:
+        # it is skipped, not re-attached (``ValueError: not an orphan``)
+        # and not charged a second CDN reservation.
+        p2p, cdn, lost = lsc.repair_orphans(group, orphans + orphans, 0.0, order)
+        assert (p2p, cdn, lost) == (0, len(orphans), 0)
+        repaired_mbps = sum(
+            group.tree(stream_id).stream.bandwidth_mbps for stream_id, _ in orphans
+        )
+        assert lsc.cdn.used_outbound_mbps == pytest.approx(used_before + repaired_mbps)
+        session = lsc.session_of("child")
+        assert session.num_accepted_streams == 6
+        for stream_id, sub in session.subscriptions.items():
+            tree = group.tree(stream_id)
+            assert tree.node("child").parent_id == sub.parent_id == CDN_NODE_ID
+            tree.validate()
+
+    def test_teardown_of_unknown_viewer_is_none(self, lsc):
+        assert lsc.teardown_session("ghost") is None
 
 
 class TestViewChange:

@@ -22,6 +22,10 @@ from collections import Counter
 
 import pytest
 
+import repro.experiments.runner as runner_module
+import repro.parallel.worker as worker_module
+from repro.core import recovery
+from repro.core.controllers import nearest_lsc
 from repro.core.session import InstantDriver, event_sort_key
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
@@ -41,7 +45,6 @@ from repro.metrics.placement import (
 )
 from repro.parallel.runner import _coordinate, resolve_worker_count, run_sharded_scenario
 from repro.parallel.worker import (
-    nearest_surviving_lsc,
     place_lscs,
     run_shard_worker,
     shard_lsc_indices,
@@ -270,13 +273,23 @@ def test_resolve_worker_count_clamps_to_lscs():
         resolve_worker_count(config, 0)
 
 
-def test_nearest_surviving_lsc_matches_gsc_tiebreak():
-    class FlatDelays:
-        def propagation(self, a, b):
-            return 1.0  # all equal: the id tie-break decides
+def test_nearest_lsc_is_the_one_rule_of_gsc_worker_and_timeline():
+    class Delays:
+        def __init__(self, **pairs):
+            self.pairs = pairs
 
-    assert nearest_surviving_lsc(FlatDelays(), "LSC-1", ["LSC-0", "LSC-1", "LSC-2"]) == "LSC-0"
-    assert nearest_surviving_lsc(FlatDelays(), "LSC-0", ["LSC-0"]) is None
+        def propagation(self, a, b):
+            return self.pairs.get(f"{a}_{b}".replace("-", ""), 1.0)
+
+    # All equal: the id tie-break decides, whatever order the ids come in.
+    assert nearest_lsc(Delays(), "LSC-1", ["LSC-2", "LSC-0"]) == "LSC-0"
+    # A smaller delay beats a smaller id.
+    assert nearest_lsc(Delays(LSC1_LSC2=0.5), "LSC-1", ["LSC-0", "LSC-2"]) == "LSC-2"
+    assert nearest_lsc(Delays(), "LSC-0", []) is None
+    # The GSC's failover, the shard worker's barrier and the build's
+    # ownership timeline call this function; none keeps a transcription.
+    for module in (recovery, worker_module, runner_module):
+        assert module.nearest_lsc is nearest_lsc
 
 
 def test_config_rejects_sharding_simulated_planes():

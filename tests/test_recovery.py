@@ -2,10 +2,7 @@
 
 import pytest
 
-from repro.core import (
-    FailureDetector,
-    RepairStrategy,
-)
+from repro.core import FailoverResult, FailureDetector
 from repro.core.telecast import TeleCastSystem, build_views
 from repro.model.cdn import CDN, CDN_NODE_ID
 from repro.model.viewer import Viewer
@@ -114,21 +111,6 @@ class TestAbruptDeparture:
             failed.append(viewer.viewer_id)
         assert_no_dangling_references(system, failed)
         assert_layer_invariants(system)
-
-    def test_rejoin_strategy_leaves_consistent_state(self, small_system, default_view):
-        viewers = make_viewers(15, outbound=8.0)
-        join_all(small_system, viewers, default_view)
-        lsc = small_system.gsc.lscs[0]
-        forwarder = next(
-            vid
-            for vid, session in lsc.sessions.items()
-            if any(session.routing_table.children_of(sid) for sid in session.subscriptions)
-        )
-        result = small_system.fail_viewer(forwarder, strategy=RepairStrategy.REJOIN)
-        assert result.departed
-        assert result.rejoined_viewers > 0
-        assert_no_dangling_references(small_system, [forwarder])
-        assert_layer_invariants(small_system)
 
     def test_sequential_failures_drain_the_session(self, small_system, default_view):
         viewers = make_viewers(10, outbound=6.0)
@@ -265,6 +247,109 @@ class TestLscFailover:
         snapshot = system.snapshot()
         assert snapshot.num_requests == 0
         assert snapshot.accepted_stream_counts == {}
+
+
+class TestFailoverHalves:
+    """One failover, two routes in: ``fail_lsc`` in one process, and the
+    ``evict_lsc`` / ``absorb_failover`` pair a shard worker calls on
+    either side of a barrier.  Both are the same two halves."""
+
+    @staticmethod
+    def _fail(system, route, lsc_id, target, viewers, views, regions=()):
+        if route == "fail_lsc":
+            return system.fail_lsc(lsc_id, now=5.0)
+        records = system.evict_lsc(lsc_id, 5.0)
+        return system.absorb_failover(
+            lsc_id,
+            target,
+            records,
+            5.0,
+            viewers_by_id={viewer.viewer_id: viewer for viewer in viewers},
+            views_by_id={view.view_id: view for view in views},
+            regions=regions,
+        )
+
+    @pytest.mark.parametrize("route", ["fail_lsc", "evict_absorb"])
+    def test_no_survivor_books_every_session_lost(self, small_system, producers, route):
+        system = small_system
+        views = build_views(producers, num_views=1)
+        viewers = make_viewers(4, outbound=6.0)
+        join_all(system, viewers, views[0])
+        assert system.cdn.used_outbound_mbps > 0
+        result = self._fail(system, route, "LSC-0", None, viewers, views)
+        assert result == FailoverResult(
+            failed_lsc_id="LSC-0", target_lsc_id=None, lost_viewers=4
+        )
+        assert system.cdn.used_outbound_mbps == pytest.approx(0.0)
+        assert system.metrics.lsc_failovers == 1
+        assert system.metrics.failover_migrated_viewers == 0
+        assert system.metrics.failover_lost_viewers == 4
+        assert system.snapshot().num_requests == 0
+        assert system.recovery_managers() == {}
+
+    @pytest.mark.parametrize("route", ["fail_lsc", "evict_absorb"])
+    def test_both_routes_name_the_failed_lsc_and_leave_the_same_books(
+        self, producers, flat_delay_model, layer_config, route
+    ):
+        system = TeleCastSystem(
+            producers, CDN(10_000.0, delta=60.0), flat_delay_model, layer_config,
+            num_lscs=2,
+        )
+        views = build_views(producers, num_views=2)
+        viewers = [
+            Viewer(
+                viewer_id=f"viewer-{index:04d}",
+                inbound_capacity_mbps=12.0,
+                outbound_capacity_mbps=8.0,
+                region_name=f"region-{index % 2}",
+            )
+            for index in range(10)
+        ]
+        for index, viewer in enumerate(viewers):
+            assert system.join_viewer(viewer, views[index % 2], now=float(index)).accepted
+        result = self._fail(
+            system, route, "LSC-0", "LSC-1", viewers, views, regions=("region-0",)
+        )
+        assert result == FailoverResult(
+            failed_lsc_id="LSC-0",
+            target_lsc_id="LSC-1",
+            migrated_viewers=5,
+            lost_viewers=0,
+            reassigned_regions=("region-0",),
+        )
+        assert system.viewers_per_lsc() == {"LSC-1": 10}
+        assert system.metrics.lsc_failovers == 1
+        assert system.metrics.failover_migrated_viewers == 5
+        snapshot = system.snapshot()
+        assert snapshot.num_requests == 10
+        assert set(snapshot.accepted_stream_counts.values()) == {6}
+        # Migrated viewers are watched by the target's detector from the
+        # failover instant; the failed controller's managers are gone.
+        managers = system.recovery_managers()
+        assert set(managers) == {"LSC-1"}
+        detector = managers["LSC-1"].detector
+        assert detector.watched() == sorted(v.viewer_id for v in viewers)
+        assert {detector.last_seen(v.viewer_id) for v in viewers[0::2]} == {5.0}
+        late = Viewer(
+            viewer_id="late-viewer",
+            inbound_capacity_mbps=12.0,
+            outbound_capacity_mbps=8.0,
+            region_name="region-0",
+        )
+        assert system.join_viewer(late, views[0]).accepted
+        assert system.lsc_of("late-viewer").lsc_id == "LSC-1"
+        assert_layer_invariants(system)
+        assert_routing_matches_trees(system)
+
+    def test_removed_options_are_type_errors(self, small_system, default_view):
+        join_all(small_system, make_viewers(2, outbound=6.0), default_view)
+        with pytest.raises(TypeError):
+            small_system.fail_viewer("viewer-0000", strategy="rejoin")
+        with pytest.raises(TypeError):
+            small_system.fail_lsc("LSC-0", target_lsc_id="LSC-0")
+        # Neither call got as far as touching the session.
+        assert small_system.connected_viewer_count == 2
+        assert small_system.gsc.has_lsc("LSC-0")
 
 
 class TestChurnSchedules:

@@ -510,6 +510,48 @@ class TestDaemonOverSockets:
             thread.join(timeout=30)
             assert not thread.is_alive()
 
+    def test_overlong_line_is_refused_and_the_connection_closed(self):
+        daemon = _daemon(viewers=30)
+        assert daemon.handle_line("join viewer-00000 0").startswith("ok")
+        assert daemon.handle_line("advance 10").startswith("ok")
+        before = daemon.deterministic_stats()
+        thread = self._serve(daemon)
+        try:
+            with self._connect(daemon) as sock:
+                # 1 MiB and never a newline.  The daemon stops reading
+                # once it has answered, so the tail of the send may fail.
+                try:
+                    sock.sendall(b"x" * (1 << 20))
+                except (BrokenPipeError, ConnectionResetError):
+                    pass
+                payload = b""
+                while True:
+                    try:
+                        chunk = sock.recv(65536)
+                    except ConnectionResetError:
+                        break  # closed with our bytes unread: EOF by reset
+                    if not chunk:
+                        break
+                    payload += chunk
+                assert payload == b"err line too long\n"
+            # Same cap on an HTTP head that never ends.
+            with self._connect(daemon) as sock:
+                try:
+                    sock.sendall(b"GET /" + b"a" * (1 << 18))
+                except (BrokenPipeError, ConnectionResetError):
+                    pass
+                assert sock.recv(65536) == b"err line too long\n"
+            with self._connect(daemon) as sock:
+                sock.sendall(b"ping\n")
+                assert sock.recv(64) == b"ok pong\n"
+        finally:
+            with self._connect(daemon) as sock:
+                sock.sendall(b"quit\n")
+                sock.recv(64)
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert daemon.deterministic_stats() == before
+
     def test_snapshot_restore_over_sockets(self, tmp_path):
         path = str(tmp_path / "socket.snap")
         daemon = _daemon(viewers=30)
