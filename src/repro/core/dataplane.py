@@ -380,15 +380,6 @@ class QoEReport:
             if qoe.playout_skew is not None
         ]
 
-    def skew_within_dbuff_fraction(self) -> float:
-        """Fraction of multi-stream viewers whose renderer-visible skew
-        stays within ``d_buff`` (the Layer Property 2 claim)."""
-        skews = self.playout_skews()
-        if not skews:
-            return 1.0
-        within = sum(1 for skew in skews if skew <= self.d_buff + 1e-9)
-        return within / len(skews)
-
 
 class _EdgeState:
     """Mutable per-subscription replay state."""

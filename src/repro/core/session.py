@@ -378,16 +378,6 @@ class EventDrivenSession(_DriverBase):
         """
         dispatch_event(self, event)
 
-    def close_service(self):
-        """Wind the live session down and drain it; return the metrics.
-
-        The counterpart of :meth:`finish` for daemon-driven sessions:
-        stops heartbeat traffic and the failure sweeper, delivers
-        everything still in flight, and records the channel totals.
-        """
-        self._close()
-        return self.finish()
-
     def _close(self) -> None:
         self._closing = True
         if self._sweeper is not None:

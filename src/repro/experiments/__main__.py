@@ -34,13 +34,19 @@ regression.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import Callable, Dict, List
+import time
+from typing import List
 
-from repro.core.dataplane import OverlayDataPlane
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import run_random_scenario, run_telecast_scenario
+from repro.experiments.reporting import format_profile, format_worker_stats
+from repro.experiments.runner import (
+    run_offline_replay,
+    run_random_scenario,
+    run_telecast_scenario,
+)
 from repro.experiments.sweep import (
     ResultsStore,
     compare_records,
@@ -50,8 +56,21 @@ from repro.experiments.sweep import (
     run_sweep,
 )
 from repro.experiments.sweep.compare import DEFAULT_TOLERANCE
-from repro.sim.rng import SeededRandom
-from repro.traces.teeve import TeeveSessionTrace
+from repro.experiments.sweep.presets import ignored_scale_arguments
+
+
+def _checked(parser: argparse.ArgumentParser, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ``ValueError`` becoming a usage error.
+
+    ``ExperimentConfig`` / ``DataPlaneConfig`` and the sweep and compare
+    entry points validate what they are given; each subcommand reports
+    what they reject instead of checking it a second time.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
 
 def render_figure(figure_id: str, config: ExperimentConfig, step: int) -> str:
     """Run one figure driver and return its text table."""
@@ -172,88 +191,27 @@ def build_run_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Print order of the per-phase profile table.
-_PROFILE_PHASES = ("build", "join", "view_change", "churn", "replay", "metrics")
-
-
-def _format_profile(phase_timings: Dict[str, float]) -> str:
-    """Render the per-phase wall-clock breakdown of a profiled run."""
-    known = [
-        (phase, phase_timings[phase])
-        for phase in _PROFILE_PHASES
-        if phase in phase_timings
-    ]
-    known.extend(
-        (phase, seconds)
-        for phase, seconds in sorted(phase_timings.items())
-        if phase not in _PROFILE_PHASES
-    )
-    total = sum(seconds for _phase, seconds in known)
-    lines = ["phase breakdown (wall clock):"]
-    for phase, seconds in known:
-        share = 100.0 * seconds / total if total > 0 else 0.0
-        lines.append(f"  {phase:<12} {seconds * 1000:10.1f} ms  {share:5.1f}%")
-    lines.append(f"  {'total':<12} {total * 1000:10.1f} ms")
-    return "\n".join(lines)
-
-
-def _format_worker_stats(sharded) -> str:
-    """One line per shard worker: what it hosted and where its wall time went."""
-    lines = []
-    for index, stats in sharded.worker_stats.items():
-        hosted = ",".join(
-            f"LSC-{lsc}"
-            for lsc, worker in enumerate(sharded.placement)
-            if worker == index
-        )
-        lines.append(
-            f"  worker {index} [{hosted}]: "
-            f"{int(stats['viewers'])} viewers, {int(stats['events'])} events, "
-            f"build={stats['build_s']:.2f}s busy={stats['busy_s']:.2f}s "
-            f"barrier_wait={stats['barrier_wait_s']:.2f}s "
-            f"finalize={stats['finalize_s']:.2f}s "
-            f"maxrss={stats['ru_maxrss'] / 1024:.0f}MiB"
-        )
-    lines.append(f"  imbalance (max/mean busy) = {sharded.imbalance:.2f}")
-    return "\n".join(lines)
-
-
 def _run_main(argv: List[str]) -> int:
     parser = build_run_parser()
     args = parser.parse_args(argv)
-    if args.viewers <= 0:
-        parser.error("--viewers must be > 0")
-    if args.lscs <= 0:
-        parser.error("--lscs must be > 0")
-    if args.views <= 0:
-        parser.error("--views must be > 0")
+    # What no config can reject: the offline replay's frame count and
+    # flag combinations that pick an engine the request cannot run on.
     if args.replay_frames is not None and args.replay_frames < 0:
         parser.error("--replay-frames must be >= 0")
-    if args.shards <= 0:
-        parser.error("--shards must be > 0")
-    if args.shards > 1:
-        if args.system != "telecast":
-            parser.error("--shards requires --system telecast")
-        if args.control_plane != "instant":
-            parser.error("--shards requires --control-plane instant")
-        if args.data_plane:
-            parser.error("--shards cannot run the simulated data plane")
-        if args.replay_frames is not None:
-            parser.error("--shards cannot run the frame replay")
-    if args.heartbeat_period <= 0:
-        parser.error("--heartbeat-period must be > 0")
-    if not (0.0 <= args.loss_rate < 1.0):
-        parser.error("--loss-rate must be in [0, 1)")
-    if args.bandwidth_headroom is not None and args.bandwidth_headroom <= 0:
-        parser.error("--bandwidth-headroom must be > 0 (use 'inf' to disable)")
-    import math as _math
-
-    headroom = (
-        None
-        if args.bandwidth_headroom is not None and _math.isinf(args.bandwidth_headroom)
-        else args.bandwidth_headroom
-    )
-    config = PAPER_CONFIG.with_scaled_population(
+    if args.system == "random":
+        for flag, given in (
+            ("--shards", args.shards > 1),
+            ("--replay-frames", args.replay_frames is not None),
+            ("--control-plane simulated", args.control_plane != "instant"),
+            ("--data-plane", args.data_plane),
+        ):
+            if given:
+                parser.error(f"{flag} requires --system telecast")
+    if args.shards > 1 and args.replay_frames is not None:
+        parser.error("--shards cannot run the frame replay")
+    config = _checked(
+        parser,
+        PAPER_CONFIG.with_scaled_population,
         args.viewers,
         num_lscs=args.lscs,
         num_views=args.views,
@@ -261,77 +219,60 @@ def _run_main(argv: List[str]) -> int:
         heartbeat_period=args.heartbeat_period,
         data_plane="simulated" if args.data_plane else "off",
         data_loss_rate=args.loss_rate,
-        data_bandwidth_headroom=headroom,
+        data_bandwidth_headroom=(
+            None if math.isinf(args.bandwidth_headroom) else args.bandwidth_headroom
+        ),
         replay_frames_per_stream=args.replay_frames if args.data_plane else None,
+        shard_workers=args.shards,
     )
-    import time as _time
-
+    started = time.perf_counter()
     if args.system == "random":
-        if args.replay_frames is not None:
-            parser.error("--replay-frames requires --system telecast")
-        if args.control_plane != "instant":
-            parser.error("--control-plane simulated requires --system telecast")
-        if args.data_plane:
-            parser.error("--data-plane requires --system telecast")
-        started = _time.perf_counter()
-        result = run_random_scenario(config, snapshot_every=args.snapshot_every)
-        elapsed = _time.perf_counter() - started
-        print(f"random: {result.final_snapshot.num_viewers} connected, "
-              f"acceptance={result.metrics.acceptance_ratio:.4f}, "
-              f"{elapsed:.2f}s wall clock")
+        summary = run_random_scenario(
+            config, snapshot_every=args.snapshot_every
+        ).summary()
+        print(f"random: {summary['connected_viewers']} connected, "
+              f"acceptance={summary['acceptance_ratio']:.4f}, "
+              f"{time.perf_counter() - started:.2f}s wall clock")
         return 0
 
     if args.shards > 1:
         from repro.parallel import run_sharded_scenario
 
-        started = _time.perf_counter()
         sharded = run_sharded_scenario(
-            config.with_(shard_workers=args.shards),
-            snapshot_every=args.snapshot_every,
-            profile=args.profile,
+            config, snapshot_every=args.snapshot_every, profile=args.profile
         )
-        elapsed = _time.perf_counter() - started
-        result = sharded.result
-        snapshot = result.final_snapshot
-        summary = result.metrics.summary()
+        elapsed = time.perf_counter() - started
+        summary = sharded.result.summary()
         print(
             f"telecast[{sharded.num_workers} shards]: "
-            f"{snapshot.num_viewers} connected / {snapshot.num_requests} requests, "
+            f"{summary['connected_viewers']} connected / "
+            f"{summary['num_requests']} requests, "
             f"acceptance={summary['acceptance_ratio']:.4f}, "
-            f"cdn={snapshot.cdn_outbound_mbps:.1f}Mbps, "
+            f"cdn={summary['cdn_outbound_mbps']:.1f}Mbps, "
             f"clock={sharded.merged_clock:.1f}s, "
             f"{elapsed:.2f}s wall clock"
         )
-        print(_format_worker_stats(sharded))
+        print(format_worker_stats(sharded))
         if args.profile:
-            print(_format_profile(result.metrics.phase_timings))
+            print(format_profile(sharded.result.metrics.phase_timings))
         return 0
 
     result = run_telecast_scenario(
         config, snapshot_every=args.snapshot_every, profile=args.profile
     )
-    metrics = result.metrics
     if args.replay_frames is not None and not args.data_plane:
-        replay_started = _time.perf_counter()
-        system = result.system
-        trace = TeeveSessionTrace(system.producers, rng=SeededRandom(config.seed))
-        report = OverlayDataPlane(system, trace).replay(
-            max_frames_per_stream=args.replay_frames
-        )
-        replay_seconds = _time.perf_counter() - replay_started
-        if args.profile:
-            metrics.add_phase_time("replay", replay_seconds)
+        report = run_offline_replay(result, args.replay_frames, profile=args.profile)
         print(f"replayed {len(report.deliveries)} frame deliveries")
-    metrics_started = _time.perf_counter()
-    snapshot = result.final_snapshot
-    summary = metrics.summary()
+    metrics_started = time.perf_counter()
+    summary = result.summary()
     if args.profile:
-        metrics.add_phase_time("metrics", _time.perf_counter() - metrics_started)
+        result.metrics.add_phase_time("metrics", time.perf_counter() - metrics_started)
     print(
-        f"telecast: {snapshot.num_viewers} connected / {snapshot.num_requests} requests, "
+        f"telecast: {summary['connected_viewers']} connected / "
+        f"{summary['num_requests']} requests, "
         f"acceptance={summary['acceptance_ratio']:.4f}, "
-        f"cdn_fraction={snapshot.cdn_fraction:.4f}, "
-        f"cdn={snapshot.cdn_outbound_mbps:.1f}Mbps"
+        f"cdn_fraction={summary['cdn_fraction']:.4f}, "
+        f"cdn={summary['cdn_outbound_mbps']:.1f}Mbps"
     )
     if "qoe_continuity_mean" in summary:
         print(
@@ -354,7 +295,7 @@ def _run_main(argv: List[str]) -> int:
             f"{int(summary.get('stale_control_messages', 0))} stale"
         )
     if args.profile:
-        print(_format_profile(metrics.phase_timings))
+        print(format_profile(result.metrics.phase_timings))
     return 0
 
 
@@ -457,17 +398,14 @@ def _scenario_main(argv: List[str]) -> int:
         return 0
     if args.name not in SCENARIOS:
         parser.error(f"unknown scenario {args.name!r}; use --list to see the options")
-    if args.viewers is not None and args.viewers <= 0:
-        parser.error("--viewers must be > 0")
-    import time as _time
-
-    started = _time.perf_counter()
-    run = run_scenario(args.name, viewers=args.viewers, seed=args.seed, smoke=args.smoke)
-    elapsed = _time.perf_counter() - started
-    snapshot = run.system.snapshot()
+    scale = {"viewers": args.viewers, "seed": args.seed, "smoke": args.smoke}
+    _checked(parser, SCENARIOS[args.name].config, **scale)
+    started = time.perf_counter()
+    run = run_scenario(args.name, **scale)
+    elapsed = time.perf_counter() - started
     print(
         f"scenario {run.spec.name}: {run.config.num_viewers} viewers, "
-        f"{snapshot.num_viewers} connected, "
+        f"{run.summary['connected_viewers']} connected, "
         f"acceptance={run.summary['acceptance_ratio']:.4f}, "
         f"{elapsed:.2f}s wall clock"
     )
@@ -510,54 +448,18 @@ def build_compare_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Scale flags each named sweep does NOT honor (and why): ``smoke`` is
-#: pinned so the checked-in baseline stays comparable, ``shards`` sweeps
-#: the LSC count itself, ``bandwidth``'s axis is the outbound setting.
-_SWEEP_IGNORED_FLAGS: Dict[str, Dict[str, str]] = {
-    "smoke": {
-        "--viewers": "fixed-scale CI grid",
-        "--step": "fixed-scale CI grid",
-        "--lscs": "fixed-scale CI grid",
-    },
-    "shards": {"--lscs": "the sweep varies num_lscs itself", "--step": "no population axis"},
-    "bandwidth": {"--step": "no population axis"},
-    "scale10k": {
-        "--viewers": "fixed 2k/5k/10k population points",
-        "--step": "fixed 2k/5k/10k population points",
-        "--lscs": "pinned to 5 region-sharded LSCs",
-    },
-    "scale100k": {
-        "--viewers": "fixed 20k/50k/100k population points",
-        "--step": "fixed 20k/50k/100k population points",
-        "--lscs": "pinned to 8 region-sharded LSCs",
-    },
-    "controlplane": {
-        "--viewers": "fixed-scale control-plane grid",
-        "--step": "no population axis",
-        "--lscs": "fixed-scale control-plane grid",
-    },
-    "qoe": {
-        "--viewers": "fixed-scale QoE grid",
-        "--step": "no population axis",
-        "--lscs": "fixed-scale QoE grid",
-    },
-    "scenarios": {
-        "--viewers": "each preset pins its own smoke scale",
-        "--step": "no population axis",
-        "--lscs": "each preset pins its own control-plane layout",
-    },
-}
+#: The flag that sets each scale argument of ``named_sweeps``.
+_SCALE_FLAGS = {"viewers": "--viewers", "step": "--step", "num_lscs": "--lscs"}
 
 
 def _ignored_sweep_flags(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> List[tuple]:
     """(flag, reason) pairs for non-default flags the chosen sweep ignores."""
-    values = {"--viewers": args.viewers, "--step": args.step, "--lscs": args.lscs}
     ignored = []
-    for flag, reason in _SWEEP_IGNORED_FLAGS.get(args.name, {}).items():
-        default = parser.get_default(flag.lstrip("-"))
-        if values[flag] != default:
+    for argument, reason in ignored_scale_arguments(args.name).items():
+        flag = _SCALE_FLAGS[argument]
+        if getattr(args, flag.lstrip("-")) != parser.get_default(flag.lstrip("-")):
             ignored.append((flag, reason))
     return ignored
 
@@ -565,15 +467,15 @@ def _ignored_sweep_flags(
 def _sweep_main(argv: List[str]) -> int:
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
-    if args.viewers <= 0:
-        parser.error("--viewers must be > 0")
-    if args.lscs <= 0:
-        parser.error("--lscs must be > 0")
     if args.name and args.preset and args.name != args.preset:
         parser.error("give the sweep name either positionally or via --preset, not both")
     args.name = args.name or args.preset
-    sweeps = named_sweeps(
-        viewers=args.viewers, step=max(10, args.step), num_lscs=args.lscs
+    sweeps = _checked(
+        parser,
+        named_sweeps,
+        viewers=args.viewers,
+        step=max(10, args.step),
+        num_lscs=args.lscs,
     )
     if args.list or not args.name:
         for name, spec in sorted(sweeps.items()):
@@ -628,15 +530,15 @@ def _sweep_main(argv: List[str]) -> int:
 def _compare_main(argv: List[str]) -> int:
     parser = build_compare_parser()
     args = parser.parse_args(argv)
-    if args.tolerance < 0:
-        parser.error("--tolerance must be >= 0")
     baseline = load_records(args.baseline)
     current = load_records(args.current)
     if not baseline:
         parser.error(f"no records in baseline {args.baseline!r}")
     if not current:
         parser.error(f"no records in {args.current!r}")
-    report = compare_records(
+    report = _checked(
+        parser,
+        compare_records,
         baseline,
         current,
         tolerance=args.tolerance,
@@ -735,19 +637,20 @@ def _serve_main(arguments: List[str]) -> int:
     return 0
 
 
+_SUBCOMMANDS = {
+    "run": _run_main,
+    "serve": _serve_main,
+    "sweep": _sweep_main,
+    "scenario": _scenario_main,
+    "compare": _compare_main,
+}
+
+
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     arguments: List[str] = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "run":
-        return _run_main(arguments[1:])
-    if arguments and arguments[0] == "serve":
-        return _serve_main(arguments[1:])
-    if arguments and arguments[0] == "sweep":
-        return _sweep_main(arguments[1:])
-    if arguments and arguments[0] == "scenario":
-        return _scenario_main(arguments[1:])
-    if arguments and arguments[0] == "compare":
-        return _compare_main(arguments[1:])
+    if arguments and arguments[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[arguments[0]](arguments[1:])
     parser = build_parser()
     args = parser.parse_args(arguments)
     if args.list or not args.figure:
@@ -764,9 +667,7 @@ def main(argv=None) -> int:
     figure_id = args.figure.lower().removeprefix("fig").lstrip(".")
     if figure_id not in FIGURES:
         parser.error(f"unknown figure {args.figure!r}; use --list to see the options")
-    if args.viewers <= 0:
-        parser.error("--viewers must be > 0")
-    config = PAPER_CONFIG.with_scaled_population(args.viewers)
+    config = _checked(parser, PAPER_CONFIG.with_scaled_population, args.viewers)
     print(render_figure(figure_id, config, max(10, args.step)))
     return 0
 

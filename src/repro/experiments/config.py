@@ -287,13 +287,22 @@ class ExperimentConfig:
         """Copy with an unbounded CDN (used by Figure 13(a))."""
         return self.with_(cdn_capacity_mbps=math.inf)
 
-    def with_churn(self, churn: ChurnConfig) -> "ExperimentConfig":
-        """Copy with a churn overlay applied to the workload schedule."""
-        return self.with_(churn=churn)
+    def with_seed(self, seed: int) -> "ExperimentConfig":
+        """Copy with every RNG seed re-derived from one value.
 
-    def with_lscs(self, num_lscs: int) -> "ExperimentConfig":
-        """Copy with the control plane sharded across ``num_lscs`` LSCs."""
-        return self.with_(num_lscs=num_lscs)
+        The world, the workload, the churn overlay, the baseline and the
+        outage victim draw vary together, so a seed sweep (scenario
+        presets, the daemon's ``--seed``) samples whole runs.
+        """
+        updates = {
+            "seed": seed,
+            "latency_seed": seed + 1,
+            "churn_seed": seed + 2,
+            "baseline_seed": seed + 3,
+        }
+        if self.outage is not None:
+            updates["outage"] = replace(self.outage, seed=seed + 4)
+        return self.with_(**updates)
 
 
 #: The defaults of Section VII with a bounded 6000 Mbps CDN.

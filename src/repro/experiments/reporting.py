@@ -1,13 +1,14 @@
-"""Textual reports of the regenerated figures.
+"""Textual reports of the regenerated figures and of one run's wall time.
 
-The benchmark harness prints these tables so a run of
+The benchmark harness prints the figure tables so a run of
 ``pytest benchmarks/ --benchmark-only`` reproduces, in text form, every
-series the paper plots.
+series the paper plots; the CLI's ``run`` prints the per-phase and
+per-worker breakdowns.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
 from repro.metrics.stats import fraction_at_most, percentile
 
@@ -68,4 +69,50 @@ def paper_vs_measured(rows: Iterable[Sequence[str]]) -> str:
     lines = []
     for row in table:
         lines.append("  " + "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
+#: Print order of the per-phase profile table.
+_PROFILE_PHASES = ("build", "join", "view_change", "churn", "replay", "metrics")
+
+
+def format_profile(phase_timings: Dict[str, float]) -> str:
+    """Render the per-phase wall-clock breakdown of a profiled run."""
+    known = [
+        (phase, phase_timings[phase])
+        for phase in _PROFILE_PHASES
+        if phase in phase_timings
+    ]
+    known.extend(
+        (phase, seconds)
+        for phase, seconds in sorted(phase_timings.items())
+        if phase not in _PROFILE_PHASES
+    )
+    total = sum(seconds for _phase, seconds in known)
+    lines = ["phase breakdown (wall clock):"]
+    for phase, seconds in known:
+        share = 100.0 * seconds / total if total > 0 else 0.0
+        lines.append(f"  {phase:<12} {seconds * 1000:10.1f} ms  {share:5.1f}%")
+    lines.append(f"  {'total':<12} {total * 1000:10.1f} ms")
+    return "\n".join(lines)
+
+
+def format_worker_stats(sharded) -> str:
+    """One line per shard worker: what it hosted and where its wall time went."""
+    lines = []
+    for index, stats in sharded.worker_stats.items():
+        hosted = ",".join(
+            f"LSC-{lsc}"
+            for lsc, worker in enumerate(sharded.placement)
+            if worker == index
+        )
+        lines.append(
+            f"  worker {index} [{hosted}]: "
+            f"{int(stats['viewers'])} viewers, {int(stats['events'])} events, "
+            f"build={stats['build_s']:.2f}s busy={stats['busy_s']:.2f}s "
+            f"barrier_wait={stats['barrier_wait_s']:.2f}s "
+            f"finalize={stats['finalize_s']:.2f}s "
+            f"maxrss={stats['ru_maxrss'] / 1024:.0f}MiB"
+        )
+    lines.append(f"  imbalance (max/mean busy) = {sharded.imbalance:.2f}")
     return "\n".join(lines)

@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.random_routing import RandomDisseminationSystem
 from repro.core.controllers import nearest_lsc
+from repro.core.dataplane import OverlayDataPlane, PlaybackReport
 from repro.core.telecast import TeleCastSystem, build_views
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
@@ -46,6 +47,7 @@ from repro.net.planetlab import (
 )
 from repro.net.regions import shard_regions
 from repro.sim.rng import SeededRandom
+from repro.traces.teeve import TeeveSessionTrace
 from repro.traces.workload import (
     ChurnWorkload,
     OutageConfig,
@@ -76,13 +78,6 @@ class Scenario:
     lsc_regions: Tuple[Tuple[str, ...], ...]
     control_node_ids: Tuple[str, ...]
 
-    def viewers_by_region(self) -> Dict[str, List[str]]:
-        """Viewer ids grouped by the region label they were assigned."""
-        grouped: Dict[str, List[str]] = {}
-        for viewer in self.viewers:
-            grouped.setdefault(viewer.region_name, []).append(viewer.viewer_id)
-        return grouped
-
 
 @dataclass
 class ScenarioResult:
@@ -107,9 +102,21 @@ class ScenarioResult:
         """Cumulative stream-level acceptance ratio of the run."""
         return self.metrics.acceptance_ratio
 
-    def snapshots(self) -> List[SystemSnapshot]:
-        """All periodic snapshots recorded during the run."""
-        return list(self.metrics.snapshots)
+    def summary(self) -> Dict[str, float]:
+        """The one flat record of the run.
+
+        ``metrics.summary()`` plus the scalars only the final system
+        state knows; sweep points, scenario records and the CLI's ``run``
+        all report from this mapping.
+        """
+        metrics = self.metrics.summary()
+        snapshot = self.final_snapshot
+        metrics["cdn_outbound_mbps"] = self.cdn_outbound_mbps
+        metrics["cdn_fraction"] = snapshot.cdn_fraction
+        metrics["connected_viewers"] = snapshot.num_viewers
+        metrics["num_requests"] = snapshot.num_requests
+        metrics["active_subscriptions"] = snapshot.active_subscriptions
+        return metrics
 
 
 def _workload_config(config: ExperimentConfig) -> WorkloadConfig:
@@ -593,6 +600,25 @@ def run_telecast_scenario(
         viewers_per_lsc=system.viewers_per_lsc(),
         system=system,
     )
+
+
+def run_offline_replay(
+    result: ScenarioResult, frames: int, *, profile: bool = False
+) -> PlaybackReport:
+    """Replay ``frames`` frames per stream over a finished run's overlay.
+
+    The engine-free data plane (:meth:`OverlayDataPlane.replay`:
+    constant per-edge delay, no loss, no refresh) over the overlay
+    ``run_telecast_scenario`` left behind; with ``profile`` the wall
+    time lands in ``metrics.phase_timings["replay"]``.
+    """
+    started = time.perf_counter()
+    system = result.system
+    trace = TeeveSessionTrace(system.producers, rng=SeededRandom(result.config.seed))
+    report = OverlayDataPlane(system, trace).replay(max_frames_per_stream=frames)
+    if profile:
+        result.metrics.add_phase_time("replay", time.perf_counter() - started)
+    return report
 
 
 def run_random_scenario(

@@ -73,6 +73,9 @@ def execute_point(point: SweepPoint, *, snapshot_every: Optional[int] = None) ->
     pickle it to worker processes.
     """
     started = time.perf_counter()
+    metrics: Dict[str, float] = {}
+    viewers_per_lsc: Dict[str, int] = {}
+    error = None
     try:
         if point.system == "telecast":
             result = run_telecast_scenario(point.config, snapshot_every=snapshot_every)
@@ -80,35 +83,21 @@ def execute_point(point: SweepPoint, *, snapshot_every: Optional[int] = None) ->
             result = run_random_scenario(point.config, snapshot_every=snapshot_every)
         else:
             raise ValueError(f"unknown system {point.system!r}")
-        metrics = result.metrics.summary()
-        snapshot = result.final_snapshot
-        metrics["cdn_outbound_mbps"] = result.cdn_outbound_mbps
-        metrics["cdn_fraction"] = snapshot.cdn_fraction
-        metrics["connected_viewers"] = snapshot.num_viewers
-        metrics["num_requests"] = snapshot.num_requests
-        metrics["active_subscriptions"] = snapshot.active_subscriptions
-        return PointResult(
-            point_id=point.point_id,
-            sweep_name=point.sweep_name,
-            index=point.index,
-            system=point.system,
-            params=point.params(),
-            config_hash=point.config_hash,
-            wall_clock_s=time.perf_counter() - started,
-            metrics=metrics,
-            viewers_per_lsc=result.viewers_per_lsc,
-        )
+        metrics, viewers_per_lsc = result.summary(), result.viewers_per_lsc
     except Exception:
-        return PointResult(
-            point_id=point.point_id,
-            sweep_name=point.sweep_name,
-            index=point.index,
-            system=point.system,
-            params=point.params(),
-            config_hash=point.config_hash,
-            wall_clock_s=time.perf_counter() - started,
-            error=traceback.format_exc(),
-        )
+        error = traceback.format_exc()
+    return PointResult(
+        point_id=point.point_id,
+        sweep_name=point.sweep_name,
+        index=point.index,
+        system=point.system,
+        params=point.params(),
+        config_hash=point.config_hash,
+        wall_clock_s=time.perf_counter() - started,
+        metrics=metrics,
+        viewers_per_lsc=viewers_per_lsc,
+        error=error,
+    )
 
 
 @dataclass

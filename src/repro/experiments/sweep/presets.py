@@ -8,7 +8,7 @@ express -- those presets use explicit point lists with paired overrides.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.experiments.config import (
     FIGURE_13_BANDWIDTH_SETTINGS,
@@ -62,7 +62,7 @@ def smoke_sweep(base: ExperimentConfig = PAPER_CONFIG) -> SweepSpec:
 def scale_sweep(
     base: ExperimentConfig = PAPER_CONFIG,
     *,
-    max_viewers: int = 1000,
+    viewers: int = 1000,
     step: int = 100,
     num_lscs: int = 3,
 ) -> SweepSpec:
@@ -70,7 +70,7 @@ def scale_sweep(
     return SweepSpec(
         name="scale",
         base=base,
-        points=_scaled_points(base, viewer_counts(max_viewers, step), num_lscs=num_lscs),
+        points=_scaled_points(base, viewer_counts(viewers, step), num_lscs=num_lscs),
         systems=("telecast", "random"),
     )
 
@@ -326,6 +326,58 @@ def scenarios_sweep(base: ExperimentConfig = PAPER_CONFIG) -> SweepSpec:
     )
 
 
+def _pinned(populations: str, num_lscs: int) -> Dict[str, str]:
+    """Why a preset with fixed population points ignores every scale argument."""
+    points = f"fixed {populations} population points"
+    lscs = f"pinned to {num_lscs} region-sharded LSCs"
+    return {"viewers": points, "step": points, "num_lscs": lscs}
+
+
+#: CLI name -> (builder, why it ignores a scale argument of
+#: :func:`named_sweeps`).  An argument without a reason is passed to the
+#: builder, which must then take it: a preset cannot drop a flag silently,
+#: and the CLI prints the reason when an ignored one is given anyway.
+_PRESETS: Dict[str, Tuple[Callable[..., SweepSpec], Mapping[str, str]]] = {
+    "smoke": (
+        smoke_sweep,
+        dict.fromkeys(("viewers", "step", "num_lscs"), "fixed-scale CI grid"),
+    ),
+    "scale": (scale_sweep, {}),
+    "scale10k": (scale10k_sweep, _pinned("2k/5k/10k", 5)),
+    "scale100k": (scale100k_sweep, _pinned("20k/50k/100k", 8)),
+    "scale1m": (scale1m_sweep, _pinned("200k/500k/1M", 16)),
+    "bandwidth": (bandwidth_sweep, {"step": "no population axis"}),
+    "shards": (
+        shard_sweep,
+        {"num_lscs": "the sweep varies num_lscs itself", "step": "no population axis"},
+    ),
+    "controlplane": (
+        controlplane_sweep,
+        {
+            "viewers": "fixed-scale control-plane grid",
+            "step": "no population axis",
+            "num_lscs": "fixed-scale control-plane grid",
+        },
+    ),
+    "qoe": (
+        qoe_sweep,
+        {
+            "viewers": "fixed-scale QoE grid",
+            "step": "no population axis",
+            "num_lscs": "fixed-scale QoE grid",
+        },
+    ),
+    "scenarios": (
+        scenarios_sweep,
+        {
+            "viewers": "each preset pins its own smoke scale",
+            "step": "no population axis",
+            "num_lscs": "each preset pins its own control-plane layout",
+        },
+    ),
+}
+
+
 def named_sweeps(
     *,
     viewers: int = 400,
@@ -333,15 +385,13 @@ def named_sweeps(
     num_lscs: int = 3,
 ) -> Dict[str, SweepSpec]:
     """All presets, keyed by CLI name, at the requested scale."""
+    scale = {"viewers": viewers, "step": step, "num_lscs": num_lscs}
     return {
-        "smoke": smoke_sweep(),
-        "scale": scale_sweep(max_viewers=viewers, step=step, num_lscs=num_lscs),
-        "scale10k": scale10k_sweep(),
-        "scale100k": scale100k_sweep(),
-        "scale1m": scale1m_sweep(),
-        "bandwidth": bandwidth_sweep(viewers=viewers, num_lscs=num_lscs),
-        "shards": shard_sweep(viewers=viewers),
-        "controlplane": controlplane_sweep(),
-        "qoe": qoe_sweep(),
-        "scenarios": scenarios_sweep(),
+        name: build(**{arg: scale[arg] for arg in scale if arg not in ignored})
+        for name, (build, ignored) in _PRESETS.items()
     }
+
+
+def ignored_scale_arguments(name: str) -> Mapping[str, str]:
+    """Scale arguments the named sweep does not honour, each with its reason."""
+    return _PRESETS[name][1]

@@ -13,10 +13,11 @@ Two kinds of measurements feed the paper's figures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import Field, dataclass, field, fields
+from typing import Dict, List, Optional
 
 from repro.metrics.reservoir import ReservoirSample
+from repro.metrics.stats import percentile
 
 
 @dataclass(frozen=True)
@@ -67,63 +68,118 @@ class SystemSnapshot:
         return self.active_subscriptions - self.cdn_subscriptions
 
 
+#: When :meth:`SessionMetrics.summary` carries a counter: always, only if
+#: the simulated control plane ran (a message was sent), only if the data
+#: plane ran (a frame was sent), or never.  The conditional rules keep
+#: instant-mode summaries byte-for-byte what the golden record pins.
+ALWAYS, CONTROL, DATA, NEVER = "always", "control", "data", "never"
+
+
+def _counter(help: str, summary: str = ALWAYS, *, label: str = ""):
+    """Declare an integer counter: its ``/metrics`` help and summary rule.
+
+    Exported as ``repro_<field>_total``; with ``label``, the last word of
+    the field name is that label's value on the family the rest names
+    (``repaired_subscriptions_p2p`` -> ``{path="p2p"}``).
+    """
+    metadata = {"kind": "counter", "help": help, "summary": summary, "label": label}
+    return field(default=0, metadata=metadata)
+
+
+def _series(help: str, *summary: str):
+    """Declare a sample series: its help and its summary statistics.
+
+    A series field is a plural noun; its keys use the singular
+    (:data:`SERIES`).  A non-empty series adds ``<key>_<stat>`` to the
+    summary for each ``stat`` (``"mean"`` or ``"p<q>"``); the daemon
+    reports ``<key>_quantiles`` / ``<key>_count`` and exports a
+    ``{quantile}`` family.
+    """
+    metadata = {"kind": "series", "help": help, "summary": summary}
+    return field(default_factory=ReservoirSample, metadata=metadata)
+
+
+_REPAIRED = "Subscriptions re-parented after failures, by repair path"
+
+
 @dataclass
 class SessionMetrics:
-    """Cumulative per-session counters and raw latency samples."""
+    """Cumulative per-session counters and raw latency samples.
 
-    total_requested_streams: int = 0
-    total_accepted_streams: int = 0
-    accepted_requests: int = 0
-    rejected_requests: int = 0
-    sync_dropped_streams: int = 0
-    victim_events: int = 0
-    recovered_victims: int = 0
-    lost_victim_subscriptions: int = 0
-    abrupt_departures: int = 0
-    repaired_subscriptions_p2p: int = 0
-    repaired_subscriptions_cdn: int = 0
-    lost_repair_subscriptions: int = 0
-    lsc_failovers: int = 0
-    failover_migrated_viewers: int = 0
-    failover_lost_viewers: int = 0
+    Every counter and series is declared once, on its field, with
+    :func:`_counter` / :func:`_series`: ``merge_from``, ``summary``, the
+    daemon's ``stats`` and the ``/metrics`` exporter loop over
+    :data:`COUNTERS` and :data:`SERIES`, so a new metric is its field
+    and its ``record_*`` line.
+    """
+
+    total_requested_streams: int = _counter("Streams requested", NEVER)
+    total_accepted_streams: int = _counter("Requested streams admitted", NEVER)
+    accepted_requests: int = _counter("Requests accepted")
+    rejected_requests: int = _counter("Requests rejected")
+    sync_dropped_streams: int = _counter("Admitted streams view sync dropped again")
+    victim_events: int = _counter("Subscriptions orphaned by leaves and view changes")
+    recovered_victims: int = _counter("Orphaned subscriptions re-parented")
+    lost_victim_subscriptions: int = _counter("Orphaned subscriptions lost", NEVER)
+    abrupt_departures: int = _counter("Abrupt departures repaired")
+    repaired_subscriptions_p2p: int = _counter(_REPAIRED, label="path")
+    repaired_subscriptions_cdn: int = _counter(_REPAIRED, label="path")
+    lost_repair_subscriptions: int = _counter("Subscriptions no repair parent could take")
+    lsc_failovers: int = _counter("Controller failovers executed")
+    failover_migrated_viewers: int = _counter("Viewers a failover moved to another LSC")
+    failover_lost_viewers: int = _counter("Viewers no surviving LSC could re-admit")
     #: Raw sample series are bounded reservoirs
     #: (:class:`~repro.metrics.reservoir.ReservoirSample`), not plain
     #: lists: a long-lived service session records samples forever, and
     #: the reservoir caps memory while keeping percentile summaries a
     #: uniform estimate.  Below the cap (every batch scenario) the
     #: reservoir is the exact sample list, so goldens are unaffected.
-    join_delays: ReservoirSample = field(default_factory=ReservoirSample)
-    view_change_delays: ReservoirSample = field(default_factory=ReservoirSample)
+    join_delays: ReservoirSample = _series("Analytic join latency", "p50", "p95")
+    view_change_delays: ReservoirSample = _series(
+        "Analytic view-change latency", "p50", "p95"
+    )
     #: Observed (simulated-clock) latencies recorded by the event-driven
     #: control plane: the time from a viewer's intent until the matching
     #: ack/notify message was delivered.  Empty under the instant control
     #: plane, whose delays are the analytic estimates above -- comparing
     #: the two distributions is how the paper's delay model is validated.
-    observed_join_delays: ReservoirSample = field(default_factory=ReservoirSample)
-    observed_view_change_delays: ReservoirSample = field(default_factory=ReservoirSample)
-    observed_repair_delays: ReservoirSample = field(default_factory=ReservoirSample)
+    observed_join_delays: ReservoirSample = _series(
+        "Observed end-to-end join exchange latency", "p50", "p95"
+    )
+    observed_view_change_delays: ReservoirSample = _series(
+        "Observed end-to-end view-change exchange latency", "p50", "p95"
+    )
+    observed_repair_delays: ReservoirSample = _series(
+        "Observed detection-to-notify repair latency", "p50"
+    )
     #: Control-message traffic of the event-driven driver; all zero under
     #: the instant control plane.  ``stale_control_messages`` counts
     #: deliveries whose subject already left the session (races).
-    control_messages_sent: int = 0
-    control_messages_delivered: int = 0
-    stale_control_messages: int = 0
+    control_messages_sent: int = _counter("Control messages put in flight", CONTROL)
+    control_messages_delivered: int = _counter("Control messages delivered", CONTROL)
+    stale_control_messages: int = _counter("Deliveries after the subject left", CONTROL)
     #: QoE measurements of the simulated data plane; all empty/zero when
     #: the frame replay did not run (instant summaries stay golden).
-    qoe_startup_delays: ReservoirSample = field(default_factory=ReservoirSample)
-    qoe_continuities: ReservoirSample = field(default_factory=ReservoirSample)
-    qoe_playable_continuities: ReservoirSample = field(default_factory=ReservoirSample)
-    qoe_skews: ReservoirSample = field(default_factory=ReservoirSample)
-    qoe_playout_skews: ReservoirSample = field(default_factory=ReservoirSample)
+    qoe_startup_delays: ReservoirSample = _series(
+        "Join to first playable frame", "p50", "p95"
+    )
+    qoe_continuities: ReservoirSample = _series("Playback continuity", "mean")
+    qoe_playable_continuities: ReservoirSample = _series(
+        "Concealment-aware playable continuity", "mean"
+    )
+    qoe_skews: ReservoirSample = _series("Gateway-arrival skew", "p50", "p99")
+    qoe_playout_skews: ReservoirSample = _series(
+        "Renderer-visible inter-stream playout skew", "p99"
+    )
     qoe_dbuff: float = 0.0
-    data_frames_sent: int = 0
-    data_frames_delivered: int = 0
-    data_frames_lost: int = 0
-    data_frames_late: int = 0
-    data_frames_dropped: int = 0
+    data_frames_sent: int = _counter("Data-plane frames sent", DATA)
+    data_frames_delivered: int = _counter("Data-plane frames delivered", DATA)
+    data_frames_lost: int = _counter("Data-plane frames lost", DATA)
+    data_frames_late: int = _counter("Frames past their playout deadline", DATA)
+    data_frames_dropped: int = _counter("Frames of streams the refresh dropped", DATA)
     #: Streams adjusted / dropped by the observed-delay layer refresh.
-    observed_layer_adjustments: int = 0
-    observed_streams_dropped: int = 0
+    observed_layer_adjustments: int = _counter("Streams the refresh re-layered", DATA)
+    observed_streams_dropped: int = _counter("Streams the refresh dropped", DATA)
     snapshots: List[SystemSnapshot] = field(default_factory=list)
     #: Wall-clock seconds spent per phase ("build", "join", "view_change",
     #: "churn", "replay", "metrics"), populated only by profiled runs
@@ -261,43 +317,12 @@ class SessionMetrics:
         snapshots are concatenated (each shard keeps its own
         ``snapshot_every`` cadence over its own joins).
         """
-        self.total_requested_streams += other.total_requested_streams
-        self.total_accepted_streams += other.total_accepted_streams
-        self.accepted_requests += other.accepted_requests
-        self.rejected_requests += other.rejected_requests
-        self.sync_dropped_streams += other.sync_dropped_streams
-        self.victim_events += other.victim_events
-        self.recovered_victims += other.recovered_victims
-        self.lost_victim_subscriptions += other.lost_victim_subscriptions
-        self.abrupt_departures += other.abrupt_departures
-        self.repaired_subscriptions_p2p += other.repaired_subscriptions_p2p
-        self.repaired_subscriptions_cdn += other.repaired_subscriptions_cdn
-        self.lost_repair_subscriptions += other.lost_repair_subscriptions
-        self.lsc_failovers += other.lsc_failovers
-        self.failover_migrated_viewers += other.failover_migrated_viewers
-        self.failover_lost_viewers += other.failover_lost_viewers
-        self.join_delays.extend(other.join_delays)
-        self.view_change_delays.extend(other.view_change_delays)
-        self.observed_join_delays.extend(other.observed_join_delays)
-        self.observed_view_change_delays.extend(other.observed_view_change_delays)
-        self.observed_repair_delays.extend(other.observed_repair_delays)
-        self.control_messages_sent += other.control_messages_sent
-        self.control_messages_delivered += other.control_messages_delivered
-        self.stale_control_messages += other.stale_control_messages
-        self.qoe_startup_delays.extend(other.qoe_startup_delays)
-        self.qoe_continuities.extend(other.qoe_continuities)
-        self.qoe_playable_continuities.extend(other.qoe_playable_continuities)
-        self.qoe_skews.extend(other.qoe_skews)
-        self.qoe_playout_skews.extend(other.qoe_playout_skews)
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for series in SERIES.values():
+            getattr(self, series.name).extend(getattr(other, series.name))
         if other.qoe_dbuff:
             self.qoe_dbuff = other.qoe_dbuff
-        self.data_frames_sent += other.data_frames_sent
-        self.data_frames_delivered += other.data_frames_delivered
-        self.data_frames_lost += other.data_frames_lost
-        self.data_frames_late += other.data_frames_late
-        self.data_frames_dropped += other.data_frames_dropped
-        self.observed_layer_adjustments += other.observed_layer_adjustments
-        self.observed_streams_dropped += other.observed_streams_dropped
         self.snapshots.extend(other.snapshots)
         for phase, seconds in other.phase_timings.items():
             self.add_phase_time(phase, seconds)
@@ -333,80 +358,44 @@ class SessionMetrics:
         (``repro.experiments.sweep``); every value is a plain number so
         the record round-trips through JSON unchanged.
         """
-        from repro.metrics.stats import percentile
-
         summary: Dict[str, float] = {
             "acceptance_ratio": self.acceptance_ratio,
             "request_acceptance_ratio": self.request_acceptance_ratio,
-            "accepted_requests": self.accepted_requests,
-            "rejected_requests": self.rejected_requests,
-            "sync_dropped_streams": self.sync_dropped_streams,
-            "victim_events": self.victim_events,
-            "recovered_victims": self.recovered_victims,
-            "abrupt_departures": self.abrupt_departures,
-            "repaired_subscriptions_p2p": self.repaired_subscriptions_p2p,
-            "repaired_subscriptions_cdn": self.repaired_subscriptions_cdn,
-            "lost_repair_subscriptions": self.lost_repair_subscriptions,
-            "lsc_failovers": self.lsc_failovers,
-            "failover_migrated_viewers": self.failover_migrated_viewers,
-            "failover_lost_viewers": self.failover_lost_viewers,
         }
-        if self.join_delays:
-            summary["join_delay_p50"] = percentile(self.join_delays, 50.0)
-            summary["join_delay_p95"] = percentile(self.join_delays, 95.0)
-        if self.view_change_delays:
-            summary["view_change_delay_p50"] = percentile(self.view_change_delays, 50.0)
-            summary["view_change_delay_p95"] = percentile(self.view_change_delays, 95.0)
-        # Event-driven control-plane measurements: present only when the
-        # simulated driver ran, so instant-mode summaries stay byte-for-byte
-        # what the golden record pins.
-        if self.control_messages_sent:
-            summary["control_messages_sent"] = self.control_messages_sent
-            summary["control_messages_delivered"] = self.control_messages_delivered
-            summary["stale_control_messages"] = self.stale_control_messages
-        if self.observed_join_delays:
-            summary["observed_join_delay_p50"] = percentile(self.observed_join_delays, 50.0)
-            summary["observed_join_delay_p95"] = percentile(self.observed_join_delays, 95.0)
-        if self.observed_view_change_delays:
-            summary["observed_view_change_delay_p50"] = percentile(
-                self.observed_view_change_delays, 50.0
-            )
-            summary["observed_view_change_delay_p95"] = percentile(
-                self.observed_view_change_delays, 95.0
-            )
-        if self.observed_repair_delays:
-            summary["observed_repair_delay_p50"] = percentile(
-                self.observed_repair_delays, 50.0
-            )
-        # Data-plane QoE measurements: present only when the simulated
-        # frame replay ran, so control-plane-only summaries stay
-        # byte-for-byte what the golden record pins.
-        if self.data_frames_sent:
-            summary["data_frames_sent"] = self.data_frames_sent
-            summary["data_frames_delivered"] = self.data_frames_delivered
-            summary["data_frames_lost"] = self.data_frames_lost
-            summary["data_frames_late"] = self.data_frames_late
-            summary["data_frames_dropped"] = self.data_frames_dropped
-            summary["observed_layer_adjustments"] = self.observed_layer_adjustments
-            summary["observed_streams_dropped"] = self.observed_streams_dropped
-        if self.qoe_startup_delays:
-            summary["qoe_startup_delay_p50"] = percentile(self.qoe_startup_delays, 50.0)
-            summary["qoe_startup_delay_p95"] = percentile(self.qoe_startup_delays, 95.0)
-        if self.qoe_continuities:
-            summary["qoe_continuity_mean"] = sum(self.qoe_continuities) / len(
-                self.qoe_continuities
-            )
-        if self.qoe_playable_continuities:
-            summary["qoe_playable_continuity_mean"] = sum(
-                self.qoe_playable_continuities
-            ) / len(self.qoe_playable_continuities)
-        if self.qoe_skews:
-            summary["qoe_skew_p50"] = percentile(self.qoe_skews, 50.0)
-            summary["qoe_skew_p99"] = percentile(self.qoe_skews, 99.0)
+        ran = {
+            ALWAYS: True,
+            CONTROL: bool(self.control_messages_sent),
+            DATA: bool(self.data_frames_sent),
+            NEVER: False,
+        }
+        for name, counter in COUNTERS.items():
+            if ran[counter.metadata["summary"]]:
+                summary[name] = getattr(self, name)
+        for key, series in SERIES.items():
+            samples = getattr(self, series.name)
+            for stat in series.metadata["summary"] if samples else ():
+                summary[f"{key}_{stat}"] = (
+                    sum(samples) / len(samples)
+                    if stat == "mean"
+                    else percentile(samples, float(stat[1:]))
+                )
         if self.qoe_playout_skews:
-            summary["qoe_playout_skew_p99"] = percentile(self.qoe_playout_skews, 99.0)
             within = sum(
                 1 for skew in self.qoe_playout_skews if skew <= self.qoe_dbuff + 1e-9
             )
             summary["qoe_skew_within_dbuff"] = within / len(self.qoe_playout_skews)
         return summary
+
+
+#: The declared counters (by field name) and series (by key: the singular
+#: of the field name, ``join_delays`` -> ``join_delay``, ``qoe_continuities``
+#: -> ``qoe_continuity``), in field order: what ``merge_from``, ``summary``,
+#: the daemon's ``stats`` and the ``/metrics`` exporter loop over.
+COUNTERS: Dict[str, Field] = {
+    f.name: f for f in fields(SessionMetrics) if f.metadata.get("kind") == "counter"
+}
+SERIES: Dict[str, Field] = {
+    (f.name[:-3] + "y" if f.name.endswith("ies") else f.name[:-1]): f
+    for f in fields(SessionMetrics)
+    if f.metadata.get("kind") == "series"
+}

@@ -126,11 +126,6 @@ class CDN:
         """Whether the stream has been ingested and can be served."""
         return stream_id in self._stored_streams
 
-    @property
-    def stored_streams(self) -> List[StreamId]:
-        """All streams currently available in the distribution storage."""
-        return list(self._stored_streams)
-
     # -- viewer side -------------------------------------------------------
 
     @property

@@ -27,7 +27,7 @@ the hostile conditions the paper's design claims to survive:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
@@ -91,17 +91,7 @@ class ScenarioSpec:
         if viewers is None:
             viewers = self.smoke_viewers if smoke else self.default_viewers
         config = PAPER_CONFIG.with_scaled_population(viewers, **dict(self.overrides))
-        if seed is not None:
-            updates: Dict[str, Any] = {
-                "seed": seed,
-                "latency_seed": seed + 1,
-                "churn_seed": seed + 2,
-                "baseline_seed": seed + 3,
-            }
-            if config.outage is not None:
-                updates["outage"] = replace(config.outage, seed=seed + 4)
-            config = config.with_(**updates)
-        return config
+        return config if seed is None else config.with_seed(seed)
 
 
 #: Invariants every preset shares: whatever the workload did, the final

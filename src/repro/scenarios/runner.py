@@ -85,7 +85,7 @@ def run_scenario(
         scenario=scenario,
         system=result.system,
         metrics=result.metrics,
-        summary=result.metrics.summary(),
+        summary=result.summary(),
     )
     run.violations = check_invariants(run)
     return run

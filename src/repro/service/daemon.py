@@ -31,7 +31,6 @@ import selectors
 import socket
 import time
 from dataclasses import dataclass, field, replace
-from statistics import fmean
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.dataplane import DataPlaneConfig, SimulatedDataPlane
@@ -42,10 +41,10 @@ from repro.metrics.placement import placement_digest
 from repro.scenarios.invariants import INVARIANTS, check_invariants
 from repro.service import protocol
 from repro.service.metrics_export import (
-    quantiles_of,
     render_metrics,
     rss_bytes,
     service_metrics,
+    session_stats,
 )
 from repro.service.snapshot import load_snapshot, save_snapshot
 from repro.sim.rng import SeededRandom
@@ -77,6 +76,9 @@ VOLATILE_STATS_KEYS = frozenset(
 #: answered ``err line too long`` and disconnected.
 MAX_LINE_BYTES = 65536
 
+#: Event-loop select timeout / pacing granularity, wall seconds.
+TICK_SECONDS = 0.05
+
 #: Invariant parameters the ``check`` op evaluates the full catalog
 #: under.  A live session sees orders of magnitude more control traffic
 #: than a batch scenario (heartbeats accrue forever), so the stale
@@ -101,8 +103,6 @@ class ServeConfig:
     #: Simulated seconds per wall-clock second; ``0`` disables pacing so
     #: time moves only on explicit ``advance`` ops (deterministic mode).
     time_dilation: float = 1.0
-    #: Event-loop select timeout / pacing granularity, wall seconds.
-    tick_seconds: float = 0.05
     #: Heartbeat interval of connected viewers.  Must stay below the
     #: detectors' ``heartbeat_timeout`` (10 s in the paper config) or
     #: the failure sweep declares every idle viewer dead.
@@ -126,14 +126,8 @@ def experiment_config(serve: ServeConfig) -> ExperimentConfig:
         "heartbeat_period": serve.heartbeat_period,
         "control_delay_scale": serve.control_delay_scale,
     }
-    if serve.seed is not None:
-        overrides.update(
-            seed=serve.seed,
-            latency_seed=serve.seed + 1,
-            churn_seed=serve.seed + 2,
-            baseline_seed=serve.seed + 3,
-        )
-    return PAPER_CONFIG.with_scaled_population(serve.viewers, **overrides)
+    config = PAPER_CONFIG.with_scaled_population(serve.viewers, **overrides)
+    return config if serve.seed is None else config.with_seed(serve.seed)
 
 
 @dataclass
@@ -180,8 +174,6 @@ class ServiceState:
 
     def count_op(self, kind: str) -> None:
         self.ops_applied[kind] = self.ops_applied.get(kind, 0) + 1
-
-
 
 
 @dataclass(frozen=True)
@@ -400,7 +392,6 @@ class ServiceDaemon:
         sim = state.system.simulator
         metrics = state.system.metrics
         driver = state.driver
-        channel = driver.channel
         connected = sum(len(lsc.sessions) for lsc in state.system.gsc.lscs)
         ops_total = dict(state.ops_applied)
         for kind, count in self._local_ops.items():
@@ -412,21 +403,9 @@ class ServiceDaemon:
             "event_loop_lag_seconds": self._lag,
             "connected_viewers": connected,
             "pool_size": len(driver.by_id),
-            "acceptance_ratio": metrics.acceptance_ratio,
-            "request_acceptance_ratio": metrics.request_acceptance_ratio,
             "requests_total": metrics.accepted_requests + metrics.rejected_requests,
-            "accepted_requests": metrics.accepted_requests,
-            "rejected_requests": metrics.rejected_requests,
             "joins_applied": driver.joins_seen,
-            "abrupt_departures": metrics.abrupt_departures,
-            "repaired_subscriptions_p2p": metrics.repaired_subscriptions_p2p,
-            "repaired_subscriptions_cdn": metrics.repaired_subscriptions_cdn,
-            "lost_repair_subscriptions": metrics.lost_repair_subscriptions,
-            "lsc_failovers": metrics.lsc_failovers,
-            "control_messages_sent": channel.sent,
-            "control_messages_delivered": channel.delivered,
-            "stale_control_messages": metrics.stale_control_messages,
-            "control_messages_in_flight": channel.in_flight,
+            "control_messages_in_flight": driver.channel.in_flight,
             "pending_events": sim.pending,
             "ops_total": ops_total,
             "stateful_ops": dict(state.ops_applied),
@@ -436,28 +415,7 @@ class ServiceDaemon:
         rss = rss_bytes()
         if rss is not None:
             stats["rss_bytes"] = rss
-        for key, series in (
-            ("observed_join_delay", metrics.observed_join_delays),
-            ("observed_view_change_delay", metrics.observed_view_change_delays),
-            ("observed_repair_delay", metrics.observed_repair_delays),
-        ):
-            quantiles = quantiles_of(series.values())
-            if quantiles:
-                stats[f"{key}_quantiles"] = quantiles
-            stats[f"{key}_count"] = series.count
-        if metrics.qoe_continuities:
-            stats["qoe_continuity_mean"] = fmean(metrics.qoe_continuities)
-        if metrics.qoe_playable_continuities:
-            stats["qoe_playable_continuity_mean"] = fmean(
-                metrics.qoe_playable_continuities
-            )
-        quantiles = quantiles_of(metrics.qoe_playout_skews.values())
-        if quantiles:
-            stats["qoe_playout_skew_quantiles"] = quantiles
-        if metrics.data_frames_sent:
-            stats["data_frames_sent"] = metrics.data_frames_sent
-            stats["data_frames_delivered"] = metrics.data_frames_delivered
-            stats["data_frames_lost"] = metrics.data_frames_lost
+        stats.update(session_stats(metrics))
         return stats
 
     def deterministic_stats(self) -> Dict[str, object]:
@@ -543,7 +501,7 @@ class ServiceDaemon:
             ready.set()
         try:
             while not self._quit:
-                for key, mask in selector.select(timeout=self.serve.tick_seconds):
+                for key, mask in selector.select(timeout=TICK_SECONDS):
                     if key.data is None:
                         self._accept(listener, selector)
                     else:

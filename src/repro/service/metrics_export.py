@@ -8,14 +8,20 @@ one ``# HELP`` and ``# TYPE`` block per metric family, counters suffixed
 ``_total``, quantiles as labelled gauge samples.
 
 Kept free of socket and daemon imports so the renderer is trivially
-unit-testable: ``service_metrics(stats)`` maps the stats dict to typed
-:class:`Metric` families, ``render_metrics`` serialises them.
+unit-testable: ``session_stats(metrics)`` flattens a ``SessionMetrics``
+into stats keys, ``service_metrics(stats)`` maps the stats dict to typed
+:class:`Metric` families, ``render_metrics`` serialises them.  Which
+session counters and series exist, and their help texts, is read off the
+declaration on :class:`~repro.metrics.collectors.SessionMetrics`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.metrics.collectors import COUNTERS, SERIES, SessionMetrics
+from repro.metrics.stats import percentile
 
 #: Quantiles exported for every latency distribution.
 _QUANTILES = (0.5, 0.95, 0.99)
@@ -81,11 +87,59 @@ def _quantile_samples(
 
 def quantiles_of(samples: Sequence[float]) -> Dict[float, float]:
     """The exported quantiles of one sample series (empty -> empty)."""
-    from repro.metrics.stats import percentile
-
     if not samples:
         return {}
     return {q: percentile(samples, q * 100.0) for q in _QUANTILES}
+
+
+def session_stats(metrics: SessionMetrics) -> Dict[str, object]:
+    """The session part of the daemon's stats mapping.
+
+    ``metrics.summary()`` plus, read off the declaration, every counter
+    under its field name (also the ones the summary withholds) and, per
+    sample series, ``<key>_count`` and -- once it has samples --
+    ``<key>_quantiles``.
+    """
+    stats: Dict[str, object] = dict(metrics.summary())
+    for name in COUNTERS:
+        stats[name] = getattr(metrics, name)
+    for key, series in SERIES.items():
+        samples = getattr(metrics, series.name)
+        quantiles = quantiles_of(samples)
+        if quantiles:
+            stats[f"{key}_quantiles"] = quantiles
+        stats[f"{key}_count"] = samples.count
+    return stats
+
+
+#: The families that are not a declared counter or series of
+#: ``SessionMetrics``: daemon state and derived session ratios, as
+#: ``(family, kind, help, stats key)``.
+_DAEMON_FAMILIES: Tuple[Tuple[str, str, str, str], ...] = (
+    ("repro_uptime_seconds", "gauge", "Wall-clock seconds since the daemon started",
+     "uptime_seconds"),
+    ("repro_sim_time_seconds", "gauge", "Current simulation-clock time", "sim_time"),
+    ("repro_time_dilation", "gauge", "Simulated seconds per wall-clock second",
+     "time_dilation"),
+    ("repro_event_loop_lag_seconds", "gauge",
+     "Wall-clock duration of the last simulator advance (pacing lag)",
+     "event_loop_lag_seconds"),
+    ("repro_connected_viewers", "gauge", "Viewers currently holding a session",
+     "connected_viewers"),
+    ("repro_viewer_pool_size", "gauge", "Provisioned viewer population of the world",
+     "pool_size"),
+    ("repro_acceptance_ratio", "gauge", "Cumulative accepted/requested stream ratio",
+     "acceptance_ratio"),
+    ("repro_request_acceptance_ratio", "gauge", "Fraction of viewer requests accepted",
+     "request_acceptance_ratio"),
+    ("repro_requests_total", "counter", "Join and view-change requests processed",
+     "requests_total"),
+    ("repro_control_messages_in_flight", "gauge",
+     "Control messages sent but not yet delivered", "control_messages_in_flight"),
+    ("repro_pending_events", "gauge", "Events queued on the simulator", "pending_events"),
+    ("repro_snapshots_total", "counter", "Snapshots written to disk", "snapshots_taken"),
+    ("repro_rss_bytes", "gauge", "Resident set size of the daemon process", "rss_bytes"),
+)
 
 
 def service_metrics(stats: Mapping[str, object]) -> List[Metric]:
@@ -93,85 +147,17 @@ def service_metrics(stats: Mapping[str, object]) -> List[Metric]:
 
     ``stats`` is the flat dict :meth:`ServiceDaemon.stats` builds; keys
     that are absent simply omit their family, so the exporter works with
-    partial stats (e.g. in unit tests).
+    partial stats (e.g. in unit tests).  The session families come from
+    the ``SessionMetrics`` declaration: one counter family per declared
+    counter (or one labelled sample of the family it names), and per
+    series a ``{quantile}`` gauge plus a ``_mean`` gauge where the
+    summary reports a mean.
     """
-    metrics: List[Metric] = []
-
-    def gauge(name: str, help_text: str, key: str) -> None:
-        if key in stats:
-            metrics.append(
-                Metric(name, "gauge", help_text, _single(float(stats[key])))  # type: ignore[arg-type]
-            )
-
-    def counter(name: str, help_text: str, key: str) -> None:
-        if key in stats:
-            metrics.append(
-                Metric(name, "counter", help_text, _single(float(stats[key])))  # type: ignore[arg-type]
-            )
-
-    gauge("repro_uptime_seconds", "Wall-clock seconds since the daemon started", "uptime_seconds")
-    gauge("repro_sim_time_seconds", "Current simulation-clock time", "sim_time")
-    gauge("repro_time_dilation", "Simulated seconds per wall-clock second", "time_dilation")
-    gauge(
-        "repro_event_loop_lag_seconds",
-        "Wall-clock duration of the last simulator advance (pacing lag)",
-        "event_loop_lag_seconds",
-    )
-    gauge("repro_connected_viewers", "Viewers currently holding a session", "connected_viewers")
-    gauge("repro_viewer_pool_size", "Provisioned viewer population of the world", "pool_size")
-    gauge(
-        "repro_acceptance_ratio",
-        "Cumulative accepted/requested stream ratio",
-        "acceptance_ratio",
-    )
-    gauge(
-        "repro_request_acceptance_ratio",
-        "Fraction of viewer requests accepted",
-        "request_acceptance_ratio",
-    )
-    counter("repro_requests_total", "Join and view-change requests processed", "requests_total")
-    counter("repro_accepted_requests_total", "Requests accepted", "accepted_requests")
-    counter("repro_rejected_requests_total", "Requests rejected", "rejected_requests")
-    counter("repro_abrupt_departures_total", "Abrupt departures repaired", "abrupt_departures")
-    if "repaired_subscriptions_p2p" in stats or "repaired_subscriptions_cdn" in stats:
-        metrics.append(
-            Metric(
-                "repro_repaired_subscriptions_total",
-                "counter",
-                "Subscriptions re-parented after failures, by repair path",
-                (
-                    ({"path": "p2p"}, float(stats.get("repaired_subscriptions_p2p", 0))),  # type: ignore[arg-type]
-                    ({"path": "cdn"}, float(stats.get("repaired_subscriptions_cdn", 0))),  # type: ignore[arg-type]
-                ),
-            )
-        )
-    counter(
-        "repro_lost_repair_subscriptions_total",
-        "Subscriptions lost because no repair parent existed",
-        "lost_repair_subscriptions",
-    )
-    counter("repro_lsc_failovers_total", "Controller failovers executed", "lsc_failovers")
-    counter(
-        "repro_control_messages_sent_total",
-        "Control messages put in flight",
-        "control_messages_sent",
-    )
-    counter(
-        "repro_control_messages_delivered_total",
-        "Control messages delivered",
-        "control_messages_delivered",
-    )
-    counter(
-        "repro_stale_control_messages_total",
-        "Deliveries whose subject already left the session",
-        "stale_control_messages",
-    )
-    gauge(
-        "repro_control_messages_in_flight",
-        "Control messages sent but not yet delivered",
-        "control_messages_in_flight",
-    )
-    gauge("repro_pending_events", "Events queued on the simulator", "pending_events")
+    metrics: List[Metric] = [
+        Metric(name, kind, help_text, _single(float(stats[key])))  # type: ignore[arg-type]
+        for name, kind, help_text, key in _DAEMON_FAMILIES
+        if key in stats
+    ]
     if "ops_total" in stats:
         ops = stats["ops_total"]
         metrics.append(
@@ -185,49 +171,43 @@ def service_metrics(stats: Mapping[str, object]) -> List[Metric]:
                 ),
             )
         )
-    counter("repro_snapshots_total", "Snapshots written to disk", "snapshots_taken")
-    gauge("repro_rss_bytes", "Resident set size of the daemon process", "rss_bytes")
-
-    for key, name, help_text in (
-        ("observed_join_delay", "repro_observed_join_delay_seconds",
-         "Observed end-to-end join exchange latency"),
-        ("observed_view_change_delay", "repro_observed_view_change_delay_seconds",
-         "Observed end-to-end view-change exchange latency"),
-        ("observed_repair_delay", "repro_observed_repair_delay_seconds",
-         "Observed detection-to-notify repair latency"),
-    ):
+    families: Dict[str, Metric] = {}
+    for name, counter in COUNTERS.items():
+        if name not in stats:
+            continue
+        # A labelled counter is one sample of the family its stem names.
+        label = counter.metadata["label"]
+        stem, value = name.rsplit("_", 1) if label else (name, "")
+        family = f"repro_{stem}_total"
+        sample = ({label: value} if label else {}, float(stats[name]))  # type: ignore[arg-type]
+        earlier = families[family].samples if family in families else ()
+        families[family] = Metric(
+            family, "counter", counter.metadata["help"], earlier + (sample,)
+        )
+    metrics.extend(families.values())
+    for key, series in SERIES.items():
+        help_text = series.metadata["help"]
         quantile_map = stats.get(f"{key}_quantiles")
         if quantile_map:
+            # Delays and skews are simulated seconds; continuities are ratios.
+            unit = "_seconds" if key.endswith(("delay", "skew")) else ""
             metrics.append(
-                Metric(name, "gauge", help_text, _quantile_samples(quantile_map))  # type: ignore[arg-type]
+                Metric(
+                    f"repro_{key}{unit}",
+                    "gauge",
+                    help_text,
+                    _quantile_samples(quantile_map),  # type: ignore[arg-type]
+                )
             )
-    gauge(
-        "repro_qoe_continuity_mean",
-        "Mean playback continuity of the last data-plane replay",
-        "qoe_continuity_mean",
-    )
-    gauge(
-        "repro_qoe_playable_continuity_mean",
-        "Mean concealment-aware playable continuity",
-        "qoe_playable_continuity_mean",
-    )
-    quantile_map = stats.get("qoe_playout_skew_quantiles")
-    if quantile_map:
-        metrics.append(
-            Metric(
-                "repro_qoe_playout_skew_seconds",
-                "gauge",
-                "Renderer-visible inter-stream playout skew",
-                _quantile_samples(quantile_map),  # type: ignore[arg-type]
+        if f"{key}_mean" in stats:
+            metrics.append(
+                Metric(
+                    f"repro_{key}_mean",
+                    "gauge",
+                    f"{help_text} (mean)",
+                    _single(float(stats[f"{key}_mean"])),  # type: ignore[arg-type]
+                )
             )
-        )
-    counter("repro_data_frames_sent_total", "Data-plane frames sent", "data_frames_sent")
-    counter(
-        "repro_data_frames_delivered_total",
-        "Data-plane frames delivered",
-        "data_frames_delivered",
-    )
-    counter("repro_data_frames_lost_total", "Data-plane frames lost", "data_frames_lost")
     return metrics
 
 

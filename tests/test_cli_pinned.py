@@ -17,6 +17,7 @@ Regenerate (only for an intentional output change) with
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -138,6 +139,49 @@ def test_fig_prefix_is_a_prefix_not_a_character_set(spelling, rendered, capsys):
 def test_help_is_byte_identical(name):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert help_text(name) == golden["help"][name]
+
+
+def test_cli_module_imports_no_system_internals():
+    # The CLI is argparse, calls into runner / sweep / scenarios / service
+    # / parallel, and prints: nothing from the layers below the runner.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    below = ("repro.core", "repro.sim", "repro.traces")
+    assert [name for name in imported if name and name.startswith(below)] == []
+
+
+@pytest.mark.parametrize(
+    "arguments, message",
+    [
+        # Rejected by ExperimentConfig / DataPlaneConfig / the sweep and
+        # compare entry points, reported through the one bridge.
+        (["run", "--viewers", "0"], "num_viewers must be > 0"),
+        (["run", "--lscs", "0"], "num_lscs must be > 0"),
+        (["run", "--shards", "0"], "shard_workers must be > 0"),
+        (["run", "--shards", "2", "--data-plane"], "shard_workers > 1 requires"),
+        (["run", "--data-plane", "--loss-rate", "1.5"], "loss_rate must be in [0, 1)"),
+        (["run", "--bandwidth-headroom", "0"], "bandwidth_headroom must be > 0"),
+        (["sweep", "scale", "--lscs", "0"], "num_lscs must be > 0"),
+        (["scenario", "outage", "--viewers", "0"], "num_viewers must be > 0"),
+        (["14a", "--viewers", "-3"], "num_viewers must be > 0"),
+        # Rules only the CLI can state.
+        (["run", "--replay-frames", "-1"], "--replay-frames must be >= 0"),
+        (["run", "--shards", "2", "--replay-frames", "3"], "--shards cannot run"),
+        (["run", "--system", "random", "--shards", "2"], "--shards requires --system"),
+    ],
+)
+def test_invalid_values_are_usage_errors_in_the_library_s_words(
+    arguments, message, capsys
+):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(arguments)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_mask_leaves_simulated_time_alone():

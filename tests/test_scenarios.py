@@ -20,8 +20,14 @@ import pytest
 
 from repro.experiments.__main__ import main
 from repro.experiments.config import PAPER_CONFIG
-from repro.experiments.sweep import load_records, scenarios_sweep
-from repro.experiments.sweep.grid import config_hash
+from repro.experiments.sweep import (
+    compare_records,
+    execute_point,
+    format_compare_report,
+    load_records,
+    scenarios_sweep,
+)
+from repro.experiments.sweep.grid import SweepPoint, config_hash
 from repro.scenarios import (
     INVARIANTS,
     SCENARIOS,
@@ -223,6 +229,30 @@ class TestScenarioRecords:
         assert parsed["extra"]["invariants_declared"] == list(run.spec.invariants)
         assert parsed["wall_clock_s"] == 1.25
         assert parsed["metrics"]["acceptance_ratio"] == run.summary["acceptance_ratio"]
+
+    def test_run_record_and_sweep_point_report_the_same_metrics(self):
+        # One record of a run: a scenario persisted through ``run_record``
+        # and the same config executed as a sweep point carry the same
+        # keys and values (the scenario record used to lack the five
+        # final-snapshot scalars, so ``compare`` printed no CDN rows).
+        run = run_scenario("flapping", viewers=80, seed=2)
+        record = run_record(run)
+        point = execute_point(
+            SweepPoint(
+                sweep_name="scenarios",
+                index=0,
+                system="telecast",
+                overrides=(),
+                config=run.config,
+                config_hash=config_hash(run.config),
+            )
+        )
+        assert point.ok, point.error
+        assert record.metrics == point.metrics
+        assert {"cdn_fraction", "cdn_outbound_mbps", "connected_viewers",
+                "num_requests", "active_subscriptions"} <= set(record.metrics)
+        report = format_compare_report(compare_records([record], [record]))
+        assert "cdn_fraction" in report and "cdn_outbound_mbps" in report
 
 
 class TestScenarioWorkloadsAreHostile:

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.experiments.__main__ import main
+from repro.experiments.__main__ import (
+    _ignored_sweep_flags,
+    build_sweep_parser,
+    main,
+)
 from repro.experiments.config import PAPER_CONFIG
 from repro.experiments.sweep import (
     ResultsStore,
@@ -450,6 +454,34 @@ class TestSweepCli:
         assert "ignores --lscs" in out
         # And indeed the fixed grid ran, not a 600-viewer one.
         assert "6/6 points ok" in out
+
+    @pytest.mark.parametrize("name", sorted(named_sweeps()))
+    def test_every_sweep_notes_exactly_the_scale_flags_it_drops(self, name):
+        # Ask the note helper, not a sweep run: a flag is either honoured
+        # (it changes the built spec) or called out with a reason.
+        # ``scale1m`` used to do neither.
+        parser = build_sweep_parser()
+        flags = {"--viewers": "240", "--step": "60", "--lscs": "2"}
+        noted = {}
+        for flag, value in flags.items():
+            args = parser.parse_args([name, flag, value])
+            noted.update(_ignored_sweep_flags(args, parser))
+            assert not _ignored_sweep_flags(parser.parse_args([name]), parser)
+        default = named_sweeps()[name].expand()
+        for flag, keyword in (
+            ("--viewers", "viewers"), ("--step", "step"), ("--lscs", "num_lscs")
+        ):
+            moved = named_sweeps(**{keyword: int(flags[flag])})[name].expand()
+            assert (moved != default) == (flag not in noted), (name, flag)
+            assert flag not in noted or noted[flag]
+
+    def test_scale1m_names_its_fixed_grid(self):
+        parser = build_sweep_parser()
+        args = parser.parse_args(["scale1m", "--viewers", "5000", "--lscs", "4"])
+        assert _ignored_sweep_flags(args, parser) == [
+            ("--viewers", "fixed 200k/500k/1M population points"),
+            ("--lscs", "pinned to 16 region-sharded LSCs"),
+        ]
 
     def test_compare_rejects_empty_files(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
