@@ -92,8 +92,9 @@ def allocate_inbound(
         if cut:
             rejected.append(entry)
             continue
-        bandwidth = entry.stream.bandwidth_mbps
-        supply = available_supply_mbps.get(entry.stream_id, 0.0)
+        stream = entry.stream
+        bandwidth = stream.bandwidth_mbps
+        supply = available_supply_mbps.get(stream.stream_id, 0.0)
         if bandwidth > remaining + _EPSILON or bandwidth > supply + _EPSILON:
             # Either condition failing removes this and all lower-priority
             # streams from the request (the paper's prefix rule).
@@ -103,7 +104,7 @@ def allocate_inbound(
         accepted.append(entry)
         remaining -= bandwidth
 
-    accepted_ids = {entry.stream_id for entry in accepted}
+    accepted_ids = {entry.stream.stream_id for entry in accepted}
     request_accepted = (
         view.must_have_stream_ids <= accepted_ids and len(accepted) >= view.site_count
     )
@@ -159,9 +160,9 @@ def allocate_outbound(
     """
     require_non_negative(outbound_capacity_mbps, "outbound_capacity_mbps")
     per_stream: Dict[StreamId, float] = {
-        entry.stream_id: 0.0 for entry in accepted
+        entry.stream.stream_id: 0.0 for entry in accepted
     }
-    out_degree: Dict[StreamId, int] = {entry.stream_id: 0 for entry in accepted}
+    out_degree: Dict[StreamId, int] = dict.fromkeys(per_stream, 0)
     remaining = outbound_capacity_mbps
     if not accepted:
         return OutboundAllocation(
@@ -172,10 +173,11 @@ def allocate_outbound(
     while progress:
         progress = False
         for entry in accepted:
-            bandwidth = entry.stream.bandwidth_mbps
+            stream = entry.stream
+            bandwidth = stream.bandwidth_mbps
             if bandwidth <= remaining + _EPSILON:
-                per_stream[entry.stream_id] += bandwidth
-                out_degree[entry.stream_id] += 1
+                per_stream[stream.stream_id] += bandwidth
+                out_degree[stream.stream_id] += 1
                 remaining -= bandwidth
                 progress = True
     return OutboundAllocation(

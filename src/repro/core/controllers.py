@@ -217,11 +217,13 @@ class LocalSessionController:
 
         displaced: List[Tuple[StreamId, str]] = []
         for entry in inbound.accepted:
+            stream = entry.stream
+            stream_id = stream.stream_id
             result = self._place_stream(
-                group, session, entry.stream, outbound.out_degree.get(entry.stream_id, 0)
+                group, session, stream, outbound.out_degree.get(stream_id, 0)
             )
             if result is not None and result.displaced_node_id is not None:
-                displaced.append((entry.stream_id, result.displaced_node_id))
+                displaced.append((stream_id, result.displaced_node_id))
 
         if not view.must_have_stream_ids <= session.subscriptions.keys():
             self._rollback(group, session)
@@ -281,10 +283,11 @@ class LocalSessionController:
         """Insert one accepted stream of a joining viewer into its overlay tree."""
         tree = group.tree(stream.stream_id)
         allow_cdn = self.cdn.can_serve(stream.bandwidth_mbps)
+        viewer = session.viewer
         result = tree.insert(
-            session.viewer_id,
+            viewer.viewer_id,
             out_degree,
-            session.viewer.outbound_capacity_mbps,
+            viewer.outbound_capacity_mbps,
             allow_cdn=allow_cdn,
         )
         if not result.accepted:
@@ -293,14 +296,16 @@ class LocalSessionController:
             # A fresh CDN subscription; when a CDN-fed node was displaced the
             # existing CDN slot simply transfers to the joining viewer.
             if not self.cdn.allocate(stream.stream_id, stream.bandwidth_mbps):
-                tree.remove(session.viewer_id)
+                tree.remove(viewer.viewer_id)
                 return None
+        delay = result.end_to_end_delay
         session.subscriptions[stream.stream_id] = StreamSubscription(
-            stream=stream,
-            parent_id=result.parent_id or CDN_NODE_ID,
-            end_to_end_delay=result.end_to_end_delay,
-            effective_delay=result.end_to_end_delay,
-            via_cdn=result.via_cdn,
+            stream,
+            result.parent_id or CDN_NODE_ID,
+            delay,
+            0,  # layer: decided by the subscription process
+            delay,  # effective delay: structural until then
+            result.via_cdn,
         )
         return result
 
@@ -378,10 +383,15 @@ class LocalSessionController:
         return dropped
 
     def _plan_for(self, group: ViewGroup, session: ViewerSession):
-        """Compute the view-synchronization plan from current parent delays."""
+        """Compute the view-synchronization plan from current parent delays.
+
+        Only viewer-fed streams are resolved: the plan puts a CDN-fed
+        stream in Layer-0 without reading its parent's delay.
+        """
         parent_delays = {
             sid: group.parent_effective_delay(sid, sub.parent_id)
             for sid, sub in session.subscriptions.items()
+            if sub.parent_id != CDN_NODE_ID
         }
         return plan_view_synchronization(
             self.layer_config,
@@ -442,16 +452,20 @@ class LocalSessionController:
         tree = group.tree(stream_id)
         if start_viewer_id not in tree:
             return
+        sessions = self.sessions
         queue: Deque[str] = deque((start_viewer_id,))
         while queue:
             current_id = queue.popleft()
-            current_session = self.sessions.get(current_id)
-            if current_session is None or stream_id not in current_session.subscriptions:
+            current_session = sessions.get(current_id)
+            if current_session is None:
                 continue
-            sub = current_session.subscriptions[stream_id]
+            sub = current_session.subscriptions.get(stream_id)
+            if sub is None:
+                continue
             if current_id in tree:
-                sub.end_to_end_delay = tree.end_to_end_delay(current_id)
-                queue.extend(tree.node(current_id).children)
+                node = tree.node(current_id)
+                sub.end_to_end_delay = node.end_to_end_delay
+                queue.extend(node.children)
             parent_delay = group.parent_effective_delay(stream_id, sub.parent_id)
             if needs_resubscription(
                 self.layer_config, self.delay_model, current_session, stream_id, parent_delay

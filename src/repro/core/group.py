@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.core.state import ViewerSession
 from repro.core.topology import StreamTree
-from repro.model.cdn import CDN
+from repro.model.cdn import CDN, CDN_NODE_ID
 from repro.model.stream import Stream, StreamId
 from repro.model.view import GlobalView
 from repro.net.latency import DelayModel
@@ -82,10 +82,15 @@ class ViewGroup:
         return p2p + cdn.available_outbound_mbps
 
     def supply_map(self, cdn: CDN) -> Dict[StreamId, float]:
-        """Available supply for every stream of the view."""
+        """Available supply for every stream of the view.
+
+        :meth:`available_supply_mbps` of every tree, with the CDN's
+        availability -- the same for all of them -- read once.
+        """
+        cdn_available = cdn.available_outbound_mbps
         return {
-            stream_id: self.available_supply_mbps(stream_id, cdn)
-            for stream_id in self.trees
+            stream_id: tree.free_p2p_bandwidth_mbps() + cdn_available
+            for stream_id, tree in self.trees.items()
         }
 
     def parent_effective_delay(self, stream_id: StreamId, parent_id: str) -> float:
@@ -94,15 +99,16 @@ class ViewGroup:
         Falls back to the structural tree delay when the parent has not yet
         run its own subscription process, and to the CDN delay for the CDN.
         """
-        tree = self.trees[stream_id]
-        if parent_id == tree.root.node_id:
+        if parent_id == CDN_NODE_ID:
             return self.delay_model.cdn_end_to_end()
         parent_session = self.sessions.get(parent_id)
-        if parent_session is not None and stream_id in parent_session.subscriptions:
-            sub = parent_session.subscriptions[stream_id]
-            if sub.effective_delay > 0:
-                return sub.effective_delay
-            return sub.end_to_end_delay
+        if parent_session is not None:
+            sub = parent_session.subscriptions.get(stream_id)
+            if sub is not None:
+                if sub.effective_delay > 0:
+                    return sub.effective_delay
+                return sub.end_to_end_delay
+        tree = self.trees[stream_id]
         if parent_id in tree:
             return tree.end_to_end_delay(parent_id)
         return self.delay_model.cdn_end_to_end()

@@ -171,10 +171,11 @@ def subscription_frame_number(
         raise ValueError("offset_fraction must be in [0, 1]")
     if latest_frame_number < 0:
         raise ValueError("latest_frame_number must be >= 0")
-    offset = offset_fraction * config.tau * frame_rate
+    tau = config.tau
+    offset = offset_fraction * tau * frame_rate
     n_prime = (
         latest_frame_number
-        - (config.delta + (target_layer + 1) * config.tau) * frame_rate
+        - (config.delta + (target_layer + 1) * tau) * frame_rate
         + (propagation_delay + processing_delay) * frame_rate
         + propagation_delay * frame_rate
         + offset

@@ -48,7 +48,7 @@ class MatchField(NamedTuple):
         return f"{self.parent_id}:{self.stream_id}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ChildForwardingState:
     """Forwarding state for one child of one stream."""
 
@@ -57,7 +57,7 @@ class ChildForwardingState:
     subscription_frame: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingEntry:
     """One row of the session routing table.
 
@@ -78,7 +78,7 @@ class RoutingEntry:
     ) -> None:
         """Add (or overwrite) a forwarding address."""
         self.children[child_id] = ChildForwardingState(
-            child_id=child_id, action=action, subscription_frame=subscription_frame
+            child_id, action, subscription_frame
         )
 
     def remove_child(self, child_id: str) -> bool:
@@ -118,7 +118,7 @@ class SessionRoutingTable:
         entry = self._entries.get((parent_id, stream_id))
         if entry is None:
             match = MatchField(parent_id, stream_id)
-            entry = RoutingEntry(match=match)
+            entry = RoutingEntry(match, {})
             self._entries[match] = entry
         return entry
 

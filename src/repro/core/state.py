@@ -17,7 +17,7 @@ from repro.model.view import GlobalView
 from repro.model.viewer import Viewer
 
 
-@dataclass
+@dataclass(slots=True)
 class StreamSubscription:
     """One accepted stream at one viewer.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.core.layering import (
     DelayLayerConfig,
@@ -129,13 +129,19 @@ def plan_view_synchronization(
     # Equation 1 per stream, with the layer arithmetic inlined: this runs
     # for every join and every propagated re-subscription, so the
     # per-call overhead of the generic helpers adds up.  The float
-    # operations are exactly those of :func:`minimum_layer_for`.
+    # operations are exactly those of :func:`minimum_layer_for`; the
+    # argument validation of :func:`compute_layer` is redundant here
+    # because every parent delay is a tree delay (>= ``Delta`` >= 0) and
+    # every propagation delay is >= 0 (``set_delay`` validates it, a
+    # derived pair is an ``exp``).
     delta = config.delta
     tau = config.tau
     max_layer = config.max_layer_index
     processing = delay_model.processing_delay
     propagation = delay_model.propagation
     minimum_layers: Dict[StreamId, int] = {}
+    # Streams that cannot reach any acceptable layer at all.
+    dropped: Set[StreamId] = set()
     for stream_id, sub in subscriptions.items():
         parent_id = sub.parent_id
         if parent_id == CDN_NODE_ID:
@@ -147,11 +153,8 @@ def plan_view_synchronization(
         ) / tau
         layer = int(math.floor(raw))
         minimum_layers[stream_id] = layer if layer > 0 else 0
-
-    # Drop streams that cannot reach any acceptable layer at all.
-    dropped = {
-        sid for sid, layer in minimum_layers.items() if layer > max_layer
-    }
+        if layer > max_layer:
+            dropped.add(stream_id)
 
     kept_layers = (
         {sid: layer for sid, layer in minimum_layers.items() if sid not in dropped}
@@ -177,13 +180,13 @@ def plan_view_synchronization(
                 # same floats as ``delay_for_layer(target, offset=tau)``.
                 effective = delta + target * tau + tau
             else:
-                effective = max(sub.end_to_end_delay, delta + target * tau)
+                # ``max(structural, nominal)``: the first wins a tie.
+                effective = sub.end_to_end_delay
+                nominal = delta + target * tau
+                if nominal > effective:
+                    effective = nominal
             plans[stream_id] = StreamSubscriptionPlan(
-                stream_id=stream_id,
-                minimum_layer=minimum,
-                target_layer=target,
-                effective_delay=effective,
-                dropped=False,
+                stream_id, minimum, target, effective, False
             )
 
     for stream_id in dropped:
@@ -213,24 +216,27 @@ def apply_plan(
     the associated overlay and bandwidth resources).
     """
     dropped: List[StreamId] = []
+    subscriptions = session.subscriptions
     for stream_id, stream_plan in plan.per_stream.items():
-        if stream_id not in session.subscriptions:
+        sub = subscriptions.get(stream_id)
+        if sub is None:
             continue
         if stream_plan.dropped:
             session.drop_subscription(stream_id)
             dropped.append(stream_id)
             continue
-        sub = session.subscriptions[stream_id]
-        sub.layer = stream_plan.target_layer
+        target_layer = stream_plan.target_layer
+        sub.layer = target_layer
         sub.effective_delay = stream_plan.effective_delay
-        if stream_plan.pushed_down and latest_frame_numbers is not None:
+        # ``stream_plan.pushed_down``, read off the tuple.
+        if target_layer > stream_plan.minimum_layer and latest_frame_numbers is not None:
             latest = latest_frame_numbers.get(stream_id)
             if latest is not None:
                 sub.subscription_frame = subscription_frame_number(
                     config,
                     latest,
                     sub.stream.frame_rate,
-                    stream_plan.target_layer,
+                    target_layer,
                     delay_model.propagation(sub.parent_id, session.viewer_id),
                     delay_model.processing_delay,
                 )
@@ -251,17 +257,29 @@ def needs_resubscription(
     layer does a new subscription process start, because otherwise the
     parent can still support the child at its current layer.
     """
-    if stream_id not in child_session.subscriptions:
+    subscriptions = child_session.subscriptions
+    sub = subscriptions.get(stream_id)
+    if sub is None:
         return False
-    sub = child_session.subscriptions[stream_id]
-    achievable = minimum_layer_for(
-        config,
-        delay_model,
-        child_session.viewer_id,
-        sub.parent_id,
-        parent_effective_delay,
-    )
-    current_max = child_session.max_layer
-    if current_max is None:
-        return False
-    return achievable > current_max
+    parent_id = sub.parent_id
+    achievable = 0
+    if parent_id != CDN_NODE_ID:
+        # Equation 1 with the floats of :func:`minimum_layer_for`, inlined
+        # as in :func:`plan_view_synchronization` (the validators are
+        # redundant for the same reason): this runs for every viewer a
+        # push-down shifts.
+        raw = (
+            parent_effective_delay
+            - config.delta
+            + delay_model.propagation(parent_id, child_session.viewer_id)
+            + delay_model.processing_delay
+        ) / config.tau
+        achievable = int(math.floor(raw))
+        if achievable < 0:
+            achievable = 0
+    # ``achievable > child_session.max_layer`` without the full scan: the
+    # first held layer at or above the achievable one settles it.
+    for held in subscriptions.values():
+        if held.layer >= achievable:
+            return False
+    return True

@@ -27,8 +27,9 @@ maintaining four incremental indices:
 
 * **per-level member lists**, kept sorted by Algorithm 1's priority key
   ``(out_degree, outbound_capacity, node_id)`` -- the key is immutable
-  per node, so membership updates are single ``bisect``-insertions and
-  the push-down scan walks a ready-sorted prefix instead of sorting,
+  per node (built once, stored on the node), so membership updates are
+  single ``bisect``-insertions and the push-down scan walks a
+  ready-sorted prefix instead of sorting,
 * **per-level free-slot candidate lists** (same order) holding exactly
   the members with an unfilled child slot, so the empty-slot pass and
   :meth:`find_repair_parent` only ever look at viable parents,
@@ -106,16 +107,18 @@ class TreeNode:
     #: inside one) stay out of the indices until re-attached, matching
     #: the seed's root-anchored scans that never reached them.
     attached: bool = False
+    #: Algorithm 1's priority key.  None of its three parts changes after
+    #: construction, so it is built once instead of on every index probe.
+    sort_key: _Key = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.sort_key = (self.out_degree, self.outbound_capacity, self.node_id)
 
     @property
     def free_slots(self) -> int:
         """Number of unfilled child slots."""
-        return max(0, self.out_degree - len(self.children))
-
-    @property
-    def sort_key(self) -> _Key:
-        """Algorithm 1's priority key (immutable per node)."""
-        return (self.out_degree, self.outbound_capacity, self.node_id)
+        free = self.out_degree - len(self.children)
+        return free if free > 0 else 0
 
 
 class InsertResult(NamedTuple):
@@ -306,23 +309,21 @@ class StreamTree:
 
     def free_p2p_bandwidth_mbps(self) -> float:
         """Unused forwarding bandwidth available inside the tree."""
-        return self.free_p2p_slots() * self.stream.bandwidth_mbps
+        return self._free_slots_total * self.stream.bandwidth_mbps
 
     # -- index maintenance ---------------------------------------------------
 
-    def _level(self, depth: int) -> _Level:
-        """The index of ``depth`` (levels are created on demand)."""
-        while len(self._levels) < depth:
-            self._levels.append(_Level())
-        return self._levels[depth - 1]
-
     def _index_add(self, node: TreeNode) -> None:
         """Add a connected node to the level indices (free total unchanged:
-        it tracks membership, not attachment)."""
-        level = self._level(node.depth)
+        it tracks membership, not attachment); levels are created on demand."""
+        levels = self._levels
+        depth = node.depth
+        while len(levels) < depth:
+            levels.append(_Level())
+        level = levels[depth - 1]
         key = node.sort_key
         insort(level.members, key)
-        if node.free_slots > 0:
+        if node.out_degree > len(node.children):
             insort(level.free, key)
         node.attached = True
 
@@ -331,7 +332,7 @@ class StreamTree:
         level = self._levels[node.depth - 1]
         key = node.sort_key
         _sorted_remove(level.members, key)
-        if node.free_slots > 0:
+        if node.out_degree > len(node.children):
             _sorted_remove(level.free, key)
         node.attached = False
 
@@ -349,12 +350,13 @@ class StreamTree:
                 self._root_positions[child_id] = len(parent.children)
             parent.children.append(child_id)
             return
-        old_free = parent.free_slots
-        parent.children.append(child_id)
-        new_free = parent.free_slots
-        self._free_slots_total += new_free - old_free
-        if parent.attached and old_free > 0 and new_free == 0:
-            _sorted_remove(self._levels[parent.depth - 1].free, parent.sort_key)
+        children = parent.children
+        spare = parent.out_degree - len(children)
+        children.append(child_id)
+        if spare > 0:
+            self._free_slots_total -= 1
+            if spare == 1 and parent.attached:  # the last free slot just filled
+                _sorted_remove(self._levels[parent.depth - 1].free, parent.sort_key)
 
     def _remove_child(self, parent: TreeNode, child_id: str) -> None:
         """Drop a child, keeping the free-slot index and total exact."""
@@ -362,12 +364,13 @@ class StreamTree:
             parent.children.remove(child_id)
             self._root_positions = None
             return
-        old_free = parent.free_slots
-        parent.children.remove(child_id)
-        new_free = parent.free_slots
-        self._free_slots_total += new_free - old_free
-        if parent.attached and old_free == 0 and new_free > 0:
-            insort(self._levels[parent.depth - 1].free, parent.sort_key)
+        children = parent.children
+        children.remove(child_id)
+        spare = parent.out_degree - len(children)
+        if spare > 0:
+            self._free_slots_total += 1
+            if spare == 1 and parent.attached:  # the first free slot just opened
+                insort(self._levels[parent.depth - 1].free, parent.sort_key)
 
     def _replace_child(self, parent: TreeNode, old_id: str, new_id: str) -> None:
         """Put ``new_id`` at ``old_id``'s position among ``parent``'s children.
@@ -416,20 +419,24 @@ class StreamTree:
         -- moves inside or into detached subtrees keep the subtree out of
         the placement indices, like the seed's root-anchored scans.
         """
+        nodes = self._nodes
+        index_add = self._index_add
+        index_remove = self._index_remove
         stack: List[Tuple[TreeNode, int, float]] = [(root_node, depth, root_delay)]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            node, node_depth, delay = stack.pop()
+            node, node_depth, delay = pop()
             if node.attached:
-                self._index_remove(node)
+                index_remove(node)
             node.depth = node_depth
             node.end_to_end_delay = delay
             if target_attached:
-                self._index_add(node)
+                index_add(node)
+            node_depth += 1
             for child_id in node.children:
-                child = self._nodes[child_id]
-                stack.append(
-                    (child, node_depth + 1, delay + child.hop_from_parent)
-                )
+                child = nodes[child_id]
+                push((child, node_depth, delay + child.hop_from_parent))
 
     # -- insertion (Algorithm 1) ---------------------------------------------
 
@@ -464,12 +471,7 @@ class StreamTree:
         if delay > self.d_max:
             return InsertResult(accepted=False, reason="CDN delay exceeds d_max")
         self._attach(node_id, CDN_NODE_ID, out_degree, outbound_capacity, delay)
-        return InsertResult(
-            accepted=True,
-            parent_id=CDN_NODE_ID,
-            end_to_end_delay=delay,
-            via_cdn=True,
-        )
+        return InsertResult(True, CDN_NODE_ID, delay, True)
 
     def _find_pushdown_placement(
         self, node_id: str, out_degree: int, outbound_capacity: float
@@ -506,6 +508,8 @@ class StreamTree:
             # Then consider empty slots of this level's nodes (the paper's
             # virtual children with out-degree -1, which live one level down
             # but are always weaker than any real node there).
+            if not level.free:
+                continue  # the common case: no list to build, nothing to try
             free_parents = [nodes[key[2]] for key in level.free]
             viable: Optional[List[bool]] = None
             if len(free_parents) > BATCH_PREFILTER_MIN:
@@ -552,13 +556,6 @@ class StreamTree:
             for parent, hop in zip(parents, approx)
         ]
 
-    @staticmethod
-    def _displaces(out_degree: int, outbound_capacity: float, target: TreeNode) -> bool:
-        """Algorithm 1's comparison: strictly larger degree, or equal degree and larger capacity."""
-        if out_degree > target.out_degree:
-            return True
-        return out_degree == target.out_degree and outbound_capacity > target.outbound_capacity
-
     def _try_displace(
         self,
         node_id: str,
@@ -573,7 +570,8 @@ class StreamTree:
         parent = self._nodes[target.parent_id] if target.parent_id else None
         if parent is None:
             return None
-        if parent.node_id == CDN_NODE_ID:
+        via_cdn = parent.node_id == CDN_NODE_ID
+        if via_cdn:
             # Taking over a CDN slot: the paper assumes CDN-fed viewers see
             # exactly Delta regardless of which viewer occupies the slot.
             new_hop: Optional[float] = None
@@ -590,17 +588,17 @@ class StreamTree:
         # parent's free-slot standing is untouched).
         self._replace_child(parent, target.node_id, node_id)
         new_node = TreeNode(
-            node_id=node_id,
-            out_degree=out_degree,
-            outbound_capacity=outbound_capacity,
-            parent_id=parent.node_id,
-            end_to_end_delay=new_delay,
-            children=[target.node_id],
-            depth=target.depth,
-            hop_from_parent=new_hop,
+            node_id,
+            out_degree,
+            outbound_capacity,
+            parent.node_id,
+            new_delay,
+            [target.node_id],
+            target.depth,
+            new_hop,
         )
         self._nodes[node_id] = new_node
-        self._free_slots_total += new_node.free_slots
+        self._free_slots_total += out_degree - 1  # >= 0: one slot hosts the target
         self._index_add(new_node)
         target.parent_id = node_id
         target.hop_from_parent = pushed_hop
@@ -609,13 +607,7 @@ class StreamTree:
         self._settle_subtree(
             target, target.depth + 1, pushed_delay, target_attached=True
         )
-        return InsertResult(
-            accepted=True,
-            parent_id=parent.node_id,
-            end_to_end_delay=new_delay,
-            via_cdn=parent.node_id == CDN_NODE_ID,
-            displaced_node_id=target.node_id,
-        )
+        return InsertResult(True, parent.node_id, new_delay, via_cdn, target.node_id)
 
     def _try_fill_slot(
         self,
@@ -629,13 +621,8 @@ class StreamTree:
         delay = parent.end_to_end_delay + hop
         if delay > self.d_max:
             return None
-        self._attach(node_id, parent.node_id, out_degree, outbound_capacity, delay, hop=hop)
-        return InsertResult(
-            accepted=True,
-            parent_id=parent.node_id,
-            end_to_end_delay=delay,
-            via_cdn=False,
-        )
+        self._attach(node_id, parent.node_id, out_degree, outbound_capacity, delay, hop)
+        return InsertResult(True, parent.node_id, delay)
 
     def _attach(
         self,
@@ -648,16 +635,19 @@ class StreamTree:
     ) -> None:
         parent = self._nodes[parent_id]
         node = TreeNode(
-            node_id=node_id,
-            out_degree=out_degree,
-            outbound_capacity=outbound_capacity,
-            parent_id=parent_id,
-            end_to_end_delay=end_to_end_delay,
-            depth=parent.depth + 1,
-            hop_from_parent=hop,
+            node_id,
+            out_degree,
+            outbound_capacity,
+            parent_id,
+            end_to_end_delay,
+            [],
+            parent.depth + 1,
+            hop,
         )
         self._nodes[node_id] = node
-        self._free_slots_total += node.free_slots
+        # ``insert`` validated ``out_degree >= 0`` and the node has no
+        # children yet, so its free slots are its whole out-degree.
+        self._free_slots_total += out_degree
         self._add_child(parent, node_id)
         if parent.attached:
             self._index_add(node)
@@ -710,24 +700,23 @@ class StreamTree:
         """Hang ``node`` -- new, orphaned or moving, subtree and all -- under a parent.
 
         The one place an explicit placement is checked and wired: the
-        parent needs a free slot (the CDN always has one), a moving
-        member must not end up below itself, a CDN-fed node sees the CDN
-        delay and caches no hop while a viewer-fed one adds the edge's
-        hop to its parent's delay, and the result must stay within
-        ``d_max``.  A moving member then leaves its former parent, and
-        the subtree re-settles in one batched walk.
+        parent needs a free slot (the CDN always has one), a member --
+        moving or orphaned -- must not end up below itself, a CDN-fed
+        node sees the CDN delay and caches no hop while a viewer-fed one
+        adds the edge's hop to its parent's delay, and the result must
+        stay within ``d_max``.  A moving member then leaves its former
+        parent, and the subtree re-settles in one batched walk.
         """
         node_id = node.node_id
         former_id = node.parent_id
         parent = self._nodes[parent_id]
         if parent_id != CDN_NODE_ID and parent.free_slots <= 0:
             return InsertResult(accepted=False, reason=f"{parent_id} has no free slot")
-        if former_id is not None:
-            ancestor = parent
-            while ancestor.parent_id is not None:
-                if ancestor.node_id == node_id:
-                    return InsertResult(accepted=False, reason="would create a cycle")
-                ancestor = self._nodes[ancestor.parent_id]
+        ancestor = parent
+        while ancestor is not node and ancestor.parent_id is not None:
+            ancestor = self._nodes[ancestor.parent_id]
+        if ancestor is node:  # the walk up from the parent reached the node
+            return InsertResult(accepted=False, reason="would create a cycle")
         if parent_id == CDN_NODE_ID:
             hop: Optional[float] = None
             delay = self.delay_model.cdn_end_to_end(node_id)

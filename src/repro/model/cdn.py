@@ -44,7 +44,8 @@ class EdgeServer:
     @property
     def available_outbound_mbps(self) -> float:
         """Remaining outbound capacity on this edge server."""
-        return max(0.0, self.outbound_capacity_mbps - self.used_outbound_mbps)
+        available = self.outbound_capacity_mbps - self.used_outbound_mbps
+        return available if available > 0.0 else 0.0
 
     def allocate(self, bandwidth_mbps: float) -> bool:
         """Reserve ``bandwidth_mbps``; returns ``False`` if it does not fit."""
@@ -135,10 +136,12 @@ class CDN:
 
     @property
     def available_outbound_mbps(self) -> float:
-        """Outbound bandwidth still available to new subscriptions."""
-        if math.isinf(self.outbound_capacity_mbps):
-            return math.inf
-        return max(0.0, self.outbound_capacity_mbps - self._used_outbound)
+        """Outbound bandwidth still available to new subscriptions.
+
+        An infinite capacity stays infinite: ``inf - used`` is ``inf``.
+        """
+        available = self.outbound_capacity_mbps - self._used_outbound
+        return available if available > 0.0 else 0.0
 
     def can_serve(self, bandwidth_mbps: float) -> bool:
         """Whether a new subscription of the given bandwidth fits."""
@@ -180,15 +183,14 @@ class CDN:
         edge.release(released)
 
     def _pick_edge(self, bandwidth_mbps: float) -> Optional[EdgeServer]:
-        """Pick the least-loaded edge server that can fit the reservation."""
-        candidates = [
-            edge
-            for edge in self.edge_servers
-            if edge.available_outbound_mbps + 1e-9 >= bandwidth_mbps
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda e: e.used_outbound_mbps)
+        """Pick the (first) least-loaded edge server that can fit the reservation."""
+        best: Optional[EdgeServer] = None
+        for edge in self.edge_servers:
+            if edge.available_outbound_mbps + 1e-9 >= bandwidth_mbps and (
+                best is None or edge.used_outbound_mbps < best.used_outbound_mbps
+            ):
+                best = edge
+        return best
 
     def stream_usage(self, stream_id: StreamId) -> float:
         """Outbound bandwidth currently spent serving ``stream_id``."""

@@ -215,11 +215,22 @@ class LazyPlanetLabMatrix(LatencyMatrix):
         self._memo: Dict[Tuple[str, str], float] = {}
 
     def delay(self, a: str, b: str) -> float:
-        """One-way delay of the pair: one memo probe once it was derived."""
+        """One-way delay of the pair: one memo probe once it was derived.
+
+        A miss consults the triangular rows only when an explicit
+        :meth:`set_delay` override exists at all (``_rows`` is filled by
+        nothing else), then derives and memoizes.
+        """
         value = self._memo.get((a, b) if a <= b else (b, a))
         if value is not None:
             return value
-        return super().delay(a, b)
+        if a == b:
+            return 0.0
+        if self._rows:
+            value = super()._lookup(a, b)
+            if value == value:
+                return value
+        return self._missing_delay(a, b)
 
     def _lookup(self, a: str, b: str) -> float:
         value = super()._lookup(a, b)  # explicit set_delay overrides win

@@ -12,7 +12,7 @@ daemon continues with byte-identical placement decisions: an in-flight
 ``JoinAck`` that crossed the snapshot point is delivered at its original
 simulated timestamp in the new process.
 
-File format (version 3; the version moves whenever the pickled layout
+File format (version 4; the version moves whenever the pickled layout
 of a persisted type does, so an older file is refused by name instead
 of failing inside :mod:`pickle`)::
 
@@ -41,7 +41,7 @@ import time
 from typing import Any, Dict, Tuple
 
 SNAPSHOT_MAGIC = "repro-service-snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(RuntimeError):

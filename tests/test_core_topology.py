@@ -1,11 +1,33 @@
 """Tests for stream trees and the degree push-down algorithm (Algorithm 1)."""
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.topology import EMPTY_SLOT_DEGREE, StreamTree
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.producer import make_default_producers
 from repro.net.latency import DelayModel, LatencyMatrix
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test instead of hanging the suite (needs ``SIGALRM``)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expired(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -219,6 +241,33 @@ class TestReparent:
         tree.insert("b", 1, 2.0)
         result = tree.reparent("a", "b")
         assert not result.accepted
+
+    def test_reattach_orphan_rejects_parent_inside_own_subtree(self, tree):
+        # CDN -> a -> b -> c, then a leaves: b is an orphan with c below it.
+        tree.insert("a", 1, 4.0)
+        tree.insert("b", 1, 2.0)
+        tree.insert("c", 1, 1.0)
+        assert tree.node("c").parent_id == "b" and tree.node("c").free_slots == 1
+        assert tree.remove("a").orphaned_children == ("b",)
+        # Hanging b under its own child used to wire the b -> c -> b cycle
+        # and never return from the subtree walk.
+        with _deadline(10.0):
+            result = tree.reattach_orphan("b", "c")
+        assert not result.accepted
+        assert result.reason == tree.reparent("c", "c").reason == "would create a cycle"
+        assert tree.node("b").parent_id is None
+        assert tree.node("c").children == []
+        assert tree.reattach_orphan("b", CDN_NODE_ID).accepted
+        tree.validate()
+
+    def test_reattach_orphan_rejects_itself_as_parent(self, tree):
+        tree.insert("a", 1, 4.0)
+        tree.insert("b", 1, 2.0)
+        tree.remove("a")  # b: a childless orphan with a free slot
+        with _deadline(10.0):
+            result = tree.reattach_orphan("b", "b")
+        assert not result.accepted and result.reason == "would create a cycle"
+        assert tree.node("b").parent_id is None and tree.node("b").children == []
 
     def test_reparent_noop_when_same_parent(self, tree):
         tree.insert("a", 1, 4.0)

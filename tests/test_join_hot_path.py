@@ -1,0 +1,102 @@
+"""A deterministic guard for the join path's per-call overhead.
+
+Wall-clock gains do not survive a shared CI runner; call counts do.  One
+400-viewer, one-view, 3-LSC broadcast (the ``broadcast_join`` workload of
+``benchmarks/e2e`` at a tenth of its size, seed 7) runs under
+``sys.setprofile`` and every Python-level ``call`` event whose code lives
+under ``src/repro/`` is counted.  Two things are pinned:
+
+* the *algorithm* did not change: the calls into the five functions that
+  do a join's real work (latency lookups, tree placements, plans, routing
+  updates, CDN reservations) equal the counts captured on the commit
+  before the overhead was removed, and
+* the *overhead* stays removed: Python-level calls per join stay under a
+  budget set 5 % above what that removal measured (375 per join on
+  CPython 3.11; the parent commit made 614).
+
+Comprehensions and generator resumptions are ``call`` events; 3.12
+inlines comprehensions, so a budget measured on 3.11 bounds every newer
+interpreter from above.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from collections import Counter
+
+import repro
+from repro.core.routing_table import SessionRoutingTable
+from repro.core.subscription import plan_view_synchronization
+from repro.core.topology import StreamTree
+from repro.experiments import runner
+from repro.experiments.config import PAPER_CONFIG
+from repro.model.cdn import CDN
+from repro.net.latency import DelayModel
+
+VIEWERS = 400
+SEED = 7
+
+#: Calls into the functions that do the work, captured on the parent
+#: commit (be283b3): a change to any of them is a change of algorithm.
+WORK_CALLS = {
+    "DelayModel.propagation": 7711,
+    "StreamTree.insert": 2076,
+    "plan_view_synchronization": 986,
+    "SessionRoutingTable.upsert": 3995,
+    "CDN.allocate": 1200,
+}
+
+#: Python-level calls per join: 5 % above the 375 measured on CPython 3.11.
+CALLS_PER_JOIN_BUDGET = 394
+
+_WORK_CODE = {
+    DelayModel.propagation.__code__: "DelayModel.propagation",
+    StreamTree.insert.__code__: "StreamTree.insert",
+    plan_view_synchronization.__code__: "plan_view_synchronization",
+    SessionRoutingTable.upsert.__code__: "SessionRoutingTable.upsert",
+    CDN.allocate.__code__: "CDN.allocate",
+}
+
+
+def _profiled_broadcast():
+    """Run the body under ``sys.setprofile``: ``(result, calls, work calls)``."""
+    config = PAPER_CONFIG.with_scaled_population(
+        VIEWERS, num_lscs=3, num_views=1
+    ).with_seed(SEED)
+    scenario = runner.build_scenario(config)
+    package_root = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+    in_package = {}
+    work = Counter()
+    total = 0
+
+    def on_event(frame, event, _arg):
+        nonlocal total
+        if event != "call":
+            return
+        code = frame.f_code
+        counted = in_package.get(code)
+        if counted is None:
+            counted = in_package[code] = code.co_filename.startswith(package_root)
+        if counted:
+            total += 1
+            name = _WORK_CODE.get(code)
+            if name is not None:
+                work[name] += 1
+
+    sys.setprofile(on_event)
+    try:
+        result = runner.run_telecast_scenario(config, scenario=scenario, snapshot_every=None)
+    finally:
+        sys.setprofile(None)
+    return result, total, dict(work)
+
+
+def test_join_path_work_is_unchanged_and_its_overhead_stays_within_budget():
+    result, total, work = _profiled_broadcast()
+    joins = result.metrics.accepted_requests + result.metrics.rejected_requests
+    assert joins == VIEWERS
+    assert work == WORK_CALLS
+    assert total / joins <= CALLS_PER_JOIN_BUDGET, (
+        f"{total} Python-level calls for {joins} joins = {total / joins:.1f} per join"
+    )

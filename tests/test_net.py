@@ -395,3 +395,90 @@ class TestLazyPlanetLabMatrix:
         assert lazy.explicit_pair_count() == 1
         assert list(lazy.pairs()) == [("a", "b", 0.5)]
         assert lazy.mean_delay() == 0.5
+
+
+class TestLazyMissPath:
+    """``LazyPlanetLabMatrix.delay`` on a miss: one memo probe, the
+    triangular rows only when an explicit override exists at all, then
+    derive and memoize.  An override wins in every order of events."""
+
+    NODES = ["a", "b", "c", "d"]
+
+    def _world(self):
+        return generate_planetlab_matrix(self.NODES, rng=SeededRandom(5))
+
+    def _derived(self, a, b):
+        """The pair's pure draw, read off a world nothing else touched."""
+        return self._world().delay(a, b)
+
+    def test_derive_then_override(self):
+        lazy = self._world()
+        assert lazy.delay("a", "b") == self._derived("a", "b")
+        lazy.set_delay("b", "a", 0.25)
+        assert lazy.delay("a", "b") == lazy.delay("b", "a") == 0.25
+        assert lazy._memo == {}  # the derived value was retired, not shadowed
+        assert lazy.explicit_pair_count() == 1
+        assert lazy.mean_delay() == 0.25
+        assert list(lazy.pairs()) == [("a", "b", 0.25)]
+
+    def test_override_then_read(self):
+        lazy = self._world()
+        lazy.set_delay("b", "a", 0.25)
+        assert lazy.delay("a", "b") == lazy.delay("b", "a") == 0.25
+        assert lazy._memo == {}  # an overridden pair is never derived
+        assert lazy.explicit_pair_count() == 1
+        assert lazy.mean_delay() == 0.25
+        assert lazy.has_pair("a", "b") and lazy.has_pair("b", "a")
+        assert list(lazy.pairs()) == [("a", "b", 0.25)]
+
+    def test_deriving_other_pairs_while_one_is_overridden(self):
+        lazy = self._world()
+        lazy.set_delay("c", "d", 0.25)
+        assert lazy._rows  # from here on a miss also consults the rows
+        # Pairs sharing no node, one node, and the row of the override.
+        expected = {
+            pair: self._derived(*pair) for pair in [("a", "b"), ("a", "d"), ("a", "c")]
+        }
+        for (low, high), value in expected.items():
+            assert lazy.delay(high, low) == value  # miss: derived
+            assert lazy.delay(low, high) == value  # hit: the memo
+        assert lazy.delay("c", "d") == lazy.delay("d", "c") == 0.25
+        assert lazy._memo == expected
+        assert lazy.explicit_pair_count() == 4
+        # The running aggregate adds in storage order, override first.
+        assert lazy.mean_delay() == sum(expected.values(), 0.25) / 4
+        assert sorted(lazy.pairs()) == sorted(
+            [("c", "d", 0.25)] + [(a, b, v) for (a, b), v in expected.items()]
+        )
+        assert all(lazy.has_pair(a, b) for a, b in [*expected, ("d", "c")])
+        assert not lazy.has_pair("b", "c")  # never read: not materialized
+        # The batch path reports stored pairs exactly, the override
+        # included, approximates the rest and memoizes nothing.
+        approx = lazy.approx_delays_to(["a", "c", "b", "d"], "d")
+        assert approx[0] == expected[("a", "d")]
+        assert approx[1] == 0.25
+        assert approx[2] == pytest.approx(self._derived("b", "d"), rel=1e-12)
+        assert approx[3] == 0.0
+        assert lazy.explicit_pair_count() == 4
+
+    @pytest.mark.parametrize("with_override", [False, True])
+    def test_unknown_node_gets_the_default_and_is_not_memoized(self, with_override):
+        lazy = self._world()
+        if with_override:
+            lazy.set_delay("c", "d", 0.25)
+        stored = lazy.explicit_pair_count()
+        assert lazy.delay("a", "ghost") == lazy.delay("ghost", "a") == lazy.default_delay
+        assert lazy.delay("ghost", "spectre") == lazy.default_delay
+        assert lazy._memo == {}
+        assert lazy.explicit_pair_count() == stored
+        assert not lazy.has_pair("a", "ghost")
+
+    @pytest.mark.parametrize("with_override", [False, True])
+    def test_self_delay_is_zero_without_a_memo_entry(self, with_override):
+        lazy = self._world()
+        if with_override:
+            lazy.set_delay("a", "b", 0.25)
+        assert lazy.delay("a", "a") == 0.0
+        assert lazy.delay("ghost", "ghost") == 0.0
+        assert lazy._memo == {}
+        assert lazy.explicit_pair_count() == (1 if with_override else 0)

@@ -27,20 +27,25 @@ import json
 import random
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_topology import ReferenceStreamTree
 from repro.core.bandwidth import allocate_inbound, allocate_outbound, priority_monotonic
 from repro.core.layering import DelayLayerConfig, compute_layer
-from repro.core.state import StreamSubscription
-from repro.core.subscription import plan_view_synchronization
+from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.subscription import (
+    minimum_layer_for,
+    needs_resubscription,
+    plan_view_synchronization,
+)
 from repro.core.telecast import build_views
 from repro.core.topology import StreamTree
 from repro.metrics.stats import cdf_points
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.producer import make_default_producers
 from repro.model.stream import Frame, StreamId
+from repro.model.viewer import Viewer
 from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import generate_planetlab_matrix
 from repro.sim.rng import SeededRandom
@@ -498,6 +503,12 @@ class TestChunkedLinkEquivalence:
             assert link.free_at == expected_free_at
 
 
+def _eighths(limit):
+    """Multiples of 1/8 up to ``limit``: exact in binary, so Equation 1's
+    sums are exact and its quotient often lands on an integer."""
+    return st.integers(min_value=0, max_value=8 * limit).map(lambda n: n / 8.0)
+
+
 class TestLayeringProperties:
     @given(
         parent_delay=st.floats(min_value=60.0, max_value=64.5, allow_nan=False),
@@ -513,6 +524,64 @@ class TestLayeringProperties:
         low, high = LAYER_CONFIG.layer_delay_bounds(layer)
         assert low <= child_delay + 1e-9
         assert child_delay < high + 1e-9
+
+    @given(
+        parent_delay=st.one_of(_eighths(70), st.floats(min_value=0.0, max_value=70.0)),
+        propagation=st.one_of(_eighths(2), st.floats(min_value=0.0, max_value=2.0)),
+        processing=st.one_of(_eighths(2), st.floats(min_value=0.0, max_value=2.0)),
+        delta=st.one_of(_eighths(65), st.floats(min_value=0.0, max_value=65.0)),
+        tau=st.one_of(
+            st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(min_value=0.01, max_value=2.0)
+        ),
+        held_layers=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4),
+    )
+    @example(  # the quotient is exactly 2.0
+        parent_delay=60.25, propagation=0.125, processing=0.125, delta=60.0, tau=0.25,
+        held_layers=[2, 0],
+    )
+    @example(  # the quotient is negative: clamped to Layer-0
+        parent_delay=0.0, propagation=0.125, processing=0.125, delta=60.0, tau=0.25,
+        held_layers=[0],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_inlined_equation_1_copies_match_the_helpers(
+        self, parent_delay, propagation, processing, delta, tau, held_layers
+    ):
+        # ``plan_view_synchronization`` and ``needs_resubscription`` each
+        # inline Equation 1; the helpers stay the specification.
+        config = DelayLayerConfig(
+            delta=delta, buffer_duration=2 * tau, kappa=2, d_max=delta + 10.0
+        )
+        assert config.tau == tau
+        matrix = LatencyMatrix(default_delay=0.05)
+        matrix.set_delay("parent", "child", propagation)
+        delay_model = DelayModel(matrix, processing_delay=processing, cdn_delta=delta)
+        expected = compute_layer(config, parent_delay, propagation, processing)
+        assert minimum_layer_for(config, delay_model, "child", "parent", parent_delay) == expected
+
+        # The first held stream is viewer-fed, the rest come from the CDN.
+        session = ViewerSession(viewer=Viewer(viewer_id="child"), view=VIEW, lsc_id="LSC-0")
+        for index, (stream, layer) in enumerate(zip(VIEW.streams, held_layers)):
+            session.subscriptions[stream.stream_id] = StreamSubscription(
+                stream=stream,
+                parent_id="parent" if index == 0 else CDN_NODE_ID,
+                end_to_end_delay=delta,
+                layer=layer,
+                via_cdn=index > 0,
+            )
+        fed_by_viewer, *fed_by_cdn = session.subscriptions
+        plan = plan_view_synchronization(
+            config, delay_model, "child", session.subscriptions, {fed_by_viewer: parent_delay}
+        )
+        assert plan.per_stream[fed_by_viewer].minimum_layer == expected
+        assert needs_resubscription(
+            config, delay_model, session, fed_by_viewer, parent_delay
+        ) == (expected > session.max_layer)
+        for stream_id in fed_by_cdn:  # Layer-0 never exceeds a held layer
+            assert plan.per_stream[stream_id].minimum_layer == 0
+            assert not needs_resubscription(
+                config, delay_model, session, stream_id, parent_delay
+            )
 
     @given(
         delays=st.lists(

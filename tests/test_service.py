@@ -317,6 +317,12 @@ class TestSnapshotFile:
         # dataclasses (now plain lists) and DeliveryRecord as a dataclass.
         self._assert_version_refused(tmp_path, 2)
 
+    def test_version_3_file_refused_by_name(self, tmp_path):
+        # A v3 payload pickled StreamSubscription, RoutingEntry and
+        # ChildForwardingState with a ``__dict__`` (now slotted) and
+        # TreeNode without its stored ``sort_key`` slot.
+        self._assert_version_refused(tmp_path, 3)
+
 
 class TestInFlightSnapshot:
     """Satellite: drain-and-continue across a snapshot boundary.
