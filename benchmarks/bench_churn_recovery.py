@@ -81,8 +81,9 @@ def _pick_victims(system: TeleCastSystem) -> list:
     fanout = {}
     for lsc in system.gsc.lscs:
         for viewer_id, session in lsc.sessions.items():
+            group = lsc.groups[session.view.view_id]
             fanout[viewer_id] = sum(
-                len(session.routing_table.children_of(stream_id))
+                len(group.children_of(viewer_id, stream_id))
                 for stream_id in session.subscriptions
             )
     ranked = sorted(fanout, key=lambda vid: (-fanout[vid], vid))

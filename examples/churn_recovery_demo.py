@@ -56,13 +56,12 @@ def main() -> None:
 
     # --- an abrupt failure ----------------------------------------------------
     lsc = system.gsc.lscs[0]
-    forwarder = max(
-        lsc.sessions,
-        key=lambda vid: sum(
-            len(lsc.sessions[vid].routing_table.children_of(sid))
-            for sid in lsc.sessions[vid].subscriptions
-        ),
-    )
+    def fanout(vid: str) -> int:
+        session = lsc.sessions[vid]
+        group = lsc.groups[session.view.view_id]
+        return sum(len(group.children_of(vid, sid)) for sid in session.subscriptions)
+
+    forwarder = max(lsc.sessions, key=fanout)
     repair = system.fail_viewer(forwarder, now=5.0)
     print(
         f"\n{forwarder} crashed: {len(repair.orphaned)} subscriptions orphaned, "

@@ -5,9 +5,10 @@ producer metadata (frame rates, latest frame numbers), assigns each viewer
 to the Local Session Controller (LSC) of its geographic region, and serves
 metadata queries.  Each LSC handles the join/leave/view-change requests of
 the viewers in its cluster: bandwidth allocation, topology formation via
-degree push-down, routing-table installation and the stream-subscription
-(view synchronization) process, exactly in the order of Figure 5 of the
-paper.
+degree push-down and the stream-subscription (view synchronization)
+process, in the order of Figure 5 of the paper.  Figure 5's routing
+installation is not a step here: Table I is read off the trees and
+subscriptions these steps leave behind.
 """
 
 from __future__ import annotations
@@ -182,9 +183,8 @@ class LocalSessionController:
 
         Implements the pipeline of Figure 5: the LSC allocates inbound then
         outbound bandwidth, forms the per-stream overlay topology with
-        degree push-down (falling back to the CDN), installs routing table
-        entries at the viewer and its parents, and finally runs the stream
-        subscription process that bounds the inter-stream skew.
+        degree push-down (falling back to the CDN), and finally runs the
+        stream subscription process that bounds the inter-stream skew.
         """
         if viewer.viewer_id in self.sessions:
             raise ValueError(f"viewer {viewer.viewer_id} is already connected")
@@ -210,8 +210,6 @@ class LocalSessionController:
             view=view,
             lsc_id=self.lsc_id,
             join_time=now,
-            outbound_allocation_mbps=dict(outbound.per_stream_mbps),
-            out_degree=dict(outbound.out_degree),
             rejected_stream_ids=tuple(e.stream_id for e in inbound.rejected),
         )
 
@@ -237,16 +235,9 @@ class LocalSessionController:
             )
 
         for stream_id, displaced_id in displaced:
-            self._sync_displaced_parentage(
-                group,
-                stream_id,
-                displaced_id,
-                session.viewer_id,
-                new_parent_session=session,
-            )
+            self._sync_subscription(group, stream_id, self.sessions.get(displaced_id))
 
         dropped = self._run_view_sync(group, session, now)
-        self._install_routing(group, session)
 
         group.add_session(session)
         self.sessions[viewer.viewer_id] = session
@@ -309,47 +300,23 @@ class LocalSessionController:
         )
         return result
 
-    def _sync_displaced_parentage(
-        self,
-        group: ViewGroup,
-        stream_id: StreamId,
-        displaced_id: str,
-        new_parent_id: str,
-        *,
-        new_parent_session: Optional[ViewerSession] = None,
+    def _sync_subscription(
+        self, group: ViewGroup, stream_id: StreamId, session: Optional[ViewerSession]
     ) -> None:
-        """Update the session and routing state of a viewer pushed down by a join."""
-        displaced_session = self.sessions.get(displaced_id)
-        tree = group.tree(stream_id)
-        if displaced_session is None or stream_id not in displaced_session.subscriptions:
+        """Copy a viewer's position in a stream tree into its subscription.
+
+        A structural move -- push-down, in-place re-attachment, orphan
+        repair, CDN re-provision -- has one writer, the tree; this is the
+        one copier, and it reads parent and delay off the tree node.
+        """
+        sub = session.subscriptions.get(stream_id) if session is not None else None
+        if sub is None:
             return
-        sub = displaced_session.subscriptions[stream_id]
-        old_parent_id = sub.parent_id
-        sub.parent_id = new_parent_id
-        sub.end_to_end_delay = tree.end_to_end_delay(displaced_id)
+        node = group.tree(stream_id).node(session.viewer_id)
+        sub.parent_id = node.parent_id
+        sub.via_cdn = node.parent_id == CDN_NODE_ID
+        sub.end_to_end_delay = node.end_to_end_delay
         sub.effective_delay = max(sub.effective_delay, sub.end_to_end_delay)
-        sub.via_cdn = new_parent_id == CDN_NODE_ID
-        displaced_session.routing_table.reparent(stream_id, new_parent_id)
-        # The new parent (the joining viewer, whose session is not yet
-        # registered in ``self.sessions``) starts forwarding the stream to
-        # the viewer it displaced.
-        parent_session = new_parent_session or self.sessions.get(new_parent_id)
-        if parent_session is not None:
-            parent_sub = parent_session.subscriptions.get(stream_id)
-            if parent_sub is not None:
-                entry = parent_session.routing_table.upsert(
-                    parent_sub.parent_id, stream_id
-                )
-                entry.add_child(
-                    displaced_id, subscription_frame=sub.subscription_frame
-                )
-        # The old parent no longer forwards this stream to the displaced
-        # viewer (the joining viewer took its slot).
-        old_parent_session = self.sessions.get(old_parent_id)
-        if old_parent_session is not None:
-            entry = old_parent_session.routing_table.lookup_stream(stream_id)
-            if entry is not None:
-                entry.remove_child(displaced_id)
 
     # -- view synchronization --------------------------------------------------
 
@@ -421,22 +388,12 @@ class LocalSessionController:
             return False
         if not self.cdn.allocate(stream_id, stream.bandwidth_mbps):
             return False
-        old_parent = sub.parent_id
-        result = tree.reparent(session.viewer_id, CDN_NODE_ID)
-        if not result.accepted:
+        if not tree.reparent(session.viewer_id, CDN_NODE_ID).accepted:
             self.cdn.release(stream_id, stream.bandwidth_mbps)
             return False
-        old_parent_session = self.sessions.get(old_parent)
-        if old_parent_session is not None:
-            entry = old_parent_session.routing_table.lookup_stream(stream_id)
-            if entry is not None:
-                entry.remove_child(session.viewer_id)
-        sub.parent_id = CDN_NODE_ID
-        sub.via_cdn = True
-        sub.end_to_end_delay = result.end_to_end_delay
-        sub.effective_delay = result.end_to_end_delay
+        self._sync_subscription(group, stream_id, session)
+        sub.effective_delay = sub.end_to_end_delay
         sub.layer = 0
-        session.routing_table.reparent(stream_id, CDN_NODE_ID)
         return True
 
     def _propagate_subscription(
@@ -472,22 +429,6 @@ class LocalSessionController:
             ) or sub.end_to_end_delay > sub.effective_delay:
                 self._run_view_sync(group, current_session, now)
 
-    # -- routing ---------------------------------------------------------------
-
-    def _install_routing(self, group: ViewGroup, session: ViewerSession) -> None:
-        """Create routing entries at the joining viewer and its parents."""
-        for stream_id, sub in session.subscriptions.items():
-            session.routing_table.upsert(sub.parent_id, stream_id)
-            parent_session = self.sessions.get(sub.parent_id)
-            if parent_session is None:
-                continue
-            parent_sub = parent_session.subscriptions.get(stream_id)
-            grandparent = parent_sub.parent_id if parent_sub else CDN_NODE_ID
-            entry = parent_session.routing_table.upsert(grandparent, stream_id)
-            entry.add_child(
-                session.viewer_id, subscription_frame=sub.subscription_frame
-            )
-
     # -- teardown helpers --------------------------------------------------------
 
     def _detach_stream(
@@ -515,12 +456,6 @@ class LocalSessionController:
         removal = tree.remove(viewer_id)
         if was_cdn_fed and removal.removed:
             self.cdn.release(stream_id, tree.stream.bandwidth_mbps)
-        if former_parent is not None:
-            parent_session = self.sessions.get(former_parent)
-            if parent_session is not None:
-                entry = parent_session.routing_table.lookup_stream(stream_id)
-                if entry is not None:
-                    entry.remove_child(viewer_id)
         orphans = list(removal.orphaned_children)
         if reattach_to_parent and former_parent is not None:
             remaining: List[str] = []
@@ -536,29 +471,9 @@ class LocalSessionController:
                         self.cdn.release(stream_id, tree.stream.bandwidth_mbps)
                     remaining.append(orphan)
                 else:
-                    self._after_reattach(group, stream_id, orphan, target)
+                    self._sync_subscription(group, stream_id, self.sessions.get(orphan))
             orphans = remaining
         return orphans
-
-    def _after_reattach(
-        self, group: ViewGroup, stream_id: StreamId, viewer_id: str, new_parent_id: str
-    ) -> None:
-        """Refresh session state of a viewer re-attached inside a stream tree."""
-        session = self.sessions.get(viewer_id)
-        tree = group.tree(stream_id)
-        if session is None or stream_id not in session.subscriptions:
-            return
-        sub = session.subscriptions[stream_id]
-        sub.parent_id = new_parent_id
-        sub.via_cdn = new_parent_id == CDN_NODE_ID
-        sub.end_to_end_delay = tree.end_to_end_delay(viewer_id)
-        sub.effective_delay = max(sub.effective_delay, sub.end_to_end_delay)
-        session.routing_table.reparent(stream_id, new_parent_id)
-        parent_session = self.sessions.get(new_parent_id)
-        if parent_session is not None:
-            parent_sub = parent_session.subscriptions.get(stream_id)
-            grandparent = parent_sub.parent_id if parent_sub else CDN_NODE_ID
-            parent_session.routing_table.upsert(grandparent, stream_id).add_child(viewer_id)
 
     def teardown_session(
         self, viewer_id: str
@@ -602,8 +517,8 @@ class LocalSessionController:
         subscription and the free forwarding slot the degree push-down
         level order finds (:meth:`StreamTree.find_repair_parent
         <repro.core.topology.StreamTree.find_repair_parent>`).  After a
-        successful re-parent the orphan's session and routing table are
-        patched and the view-synchronization process propagates down its
+        successful re-parent the orphan's subscription follows its tree
+        node and the view-synchronization process propagates down its
         subtree, so delay layers stay acceptable and within ``kappa``.
         An orphan neither attempt can place loses the subscription and
         its own children become orphans of the same stream.
@@ -647,7 +562,7 @@ class LocalSessionController:
                 repaired_cdn += 1
             else:
                 repaired_p2p += 1
-            self._after_reattach(group, stream_id, orphan_id, attached_to)
+            self._sync_subscription(group, stream_id, orphan_session)
             self._propagate_subscription(group, stream_id, orphan_id, now)
         return repaired_p2p, repaired_cdn, lost
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.core.routing_table import SessionRoutingTable
 from repro.core.state import ViewerSession
 from repro.core.topology import StreamTree
 from repro.model.cdn import CDN, CDN_NODE_ID
@@ -119,6 +120,22 @@ class ViewGroup:
         if tree is None or viewer_id not in tree:
             return []
         return list(tree.node(viewer_id).children)
+
+    def routing_table_of(self, viewer_id: str) -> SessionRoutingTable:
+        """The session routing table (Table I) of a member, built on read.
+
+        One row per subscription, matched on ``(sub.parent_id,
+        stream_id)``; one forwarding address per child of the member's
+        tree node, at that child's current subscription point.  Nothing
+        is stored, so the table cannot disagree with the trees.
+        """
+        table = SessionRoutingTable()
+        for stream_id, sub in self.sessions[viewer_id].subscriptions.items():
+            entry = table.upsert(sub.parent_id, stream_id)
+            for child_id in self.children_of(viewer_id, stream_id):
+                child_sub = self.sessions[child_id].subscriptions[stream_id]
+                entry.add_child(child_id, subscription_frame=child_sub.subscription_frame)
+        return table
 
     def streams_forwarded_by(self, viewer_id: str) -> List[StreamId]:
         """Streams for which the viewer currently has at least one child."""

@@ -34,11 +34,10 @@ events an explicit subsystem with three parts:
   runs both halves in one process; the shard-parallel engine runs them in
   two, on either side of a barrier.
 
-Repair preserves the routing-table and delay-layer invariants: every
-re-parented viewer patches its session routing table, its new parent
-installs a forwarding entry, and the view-synchronization process re-runs
-down the repaired subtree whenever the new position can no longer support
-the old delay layers.
+Repair preserves the tree and delay-layer invariants: every re-parented
+viewer's subscription follows its tree node, and the view-synchronization
+process re-runs down the repaired subtree whenever the new position can no
+longer support the old delay layers.
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ def evict_sessions(
 ) -> Tuple[List[ViewerSession], Tuple[str, ...]]:
     """Owner half of a failover: tear a failed LSC out of its GSC.
 
-    The controller's overlay state (trees, sessions, routing tables) is
+    The controller's overlay state (trees, sessions) is
     considered lost with it: it is unregistered, the CDN reservations of
     its sessions are released and its region mappings are dropped.
     Returns its sessions in the order the target re-admits them --

@@ -6,8 +6,11 @@ table's match field (stream id + parent id); for every forwarding address
 in the matching entry whose action is ``forward``, a frame is picked from
 the viewer's buffer/cache at the child's *subscription point* and relayed.
 
-The control plane (viewer SC) populates and updates the table during join,
-stream subscription and adaptation.
+The table is a view, not a store: :meth:`ViewGroup.routing_table_of
+<repro.core.group.ViewGroup.routing_table_of>` builds it on read (with
+:meth:`SessionRoutingTable.upsert` and :meth:`RoutingEntry.add_child`) from
+the viewer's subscriptions and the children of its tree nodes, so join,
+stream subscription and adaptation update it by moving those.
 """
 
 from __future__ import annotations
@@ -81,15 +84,14 @@ class RoutingEntry:
             child_id, action, subscription_frame
         )
 
+    # ``remove_child`` and ``SessionRoutingTable.remove`` / ``remove_stream`` /
+    # ``reparent`` lost their last caller in ``src/`` when the table became
+    # a view; the frozen benchmark binds all four by name
+    # (``benchmarks/e2e/layers.py``), so they leave with their span points
+    # in the next ``[benchmark]`` PR (ROADMAP item 1).
     def remove_child(self, child_id: str) -> bool:
         """Remove a forwarding address; returns ``True`` if it existed."""
         return self.children.pop(child_id, None) is not None
-
-    def set_subscription_point(self, child_id: str, frame_number: int) -> None:
-        """Update the subscription point of a child (stream subscription protocol)."""
-        if child_id not in self.children:
-            raise KeyError(f"{child_id} is not a child of {self.match}")
-        self.children[child_id].subscription_frame = frame_number
 
     def forwarding_targets(self) -> List[ChildForwardingState]:
         """Children whose action is ``forward`` (the data plane's fan-out set)."""
@@ -145,12 +147,7 @@ class SessionRoutingTable:
         return len(matches)
 
     def reparent(self, stream_id: StreamId, new_parent_id: str) -> RoutingEntry:
-        """Move a stream's entry under a new parent, keeping its children.
-
-        Used when a victim viewer is re-attached (its parent left or
-        changed view) or when a view change's background join completes and
-        the CDN-fed temporary entry is replaced by the overlay parent.
-        """
+        """Move a stream's entry under a new parent, keeping its children."""
         existing = self.lookup_stream(stream_id)
         new_entry = self.upsert(new_parent_id, stream_id)
         if existing is not None and existing.match.parent_id != new_parent_id:

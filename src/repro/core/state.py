@@ -2,8 +2,10 @@
 
 These records tie together everything the control plane knows about one
 connected viewer: the view it requested, which streams were accepted, who
-its parents are, the bandwidth reserved in each direction, the delay layer
-of every accepted stream and the session routing table of its data plane.
+its parents are and the delay layer of every accepted stream.  What the
+viewer forwards -- out-degree and children per stream -- is held by its
+:class:`~repro.core.topology.TreeNode` alone; the view group reads the
+paper's Table I off the two.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.routing_table import SessionRoutingTable
 from repro.model.stream import Stream, StreamId
 from repro.model.view import GlobalView
 from repro.model.viewer import Viewer
@@ -74,9 +75,6 @@ class ViewerSession:
     view: GlobalView
     lsc_id: str
     subscriptions: Dict[StreamId, StreamSubscription] = field(default_factory=dict)
-    outbound_allocation_mbps: Dict[StreamId, float] = field(default_factory=dict)
-    out_degree: Dict[StreamId, int] = field(default_factory=dict)
-    routing_table: SessionRoutingTable = field(default_factory=SessionRoutingTable)
     join_time: float = 0.0
     join_delay: float = 0.0
     rejected_stream_ids: Tuple[StreamId, ...] = ()
@@ -100,11 +98,6 @@ class ViewerSession:
     def allocated_inbound_mbps(self) -> float:
         """Inbound bandwidth consumed by the accepted streams."""
         return sum(sub.bandwidth_mbps for sub in self.subscriptions.values())
-
-    @property
-    def allocated_outbound_mbps(self) -> float:
-        """Outbound bandwidth reserved for forwarding."""
-        return sum(self.outbound_allocation_mbps.values())
 
     @property
     def max_layer(self) -> Optional[int]:
@@ -132,10 +125,9 @@ class ViewerSession:
         return self.subscriptions[stream_id]
 
     def drop_subscription(self, stream_id: StreamId) -> Optional[StreamSubscription]:
-        """Remove a stream subscription and its routing entries (if present)."""
+        """Remove a stream subscription and its buffer (if present)."""
         sub = self.subscriptions.pop(stream_id, None)
         if sub is not None:
-            self.routing_table.remove_stream(stream_id)
             self.viewer.drop_buffer(stream_id)
         return sub
 

@@ -16,17 +16,20 @@ drift apart on what "no dangling routing state" means.
 Catalog
 -------
 ``no_dangling_routing_state``
-    No session, tree, routing table or subscription references a viewer
-    that is no longer connected; all trees validate structurally.
+    No session, group, tree or subscription references a viewer that is
+    no longer connected; all trees validate structurally.
 ``routing_matches_trees``
-    Every overlay tree edge is mirrored by forwarding state at the
-    parent's routing table, and vice versa.
+    The two copies of every overlay edge agree: each tree member has a
+    session subscribed to the stream, and each subscription's viewer
+    sits in the stream's tree under ``sub.parent_id``, with ``via_cdn``
+    set exactly when that parent is the CDN.  (Table I is read off these
+    two, so it has nothing left to disagree with.)
 ``layer_bounds``
     Every connected viewer satisfies the skew bound (``kappa``) and
     every subscription sits in an acceptable delay layer.
 ``no_orphaned_subscriptions``
-    Every P2P subscription's parent is a connected viewer that actually
-    forwards the stream (post-repair consistency).
+    Every P2P subscription's parent is a connected viewer (post-repair
+    consistency).
 ``single_home``
     No viewer is connected through more than one LSC.
 ``detector_consistent``
@@ -74,7 +77,7 @@ def connected_viewer_ids(system: "TeleCastSystem") -> set:
 def dangling_reference_violations(
     system: "TeleCastSystem", gone_viewer_ids: Iterable[str]
 ) -> List[str]:
-    """References to departed viewers in sessions, trees or routing state."""
+    """References to departed viewers in sessions, groups, trees or subscriptions."""
     gone = set(gone_viewer_ids)
     violations: List[str] = []
     for lsc in system.gsc.lscs:
@@ -101,18 +104,6 @@ def dangling_reference_violations(
                         f"tree {sorted(members)}"
                     )
             for viewer_id, session in group.sessions.items():
-                for entry in session.routing_table.entries():
-                    if entry.match.parent_id in gone:
-                        violations.append(
-                            f"{viewer_id}: routes from departed parent "
-                            f"{entry.match.parent_id}"
-                        )
-                    ghost_children = gone & set(entry.children)
-                    if ghost_children:
-                        violations.append(
-                            f"{viewer_id}: forwards to departed children "
-                            f"{sorted(ghost_children)}"
-                        )
                 for stream_id, sub in session.subscriptions.items():
                     if sub.parent_id in gone:
                         violations.append(
@@ -123,7 +114,7 @@ def dangling_reference_violations(
 
 
 def routing_tree_mismatches(system: "TeleCastSystem") -> List[str]:
-    """Tree edges not mirrored by the parent's forwarding state (or vice versa)."""
+    """Tree positions and subscriptions that disagree about an overlay edge."""
     violations: List[str] = []
     for lsc in system.gsc.lscs:
         for group in lsc.groups.values():
@@ -134,14 +125,28 @@ def routing_tree_mismatches(system: "TeleCastSystem") -> List[str]:
                         violations.append(
                             f"{viewer_id}/{stream_id}: in tree but has no session"
                         )
-                        continue
-                    tree_children = set(tree.node(viewer_id).children)
-                    table_children = set(session.routing_table.children_of(stream_id))
-                    if tree_children != table_children:
+                    elif stream_id not in session.subscriptions:
                         violations.append(
-                            f"{viewer_id}/{stream_id}: tree children "
-                            f"{sorted(tree_children)} != routing children "
-                            f"{sorted(table_children)}"
+                            f"{viewer_id}/{stream_id}: in tree but not subscribed"
+                        )
+            for viewer_id, session in group.sessions.items():
+                for stream_id, sub in session.subscriptions.items():
+                    tree = group.trees.get(stream_id)
+                    if tree is None or viewer_id not in tree:
+                        violations.append(
+                            f"{viewer_id}/{stream_id}: subscribed but not in tree"
+                        )
+                        continue
+                    parent_id = tree.node(viewer_id).parent_id
+                    if sub.parent_id != parent_id:
+                        violations.append(
+                            f"{viewer_id}/{stream_id}: subscribed to "
+                            f"{sub.parent_id} but tree parent is {parent_id}"
+                        )
+                    if sub.via_cdn != (parent_id == CDN_NODE_ID):
+                        violations.append(
+                            f"{viewer_id}/{stream_id}: via_cdn={sub.via_cdn} "
+                            f"under tree parent {parent_id}"
                         )
     return violations
 
@@ -168,28 +173,16 @@ def layer_bound_violations(system: "TeleCastSystem") -> List[str]:
 
 
 def orphaned_subscription_violations(system: "TeleCastSystem") -> List[str]:
-    """P2P subscriptions whose parent no longer serves the stream."""
+    """P2P subscriptions whose parent is no longer connected."""
     violations: List[str] = []
     for lsc in system.gsc.lscs:
         for group in lsc.groups.values():
             for viewer_id, session in group.sessions.items():
                 for stream_id, sub in session.subscriptions.items():
-                    if sub.parent_id == CDN_NODE_ID:
-                        continue
-                    parent_session = lsc.sessions.get(sub.parent_id)
-                    if parent_session is None:
+                    if sub.parent_id != CDN_NODE_ID and sub.parent_id not in lsc.sessions:
                         violations.append(
                             f"{viewer_id}/{stream_id}: parent {sub.parent_id} "
                             f"has no session"
-                        )
-                        continue
-                    children = set(
-                        parent_session.routing_table.children_of(stream_id)
-                    )
-                    if viewer_id not in children:
-                        violations.append(
-                            f"{viewer_id}/{stream_id}: parent {sub.parent_id} "
-                            f"does not forward to it"
                         )
     return violations
 

@@ -3,8 +3,8 @@
 :func:`run_scenario` runs a preset through
 :func:`repro.experiments.runner.run_telecast_scenario` and keeps the live
 :class:`~repro.core.telecast.TeleCastSystem` that ran it on the result,
-so the post-hoc invariant checks can walk sessions, trees, routing tables
-and failure detectors after the workload drained.
+so the post-hoc invariant checks can walk sessions, trees and failure
+detectors after the workload drained.
 """
 
 from __future__ import annotations

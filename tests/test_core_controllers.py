@@ -92,7 +92,8 @@ class TestJoin:
         assert session is not None
         assert session.num_accepted_streams == 6
         assert session.allocated_inbound_mbps == pytest.approx(12.0)
-        assert len(session.routing_table.streams()) == 6
+        table = lsc.groups[default_view.view_id].routing_table_of("u1")
+        assert len(table.streams()) == 6
         assert session.skew_bound_satisfied(lsc.layer_config.kappa)
 
     def test_duplicate_join_rejected(self, lsc, default_view):
@@ -109,10 +110,10 @@ class TestJoin:
         assert result.accepted
         # The follower is served at least partly by the seed, not only the CDN.
         assert len(result.cdn_stream_ids) < len(result.accepted_stream_ids)
-        seed_session = lsc.session_of("seed")
+        seed_table = lsc.groups[default_view.view_id].routing_table_of("seed")
         forwarded = [
-            sid for sid in seed_session.routing_table.streams()
-            if "follower" in seed_session.routing_table.children_of(sid)
+            sid for sid in seed_table.streams()
+            if "follower" in seed_table.children_of(sid)
         ]
         assert forwarded
 
@@ -120,11 +121,11 @@ class TestJoin:
         seed = Viewer(viewer_id="seed", outbound_capacity_mbps=12.0)
         lsc.join(seed, default_view)
         lsc.join(Viewer(viewer_id="child", outbound_capacity_mbps=0.0), default_view)
-        seed_session = lsc.session_of("seed")
+        seed_table = lsc.groups[default_view.view_id].routing_table_of("seed")
         children = {
             child
-            for sid in seed_session.routing_table.streams()
-            for child in seed_session.routing_table.children_of(sid)
+            for sid in seed_table.streams()
+            for child in seed_table.children_of(sid)
         }
         assert "child" in children
 

@@ -8,6 +8,8 @@ from repro.core.routing_table import (
     SessionRoutingTable,
 )
 from repro.core.state import StreamSubscription, ViewerSession
+from repro.experiments import runner
+from repro.experiments.config import PAPER_CONFIG
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.producer import make_default_producers
 from repro.model.stream import StreamId
@@ -57,15 +59,6 @@ class TestSessionRoutingTable:
         entry.add_child("c", action=ForwardingAction.DROP)
         assert entry.forwarding_targets() == []
 
-    def test_set_subscription_point(self, stream_id):
-        table = SessionRoutingTable()
-        entry = table.upsert("p", stream_id)
-        entry.add_child("c")
-        entry.set_subscription_point("c", 120)
-        assert entry.children["c"].subscription_frame == 120
-        with pytest.raises(KeyError):
-            entry.set_subscription_point("ghost", 1)
-
     def test_remove_entry_and_stream(self, stream_id):
         table = SessionRoutingTable()
         table.upsert("p1", stream_id)
@@ -86,6 +79,41 @@ class TestSessionRoutingTable:
 
     def test_match_field_str(self, stream_id):
         assert str(MatchField("p", stream_id)) == "p:S0@A"
+
+
+class TestRoutingTableView:
+    """Table I is read off the trees and subscriptions, so it cannot drift."""
+
+    def test_forwarding_state_follows_a_child_that_resubscribed(self):
+        # The broadcast of tests/test_join_hot_path.py: displaced children
+        # re-subscribe after their parent's row exists.  The stored table
+        # wrote a child's subscription point once, on install, and 154 of
+        # its 874 forwarding states were stale after this run.
+        config = PAPER_CONFIG.with_scaled_population(
+            400, num_lscs=3, num_views=1
+        ).with_seed(7)
+        system = runner.run_telecast_scenario(config, snapshot_every=None).system
+        states = pushed_down = 0
+        for lsc in system.gsc.lscs:
+            for group in lsc.groups.values():
+                for viewer_id, session in group.sessions.items():
+                    table = group.routing_table_of(viewer_id)
+                    assert {entry.match for entry in table.entries()} == {
+                        (sub.parent_id, stream_id)
+                        for stream_id, sub in session.subscriptions.items()
+                    }
+                    for entry in table.entries():
+                        stream_id = entry.match.stream_id
+                        assert list(entry.children) == group.children_of(
+                            viewer_id, stream_id
+                        )
+                        for child_id, state in entry.children.items():
+                            child_sub = group.sessions[child_id].subscriptions[stream_id]
+                            assert child_sub.parent_id == viewer_id
+                            assert state.subscription_frame == child_sub.subscription_frame
+                            states += 1
+                            pushed_down += state.subscription_frame is not None
+        assert (states, pushed_down) == (874, 252)
 
 
 def _subscription(stream, parent=CDN_NODE_ID, delay=60.0, layer=0):
@@ -124,15 +152,13 @@ class TestViewerSession:
         assert session.skew_bound_satisfied(kappa=2)
         assert not session.skew_bound_satisfied(kappa=1)
 
-    def test_drop_subscription_cleans_routing_and_buffer(self, session, default_view):
+    def test_drop_subscription_cleans_buffer(self, session, default_view):
         stream = default_view.streams[0]
         session.subscriptions[stream.stream_id] = _subscription(stream)
-        session.routing_table.upsert(CDN_NODE_ID, stream.stream_id)
         session.viewer.buffer_for(stream.stream_id)
         dropped = session.drop_subscription(stream.stream_id)
         assert dropped is not None
         assert session.num_accepted_streams == 0
-        assert session.routing_table.streams() == []
         assert session.viewer.buffered_streams == ()
         assert session.drop_subscription(stream.stream_id) is None
 
@@ -143,9 +169,3 @@ class TestViewerSession:
         )
         assert sub.delayed_receive == pytest.approx(0.4)
         assert sub.bandwidth_mbps == stream.bandwidth_mbps
-
-    def test_outbound_accounting(self, session, default_view):
-        stream = default_view.streams[0]
-        session.outbound_allocation_mbps[stream.stream_id] = 4.0
-        session.out_degree[stream.stream_id] = 2
-        assert session.allocated_outbound_mbps == 4.0

@@ -7,6 +7,8 @@ graceful degradation under a constrained CDN, view-change dynamics and the
 TeleCast-vs-Random comparison.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.baselines.random_routing import RandomDisseminationSystem
@@ -62,17 +64,21 @@ class TestResourceAccounting:
         for lsc in system.gsc.lscs:
             for session in lsc.sessions.values():
                 assert session.allocated_inbound_mbps <= session.viewer.inbound_capacity_mbps + 1e-9
-                assert session.allocated_outbound_mbps <= session.viewer.outbound_capacity_mbps + 1e-9
             for group in lsc.groups.values():
-                for stream_id, tree in group.trees.items():
+                # The outbound reservation is held by the tree nodes alone:
+                # out-degree x stream bandwidth, summed over the view's trees.
+                reserved = Counter()
+                for tree in group.trees.values():
                     tree.validate()
                     for node_id in tree.members():
                         node = tree.node(node_id)
                         # A viewer never forwards more children than its
                         # per-stream outbound allocation allows.
-                        session = lsc.session_of(node_id)
-                        if session is not None:
-                            assert len(node.children) <= session.out_degree.get(stream_id, 0)
+                        assert len(node.children) <= node.out_degree
+                        reserved[node_id] += node.out_degree * tree.stream.bandwidth_mbps
+                for viewer_id, mbps in reserved.items():
+                    capacity = lsc.sessions[viewer_id].viewer.outbound_capacity_mbps
+                    assert mbps <= capacity + 1e-9
 
     def test_every_connected_viewer_covers_all_sites(self):
         system, viewers, events, views = build_system(

@@ -6,13 +6,19 @@ Wall-clock gains do not survive a shared CI runner; call counts do.  One
 ``sys.setprofile`` and every Python-level ``call`` event whose code lives
 under ``src/repro/`` is counted.  Two things are pinned:
 
-* the *algorithm* did not change: the calls into the five functions that
-  do a join's real work (latency lookups, tree placements, plans, routing
-  updates, CDN reservations) equal the counts captured on the commit
-  before the overhead was removed, and
+* the *algorithm* did not change: the calls into the four functions that
+  do a join's real work (latency lookups, tree placements, plans, CDN
+  reservations) equal the counts captured on the commit before the
+  overhead was removed, and
 * the *overhead* stays removed: Python-level calls per join stay under a
-  budget set 5 % above what that removal measured (375 per join on
-  CPython 3.11; the parent commit made 614).
+  budget set 5 % above the last measurement (355 per join on CPython
+  3.11; 375 while every join still wrote routing tables, 614 before the
+  join fast path).
+
+``SessionRoutingTable.upsert`` was the fifth pinned function (3995
+calls).  It left the list when the stored table did: Table I is built on
+read by ``ViewGroup.routing_table_of`` and a join writes none of it, so
+the count is 0 by construction and pins nothing.
 
 Comprehensions and generator resumptions are ``call`` events; 3.12
 inlines comprehensions, so a budget measured on 3.11 bounds every newer
@@ -26,7 +32,6 @@ import sys
 from collections import Counter
 
 import repro
-from repro.core.routing_table import SessionRoutingTable
 from repro.core.subscription import plan_view_synchronization
 from repro.core.topology import StreamTree
 from repro.experiments import runner
@@ -43,18 +48,16 @@ WORK_CALLS = {
     "DelayModel.propagation": 7711,
     "StreamTree.insert": 2076,
     "plan_view_synchronization": 986,
-    "SessionRoutingTable.upsert": 3995,
     "CDN.allocate": 1200,
 }
 
-#: Python-level calls per join: 5 % above the 375 measured on CPython 3.11.
-CALLS_PER_JOIN_BUDGET = 394
+#: Python-level calls per join: 5 % above the 354.6 measured on CPython 3.11.
+CALLS_PER_JOIN_BUDGET = 372
 
 _WORK_CODE = {
     DelayModel.propagation.__code__: "DelayModel.propagation",
     StreamTree.insert.__code__: "StreamTree.insert",
     plan_view_synchronization.__code__: "plan_view_synchronization",
-    SessionRoutingTable.upsert.__code__: "SessionRoutingTable.upsert",
     CDN.allocate.__code__: "CDN.allocate",
 }
 

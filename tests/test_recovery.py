@@ -65,11 +65,8 @@ class TestAbruptDeparture:
         join_all(small_system, viewers, default_view)
         # Fail a viewer that forwards streams; its children must be repaired.
         lsc = small_system.gsc.lscs[0]
-        forwarder = next(
-            vid
-            for vid, session in lsc.sessions.items()
-            if any(session.routing_table.children_of(sid) for sid in session.subscriptions)
-        )
+        group = lsc.groups[default_view.view_id]
+        forwarder = next(vid for vid in lsc.sessions if group.streams_forwarded_by(vid))
         result = small_system.fail_viewer(forwarder)
         assert result.departed
         assert result.orphaned
@@ -85,12 +82,13 @@ class TestAbruptDeparture:
         viewers = make_viewers(20, outbound=24.0)
         join_all(small_system, viewers, default_view)
         lsc = small_system.gsc.lscs[0]
+        group = lsc.groups[default_view.view_id]
         # Fail a forwarder deeper in the tree (not CDN-fed): the rest of the
         # tree stays connected and must absorb the orphans without the CDN.
         forwarder = next(
             vid
             for vid, session in lsc.sessions.items()
-            if any(session.routing_table.children_of(sid) for sid in session.subscriptions)
+            if group.streams_forwarded_by(vid)
             and not any(sub.via_cdn for sub in session.subscriptions.values())
         )
         result = small_system.fail_viewer(forwarder)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,8 @@ from repro.scenarios import (
     run_record,
     run_scenario,
 )
+from repro.model.cdn import CDN_NODE_ID
+from repro.scenarios import invariants
 from repro.scenarios.presets import BURST_LOSS
 
 #: Seeds of the invariant property sweep.
@@ -92,6 +96,15 @@ class TestScenarioSpecs:
             assert spec.name == name
             assert len(spec.invariants) >= 3
             assert set(spec.invariants) <= set(INVARIANTS)
+
+    def test_both_catalogs_list_exactly_the_invariants(self):
+        architecture = Path(__file__).parent.parent / "docs" / "ARCHITECTURE.md"
+        table = architecture.read_text().split("The full catalog:\n\n", 1)[1]
+        table = table.split("\n\n", 1)[0]
+        documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+        assert sorted(documented) == sorted(INVARIANTS)
+        in_docstring = re.findall(r"^``(\w+)``$", invariants.__doc__, flags=re.M)
+        assert sorted(in_docstring) == sorted(INVARIANTS)
 
     def test_specs_reject_too_few_invariants(self):
         with pytest.raises(ValueError, match="at least 3"):
@@ -217,6 +230,41 @@ class TestScenarioCLI:
         run = run_scenario(broken, viewers=60, seed=1)
         assert not run.passed
         assert "ghost_check" in run.violations
+
+    def test_a_subscription_that_disagrees_with_its_tree_node_is_named(self):
+        # Mutation check: an overlay edge is held twice, by the tree node
+        # and by the child's subscription.  Point one subscription at a
+        # different connected viewer and flip one ``via_cdn``:
+        # ``routing_matches_trees`` must name both.
+        system = run_scenario(SCENARIOS["slot-oscillation"], viewers=60, seed=1).system
+        assert invariants.routing_tree_mismatches(system) == []
+        sessions = max((lsc.sessions for lsc in system.gsc.lscs), key=len)
+        subs = [
+            (viewer_id, stream_id, sub)
+            for viewer_id, session in sessions.items()
+            for stream_id, sub in session.subscriptions.items()
+        ]
+        moved_id, moved_stream, moved = next(
+            entry for entry in subs if entry[2].parent_id != CDN_NODE_ID
+        )
+        moved.parent_id = next(
+            viewer_id for viewer_id in sessions
+            if viewer_id not in (moved_id, moved.parent_id)
+        )
+        flipped_id, flipped_stream, flipped = next(
+            entry for entry in subs if entry[2].via_cdn
+        )
+        flipped.via_cdn = False
+        violations = invariants.routing_tree_mismatches(system)
+        assert len(violations) == 2
+        assert any(
+            v.startswith(f"{moved_id}/{moved_stream}: subscribed to {moved.parent_id}")
+            for v in violations
+        )
+        assert any(
+            v.startswith(f"{flipped_id}/{flipped_stream}: via_cdn=False")
+            for v in violations
+        )
 
 
 class TestScenarioRecords:

@@ -323,6 +323,12 @@ class TestSnapshotFile:
         # TreeNode without its stored ``sort_key`` slot.
         self._assert_version_refused(tmp_path, 3)
 
+    def test_version_4_file_refused_by_name(self, tmp_path):
+        # A v4 payload pickled every ViewerSession with its stored routing
+        # table and the two outbound-allocation dicts (three fields that
+        # no longer exist: Table I is read off the trees).
+        self._assert_version_refused(tmp_path, 4)
+
 
 class TestInFlightSnapshot:
     """Satellite: drain-and-continue across a snapshot boundary.
