@@ -13,9 +13,9 @@ events an explicit subsystem with three parts:
   timeout failed and triggers the same repair path as an explicit abrupt
   departure.  Under the instant control plane heartbeats are bookkeeping
   calls; under the simulated one
-  (:class:`~repro.core.session.EventDrivenSession`) they are scheduled
-  :class:`~repro.sim.transport.Heartbeat` messages with in-flight latency,
-  sent every :data:`DEFAULT_HEARTBEAT_PERIOD` seconds, so a slow or lossy
+  (:class:`~repro.core.session.EventDrivenSession`) they are messages
+  with in-flight latency, sent every :data:`DEFAULT_HEARTBEAT_PERIOD`
+  seconds and settled arithmetically from a ledger, so a slow or lossy
   control path can produce spurious failures -- a first-class outcome.
 * **Incremental subtree repair** -- orphaned viewers keep their subtrees
   and are re-parented in place by the one repair loop

@@ -19,9 +19,10 @@ in this module, which share one per-event dispatch table
   arrival order -- not workload order -- decides races: two joins
   contending for the last P2P slot, a view change arriving after its
   viewer failed, a repair landing on a since-departed parent.  Connected
-  viewers emit periodic heartbeat traffic and a failure-detection sweep
-  runs every heartbeat period, so a control path slower than the
-  heartbeat timeout produces spurious repairs.
+  viewers beat once per heartbeat period and a failure-detection sweep
+  runs at the same interval, so a control path slower than the
+  heartbeat timeout produces spurious repairs.  A beat is a ledger
+  entry settled arithmetically, not an engine event.
 
 With every transit delay forced to zero (``delay_scale=0.0``) deliveries
 are processed in exactly the intent order, which is the instant driver's
@@ -31,15 +32,16 @@ drivers coincide, a property the equivalence tests pin down.
 
 from __future__ import annotations
 
+import math
 import time as _time
+from heapq import heappop, heappush
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.recovery import DEFAULT_HEARTBEAT_PERIOD, RepairResult
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.view import GlobalView
 from repro.model.viewer import Viewer
-from repro.sim.engine import EventHandle
 from repro.sim.process import PeriodicProcess
 from repro.sim.transport import (
     ControlChannel,
@@ -228,6 +230,29 @@ class InstantDriver(_DriverBase):
 class EventDrivenSession(_DriverBase):
     """Drive a workload through simulated control messages with latency.
 
+    Heartbeats are not scheduled on the simulator.  ``_next_beat`` holds
+    the send time of each beating viewer's next beat, ``_beats_in_flight``
+    (a heap by arrival) the beats sent but not yet landed, and
+    :meth:`_settle` sends and lands what is due: it counts the beat on
+    the channel and renews the addressed detector with the arrival time a
+    ``Heartbeat`` event would have carried.  Nothing can tell the
+    difference as long as a viewer is settled before anything reads or
+    changes what its beats read or write:
+
+    1. the failure sweep settles every viewer *strictly before* now, then
+       detects (the sweeper is older than every beat: at a tie it fired
+       first);
+    2. :meth:`submit` settles its viewer *through* now (the caller has
+       run the simulator through now);
+    3. a delivery or batch intent that changes a viewer's connection or
+       detector membership first settles it strictly before now (batch
+       intents are older than every beat), so the LSC a viewer beats at
+       is constant between two settles;
+    4. a pause (through now) and the batch close (strictly before) hand
+       the beats still in flight to the simulator as scheduled
+       deliveries, so a drain ends when the last of them lands;
+    5. readers of the channel's counters call :meth:`settle_heartbeats`.
+
     Parameters
     ----------
     system:
@@ -268,8 +293,10 @@ class EventDrivenSession(_DriverBase):
             system.simulator, system.delay_model, scale=delay_scale
         )
         self._closing = False
-        self._heartbeat_timers: Dict[str, EventHandle] = {}
-        self._heartbeat_ticks: Dict[str, object] = {}
+        # The heartbeat ledger: viewer -> send time of its next beat, and
+        # a heap of (arrival, viewer, addressed LSC id, send time) in flight.
+        self._next_beat: Dict[str, float] = {}
+        self._beats_in_flight: List[Tuple[float, str, str, float]] = []
         self._staged_acks: Dict[str, object] = {}
         self._sweeper: Optional[PeriodicProcess] = None
         # Oscillation support: departure notices still in flight, and the
@@ -309,8 +336,8 @@ class EventDrivenSession(_DriverBase):
                 sim, self.heartbeat_period, self._sweep, label="failure-sweep"
             )
             # After the last workload intent the session winds down: no new
-            # heartbeat traffic, but everything already in flight is still
-            # delivered (and can still race).
+            # beats, but everything already in flight is still delivered
+            # (and can still race).
             sim.schedule_at(ordered[-1].time, self._close, label="close")
         else:
             self._closing = True
@@ -337,8 +364,9 @@ class EventDrivenSession(_DriverBase):
         Used by :mod:`repro.service`: ops arrive one at a time via
         :meth:`submit` while the daemon paces the simulator against the
         wall clock, instead of a pre-baked schedule with a known end.
-        Also the counterpart of :meth:`pause_service`: heartbeat timers
-        of every connected viewer are (re)started.
+        Also the counterpart of :meth:`pause_service`: every connected
+        viewer beats again one period from now -- on the new sweeper's
+        exact phase, the sweep first.
         """
         self._closing = False
         if self._sweeper is None:
@@ -355,35 +383,50 @@ class EventDrivenSession(_DriverBase):
     def pause_service(self) -> None:
         """Suspend the periodic traffic of a live session.
 
-        Stops the failure sweeper and every heartbeat timer so the
+        Stops the failure sweeper and every viewer's beats so the
         simulator queue can fully drain -- the precondition for running a
         data-plane replay (whose ``sim.run()`` would otherwise chase the
-        self-rescheduling periodic events forever).  In-flight control
-        messages stay queued and still deliver.  :meth:`open_service`
+        self-rescheduling sweeper forever).  The ledger is settled
+        through now and the beats still in flight become scheduled
+        ``Heartbeat`` deliveries: like every other in-flight control
+        message they stay queued and still deliver.  :meth:`open_service`
         resumes the periodic traffic afterwards.
         """
-        self._closing = True
-        if self._sweeper is not None:
-            self._sweeper.stop()
-            self._sweeper = None
-        for viewer_id in list(self._heartbeat_timers):
-            self._stop_heartbeats(viewer_id)
+        self._wind_down(inclusive=True)
 
     def submit(self, event: ViewerEvent) -> None:
         """Inject one live op at the current simulation time.
 
         The op takes exactly the path a scheduled workload intent takes:
         it becomes a typed control message with in-flight latency, and
-        session state mutates when the message is delivered.
+        session state mutates when the message is delivered.  The caller
+        has run the simulator through now, so a beat due at this very
+        instant went out before the op.
         """
+        if event.kind == "lsc_fail":
+            self.settle_heartbeats()
+        else:
+            self._settle(event.viewer_id, inclusive=True)
         dispatch_event(self, event)
 
     def _close(self) -> None:
+        # Scheduled by ``begin`` ahead of the sweeper and of every beat:
+        # at a tie the close came first.
+        self._wind_down(inclusive=False)
+
+    def _wind_down(self, inclusive: bool) -> None:
         self._closing = True
         if self._sweeper is not None:
             self._sweeper.stop()
-        for viewer_id in list(self._heartbeat_timers):
-            self._stop_heartbeats(viewer_id)
+            self._sweeper = None
+        self._settle(*self._next_beat, inclusive=inclusive)
+        self._next_beat.clear()
+        for arrival, viewer_id, lsc_id, sent_at in self._beats_in_flight:
+            beat = Heartbeat(
+                src=viewer_id, dst=lsc_id, sent_at=sent_at, viewer_id=viewer_id
+            )
+            self.channel.deliver_at(arrival, beat, self._deliver_heartbeat)
+        self._beats_in_flight.clear()
 
     def _stale(self) -> None:
         """Count a message that arrived after its subject left the session."""
@@ -475,24 +518,26 @@ class EventDrivenSession(_DriverBase):
         """A controller crash is local, not a message: it applies at once.
 
         Viewers the failover could not migrate are torn down with their
-        controller, so their heartbeat timers die here too (their ticks
-        would self-cancel on the next period, but a crashed region should
-        not emit one more round of traffic first).
+        controller, so they stop beating here too (their next beat would
+        find them gone, but a crashed region should not emit one more
+        round of traffic first).
         """
         system = self.system
         if not system.gsc.has_lsc(event.viewer_id):
             return
         affected = list(system.gsc.lsc(event.viewer_id).sessions)
+        self._settle(*affected)
         started = self._started()
         system.fail_lsc(event.viewer_id, self._now)
         self._timed("churn", started)
         for viewer_id in affected:
             if system.gsc.lsc_of_connected_viewer(viewer_id) is None:
-                self._stop_heartbeats(viewer_id)
+                self._next_beat.pop(viewer_id, None)
 
     # -- message deliveries (controller side) -----------------------------------
 
     def _deliver_join_request(self, message: ControlMessage) -> None:
+        self._settle(message.viewer_id)
         system = self.system
         if system.gsc.lsc_of_connected_viewer(message.viewer_id) is not None:
             if self._pending_departs.get(message.viewer_id):
@@ -550,6 +595,7 @@ class EventDrivenSession(_DriverBase):
             self._start_heartbeats(message.viewer_id)
 
     def _deliver_view_change(self, message: ControlMessage) -> None:
+        self._settle(message.viewer_id)
         system = self.system
         lsc = system.gsc.lsc_of_connected_viewer(message.viewer_id)
         if lsc is None:
@@ -578,6 +624,7 @@ class EventDrivenSession(_DriverBase):
         self.system.metrics.record_observed_view_change(self._now - message.sent_at)
 
     def _deliver_depart(self, message: ControlMessage) -> None:
+        self._settle(message.viewer_id)
         started = self._started()
         result = self.system.depart_viewer(message.viewer_id, self._now)
         self._timed("churn", started)
@@ -586,6 +633,7 @@ class EventDrivenSession(_DriverBase):
         self._departure_landed(message.viewer_id)
 
     def _deliver_failure_notice(self, message: ControlMessage) -> None:
+        self._settle(message.viewer_id)
         started = self._started()
         result = self.system.fail_viewer(message.viewer_id, self._now)
         self._timed("churn", started)
@@ -616,66 +664,63 @@ class EventDrivenSession(_DriverBase):
         self.system.metrics.record_observed_repair(self._now - message.sent_at)
 
     def _deliver_heartbeat(self, message: ControlMessage) -> None:
-        # Addressed delivery: a heartbeat landing on a controller that no
-        # longer tracks the viewer is dropped like a stale datagram.
+        # A beat that was in flight when the session paused or closed.
         self.system.renew_heartbeat(message.dst, message.viewer_id, self._now)
 
-    # -- heartbeat traffic and failure sweeps -----------------------------------
+    # -- the heartbeat ledger and failure sweeps --------------------------------
 
     def _start_heartbeats(self, viewer_id: str) -> None:
-        if self._closing or viewer_id in self._heartbeat_timers:
-            return
-        # One callback object per viewer, reused across every tick: the
-        # heartbeat loop is the highest-volume traffic of the driver.
-        self._heartbeat_ticks[viewer_id] = partial(self._heartbeat_tick, viewer_id)
-        self._schedule_heartbeat(viewer_id)
-
-    def _schedule_heartbeat(self, viewer_id: str) -> None:
-        self._heartbeat_timers[viewer_id] = self.system.simulator.schedule(
-            self.heartbeat_period, self._heartbeat_ticks[viewer_id], label="heartbeat"
-        )
-
-    def _heartbeat_tick(self, viewer_id: str) -> None:
-        if self._closing:
-            self._drop_heartbeat_state(viewer_id)
-            return
-        lsc = self.system.gsc.lsc_of_connected_viewer(viewer_id)
-        if lsc is None:
-            # Swept away or torn down between ticks: the timer dies.
-            self._drop_heartbeat_state(viewer_id)
-            return
-        message = Heartbeat(
-            src=viewer_id, dst=lsc.lsc_id, sent_at=self._now, viewer_id=viewer_id
-        )
-        self.channel.send(
-            message,
-            self._deliver_heartbeat,
-            delay=self.channel.transit_delay(viewer_id, lsc.node_id),
-        )
-        self._schedule_heartbeat(viewer_id)
-
-    def _drop_heartbeat_state(self, viewer_id: str) -> None:
-        self._heartbeat_timers.pop(viewer_id, None)
-        self._heartbeat_ticks.pop(viewer_id, None)
+        if not self._closing and viewer_id not in self._next_beat:
+            self._next_beat[viewer_id] = self._now + self.heartbeat_period
 
     def _stop_heartbeats(self, viewer_id: str) -> None:
-        handle = self._heartbeat_timers.pop(viewer_id, None)
-        self._heartbeat_ticks.pop(viewer_id, None)
-        if handle is not None:
-            handle.cancel()
+        self._settle(viewer_id)
+        self._next_beat.pop(viewer_id, None)
+
+    def settle_heartbeats(self) -> None:
+        """Settle every viewer through now: call it, with the simulator
+        run through now, before reading the channel's counters."""
+        self._settle(*self._next_beat, inclusive=True)
+
+    def _settle(self, *viewer_ids: str, inclusive: bool = False) -> None:
+        """Send these viewers' beats due strictly before now (through now
+        when ``inclusive``), then land every beat in flight, whoever
+        sent it, that has arrived by the same horizon."""
+        due = math.nextafter(self._now, math.inf) if inclusive else self._now
+        channel = self.channel
+        flights = self._beats_in_flight
+        for viewer_id in viewer_ids:
+            beat = self._next_beat.get(viewer_id)
+            if beat is None or beat >= due:
+                continue
+            lsc = self.system.gsc.lsc_of_connected_viewer(viewer_id)
+            if lsc is None:
+                # Swept away or torn down since its last beat: the viewer
+                # beats again only once a new JoinAck reaches it.
+                del self._next_beat[viewer_id]
+                continue
+            transit = channel.transit_delay(viewer_id, lsc.node_id) * channel.scale
+            while beat < due:
+                heappush(flights, (beat + transit, viewer_id, lsc.lsc_id, beat))
+                channel.sent += 1
+                beat += self.heartbeat_period
+            self._next_beat[viewer_id] = beat
+        while flights and flights[0][0] < due:
+            arrival, viewer_id, lsc_id, _sent_at = heappop(flights)
+            channel.delivered += 1
+            # Addressed delivery: a beat landing on a controller that no
+            # longer tracks the viewer is dropped like a stale datagram.
+            self.system.renew_heartbeat(lsc_id, viewer_id, arrival)
 
     def _sweep(self) -> None:
-        if self._closing:
-            if self._sweeper is not None:
-                self._sweeper.stop()
-            return
+        self._settle(*self._next_beat)
         started = self._started()
         now = self._now
         results = self.system.detect_failures(now)
         self._timed("churn", started)
         for result in results:
             if result.departed:
-                self._stop_heartbeats(result.viewer_id)
+                self._next_beat.pop(result.viewer_id, None)
                 self._notify_repairs(result, now)
 
     def _notify_repairs(self, result: RepairResult, detected_at: float) -> None:

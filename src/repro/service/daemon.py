@@ -5,7 +5,8 @@ one :class:`~repro.core.session.EventDrivenSession` open indefinitely
 and feeds it ops as they arrive over TCP.  Three clocks interact:
 
 * the *simulated* clock (the :class:`~repro.sim.engine.Simulator`), on
-  which every control message, heartbeat and failure sweep fires;
+  which every control message and failure sweep fires (heartbeats are
+  settled against it arithmetically, not scheduled on it);
 * the *wall* clock, against which the daemon paces the simulator --
   every loop tick advances simulation time by
   ``elapsed_wall * time_dilation`` seconds;
@@ -235,10 +236,11 @@ class ServiceDaemon:
     def restore(cls, serve: ServeConfig, path: str) -> "ServiceDaemon":
         """Resume a daemon from a snapshot file.
 
-        The restored graph is not touched in any way -- heartbeat
-        timers, the failure sweeper and every in-flight message are
-        already inside the pickled simulator queue, so mutating anything
-        here would break parity with the uninterrupted run.
+        The restored graph is not touched in any way -- the failure
+        sweeper and every in-flight message are already inside the
+        pickled simulator queue and the heartbeat ledger inside the
+        pickled driver, so mutating anything here would break parity
+        with the uninterrupted run.
         """
         state, _header = load_snapshot(path)
         if not isinstance(state, ServiceState):
@@ -309,12 +311,12 @@ class ServiceDaemon:
     def _replay(self, frames: int) -> str:
         """Run a data-plane frame replay over the live overlay.
 
-        The session's periodic traffic (heartbeats, failure sweeps) is
-        self-rescheduling, so the replay's drain (``sim.run()``) would
-        never return against a live session; the driver is paused for
-        the duration and resumed afterwards.  In-flight control messages
-        still deliver during the replay -- they are part of the queue
-        being drained -- which mirrors the batch wind-down semantics.
+        The failure sweeper is self-rescheduling, so the replay's drain
+        (``sim.run()``) would never return against a live session; the
+        driver is paused for the duration and resumed afterwards.
+        In-flight control messages -- heartbeats the pause hands over
+        included -- still deliver during the replay: they are part of
+        the queue being drained, which mirrors the batch wind-down.
         """
         state = self.state
         dp_config = state.config.data_plane_config() or DataPlaneConfig(
@@ -359,9 +361,11 @@ class ServiceDaemon:
 
         The batch driver accumulates them once at ``finish()``; a live
         session has no finish, so the cumulative totals are assigned
-        (idempotently, not added) whenever stats or invariants read them.
+        (idempotently, not added) whenever stats or invariants read them
+        -- after the heartbeat ledger has been settled through now.
         """
         metrics = self.state.system.metrics
+        self.state.driver.settle_heartbeats()
         channel = self.state.driver.channel
         metrics.control_messages_sent = channel.sent
         metrics.control_messages_delivered = channel.delivered

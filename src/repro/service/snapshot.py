@@ -4,15 +4,16 @@ A snapshot is the *entire* session object graph -- the
 :class:`~repro.core.telecast.TeleCastSystem` with every LSC, tree,
 subscription and CDN reservation, the
 :class:`~repro.core.session.EventDrivenSession` driver with its staged
-acks and heartbeat timers, and the :class:`~repro.sim.engine.Simulator`
-with every scheduled-but-unfired event (in-flight control messages
-included) -- serialised with :mod:`pickle` behind a small self-describing
-header.  Restoring re-materialises the graph exactly, so a restored
-daemon continues with byte-identical placement decisions: an in-flight
+acks and its heartbeat ledger (beats are settled from it, not queued),
+and the :class:`~repro.sim.engine.Simulator` with every
+scheduled-but-unfired event (in-flight control messages included) --
+serialised with :mod:`pickle` behind a small self-describing header.
+Restoring re-materialises the graph exactly, so a restored daemon
+continues with byte-identical placement decisions: an in-flight
 ``JoinAck`` that crossed the snapshot point is delivered at its original
 simulated timestamp in the new process.
 
-File format (version 5; the version moves whenever the pickled layout
+File format (version 6; the version moves whenever the pickled layout
 of a persisted type does, so an older file is refused by name instead
 of failing inside :mod:`pickle`)::
 
@@ -41,7 +42,7 @@ import time
 from typing import Any, Dict, Tuple
 
 SNAPSHOT_MAGIC = "repro-service-snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 
 class SnapshotError(RuntimeError):

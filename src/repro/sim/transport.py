@@ -273,12 +273,11 @@ class ControlChannel:
         self.scale = scale
         self.sent = 0
         self.delivered = 0
-        self._in_flight = 0
 
     @property
     def in_flight(self) -> int:
         """Messages sent but not yet delivered."""
-        return self._in_flight
+        return self.sent - self.delivered
 
     def transit_delay(self, src: str, dst: str) -> float:
         """Unscaled one-leg transit delay: propagation plus processing."""
@@ -320,9 +319,20 @@ class ControlChannel:
         delay *= self.scale
         require_non_negative(delay, "delay")
         self.sent += 1
-        self._in_flight += 1
         return self.simulator.schedule(
             delay, _Delivery(self, handler, message), label=message.LABEL
+        )
+
+    def deliver_at(
+        self,
+        arrival: float,
+        message: ControlMessage,
+        handler: Callable[[ControlMessage], Any],
+    ) -> EventHandle:
+        """Queue the delivery of a message already counted as sent (a
+        beat the session's heartbeat ledger still holds in flight)."""
+        return self.simulator.schedule_at(
+            arrival, _Delivery(self, handler, message), label=message.LABEL
         )
 
 
@@ -348,7 +358,6 @@ class _Delivery:
         self.message = message
 
     def __call__(self) -> None:
-        self.channel._in_flight -= 1
         self.channel.delivered += 1
         self.handler(self.message)
 

@@ -329,6 +329,13 @@ class TestSnapshotFile:
         # no longer exist: Table I is read off the trees).
         self._assert_version_refused(tmp_path, 4)
 
+    def test_version_5_file_refused_by_name(self, tmp_path):
+        # A v5 payload pickled the driver with one heartbeat timer per
+        # connected viewer (two dicts of event handles and callbacks, the
+        # ticks themselves in the simulator queue) and the channel with a
+        # stored in-flight count; beats are a ledger on the driver now.
+        self._assert_version_refused(tmp_path, 5)
+
 
 class TestInFlightSnapshot:
     """Satellite: drain-and-continue across a snapshot boundary.
@@ -399,6 +406,15 @@ def _run_script(daemon, lines):
         assert response.startswith("ok"), (line, response)
 
 
+def _detector_times(daemon):
+    """Every failure detector's last-heard-from timestamps, per LSC."""
+    managers = daemon.state.system.recovery_managers()
+    return {
+        lsc_id: dict(manager.detector._last_seen)
+        for lsc_id, manager in managers.items()
+    }
+
+
 class TestSnapshotParity:
     def test_restore_continues_byte_identically(self, tmp_path):
         script = _script(joins=15)
@@ -415,6 +431,29 @@ class TestSnapshotParity:
         _run_script(straight, script + extra)
 
         assert restored.deterministic_stats() == straight.deterministic_stats()
+
+    def test_cut_between_a_beat_and_its_landing(self, tmp_path):
+        # At 8x control delays a beat is in flight for a second or two of
+        # every 2 s period, so the snapshot is cut with beats sent but not
+        # landed: they exist only in the driver's ledger, not as events.
+        script = _script(joins=15)
+        extra = ["join viewer-00030 1", "fail viewer-00004", "advance 3.7"]
+        extra += ["replay 10", "view_change viewer-00003 1", "advance 25"]
+        path = str(tmp_path / "mid.snap")
+
+        interrupted = _daemon(control_delay_scale=8.0)
+        _run_script(interrupted, script)
+        assert interrupted.state.driver._beats_in_flight
+        assert interrupted.handle_line(f"snapshot {path}").startswith("ok")
+        restored = ServiceDaemon.restore(interrupted.serve, path)
+        assert restored.state.driver._beats_in_flight
+        _run_script(restored, extra)
+
+        straight = _daemon(control_delay_scale=8.0)
+        _run_script(straight, script + extra)
+
+        assert restored.deterministic_stats() == straight.deterministic_stats()
+        assert _detector_times(restored) == _detector_times(straight)
 
     def test_parity_over_seeds_and_snapshot_times(self, tmp_path):
         """Property: parity holds for any seed and any snapshot point."""
