@@ -7,46 +7,34 @@ figure of the evaluation; :mod:`repro.experiments.reporting` renders those
 series as the text tables the benchmark harness prints;
 :mod:`repro.experiments.sweep` runs declarative parameter sweeps
 process-parallel with persistent JSONL results and regression reports.
+
+The names below are re-exported lazily: ``python -m repro.experiments
+serve`` imports this package on its way to ``__main__`` and should not
+pay for the sweep executor or the figure drivers.
 """
 
-from repro.experiments.config import ExperimentConfig, PAPER_CONFIG
-from repro.experiments.runner import (
-    Scenario,
-    ScenarioResult,
-    build_scenario,
-    build_telecast_system,
-    run_random_scenario,
-    run_telecast_scenario,
-)
-from repro.experiments.sweep import SweepSpec, run_sweep
-from repro.experiments.figures import (
-    figure_13a_cdn_bandwidth,
-    figure_13b_cdn_fraction,
-    figure_13c_acceptance_ratio,
-    figure_14a_layer_distribution,
-    figure_14b_accepted_streams,
-    figure_14c_overhead,
-    figure_15a_vs_random_bandwidth,
-    figure_15b_vs_random_scale,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "PAPER_CONFIG",
-    "Scenario",
-    "ScenarioResult",
-    "SweepSpec",
-    "build_scenario",
-    "build_telecast_system",
-    "run_random_scenario",
-    "run_sweep",
-    "run_telecast_scenario",
-    "figure_13a_cdn_bandwidth",
-    "figure_13b_cdn_fraction",
-    "figure_13c_acceptance_ratio",
-    "figure_14a_layer_distribution",
-    "figure_14b_accepted_streams",
-    "figure_14c_overhead",
-    "figure_15a_vs_random_bandwidth",
-    "figure_15b_vs_random_scale",
-]
+_EXPORTS = {
+    "ExperimentConfig": "repro.experiments.config",
+    "PAPER_CONFIG": "repro.experiments.config",
+    "Scenario": "repro.experiments.runner",
+    "ScenarioResult": "repro.experiments.runner",
+    "build_scenario": "repro.experiments.runner",
+    "build_telecast_system": "repro.experiments.runner",
+    "run_random_scenario": "repro.experiments.runner",
+    "run_telecast_scenario": "repro.experiments.runner",
+    "SweepSpec": "repro.experiments.sweep",
+    "run_sweep": "repro.experiments.sweep",
+    "figure_13a_cdn_bandwidth": "repro.experiments.figures",
+    "figure_13b_cdn_fraction": "repro.experiments.figures",
+    "figure_13c_acceptance_ratio": "repro.experiments.figures",
+    "figure_14a_layer_distribution": "repro.experiments.figures",
+    "figure_14b_accepted_streams": "repro.experiments.figures",
+    "figure_14c_overhead": "repro.experiments.figures",
+    "figure_15a_vs_random_bandwidth": "repro.experiments.figures",
+    "figure_15b_vs_random_scale": "repro.experiments.figures",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

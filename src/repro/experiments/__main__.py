@@ -29,6 +29,9 @@ record per point under ``results/``; ``scenario`` runs one adversarial
 preset and gates it on its declared invariants (exit non-zero on any
 violation); ``compare`` diffs two results files and exits non-zero on
 regression.
+
+Each subcommand imports what it runs inside its handler, so ``serve``
+does not load the sweep executor and ``--help`` loads nothing below this file.
 """
 
 from __future__ import annotations
@@ -37,26 +40,10 @@ import argparse
 import math
 import sys
 import time
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
-from repro.experiments.figures import FIGURES
-from repro.experiments.reporting import format_profile, format_worker_stats
-from repro.experiments.runner import (
-    run_offline_replay,
-    run_random_scenario,
-    run_telecast_scenario,
-)
-from repro.experiments.sweep import (
-    ResultsStore,
-    compare_records,
-    format_compare_report,
-    load_records,
-    named_sweeps,
-    run_sweep,
-)
-from repro.experiments.sweep.compare import DEFAULT_TOLERANCE
-from repro.experiments.sweep.presets import ignored_scale_arguments
+if TYPE_CHECKING:
+    from repro.experiments.config import ExperimentConfig
 
 
 def _checked(parser: argparse.ArgumentParser, build, *args, **kwargs):
@@ -74,6 +61,8 @@ def _checked(parser: argparse.ArgumentParser, build, *args, **kwargs):
 
 def render_figure(figure_id: str, config: ExperimentConfig, step: int) -> str:
     """Run one figure driver and return its text table."""
+    from repro.experiments.figures import FIGURES
+
     spec = FIGURES[figure_id]
     return spec.format(spec.run(config, step))
 
@@ -88,8 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--viewers",
         type=int,
-        default=PAPER_CONFIG.num_viewers,
-        help="population size (the CDN cap is scaled proportionally)",
+        default=None,
+        help="population size (default: the paper's 1000; the CDN cap is "
+        "scaled proportionally)",
     )
     parser.add_argument(
         "--step", type=int, default=100, help="snapshot interval for scaling figures"
@@ -102,6 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_run_parser() -> argparse.ArgumentParser:
     """Argument parser of the ``run`` subcommand (exposed for tests)."""
+    from repro.experiments.config import PAPER_CONFIG
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments run",
         description="Run one scenario end to end, optionally profiled per phase.",
@@ -192,6 +184,14 @@ def build_run_parser() -> argparse.ArgumentParser:
 
 
 def _run_main(argv: List[str]) -> int:
+    from repro.experiments.config import PAPER_CONFIG
+    from repro.experiments.reporting import format_profile, format_worker_stats
+    from repro.experiments.runner import (
+        run_offline_replay,
+        run_random_scenario,
+        run_telecast_scenario,
+    )
+
     parser = build_run_parser()
     args = parser.parse_args(argv)
     # What no config can reject: the offline replay's frame count and
@@ -385,6 +385,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
 def _scenario_main(argv: List[str]) -> int:
     parser = build_scenario_parser()
     args = parser.parse_args(argv)
+    from repro.experiments.sweep import ResultsStore
     from repro.scenarios import SCENARIOS, run_record, run_scenario
 
     if args.list or not args.name:
@@ -431,6 +432,8 @@ def _scenario_main(argv: List[str]) -> int:
 
 def build_compare_parser() -> argparse.ArgumentParser:
     """Argument parser of the ``compare`` subcommand (exposed for tests)."""
+    from repro.experiments.sweep import DEFAULT_TOLERANCE
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments compare",
         description="Diff two sweep results files; exit 1 on regression.",
@@ -456,6 +459,8 @@ def _ignored_sweep_flags(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> List[tuple]:
     """(flag, reason) pairs for non-default flags the chosen sweep ignores."""
+    from repro.experiments.sweep.presets import ignored_scale_arguments
+
     ignored = []
     for argument, reason in ignored_scale_arguments(args.name).items():
         flag = _SCALE_FLAGS[argument]
@@ -465,6 +470,15 @@ def _ignored_sweep_flags(
 
 
 def _sweep_main(argv: List[str]) -> int:
+    from repro.experiments.sweep import (
+        ResultsStore,
+        compare_records,
+        format_compare_report,
+        load_records,
+        named_sweeps,
+        run_sweep,
+    )
+
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
     if args.name and args.preset and args.name != args.preset:
@@ -528,6 +542,12 @@ def _sweep_main(argv: List[str]) -> int:
 
 
 def _compare_main(argv: List[str]) -> int:
+    from repro.experiments.sweep import (
+        compare_records,
+        format_compare_report,
+        load_records,
+    )
+
     parser = build_compare_parser()
     args = parser.parse_args(argv)
     baseline = load_records(args.baseline)
@@ -653,6 +673,9 @@ def main(argv=None) -> int:
         return _SUBCOMMANDS[arguments[0]](arguments[1:])
     parser = build_parser()
     args = parser.parse_args(arguments)
+    from repro.experiments.config import PAPER_CONFIG
+    from repro.experiments.figures import FIGURES
+
     if args.list or not args.figure:
         for figure_id, spec in sorted(FIGURES.items()):
             print(f"  {figure_id}: {spec.description}")
@@ -667,7 +690,8 @@ def main(argv=None) -> int:
     figure_id = args.figure.lower().removeprefix("fig").lstrip(".")
     if figure_id not in FIGURES:
         parser.error(f"unknown figure {args.figure!r}; use --list to see the options")
-    config = _checked(parser, PAPER_CONFIG.with_scaled_population, args.viewers)
+    viewers = PAPER_CONFIG.num_viewers if args.viewers is None else args.viewers
+    config = _checked(parser, PAPER_CONFIG.with_scaled_population, viewers)
     print(render_figure(figure_id, config, max(10, args.step)))
     return 0
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.baselines.random_routing import RandomDisseminationSystem
 from repro.core.controllers import nearest_lsc
 from repro.core.dataplane import OverlayDataPlane, PlaybackReport
 from repro.core.telecast import TeleCastSystem, build_views
@@ -442,6 +441,7 @@ def build_scenario(
 
     workload = ViewerWorkload(_workload_config(config), rng=SeededRandom(config.seed))
     viewers: List[Viewer] = []
+    owned_regions: List[int] = []  # region index of each captured viewer
 
     def viewer_feed() -> Iterator[Viewer]:
         # Feed the full population to the event generator (its RNG
@@ -453,6 +453,7 @@ def build_scenario(
             if viewer.__class__ is Viewer:
                 viewer.region_name = region_names[region]
                 viewers.append(viewer)
+                owned_regions.append(region)
             yield viewer
 
     # Churn and oscillation are functions of global connectedness, so
@@ -484,6 +485,7 @@ def build_scenario(
         rng=SeededRandom(config.latency_seed),
         config=PlanetLabTraceConfig(region_names=region_names),
         known_keys=dict(zip(viewer_ids, viewer_keys)),
+        known_regions=dict(zip(viewer_ids, owned_regions)),
     )
     delay_model = DelayModel(
         matrix,
@@ -628,6 +630,10 @@ def run_random_scenario(
     scenario: Optional[Scenario] = None,
 ) -> ScenarioResult:
     """Run the same scenario through the Random dissemination baseline."""
+    # Imported here: the serve daemon and every TeleCast run import this
+    # module and never load the baseline.
+    from repro.baselines.random_routing import RandomDisseminationSystem
+
     if scenario is None:
         scenario = build_scenario(config)
     system = RandomDisseminationSystem(

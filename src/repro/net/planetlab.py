@@ -18,15 +18,11 @@ consume pairwise one-way delays and region labels, nothing else.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-try:  # optional: only the vectorized batch path needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
 
 from repro.net.latency import LatencyMatrix
 from repro.net.regions import RegionMap
@@ -78,6 +74,21 @@ class PlanetLabTraceConfig:
             raise ValueError("at least one region name is required")
 
 
+@functools.cache
+def _numpy():
+    """numpy, imported on first use; ``None`` where it is not installed.
+
+    Only the vectorized candidate prefilter needs it, and that runs only
+    after a head candidate was rejected for ``d_max``: a process that
+    never gets there never pays the import (~100 ms, ~13 MiB).
+    """
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
 _MASK64 = (1 << 64) - 1
 #: Distinct stream constants for the two Box-Muller uniforms.
 _U2_SALT = 0xD6E8FEB86659FD93
@@ -126,15 +137,12 @@ def region_indices(keys: Sequence[int], num_regions: int) -> List[int]:
     This is exactly the assignment :func:`generate_planetlab_matrix`
     makes (``_mix64(node_key) % num_regions``): a pure function of the
     seed and the node id, so viewer ownership can be decided before any
-    latency world exists.  When numpy is present the splitmix64 mix runs
-    vectorized -- uint64 arithmetic wraps mod 2**64, so the result is
-    bit-identical to the scalar function.
+    latency world exists.  The build hands the result back to
+    :func:`generate_planetlab_matrix` as ``known_regions``, so every key
+    is mixed once.
     """
     if num_regions <= 0:
         raise ValueError("num_regions must be > 0")
-    if _np is not None:
-        mixed = _mix64_np(_np.fromiter(keys, dtype=_np.uint64, count=len(keys)))
-        return (mixed % _np.uint64(num_regions)).tolist()
     return [_mix64(key) % num_regions for key in keys]
 
 
@@ -164,7 +172,7 @@ def _mix64_np(value):
     (bit-identical to :func:`_mix64`); only the float transcendentals in
     the Box-Muller step downstream can differ from ``math.*`` by ulps.
     """
-    np = _np
+    np = _numpy()
     value = value + np.uint64(0x9E3779B97F4A7C15)
     value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -179,7 +187,7 @@ def _pair_delays_np(key_low, key_high, log_median, sigma: float):
     may round differently from ``math.*``, so callers that need exact
     values must re-verify candidates through the scalar path.
     """
-    np = _np
+    np = _numpy()
     base = _mix64_np(key_low ^ (key_high * np.uint64(0x9E3779B97F4A7C15)))
     u1 = (_mix64_np(base).astype(np.float64) + 1.0) / 2.0**64
     u2 = (_mix64_np(base ^ np.uint64(_U2_SALT)).astype(np.float64) + 1.0) / 2.0**64
@@ -285,7 +293,8 @@ class LazyPlanetLabMatrix(LatencyMatrix):
         Returns ``None`` when numpy is unavailable or ``target`` has no
         generator key; callers fall back to the scalar path.
         """
-        if _np is None:
+        np = _numpy()
+        if np is None:
             return None
         key_target = self._keys.get(target)
         if key_target is None:
@@ -317,13 +326,13 @@ class LazyPlanetLabMatrix(LatencyMatrix):
             miss_high.append(high)
             miss_intra.append(region_of(source) == region_target)
         if miss_indices:
-            log_median = _np.where(
-                _np.asarray(miss_intra), self._log_intra, self._log_inter
+            log_median = np.where(
+                np.asarray(miss_intra), self._log_intra, self._log_inter
             )
-            with _np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):
                 delays = _pair_delays_np(
-                    _np.asarray(miss_low, dtype=_np.uint64),
-                    _np.asarray(miss_high, dtype=_np.uint64),
+                    np.asarray(miss_low, dtype=np.uint64),
+                    np.asarray(miss_high, dtype=np.uint64),
                     log_median,
                     self._sigma,
                 )
@@ -343,6 +352,7 @@ def generate_planetlab_matrix(
     rng: Optional[SeededRandom] = None,
     config: Optional[PlanetLabTraceConfig] = None,
     known_keys: Optional[Mapping[str, int]] = None,
+    known_regions: Optional[Mapping[str, int]] = None,
 ) -> LazyPlanetLabMatrix:
     """Generate a synthetic one-way delay matrix for ``node_ids``.
 
@@ -362,7 +372,9 @@ def generate_planetlab_matrix(
     reflect the pairs looked up so far (:class:`LazyPlanetLabMatrix`).
 
     ``known_keys`` hands over node keys the caller already derived
-    (:func:`node_keys`); only the remaining ids are hashed here.
+    (:func:`node_keys`) and ``known_regions`` the region indices it
+    derived from them (:func:`region_indices`); only the remaining ids
+    are hashed and mixed here.
     """
     if config is None:
         config = PlanetLabTraceConfig()
@@ -378,9 +390,12 @@ def generate_planetlab_matrix(
     matrix = LazyPlanetLabMatrix(keys, config)
     regions = RegionMap()
     region_objs = [regions.add_region(name) for name in config.region_names]
+    region_index_of = (known_regions or {}).get
     for node_id in node_ids:
         matrix.add_node(node_id)
-        region_index = _mix64(keys[node_id]) % len(region_objs)
+        region_index = region_index_of(node_id)
+        if region_index is None:
+            region_index = _mix64(keys[node_id]) % len(region_objs)
         regions.assign(node_id, region_objs[region_index])
     matrix.regions = regions
     return matrix

@@ -18,8 +18,18 @@ barrier time before the failover migrates sessions, and the merged run
 clock is the max over shard clocks.  See ARCHITECTURE.md
 ("Shard-parallel engine") for the topology and the determinism
 boundaries.
+
+Re-exported lazily: every scenario build asks :mod:`repro.parallel.worker`
+for the LSC placement, and a single-process run should not load the
+coordinator and ``multiprocessing`` with it.
 """
 
-from repro.parallel.runner import ShardedScenarioResult, run_sharded_scenario
+from repro.util.lazy import lazy_exports
 
-__all__ = ["ShardedScenarioResult", "run_sharded_scenario"]
+_EXPORTS = {
+    "ShardedScenarioResult": "repro.parallel.runner",
+    "run_sharded_scenario": "repro.parallel.runner",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

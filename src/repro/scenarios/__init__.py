@@ -5,26 +5,24 @@ outages, bursty Gilbert-Elliott loss, heartbeat flapping, P2P-slot
 oscillation) plus the named invariants every run is checked against.
 See :mod:`repro.scenarios.presets` for the preset table and
 :mod:`repro.scenarios.invariants` for the invariant catalog.
+
+Re-exported lazily: the service daemon needs only the invariant catalog,
+not the presets or the batch runner behind them.
 """
 
-from repro.scenarios.invariants import INVARIANTS, check_invariants
-from repro.scenarios.presets import SCENARIOS, ScenarioSpec
-from repro.scenarios.runner import (
-    ScenarioRun,
-    live_op_script,
-    resolve_spec,
-    run_record,
-    run_scenario,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "INVARIANTS",
-    "SCENARIOS",
-    "ScenarioRun",
-    "ScenarioSpec",
-    "check_invariants",
-    "live_op_script",
-    "resolve_spec",
-    "run_record",
-    "run_scenario",
-]
+_EXPORTS = {
+    "INVARIANTS": "repro.scenarios.invariants",
+    "check_invariants": "repro.scenarios.invariants",
+    "SCENARIOS": "repro.scenarios.presets",
+    "ScenarioSpec": "repro.scenarios.presets",
+    "ScenarioRun": "repro.scenarios.runner",
+    "live_op_script": "repro.scenarios.runner",
+    "resolve_spec": "repro.scenarios.runner",
+    "run_record": "repro.scenarios.runner",
+    "run_scenario": "repro.scenarios.runner",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,33 +10,30 @@ while the overlay is live, a Prometheus-text metrics exporter
 (:mod:`repro.service.metrics_export`), durable snapshot/restore of the
 full session graph (:mod:`repro.service.snapshot`) and a churn
 client/soak driver (:mod:`repro.service.soak`).
+
+Re-exported lazily: a client of the wire protocol or the soak driver
+does not load the daemon (and the whole control plane behind it).
 """
 
-from repro.service.daemon import ServeConfig, ServiceDaemon, ServiceState
-from repro.service.metrics_export import Metric, render_metrics, service_metrics
-from repro.service.protocol import Op, ProtocolError, format_op, parse_op
-from repro.service.snapshot import (
-    SNAPSHOT_VERSION,
-    SnapshotError,
-    load_snapshot,
-    save_snapshot,
-    snapshot_roundtrip,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Metric",
-    "Op",
-    "ProtocolError",
-    "SNAPSHOT_VERSION",
-    "ServeConfig",
-    "ServiceDaemon",
-    "ServiceState",
-    "SnapshotError",
-    "format_op",
-    "load_snapshot",
-    "parse_op",
-    "render_metrics",
-    "save_snapshot",
-    "service_metrics",
-    "snapshot_roundtrip",
-]
+_EXPORTS = {
+    "ServeConfig": "repro.service.daemon",
+    "ServiceDaemon": "repro.service.daemon",
+    "ServiceState": "repro.service.daemon",
+    "Metric": "repro.service.metrics_export",
+    "render_metrics": "repro.service.metrics_export",
+    "service_metrics": "repro.service.metrics_export",
+    "Op": "repro.service.protocol",
+    "ProtocolError": "repro.service.protocol",
+    "format_op": "repro.service.protocol",
+    "parse_op": "repro.service.protocol",
+    "SNAPSHOT_VERSION": "repro.service.snapshot",
+    "SnapshotError": "repro.service.snapshot",
+    "load_snapshot": "repro.service.snapshot",
+    "save_snapshot": "repro.service.snapshot",
+    "snapshot_roundtrip": "repro.service.snapshot",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

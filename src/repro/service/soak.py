@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -118,30 +119,45 @@ class DaemonProcess:
 
 
 def spawn_daemon(serve_args: List[str]) -> DaemonProcess:
-    """Start ``python -m repro.experiments serve`` and wait for its port."""
+    """Start ``python -m repro.experiments serve`` and wait for its port.
+
+    Raises :class:`SoakError` (after killing the child) when the ready
+    line has not arrived within ``_SPAWN_TIMEOUT`` seconds.
+    """
     command = [sys.executable, "-m", "repro.experiments", "serve", *serve_args]
-    env = dict(os.environ)
     process = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
+        env=dict(os.environ),
     )
     deadline = time.monotonic() + _SPAWN_TIMEOUT
     assert process.stdout is not None
-    while True:
-        if time.monotonic() > deadline:
-            process.kill()
-            raise SoakError("daemon did not print its ready line in time")
-        line = process.stdout.readline()
-        if not line:
-            process.wait()
-            raise SoakError(f"daemon exited early (code {process.returncode})")
-        if line.startswith("serving on "):
-            address = line.split()[2]
-            host, _, port = address.rpartition(":")
-            return DaemonProcess(process=process, host=host, port=int(port))
+    # Read the descriptor, not the buffered file: ``readline()`` blocks
+    # for as long as a hung daemon stays silent, and a line already in
+    # the file's buffer would never make the descriptor readable again.
+    descriptor = process.stdout.fileno()
+    pending = b""
+    try:
+        while True:
+            remaining = max(0.0, deadline - time.monotonic())
+            if not select.select([descriptor], [], [], remaining)[0]:
+                process.kill()
+                process.wait()
+                raise SoakError("daemon did not print its ready line in time")
+            chunk = os.read(descriptor, 65536)
+            if not chunk:
+                process.wait()
+                raise SoakError(f"daemon exited early (code {process.returncode})")
+            *lines, pending = (pending + chunk).split(b"\n")
+            for line in lines:
+                if line.startswith(b"serving on "):
+                    address = line.split()[2].decode()
+                    host, _, port = address.rpartition(":")
+                    return DaemonProcess(process=process, host=host, port=int(port))
+    except SoakError:
+        process.stdout.close()
+        raise
 
 
 @dataclass

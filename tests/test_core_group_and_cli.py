@@ -116,11 +116,18 @@ class TestExperimentsCli:
         with pytest.raises(KeyError):
             render_figure("99x", PAPER_CONFIG.with_(num_viewers=10, cdn_capacity_mbps=60.0), 10)
 
-    def test_parser_defaults(self):
+    def test_parser_defaults(self, monkeypatch, capsys):
         parser = build_parser()
         args = parser.parse_args(["13a"])
-        assert args.viewers == PAPER_CONFIG.num_viewers
+        assert args.viewers is None  # main() reads it as the paper's population
         assert args.step == 100
+        rendered = []
+        monkeypatch.setattr(
+            "repro.experiments.__main__.render_figure",
+            lambda figure_id, config, step: rendered.append((config, step)) or "",
+        )
+        assert main(["13a"]) == 0
+        assert rendered == [(PAPER_CONFIG, 100)]
 
     def test_no_arguments_mentions_run_subcommand(self, capsys):
         assert main([]) == 0

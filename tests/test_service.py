@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import signal
 import socket
 import threading
 
@@ -680,3 +681,58 @@ class TestSoakSmoke:
         assert report.restore_digest_match is True
         stored = json.loads((tmp_path / "BENCH_soak.json").read_text())
         assert stored["passed"] is True
+
+
+class TestSpawnDaemon:
+    def test_a_daemon_that_never_reports_ready_is_killed_at_the_timeout(
+        self, tmp_path, monkeypatch
+    ):
+        import sys
+        import time
+
+        from repro.service import soak
+
+        # A child that sleeps without printing: ``readline()`` on its pipe
+        # never returns, so the timeout has to be taken on the wait itself.
+        silent = tmp_path / "silent-daemon"
+        silent.write_text("#!/bin/sh\nexec sleep 30\n")
+        silent.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(silent))
+        monkeypatch.setattr(soak, "_SPAWN_TIMEOUT", 0.5)
+        children = []
+        popen = soak.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            children.append(popen(*args, **kwargs))
+            return children[-1]
+
+        monkeypatch.setattr(soak.subprocess, "Popen", recording_popen)
+        outcome = []
+
+        def spawn():
+            try:
+                soak.spawn_daemon(["--port", "0"])
+            except soak.SoakError as exc:
+                outcome.append(str(exc))
+
+        started = time.monotonic()
+        thread = threading.Thread(target=spawn, daemon=True)
+        thread.start()
+        thread.join(timeout=10.0)  # the parent code hangs here: fail, don't hang
+        assert not thread.is_alive(), "spawn_daemon is still waiting on the pipe"
+        assert outcome == ["daemon did not print its ready line in time"]
+        assert 0.5 <= time.monotonic() - started < 10.0
+        (child,) = children
+        assert child.returncode == -signal.SIGKILL  # killed and reaped
+
+    def test_a_daemon_that_exits_before_ready_is_reported(self, tmp_path, monkeypatch):
+        import sys
+
+        from repro.service import soak
+
+        dying = tmp_path / "dying-daemon"
+        dying.write_text("#!/bin/sh\necho 'no world today'\nexit 3\n")
+        dying.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(dying))
+        with pytest.raises(soak.SoakError, match=r"exited early \(code 3\)"):
+            soak.spawn_daemon([])
