@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.stream import Frame, StreamId
@@ -66,39 +66,59 @@ class DeliveryRecord(NamedTuple):
 #: Report order, ``(delivery_time, viewer_id)``, as a C-level sort key.
 _BY_DELIVERY_THEN_VIEWER = itemgetter(4, 0)
 
+#: One edge's results: ``(viewer_id, stream_id, frames, arrivals)``, where
+#: ``arrivals[i]`` is the replay-relative delivery time of ``frames[i]``
+#: (``None`` if it was lost) for every frame sent on the edge.
+Lane = Tuple[str, StreamId, Sequence[Frame], List[Optional[float]]]
 
-@dataclass
+
+def _delivery_records(lanes: Iterable[Lane]) -> List[DeliveryRecord]:
+    """The lanes' deliveries, sorted by ``(delivery_time, viewer_id)``.
+
+    Built lane by lane, each in frame order, so equal keys keep the
+    order in which the replay sent the frames.
+    """
+    records = [
+        DeliveryRecord(viewer_id, stream_id, frame.frame_number, frame.capture_time, arrival)
+        for viewer_id, stream_id, frames, arrivals in lanes
+        for frame, arrival in zip(frames, arrivals)
+        if arrival is not None
+    ]
+    records.sort(key=_BY_DELIVERY_THEN_VIEWER)
+    return records
+
+
 class PlaybackReport:
-    """Result of replaying a trace through the overlay."""
+    """Result of replaying a trace through the overlay, stored by edge.
 
-    deliveries: List[DeliveryRecord] = field(default_factory=list)
+    Per-viewer queries read that viewer's lanes; the per-frame
+    :class:`DeliveryRecord` list is built on the first read of
+    :attr:`deliveries`.
+    """
 
-    def __post_init__(self) -> None:
-        # Lazy per-viewer index over ``deliveries``, keyed by the list
-        # length it was built at so external appends invalidate it.  Kept
-        # as plain attributes (not dataclass fields) so the cache never
-        # leaks into __init__, repr or dataclasses.asdict.
-        self._by_viewer: Optional[Dict[str, List[DeliveryRecord]]] = None
-        self._indexed_length = -1
+    def __init__(self, lanes: Iterable[Lane]) -> None:
+        self._lanes: Dict[str, List[Lane]] = {}
+        for lane in lanes:
+            self._lanes.setdefault(lane[0], []).append(lane)
+        self._deliveries: Optional[List[DeliveryRecord]] = None
 
-    def _indexed(self, viewer_id: str) -> Sequence[DeliveryRecord]:
-        """One viewer's deliveries straight from the index (do not mutate)."""
-        if self._by_viewer is None or self._indexed_length != len(self.deliveries):
-            index: Dict[str, List[DeliveryRecord]] = {}
-            for record in self.deliveries:
-                index.setdefault(record.viewer_id, []).append(record)
-            self._by_viewer = index
-            self._indexed_length = len(self.deliveries)
-        return self._by_viewer.get(viewer_id, ())
+    @property
+    def deliveries(self) -> List[DeliveryRecord]:
+        """Every frame delivery, sorted by (delivery_time, viewer_id)."""
+        if self._deliveries is None:
+            self._deliveries = _delivery_records(
+                lane for lanes in self._lanes.values() for lane in lanes
+            )
+        return self._deliveries
 
     def deliveries_for(self, viewer_id: str) -> List[DeliveryRecord]:
-        """All deliveries at one viewer (indexed; O(total) only once)."""
-        return list(self._indexed(viewer_id))
+        """All deliveries at one viewer, sorted by delivery time."""
+        return _delivery_records(self._lanes.get(viewer_id, ()))
 
     def skews_for(
         self, viewer_id: str, playout_point: float
     ) -> Tuple[Optional[float], Optional[float]]:
-        """``(skew_for, playout_skew_for)`` from one pass over the records.
+        """``(skew_for, playout_skew_for)`` from one pass over the lanes.
 
         For every frame number present in all of the viewer's streams,
         the two skews are spreads of the same dependent-frame delays --
@@ -106,12 +126,17 @@ class PlaybackReport:
         from the fastest and slowest of those delays.  ``(None, None)``
         when the viewer received fewer than two streams.
         """
-        per_stream: Dict[StreamId, Dict[int, float]] = {}
-        for _, stream_id, frame_number, captured, delivered in self._indexed(viewer_id):
-            per_stream.setdefault(stream_id, {})[frame_number] = delivered - captured
-        if len(per_stream) < 2:
+        tables = []
+        for _, _, frames, arrivals in self._lanes.get(viewer_id, ()):
+            table = {
+                frame.frame_number: arrival - frame.capture_time
+                for frame, arrival in zip(frames, arrivals)
+                if arrival is not None
+            }
+            if table:
+                tables.append(table)
+        if len(tables) < 2:
             return None, None
-        tables = list(per_stream.values())
         skew = playout_skew = 0.0
         for frame_number in set(tables[0]).intersection(*tables[1:]):
             delays = [table[frame_number] for table in tables]
@@ -187,16 +212,14 @@ class OverlayDataPlane:
         inserts nothing (the buffers already hold every frame).  The
         report is sorted by (delivery_time, viewer_id).
         """
-        report = PlaybackReport()
-        for edge in _collect_edges(self.system, self.trace, max_frames_per_stream):
+        edges = _collect_edges(self.system, self.trace, max_frames_per_stream)
+        for edge in edges:
             sub = edge.session.subscriptions[edge.stream_id]
             _deliver_constant_delay(
-                report.deliveries,
-                edge,
-                edge.frames,
-                sub.effective_delay or sub.end_to_end_delay,
+                edge, edge.frames, sub.effective_delay or sub.end_to_end_delay
             )
-        report.deliveries.sort(key=_BY_DELIVERY_THEN_VIEWER)
+        report = PlaybackReport(_lanes(edges))
+        report.deliveries  # the sorted list is this plane's product: build it here
         return report
 
 
@@ -349,7 +372,11 @@ class QoEReport:
 
     @property
     def deliveries(self) -> List[DeliveryRecord]:
-        """The frame deliveries, sorted by (delivery_time, viewer_id)."""
+        """The frame deliveries, sorted by (delivery_time, viewer_id).
+
+        Built from the playback lanes on first read; the replay itself
+        never reads it.
+        """
         return self.playback.deliveries
 
     def startup_delays(self) -> List[float]:
@@ -390,6 +417,7 @@ class _EdgeState:
         "session",
         "viewer",
         "frames",
+        "arrivals",
         "index",
         "deadline",
         "first_delivery",
@@ -413,6 +441,7 @@ class _EdgeState:
         self.session = session
         self.viewer = session.viewer
         self.frames = frames
+        self.arrivals: List[Optional[float]] = []
         self.index = 0
         self.deadline = deadline
         self.first_delivery: Optional[float] = None
@@ -438,6 +467,11 @@ class _EdgeState:
             self.concealed += 1
         self.gap_len = 0
         self.prev_ok = True
+
+
+def _lanes(edges: Iterable[_EdgeState]) -> List[Lane]:
+    """One lane per edge, sharing the edge's frame and arrival lists."""
+    return [(e.viewer_id, e.stream_id, e.frames, e.arrivals) for e in edges]
 
 
 def _playout_deadline(session) -> float:
@@ -481,44 +515,31 @@ def _collect_edges(
 
 
 def _deliver_constant_delay(
-    deliveries: List[DeliveryRecord],
-    edge: _EdgeState,
-    batch: Sequence[Frame],
-    delay: float,
+    edge: _EdgeState, batch: Sequence[Frame], delay: float
 ) -> None:
     """Deliver ``batch`` on ``edge`` at ``capture_time + delay``.
 
-    Appends the records, inserts the frames into the viewer's gateway
-    buffer and updates the edge's playout accounting.  A frame at or
-    below the buffer's latest frame number (a repeated replay), or whose
-    arrival would precede an already-buffered one (a re-provision
-    shortened the path mid-replay), is skipped individually, so buffer
-    contents track the delivery records frame for frame.
+    Appends the arrival times, inserts the frames into the viewer's
+    gateway buffer and updates the edge's playout accounting.  A frame at
+    or below the buffer's latest frame number (a repeated replay), or
+    whose arrival would precede an already-buffered one (a re-provision
+    shortened the path mid-replay), is skipped, so buffer contents track
+    the arrivals frame for frame.  Frames are in capture order and arrive
+    in that order, so the skipped frames are a prefix of the batch.
     """
-    viewer_id = edge.viewer_id
-    stream_id = edge.stream_id
-    deliveries.extend(
-        DeliveryRecord(
-            viewer_id,
-            stream_id,
-            frame.frame_number,
-            frame.capture_time,
-            frame.capture_time + delay,
-        )
-        for frame in batch
-    )
-    buffer = edge.viewer.buffer_for(stream_id)
+    arrivals = [frame.capture_time + delay for frame in batch]
+    edge.arrivals.extend(arrivals)
+    buffer = edge.viewer.buffer_for(edge.stream_id)
     latest = buffer.latest_frame()
     floor = latest.frame_number if latest is not None else -1
-    last_received = edge.last_received
-    for frame in batch:
-        received = frame.capture_time + delay
-        if frame.frame_number <= floor or received < last_received:
-            continue
-        buffer.insert(frame, received)
-        floor = frame.frame_number
-        last_received = received
-    edge.last_received = last_received
+    skip = 0
+    for frame, received in zip(batch, arrivals):
+        if frame.frame_number > floor and received >= edge.last_received:
+            break
+        skip += 1
+    if skip < len(batch):
+        buffer.extend(batch[skip:], arrivals[skip:])
+        edge.last_received = arrivals[-1]
     count = len(batch)
     edge.expected += count
     edge.delivered += count
@@ -530,7 +551,7 @@ def _deliver_constant_delay(
         # are consecutive on-time deliveries.
         edge.frame_ok()
     if edge.first_delivery is None:
-        edge.first_delivery = batch[0].capture_time + delay
+        edge.first_delivery = arrivals[0]
     edge.window_sum += count * delay
     edge.window_count += count
 
@@ -582,12 +603,12 @@ class SimulatedDataPlane:
             rng=SeededRandom(cfg.seed),
             gilbert=cfg.gilbert_config(),
         )
-        playback = PlaybackReport()
-        self._report = QoEReport(
-            playback=playback, d_buff=self.system.layer_config.buffer_duration
-        )
         self._edges = _collect_edges(
             self.system, self.trace, cfg.max_frames_per_stream
+        )
+        self._report = QoEReport(
+            playback=PlaybackReport(_lanes(self._edges)),
+            d_buff=self.system.layer_config.buffer_duration,
         )
         for edge in self._edges:
             edge.callback = self._make_chunk_callback(edge)
@@ -644,8 +665,6 @@ class SimulatedDataPlane:
             else cfg.bandwidth_headroom * sub.stream.bandwidth_mbps
         )
         link = channel.link(parent_id, edge.viewer_id, edge.stream_id, rate)
-        deliveries = self._report.playback.deliveries
-        stream_id = edge.stream_id
 
         stop = index
         while stop < total and frames[stop].capture_time < end_rel:
@@ -656,7 +675,7 @@ class SimulatedDataPlane:
             batch = frames[index:stop]
             channel.sent += len(batch)
             channel.delivered += len(batch)
-            _deliver_constant_delay(deliveries, edge, batch, delay)
+            _deliver_constant_delay(edge, batch, delay)
         else:
             # One link call serializes the whole chunk; the loop below
             # consumes the returned delivery times with the edge's
@@ -666,10 +685,8 @@ class SimulatedDataPlane:
             delivered_at = channel.transmit_chunk(
                 link, chunk, epoch=t0, path_delay=delay
             )
-            viewer_id = edge.viewer_id
             deadline = edge.deadline + 1e-9
-            buffer = edge.viewer.buffer_for(stream_id)
-            insert = buffer.insert
+            buffer = edge.viewer.buffer_for(edge.stream_id)
             latest = buffer.latest_frame()
             floor = latest.frame_number if latest is not None else -1
             last_received = edge.last_received
@@ -679,15 +696,18 @@ class SimulatedDataPlane:
             gap_len = edge.gap_len
             prev_ok = edge.prev_ok
             late = 0
-            append_delivery = deliveries.append
-            for frame, delivered_abs in zip(chunk, delivered_at):
-                if delivered_abs is None:
+            # One replay-relative float per frame: the arrival column and
+            # the buffer share it.
+            arrivals = [None if at is None else at - t0 for at in delivered_at]
+            edge.arrivals.extend(arrivals)
+            held_frames: List[Frame] = []
+            held_arrivals: List[float] = []
+            for frame, delivery_rel in zip(chunk, arrivals):
+                if delivery_rel is None:
                     gap_len += 1
                     continue
                 frame_number = frame.frame_number
-                capture_time = frame.capture_time
-                delivery_rel = delivered_abs - t0
-                observed = delivery_rel - capture_time
+                observed = delivery_rel - frame.capture_time
                 if observed > deadline:
                     late += 1
                     gap_len += 1
@@ -699,18 +719,15 @@ class SimulatedDataPlane:
                         concealed += 1
                     gap_len = 0
                     prev_ok = True
-                append_delivery(
-                    DeliveryRecord(
-                        viewer_id, stream_id, frame_number, capture_time, delivery_rel
-                    )
-                )
                 if frame_number > floor and delivery_rel >= last_received:
-                    insert(frame, delivery_rel)
+                    held_frames.append(frame)
+                    held_arrivals.append(delivery_rel)
                     floor = frame_number
                     last_received = delivery_rel
                 if first_delivery is None:
                     first_delivery = delivery_rel
                 window_sum += observed
+            buffer.extend(held_frames, held_arrivals)
             lost = delivered_at.count(None)
             delivered = len(delivered_at) - lost
             edge.expected += len(delivered_at)
@@ -768,7 +785,6 @@ class SimulatedDataPlane:
 
     def _finalize(self) -> QoEReport:
         report = self._report
-        report.playback.deliveries.sort(key=_BY_DELIVERY_THEN_VIEWER)
         report.frames_sent = self._channel.sent
         report.frames_delivered = self._channel.delivered
         report.frames_lost = self._channel.lost

@@ -13,27 +13,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.stream import Frame, StreamId
 from repro.util.validation import require_non_negative, require_positive
 
 
-@dataclass(slots=True)
-class BufferedFrame:
-    """A frame held in a viewer's local buffer along with its arrival time.
-
-    Slotted: a full-trace replay buffers millions of these per thousand
-    viewers, and the per-instance ``__dict__`` would dominate the run's
-    memory footprint.
-    """
-
-    frame: Frame
-    received_at: float
-
-
 class StreamBuffer:
     """Per-stream local buffer + cache at a viewer gateway.
+
+    Two aligned columns, the frames and their arrival times: a replay
+    buffers one entry per delivered frame, and a per-entry record object
+    would dominate its allocations and memory.
 
     Parameters
     ----------
@@ -52,7 +43,8 @@ class StreamBuffer:
         require_non_negative(cache_duration, "cache_duration")
         self.buffer_duration = buffer_duration
         self.cache_duration = cache_duration
-        self._frames: Deque[BufferedFrame] = deque()
+        self._frames: Deque[Frame] = deque()
+        self._arrivals: Deque[float] = deque()
 
     def insert(self, frame: Frame, received_at: float) -> None:
         """Insert a newly received frame.
@@ -61,51 +53,62 @@ class StreamBuffer:
         given stream; the transport (in-order streaming from a single
         parent) guarantees this.
         """
-        if self._frames and received_at < self._frames[-1].received_at:
-            raise ValueError("frames must be inserted in arrival order")
-        self._frames.append(BufferedFrame(frame=frame, received_at=received_at))
+        self.extend((frame,), (received_at,))
+
+    def extend(self, frames: Sequence[Frame], arrivals: Sequence[float]) -> None:
+        """Insert frames received at the aligned ``arrivals``, in order.
+
+        Only the first arrival is checked against the buffer's tail; the
+        caller keeps the batch itself in arrival order.
+        """
+        if frames:
+            if self._arrivals and arrivals[0] < self._arrivals[-1]:
+                raise ValueError("frames must be inserted in arrival order")
+            self._frames.extend(frames)
+            self._arrivals.extend(arrivals)
+
+    def held(self) -> List[Tuple[Frame, float]]:
+        """Every retained ``(frame, received_at)``, oldest first."""
+        return list(zip(self._frames, self._arrivals))
 
     def evict_expired(self, now: float) -> List[Frame]:
         """Discard frames older than ``d_buff + d_cache`` and return them."""
         horizon = self.buffer_duration + self.cache_duration
         evicted: List[Frame] = []
-        while self._frames and now - self._frames[0].received_at > horizon:
-            evicted.append(self._frames.popleft().frame)
+        while self._arrivals and now - self._arrivals[0] > horizon:
+            self._arrivals.popleft()
+            evicted.append(self._frames.popleft())
         return evicted
 
     def in_buffer(self, now: float) -> List[Frame]:
         """Frames currently between the buffer end and the playback point."""
         return [
-            bf.frame
-            for bf in self._frames
-            if now - bf.received_at <= self.buffer_duration
+            frame
+            for frame, received_at in zip(self._frames, self._arrivals)
+            if now - received_at <= self.buffer_duration
         ]
 
     def in_cache(self, now: float) -> List[Frame]:
         """Frames past the playback point but still available for forwarding."""
         horizon = self.buffer_duration + self.cache_duration
         return [
-            bf.frame
-            for bf in self._frames
-            if self.buffer_duration < now - bf.received_at <= horizon
+            frame
+            for frame, received_at in zip(self._frames, self._arrivals)
+            if self.buffer_duration < now - received_at <= horizon
         ]
 
     def shareable(self, now: float) -> List[Frame]:
         """All frames available to support child viewers (buffer + cache)."""
         self.evict_expired(now)
-        return [bf.frame for bf in self._frames]
+        return list(self._frames)
 
     def latest_frame(self) -> Optional[Frame]:
         """The most recently received frame, if any."""
-        if not self._frames:
-            return None
-        return self._frames[-1].frame
+        return self._frames[-1] if self._frames else None
 
     def oldest_frame(self) -> Optional[Frame]:
         """The oldest retained frame, if any."""
-        if not self._frames:
-            return None
-        return self._frames[0].frame
+        return self._frames[0] if self._frames else None
 
     def frame_at_or_after(self, frame_number: int) -> Optional[Frame]:
         """First retained frame with ``frame_number`` >= the requested one.
@@ -113,9 +116,9 @@ class StreamBuffer:
         Used when a child subscribes at a specific position in the parent's
         cache (the *subscription point* of the session routing table).
         """
-        for bf in self._frames:
-            if bf.frame.frame_number >= frame_number:
-                return bf.frame
+        for frame in self._frames:
+            if frame.frame_number >= frame_number:
+                return frame
         return None
 
     def __len__(self) -> int:

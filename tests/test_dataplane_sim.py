@@ -78,8 +78,8 @@ def _joined_system(config):
 def _held(viewer, stream_id):
     """``(frame_number, received_at)`` of every frame in one gateway buffer."""
     return [
-        (held.frame.frame_number, held.received_at)
-        for held in viewer.buffer_for(stream_id)._frames
+        (frame.frame_number, received_at)
+        for frame, received_at in viewer.buffer_for(stream_id).held()
     ]
 
 
@@ -226,12 +226,15 @@ class TestOfflineEquivalence:
         system, trace = _joined_system(SMALL_CONFIG)
         edge = dataplane._collect_edges(system, trace, 6)[0]
         frames = edge.frames
-        deliveries = []
-        dataplane._deliver_constant_delay(deliveries, edge, frames[:3], 1.0)
+        dataplane._deliver_constant_delay(edge, frames[:3], 1.0)
         gap = frames[3].capture_time - frames[2].capture_time
         shorter = 1.0 - 1.5 * gap  # frame 3 too early, frame 4 on time
-        dataplane._deliver_constant_delay(deliveries, edge, frames[3:], shorter)
-        assert [record.frame_number for record in deliveries] == [0, 1, 2, 3, 4, 5]
+        dataplane._deliver_constant_delay(edge, frames[3:], shorter)
+        assert edge.arrivals == [frame.capture_time + 1.0 for frame in frames[:3]] + [
+            frame.capture_time + shorter for frame in frames[3:]
+        ]
+        records = dataplane.PlaybackReport(dataplane._lanes([edge])).deliveries
+        assert sorted(record.frame_number for record in records) == [0, 1, 2, 3, 4, 5]
         held = _held(edge.viewer, edge.stream_id)
         assert [number for number, _ in held] == [0, 1, 2, 4, 5]
         assert [received for _, received in held] == sorted(

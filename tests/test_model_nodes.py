@@ -62,6 +62,22 @@ class TestStreamBuffer:
         with pytest.raises(ValueError):
             buffer.insert(self._frame(1), received_at=1.0)
 
+    def test_batch_arriving_before_the_tail_rejected_like_insert(self):
+        buffer = StreamBuffer(buffer_duration=0.3, cache_duration=1.0)
+        frames = [self._frame(number) for number in range(4)]
+        buffer.extend(frames[:2], [1.0, 2.0])
+        with pytest.raises(ValueError) as single:
+            buffer.insert(frames[2], received_at=1.5)
+        with pytest.raises(ValueError) as batch:
+            buffer.extend(frames[2:], [1.5, 2.5])
+        assert str(batch.value) == str(single.value) == (
+            "frames must be inserted in arrival order"
+        )
+        assert buffer.held() == [(frames[0], 1.0), (frames[1], 2.0)]
+        buffer.extend(frames[2:], [2.0, 2.5])
+        buffer.extend([], [])
+        assert [received for _, received in buffer.held()] == [1.0, 2.0, 2.0, 2.5]
+
     def test_buffer_and_cache_split(self):
         buffer = StreamBuffer(buffer_duration=0.3, cache_duration=5.0)
         buffer.insert(self._frame(0), received_at=0.0)

@@ -8,6 +8,19 @@ field and every gateway buffer's ``(frame_number, received_at)`` list,
 under Bernoulli and Gilbert-Elliott loss, with and without the bandwidth
 model, the layer refresh and extra transit.
 
+The delivery digest hashes *sorted* rows, so it cannot see the report's
+own order.  ``tests/golden/replay_order.json`` pins that: a digest of
+the ``deliveries`` list as returned -- sorted by ``(delivery_time,
+viewer_id)``, ties in the order the per-frame records were appended --
+for every plane, from the simulated replay and from the engine-free
+:meth:`~repro.core.dataplane.OverlayDataPlane.replay` at the same frame
+count.  It was captured on the code that appended one record per frame.
+
+A replay stores one arrival float per frame sent, by edge, and builds the
+per-frame records only when ``deliveries`` is read; the allocation guard
+below holds it to that (the per-frame code left 2.17 GC-tracked objects
+behind per delivered frame on the guard's replay).
+
 Regenerate (only for an intentional behaviour change) with
 ``PYTHONPATH=src python tests/test_replay_golden.py``.
 """
@@ -15,19 +28,22 @@ Regenerate (only for an intentional behaviour change) with
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.core.dataplane import DataPlaneConfig, SimulatedDataPlane
+from repro.core import dataplane
+from repro.core.dataplane import DataPlaneConfig, OverlayDataPlane, SimulatedDataPlane
 from repro.experiments.config import PAPER_CONFIG
 from repro.experiments.runner import build_scenario, build_telecast_system
 from repro.sim.rng import SeededRandom
 from repro.traces.teeve import TeeveSessionTrace
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "replay_digests.json"
+ORDER_PATH = Path(__file__).parent / "golden" / "replay_order.json"
 
 WORLD = PAPER_CONFIG.with_scaled_population(30, num_lscs=1)
 
@@ -80,12 +96,17 @@ def _sha(rows) -> str:
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode("ascii")).hexdigest()
 
 
-def replay_digest(plane: DataPlaneConfig) -> dict:
-    """Run one simulated replay on the fixed world and digest its outputs."""
+def joined_world():
+    """The fixed world after its joins: ``(system, trace)``."""
     scenario = build_scenario(WORLD)
     system = build_telecast_system(scenario)
     system.run_workload(scenario.viewers, scenario.events, scenario.views)
-    trace = TeeveSessionTrace(scenario.producers, rng=SeededRandom(WORLD.seed))
+    return system, TeeveSessionTrace(scenario.producers, rng=SeededRandom(WORLD.seed))
+
+
+def replay_digest(plane: DataPlaneConfig) -> dict:
+    """Run one simulated replay on the fixed world and digest its outputs."""
+    system, trace = joined_world()
     report = SimulatedDataPlane(system, trace, plane).run()
     deliveries = sorted(
         [getattr(record, name) for name in DELIVERY_FIELDS]
@@ -105,8 +126,8 @@ def replay_digest(plane: DataPlaneConfig) -> dict:
                         viewer_id,
                         stream_id,
                         [
-                            (held.frame.frame_number, held.received_at)
-                            for held in viewer.buffer_for(stream_id)._frames
+                            (frame.frame_number, received_at)
+                            for frame, received_at in viewer.buffer_for(stream_id).held()
                         ],
                     ]
                 )
@@ -123,23 +144,91 @@ def replay_digest(plane: DataPlaneConfig) -> dict:
     }
 
 
+def order_digest(plane: DataPlaneConfig) -> dict:
+    """Digest the ``deliveries`` list in report order, on both data planes."""
+    system, trace = joined_world()
+    simulated = SimulatedDataPlane(system, trace, plane).run()
+    system, trace = joined_world()
+    offline = OverlayDataPlane(system, trace).replay(
+        max_frames_per_stream=plane.max_frames_per_stream
+    )
+    digest = {}
+    for side, report in (("simulated", simulated), ("offline", offline)):
+        rows = [
+            [getattr(record, name) for name in DELIVERY_FIELDS]
+            for record in report.deliveries
+        ]
+        digest[f"{side}_deliveries"] = len(rows)
+        digest[f"{side}_order_sha256"] = _sha(rows)
+    return digest
+
+
 @pytest.mark.parametrize("name", sorted(PLANES))
 def test_replay_matches_per_frame_golden(name):
     golden = json.loads(GOLDEN_PATH.read_text())
     assert replay_digest(PLANES[name]) == golden[name]
 
 
+@pytest.mark.parametrize("name", sorted(PLANES))
+def test_delivery_order_matches_per_frame_golden(name):
+    golden = json.loads(ORDER_PATH.read_text())
+    assert order_digest(PLANES[name]) == golden[name]
+
+
+#: GC-tracked objects a replay may leave behind per delivered frame: its
+#: frames (one per stream, shared by the subscribers) and a few per edge
+#: (state, link, buffer, lists); the arrival floats are untracked.
+TRACKED_PER_DELIVERY = 0.25
+
+
+def test_replay_leaves_no_object_per_delivered_frame():
+    # The 2 % loss + refresh plane at 240 frames a stream, so the
+    # per-edge objects weigh ~0.07 a frame and the bound reads per-frame
+    # ones (0.18 here; the per-frame code left 2.17).
+    system, trace = joined_world()
+    config = dataclasses.replace(
+        PLANES["bernoulli_2pct_refresh"], max_frames_per_stream=240
+    )
+    plane = SimulatedDataPlane(system, trace, config)
+    gc.collect()
+    before = len(gc.get_objects())
+    report = plane.run()
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert report.frames_delivered > 30_000
+    assert grown <= TRACKED_PER_DELIVERY * report.frames_delivered
+
+
+def test_no_delivery_record_exists_until_deliveries_is_read(monkeypatch):
+    built = []
+    record = dataplane.DeliveryRecord
+
+    def counted(*fields):
+        built.append(fields)
+        return record(*fields)
+
+    monkeypatch.setattr(dataplane, "DeliveryRecord", counted)
+    system, trace = joined_world()
+    report = SimulatedDataPlane(system, trace, PLANES["bernoulli_2pct_refresh"]).run()
+    assert report.per_viewer and not built
+    deliveries = report.deliveries
+    assert len(built) == len(deliveries) == report.frames_delivered
+    assert report.deliveries is deliveries
+
+
 def test_golden_covers_every_plane():
     assert sorted(json.loads(GOLDEN_PATH.read_text())) == sorted(PLANES)
+    assert sorted(json.loads(ORDER_PATH.read_text())) == sorted(PLANES)
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(
-        json.dumps(
-            {name: replay_digest(plane) for name, plane in sorted(PLANES.items())},
-            indent=2,
-            sort_keys=True,
+    for path, digest in ((GOLDEN_PATH, replay_digest), (ORDER_PATH, order_digest)):
+        path.write_text(
+            json.dumps(
+                {name: digest(plane) for name, plane in sorted(PLANES.items())},
+                indent=2,
+                sort_keys=True,
+            )
+            + "\n"
         )
-        + "\n"
-    )
-    print(f"wrote {GOLDEN_PATH}")
+        print(f"wrote {path}")

@@ -337,6 +337,12 @@ class TestSnapshotFile:
         # stored in-flight count; beats are a ledger on the driver now.
         self._assert_version_refused(tmp_path, 5)
 
+    def test_version_6_file_refused_by_name(self, tmp_path):
+        # A v6 payload pickled every gateway buffer as one deque of
+        # BufferedFrame records (a class that no longer exists); a buffer
+        # is two deques now, the frames and their arrival times.
+        self._assert_version_refused(tmp_path, 6)
+
 
 class TestInFlightSnapshot:
     """Satellite: drain-and-continue across a snapshot boundary.
