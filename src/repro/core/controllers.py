@@ -353,13 +353,25 @@ class LocalSessionController:
         """Compute the view-synchronization plan from current parent delays.
 
         Only viewer-fed streams are resolved: the plan puts a CDN-fed
-        stream in Layer-0 without reading its parent's delay.
+        stream in Layer-0 without reading its parent's delay.  A parent
+        that is a member subscribed to the stream is read here, as
+        :meth:`ViewGroup.parent_effective_delay
+        <repro.core.group.ViewGroup.parent_effective_delay>` reads it; any
+        other parent is left to that method.
         """
-        parent_delays = {
-            sid: group.parent_effective_delay(sid, sub.parent_id)
-            for sid, sub in session.subscriptions.items()
-            if sub.parent_id != CDN_NODE_ID
-        }
+        members = group.sessions
+        parent_delays = {}
+        for sid, sub in session.subscriptions.items():
+            parent_id = sub.parent_id
+            if parent_id == CDN_NODE_ID:
+                continue
+            parent = members.get(parent_id)
+            held = parent.subscriptions.get(sid) if parent is not None else None
+            if held is None:
+                parent_delays[sid] = group.parent_effective_delay(sid, parent_id)
+            else:
+                delay = held.effective_delay
+                parent_delays[sid] = delay if delay > 0 else held.end_to_end_delay
         return plan_view_synchronization(
             self.layer_config,
             self.delay_model,
@@ -403,8 +415,10 @@ class LocalSessionController:
 
         Walks the subtree rooted at ``start_viewer_id`` in breadth-first
         order; every affected viewer refreshes the structural delay of the
-        stream and re-runs its own subscription process when the parent's
-        new effective delay can no longer support its current layer.
+        stream and re-runs its own subscription process when its structural
+        delay now exceeds its effective one (tested first: it reads no
+        delay) or the parent's new effective delay can no longer support
+        its current layer.
         """
         tree = group.tree(stream_id)
         if start_viewer_id not in tree:
@@ -423,10 +437,10 @@ class LocalSessionController:
                 node = tree.node(current_id)
                 sub.end_to_end_delay = node.end_to_end_delay
                 queue.extend(node.children)
-            parent_delay = group.parent_effective_delay(stream_id, sub.parent_id)
-            if needs_resubscription(
-                self.layer_config, self.delay_model, current_session, stream_id, parent_delay
-            ) or sub.end_to_end_delay > sub.effective_delay:
+            if sub.end_to_end_delay > sub.effective_delay or needs_resubscription(
+                self.layer_config, self.delay_model, current_session, stream_id,
+                group.parent_effective_delay(stream_id, sub.parent_id),
+            ):
                 self._run_view_sync(group, current_session, now)
 
     # -- teardown helpers --------------------------------------------------------

@@ -17,15 +17,20 @@ spread:
    the parents (Equation 2).
 
 When a viewer's effective delay for a forwarded stream grows, its children
-may need to re-run the process; :func:`propagate_to_children` captures that
-chain.
+may need to re-run the process;
+:meth:`LocalSessionController._propagate_subscription
+<repro.core.controllers.LocalSessionController._propagate_subscription>`
+walks that chain.
+
+A plan is rows, not objects: one ``(stream_id, minimum, target, effective,
+parent_id, propagation)`` tuple per kept stream in subscription order, and
+the dropped streams, also in subscription order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.layering import (
     DelayLayerConfig,
@@ -53,33 +58,40 @@ class StreamSubscriptionPlan(NamedTuple):
         return self.target_layer > self.minimum_layer
 
 
-@dataclass(frozen=True)
-class SubscriptionPlan:
-    """The complete view-synchronization plan of one viewer."""
+#: One kept stream of a plan: ``(stream_id, minimum_layer, target_layer,
+#: effective_delay, parent_id, propagation)``.  ``parent_id`` is the parent
+#: the plan was made for and ``propagation`` the ``d_prop`` it read for it
+#: (``None`` for a CDN parent, whose layer needs none).
+PlanRow = Tuple[StreamId, int, int, float, str, Optional[float]]
 
-    per_stream: Dict[StreamId, StreamSubscriptionPlan]
+
+class SubscriptionPlan(NamedTuple):
+    """The complete view-synchronization plan of one viewer.
+
+    ``rows`` are the kept streams and ``dropped_stream_ids`` the streams
+    that must be dropped because no acceptable layer exists, both in
+    subscription order; ``drops`` are the dropped streams' plans.
+    """
+
+    rows: List[PlanRow]
+    dropped_stream_ids: Tuple[StreamId, ...] = ()
+    drops: Tuple[StreamSubscriptionPlan, ...] = ()
 
     @property
-    def dropped_stream_ids(self) -> Tuple[StreamId, ...]:
-        """Streams that must be dropped because no acceptable layer exists."""
-        return tuple(
-            sid for sid, plan in self.per_stream.items() if plan.dropped
-        )
+    def per_stream(self) -> Dict[StreamId, StreamSubscriptionPlan]:
+        """Every stream's plan, kept streams first."""
+        plans = {row[0]: StreamSubscriptionPlan(*row[:4]) for row in self.rows}
+        plans.update((plan.stream_id, plan) for plan in self.drops)
+        return plans
 
     @property
     def kept_stream_ids(self) -> Tuple[StreamId, ...]:
         """Streams that remain subscribed after synchronization."""
-        return tuple(
-            sid for sid, plan in self.per_stream.items() if not plan.dropped
-        )
+        return tuple(row[0] for row in self.rows)
 
     def layer_spread(self) -> int:
         """Layer spread among kept streams (0 when fewer than two remain)."""
-        layers = [
-            plan.target_layer
-            for plan in self.per_stream.values()
-            if not plan.dropped
-        ]
+        layers = [row[2] for row in self.rows]
         if len(layers) < 2:
             return 0
         return max(layers) - min(layers)
@@ -139,65 +151,55 @@ def plan_view_synchronization(
     max_layer = config.max_layer_index
     processing = delay_model.processing_delay
     propagation = delay_model.propagation
-    minimum_layers: Dict[StreamId, int] = {}
-    # Streams that cannot reach any acceptable layer at all.
-    dropped: Set[StreamId] = set()
+    parent_delay = parent_effective_delays.get
+    floor = math.floor
+    rows: List[PlanRow] = []
+    drops: List[StreamSubscriptionPlan] = []
+    # "Layer_min" in the paper is the *largest* layer index among the
+    # accepted streams -- the slowest stream anchors the view.
+    anchor = 0
     for stream_id, sub in subscriptions.items():
         parent_id = sub.parent_id
-        if parent_id == CDN_NODE_ID:
-            minimum_layers[stream_id] = 0
-            continue
-        parent_delay = parent_effective_delays.get(stream_id, delta)
-        raw = (
-            parent_delay - delta + propagation(parent_id, viewer_id) + processing
-        ) / tau
-        layer = int(math.floor(raw))
-        minimum_layers[stream_id] = layer if layer > 0 else 0
-        if layer > max_layer:
-            dropped.add(stream_id)
-
-    kept_layers = (
-        {sid: layer for sid, layer in minimum_layers.items() if sid not in dropped}
-        if dropped
-        else minimum_layers
-    )
-    plans: Dict[StreamId, StreamSubscriptionPlan] = {}
-
-    if kept_layers:
-        # "Layer_min" in the paper is the *largest* layer index among the
-        # accepted streams -- the slowest stream anchors the view.
-        anchor = max(kept_layers.values())
-        floor_layer = anchor - config.kappa
-        for stream_id, minimum in kept_layers.items():
-            target = minimum if minimum > floor_layer else floor_layer
-            if target > max_layer:
-                dropped.add(stream_id)
-                continue
-            sub = subscriptions[stream_id]
-            if target > minimum:
-                # Pushed down: position at the top of the target layer so the
-                # push-down fades out along the child chain (R = tau * r);
-                # same floats as ``delay_for_layer(target, offset=tau)``.
-                effective = delta + target * tau + tau
-            else:
-                # ``max(structural, nominal)``: the first wins a tie.
-                effective = sub.end_to_end_delay
-                nominal = delta + target * tau
-                if nominal > effective:
-                    effective = nominal
-            plans[stream_id] = StreamSubscriptionPlan(
-                stream_id, minimum, target, effective, False
+        hop = None
+        layer = 0
+        if parent_id != CDN_NODE_ID:
+            hop = propagation(parent_id, viewer_id)
+            layer = floor(
+                (parent_delay(stream_id, delta) - delta + hop + processing) / tau
             )
+            if layer > max_layer:  # no acceptable layer at all
+                drops.append(StreamSubscriptionPlan(
+                    stream_id, layer, layer, sub.end_to_end_delay, True
+                ))
+                continue
+            if layer < 0:
+                layer = 0
+            if layer > anchor:
+                anchor = layer
+        # Not pushed down: ``max(structural, nominal)``, the first wins a tie.
+        structural = sub.end_to_end_delay
+        nominal = delta + layer * tau
+        rows.append((
+            stream_id, layer, layer,
+            nominal if nominal > structural else structural, parent_id, hop,
+        ))
 
-    for stream_id in dropped:
-        plans[stream_id] = StreamSubscriptionPlan(
-            stream_id=stream_id,
-            minimum_layer=minimum_layers[stream_id],
-            target_layer=minimum_layers[stream_id],
-            effective_delay=subscriptions[stream_id].end_to_end_delay,
-            dropped=True,
-        )
-    return SubscriptionPlan(per_stream=plans)
+    # Push every stream down to within kappa of the anchor.  The anchor is
+    # an acceptable layer, so no pushed-down target can exceed ``max_layer``.
+    floor_layer = anchor - config.kappa
+    if floor_layer > 0:
+        # Positioned at the top of the target layer so the push-down fades
+        # out along the child chain (R = tau * r); same floats as
+        # ``delay_for_layer(floor_layer, offset=tau)``.
+        pushed = delta + floor_layer * tau + tau
+        for index, row in enumerate(rows):
+            if floor_layer > row[1]:
+                rows[index] = (row[0], row[1], floor_layer, pushed, row[4], row[5])
+    if not drops:
+        return SubscriptionPlan(rows)
+    return SubscriptionPlan(
+        rows, tuple(plan.stream_id for plan in drops), tuple(drops)
+    )
 
 
 def apply_plan(
@@ -214,32 +216,35 @@ def apply_plan(
     computes subscription points for pushed-down streams, and removes the
     dropped subscriptions (returning their ids so the caller can release
     the associated overlay and bandwidth resources).
+
+    Equation 2 reuses the ``d_prop`` the plan read for a stream only while
+    the stream's parent is still the one the plan was made for.
     """
-    dropped: List[StreamId] = []
     subscriptions = session.subscriptions
-    for stream_id, stream_plan in plan.per_stream.items():
+    for stream_id, minimum, target, effective, parent_id, hop in plan.rows:
         sub = subscriptions.get(stream_id)
         if sub is None:
             continue
-        if stream_plan.dropped:
-            session.drop_subscription(stream_id)
-            dropped.append(stream_id)
-            continue
-        target_layer = stream_plan.target_layer
-        sub.layer = target_layer
-        sub.effective_delay = stream_plan.effective_delay
-        # ``stream_plan.pushed_down``, read off the tuple.
-        if target_layer > stream_plan.minimum_layer and latest_frame_numbers is not None:
+        sub.layer = target
+        sub.effective_delay = effective
+        if target > minimum and latest_frame_numbers is not None:  # pushed down
             latest = latest_frame_numbers.get(stream_id)
             if latest is not None:
+                if hop is None or sub.parent_id != parent_id:
+                    hop = delay_model.propagation(sub.parent_id, session.viewer_id)
                 sub.subscription_frame = subscription_frame_number(
                     config,
                     latest,
                     sub.stream.frame_rate,
-                    target_layer,
-                    delay_model.propagation(sub.parent_id, session.viewer_id),
+                    target,
+                    hop,
                     delay_model.processing_delay,
                 )
+    dropped: List[StreamId] = []
+    for stream_id in plan.dropped_stream_ids:
+        if stream_id in subscriptions:
+            session.drop_subscription(stream_id)
+            dropped.append(stream_id)
     return dropped
 
 

@@ -158,10 +158,20 @@ class CDN:
             return False
         if not self.can_serve(bandwidth_mbps):
             return False
-        edge = self._pick_edge(bandwidth_mbps)
-        if edge is None:
+        # The (first) least-loaded edge server that fits the reservation,
+        # read off its fields: ``available_outbound_mbps`` inlined, and
+        # the reservation is ``EdgeServer.allocate`` less the re-check.
+        best: Optional[EdgeServer] = None
+        for edge in self.edge_servers:
+            used = edge.used_outbound_mbps
+            available = edge.outbound_capacity_mbps - used
+            if (available if available > 0.0 else 0.0) + 1e-9 >= bandwidth_mbps and (
+                best is None or used < best.used_outbound_mbps
+            ):
+                best = edge
+        if best is None:
             return False
-        edge.allocate(bandwidth_mbps)
+        best.used_outbound_mbps += bandwidth_mbps
         self._used_outbound += bandwidth_mbps
         self._per_stream_usage[stream_id] = (
             self._per_stream_usage.get(stream_id, 0.0) + bandwidth_mbps
@@ -181,16 +191,6 @@ class CDN:
         # visible to the algorithms, only the aggregate matters.
         edge = max(self.edge_servers, key=lambda e: e.used_outbound_mbps)
         edge.release(released)
-
-    def _pick_edge(self, bandwidth_mbps: float) -> Optional[EdgeServer]:
-        """Pick the (first) least-loaded edge server that can fit the reservation."""
-        best: Optional[EdgeServer] = None
-        for edge in self.edge_servers:
-            if edge.available_outbound_mbps + 1e-9 >= bandwidth_mbps and (
-                best is None or edge.used_outbound_mbps < best.used_outbound_mbps
-            ):
-                best = edge
-        return best
 
     def stream_usage(self, stream_id: StreamId) -> float:
         """Outbound bandwidth currently spent serving ``stream_id``."""

@@ -146,23 +146,32 @@ def region_indices(keys: Sequence[int], num_regions: int) -> List[int]:
     return [_mix64(key) % num_regions for key in keys]
 
 
-def _pair_gauss(key_low: int, key_high: int) -> float:
-    """Standard-normal draw for one pair of node keys (Box-Muller).
-
-    Callers pass the keys in sorted-*name* order so the draw is
-    symmetric in the pair.
-    """
-    base = _mix64(key_low ^ ((key_high * 0x9E3779B97F4A7C15) & _MASK64))
-    u1 = (_mix64(base) + 1) / 2.0**64
-    u2 = (_mix64(base ^ _U2_SALT) + 1) / 2.0**64
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
 def _pair_delay(
     key_low: int, key_high: int, log_median: float, sigma: float
 ) -> float:
-    """Log-normal pair delay from the two node keys (name-sorted order)."""
-    return math.exp(log_median + sigma * _pair_gauss(key_low, key_high))
+    """Log-normal pair delay from the two node keys (name-sorted order).
+
+    A Box-Muller standard-normal draw from three splitmix64 mixes, run by
+    every lazy miss, so the integer steps of :func:`_mix64` are written
+    out: ``base = _mix64(key_low ^ ((key_high * 0x9E3779B97F4A7C15) &
+    _MASK64))``, ``u1 = (_mix64(base) + 1) / 2**64``, ``u2 =
+    (_mix64(base ^ _U2_SALT) + 1) / 2**64``.
+    """
+    mask = _MASK64
+    value = ((key_low ^ ((key_high * 0x9E3779B97F4A7C15) & mask)) + 0x9E3779B97F4A7C15) & mask
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & mask
+    base = value ^ (value >> 31)
+    value = (base + 0x9E3779B97F4A7C15) & mask
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & mask
+    u1 = ((value ^ (value >> 31)) + 1) / 2.0**64
+    value = ((base ^ _U2_SALT) + 0x9E3779B97F4A7C15) & mask
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & mask
+    u2 = ((value ^ (value >> 31)) + 1) / 2.0**64
+    gauss = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return math.exp(log_median + sigma * gauss)
 
 
 def _mix64_np(value):
@@ -267,14 +276,21 @@ class LazyPlanetLabMatrix(LatencyMatrix):
             # Nodes outside the generated world keep the flat default,
             # exactly like unknown pairs of an explicit LatencyMatrix.
             return self.default_delay
-        same_region = self.regions.region_of(a) == self.regions.region_of(b)
+        # The regions of one map have distinct ids, so comparing ids is
+        # ``Region.__eq__`` without the generated method call.
+        region_of = self.regions.region_of
+        region_a = region_of(a)
+        region_b = region_of(b)
+        same_region = region_a is region_b or region_a.region_id == region_b.region_id
         log_median = self._log_intra if same_region else self._log_inter
         if a > b:  # pair draws are symmetric in sorted-name order
             a, b = b, a
             key_a, key_b = key_b, key_a
         delay = _pair_delay(key_a, key_b, log_median, self._sigma)
         self._memo[(a, b)] = delay
-        self._record_explicit(delay)
+        # One newly stored pair in the running mean (``_record_explicit``).
+        self._explicit_sum += delay
+        self._explicit_count += 1
         return delay
 
     def approx_delays_to(

@@ -1,7 +1,16 @@
 """Tests for stream subscription / view synchronization (Section V-B3)."""
 
-import pytest
+import json
+import os
+import subprocess
+import sys
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_subscription as reference
+from repro.core.controllers import GlobalSessionController
 from repro.core.layering import DelayLayerConfig
 from repro.core.state import StreamSubscription, ViewerSession
 from repro.core.subscription import (
@@ -10,7 +19,9 @@ from repro.core.subscription import (
     needs_resubscription,
     plan_view_synchronization,
 )
-from repro.model.cdn import CDN_NODE_ID
+from repro.core.telecast import build_views
+from repro.model.cdn import CDN, CDN_NODE_ID
+from repro.model.producer import make_default_producers
 from repro.model.viewer import Viewer
 from repro.net.latency import DelayModel, LatencyMatrix
 
@@ -204,3 +215,251 @@ class TestResubscriptionTrigger:
         session = self._session_with_layers(default_view, [1])
         other = default_view.streams[-1].stream_id
         assert not needs_resubscription(config, delay_model, session, other, 65.0)
+
+
+VIEW = build_views(make_default_producers(), num_views=1, streams_per_site=3)[0]
+
+#: Builds a six-stream session whose first two streams come from the CDN
+#: and whose last four hang under parents too deep for ``d_max``, plans
+#: it, applies the plan and prints both drop orders.
+_FOUR_DROPS = """
+import json
+from repro.core.layering import DelayLayerConfig
+from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.subscription import apply_plan, plan_view_synchronization
+from repro.core.telecast import build_views
+from repro.model.cdn import CDN_NODE_ID
+from repro.model.producer import make_default_producers
+from repro.model.viewer import Viewer
+from repro.net.latency import DelayModel, LatencyMatrix
+
+view = build_views(make_default_producers(), num_views=1, streams_per_site=3)[0]
+config = DelayLayerConfig()
+model = DelayModel(LatencyMatrix(default_delay=0.05), processing_delay=0.1, cdn_delta=60.0)
+session = ViewerSession(viewer=Viewer(viewer_id="u"), view=view, lsc_id="LSC-0")
+parent_delays = {}
+for index, stream in enumerate(view.streams):
+    parent = CDN_NODE_ID if index < 2 else f"deep-{index}"
+    session.subscriptions[stream.stream_id] = StreamSubscription(
+        stream, parent, 60.0, 0, 60.0, parent == CDN_NODE_ID
+    )
+    if parent != CDN_NODE_ID:
+        parent_delays[stream.stream_id] = 64.95
+plan = plan_view_synchronization(config, model, "u", session.subscriptions, parent_delays)
+dropped = apply_plan(config, model, session, plan)
+print(json.dumps([[str(sid) for sid in plan.dropped_stream_ids], [str(sid) for sid in dropped]]))
+"""
+
+
+class TestDropOrder:
+    """Dropped streams come out in subscription order, whatever the hash seed.
+
+    They used to be gathered in a ``set`` of ``StreamId`` s, which iterates
+    in the order of the site-id strings' hashes.  That order decided which
+    dropped stream ``_run_view_sync`` offered the CDN first -- so which one
+    a nearly full CDN rescued -- and it differs between processes:
+    spawn-started shard workers and restored snapshots run under other
+    hash seeds.
+    """
+
+    def test_a_four_drop_plan_lists_them_in_subscription_order_under_two_hash_seeds(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        in_order = [str(stream.stream_id) for stream in VIEW.streams[2:]]
+        for hash_seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", _FOUR_DROPS],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+                capture_output=True,
+                timeout=60,
+                check=False,
+            )
+            assert done.returncode == 0, done.stderr.decode()
+            assert json.loads(done.stdout) == [in_order, in_order], f"PYTHONHASHSEED={hash_seed}"
+
+    def test_a_cdn_with_room_for_one_rescues_the_first_subscribed_drop(
+        self, producers, flat_delay_model, layer_config, default_view
+    ):
+        cdn = CDN(10_000.0, delta=60.0, num_edge_servers=1)
+        gsc = GlobalSessionController(cdn, flat_delay_model, layer_config)
+        gsc.register_producer_streams([s for site in producers for s in site.streams])
+        lsc = gsc.add_lsc("LSC-0")
+        lsc.join(Viewer(viewer_id="seed", outbound_capacity_mbps=12.0), default_view)
+        lsc.join(Viewer(viewer_id="child", outbound_capacity_mbps=0.0), default_view)
+        child = lsc.session_of("child")
+        subscribed = list(child.subscriptions)
+        assert all(sub.parent_id == "seed" for sub in child.subscriptions.values())
+        # The seed now lags on the last four streams by more than any
+        # acceptable layer of the child can absorb.
+        deep = subscribed[2:]
+        for stream_id in deep:
+            lsc.session_of("seed").subscriptions[stream_id].effective_delay = (
+                layer_config.d_max - 0.05
+            )
+        # Everything but one re-provision of the CDN is taken.
+        bandwidth = child.subscriptions[deep[0]].bandwidth_mbps
+        elsewhere = next(
+            stream.stream_id
+            for site in producers
+            for stream in site.streams
+            if stream.stream_id not in default_view.stream_ids
+        )
+        assert cdn.allocate(elsewhere, cdn.available_outbound_mbps - bandwidth)
+
+        group = lsc.groups[default_view.view_id]
+        dropped = lsc._run_view_sync(group, child, now=0.0)
+
+        assert dropped == deep[1:]
+        assert list(child.subscriptions) == subscribed[:3]
+        assert child.subscriptions[deep[0]].via_cdn
+        assert cdn.available_outbound_mbps < bandwidth
+        for stream_id in subscribed:
+            group.tree(stream_id).validate()
+
+
+PARENTS = (CDN_NODE_ID, "p0", "p1", "p2")
+
+
+class _RecordingDelayModel(DelayModel):
+    """A delay model that records every latency lookup, in order."""
+
+    def propagation(self, a, b):
+        self.lookups.append((a, b))
+        return super().propagation(a, b)
+
+
+def _recording_world(hops):
+    """``p0`` .. ``p2`` at the given one-way delays from viewer ``u``."""
+    matrix = LatencyMatrix(default_delay=0.05)
+    for parent, hop in zip(PARENTS[1:], hops):
+        matrix.set_delay(parent, "u", hop)
+    model = _RecordingDelayModel(matrix, processing_delay=0.1, cdn_delta=60.0)
+    model.lookups = []
+    return model
+
+
+#: Per stream: parent, structural delay, the parent's effective delay
+#: (``None``: absent from the mapping), the parent the stream has when the
+#: plan is applied (``None``: unchanged) and its latest frame number.
+stream_specs = st.lists(
+    st.tuples(
+        st.sampled_from(PARENTS),
+        st.floats(min_value=60.0, max_value=65.0),
+        st.one_of(st.none(), st.floats(min_value=60.0, max_value=65.5)),
+        st.one_of(st.none(), st.sampled_from(PARENTS)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=5000)),
+    ),
+    min_size=1,
+    max_size=len(VIEW.streams),
+)
+
+
+class TestPlanMatchesTheReference:
+    """The row plan equals the per-stream-object planner it replaced.
+
+    ``tests/reference_subscription.py`` is the old ``plan_view_synchronization``
+    and ``apply_plan``.  Over random subscriptions -- CDN and viewer
+    parents, push-downs, drops, parents that moved between planning and
+    applying, with and without latest frame numbers -- both must produce
+    the same per-stream plans, leave the session in the same state and
+    return the same drops (in subscription order, where the old planner
+    used hash order).  Their latency lookups are the same sequence, except
+    that Equation 2 no longer re-reads a pair the plan read for the same
+    parent.
+    """
+
+    @staticmethod
+    def _run(planner, applier, specs, hops, kappa, with_latest):
+        config = DelayLayerConfig(kappa=kappa)
+        session = ViewerSession(viewer=Viewer(viewer_id="u"), view=VIEW, lsc_id="LSC-0")
+        parent_delays = {}
+        latest = {} if with_latest else None
+        for stream, (parent, structural, parent_delay, _moved, frame) in zip(VIEW.streams, specs):
+            sid = stream.stream_id
+            session.subscriptions[sid] = StreamSubscription(
+                stream, parent, structural, 0, structural, parent == CDN_NODE_ID
+            )
+            if parent != CDN_NODE_ID and parent_delay is not None:
+                parent_delays[sid] = parent_delay
+            if latest is not None and frame is not None:
+                latest[sid] = frame
+        model = _recording_world(hops)
+        plan = planner(config, model, "u", session.subscriptions, parent_delays)
+        planned = len(model.lookups)
+        for sub, (_parent, _structural, _delay, moved, _frame) in zip(
+            list(session.subscriptions.values()), specs
+        ):
+            if moved is not None:
+                sub.parent_id = moved
+        dropped = applier(config, model, session, plan, latest_frame_numbers=latest)
+        return plan, session, dropped, model.lookups[:planned], model.lookups[planned:], latest
+
+    @given(
+        specs=stream_specs,
+        hops=st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=3, max_size=3),
+        kappa=st.sampled_from([2, 3]),
+        with_latest=st.booleans(),
+    )
+    @example(  # four drops behind two CDN-fed streams
+        specs=[(CDN_NODE_ID, 60.0, None, None, 100)] * 2
+        + [(parent, 61.0, 64.95, None, 100) for parent in ("p0", "p1", "p2", "p0")],
+        hops=[0.05, 0.05, 0.05],
+        kappa=2,
+        with_latest=True,
+    )
+    @example(  # push-downs whose parents moved both ways before the plan was applied
+        specs=[
+            (CDN_NODE_ID, 60.0, None, "p1", 1000),
+            ("p0", 60.5, 60.3, None, 1000),
+            ("p1", 61.0, 61.4, None, 1000),
+            ("p0", 60.2, 60.0, CDN_NODE_ID, 1000),
+        ],
+        hops=[0.1, 0.2, 0.3],
+        kappa=2,
+        with_latest=True,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_plan_writes_drops_and_lookups_match(self, specs, hops, kappa, with_latest):
+        args = (specs, hops, kappa, with_latest)
+        old_plan, old_session, old_dropped, old_plan_reads, old_apply_reads, latest = self._run(
+            reference.plan_view_synchronization, reference.apply_plan, *args
+        )
+        plan, session, dropped, plan_reads, apply_reads, _ = self._run(
+            plan_view_synchronization, apply_plan, *args
+        )
+        subscribed = [stream.stream_id for stream in VIEW.streams[: len(specs)]]
+        planned_parent = dict(zip(subscribed, (spec[0] for spec in specs)))
+
+        assert plan.per_stream == old_plan.per_stream
+        kept = [sid for sid in subscribed if not old_plan.per_stream[sid].dropped]
+        assert list(plan.kept_stream_ids) == kept
+        assert plan.layer_spread() == (
+            max(old_plan.per_stream[sid].target_layer for sid in kept)
+            - min(old_plan.per_stream[sid].target_layer for sid in kept)
+            if len(kept) > 1
+            else 0
+        )
+        in_order = [sid for sid in subscribed if sid in old_plan.dropped_stream_ids]
+        assert list(plan.dropped_stream_ids) == in_order
+        assert sorted(old_dropped) == sorted(in_order)
+        assert dropped == in_order
+        assert list(session.subscriptions.items()) == list(old_session.subscriptions.items())
+
+        assert plan_reads == old_plan_reads
+        # The old Equation 2 read ``(current parent, u)`` for every kept,
+        # pushed-down stream with a latest frame number, in subscription
+        # order; the new one skips the reads of a viewer parent the plan
+        # already read for that stream.
+        equation_2 = [
+            sid
+            for sid in kept
+            if old_plan.per_stream[sid].pushed_down
+            and latest is not None
+            and latest.get(sid) is not None
+        ]
+        assert old_apply_reads == [(session.subscriptions[sid].parent_id, "u") for sid in equation_2]
+        assert apply_reads == [
+            (session.subscriptions[sid].parent_id, "u")
+            for sid in equation_2
+            if planned_parent[sid] == CDN_NODE_ID
+            or session.subscriptions[sid].parent_id != planned_parent[sid]
+        ]

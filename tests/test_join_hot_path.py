@@ -11,9 +11,19 @@ under ``src/repro/`` is counted.  Two things are pinned:
   reservations) equal the counts captured on the commit before the
   overhead was removed, and
 * the *overhead* stays removed: Python-level calls per join stay under a
-  budget set 5 % above the last measurement (355 per join on CPython
-  3.11; 375 while every join still wrote routing tables, 614 before the
-  join fast path).
+  budget set 5 % above the last measurement (284 per join on CPython
+  3.11; 355 before view sync took one pass, 375 while every
+  join still wrote routing tables, 614 before the join fast path).
+
+``DelayModel.propagation`` was pinned at 7711 until a plan became rows.
+It is 6602 since, and the view-sync algorithm is the same: 626 of the
+1268 lookups ``apply_plan`` made for Equation 2 re-read the pair the plan
+had just read for the same parent, and now reuse that value; 483 of the
+1400 lookups ``needs_resubscription`` made in the push-down cascade came
+after the structural delay already exceeded the effective one, which
+forces the re-plan by itself and is now tested first.  No pair is derived
+in a different order: the latency world's running mean after the body,
+whose float sum follows the derivation order, is pinned too.
 
 ``SessionRoutingTable.upsert`` was the fifth pinned function (3995
 calls).  It left the list when the stored table did: Table I is built on
@@ -43,16 +53,23 @@ VIEWERS = 400
 SEED = 7
 
 #: Calls into the functions that do the work, captured on the parent
-#: commit (be283b3): a change to any of them is a change of algorithm.
+#: commit (be283b3; ``DelayModel.propagation`` re-captured when a plan
+#: became rows, see above): a change to any of them is a change of
+#: algorithm.
 WORK_CALLS = {
-    "DelayModel.propagation": 7711,
+    "DelayModel.propagation": 6602,
     "StreamTree.insert": 2076,
     "plan_view_synchronization": 986,
     "CDN.allocate": 1200,
 }
 
-#: Python-level calls per join: 5 % above the 354.6 measured on CPython 3.11.
-CALLS_PER_JOIN_BUDGET = 372
+#: ``mean_delay()`` and ``explicit_pair_count()`` of the latency world
+#: after the body, captured on the commit before a plan became rows.
+MEAN_DELAY = 0.04665910749195726
+DERIVED_PAIRS = 1716
+
+#: Python-level calls per join: 5 % above the 283.8 measured on CPython 3.11.
+CALLS_PER_JOIN_BUDGET = 298
 
 _WORK_CODE = {
     DelayModel.propagation.__code__: "DelayModel.propagation",
@@ -100,6 +117,8 @@ def test_join_path_work_is_unchanged_and_its_overhead_stays_within_budget():
     joins = result.metrics.accepted_requests + result.metrics.rejected_requests
     assert joins == VIEWERS
     assert work == WORK_CALLS
+    matrix = result.system.delay_model.matrix
+    assert (matrix.mean_delay(), matrix.explicit_pair_count()) == (MEAN_DELAY, DERIVED_PAIRS)
     assert total / joins <= CALLS_PER_JOIN_BUDGET, (
         f"{total} Python-level calls for {joins} joins = {total / joins:.1f} per join"
     )

@@ -204,6 +204,27 @@ class TestCDN:
         assert len(cdn.edge_servers) == 4
         assert all(edge.outbound_capacity_mbps == 2.0 for edge in cdn.edge_servers)
 
+    def test_allocation_goes_to_the_first_least_loaded_edge_that_fits(self):
+        cdn = CDN(8.0, num_edge_servers=4)  # four edges of 2.0
+        stream_id = StreamId("A", 0)
+        cdn.ingest_stream(stream_id, 1.5)
+        loads = []
+        for bandwidth in (1.5, 1.0, 1.0, 0.5, 1.0, 1.0, 0.5):
+            assert cdn.allocate(stream_id, bandwidth)
+            loads.append([edge.used_outbound_mbps for edge in cdn.edge_servers])
+        assert loads == [
+            [1.5, 0.0, 0.0, 0.0],
+            [1.5, 1.0, 0.0, 0.0],  # edge-0 cannot fit 1.0
+            [1.5, 1.0, 1.0, 0.0],
+            [1.5, 1.0, 1.0, 0.5],
+            [1.5, 1.0, 1.0, 1.5],
+            [1.5, 2.0, 1.0, 1.5],  # edge-1 and edge-2 tie: the first wins
+            [1.5, 2.0, 1.5, 1.5],
+        ]
+        # Enough aggregate room is not enough: no single edge fits 1.5.
+        assert cdn.can_serve(1.5)
+        assert not cdn.allocate(stream_id, 1.5)
+
     def test_edge_server_allocation_and_release(self):
         edge = EdgeServer(server_id="edge-0", outbound_capacity_mbps=4.0)
         assert edge.allocate(2.0)

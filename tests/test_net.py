@@ -4,12 +4,17 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.net.ids import NodeInterner
 from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import (
+    _MASK64,
+    _U2_SALT,
     LazyPlanetLabMatrix,
     PlanetLabTraceConfig,
+    _mix64,
     _pair_delay,
     generate_planetlab_matrix,
     node_keys,
@@ -342,6 +347,26 @@ class TestLazyPlanetLabMatrix:
                 assert matrix.delay(a, b) == _pair_delay(
                     keys[low], keys[high], math.log(median), config.sigma
                 )
+
+    @given(
+        keys=st.tuples(st.integers(0, _MASK64), st.integers(0, _MASK64)),
+        log_median=st.sampled_from([math.log(0.012), math.log(0.065)]),
+        sigma=st.sampled_from([0.0, 0.45, 1.3]),
+    )
+    @example(keys=(0, 0), log_median=math.log(0.065), sigma=0.45)
+    @example(keys=(_MASK64, _MASK64), log_median=math.log(0.012), sigma=0.45)
+    @settings(max_examples=300, deadline=None)
+    def test_the_written_out_derivation_is_box_muller_over_mix64(
+        self, keys, log_median, sigma
+    ):
+        # ``_pair_delay`` writes the integer steps of ``_mix64`` out; this
+        # is the composition they replaced, which stays the specification.
+        low, high = keys
+        base = _mix64(low ^ ((high * 0x9E3779B97F4A7C15) & _MASK64))
+        u1 = (_mix64(base) + 1) / 2.0**64
+        u2 = (_mix64(base ^ _U2_SALT) + 1) / 2.0**64
+        gauss = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        assert _pair_delay(low, high, log_median, sigma) == math.exp(log_median + sigma * gauss)
 
     def test_delays_and_regions_match_the_captured_eager_matrix(self):
         matrix = generate_planetlab_matrix(PINNED_NODES, rng=SeededRandom(7))
