@@ -15,9 +15,9 @@ says about the link:
   Nothing in it depends on simulated time, so
   :meth:`OverlayDataPlane.replay` runs it without an engine, one call
   per edge with the whole trace.
-* **FIFO link with loss** (:meth:`SimulatedDataPlane._transmit_chunk`)
-  -- each chunk is serialized in one call through the parent's reserved
-  forwarding bin (:class:`~repro.sim.transport.DataLink`).
+* **FIFO link with loss** (:func:`_send_chunk`) -- each chunk is
+  serialized through the parent's reserved forwarding bin
+  (:class:`~repro.sim.transport.DataLink`), lost and played out in one pass.
 
 :class:`SimulatedDataPlane` adds what needs the
 :class:`~repro.sim.engine.Simulator`: per-edge chunk events, per-viewer
@@ -30,13 +30,15 @@ constant-delay function, one call per ``batch_quantum``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.stream import Frame, StreamId
 from repro.sim.rng import SeededRandom
-from repro.sim.transport import DataChannel, GilbertElliottConfig
+from repro.sim.transport import DataChannel, DataLink, GilbertElliottConfig
 from repro.traces.teeve import TeeveSessionTrace
 from repro.util.validation import require_non_negative, require_positive
 
@@ -433,6 +435,8 @@ class _EdgeState:
         "window_sum",
         "window_count",
         "callback",
+        "link",
+        "link_parent",
     )
 
     def __init__(self, viewer_id, stream_id, session, frames, deadline):
@@ -460,6 +464,10 @@ class _EdgeState:
         self.window_sum = 0.0
         self.window_count = 0
         self.callback = None
+        # The link of the current parent, looked up again only when the
+        # parent changes.
+        self.link: Optional[DataLink] = None
+        self.link_parent: Optional[str] = None
 
     def frame_ok(self) -> None:
         """Record one on-time delivery, closing (maybe concealing) a gap."""
@@ -476,13 +484,11 @@ def _lanes(edges: Iterable[_EdgeState]) -> List[Lane]:
 
 def _playout_deadline(session) -> float:
     """Latest on-time delay at a viewer: its slowest stream plus ``d_buff``."""
-    playout = max(
-        (
-            sub.effective_delay or sub.end_to_end_delay
-            for sub in session.subscriptions.values()
-        ),
-        default=0.0,
-    )
+    playout = 0.0
+    for sub in session.subscriptions.values():
+        delay = sub.effective_delay or sub.end_to_end_delay
+        if delay > playout:
+            playout = delay
     return playout + session.viewer.buffer_duration
 
 
@@ -491,8 +497,8 @@ def _collect_edges(
 ) -> List[_EdgeState]:
     """One edge per subscription, in lsc -> viewer -> subscription order.
 
-    Each stream's frames are generated once (truncated to ``max_frames``)
-    and shared by all of its subscribers; a stream without frames gets no
+    Each stream's frames are generated once, up to ``max_frames``, and
+    shared by all of its subscribers; a stream without frames gets no
     edge.
     """
     edges: List[_EdgeState] = []
@@ -503,9 +509,7 @@ def _collect_edges(
             for stream_id in session.subscriptions:
                 frames = frames_by_stream.get(stream_id)
                 if frames is None:
-                    frames = trace.frames_for_stream(stream_id)
-                    if max_frames is not None:
-                        frames = frames[:max_frames]
+                    frames = trace.frames_for_stream(stream_id, max_frames)
                     frames_by_stream[stream_id] = frames
                 if frames:
                     edges.append(
@@ -556,6 +560,99 @@ def _deliver_constant_delay(
     edge.window_count += count
 
 
+def _send_chunk(
+    channel: DataChannel,
+    link: DataLink,
+    edge: _EdgeState,
+    chunk: Sequence[Frame],
+    epoch: float,
+    path_delay: float,
+) -> None:
+    """Serialize, lose and play out ``chunk`` on ``edge`` in one pass.
+
+    Each frame enters ``link`` at ``epoch + capture_time``, starts when
+    the link is free (FIFO), occupies it ``size_megabits / rate_mbps``
+    seconds and arrives ``path_delay`` later; a lost frame still takes
+    its link time.  The fates are drawn once per chunk, in frame order,
+    from the link's own RNG, so no chunk split moves a draw.  The
+    replay-relative arrival ``free_at + path_delay - epoch`` (``None``
+    if lost) goes straight into the edge's arrival column, and the same
+    loop does the playout accounting and picks what the gateway buffer
+    takes (see :func:`_deliver_constant_delay`).  The link, channel and
+    edge counters are written once per chunk.
+    """
+    rate = link.rate_mbps
+    free_at = link.free_at
+    count = len(chunk)
+    fates = repeat(False) if link.loss is None else link.loss.draw(link.rng, count)
+    buffer = edge.viewer.buffer_for(edge.stream_id)
+    latest = buffer.latest_frame()
+    floor = latest.frame_number if latest is not None else -1
+    deadline = edge.deadline + 1e-9
+    last_received = edge.last_received
+    first_delivery = edge.first_delivery
+    window_sum = edge.window_sum
+    concealed = edge.concealed
+    gap_len = edge.gap_len
+    prev_ok = edge.prev_ok
+    lost = late = 0
+    arrive = edge.arrivals.append
+    held_frames: List[Frame] = []
+    held_arrivals: List[float] = []
+    for frame, dropped in zip(chunk, fates):
+        capture_time = frame.capture_time
+        sent_at = epoch + capture_time
+        if sent_at > free_at:
+            free_at = sent_at
+        if rate is not None:
+            free_at += frame.size_megabits / rate
+        if dropped:
+            arrive(None)
+            lost += 1
+            gap_len += 1
+            continue
+        delivery_rel = free_at + path_delay - epoch
+        arrive(delivery_rel)
+        observed = delivery_rel - capture_time
+        if observed > deadline:
+            late += 1
+            gap_len += 1
+        else:
+            # An on-time frame closes the gap; a closed gap of exactly
+            # one frame between on-time neighbours is concealed (see
+            # _EdgeState.frame_ok).
+            if gap_len == 1 and prev_ok:
+                concealed += 1
+            gap_len = 0
+            prev_ok = True
+        frame_number = frame.frame_number
+        if frame_number > floor and delivery_rel >= last_received:
+            held_frames.append(frame)
+            held_arrivals.append(delivery_rel)
+            floor = frame_number
+            last_received = delivery_rel
+        if first_delivery is None:
+            first_delivery = delivery_rel
+        window_sum += observed
+    link.free_at = free_at
+    buffer.extend(held_frames, held_arrivals)
+    delivered = count - lost
+    channel.sent += count
+    channel.lost += lost
+    channel.delivered += delivered
+    edge.expected += count
+    edge.lost += lost
+    edge.delivered += delivered
+    edge.late += late
+    edge.concealed = concealed
+    edge.gap_len = gap_len
+    edge.prev_ok = prev_ok
+    edge.last_received = last_received
+    edge.first_delivery = first_delivery
+    edge.window_sum = window_sum
+    edge.window_count += delivered
+
+
 class SimulatedDataPlane:
     """Event-driven frame replay over the overlay of a TeleCast session.
 
@@ -563,9 +660,9 @@ class SimulatedDataPlane:
     :class:`~repro.sim.engine.Simulator`: each subscription edge schedules
     one engine event per ``batch_quantum`` of trace time, and every event
     serializes the frames due in its quantum through the parent's
-    reserved forwarding bin in one link call (FIFO queueing, loss), then
-    stamps the deliveries, inserts the frames into the viewer's gateway
-    buffer and updates the playout accounting.  Edge state (parent, effective delay,
+    reserved forwarding bin (FIFO queueing, loss), stamps the deliveries,
+    inserts the frames into the viewer's gateway buffer and updates the
+    playout accounting in one pass.  Edge state (parent, effective delay,
     still-subscribed) is re-read at every event, so the observed-delay
     layer refresh running on the same engine feeds back into subsequent
     deliveries.
@@ -611,7 +708,8 @@ class SimulatedDataPlane:
             d_buff=self.system.layer_config.buffer_duration,
         )
         for edge in self._edges:
-            edge.callback = self._make_chunk_callback(edge)
+            # One reusable engine callback per edge.
+            edge.callback = partial(self._transmit_chunk, edge)
             sim.schedule_at(
                 self._t0 + edge.frames[0].capture_time, edge.callback, label="data:chunk"
             )
@@ -620,14 +718,6 @@ class SimulatedDataPlane:
             self._schedule_refresh(self._t0 + cfg.refresh_interval, horizon)
         sim.run()
         return self._finalize()
-
-    def _make_chunk_callback(self, edge: _EdgeState):
-        """One reusable engine callback per edge (the hottest allocation)."""
-
-        def chunk() -> None:
-            self._transmit_chunk(edge)
-
-        return chunk
 
     def _transmit_chunk(self, edge: _EdgeState) -> None:
         sim = self.system.simulator
@@ -659,88 +749,27 @@ class SimulatedDataPlane:
             delay += cfg.transit_delay_scale * self.system.delay_model.propagation(
                 parent_id, edge.viewer_id
             )
-        rate = (
-            None
-            if cfg.bandwidth_headroom is None
-            else cfg.bandwidth_headroom * sub.stream.bandwidth_mbps
-        )
-        link = channel.link(parent_id, edge.viewer_id, edge.stream_id, rate)
 
         stop = index
         while stop < total and frames[stop].capture_time < end_rel:
             stop += 1
 
-        if rate is None and cfg.loss_rate == 0.0:
+        if cfg.bandwidth_headroom is None and cfg.loss_rate == 0.0:
             # No serialization, no loss: the constant-delay cost model.
             batch = frames[index:stop]
             channel.sent += len(batch)
             channel.delivered += len(batch)
             _deliver_constant_delay(edge, batch, delay)
         else:
-            # One link call serializes the whole chunk; the loop below
-            # consumes the returned delivery times with the edge's
-            # playout state held in locals and folded back once.
-            t0 = self._t0
-            chunk = frames[index:stop]
-            delivered_at = channel.transmit_chunk(
-                link, chunk, epoch=t0, path_delay=delay
-            )
-            deadline = edge.deadline + 1e-9
-            buffer = edge.viewer.buffer_for(edge.stream_id)
-            latest = buffer.latest_frame()
-            floor = latest.frame_number if latest is not None else -1
-            last_received = edge.last_received
-            first_delivery = edge.first_delivery
-            window_sum = edge.window_sum
-            concealed = edge.concealed
-            gap_len = edge.gap_len
-            prev_ok = edge.prev_ok
-            late = 0
-            # One replay-relative float per frame: the arrival column and
-            # the buffer share it.
-            arrivals = [None if at is None else at - t0 for at in delivered_at]
-            edge.arrivals.extend(arrivals)
-            held_frames: List[Frame] = []
-            held_arrivals: List[float] = []
-            for frame, delivery_rel in zip(chunk, arrivals):
-                if delivery_rel is None:
-                    gap_len += 1
-                    continue
-                frame_number = frame.frame_number
-                observed = delivery_rel - frame.capture_time
-                if observed > deadline:
-                    late += 1
-                    gap_len += 1
-                else:
-                    # An on-time frame closes the gap; a closed gap of
-                    # exactly one frame between on-time neighbours is
-                    # concealed (see _EdgeState.frame_ok).
-                    if gap_len == 1 and prev_ok:
-                        concealed += 1
-                    gap_len = 0
-                    prev_ok = True
-                if frame_number > floor and delivery_rel >= last_received:
-                    held_frames.append(frame)
-                    held_arrivals.append(delivery_rel)
-                    floor = frame_number
-                    last_received = delivery_rel
-                if first_delivery is None:
-                    first_delivery = delivery_rel
-                window_sum += observed
-            buffer.extend(held_frames, held_arrivals)
-            lost = delivered_at.count(None)
-            delivered = len(delivered_at) - lost
-            edge.expected += len(delivered_at)
-            edge.lost += lost
-            edge.delivered += delivered
-            edge.late += late
-            edge.concealed = concealed
-            edge.gap_len = gap_len
-            edge.prev_ok = prev_ok
-            edge.last_received = last_received
-            edge.first_delivery = first_delivery
-            edge.window_sum = window_sum
-            edge.window_count += delivered
+            if edge.link_parent != parent_id:
+                rate = (
+                    None
+                    if cfg.bandwidth_headroom is None
+                    else cfg.bandwidth_headroom * sub.stream.bandwidth_mbps
+                )
+                edge.link = channel.link(parent_id, edge.viewer_id, edge.stream_id, rate)
+                edge.link_parent = parent_id
+            _send_chunk(channel, edge.link, edge, frames[index:stop], self._t0, delay)
 
         edge.index = stop
         if stop < total:

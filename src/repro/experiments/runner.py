@@ -597,7 +597,8 @@ def run_telecast_scenario(
     return ScenarioResult(
         config=config,
         metrics=metrics,
-        final_snapshot=system.snapshot(),
+        # finalize() has just appended it; snapshots are frozen.
+        final_snapshot=metrics.snapshots[-1],
         cdn_outbound_mbps=scenario.cdn.used_outbound_mbps,
         viewers_per_lsc=system.viewers_per_lsc(),
         system=system,
@@ -660,10 +661,10 @@ def run_random_scenario(
         joins_seen += 1
         if snapshot_every and joins_seen % snapshot_every == 0:
             system.take_snapshot()
-    system.take_snapshot()
+    final_snapshot = system.take_snapshot()
     return ScenarioResult(
         config=config,
         metrics=system.metrics,
-        final_snapshot=system.snapshot(),
+        final_snapshot=final_snapshot,
         cdn_outbound_mbps=scenario.cdn.used_outbound_mbps,
     )

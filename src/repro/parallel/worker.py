@@ -298,7 +298,7 @@ def _run(
     payload = pickle.dumps(
         {
             "metrics": metrics,
-            "final_snapshot": system.snapshot(),
+            "final_snapshot": metrics.snapshots[-1],  # appended by finalize()
             "placement_digests": per_lsc_placement_digests(system),
             "cdn_outbound_mbps": scenario.cdn.used_outbound_mbps,
             "viewers_per_lsc": system.viewers_per_lsc(),

@@ -18,23 +18,19 @@ The channel's ``scale`` factor multiplies every transit delay; ``0.0``
 collapses the message plane back to instantaneous delivery (used by the
 equivalence tests that pin the simulated driver to the instant one).
 
-The *data* plane has its own channel: :class:`DataChannel` applies the
-two effects the control plane does not model -- per-edge
+The *data* plane has its own channel: :class:`DataChannel` holds the
+state of the two effects the control plane does not model -- per-edge
 bandwidth-constrained serialization (queueing at the parent's reserved
-forwarding bin, :class:`DataLink`) and configurable loss.  Frame volume is
-three orders of magnitude above control traffic, so the unit of work is
-the *chunk*: one call serializes a run of a stream's
-:class:`~repro.model.stream.Frame` objects over one edge (there is no
-per-frame message object or per-frame call), and the delivery timestamps
-are computed by the same FIFO recurrence an event-per-frame simulation
-would produce.
+forwarding bin, :class:`DataLink`) and configurable loss.  It holds state
+only: :mod:`repro.core.dataplane` serializes a chunk of a stream's
+:class:`~repro.model.stream.Frame` objects over a link in the same loop
+that plays them out (there is no per-frame message object or call).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.net.latency import DelayModel
 from repro.sim.engine import EventHandle, Simulator
@@ -512,9 +508,11 @@ class DataLink:
     (:func:`repro.core.bandwidth.allocate_outbound`), so each subscription
     edge serializes its frames over its own FIFO link of ``rate_mbps``
     (``None`` models an unconstrained link: zero serialization delay).
+    State only: ``free_at`` is when the link finishes its last frame, and
+    ``loss`` draws fates from the link's own ``rng``.
     """
 
-    __slots__ = ("rate_mbps", "free_at", "_rng", "loss")
+    __slots__ = ("rate_mbps", "free_at", "rng", "loss")
 
     def __init__(
         self,
@@ -528,40 +526,7 @@ class DataLink:
         self.rate_mbps = rate_mbps
         self.loss = loss
         self.free_at = 0.0
-        self._rng = rng
-
-    def transmit_chunk(
-        self, frames: Sequence[Any], *, epoch: float, path_delay: float
-    ) -> List[Optional[float]]:
-        """Serialize a chunk of consecutive frames onto the link, in order.
-
-        Each frame enters the edge at ``epoch + frame.capture_time``,
-        starts transmitting when the link is free (FIFO queueing),
-        occupies it for ``size_megabits / rate`` seconds, then takes
-        ``path_delay`` to reach the child.  Returns one entry per frame:
-        its absolute delivery time, or ``None`` when it was lost in
-        transit (the link time is still consumed -- loss happens on the
-        wire, after serialization).  The loss process is advanced once
-        per frame from the link's own RNG, so how a frame sequence is
-        split into chunks changes neither the fates nor the times.
-        """
-        rate = self.rate_mbps
-        free_at = self.free_at
-        if self.loss is not None and self._rng is not None:
-            fates = self.loss.draw(self._rng, len(frames))
-        else:
-            fates = repeat(False)
-        delivered_at: List[Optional[float]] = []
-        append = delivered_at.append
-        for frame, lost in zip(frames, fates):
-            sent_at = epoch + frame.capture_time
-            if sent_at > free_at:
-                free_at = sent_at
-            if rate is not None:
-                free_at += frame.size_megabits / rate
-            append(None if lost else free_at + path_delay)
-        self.free_at = free_at
-        return delivered_at
+        self.rng = rng
 
 
 class DataChannel:
@@ -615,18 +580,3 @@ class DataChannel:
         )
         self._links[key] = created
         return created
-
-    def transmit_chunk(
-        self, link: DataLink, frames: Sequence[Any], *, epoch: float, path_delay: float
-    ) -> List[Optional[float]]:
-        """Send a chunk of frames over a link, keeping the channel counters.
-
-        Same contract as :meth:`DataLink.transmit_chunk`; the counters
-        are folded once per chunk.
-        """
-        delivered_at = link.transmit_chunk(frames, epoch=epoch, path_delay=path_delay)
-        lost = delivered_at.count(None)
-        self.sent += len(delivered_at)
-        self.lost += lost
-        self.delivered += len(delivered_at) - lost
-        return delivered_at

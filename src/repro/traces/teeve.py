@@ -97,16 +97,22 @@ class TeeveSessionTrace:
         """All streams covered by the trace."""
         return list(self._streams.values())
 
-    def frames_for_stream(self, stream_id: StreamId) -> List[Frame]:
-        """Generate the full frame sequence of one stream.
+    def frames_for_stream(
+        self, stream_id: StreamId, max_frames: Optional[int] = None
+    ) -> List[Frame]:
+        """Generate the frame sequence of one stream, or its first ``max_frames``.
 
         The sequence is deterministic for a given generator instance and
         stream (each stream consumes an independent forked RNG).  The
         fork salt is a CRC of the stream's printable id rather than
         ``hash()``: string hashing is salted per process, and the sweep
         engine runs points in worker processes whose QoE records must be
-        reproducible anywhere.
+        reproducible anywhere.  Generation stops at ``max_frames``; the
+        draws before it are the same, so the result is a prefix of the
+        full sequence.
         """
+        if max_frames is not None and max_frames < 0:
+            raise ValueError("max_frames_per_stream must be >= 0 or None")
         stream = self._streams[stream_id]
         rng = self._rng.fork(zlib.crc32(str(stream_id).encode("utf-8")) & 0xFFFF)
         cfg = self.config
@@ -115,7 +121,7 @@ class TeeveSessionTrace:
         nominal_size = stream.frame_size_megabits
         time = 0.0
         number = 0
-        while time < cfg.duration:
+        while time < cfg.duration and number != max_frames:
             activity = 1.0 + cfg.activity_amplitude * math.sin(
                 2.0 * math.pi * time / cfg.activity_period
             )

@@ -18,6 +18,7 @@ Covers the properties the tentpole promises:
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,9 +32,11 @@ from repro.experiments.config import PAPER_CONFIG
 from repro.experiments.runner import (
     build_scenario,
     build_telecast_system,
+    run_offline_replay,
     run_telecast_scenario,
 )
 from repro.model.stream import Frame, StreamId
+from repro.model.viewer import Viewer
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import (
@@ -90,6 +93,21 @@ def _frames(captures, size_megabits=0.2):
     ]
 
 
+def _edge(frames):
+    """A fresh edge of ``STREAM`` at one viewer, without a playout deadline."""
+    session = SimpleNamespace(viewer=Viewer(viewer_id="v"))
+    return dataplane._EdgeState("v", STREAM, session, frames, float("inf"))
+
+
+def _send(channel, link, frames, *, path_delay, edge=None):
+    """Arrival times of one chunk sent through ``link`` on a fresh (or given) edge."""
+    if edge is None:
+        edge = _edge(frames)
+    sent = len(edge.arrivals)
+    dataplane._send_chunk(channel, link, edge, frames, 0.0, path_delay)
+    return edge.arrivals[sent:]
+
+
 class TestDataMessagePlumbing:
     """Link/channel plumbing.  (Named from when every frame travelled as a
     ``DataMessage``; kept so the test ids stay comparable across PRs.)"""
@@ -98,14 +116,18 @@ class TestDataMessagePlumbing:
         link = DataLink(2.0)  # 2 Mbps bin
         # 0.2 Mb at 2 Mbps = 100 ms of link time per frame; the second
         # frame queues behind the first.
-        assert link.transmit_chunk(
-            _frames([0.0, 0.0]), epoch=0.0, path_delay=1.0
+        assert _send(
+            DataChannel(Simulator()), link, _frames([0.0, 0.0]), path_delay=1.0
         ) == pytest.approx([1.1, 1.2])
+        assert link.free_at == pytest.approx(0.2)
 
     def test_unconstrained_link_has_zero_serialization(self):
         link = DataLink(None)
-        assert link.transmit_chunk(
-            _frames([3.0], size_megabits=5.0), epoch=0.0, path_delay=0.5
+        assert _send(
+            DataChannel(Simulator()),
+            link,
+            _frames([3.0], size_megabits=5.0),
+            path_delay=0.5,
         ) == pytest.approx([3.5])
 
     def test_loss_is_deterministic_per_seed_and_consumes_link_time(self):
@@ -114,9 +136,7 @@ class TestDataMessagePlumbing:
         for _ in range(2):
             channel = DataChannel(Simulator(), loss_rate=0.5, rng=SeededRandom(7))
             link = channel.link("p", "v", "s", 2.0)
-            deliveries = channel.transmit_chunk(
-                link, frames, epoch=0.0, path_delay=0.0
-            )
+            deliveries = _send(channel, link, frames, path_delay=0.0)
             outcomes.append((tuple(deliveries), channel.sent, channel.lost))
         assert outcomes[0] == outcomes[1]
         deliveries, sent, lost = outcomes[0]
@@ -125,19 +145,64 @@ class TestDataMessagePlumbing:
         assert deliveries.count(None) == lost
         # Lost frames still occupied the link: every survivor arrives
         # exactly when a lossless link of the same rate delivers it.
-        lossless = DataLink(2.0).transmit_chunk(frames, epoch=0.0, path_delay=0.0)
+        lossless = _send(DataChannel(Simulator()), DataLink(2.0), frames, path_delay=0.0)
         assert all(d is None or d == t for d, t in zip(deliveries, lossless))
 
     def test_channel_counters_fold_once_per_chunk(self):
         channel = DataChannel(Simulator(), loss_rate=0.4, rng=SeededRandom(3))
         link = channel.link("p", "v", STREAM, 2.0)
         frames = _frames([number * 0.05 for number in range(30)])
-        delivered_at = channel.transmit_chunk(
-            link, frames[:10], epoch=0.0, path_delay=0.0
-        ) + channel.transmit_chunk(link, frames[10:], epoch=0.0, path_delay=0.0)
+        edge = _edge(frames)
+        delivered_at = _send(channel, link, frames[:10], path_delay=0.0, edge=edge)
+        delivered_at += _send(channel, link, frames[10:], path_delay=0.0, edge=edge)
         assert channel.sent == 30
         assert channel.lost == delivered_at.count(None) > 0
         assert channel.delivered == 30 - channel.lost
+        assert (edge.expected, edge.lost, edge.delivered) == (
+            30,
+            channel.lost,
+            channel.delivered,
+        )
+
+    def test_an_edge_looks_its_link_up_again_when_its_parent_changes(self):
+        # An edge keeps its link while its parent stays the same; a
+        # re-parented subscription (a CDN re-provision) starts on the new
+        # parent's link, with its own queue and loss RNG.
+        system, trace = _joined_system(SMALL_CONFIG)
+        plane = SimulatedDataPlane(
+            system,
+            trace,
+            DataPlaneConfig(
+                loss_rate=0.05, refresh_interval=None, max_frames_per_stream=60, seed=3
+            ),
+        )
+        session = next(
+            session
+            for lsc in system.gsc.lscs
+            for session in lsc.sessions.values()
+            if session.subscriptions
+        )
+        stream_id, sub = next(iter(session.subscriptions.items()))
+        old_parent = sub.parent_id
+
+        def reparent():
+            sub.parent_id = "p2"
+
+        system.simulator.schedule_at(system.simulator.now + 2.5, reparent)
+        plane.run()
+        viewer_id = session.viewer.viewer_id
+        edge = next(
+            edge
+            for edge in plane._edges
+            if (edge.viewer_id, edge.stream_id) == (viewer_id, stream_id)
+        )
+        old = plane._channel.link(old_parent, viewer_id, stream_id, None)
+        new = plane._channel.link("p2", viewer_id, stream_id, None)
+        assert edge.link is new and new is not old
+        assert edge.link_parent == "p2"
+        # The old link carried the chunks up to the one at 2.0 (frames
+        # captured before 3.0); the new one carried the rest.
+        assert 0.0 < old.free_at - plane._t0 < 3.5 < new.free_at - plane._t0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -241,6 +306,19 @@ class TestOfflineEquivalence:
             received for _, received in held
         )
         assert edge.delivered == edge.expected == 6
+
+    def test_a_negative_frame_limit_is_refused_by_both_planes(self):
+        # A -1 limit used to slice off each stream's last frame and replay
+        # the rest; the trace now refuses it, as DataPlaneConfig does.
+        result = run_telecast_scenario(SMALL_CONFIG, snapshot_every=None)
+        trace = TeeveSessionTrace(result.system.producers, rng=SeededRandom(0))
+        message = "max_frames_per_stream must be >= 0 or None"
+        with pytest.raises(ValueError, match=message):
+            OverlayDataPlane(result.system, trace).replay(max_frames_per_stream=-1)
+        with pytest.raises(ValueError, match=message):
+            run_offline_replay(result, -1)
+        with pytest.raises(ValueError, match=message):
+            DataPlaneConfig(max_frames_per_stream=-1)
 
     def test_batch_quantum_does_not_change_deliveries(self):
         # Chunk boundaries must not move a single RNG draw: under loss the

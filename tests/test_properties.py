@@ -14,7 +14,8 @@ Covered invariants:
 * the smoke sweep's metrics summaries are byte-identical to the golden
   record captured before the performance-core refactor,
 * a data link serializing a frame sequence in chunks -- any split -- is
-  bit-identical to the per-frame FIFO/loss recurrence it replaced,
+  bit-identical to the per-frame FIFO/loss recurrence it replaced, and
+  the one-pass chunk step to the pre-change chunk step,
 * the layer formula of Equation 1 matches the layer implied by the delay
   interval definition,
 * the view-synchronization plan always bounds the layer spread by kappa
@@ -30,7 +31,9 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_dataplane
 from reference_topology import ReferenceStreamTree
+from repro.core import dataplane
 from repro.core.bandwidth import allocate_inbound, allocate_outbound, priority_monotonic
 from repro.core.layering import DelayLayerConfig, compute_layer
 from repro.core.state import StreamSubscription, ViewerSession
@@ -48,9 +51,11 @@ from repro.model.stream import Frame, StreamId
 from repro.model.viewer import Viewer
 from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import generate_planetlab_matrix
+from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import (
     BernoulliLoss,
+    DataChannel,
     DataLink,
     GilbertElliottConfig,
     GilbertElliottLoss,
@@ -454,8 +459,54 @@ def _per_frame_reference(frames, rate, loss, rng, *, epoch, path_delay):
     return delivered_at, free_at
 
 
+_EDGE_COUNTERS = (
+    "arrivals",
+    "index",
+    "deadline",
+    "first_delivery",
+    "last_received",
+    "expected",
+    "delivered",
+    "lost",
+    "late",
+    "dropped",
+    "concealed",
+    "gap_len",
+    "prev_ok",
+    "window_sum",
+    "window_count",
+)
+
+
+def _link_frames(gaps, sizes):
+    capture, frames = 0.0, []
+    for number, gap in enumerate(gaps):
+        capture += gap
+        frames.append(Frame(LINK_STREAM, number, capture, sizes[number]))
+    return frames
+
+
+def _lossy_channel(loss_kind, seed):
+    """A channel whose links lose nothing, i.i.d. or in bursts, at 30 %."""
+    if loss_kind == "none":
+        return DataChannel(Simulator())
+    gilbert = (
+        GilbertElliottConfig.from_mean_loss(0.3, mean_burst_length=3.0)
+        if loss_kind == "gilbert"
+        else None
+    )
+    return DataChannel(Simulator(), loss_rate=0.3, rng=SeededRandom(seed), gilbert=gilbert)
+
+
+def _link_edge(frames, deadline):
+    session = ViewerSession(viewer=Viewer(viewer_id="child"), view=VIEW, lsc_id="LSC-0")
+    return dataplane._EdgeState("child", LINK_STREAM, session, frames, deadline)
+
+
 class TestChunkedLinkEquivalence:
-    """Satellite (c): a chunk call is frame-by-frame calls, bit for bit."""
+    """The one-pass chunk step is the per-frame FIFO/loss recurrence, and
+    the pre-change chunk step (``tests/reference_dataplane.py``), bit for
+    bit, whatever the chunk split."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -471,10 +522,7 @@ class TestChunkedLinkEquivalence:
     def test_any_chunk_split_matches_per_frame_reference(
         self, gaps, sizes, rate, loss_kind, cuts, epoch, path_delay, seed
     ):
-        capture, frames = 0.0, []
-        for number, gap in enumerate(gaps):
-            capture += gap
-            frames.append(Frame(LINK_STREAM, number, capture, sizes[number]))
+        frames = _link_frames(gaps, sizes)
 
         def make_link():
             loss = {
@@ -493,14 +541,96 @@ class TestChunkedLinkEquivalence:
         bounds = [0, *sorted(cut for cut in cuts if cut < len(frames)), len(frames)]
         for splits in (bounds, list(range(len(frames) + 1)), [0, len(frames)]):
             loss, rng = make_link()
-            link = DataLink(rate, loss=loss, rng=rng)
-            delivered_at = []
+            channel, link = DataChannel(Simulator()), DataLink(rate, loss=loss, rng=rng)
+            edge = _link_edge(frames, float("inf"))
             for start, stop in zip(splits, splits[1:]):
-                delivered_at += link.transmit_chunk(
-                    frames[start:stop], epoch=epoch, path_delay=path_delay
+                dataplane._send_chunk(
+                    channel, link, edge, frames[start:stop], epoch, path_delay
                 )
-            assert delivered_at == expected
+            assert edge.arrivals == [
+                None if at is None else at - epoch for at in expected
+            ]
             assert link.free_at == expected_free_at
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(0.0, 0.2), min_size=1, max_size=40),
+        sizes=st.lists(st.floats(0.01, 2.0), min_size=40, max_size=40),
+        rate=st.one_of(st.none(), st.floats(0.1, 20.0)),
+        loss_kind=st.sampled_from(["none", "bernoulli", "gilbert"]),
+        cuts=st.sets(st.integers(1, 39)),
+        epoch=st.floats(0.0, 500.0),
+        path_delay=st.floats(0.0, 1.0),
+        deadline=st.floats(0.0, 3.0),
+        prefill=st.integers(0, 8),
+        last_received=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(
+        gaps=[0.1] * 12,
+        sizes=[0.25] * 40,
+        rate=2.0,
+        loss_kind="gilbert",
+        cuts={3, 7},
+        epoch=123.456,
+        path_delay=0.3,
+        deadline=0.45,
+        prefill=2,
+        last_received=0.5,
+        seed=5,
+    )
+    @example(  # on time only within the 1e-9 playout tolerance
+        gaps=[0.0] * 5,
+        sizes=[0.25] * 40,
+        rate=None,
+        loss_kind="none",
+        cuts=set(),
+        epoch=0.0,
+        path_delay=0.25,
+        deadline=0.25 - 5e-10,
+        prefill=0,
+        last_received=0.0,
+        seed=0,
+    )
+    def test_one_pass_chunk_matches_the_pre_change_step(
+        self,
+        gaps,
+        sizes,
+        rate,
+        loss_kind,
+        cuts,
+        epoch,
+        path_delay,
+        deadline,
+        prefill,
+        last_received,
+        seed,
+    ):
+        frames = _link_frames(gaps, sizes)
+        bounds = [0, *sorted(cut for cut in cuts if cut < len(frames)), len(frames)]
+        sides = []
+        for step in (dataplane._send_chunk, reference_dataplane.transmit_link_chunk):
+            channel = _lossy_channel(loss_kind, seed)
+            link = channel.link("parent", "child", LINK_STREAM, rate)
+            edge = _link_edge(frames, deadline)
+            buffer = edge.viewer.buffer_for(LINK_STREAM)
+            # A pre-filled buffer: the first frames were already received
+            # (a repeated replay), up to ``last_received``.
+            held = frames[:prefill]
+            buffer.extend(held, [last_received] * len(held))
+            if held:
+                edge.last_received = last_received
+            for start, stop in zip(bounds, bounds[1:]):
+                step(channel, link, edge, frames[start:stop], epoch, path_delay)
+            sides.append(
+                (
+                    [getattr(edge, name) for name in _EDGE_COUNTERS],
+                    link.free_at,
+                    (channel.sent, channel.delivered, channel.lost),
+                    buffer.held(),
+                )
+            )
+        assert sides[0] == sides[1]
 
 
 def _eighths(limit):

@@ -31,6 +31,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,7 @@ from repro.core.dataplane import DataPlaneConfig, OverlayDataPlane, SimulatedDat
 from repro.experiments.config import PAPER_CONFIG
 from repro.experiments.runner import build_scenario, build_telecast_system
 from repro.sim.rng import SeededRandom
+from repro.traces import teeve
 from repro.traces.teeve import TeeveSessionTrace
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "replay_digests.json"
@@ -214,6 +216,27 @@ def test_no_delivery_record_exists_until_deliveries_is_read(monkeypatch):
     deliveries = report.deliveries
     assert len(built) == len(deliveries) == report.frames_delivered
     assert report.deliveries is deliveries
+
+
+def test_a_replay_generates_only_the_frames_it_replays(monkeypatch):
+    # The trace stops at the replay horizon: a 60-frame replay builds 60
+    # frames a stream, not the 600 of the full 60 s trace.
+    system, trace = joined_world()
+    built = Counter()
+    frame = teeve.Frame
+
+    def counted(*args, **fields):
+        made = frame(*args, **fields)
+        built[made.stream_id] += 1
+        return made
+
+    monkeypatch.setattr(teeve, "Frame", counted)
+    config = dataclasses.replace(
+        PLANES["bernoulli_2pct_refresh"], max_frames_per_stream=60
+    )
+    report = SimulatedDataPlane(system, trace, config).run()
+    assert report.frames_sent > 0 and built
+    assert max(built.values()) <= 60
 
 
 def test_golden_covers_every_plane():

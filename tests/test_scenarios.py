@@ -22,6 +22,7 @@ import pytest
 
 from repro.experiments.__main__ import main
 from repro.experiments.config import PAPER_CONFIG
+from repro.experiments.runner import run_telecast_scenario
 from repro.experiments.sweep import (
     compare_records,
     execute_point,
@@ -301,6 +302,17 @@ class TestScenarioRecords:
                 "num_requests", "active_subscriptions"} <= set(record.metrics)
         report = format_compare_report(compare_records([record], [record]))
         assert "cdn_fraction" in report and "cdn_outbound_mbps" in report
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_the_final_snapshot_is_the_one_the_run_appended(self, name):
+        # The result reuses the snapshot finalize() appended instead of
+        # taking a second one; it must equal a fresh one field by field.
+        config = SCENARIOS[name].config(smoke=True, seed=7)
+        result = run_telecast_scenario(config, snapshot_every=None)
+        assert result.final_snapshot is result.metrics.snapshots[-1]
+        assert dataclasses.asdict(result.final_snapshot) == dataclasses.asdict(
+            result.system.snapshot()
+        )
 
 
 class TestScenarioWorkloadsAreHostile:

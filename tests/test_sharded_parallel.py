@@ -13,6 +13,8 @@ snapshots (the snapshot cadence is per-shard).
 from __future__ import annotations
 
 import dataclasses
+import pickle
+import queue
 
 import pytest
 
@@ -117,6 +119,28 @@ def test_sharded_parity_on_a_skewed_world(mp_start_method):
     assert sharded.placement[1] != sharded.placement[0]
     assert sharded.placement_digests == digests
     assert sharded.result.metrics.summary() == summary
+
+
+def test_a_worker_ships_the_final_snapshot_finalize_appended(monkeypatch):
+    # The payload reuses the snapshot finalize() appended; it must equal
+    # a fresh one taken where the worker used to take it, field by field.
+    from repro.parallel import worker
+
+    fresh = []
+
+    def digests_after_a_fresh_snapshot(system):
+        fresh.append(system.snapshot())
+        return per_lsc_placement_digests(system)
+
+    monkeypatch.setattr(
+        worker, "per_lsc_placement_digests", digests_after_a_fresh_snapshot
+    )
+    inbox, outbox = queue.Queue(), queue.Queue()
+    run_shard_worker(0, 2, BASE, None, False, inbox, outbox)
+    outbox.get_nowait()  # ShardReady
+    shipped = pickle.loads(outbox.get_nowait().payload)
+    assert shipped["final_snapshot"] is shipped["metrics"].snapshots[-1]
+    assert dataclasses.asdict(shipped["final_snapshot"]) == dataclasses.asdict(fresh[0])
 
 
 def test_worker_stats_cover_every_worker():

@@ -38,6 +38,24 @@ class TestTeeveTrace:
         stream_id = producers[0].stream_ids[0]
         assert a.frames_for_stream(stream_id) == b.frames_for_stream(stream_id)
 
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_a_frame_limit_generates_a_prefix_of_the_full_trace(self, seed):
+        # The generator stops at the limit; the draws before it are the
+        # ones the full trace makes, so every frame is byte-identical.
+        producers = make_default_producers()
+        trace = TeeveSessionTrace(producers, rng=SeededRandom(seed))
+        for stream in trace.streams:
+            full = trace.frames_for_stream(stream.stream_id)
+            assert len(full) > 60
+            for limit in (0, 1, 59, 60, len(full), len(full) + 7):
+                assert trace.frames_for_stream(stream.stream_id, limit) == full[:limit]
+
+    def test_a_negative_frame_limit_is_refused(self):
+        trace = TeeveSessionTrace(make_default_producers())
+        stream_id = trace.streams[0].stream_id
+        with pytest.raises(ValueError, match="must be >= 0 or None"):
+            trace.frames_for_stream(stream_id, -1)
+
     def test_iter_frames_is_time_ordered(self):
         producers = make_default_producers(1, 2)
         trace = TeeveSessionTrace(producers, config=TeeveSessionConfig(duration=2.0))
