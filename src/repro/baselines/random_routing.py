@@ -33,7 +33,7 @@ The class mirrors the measurement API of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.layering import DelayLayerConfig
@@ -95,6 +95,9 @@ class RandomDisseminationSystem:
         #: For each stream, the viewers currently receiving it (candidate parents).
         self._stream_receivers: Dict[StreamId, List[str]] = {}
         self._requested: Dict[str, int] = {}
+        #: Streams accepted, and those the CDN serves: no stream of an
+        #: accepted viewer ever moves, so counting at join is exact.
+        self._active = self._via_cdn = 0
         for site in self.producers:
             for stream in site.streams:
                 cdn.ingest_stream(stream.stream_id, stream.bandwidth_mbps)
@@ -144,8 +147,10 @@ class RandomDisseminationSystem:
             receiver.streams.clear()
         else:
             self._receivers[viewer.viewer_id] = receiver
-            for stream_id in receiver.streams:
+            for stream_id, (parent_id, _delay) in receiver.streams.items():
                 self._stream_receivers[stream_id].append(viewer.viewer_id)
+                self._via_cdn += parent_id == CDN_NODE_ID
+            self._active += len(receiver.streams)
 
         self.metrics.record_join(
             requested=len(requested),
@@ -229,29 +234,28 @@ class RandomDisseminationSystem:
 
     def snapshot(self) -> SystemSnapshot:
         """Instantaneous state in the same shape TeleCast reports."""
-        active = 0
-        via_cdn = 0
-        accepted_counts = {viewer_id: 0 for viewer_id in self._requested}
+        counts = dict.fromkeys(self._requested, 0)
         layers: Dict[str, int] = {}
         for viewer_id, receiver in self._receivers.items():
-            accepted_counts[viewer_id] = len(receiver.streams)
-            active += len(receiver.streams)
-            worst_layer = 0
-            for parent_id, delay in receiver.streams.values():
-                if parent_id == CDN_NODE_ID:
-                    via_cdn += 1
-                worst_layer = max(worst_layer, self.layer_config.layer_for_delay(delay))
+            counts[viewer_id] = len(receiver.streams)
             if receiver.streams:
-                layers[viewer_id] = worst_layer
+                layers[viewer_id] = max(
+                    self.layer_config.layer_for_delay(delay)
+                    for _parent_id, delay in receiver.streams.values()
+                )
+        return replace(
+            self.count_snapshot(), max_layers=layers, accepted_stream_counts=counts
+        )
+
+    def count_snapshot(self) -> SystemSnapshot:
+        """A snapshot without the per-viewer maps, from counts kept at join."""
         return SystemSnapshot(
             num_viewers=len(self._receivers),
             num_requests=len(self._requested),
-            active_subscriptions=active,
-            cdn_subscriptions=via_cdn,
+            active_subscriptions=self._active,
+            cdn_subscriptions=self._via_cdn,
             cdn_outbound_mbps=self.cdn.used_outbound_mbps,
             acceptance_ratio=self.metrics.acceptance_ratio,
-            max_layers=layers,
-            accepted_stream_counts=accepted_counts,
         )
 
     def take_snapshot(self) -> SystemSnapshot:

@@ -134,16 +134,20 @@ class _DriverBase:
     def _view_for(self, view_index: int) -> GlobalView:
         return self.views[view_index % len(self.views)]
 
-    def _snapshot(self) -> None:
+    def _snapshot(self, full: bool = True) -> None:
         started = self._started()
-        self.system.take_snapshot()
+        system = self.system
+        if full:
+            system.take_snapshot()
+        else:
+            system.metrics.add_snapshot(system.count_snapshot())
         self._timed("metrics", started)
 
     def _count_join(self) -> None:
-        """Advance the snapshot cadence after one *applied* join."""
+        """Advance the snapshot cadence (counts only) after one *applied* join."""
         self.joins_seen += 1
         if self.snapshot_every and self.joins_seen % self.snapshot_every == 0:
-            self._snapshot()
+            self._snapshot(full=False)
 
 
 class InstantDriver(_DriverBase):

@@ -19,6 +19,7 @@ generated :class:`~repro.traces.workload.ViewerWorkload` schedule.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.adaptation import AdaptationManager, DepartureResult, ViewChangeResult
@@ -425,23 +426,32 @@ class TeleCastSystem:
     # -- measurement ------------------------------------------------------------------
 
     def snapshot(self) -> SystemSnapshot:
-        """Capture the instantaneous state of the dissemination system."""
-        active = 0
-        via_cdn = 0
-        max_layers: Dict[str, int] = {}
-        accepted_counts: Dict[str, int] = {
-            viewer_id: 0 for viewer_id in self._requested
-        }
-        connected = 0
+        """Capture the instantaneous state, per-viewer maps included."""
+        layers: Dict[str, int] = {}
+        counts = dict.fromkeys(self._requested, 0)
         for lsc in self.gsc.lscs:
             for viewer_id, session in lsc.sessions.items():
-                connected += 1
-                active += session.num_accepted_streams
-                via_cdn += sum(1 for sub in session.subscriptions.values() if sub.via_cdn)
-                accepted_counts[viewer_id] = session.num_accepted_streams
+                counts[viewer_id] = session.num_accepted_streams
                 layer = session.max_layer
                 if layer is not None:
-                    max_layers[viewer_id] = layer
+                    layers[viewer_id] = layer
+        return replace(
+            self.count_snapshot(), max_layers=layers, accepted_stream_counts=counts
+        )
+
+    def count_snapshot(self) -> SystemSnapshot:
+        """A snapshot without the per-viewer maps, in O(#LSCs + #trees).
+
+        A subscription is one tree node, a CDN one also a child of the
+        root: the counts are read off the trees, visiting no session.
+        """
+        active = via_cdn = connected = 0
+        for lsc in self.gsc.lscs:
+            connected += len(lsc.sessions)
+            for group in lsc.groups.values():
+                for tree in group.trees.values():
+                    active += len(tree)
+                    via_cdn += len(tree.root.children)
         return SystemSnapshot(
             num_viewers=connected,
             num_requests=len(self._requested),
@@ -449,8 +459,6 @@ class TeleCastSystem:
             cdn_subscriptions=via_cdn,
             cdn_outbound_mbps=self.cdn.used_outbound_mbps,
             acceptance_ratio=self.metrics.acceptance_ratio,
-            max_layers=max_layers,
-            accepted_stream_counts=accepted_counts,
         )
 
     def take_snapshot(self) -> SystemSnapshot:

@@ -24,6 +24,11 @@ from repro.metrics.stats import percentile
 class SystemSnapshot:
     """Instantaneous state of the dissemination system.
 
+    Only a full snapshot (``snapshot()``, the final one of every run)
+    carries the two per-viewer maps; a mid-run ``snapshot_every`` cadence
+    snapshot leaves them empty, so sampling a run never copies the
+    audience.
+
     Attributes
     ----------
     num_viewers:

@@ -6,53 +6,63 @@ machine computed them -- that property makes the digest the oracle of
 both the snapshot/restore parity tests (:mod:`repro.service`) and the
 shard-parallel parity gate (:mod:`repro.parallel`): a sharded run is
 correct exactly when every LSC's digest matches the same LSC's digest in
-the single-process multi-LSC run.
+the single-process multi-LSC run.  Rows stream into the hash in batches:
+a digest never holds the audience's edge list or its JSON text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Tuple
+from itertools import chain, islice
+from typing import Dict, Iterable, Iterator, Tuple
+
+#: Rows per ``json.dumps`` call: bounds the digest's transient memory.
+_BATCH_ROWS = 1024
 
 
-def lsc_placement_edges(lsc) -> List[Tuple]:
-    """Every subscription edge of one LSC as a sorted, canonical tuple list.
+def _edge_rows(lsc) -> Iterator[Tuple]:
+    """Every subscription edge of one LSC as a canonical tuple, sorted.
 
-    One entry per (viewer, stream) subscription: parent, delay layer, CDN
+    One row per (viewer, stream) subscription: parent, delay layer, CDN
     flag and the two delay figures rounded to nanoseconds (so a digest
     never depends on sub-float-epsilon noise that a different summation
     order could introduce -- with identical placement the values are
     bit-identical anyway).
     """
-    edges: List[Tuple] = []
     for viewer_id in sorted(lsc.sessions):
-        session = lsc.sessions[viewer_id]
-        for stream_id in sorted(session.subscriptions, key=str):
-            sub = session.subscriptions[stream_id]
-            edges.append(
-                (
-                    lsc.lsc_id,
-                    viewer_id,
-                    str(stream_id),
-                    sub.parent_id,
-                    sub.layer,
-                    bool(sub.via_cdn),
-                    round(sub.end_to_end_delay, 9),
-                    round(sub.effective_delay, 9),
-                )
+        subscriptions = lsc.sessions[viewer_id].subscriptions
+        for stream_id in sorted(subscriptions, key=str):
+            sub = subscriptions[stream_id]
+            yield (
+                lsc.lsc_id,
+                viewer_id,
+                str(stream_id),
+                sub.parent_id,
+                sub.layer,
+                bool(sub.via_cdn),
+                round(sub.end_to_end_delay, 9),
+                round(sub.effective_delay, 9),
             )
-    return edges
 
 
-def _digest(edges: List[Tuple]) -> str:
-    payload = json.dumps(edges, separators=(",", ":")).encode("ascii")
-    return hashlib.sha256(payload).hexdigest()
+def _digest(lscs: Iterable) -> str:
+    """SHA-256 of ``json.dumps(rows)`` over the LSCs' rows, fed in batches."""
+    sha = hashlib.sha256(b"[")
+    rows = chain.from_iterable(map(_edge_rows, lscs))
+    separator = ""
+    while batch := list(islice(rows, _BATCH_ROWS)):
+        # Each batch's list text without its brackets, comma-joined.
+        text = json.dumps(batch, separators=(",", ":"))[1:-1]
+        sha.update((separator + text).encode("ascii"))
+        separator = ","
+    sha.update(b"]")
+    return sha.hexdigest()
 
 
 def lsc_placement_digest(lsc) -> str:
     """SHA-256 digest of one LSC's placement state."""
-    return _digest(lsc_placement_edges(lsc))
+    return _digest((lsc,))
 
 
 def per_lsc_placement_digests(system) -> Dict[str, str]:
@@ -75,7 +85,4 @@ def placement_digest(system) -> str:
     Covers every (LSC, viewer, stream) subscription edge in sorted order;
     the primary oracle of the service snapshot/restore parity tests.
     """
-    edges: List[Tuple] = []
-    for lsc in sorted(system.gsc.lscs, key=lambda item: item.lsc_id):
-        edges.extend(lsc_placement_edges(lsc))
-    return _digest(edges)
+    return _digest(sorted(system.gsc.lscs, key=lambda item: item.lsc_id))

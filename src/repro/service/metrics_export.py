@@ -17,6 +17,7 @@ declaration on :class:`~repro.metrics.collectors.SessionMetrics`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -214,9 +215,9 @@ def service_metrics(stats: Mapping[str, object]) -> List[Metric]:
 def rss_bytes() -> Optional[int]:
     """Current resident set size of this process, if measurable.
 
-    Reads ``/proc/self/status`` (Linux); falls back to the
-    ``resource.getrusage`` high-water mark elsewhere; ``None`` when
-    neither source exists.
+    Reads ``/proc/self/status`` (Linux).  Elsewhere it falls back to
+    ``resource.getrusage``'s ``ru_maxrss``, which is the *peak* resident
+    set, not the current one; ``None`` when neither source exists.
     """
     try:
         with open("/proc/self/status", encoding="ascii", errors="replace") as handle:
@@ -229,7 +230,7 @@ def rss_bytes() -> Optional[int]:
         import resource
 
         usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # Linux reports KiB, macOS bytes.
-        return usage * 1024 if usage < 1 << 32 else usage
+        # macOS reports bytes; Linux and the BSDs report KiB.
+        return usage if sys.platform == "darwin" else usage * 1024
     except Exception:  # pragma: no cover - platform without getrusage
         return None

@@ -172,6 +172,34 @@ class TestMetricsExport:
         measured = rss_bytes()
         assert measured is None or measured > 0
 
+    @pytest.mark.parametrize(
+        "platform, maxrss, expected",
+        [
+            # 100 MiB: bytes on macOS, KiB on Linux and the BSDs.
+            ("darwin", 100 * 2**20, 100 * 2**20),
+            ("linux", 100 * 2**10, 100 * 2**20),
+            ("freebsd14", 100 * 2**10, 100 * 2**20),
+        ],
+    )
+    def test_rss_fallback_picks_the_unit_by_platform(
+        self, monkeypatch, platform, maxrss, expected
+    ):
+        import resource
+        import sys
+        import types
+
+        from repro.service import metrics_export
+
+        def no_proc(*_args, **_kwargs):
+            raise OSError("no /proc here")
+
+        monkeypatch.setattr(metrics_export, "open", no_proc, raising=False)
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(
+            resource, "getrusage", lambda _who: types.SimpleNamespace(ru_maxrss=maxrss)
+        )
+        assert rss_bytes() == expected
+
 
 def _daemon(viewers=50, seed=5, lscs=2, **overrides) -> ServiceDaemon:
     serve = ServeConfig(
