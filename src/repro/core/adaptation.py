@@ -120,38 +120,6 @@ class AdaptationManager:
 
     # -- delay layer adaptation -------------------------------------------------------
 
-    def refresh_layers(self, now: float = 0.0) -> Dict[str, List[StreamId]]:
-        """Periodic delay-layer adaptation across all sessions of the LSC.
-
-        Every session refreshes its structural delays from the overlay
-        trees and re-runs the subscription process when the ``kappa`` bound
-        is violated or a stream exceeded the maximum acceptable layer.
-        Returns, per viewer, the streams dropped by the refresh.
-        """
-        dropped_per_viewer: Dict[str, List[StreamId]] = {}
-        for viewer_id, session in list(self.lsc.sessions.items()):
-            group = self.lsc.groups.get(session.view.view_id)
-            if group is None:
-                continue
-            changed = False
-            for stream_id, sub in session.subscriptions.items():
-                tree = group.tree(stream_id)
-                if viewer_id in tree:
-                    structural = tree.end_to_end_delay(viewer_id)
-                    if abs(structural - sub.end_to_end_delay) > 1e-9:
-                        sub.end_to_end_delay = structural
-                        changed = True
-            violates_skew = not session.skew_bound_satisfied(self.lsc.layer_config.kappa)
-            violates_dmax = any(
-                not self.lsc.layer_config.is_acceptable_layer(sub.layer)
-                for sub in session.subscriptions.values()
-            )
-            if changed or violates_skew or violates_dmax:
-                dropped = self.lsc._run_view_sync(group, session, now)
-                if dropped:
-                    dropped_per_viewer[viewer_id] = dropped
-        return dropped_per_viewer
-
     def refresh_layers_from_observed(
         self,
         observed_delays: Mapping[Tuple[str, StreamId], float],

@@ -137,11 +137,6 @@ class OutboundAllocation:
     leftover_mbps: float
 
     @property
-    def total_allocated_mbps(self) -> float:
-        """Total outbound bandwidth reserved across all streams."""
-        return sum(self.per_stream_mbps.values())
-
-    @property
     def total_out_degree(self) -> int:
         """Total number of child slots across all streams."""
         return sum(self.out_degree.values())
@@ -237,20 +232,3 @@ def allocate_outbound_equal_split(
     return OutboundAllocation(
         per_stream_mbps=per_stream, out_degree=out_degree, leftover_mbps=max(0.0, remaining)
     )
-
-
-def priority_monotonic(
-    accepted: Sequence[PrioritizedStream], allocation: OutboundAllocation
-) -> bool:
-    """Check the paper's invariant: higher priority => no less allocated outbound.
-
-    Exposed for tests and assertions; the round-robin allocator satisfies it
-    by construction.
-    """
-    previous = None
-    for entry in accepted:
-        current = allocation.per_stream_mbps.get(entry.stream_id, 0.0)
-        if previous is not None and current > previous + _EPSILON:
-            return False
-        previous = current
-    return True

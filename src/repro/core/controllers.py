@@ -107,10 +107,6 @@ class GSCMonitor:
         """Metadata of one stream."""
         return self._streams[stream_id]
 
-    def known_streams(self) -> List[StreamId]:
-        """All registered streams."""
-        return list(self._streams)
-
     def latest_frame_number(self, stream_id: StreamId, now: float) -> int:
         """Latest frame number captured at the producer by time ``now``."""
         stream = self._streams[stream_id]
@@ -702,19 +698,6 @@ class LocalSessionController:
     def connected_viewers(self) -> List[str]:
         """All viewers currently connected through this LSC."""
         return list(self.sessions)
-
-    def total_subscriptions(self) -> int:
-        """Total number of active stream subscriptions across all sessions."""
-        return sum(len(s.subscriptions) for s in self.sessions.values())
-
-    def cdn_served_subscriptions(self) -> int:
-        """Number of active subscriptions served directly by the CDN."""
-        return sum(
-            1
-            for s in self.sessions.values()
-            for sub in s.subscriptions.values()
-            if sub.via_cdn
-        )
 
 
 class GlobalSessionController:

@@ -113,10 +113,6 @@ class PlaybackReport:
             )
         return self._deliveries
 
-    def deliveries_for(self, viewer_id: str) -> List[DeliveryRecord]:
-        """All deliveries at one viewer, sorted by delivery time."""
-        return _delivery_records(self._lanes.get(viewer_id, ()))
-
     def skews_for(
         self, viewer_id: str, playout_point: float
     ) -> Tuple[Optional[float], Optional[float]]:
@@ -182,17 +178,6 @@ class PlaybackReport:
         fewer than two streams.
         """
         return self.skews_for(viewer_id, playout_point)[1]
-
-    def mean_delay_for(self, viewer_id: str, stream_id: StreamId) -> Optional[float]:
-        """Mean end-to-end delay of one stream at one viewer."""
-        delays = [
-            d.end_to_end_delay
-            for d in self.deliveries_for(viewer_id)
-            if d.stream_id == stream_id
-        ]
-        if not delays:
-            return None
-        return sum(delays) / len(delays)
 
 
 class OverlayDataPlane:

@@ -44,11 +44,6 @@ class ViewGroup:
         """Identifier of the group's view."""
         return self.view.view_id
 
-    @property
-    def member_ids(self) -> List[str]:
-        """Viewers currently belonging to the group."""
-        return list(self.sessions)
-
     def __len__(self) -> int:
         return len(self.sessions)
 
@@ -136,11 +131,3 @@ class ViewGroup:
                 child_sub = self.sessions[child_id].subscriptions[stream_id]
                 entry.add_child(child_id, subscription_frame=child_sub.subscription_frame)
         return table
-
-    def streams_forwarded_by(self, viewer_id: str) -> List[StreamId]:
-        """Streams for which the viewer currently has at least one child."""
-        return [
-            stream_id
-            for stream_id, tree in self.trees.items()
-            if viewer_id in tree and tree.node(viewer_id).children
-        ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.util.validation import require_non_negative, require_positive
 
@@ -89,12 +88,6 @@ class DelayLayerConfig:
     def max_layer_index(self) -> int:
         """Largest acceptable layer index, ``floor((d_max - Delta) / tau)``."""
         return self._max_layer_index
-
-    def layer_delay_bounds(self, layer: int) -> Tuple[float, float]:
-        """End-to-end delay interval ``[Delta + y*tau, Delta + (y+1)*tau)`` of Layer-y."""
-        require_non_negative(layer, "layer")
-        low = self.delta + layer * self.tau
-        return (low, low + self.tau)
 
     def layer_for_delay(self, end_to_end_delay: float) -> int:
         """Layer index a given end-to-end delay falls into (clamped at 0)."""
@@ -181,38 +174,3 @@ def subscription_frame_number(
         + offset
     )
     return max(0, min(latest_frame_number, int(round(n_prime))))
-
-
-def shareable_layer_range(
-    config: DelayLayerConfig,
-    parent_end_to_end_delay: float,
-    propagation_delay: float,
-    processing_delay: float,
-) -> Tuple[int, int]:
-    """Layer Property 1: the layer interval a parent can serve a child at.
-
-    A viewer with end-to-end delay ``d`` for a stream can share layers
-    ``floor((d - Delta + d_prop + delta)/tau)`` through
-    ``floor((d - Delta + d_prop + d_cache + d_buff + delta)/tau)`` to a
-    child at propagation distance ``d_prop``.
-    """
-    low = compute_layer(
-        config, parent_end_to_end_delay, propagation_delay, processing_delay
-    )
-    high_delay = (
-        parent_end_to_end_delay
-        - config.delta
-        + propagation_delay
-        + config.cache_duration
-        + config.buffer_duration
-        + processing_delay
-    )
-    high = max(0, int(math.floor(high_delay / config.tau)))
-    return (low, high)
-
-
-def layers_are_synchronous(config: DelayLayerConfig, layers: Tuple[int, ...]) -> bool:
-    """Layer Property 2: streams render synchronously iff their layer spread <= kappa."""
-    if not layers:
-        return True
-    return max(layers) - min(layers) <= config.kappa

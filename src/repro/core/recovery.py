@@ -99,10 +99,6 @@ class FailureDetector:
         """Stop tracking a viewer (graceful departure or completed repair)."""
         self._last_seen.pop(viewer_id, None)
 
-    def last_seen(self, viewer_id: str) -> Optional[float]:
-        """Timestamp of the viewer's last heartbeat, ``None`` if untracked."""
-        return self._last_seen.get(viewer_id)
-
     def watched(self) -> List[str]:
         """All currently tracked viewer ids (sorted, for invariant checks)."""
         return sorted(self._last_seen)

@@ -106,13 +106,6 @@ class ViewerSession:
             return None
         return max(sub.layer for sub in self.subscriptions.values())
 
-    @property
-    def min_layer(self) -> Optional[int]:
-        """Smallest (freshest) layer among accepted streams, ``None`` when empty."""
-        if not self.subscriptions:
-            return None
-        return min(sub.layer for sub in self.subscriptions.values())
-
     def layer_spread(self) -> int:
         """Difference between the slowest and freshest layer (0 when <2 streams)."""
         if len(self.subscriptions) < 2:

@@ -34,7 +34,6 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.layering import (
     DelayLayerConfig,
-    compute_layer,
     subscription_frame_number,
 )
 from repro.core.state import StreamSubscription, ViewerSession
@@ -95,28 +94,6 @@ class SubscriptionPlan(NamedTuple):
         if len(layers) < 2:
             return 0
         return max(layers) - min(layers)
-
-
-def minimum_layer_for(
-    config: DelayLayerConfig,
-    delay_model: DelayModel,
-    viewer_id: str,
-    parent_id: str,
-    parent_effective_delay: float,
-) -> int:
-    """Equation 1 applied to one parent/child pair.
-
-    CDN-fed viewers always achieve Layer-0 (the paper assumes
-    ``d_CDN + d_prop + delta = Delta``).
-    """
-    if parent_id == CDN_NODE_ID:
-        return 0
-    return compute_layer(
-        config,
-        parent_effective_delay,
-        delay_model.propagation(parent_id, viewer_id),
-        delay_model.processing_delay,
-    )
 
 
 def plan_view_synchronization(

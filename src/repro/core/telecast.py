@@ -3,13 +3,12 @@
 :class:`TeleCastSystem` wires together every component of the framework --
 producers, the CDN, the latency substrate, the GSC/LSC control plane, the
 overlay construction, the view-synchronization machinery and the
-adaptation manager -- behind a small API:
+adaptation manager -- behind a small API::
 
->>> system = TeleCastSystem(producers, cdn, delay_model, layer_config)
->>> views = build_views(producers, num_views=4, streams_per_site=3)
->>> result = system.join_viewer(viewer, views[0])
->>> system.snapshot().acceptance_ratio
-1.0
+    system = TeleCastSystem(producers, cdn, delay_model, layer_config)
+    views = build_views(producers, num_views=4, streams_per_site=3)
+    result = system.join_viewer(viewer, views[0])
+    system.snapshot().acceptance_ratio  # 1.0
 
 Experiments and examples drive this facade either directly (event by
 event) or through :meth:`TeleCastSystem.run_workload` which replays a
@@ -380,12 +379,6 @@ class TeleCastSystem:
         self.metrics.record_failover(
             migrated=result.migrated_viewers, lost=result.lost_viewers
         )
-
-    def refresh_layers(self, now: Optional[float] = None) -> None:
-        """Run the periodic delay-layer adaptation on every LSC."""
-        time = self.simulator.now if now is None else now
-        for manager in self._adaptation.values():
-            manager.refresh_layers(time)
 
     def refresh_layers_from_observed(
         self,

@@ -262,10 +262,6 @@ class ExperimentConfig:
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)
 
-    def with_viewers(self, num_viewers: int) -> "ExperimentConfig":
-        """Copy with a different viewer population size."""
-        return self.with_(num_viewers=num_viewers)
-
     def with_scaled_population(self, num_viewers: int, **overrides) -> "ExperimentConfig":
         """Copy at a different population with the CDN cap scaled along.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
@@ -81,20 +81,3 @@ def describe(samples: Sequence[float]) -> SampleSummary:
         p50=percentile(samples, 50.0),
         p95=percentile(samples, 95.0),
     )
-
-
-def histogram(samples: Sequence[float], bin_edges: Sequence[float]) -> Dict[float, int]:
-    """Count samples into right-open bins keyed by their left edge.
-
-    Samples below the first edge or at/above the last edge are ignored.
-    """
-    if len(bin_edges) < 2:
-        raise ValueError("at least two bin edges are required")
-    edges = sorted(bin_edges)
-    counts: Dict[float, int] = {edge: 0 for edge in edges[:-1]}
-    for sample in samples:
-        for left, right in zip(edges[:-1], edges[1:]):
-            if left <= sample < right:
-                counts[left] += 1
-                break
-    return counts

@@ -191,13 +191,3 @@ class CDN:
         # visible to the algorithms, only the aggregate matters.
         edge = max(self.edge_servers, key=lambda e: e.used_outbound_mbps)
         edge.release(released)
-
-    def stream_usage(self, stream_id: StreamId) -> float:
-        """Outbound bandwidth currently spent serving ``stream_id``."""
-        return self._per_stream_usage.get(stream_id, 0.0)
-
-    def utilization(self) -> float:
-        """Fraction of the outbound capacity in use (0.0 for infinite capacity)."""
-        if math.isinf(self.outbound_capacity_mbps):
-            return 0.0
-        return self._used_outbound / self.outbound_capacity_mbps

@@ -190,18 +190,6 @@ class GlobalView:
         """Number of producer sites contributing to the view (``n`` in the paper)."""
         return len(self.local_views)
 
-    @property
-    def site_ids(self) -> Tuple[str, ...]:
-        """Identifiers of the contributing producer sites."""
-        return tuple(lv.site_id for lv in self.local_views)
-
-    def local_view_for(self, site_id: str) -> LocalView:
-        """Return the local view of ``site_id``; raises ``KeyError`` if absent."""
-        for lv in self.local_views:
-            if lv.site_id == site_id:
-                return lv
-        raise KeyError(site_id)
-
     # A view is immutable, so the orderings every join asks for are
     # derived once per view, not once per join.
 
@@ -232,16 +220,6 @@ class GlobalView:
     def must_have_stream_ids(self) -> FrozenSet[StreamId]:
         """Every site's most important stream: a request delivering fewer is refused."""
         return frozenset(self.highest_priority_per_site.values())
-
-    def overlapping_streams(self, other: "GlobalView") -> List[StreamId]:
-        """Streams shared between this view and ``other``.
-
-        View changes only tear down subscriptions for the non-overlapping
-        streams (Section II-C); the overlap is what makes 3DTI view changes
-        different from TV channel switching.
-        """
-        mine = set(self.stream_ids)
-        return [sid for sid in other.stream_ids if sid in mine]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GlobalView):

@@ -5,8 +5,7 @@ That dataset is not redistributable, so this package provides a synthetic
 substitute with the same statistical shape: nodes are grouped into
 geographic regions, intra-region one-way delays are low (a few to tens of
 milliseconds) and inter-region delays are substantially larger, both drawn
-from log-normal distributions, with optional temporal jitter (the
-"4 hours" aspect of the trace).
+from log-normal distributions.
 
 The rest of the system only ever reads pairwise one-way delays and region
 labels, so the substitution exercises the identical code paths.

@@ -6,154 +6,184 @@ nodes (viewers, producer gateways, CDN edges, session controllers).
 propagation delay (``d_prop``), parent processing delay (``delta``), and
 the producer-to-CDN-to-first-child constant ``Delta``.
 
-Storage is part of the performance core: node ids are interned to dense
-ints (:class:`~repro.net.ids.NodeInterner`) and delays live in flat
-triangular ``array('d')`` rows instead of a tuple-of-strings keyed dict,
-so a lookup costs two small dict probes and one array access and the
-whole matrix packs into contiguous memory.  The string API is unchanged;
-the seed's tuple-key ``_delays`` dict is gone -- use
-:meth:`LatencyMatrix.set_delay` / :meth:`LatencyMatrix.delay` /
-:meth:`LatencyMatrix.pairs` instead.
+One matrix class serves both an explicit world (every delay set with
+:meth:`LatencyMatrix.set_delay`) and a generated PlanetLab world
+(:func:`~repro.net.planetlab.generate_planetlab_matrix`), whose pair
+delays derive on first lookup from per-node keys.  Both kinds of delay
+live in one dict keyed by the name pair in sorted order, so a lookup of
+a known pair is one dict probe.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.net.ids import NodeInterner
+from repro.net.planetlab import (
+    PlanetLabTraceConfig,
+    _numpy,
+    _pair_delay,
+    _pair_delays_np,
+)
 from repro.net.regions import RegionMap
 from repro.util.validation import require_non_negative
-
-#: Sentinel for "no explicit delay stored" inside the triangular rows.
-_UNSET = math.nan
 
 
 class LatencyMatrix:
     """Symmetric one-way delay matrix over named nodes.
 
-    Delays are stored per unordered pair.  Unknown pairs fall back to
-    ``default_delay`` so experiments can add late-joining nodes (e.g. CDN
-    edge servers) without regenerating the matrix.
+    ``nodes`` maps every registered node, in insertion order, to its
+    generator key (:func:`~repro.net.planetlab.node_keys`), or to
+    ``None`` for a node without one.  ``_known`` holds every known pair
+    delay keyed by the name pair in sorted order: explicit
+    :meth:`set_delay` values and derived draws alike.
 
-    Internally row ``i`` holds the delays of pairs ``(j, i)`` for every
-    interned id ``j <= i`` (lower triangle including the diagonal), with
-    NaN marking unset pairs.  A running sum/count keeps
-    :meth:`mean_delay` O(1) under any number of :meth:`set_delay` calls.
+    A pair that is not stored derives its delay when both nodes have a
+    key -- the log-normal draw of
+    :func:`~repro.net.planetlab._pair_delay` around the intra- or
+    inter-region median of ``config`` -- and is stored from then on, so
+    overlay construction only ever materializes the pairs it touches.
+    Any other unknown pair answers ``default_delay``, which lets
+    experiments add late-joining nodes (e.g. CDN edge servers) without
+    regenerating the matrix.
     """
 
-    def __init__(self, *, default_delay: float = 0.05) -> None:
+    def __init__(
+        self,
+        *,
+        default_delay: float = 0.05,
+        keys: Optional[Mapping[str, int]] = None,
+        config: Optional[PlanetLabTraceConfig] = None,
+    ) -> None:
         require_non_negative(default_delay, "default_delay")
-        self._interner = NodeInterner()
-        self._rows: List[array] = []
-        self._explicit_count = 0
-        self._explicit_sum = 0.0
+        if config is None:
+            config = PlanetLabTraceConfig()
         self.default_delay = default_delay
+        self.nodes: Dict[str, Optional[int]] = dict(keys) if keys else {}
         self.regions = RegionMap()
+        self._known: Dict[Tuple[str, str], float] = {}
+        self._log_intra = math.log(config.intra_region_median)
+        self._log_inter = math.log(config.inter_region_median)
+        self._sigma = config.sigma
 
     def add_node(self, node_id: str) -> None:
         """Register a node (idempotent)."""
-        self._interner.intern(node_id)
-
-    @property
-    def nodes(self) -> List[str]:
-        """All registered node ids, in insertion order."""
-        return self._interner.names()
-
-    @property
-    def interner(self) -> NodeInterner:
-        """The node-id interner (shared handle for array-backed consumers)."""
-        return self._interner
-
-    def _cell(self, a: str, b: str) -> Tuple[int, int]:
-        """Interned (row, column) of an unordered pair, registering both."""
-        ia = self._interner.intern(a)
-        ib = self._interner.intern(b)
-        return (ia, ib) if ia >= ib else (ib, ia)
+        self.nodes.setdefault(node_id, None)
 
     def set_delay(self, a: str, b: str, delay: float) -> None:
-        """Set the one-way delay between ``a`` and ``b`` (seconds)."""
+        """Set the one-way delay between ``a`` and ``b`` (seconds).
+
+        The value replaces any derived draw of the pair.  A self pair is
+        refused: :meth:`delay` answers 0.0 for it whatever is stored.
+        """
         require_non_negative(delay, "delay")
-        row_index, col = self._cell(a, b)
-        rows = self._rows
-        while len(rows) <= row_index:
-            rows.append(array("d", [_UNSET]) * (len(rows) + 1))
-        row = rows[row_index]
-        previous = row[col]
-        if previous == previous:  # overwrite: keep the running aggregate exact
-            self._explicit_sum -= previous
-            self._explicit_count -= 1
-        row[col] = delay
-        self._record_explicit(delay)
-
-    def _record_explicit(self, delay: float) -> None:
-        """Count one newly stored pair in the running mean aggregate."""
-        self._explicit_sum += delay
-        self._explicit_count += 1
-
-    def _lookup(self, a: str, b: str) -> float:
-        """Stored delay of the pair, NaN when absent or nodes unknown."""
-        ia = self._interner.get(a)
-        ib = self._interner.get(b)
-        if ia is None or ib is None:
-            return _UNSET
-        if ia < ib:
-            ia, ib = ib, ia
-        if ia >= len(self._rows):
-            return _UNSET
-        return self._rows[ia][ib]
+        if a == b:
+            raise ValueError(f"a node has no delay to itself: {a!r}")
+        self.nodes.setdefault(a, None)
+        self.nodes.setdefault(b, None)
+        self._known[(a, b) if a <= b else (b, a)] = delay
 
     def delay(self, a: str, b: str) -> float:
         """Return the one-way delay between ``a`` and ``b`` (seconds)."""
+        value = self._known.get((a, b) if a <= b else (b, a))
+        if value is not None:
+            return value
         if a == b:
             return 0.0
-        value = self._lookup(a, b)
-        if value == value:
-            return value
-        return self._missing_delay(a, b)
+        return self._derive(a, b)
 
-    def _missing_delay(self, a: str, b: str) -> float:
-        """Fallback for pairs without an explicit delay.
+    def _derive(self, a: str, b: str) -> float:
+        """A miss: derive and store the pair's draw, or the flat default."""
+        nodes = self.nodes
+        key_a = nodes.get(a)
+        key_b = nodes.get(b)
+        if key_a is None or key_b is None:
+            return self.default_delay
+        # The regions of one map have distinct ids, so comparing ids is
+        # ``Region.__eq__`` without the generated method call.
+        region_of = self.regions.region_of
+        region_a = region_of(a)
+        region_b = region_of(b)
+        same_region = region_a is region_b or region_a.region_id == region_b.region_id
+        log_median = self._log_intra if same_region else self._log_inter
+        if a > b:  # pair draws are symmetric in sorted-name order
+            a, b = b, a
+            key_a, key_b = key_b, key_a
+        delay = _pair_delay(key_a, key_b, log_median, self._sigma)
+        self._known[(a, b)] = delay
+        return delay
 
-        Subclass hook: the lazy PlanetLab matrix overrides this to derive
-        (and memoize) the pair's delay on demand instead of returning the
-        flat default.
+    def approx_delays_to(
+        self, sources: Sequence[str], target: str
+    ) -> Optional[List[float]]:
+        """Approximate delays from every source to ``target``, batched.
+
+        Stored pairs return their exact value; the rest get one
+        vectorized evaluation of the same per-pair log-normal draw, which
+        may differ from the exact scalar path by float ulps.  Nothing is
+        stored, so a caller prefiltering candidates must re-verify the
+        survivors through :meth:`delay` -- that keeps accept/reject
+        decisions (and the stored pairs) bit-identical to the
+        scalar-only path.
+
+        Returns ``None`` when ``target`` has no generator key or numpy is
+        unavailable; callers fall back to the scalar path.
         """
-        return self.default_delay
-
-    def has_pair(self, a: str, b: str) -> bool:
-        """Whether an explicit delay was set for the pair."""
-        value = self._lookup(a, b)
-        return value == value
+        nodes = self.nodes
+        key_target = nodes.get(target)
+        if key_target is None:
+            return None
+        np = _numpy()
+        if np is None:
+            return None
+        known = self._known
+        region_of = self.regions.region_of
+        region_target = region_of(target)
+        out: List[float] = [0.0] * len(sources)
+        miss_indices: List[int] = []
+        miss_low: List[int] = []
+        miss_high: List[int] = []
+        miss_intra: List[bool] = []
+        for index, source in enumerate(sources):
+            if source == target:
+                continue  # out[index] already 0.0, matching delay(a, a)
+            flipped = source > target  # pairs are symmetric in name order
+            exact = known.get((target, source) if flipped else (source, target))
+            if exact is not None:
+                out[index] = exact
+                continue
+            key_source = nodes.get(source)
+            if key_source is None:
+                out[index] = self.default_delay
+                continue
+            miss_indices.append(index)
+            miss_low.append(key_target if flipped else key_source)
+            miss_high.append(key_source if flipped else key_target)
+            miss_intra.append(region_of(source) == region_target)
+        if miss_indices:
+            log_median = np.where(
+                np.asarray(miss_intra), self._log_intra, self._log_inter
+            )
+            with np.errstate(over="ignore"):
+                delays = _pair_delays_np(
+                    np.asarray(miss_low, dtype=np.uint64),
+                    np.asarray(miss_high, dtype=np.uint64),
+                    log_median,
+                    self._sigma,
+                )
+            for position, index in enumerate(miss_indices):
+                out[index] = float(delays[position])
+        return out
 
     def pairs(self) -> Iterable[Tuple[str, str, float]]:
-        """Iterate over all explicit (a, b, delay) triples."""
-        name_of = self._interner.name_of
-        for row_index, row in enumerate(self._rows):
-            high = name_of(row_index)
-            for col, value in enumerate(row):
-                if value == value:
-                    low = name_of(col)
-                    if low <= high:
-                        yield low, high, value
-                    else:
-                        yield high, low, value
-
-    def mean_delay(self) -> float:
-        """Mean of all explicit pairwise delays (0.0 when empty).
-
-        O(1): maintained as a running sum/count in :meth:`set_delay`
-        instead of re-scanning every pair per call.
-        """
-        if self._explicit_count == 0:
-            return 0.0
-        return self._explicit_sum / self._explicit_count
+        """Every stored ``(a, b, delay)`` with ``a < b``, in storage order."""
+        for (a, b), value in self._known.items():
+            yield a, b, value
 
     def explicit_pair_count(self) -> int:
-        """Number of pairs with an explicitly stored delay."""
-        return self._explicit_count
+        """Number of pairs with a stored delay (set or derived)."""
+        return len(self._known)
 
 
 @dataclass
@@ -206,7 +236,7 @@ class DelayModel:
         """Approximate :meth:`hop_delay` for many parents at once.
 
         Delegates to the matrix's vectorized batch path when it has one
-        (``approx_delays_to`` on the lazy PlanetLab matrix).  Values may
+        (:meth:`LatencyMatrix.approx_delays_to`).  Values may
         differ from :meth:`hop_delay` by float ulps for pairs that were
         never materialized, so callers may only use them to prefilter
         with a safety margin and must confirm survivors through the

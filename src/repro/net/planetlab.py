@@ -8,9 +8,7 @@ observed in published PlanetLab measurements:
 * nodes cluster into a handful of geographic regions,
 * intra-region one-way delays are small (median ~10 ms),
 * inter-region delays are large (median ~60 ms, heavy upper tail),
-* individual pairs deviate log-normally around the regional medians,
-* an optional jitter term models the temporal variation captured by a
-  multi-hour trace.
+* individual pairs deviate log-normally around the regional medians.
 
 Only the *shape* matters for 4D TeleCast: the overlay and layering logic
 consume pairwise one-way delays and region labels, nothing else.
@@ -22,12 +20,13 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence
 
-from repro.net.latency import LatencyMatrix
-from repro.net.regions import RegionMap
-from repro.sim.rng import SeededRandom
 from repro.util.validation import require_positive
+
+if TYPE_CHECKING:
+    from repro.net.latency import LatencyMatrix
+    from repro.sim.rng import SeededRandom
 
 #: Default region names; roughly the continents PlanetLab nodes span.
 DEFAULT_REGION_NAMES: Sequence[str] = (
@@ -51,8 +50,6 @@ class PlanetLabTraceConfig:
         Median one-way delay between nodes in different regions (seconds).
     sigma:
         Log-normal shape parameter for pairwise deviation.
-    jitter_fraction:
-        Maximum relative jitter applied when sampling time-varying delays.
     region_names:
         Names of the geographic clusters nodes are spread across.
     """
@@ -60,7 +57,6 @@ class PlanetLabTraceConfig:
     intra_region_median: float = 0.012
     inter_region_median: float = 0.065
     sigma: float = 0.45
-    jitter_fraction: float = 0.15
     region_names: Sequence[str] = DEFAULT_REGION_NAMES
 
     def __post_init__(self) -> None:
@@ -68,8 +64,6 @@ class PlanetLabTraceConfig:
         require_positive(self.inter_region_median, "inter_region_median")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if not (0.0 <= self.jitter_fraction < 1.0):
-            raise ValueError("jitter_fraction must be in [0, 1)")
         if not self.region_names:
             raise ValueError("at least one region name is required")
 
@@ -204,164 +198,6 @@ def _pair_delays_np(key_low, key_high, log_median, sigma: float):
     return np.exp(log_median + sigma * gauss)
 
 
-class LazyPlanetLabMatrix(LatencyMatrix):
-    """A PlanetLab matrix that derives pair delays on first access.
-
-    Materializing all ``n*(n-1)/2`` pairs up front is minutes of work and
-    hundreds of MB at 10k nodes.  Because every delay is a pure function
-    of the per-node digests, it is computed when a pair is first asked
-    for; overlay construction only ever touches the O(viewers x streams)
-    pairs that actually become tree edges or control hops.  Computed
-    delays are memoized in a sparse per-pair map (a dense triangular row
-    would have to be materialized up to the higher interned id,
-    re-introducing the O(n^2) storage this class exists to avoid), so
-    repeated lookups are one dict probe and :meth:`pairs` /
-    :meth:`mean_delay` / :meth:`has_pair` reflect the materialized subset
-    plus any explicit :meth:`set_delay` override.
-    """
-
-    def __init__(self, keys: Dict[str, int], config: PlanetLabTraceConfig) -> None:
-        super().__init__(default_delay=config.inter_region_median)
-        self._keys = keys
-        self._log_intra = math.log(config.intra_region_median)
-        self._log_inter = math.log(config.inter_region_median)
-        self._sigma = config.sigma
-        #: Derived pair delays keyed by the name pair in sorted order.
-        #: Never holds a pair with an explicit ``set_delay`` override, so
-        #: a hit needs no second look at the triangular rows.
-        self._memo: Dict[Tuple[str, str], float] = {}
-
-    def delay(self, a: str, b: str) -> float:
-        """One-way delay of the pair: one memo probe once it was derived.
-
-        A miss consults the triangular rows only when an explicit
-        :meth:`set_delay` override exists at all (``_rows`` is filled by
-        nothing else), then derives and memoizes.
-        """
-        value = self._memo.get((a, b) if a <= b else (b, a))
-        if value is not None:
-            return value
-        if a == b:
-            return 0.0
-        if self._rows:
-            value = super()._lookup(a, b)
-            if value == value:
-                return value
-        return self._missing_delay(a, b)
-
-    def _lookup(self, a: str, b: str) -> float:
-        value = super()._lookup(a, b)  # explicit set_delay overrides win
-        if value == value:
-            return value
-        return self._memo.get((a, b) if a <= b else (b, a), math.nan)
-
-    def set_delay(self, a: str, b: str, delay: float) -> None:
-        """Set an explicit delay, retiring any lazily memoized value.
-
-        Without the eviction the memoized draw would keep answering
-        :meth:`delay`, be double-counted in the running mean and be
-        yielded twice by :meth:`pairs` with conflicting values.
-        """
-        previous = self._memo.pop((a, b) if a <= b else (b, a), None)
-        if previous is not None:
-            self._explicit_sum -= previous
-            self._explicit_count -= 1
-        super().set_delay(a, b, delay)
-
-    def _missing_delay(self, a: str, b: str) -> float:
-        keys = self._keys
-        key_a = keys.get(a)
-        key_b = keys.get(b)
-        if key_a is None or key_b is None:
-            # Nodes outside the generated world keep the flat default,
-            # exactly like unknown pairs of an explicit LatencyMatrix.
-            return self.default_delay
-        # The regions of one map have distinct ids, so comparing ids is
-        # ``Region.__eq__`` without the generated method call.
-        region_of = self.regions.region_of
-        region_a = region_of(a)
-        region_b = region_of(b)
-        same_region = region_a is region_b or region_a.region_id == region_b.region_id
-        log_median = self._log_intra if same_region else self._log_inter
-        if a > b:  # pair draws are symmetric in sorted-name order
-            a, b = b, a
-            key_a, key_b = key_b, key_a
-        delay = _pair_delay(key_a, key_b, log_median, self._sigma)
-        self._memo[(a, b)] = delay
-        # One newly stored pair in the running mean (``_record_explicit``).
-        self._explicit_sum += delay
-        self._explicit_count += 1
-        return delay
-
-    def approx_delays_to(
-        self, sources: Sequence[str], target: str
-    ) -> Optional[List[float]]:
-        """Approximate delays from every source to ``target``, batched.
-
-        Pairs with an exact stored value (explicit override or memoized
-        lazy draw) return that value; the rest get one vectorized
-        evaluation of the same per-pair log-normal draw, which may
-        differ from the exact scalar path by float ulps.  Nothing is
-        memoized, so a caller prefiltering candidates must re-verify the
-        survivors through :meth:`delay` -- that keeps accept/reject
-        decisions (and the memo) bit-identical to the scalar-only path.
-
-        Returns ``None`` when numpy is unavailable or ``target`` has no
-        generator key; callers fall back to the scalar path.
-        """
-        np = _numpy()
-        if np is None:
-            return None
-        key_target = self._keys.get(target)
-        if key_target is None:
-            return None
-        region_of = self.regions.region_of
-        region_target = region_of(target)
-        out: List[float] = [0.0] * len(sources)
-        miss_indices: List[int] = []
-        miss_low: List[int] = []
-        miss_high: List[int] = []
-        miss_intra: List[bool] = []
-        for index, source in enumerate(sources):
-            if source == target:
-                continue  # out[index] already 0.0, matching delay(a, a)
-            exact = self._lookup(source, target)
-            if exact == exact:
-                out[index] = exact
-                continue
-            key_source = self._keys.get(source)
-            if key_source is None:
-                out[index] = self.default_delay
-                continue
-            if source > target:  # pair draws are symmetric in name order
-                low, high = key_target, key_source
-            else:
-                low, high = key_source, key_target
-            miss_indices.append(index)
-            miss_low.append(low)
-            miss_high.append(high)
-            miss_intra.append(region_of(source) == region_target)
-        if miss_indices:
-            log_median = np.where(
-                np.asarray(miss_intra), self._log_intra, self._log_inter
-            )
-            with np.errstate(over="ignore"):
-                delays = _pair_delays_np(
-                    np.asarray(miss_low, dtype=np.uint64),
-                    np.asarray(miss_high, dtype=np.uint64),
-                    log_median,
-                    self._sigma,
-                )
-            for position, index in enumerate(miss_indices):
-                out[index] = float(delays[position])
-        return out
-
-    def pairs(self) -> Iterable[Tuple[str, str, float]]:
-        yield from super().pairs()
-        for (a, b), value in self._memo.items():
-            yield a, b, value
-
-
 def generate_planetlab_matrix(
     node_ids: Sequence[str],
     *,
@@ -369,7 +205,7 @@ def generate_planetlab_matrix(
     config: Optional[PlanetLabTraceConfig] = None,
     known_keys: Optional[Mapping[str, int]] = None,
     known_regions: Optional[Mapping[str, int]] = None,
-) -> LazyPlanetLabMatrix:
+) -> LatencyMatrix:
     """Generate a synthetic one-way delay matrix for ``node_ids``.
 
     Nodes are assigned to regions and every pair receives a log-normal
@@ -382,10 +218,10 @@ def generate_planetlab_matrix(
     differ only in their control-plane layout (e.g. the ``shards``
     sweep) over an identical network world.
 
-    Only the region assignment is materialized up front; each pair's
-    delay is derived (and memoized) on first lookup, so construction is
-    O(n) and :meth:`~LatencyMatrix.pairs` / ``mean_delay`` / ``has_pair``
-    reflect the pairs looked up so far (:class:`LazyPlanetLabMatrix`).
+    Only the node keys and the region assignment are materialized up
+    front; each pair's delay is derived (and stored) on first lookup, so
+    construction is O(n) and :meth:`~LatencyMatrix.pairs` reflects the
+    pairs looked up so far.
 
     ``known_keys`` hands over node keys the caller already derived
     (:func:`node_keys`) and ``known_regions`` the region indices it
@@ -394,46 +230,27 @@ def generate_planetlab_matrix(
     """
     if config is None:
         config = PlanetLabTraceConfig()
-    if rng is None:
-        rng = SeededRandom(0)
-    seed = rng.seed if rng.seed is not None else 0
+    seed = 0 if rng is None or rng.seed is None else rng.seed
+
+    # Imported here: the matrix derives its misses with this module's
+    # ``_pair_delay``, so ``repro.net.latency`` imports this module (and
+    # this module imports nothing of ``repro`` but the validators).
+    from repro.net.latency import LatencyMatrix
 
     known = known_keys or {}
     keys = {
         node_id: known[node_id] if node_id in known else _node_key(seed, node_id)
         for node_id in node_ids
     }
-    matrix = LazyPlanetLabMatrix(keys, config)
-    regions = RegionMap()
+    matrix = LatencyMatrix(
+        default_delay=config.inter_region_median, keys=keys, config=config
+    )
+    regions = matrix.regions
     region_objs = [regions.add_region(name) for name in config.region_names]
     region_index_of = (known_regions or {}).get
-    for node_id in node_ids:
-        matrix.add_node(node_id)
+    for node_id, key in keys.items():
         region_index = region_index_of(node_id)
         if region_index is None:
-            region_index = _mix64(keys[node_id]) % len(region_objs)
+            region_index = _mix64(key) % len(region_objs)
         regions.assign(node_id, region_objs[region_index])
-    matrix.regions = regions
     return matrix
-
-
-def sample_jittered_delay(
-    matrix: LatencyMatrix,
-    a: str,
-    b: str,
-    rng: SeededRandom,
-    *,
-    jitter_fraction: float = 0.15,
-) -> float:
-    """Sample a time-varying delay for the pair ``(a, b)``.
-
-    This models the temporal dimension of the 4-hour trace: the base delay
-    of the pair is perturbed by a bounded, symmetric relative jitter.
-    """
-    if not (0.0 <= jitter_fraction < 1.0):
-        raise ValueError("jitter_fraction must be in [0, 1)")
-    base = matrix.delay(a, b)
-    if base == 0.0:
-        return 0.0
-    factor = 1.0 + rng.uniform(-jitter_fraction, jitter_fraction)
-    return base * factor

@@ -26,49 +26,26 @@ class Region:
 
 @dataclass
 class RegionMap:
-    """Mapping from node identifiers to :class:`Region` objects.
-
-    Besides the node -> region assignment, the map maintains a per-region
-    node index so :meth:`nodes_in` is O(size of the region) instead of a
-    linear scan over every assigned node -- with 10k viewers spread over
-    a handful of regions that scan used to dominate region-sharded
-    scenario construction.
-    """
+    """Mapping from node identifiers to :class:`Region` objects."""
 
     regions: List[Region] = field(default_factory=list)
     _assignment: Dict[str, Region] = field(default_factory=dict)
-    #: region_id -> insertion-ordered set of node ids (dict-as-ordered-set).
-    _members: Dict[int, Dict[str, None]] = field(default_factory=dict)
 
     def add_region(self, name: str) -> Region:
         """Create and register a new region."""
         region = Region(region_id=len(self.regions), name=name)
         self.regions.append(region)
-        self._members[region.region_id] = {}
         return region
 
     def assign(self, node_id: str, region: Region) -> None:
         """Assign a node to a region (overwrites any previous assignment)."""
         if region not in self.regions:
             raise ValueError(f"unknown region {region!r}")
-        previous = self._assignment.get(node_id)
-        if previous is not None:
-            if previous == region:
-                return
-            self._members[previous.region_id].pop(node_id, None)
         self._assignment[node_id] = region
-        self._members[region.region_id][node_id] = None
 
     def region_of(self, node_id: str) -> Region:
         """Return the region of ``node_id``; raises ``KeyError`` if unassigned."""
         return self._assignment[node_id]
-
-    def nodes_in(self, region: Region) -> List[str]:
-        """All node ids assigned to ``region``, in assignment order."""
-        members = self._members.get(region.region_id)
-        if members is None:
-            return []
-        return list(members)
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._assignment

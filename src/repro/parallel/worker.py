@@ -83,16 +83,6 @@ def place_lscs(weights: Sequence[int], num_workers: int) -> Tuple[int, ...]:
     return tuple(placement)
 
 
-def shard_lsc_indices(num_lscs: int, num_workers: int, worker_index: int) -> List[int]:
-    """The LSC indices one worker hosts when every LSC weighs the same.
-
-    The uniform case of :func:`place_lscs` (round-robin); a real run
-    reads the weighted placement its coordinator computed instead.
-    """
-    placement = place_lscs([1] * num_lscs, num_workers)
-    return [i for i, worker in enumerate(placement) if worker == worker_index]
-
-
 def _ru_maxrss() -> int:
     """This process's peak resident set as the OS reports it (KiB on Linux)."""
     if resource is None:  # pragma: no cover - platform without getrusage

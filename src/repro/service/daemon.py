@@ -422,19 +422,6 @@ class ServiceDaemon:
         stats.update(session_stats(metrics))
         return stats
 
-    def deterministic_stats(self) -> Dict[str, object]:
-        """:meth:`stats` minus the wall-clock/process-local keys.
-
-        Two daemons that processed the same stateful op script -- one
-        straight through, one via snapshot/kill/restore -- must return
-        identical mappings here (the parity tests assert exactly this).
-        """
-        return {
-            key: value
-            for key, value in self.stats().items()
-            if key not in VOLATILE_STATS_KEYS
-        }
-
     def metrics_text(self) -> str:
         """The Prometheus text exposition of the current stats."""
         return render_metrics(service_metrics(self.stats()))

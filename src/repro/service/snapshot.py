@@ -13,7 +13,7 @@ continues with byte-identical placement decisions: an in-flight
 ``JoinAck`` that crossed the snapshot point is delivered at its original
 simulated timestamp in the new process.
 
-File format (version 7; the version moves whenever the pickled layout
+File format (version 8; the version moves whenever the pickled layout
 of a persisted type does, so an older file is refused by name instead
 of failing inside :mod:`pickle`)::
 
@@ -42,7 +42,7 @@ import time
 from typing import Any, Dict, Tuple
 
 SNAPSHOT_MAGIC = "repro-service-snapshot"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 
 
 class SnapshotError(RuntimeError):

@@ -45,7 +45,6 @@ class PeriodicProcess:
         self._label = label
         self._handle: Optional[EventHandle] = None
         self._running = False
-        self._ticks = 0
         first = period if start_after is None else start_after
         self._start(first)
 
@@ -56,17 +55,11 @@ class PeriodicProcess:
     def _tick(self) -> None:
         if not self._running:
             return
-        self._ticks += 1
         self._callback()
         if self._running:
             self._handle = self._sim.schedule(
                 self._period, self._tick, label=self._label
             )
-
-    @property
-    def ticks(self) -> int:
-        """Number of times the callback has fired."""
-        return self._ticks
 
     @property
     def running(self) -> bool:

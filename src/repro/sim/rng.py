@@ -5,12 +5,11 @@ generators, the Random-routing baseline) draws from a
 :class:`SeededRandom`, so a single experiment seed makes the entire run
 repeatable.  The class also offers the handful of distributions the paper's
 setup needs (uniform bandwidth ranges, Poisson arrivals, Zipf view
-popularity, log-normal latencies).
+popularity).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Optional, Sequence, TypeVar
 
@@ -59,10 +58,6 @@ class SeededRandom:
         draw = self._random.random
         return [draw() for _ in range(count)]
 
-    def choice(self, items: Sequence[T]) -> T:
-        """Uniformly choose one element of a non-empty sequence."""
-        return self._random.choice(items)
-
     def sample(self, items: Sequence[T], k: int) -> List[T]:
         """Choose ``k`` distinct elements."""
         return self._random.sample(items, k)
@@ -82,12 +77,6 @@ class SeededRandom:
         if rate_per_second <= 0:
             raise ValueError(f"rate must be > 0, got {rate_per_second}")
         return self._random.expovariate(rate_per_second)
-
-    def lognormal(self, median: float, sigma: float) -> float:
-        """Log-normal value parameterised by its median and shape ``sigma``."""
-        if median <= 0:
-            raise ValueError(f"median must be > 0, got {median}")
-        return math.exp(self._random.gauss(math.log(median), sigma))
 
     def gauss(self, mu: float, sigma: float) -> float:
         """Normally distributed value."""

@@ -438,10 +438,6 @@ class BernoulliLoss:
         loss_rate = self.loss_rate
         return [uniform < loss_rate for uniform in rng.randoms(count)]
 
-    def lose(self, rng: SeededRandom) -> bool:
-        """Decide the fate of one frame (one uniform draw)."""
-        return self.draw(rng, 1)[0]
-
 
 class GilbertElliottLoss:
     """Stateful burst-loss channel following :class:`GilbertElliottConfig`.
@@ -479,10 +475,6 @@ class GilbertElliottLoss:
             fates.append(bad)
         self.bad = bad
         return fates
-
-    def lose(self, rng: SeededRandom) -> bool:
-        """Advance the channel one frame and decide that frame's fate."""
-        return self.draw(rng, 1)[0]
 
 
 #: A per-link loss process: ``draw(rng, count) -> List[bool]`` decides the

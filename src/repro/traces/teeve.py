@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.model.producer import ProducerSite
 from repro.model.stream import Frame, Stream, StreamId
@@ -144,23 +144,3 @@ class TeeveSessionTrace:
             time += interval
             number += 1
         return frames
-
-    def iter_frames(self) -> Iterator[FrameRecord]:
-        """Iterate over all frames of all streams in capture-time order."""
-        all_frames: List[FrameRecord] = []
-        for stream_id, stream in self._streams.items():
-            for frame in self.frames_for_stream(stream_id):
-                all_frames.append(FrameRecord(frame=frame, stream=stream))
-        all_frames.sort(key=lambda record: (record.frame.capture_time, record.frame.stream_id))
-        return iter(all_frames)
-
-    def mean_bandwidth_mbps(self, stream_id: StreamId) -> float:
-        """Long-run bandwidth of the generated stream (megabits per second)."""
-        frames = self.frames_for_stream(stream_id)
-        if len(frames) < 2:
-            return 0.0
-        total_megabits = sum(frame.size_megabits for frame in frames)
-        span = frames[-1].capture_time - frames[0].capture_time
-        if span <= 0:
-            return 0.0
-        return total_megabits / span

@@ -396,46 +396,6 @@ class ChurnConfig:
         if self.mass_leave_time is not None:
             require_non_negative(self.mass_leave_time, "mass_leave_time")
 
-    @classmethod
-    def poisson(
-        cls,
-        failure_rate_per_second: float,
-        *,
-        duration: float = 300.0,
-        graceful_fraction: float = 0.0,
-    ) -> "ChurnConfig":
-        """Independent abrupt departures at the given Poisson rate."""
-        return cls(
-            failure_rate_per_second=failure_rate_per_second,
-            duration=duration,
-            graceful_fraction=graceful_fraction,
-        )
-
-    @classmethod
-    def mass_leave(
-        cls, time: float, fraction: float, *, duration: float = 300.0
-    ) -> "ChurnConfig":
-        """A correlated mass-leave of ``fraction`` of the population at ``time``."""
-        return cls(
-            mass_leave_time=time, mass_leave_fraction=fraction, duration=duration
-        )
-
-    @classmethod
-    def flash_crowd_mix(
-        cls,
-        failure_rate_per_second: float,
-        *,
-        rejoin_delay_mean: float = 30.0,
-        duration: float = 300.0,
-    ) -> "ChurnConfig":
-        """Poisson failures where every departed viewer eventually rejoins."""
-        return cls(
-            failure_rate_per_second=failure_rate_per_second,
-            rejoin_probability=1.0,
-            rejoin_delay_mean=rejoin_delay_mean,
-            duration=duration,
-        )
-
     @property
     def horizon(self) -> float:
         """Last instant at which churn events may be generated."""

@@ -33,11 +33,6 @@ def kbps_to_mbps(value: float) -> float:
     return value / 1000.0
 
 
-def gbps_to_mbps(value: float) -> float:
-    """Convert gigabits per second to megabits per second."""
-    return value * 1000.0
-
-
 def seconds(value: float) -> float:
     """Identity helper marking a literal as seconds."""
     return float(value)
@@ -58,11 +53,6 @@ def s_to_ms(value: float) -> float:
     return float(value) * 1000.0
 
 
-def minutes(value: float) -> float:
-    """Convert minutes to seconds."""
-    return float(value) * 60.0
-
-
 def bits_for_duration(rate_mbps: float, duration_s: float) -> float:
     """Return the number of megabits a flow at ``rate_mbps`` carries in ``duration_s`` seconds."""
     return rate_mbps * duration_s
@@ -71,8 +61,3 @@ def bits_for_duration(rate_mbps: float, duration_s: float) -> float:
 def megabits(value_bytes: float) -> float:
     """Convert a size in bytes to megabits."""
     return value_bytes * 8.0 / 1_000_000.0
-
-
-def bytes_from_megabits(value_megabits: float) -> float:
-    """Convert a size in megabits to bytes."""
-    return value_megabits * 1_000_000.0 / 8.0

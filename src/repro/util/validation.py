@@ -20,15 +20,19 @@ def require(condition: bool, message: str) -> None:
 
 
 def require_positive(value: float, name: str) -> float:
-    """Validate that ``value`` is strictly positive and return it."""
-    if value <= 0:
+    """Validate that ``value`` is strictly positive and return it.
+
+    Written as ``not value > 0`` so that NaN, which fails every
+    comparison, is refused too.
+    """
+    if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is >= 0 and return it."""
-    if value < 0:
+    """Validate that ``value`` is >= 0 and return it (NaN is refused)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -1,0 +1,75 @@
+"""Executable specs that only the tests read.
+
+Each of these lived in ``src/`` although nothing there called it: the
+suites use them as oracles, so they sit beside their tests instead.
+
+* :func:`priority_monotonic` -- the paper's outbound-allocation
+  invariant (``tests/test_core_bandwidth.py``, ``tests/test_properties.py``).
+* :func:`minimum_layer_for` -- Equation 1 for one parent/child pair
+  (``tests/test_core_subscription.py``, ``tests/test_properties.py``).
+* :func:`deterministic_stats` -- a daemon's ``stats`` minus the
+  wall-clock and process-local keys: the snapshot and heartbeat parity
+  suites compare two daemons through it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Sequence
+
+from repro.core.bandwidth import _EPSILON, OutboundAllocation, PrioritizedStream
+from repro.core.layering import DelayLayerConfig, compute_layer
+from repro.model.cdn import CDN_NODE_ID
+from repro.net.latency import DelayModel
+from repro.service.daemon import VOLATILE_STATS_KEYS
+
+
+def priority_monotonic(
+    accepted: Sequence[PrioritizedStream], allocation: OutboundAllocation
+) -> bool:
+    """Check the paper's invariant: higher priority => no less allocated outbound.
+
+    The round-robin allocator satisfies it by construction.
+    """
+    previous = None
+    for entry in accepted:
+        current = allocation.per_stream_mbps.get(entry.stream_id, 0.0)
+        if previous is not None and current > previous + _EPSILON:
+            return False
+        previous = current
+    return True
+
+
+def minimum_layer_for(
+    config: DelayLayerConfig,
+    delay_model: DelayModel,
+    viewer_id: str,
+    parent_id: str,
+    parent_effective_delay: float,
+) -> int:
+    """Equation 1 applied to one parent/child pair.
+
+    CDN-fed viewers always achieve Layer-0 (the paper assumes
+    ``d_CDN + d_prop + delta = Delta``).
+    """
+    if parent_id == CDN_NODE_ID:
+        return 0
+    return compute_layer(
+        config,
+        parent_effective_delay,
+        delay_model.propagation(parent_id, viewer_id),
+        delay_model.processing_delay,
+    )
+
+
+def deterministic_stats(daemon) -> Dict[str, object]:
+    """``daemon.stats()`` minus the wall-clock/process-local keys.
+
+    Two daemons that processed the same stateful op script -- one
+    straight through, one via snapshot/kill/restore -- must return
+    identical mappings here.
+    """
+    return {
+        key: value
+        for key, value in daemon.stats().items()
+        if key not in VOLATILE_STATS_KEYS
+    }

@@ -173,6 +173,8 @@ def test_cli_module_imports_no_system_internals():
         (["run", "--replay-frames", "-1"], "--replay-frames must be >= 0"),
         (["run", "--shards", "2", "--replay-frames", "3"], "--shards cannot run"),
         (["run", "--system", "random", "--shards", "2"], "--shards requires --system"),
+        # NaN fails every comparison, so only ``not value > 0`` refuses it.
+        (["run", "--heartbeat-period", "nan"], "heartbeat_period must be > 0"),
     ],
 )
 def test_invalid_values_are_usage_errors_in_the_library_s_words(

@@ -146,7 +146,7 @@ class TestViewChange:
         join(lsc, "u1", views[0])
         manager.handle_view_change("u1", views[5])
         old_group = lsc.groups[views[0].view_id]
-        assert "u1" not in old_group.member_ids
+        assert "u1" not in old_group.sessions
         for tree in old_group.trees.values():
             assert "u1" not in tree
 
@@ -155,8 +155,12 @@ class TestLayerRefresh:
     def test_refresh_is_a_noop_on_consistent_state(self, lsc, manager, default_view):
         join(lsc, "u1", default_view)
         join(lsc, "u2", default_view, outbound=0.0)
-        dropped = manager.refresh_layers()
-        assert dropped == {}
+        observed = {
+            (viewer_id, stream_id): sub.end_to_end_delay
+            for viewer_id, session in lsc.sessions.items()
+            for stream_id, sub in session.subscriptions.items()
+        }
+        assert manager.refresh_layers_from_observed(observed) == (0, {})
         for viewer_id in ("u1", "u2"):
             assert lsc.session_of(viewer_id).skew_bound_satisfied(lsc.layer_config.kappa)
 
@@ -171,7 +175,10 @@ class TestLayerRefresh:
         group = lsc.groups[default_view.view_id]
         tree = group.tree(victim_sub.stream_id)
         tree.node("child").end_to_end_delay = 61.5
-        manager.refresh_layers()
+        adjusted, _dropped = manager.refresh_layers_from_observed(
+            {("child", victim_sub.stream_id): 61.5}
+        )
+        assert adjusted
         assert child_session.skew_bound_satisfied(lsc.layer_config.kappa)
 
 

@@ -2,12 +2,12 @@
 
 import pytest
 
+from reference_oracles import priority_monotonic
 from repro.core.bandwidth import (
     allocate_inbound,
     allocate_outbound,
     allocate_outbound_equal_split,
     allocate_outbound_priority_only,
-    priority_monotonic,
 )
 
 
@@ -81,7 +81,7 @@ class TestOutboundAllocation:
         allocation = allocate_outbound(accepted, 10.0)
         degrees = [allocation.out_degree[e.stream_id] for e in accepted]
         assert degrees == [1, 1, 1, 1, 1, 0]
-        assert allocation.total_allocated_mbps == pytest.approx(10.0)
+        assert sum(allocation.per_stream_mbps.values()) == pytest.approx(10.0)
         assert allocation.leftover_mbps == pytest.approx(0.0)
 
     def test_second_round_gives_extra_to_top_priority(self, default_view):
@@ -93,7 +93,7 @@ class TestOutboundAllocation:
     def test_zero_capacity_allocates_nothing(self, default_view):
         allocation = allocate_outbound(default_view.prioritized_streams, 0.0)
         assert allocation.total_out_degree == 0
-        assert allocation.total_allocated_mbps == 0.0
+        assert sum(allocation.per_stream_mbps.values()) == 0.0
 
     def test_leftover_below_one_bin(self, default_view):
         allocation = allocate_outbound(default_view.prioritized_streams, 3.0)

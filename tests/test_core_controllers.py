@@ -30,7 +30,7 @@ class TestGSC:
         for site in producers:
             for stream in site.streams:
                 assert gsc.cdn.has_stream(stream.stream_id)
-        assert len(gsc.monitor.known_streams()) == 16
+        assert len(gsc.monitor.latest_frame_numbers(0.0)) == 16
 
     def test_monitor_latest_frame_number(self, gsc, producers):
         stream = producers[0].streams[0]
@@ -174,8 +174,11 @@ class TestJoin:
         lsc.join(Viewer(viewer_id="u1", outbound_capacity_mbps=6.0), default_view)
         lsc.join(Viewer(viewer_id="u2", outbound_capacity_mbps=6.0), default_view)
         assert set(lsc.connected_viewers()) == {"u1", "u2"}
-        assert lsc.total_subscriptions() == 12
-        assert 0 < lsc.cdn_served_subscriptions() <= 12
+        subscriptions = [
+            sub for session in lsc.sessions.values() for sub in session.subscriptions.values()
+        ]
+        assert len(subscriptions) == 12
+        assert 0 < sum(sub.via_cdn for sub in subscriptions) <= 12
 
     def test_join_delay_within_protocol_envelope(self, lsc, default_view):
         result = lsc.join(Viewer(viewer_id="u1", outbound_capacity_mbps=6.0), default_view)

@@ -49,8 +49,9 @@ class TestViewGroup:
         tree.insert("leaf", 0, 0.0)
         assert group.children_of("seed", stream_id) == ["leaf"]
         assert group.children_of("ghost", stream_id) == []
-        assert group.streams_forwarded_by("seed") == [stream_id]
-        assert group.streams_forwarded_by("leaf") == []
+        forwarded = [sid for sid in group.trees if group.children_of("seed", sid)]
+        assert forwarded == [stream_id]
+        assert not any(group.children_of("leaf", sid) for sid in group.trees)
 
 
 class TestMultiLSC:

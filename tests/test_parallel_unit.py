@@ -47,7 +47,6 @@ from repro.parallel.runner import _coordinate, resolve_worker_count, run_sharded
 from repro.parallel.worker import (
     place_lscs,
     run_shard_worker,
-    shard_lsc_indices,
 )
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import ShardError, ShardReady
@@ -58,6 +57,12 @@ from repro.traces.workload import (
     ViewerWorkload,
     WorkloadConfig,
 )
+
+
+def shard_lsc_indices(num_lscs, num_workers, worker_index):
+    """The LSC indices one worker hosts when every LSC weighs the same."""
+    placement = place_lscs([1] * num_lscs, num_workers)
+    return [i for i, worker in enumerate(placement) if worker == worker_index]
 
 
 def test_shard_lsc_indices_partition_all_lscs():

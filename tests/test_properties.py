@@ -32,13 +32,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_dataplane
+from reference_oracles import minimum_layer_for, priority_monotonic
 from reference_topology import ReferenceStreamTree
 from repro.core import dataplane
-from repro.core.bandwidth import allocate_inbound, allocate_outbound, priority_monotonic
+from repro.core.bandwidth import allocate_inbound, allocate_outbound
 from repro.core.layering import DelayLayerConfig, compute_layer
 from repro.core.state import StreamSubscription, ViewerSession
 from repro.core.subscription import (
-    minimum_layer_for,
     needs_resubscription,
     plan_view_synchronization,
 )
@@ -87,7 +87,7 @@ class TestBandwidthProperties:
         # Acceptance implies one stream per site is covered.
         if result.request_accepted:
             accepted_sites = {sid.site_id for sid in result.accepted_stream_ids}
-            assert accepted_sites == set(VIEW.site_ids)
+            assert accepted_sites == {lv.site_id for lv in VIEW.local_views}
             assert len(result.accepted) >= VIEW.site_count
 
     @given(outbound=bandwidths)
@@ -95,7 +95,7 @@ class TestBandwidthProperties:
     def test_outbound_round_robin_is_monotone_and_bounded(self, outbound):
         accepted = VIEW.prioritized_streams
         allocation = allocate_outbound(accepted, outbound)
-        assert allocation.total_allocated_mbps <= outbound + 1e-9
+        assert sum(allocation.per_stream_mbps.values()) <= outbound + 1e-9
         assert priority_monotonic(accepted, allocation)
         # Leftover is always smaller than one bin of the cheapest stream.
         min_bandwidth = min(entry.stream.bandwidth_mbps for entry in accepted)
@@ -167,7 +167,7 @@ class TestAdmitSequenceMonotonicity:
                 alloc_out = allocate_outbound(alloc_in.accepted, outbound)
                 # Per-admission invariant (the allocator's own guarantee).
                 assert priority_monotonic(alloc_in.accepted, alloc_out)
-                assert alloc_out.total_allocated_mbps <= outbound + 1e-9
+                assert sum(alloc_out.per_stream_mbps.values()) <= outbound + 1e-9
                 for entry in alloc_in.accepted:
                     available[entry.stream_id] -= entry.stream.bandwidth_mbps
                 for sid, mbps in alloc_out.per_stream_mbps.items():
@@ -452,7 +452,7 @@ def _per_frame_reference(frames, rate, loss, rng, *, epoch, path_delay):
         start = free_at if free_at > sent_at else sent_at
         transmission = 0.0 if rate is None else frame.size_megabits / rate
         free_at = start + transmission
-        if loss is not None and loss.lose(rng):
+        if loss is not None and loss.draw(rng, 1)[0]:
             delivered_at.append(None)
         else:
             delivered_at.append(free_at + path_delay)
@@ -651,7 +651,8 @@ class TestLayeringProperties:
     ):
         layer = compute_layer(LAYER_CONFIG, parent_delay, propagation, processing)
         child_delay = parent_delay + propagation + processing
-        low, high = LAYER_CONFIG.layer_delay_bounds(layer)
+        low = LAYER_CONFIG.delay_for_layer(layer)
+        high = LAYER_CONFIG.delay_for_layer(layer, offset=LAYER_CONFIG.tau)
         assert low <= child_delay + 1e-9
         assert child_delay < high + 1e-9
 

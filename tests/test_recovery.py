@@ -25,6 +25,11 @@ from tests.conftest import (
 )
 
 
+def _forwards(group, viewer_id):
+    """Whether the viewer has a child in any stream tree of the group."""
+    return any(group.children_of(viewer_id, stream_id) for stream_id in group.trees)
+
+
 class TestFailureDetector:
     def test_untracked_viewer_never_expires(self):
         detector = FailureDetector(timeout=5.0)
@@ -48,7 +53,7 @@ class TestFailureDetector:
     def test_heartbeat_starts_tracking_unknown_viewer(self):
         detector = FailureDetector(timeout=5.0)
         detector.heartbeat("late", 3.0)
-        assert detector.last_seen("late") == 3.0
+        assert detector._last_seen["late"] == 3.0
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError):
@@ -66,7 +71,7 @@ class TestAbruptDeparture:
         # Fail a viewer that forwards streams; its children must be repaired.
         lsc = small_system.gsc.lscs[0]
         group = lsc.groups[default_view.view_id]
-        forwarder = next(vid for vid in lsc.sessions if group.streams_forwarded_by(vid))
+        forwarder = next(vid for vid in lsc.sessions if _forwards(group, vid))
         result = small_system.fail_viewer(forwarder)
         assert result.departed
         assert result.orphaned
@@ -88,7 +93,7 @@ class TestAbruptDeparture:
         forwarder = next(
             vid
             for vid, session in lsc.sessions.items()
-            if group.streams_forwarded_by(vid)
+            if _forwards(group, vid)
             and not any(sub.via_cdn for sub in session.subscriptions.values())
         )
         result = small_system.fail_viewer(forwarder)
@@ -327,7 +332,7 @@ class TestFailoverHalves:
         assert set(managers) == {"LSC-1"}
         detector = managers["LSC-1"].detector
         assert detector.watched() == sorted(v.viewer_id for v in viewers)
-        assert {detector.last_seen(v.viewer_id) for v in viewers[0::2]} == {5.0}
+        assert {detector._last_seen[v.viewer_id] for v in viewers[0::2]} == {5.0}
         late = Viewer(
             viewer_id="late-viewer",
             inbound_capacity_mbps=12.0,
@@ -367,7 +372,9 @@ class TestChurnSchedules:
 
     def test_poisson_failures_only_hit_connected_viewers(self):
         viewers, base = self._base()
-        churn = ChurnWorkload(ChurnConfig.poisson(0.5, duration=100.0), rng=SeededRandom(9))
+        churn = ChurnWorkload(
+            ChurnConfig(failure_rate_per_second=0.5, duration=100.0), rng=SeededRandom(9)
+        )
         events = churn.events(base)
         alive = set()
         for event in events:
@@ -382,7 +389,9 @@ class TestChurnSchedules:
 
     def test_schedules_are_deterministic(self):
         _, base = self._base()
-        config = ChurnConfig.flash_crowd_mix(0.4, duration=120.0)
+        config = ChurnConfig(
+            failure_rate_per_second=0.4, rejoin_probability=1.0, duration=120.0
+        )
         first = ChurnWorkload(config, rng=SeededRandom(4)).events(base)
         second = ChurnWorkload(config, rng=SeededRandom(4)).events(base)
         assert first == second
@@ -392,7 +401,7 @@ class TestChurnSchedules:
         # joining viewer: causal order (join before fail) in the schedule.
         base = [ViewerEvent(time=10.0, kind="join", viewer_id="v-a")]
         churn = ChurnWorkload(
-            ChurnConfig.mass_leave(10.0, 1.0, duration=100.0), rng=SeededRandom(1)
+            ChurnConfig(mass_leave_time=10.0, mass_leave_fraction=1.0, duration=100.0), rng=SeededRandom(1)
         )
         events = churn.events(base)
         assert [e.kind for e in events] == ["join", "fail"]
@@ -407,7 +416,7 @@ class TestChurnSchedules:
             ViewerEvent(time=10.0, kind="join", viewer_id=v.viewer_id) for v in viewers
         ]
         churn = ChurnWorkload(
-            ChurnConfig.mass_leave(10.0, 1.0, duration=100.0), rng=SeededRandom(1)
+            ChurnConfig(mass_leave_time=10.0, mass_leave_fraction=1.0, duration=100.0), rng=SeededRandom(1)
         )
         system.run_workload(viewers, churn.events(base), views)
         assert system.connected_viewer_count == 0
@@ -424,7 +433,7 @@ class TestChurnSchedules:
     def test_mass_leave_takes_expected_fraction(self):
         viewers, base = self._base(num_viewers=40)
         churn = ChurnWorkload(
-            ChurnConfig.mass_leave(10.0, 0.5, duration=100.0), rng=SeededRandom(9)
+            ChurnConfig(mass_leave_time=10.0, mass_leave_fraction=0.5, duration=100.0), rng=SeededRandom(9)
         )
         events = churn.events(base)
         fails = [e for e in events if e.kind == "fail"]
@@ -435,7 +444,12 @@ class TestChurnSchedules:
         viewers, base = self._base()
         view_at_join = {e.viewer_id: e.view_index for e in base if e.kind == "join"}
         churn = ChurnWorkload(
-            ChurnConfig.flash_crowd_mix(1.0, rejoin_delay_mean=5.0, duration=150.0),
+            ChurnConfig(
+                failure_rate_per_second=1.0,
+                rejoin_probability=1.0,
+                rejoin_delay_mean=5.0,
+                duration=150.0,
+            ),
             rng=SeededRandom(2),
         )
         events = churn.events(base)
@@ -475,7 +489,12 @@ class TestChurnSchedules:
         views = build_views(producers, num_views=2)
         viewers, base = self._base(num_viewers=30)
         churn = ChurnWorkload(
-            ChurnConfig.flash_crowd_mix(0.5, rejoin_delay_mean=10.0, duration=120.0),
+            ChurnConfig(
+                failure_rate_per_second=0.5,
+                rejoin_probability=1.0,
+                rejoin_delay_mean=10.0,
+                duration=120.0,
+            ),
             rng=SeededRandom(6),
         )
         events = churn.events(base)

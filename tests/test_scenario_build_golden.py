@@ -62,7 +62,7 @@ def _sha(rows) -> str:
 
 def build_digest(scenario: Scenario) -> dict:
     """Digest every config-derived field of one built scenario."""
-    nodes = scenario.delay_model.matrix.nodes
+    nodes = list(scenario.delay_model.matrix.nodes)
     picker = random.Random(0)
     delays = [
         (a, b, scenario.delay_model.propagation(a, b))
@@ -117,7 +117,7 @@ def test_full_build_is_the_one_worker_projection(name):
     assert [dataclasses.asdict(v) for v in full.viewers] == [
         dataclasses.asdict(v) for v in one.viewers
     ]
-    assert full.delay_model.matrix.nodes == one.delay_model.matrix.nodes
+    assert list(full.delay_model.matrix.nodes) == list(one.delay_model.matrix.nodes)
     assert full.lsc_regions == one.lsc_regions
     assert full.control_node_ids == one.control_node_ids
     assert [v.view_id for v in full.views] == [v.view_id for v in one.views]

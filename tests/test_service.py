@@ -25,6 +25,7 @@ import threading
 
 import pytest
 
+from reference_oracles import deterministic_stats
 from repro.core.session import EventDrivenSession
 from repro.scenarios import live_op_script
 from repro.service import protocol
@@ -230,10 +231,10 @@ class TestDaemonOps:
 
     def test_unknown_viewer_rejected_without_state_change(self):
         daemon = _daemon()
-        before = daemon.deterministic_stats()
+        before = deterministic_stats(daemon)
         assert daemon.handle_line("join nobody 0").startswith("err")
         assert daemon.handle_line("lsc_fail LSC-9").startswith("err")
-        assert daemon.deterministic_stats() == before
+        assert deterministic_stats(daemon) == before
 
     def test_malformed_line_is_an_error_not_a_crash(self):
         daemon = _daemon()
@@ -371,6 +372,12 @@ class TestSnapshotFile:
         # is two deques now, the frames and their arrival times.
         self._assert_version_refused(tmp_path, 6)
 
+    def test_version_7_file_refused_by_name(self, tmp_path):
+        # A v7 payload pickled the latency world as a LazyPlanetLabMatrix
+        # with an interner, triangular rows and a per-region node index;
+        # it is one LatencyMatrix with a pair dict and a node dict now.
+        self._assert_version_refused(tmp_path, 7)
+
 
 class TestInFlightSnapshot:
     """Satellite: drain-and-continue across a snapshot boundary.
@@ -465,7 +472,7 @@ class TestSnapshotParity:
         straight = _daemon()
         _run_script(straight, script + extra)
 
-        assert restored.deterministic_stats() == straight.deterministic_stats()
+        assert deterministic_stats(restored) == deterministic_stats(straight)
 
     def test_cut_between_a_beat_and_its_landing(self, tmp_path):
         # At 8x control delays a beat is in flight for a second or two of
@@ -487,7 +494,7 @@ class TestSnapshotParity:
         straight = _daemon(control_delay_scale=8.0)
         _run_script(straight, script + extra)
 
-        assert restored.deterministic_stats() == straight.deterministic_stats()
+        assert deterministic_stats(restored) == deterministic_stats(straight)
         assert _detector_times(restored) == _detector_times(straight)
 
     def test_parity_over_seeds_and_snapshot_times(self, tmp_path):
@@ -504,7 +511,7 @@ class TestSnapshotParity:
             _run_script(resumed, script[cut:])
             _run_script(straight, script)
             assert (
-                resumed.deterministic_stats() == straight.deterministic_stats()
+                deterministic_stats(resumed) == deterministic_stats(straight)
             ), f"seed={seed} cut={cut}"
 
 
@@ -534,8 +541,8 @@ class TestSnapshotParityAtScale:
         straight = ServiceDaemon(serve)
         _run_script(straight, lines + ["advance 60"])
 
-        left = json.dumps(resumed.deterministic_stats(), sort_keys=True)
-        right = json.dumps(straight.deterministic_stats(), sort_keys=True)
+        left = json.dumps(deterministic_stats(resumed), sort_keys=True)
+        right = json.dumps(deterministic_stats(straight), sort_keys=True)
         assert left == right
 
 
@@ -600,7 +607,7 @@ class TestDaemonOverSockets:
         daemon = _daemon(viewers=30)
         assert daemon.handle_line("join viewer-00000 0").startswith("ok")
         assert daemon.handle_line("advance 10").startswith("ok")
-        before = daemon.deterministic_stats()
+        before = deterministic_stats(daemon)
         thread = self._serve(daemon)
         try:
             with self._connect(daemon) as sock:
@@ -636,7 +643,7 @@ class TestDaemonOverSockets:
                 sock.recv(64)
             thread.join(timeout=30)
             assert not thread.is_alive()
-        assert daemon.deterministic_stats() == before
+        assert deterministic_stats(daemon) == before
 
     def test_snapshot_restore_over_sockets(self, tmp_path):
         path = str(tmp_path / "socket.snap")
@@ -658,7 +665,7 @@ class TestDaemonOverSockets:
 
         restored = ServiceDaemon.restore(daemon.serve, path)
         assert (
-            restored.deterministic_stats() == daemon.deterministic_stats()
+            deterministic_stats(restored) == deterministic_stats(daemon)
         )
 
 

@@ -317,7 +317,6 @@ class TestPeriodicProcess:
         sim.run(until=10.0)
         assert ticks == [1.0, 2.0]
         assert not process.running
-        assert process.ticks == 2
 
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):

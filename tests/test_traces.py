@@ -8,6 +8,13 @@ from repro.traces.teeve import TeeveSessionConfig, TeeveSessionTrace
 from repro.traces.workload import BandwidthDistribution, ViewerWorkload, WorkloadConfig
 
 
+def _mean_bandwidth_mbps(trace, stream_id):
+    """Long-run bandwidth of a generated stream: megabits over its time span."""
+    frames = trace.frames_for_stream(stream_id)
+    total_megabits = sum(frame.size_megabits for frame in frames)
+    return total_megabits / (frames[-1].capture_time - frames[0].capture_time)
+
+
 class TestTeeveTrace:
     def test_frames_have_increasing_numbers_and_times(self):
         trace = TeeveSessionTrace(make_default_producers(), config=TeeveSessionConfig(duration=5.0))
@@ -22,13 +29,13 @@ class TestTeeveTrace:
         producers = make_default_producers()
         trace = TeeveSessionTrace(producers, config=TeeveSessionConfig(duration=30.0))
         for stream in producers[0].streams[:3]:
-            assert trace.mean_bandwidth_mbps(stream.stream_id) <= stream.bandwidth_mbps + 1e-9
+            assert _mean_bandwidth_mbps(trace, stream.stream_id) <= stream.bandwidth_mbps + 1e-9
 
     def test_mean_bandwidth_close_to_nominal(self):
         producers = make_default_producers()
         trace = TeeveSessionTrace(producers, config=TeeveSessionConfig(duration=60.0))
         stream = producers[0].streams[0]
-        mean = trace.mean_bandwidth_mbps(stream.stream_id)
+        mean = _mean_bandwidth_mbps(trace, stream.stream_id)
         assert 0.5 * stream.bandwidth_mbps <= mean <= stream.bandwidth_mbps
 
     def test_deterministic_for_same_rng(self):
@@ -55,12 +62,6 @@ class TestTeeveTrace:
         stream_id = trace.streams[0].stream_id
         with pytest.raises(ValueError, match="must be >= 0 or None"):
             trace.frames_for_stream(stream_id, -1)
-
-    def test_iter_frames_is_time_ordered(self):
-        producers = make_default_producers(1, 2)
-        trace = TeeveSessionTrace(producers, config=TeeveSessionConfig(duration=2.0))
-        times = [record.frame.capture_time for record in trace.iter_frames()]
-        assert times == sorted(times)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
