@@ -176,8 +176,8 @@ class InstantDriver(_DriverBase):
         """Align the simulator clock to a cross-shard barrier.
 
         The min-timestamp side of the clock-merge rule: every shard
-        aligns to the barrier's timestamp before the cross-shard
-        operation applies.
+        aligns to the barrier's timestamp before it replays past the
+        barrier (the failover target before it re-admits the sessions).
         """
         self.system.simulator.run(until=until)
 

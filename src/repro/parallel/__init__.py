@@ -13,11 +13,13 @@ multiprocessing queue as typed, pickled
 Same-seed runs stay reproducible: shard-local operations replay with
 exact instant-driver semantics inside each worker, and the only
 cross-shard operation (``lsc_fail``) applies at a deterministic
-min-timestamp barrier -- every shard aligns its simulator clock to the
-barrier time before the failover migrates sessions, and the merged run
-clock is the max over shard clocks.  See ARCHITECTURE.md
-("Shard-parallel engine") for the topology and the determinism
-boundaries.
+min-timestamp barrier.  The failed LSC's host replays that LSC's
+pre-failure events first and ships its sessions at once; only the
+failover target's worker waits, for the one resume that carries them.
+Every shard aligns its simulator clock to the barrier time, and the
+merged run clock is the max over final shard clocks.  See
+ARCHITECTURE.md ("Shard-parallel engine") for the topology and the
+determinism boundaries.
 
 Re-exported lazily: every scenario build asks :mod:`repro.parallel.worker`
 for the LSC placement, and a single-process run should not load the

@@ -2,19 +2,21 @@
 
 The coordinator owns no session state at all.  It spawns one worker
 process per shard (:func:`repro.parallel.worker.run_shard_worker`),
-relays the barrier protocol -- collect one
-:class:`~repro.sim.transport.ShardBarrierAck` per worker per cross-shard
-event, sanity-check that every shard resolved the same failover
-deterministically, broadcast one
+relays the barrier protocol -- every worker sends one
+:class:`~repro.sim.transport.ShardBarrierAck` per cross-shard event, and
+each is checked against the barrier's first (failed, target) decision
+as it arrives; as soon as the failed LSC's host has acked, one
 :class:`~repro.sim.transport.ShardResume` carrying the migrated sessions
--- and merges the per-shard results (metrics, snapshots, placement
-digests, CDN usage) in shard-index order, so the merged record is a
+goes to the target's worker, the only one that waits for it -- and
+merges the per-shard results (metrics, snapshots, placement digests,
+CDN usage) in shard-index order, so the merged record is a
 deterministic function of the seeds.
 
 Clock-merge rule: between barriers every shard's simulator clock runs
-independently (shard-local events commute across shards); at a barrier
-every shard aligns to the barrier event's timestamp before the failover
-applies; the merged run clock is the max over final shard clocks.
+independently (shard-local events commute across shards); a barrier
+sits at its ``lsc_fail`` event's timestamp, which every ack carries and
+every shard aligns to before replaying past it, so nothing is merged
+there; the merged run clock is the max over final shard clocks.
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ def run_sharded_scenario(
             workers, coord_queue, inboxes, processes, stall_timeout, config.num_lscs
         )
     except BaseException:
-        # Failing fast only helps if teardown is fast too: survivors are
-        # typically parked at a barrier waiting for a resume that will
-        # never come, so don't grant them the graceful join window.
+        # Failing fast only helps if teardown is fast too: a failover
+        # target may be parked at a barrier waiting for a resume that
+        # will never come, so don't grant anyone the graceful join window.
         for process in processes:
             if process.is_alive():
                 process.terminate()
@@ -177,19 +179,27 @@ def _coordinate(
     The LSC ids the workers report hosting (:class:`ShardReady`) must be
     pairwise disjoint and together cover ``LSC-0..LSC-(num_lscs-1)``: a
     worker that derived a different placement would otherwise silently
-    double-host or drop an LSC.
+    double-host or drop an LSC.  The same report routes each barrier's
+    resume: an ack from the failed LSC's host releases it, to the
+    target's host (the owner's when no LSC survives) and nobody else; a
+    bystander's ack only cross-checks the decision.
 
     A worker that dies without delivering its :class:`ShardResult` --
     crash, kill signal, or a clean exit that skipped the protocol --
-    fails the run promptly instead of leaving the coordinator (and every
-    surviving worker blocked at a barrier) waiting out the stall
+    fails the run promptly instead of leaving the coordinator (and a
+    failover target blocked at a barrier) waiting out the stall
     timeout.  A worker that exited ``0`` gets one extra poll of grace so
     a result still draining through the queue's feeder pipe is not
     misread as a death.
     """
     results: Dict[int, ShardResult] = {}
     hosted: Dict[int, Tuple[str, ...]] = {}
-    acks: Dict[int, Dict[int, ShardBarrierAck]] = {}
+    #: LSC id -> hosting worker, once every worker reported its LSCs.
+    host_of: Dict[str, int] = {}
+    #: The (failed, target) decision of each barrier, from its first ack.
+    decisions: Dict[int, Tuple[str, str]] = {}
+    #: Failed hosts' acks whose resume waits for ``host_of``.
+    due: List[ShardBarrierAck] = []
     waited = 0.0
     missing_polls = 0
     while len(results) < workers:
@@ -238,42 +248,43 @@ def _coordinate(
             hosted[message.shard_index] = message.lsc_ids
             if len(hosted) == workers:
                 _check_hosted_lscs(hosted, num_lscs)
-            continue
-        if isinstance(message, ShardResult):
+                host_of = {
+                    lsc_id: index
+                    for index, lsc_ids in hosted.items()
+                    for lsc_id in lsc_ids
+                }
+        elif isinstance(message, ShardResult):
             results[message.shard_index] = message
-            continue
-        if isinstance(message, ShardBarrierAck):
-            per_seq = acks.setdefault(message.barrier_seq, {})
-            per_seq[message.shard_index] = message
-            if len(per_seq) < workers:
-                continue
-            batch = [per_seq[index] for index in sorted(per_seq)]
-            decisions = {(ack.failed_lsc_id, ack.target_lsc_id) for ack in batch}
-            if len(decisions) != 1:  # pragma: no cover - determinism guard
+        elif isinstance(message, ShardBarrierAck):
+            decision = (message.failed_lsc_id, message.target_lsc_id)
+            agreed = decisions.setdefault(message.barrier_seq, decision)
+            if decision != agreed:
                 raise RuntimeError(
                     f"shards disagree on failover decision at barrier "
-                    f"{message.barrier_seq}: {sorted(decisions)}"
+                    f"{message.barrier_seq}: {sorted({agreed, decision})}"
                 )
-            failed_lsc_id, target_lsc_id = next(iter(decisions))
-            sessions = tuple(
-                record for ack in batch for record in ack.sessions
-            )
-            barrier_time = max(ack.local_clock for ack in batch)
-            for index, inbox in enumerate(inboxes):
-                inbox.put(
+            # A worker's own ShardReady precedes its acks on the queue.
+            if message.failed_lsc_id in hosted[message.shard_index]:
+                due.append(message)
+        else:
+            raise RuntimeError(f"unexpected coordinator message: {message!r}")
+        if host_of:
+            for ack in due:
+                # The target's worker re-admits; with no survivor, the owner.
+                index = host_of[ack.target_lsc_id or ack.failed_lsc_id]
+                inboxes[index].put(
                     ShardResume(
                         src="coordinator",
                         dst=f"shard-{index}",
-                        sent_at=barrier_time,
-                        barrier_seq=message.barrier_seq,
-                        barrier_time=barrier_time,
-                        failed_lsc_id=failed_lsc_id,
-                        target_lsc_id=target_lsc_id,
-                        sessions=sessions,
+                        sent_at=ack.local_clock,
+                        barrier_seq=ack.barrier_seq,
+                        barrier_time=ack.local_clock,
+                        failed_lsc_id=ack.failed_lsc_id,
+                        target_lsc_id=ack.target_lsc_id,
+                        sessions=ack.sessions,
                     )
                 )
-            continue
-        raise RuntimeError(f"unexpected coordinator message: {message!r}")
+            due.clear()
     return results
 
 

@@ -15,24 +15,32 @@ the build: ``viewer -> region -> owning LSC -> worker``, the last step
 being the weighted placement of :func:`place_lscs` (heaviest LSC first
 onto the least-loaded worker; the coordinator computes it once and hands
 it to every worker).  A worker replays every event its slice holds.
-The one cross-shard operation, ``lsc_fail``, is a barrier: every worker
-aligns its simulator clock to the event's timestamp, the worker hosting
-the failed LSC evicts it (``TeleCastSystem.evict_lsc``: CDN reservations
-released, sessions sorted by ``(join_time, viewer_id)``) and ships the
-sessions through the coordinator to the worker hosting the nearest
-surviving LSC, which re-admits them through its normal join pipeline
+The one cross-shard operation, ``lsc_fail``, is a barrier, and only
+the worker that needs its sessions waits at it.  The worker hosting the
+failed LSC replays that LSC's own pre-failure events first
+(:func:`failover_replay_order`), evicts it
+(``TeleCastSystem.evict_lsc``: CDN reservations released, sessions
+sorted by ``(join_time, viewer_id)``) and ships the sessions in its
+:class:`~repro.sim.transport.ShardBarrierAck` at once; only then does
+it replay its other LSCs' events.  Every other worker acks too (the
+coordinator cross-checks the failover decision) and replays its segment
+without stopping.  The worker hosting the nearest surviving LSC then
+blocks on the coordinator's one :class:`~repro.sim.transport.ShardResume`
+and re-admits the sessions through its normal join pipeline
 (``TeleCastSystem.absorb_failover``) -- the same two halves
 :func:`repro.core.recovery.failover_lsc` runs back to back in one
-process.  Afterwards every worker repoints the failed regions at the
-target in its barrier maps, so a later failover moves them again.
+process.  Every worker aligns its simulator clock to the barrier's
+timestamp and repoints the failed regions at the target in its barrier
+maps, so a later failover moves them again.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 try:
     import resource
@@ -51,6 +59,7 @@ from repro.sim.transport import (
     ShardResult,
     ShardResume,
 )
+from repro.traces.workload import ViewerEvent
 
 #: How long a worker waits on a coordinator resume before giving up.
 DEFAULT_BARRIER_TIMEOUT = 600.0
@@ -83,11 +92,35 @@ def place_lscs(weights: Sequence[int], num_workers: int) -> Tuple[int, ...]:
     return tuple(placement)
 
 
+def failover_replay_order(
+    segment: Sequence[ViewerEvent],
+    failed_index: int,
+    lsc_of: Callable[[ViewerEvent], Optional[int]],
+) -> Tuple[List[ViewerEvent], List[ViewerEvent]]:
+    """Split the events before an ``lsc_fail`` into (failed LSC's, the rest).
+
+    The failed LSC's host replays the first part, evicts the LSC and
+    acks, and only then replays the second, so the target's worker gets
+    the sessions without waiting for this worker's other LSCs.  Both
+    parts keep the segment's order, so every LSC's own events replay in
+    schedule order; LSCs commute inside a worker exactly as they do
+    across workers.  ``lsc_of`` is the build's ownership rule; the
+    split reads nothing but the segment, so it is the same in every run.
+    """
+    failed: List[ViewerEvent] = []
+    others: List[ViewerEvent] = []
+    for event in segment:
+        (failed if lsc_of(event) == failed_index else others).append(event)
+    return failed, others
+
+
 def _ru_maxrss() -> int:
-    """This process's peak resident set as the OS reports it (KiB on Linux)."""
+    """This process's peak resident set in KiB, on every platform."""
     if resource is None:  # pragma: no cover - platform without getrusage
         return 0
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # macOS reports bytes; Linux and the BSDs report KiB.
+    return usage // 1024 if sys.platform == "darwin" else usage
 
 
 def run_shard_worker(
@@ -144,6 +177,8 @@ def _run(
     # the child, instead of requiring the parent's module state.
     from repro.experiments.runner import (
         ShardSelection,
+        _OwnershipTimeline,
+        _region_names_for,
         build_scenario,
         shard_placement,
     )
@@ -185,6 +220,7 @@ def _run(
     build_s = time.perf_counter() - started
     busy_s = 0.0
     barrier_wait_s = 0.0
+    events_applied = 0
     transport.send(
         ShardReady(
             src=me,
@@ -209,10 +245,22 @@ def _run(
     alive = [f"LSC-{i}" for i in range(config.num_lscs)]
     viewers_by_id = {viewer.viewer_id: viewer for viewer in scenario.viewers}
     views_by_id = {view.view_id: view for view in scenario.views}
+    timeline = _OwnershipTimeline(config, _region_names_for(config))
+
+    def lsc_of(event) -> Optional[int]:
+        # The build's ownership rule, read off the viewer's stamped region.
+        region = viewers_by_id[event.viewer_id].region_name
+        return timeline.owner_lsc_index(region, event_sort_key(event))
+
+    def replay(events: Sequence) -> None:
+        nonlocal busy_s, events_applied
+        mark = time.perf_counter()
+        driver.apply(events)
+        busy_s += time.perf_counter() - mark
+        events_applied += len(events)
 
     ordered = sorted(scenario.events, key=event_sort_key)
     barrier_seq = 0
-    events_applied = 0
     pending: List = []
     for event in ordered:
         if event.kind != "lsc_fail":
@@ -224,15 +272,14 @@ def _run(
             # the single-process driver; every worker skips it identically,
             # so no barrier round-trip is spent on it.
             continue
-        mark = time.perf_counter()
-        driver.apply(pending)
-        busy_s += time.perf_counter() - mark
-        events_applied += len(pending)
-        pending = []
         barrier_seq += 1
-        driver.advance(event.time)
         alive.remove(failed)
         target = nearest_lsc(scenario.delay_model, failed, alive)
+        # Only the failed LSC's host holds events of it: elsewhere the
+        # first part is empty and the ack goes out before the segment.
+        failed_first, others = failover_replay_order(pending, int(failed[4:]), lsc_of)
+        pending = []
+        replay(failed_first)
         sessions: Tuple[Tuple[str, str, float], ...] = ()
         if lsc_to_worker[failed] == worker_index:
             sessions = tuple(system.evict_lsc(failed, event.time))
@@ -240,29 +287,31 @@ def _run(
             ShardBarrierAck(
                 src=me,
                 dst="coordinator",
-                sent_at=system.simulator.now,
+                sent_at=event.time,
                 shard_index=worker_index,
                 barrier_seq=barrier_seq,
-                local_clock=system.simulator.now,
+                local_clock=event.time,
                 failed_lsc_id=failed,
                 target_lsc_id=target or "",
                 sessions=sessions,
             )
         )
-        mark = time.perf_counter()
-        resume = transport.recv(timeout=barrier_timeout)
-        barrier_wait_s += time.perf_counter() - mark
-        if not isinstance(resume, ShardResume) or resume.barrier_seq != barrier_seq:
-            raise RuntimeError(
-                f"shard {worker_index}: expected resume for barrier "
-                f"{barrier_seq}, got {resume!r}"
-            )
+        replay(others)
+        driver.advance(event.time)
         reassigned = sorted(
             region for region, lsc_id in region_to_lsc.items() if lsc_id == failed
         )
         # The target's worker re-admits the sessions; with no survivor
-        # anywhere the owner books them as lost.
+        # anywhere the owner books them as lost.  Nobody else waits.
         if lsc_to_worker[target or failed] == worker_index:
+            mark = time.perf_counter()
+            resume = transport.recv(timeout=barrier_timeout)
+            barrier_wait_s += time.perf_counter() - mark
+            if not isinstance(resume, ShardResume) or resume.barrier_seq != barrier_seq:
+                raise RuntimeError(
+                    f"shard {worker_index}: expected resume for barrier "
+                    f"{barrier_seq}, got {resume!r}"
+                )
             mark = time.perf_counter()
             system.absorb_failover(
                 failed,
@@ -279,11 +328,8 @@ def _run(
                 del region_to_lsc[region]
             else:
                 region_to_lsc[region] = target
-    mark = time.perf_counter()
-    driver.apply(pending)
+    replay(pending)
     finalize_started = time.perf_counter()
-    busy_s += finalize_started - mark
-    events_applied += len(pending)
     metrics = driver.finalize()
     payload = pickle.dumps(
         {

@@ -149,12 +149,15 @@ class ShardReady(ControlMessage):
 class ShardBarrierAck(ControlMessage):
     """Worker -> coordinator: this shard reached a cross-shard barrier.
 
-    Every worker sends exactly one ack per barrier, carrying its local
-    simulator clock (the coordinator's clock-merge rule takes the max)
-    and its view of the failover decision.  The worker hosting the failed
-    LSC additionally attaches the serialized sessions to migrate, sorted
-    by ``(join_time, viewer_id)`` -- the exact order the single-process
-    :func:`repro.core.recovery.failover_lsc` re-admits them in.
+    Every worker sends exactly one ack per barrier, carrying the
+    barrier's timestamp (``local_clock``: the ``lsc_fail`` event's time,
+    which every shard aligns to) and its view of the failover decision,
+    which the coordinator cross-checks.  The worker hosting the failed
+    LSC acks as soon as it has replayed that LSC's pre-failure events and
+    evicted it, attaching the serialized sessions to migrate, sorted by
+    ``(join_time, viewer_id)`` -- the exact order the single-process
+    :func:`repro.core.recovery.failover_lsc` re-admits them in.  Its ack
+    releases the barrier; every other ack only confirms the decision.
     """
 
     shard_index: int
@@ -168,11 +171,13 @@ class ShardBarrierAck(ControlMessage):
 
 @dataclass(frozen=True, kw_only=True)
 class ShardResume(ControlMessage):
-    """Coordinator -> every worker: barrier complete, continue the schedule.
+    """Coordinator -> the target's worker: here are the failed LSC's sessions.
 
-    Carries the migrated sessions collected from the failed shard; only
-    the worker hosting the target LSC applies them, every other worker
-    just repoints its region-ownership map and resumes.
+    Sent once per barrier, as soon as the failed LSC's host has acked, to
+    the worker hosting the failover target (the failed LSC's own host
+    when no LSC survives), which re-admits the sessions.  That worker is
+    the only one that waits for it; every other worker repoints its
+    region-ownership map on its own and never receives a resume.
     """
 
     barrier_seq: int

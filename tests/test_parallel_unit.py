@@ -49,7 +49,13 @@ from repro.parallel.worker import (
     run_shard_worker,
 )
 from repro.sim.rng import SeededRandom
-from repro.sim.transport import ShardError, ShardReady
+from repro.sim.transport import (
+    ShardBarrierAck,
+    ShardError,
+    ShardReady,
+    ShardResult,
+    ShardResume,
+)
 from repro.traces.workload import (
     ChurnConfig,
     OutageConfig,
@@ -597,3 +603,152 @@ def test_coordinator_rejects_a_placement_that_is_not_a_partition(second):
     coord_queue.put(_ready(1, *second))
     with pytest.raises(RuntimeError, match="shard placement mismatch.*shard-1"):
         _coordinate(2, coord_queue, [queue.Queue(), queue.Queue()], processes, 60.0, 4)
+
+
+def _ack(shard_index: int, failed: str, target: str, sessions=()) -> ShardBarrierAck:
+    return ShardBarrierAck(
+        src=f"shard-{shard_index}",
+        dst="coordinator",
+        sent_at=5.0,
+        shard_index=shard_index,
+        barrier_seq=1,
+        local_clock=5.0,
+        failed_lsc_id=failed,
+        target_lsc_id=target,
+        sessions=sessions,
+    )
+
+
+def _result(shard_index: int) -> ShardResult:
+    return ShardResult(
+        src=f"shard-{shard_index}",
+        dst="coordinator",
+        sent_at=9.0,
+        shard_index=shard_index,
+        final_clock=9.0,
+        payload=b"",
+    )
+
+
+class _ScriptedQueue:
+    """A coordinator queue that runs ``before(message)`` as it hands each out."""
+
+    def __init__(self, messages, before=lambda message: None):
+        self._messages = list(messages)
+        self._before = before
+
+    def get(self, timeout=None):
+        if not self._messages:
+            raise queue.Empty
+        message = self._messages.pop(0)
+        self._before(message)
+        return message
+
+
+def _alive(workers):
+    return [
+        _FakeProcess(f"repro-shard-{index}", alive=True, exitcode=None)
+        for index in range(workers)
+    ]
+
+
+def test_coordinator_names_the_barrier_two_acks_disagree_on():
+    coord_queue = _ScriptedQueue(
+        [
+            _ready(0, "LSC-0"),
+            _ready(1, "LSC-1"),
+            _ack(0, "LSC-1", "LSC-0"),
+            _ack(1, "LSC-1", ""),
+        ]
+    )
+    inboxes = [queue.Queue(), queue.Queue()]
+    with pytest.raises(RuntimeError, match="failover decision at barrier 1"):
+        _coordinate(2, coord_queue, inboxes, _alive(2), 60.0, 2)
+
+
+#: LSC-1 (worker 1) fails over to LSC-0 (worker 0); worker 2 hosts LSC-2.
+_SESSIONS = (("viewer-00003", "view-0", 1.5), ("viewer-00001", "view-1", 2.0))
+_READY = [_ready(0, "LSC-0"), _ready(1, "LSC-1"), _ready(2, "LSC-2")]
+_FAILED_HOST_ACK = _ack(1, "LSC-1", "LSC-0", _SESSIONS)
+
+
+def test_the_resume_lands_only_in_the_target_s_inbox():
+    coord_queue = _ScriptedQueue(
+        _READY
+        + [_ack(0, "LSC-1", "LSC-0"), _FAILED_HOST_ACK, _ack(2, "LSC-1", "LSC-0")]
+        + [_result(index) for index in range(3)]
+    )
+    inboxes = [queue.Queue() for _ in range(3)]
+    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, 3)
+    resume = inboxes[0].get_nowait()
+    assert isinstance(resume, ShardResume)
+    assert (resume.dst, resume.barrier_seq, resume.barrier_time) == ("shard-0", 1, 5.0)
+    assert (resume.failed_lsc_id, resume.target_lsc_id) == ("LSC-1", "LSC-0")
+    assert resume.sessions == _SESSIONS
+    assert all(inbox.empty() for inbox in inboxes)
+
+
+def test_the_resume_goes_out_before_a_bystander_acks():
+    inboxes = [queue.Queue() for _ in range(3)]
+    seen = {}
+
+    def before(message):
+        if isinstance(message, ShardBarrierAck) and message.shard_index != 1:
+            seen[message.shard_index] = inboxes[0].qsize()
+
+    coord_queue = _ScriptedQueue(
+        _READY
+        + [_FAILED_HOST_ACK, _ack(2, "LSC-1", "LSC-0"), _ack(0, "LSC-1", "LSC-0")]
+        + [_result(index) for index in range(3)],
+        before,
+    )
+    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, 3)
+    # Both the bystander's and the target's own ack arrive after the resume.
+    assert seen == {2: 1, 0: 1}
+    assert inboxes[0].qsize() == 1
+
+
+def test_a_resume_waits_until_every_worker_reported_its_lscs():
+    # The target's worker has not sent its ShardReady yet: the resume is
+    # held, not routed by a partial host map, and goes out once it has.
+    inboxes = [queue.Queue() for _ in range(3)]
+    seen = []
+
+    def before(message):
+        seen.append(inboxes[0].qsize())
+
+    coord_queue = _ScriptedQueue(
+        [_ready(1, "LSC-1"), _FAILED_HOST_ACK, _ready(2, "LSC-2"), _ready(0, "LSC-0")]
+        + [_result(index) for index in range(3)],
+        before,
+    )
+    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, 3)
+    assert seen[:4] == [0, 0, 0, 0]
+    assert seen[4:] == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "platform, maxrss",
+    [("darwin", 100 * 2**20), ("linux", 100 * 2**10), ("freebsd14", 100 * 2**10)],
+)
+def test_worker_maxrss_is_kib_on_every_platform(monkeypatch, platform, maxrss):
+    """macOS reports bytes, the rest KiB; the worker line reads MiB on all."""
+    from types import SimpleNamespace
+
+    from repro.experiments.reporting import format_worker_stats
+
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(
+        worker_module,
+        "resource",
+        SimpleNamespace(
+            RUSAGE_SELF=0, getrusage=lambda _who: SimpleNamespace(ru_maxrss=maxrss)
+        ),
+    )
+    assert worker_module._ru_maxrss() == 100 * 2**10
+    stats = dict.fromkeys(
+        ("build_s", "busy_s", "barrier_wait_s", "finalize_s", "events", "viewers"), 1
+    )
+    stats["ru_maxrss"] = worker_module._ru_maxrss()
+    sharded = SimpleNamespace(worker_stats={0: stats}, placement=(0,), imbalance=1.0)
+    assert "maxrss=100MiB" in format_worker_stats(sharded)

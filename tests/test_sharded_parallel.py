@@ -50,6 +50,11 @@ CHURN = dataclasses.replace(
 #: ``i % 2`` -- and the failover crosses workers.
 SKEWED = dataclasses.replace(OUTAGE, latency_seed=8)
 
+#: A failover inside one worker: LSC-1 fails over to LSC-2, and worker 0
+#: hosts both plus LSC-0, while LSC-3 sits alone on worker 1.  Worker 0
+#: replays LSC-1's events ahead of LSC-0's and LSC-2's.
+SHARED_TARGET = dataclasses.replace(OUTAGE, latency_seed=1)
+
 
 def _single_process_reference(config):
     """Digests + metric summary of the regular single-process run."""
@@ -121,6 +126,30 @@ def test_sharded_parity_on_a_skewed_world(mp_start_method):
     assert sharded.result.metrics.summary() == summary
 
 
+@pytest.mark.parametrize("mp_start_method", ["fork", "spawn"])
+def test_failover_inside_one_worker_parity(mp_start_method):
+    """The failed LSC replays first inside its worker: digests and summary hold."""
+    import multiprocessing
+
+    if mp_start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {mp_start_method} start method on this platform")
+    digests, summary, _snapshot = _single_process_reference(SHARED_TARGET)
+    assert summary["lsc_failovers"] == 1
+    assert summary["failover_migrated_viewers"] > 0
+    sharded = run_sharded_scenario(
+        SHARED_TARGET,
+        num_workers=2,
+        snapshot_every=None,
+        mp_start_method=mp_start_method,
+    )
+    assert sharded.placement == (1, 0, 0, 1)
+    assert sorted(sharded.placement_digests) == ["LSC-0", "LSC-2", "LSC-3"]
+    assert sharded.placement_digests == digests
+    assert sharded.result.metrics.summary() == summary
+    # Worker 0 hosts the target; worker 1 never waits at the barrier.
+    assert sharded.worker_stats[1]["barrier_wait_s"] == 0
+
+
 def test_a_worker_ships_the_final_snapshot_finalize_appended(monkeypatch):
     # The payload reuses the snapshot finalize() appended; it must equal
     # a fresh one taken where the worker used to take it, field by field.
@@ -151,7 +180,11 @@ def test_worker_stats_cover_every_worker():
             "build_s", "busy_s", "barrier_wait_s", "finalize_s",
             "events", "viewers", "ru_maxrss",
         }
-        assert stats["busy_s"] > 0 and stats["barrier_wait_s"] > 0
+        assert stats["busy_s"] > 0
+    # Only the failover target's worker (LSC-1 -> LSC-0) waits at the
+    # barrier; the failed LSC's host ships its sessions and carries on.
+    assert sharded.worker_stats[0]["barrier_wait_s"] > 0
+    assert sharded.worker_stats[1]["barrier_wait_s"] == 0
     # Worker 0 builds LSC-0's regions plus the ones LSC-1 hands over.
     assert sharded.worker_stats[0]["viewers"] + sharded.worker_stats[1]["viewers"] > (
         SKEWED.num_viewers

@@ -37,9 +37,9 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "examples", "benchmarks", "tools")
 
-_ITEM_4 = (
-    "ROADMAP item 4: the replay on the control schedule's clock serves a "
-    "child from its parent's buffer and cache with it"
+_FRAMES_DURING_THE_RUN = (
+    'ROADMAP "Frames during the run": the replay on the control schedule\'s '
+    "clock serves a child from its parent's buffer and cache with it"
 )
 _ITEM_1D = "ROADMAP item 1(d): Table I built on read, until layers.py is unfrozen"
 _OBSERVER = "observer the property suites read after every op"
@@ -47,15 +47,17 @@ _OBSERVER = "observer the property suites read after every op"
 #: Uncalled names that stay, each with the reason it stays.
 ALLOW_LIST: Dict[str, str] = {
     # Surface a named ROADMAP item will call.
-    "evict_expired": _ITEM_4,
-    "in_buffer": _ITEM_4,
-    "in_cache": _ITEM_4,
-    "shareable": _ITEM_4,
-    "oldest_frame": _ITEM_4,
-    "frame_at_or_after": _ITEM_4,
-    "buffered_streams": _ITEM_4,
-    "synchronized_frames": _ITEM_4 + " (the renderer's view-sync pick)",
-    "playout_skew_for": "ROADMAP item 4: per-second playout skew records",
+    "evict_expired": _FRAMES_DURING_THE_RUN,
+    "in_buffer": _FRAMES_DURING_THE_RUN,
+    "in_cache": _FRAMES_DURING_THE_RUN,
+    "shareable": _FRAMES_DURING_THE_RUN,
+    "oldest_frame": _FRAMES_DURING_THE_RUN,
+    "frame_at_or_after": _FRAMES_DURING_THE_RUN,
+    "buffered_streams": _FRAMES_DURING_THE_RUN,
+    "synchronized_frames": _FRAMES_DURING_THE_RUN + " (the renderer's view-sync pick)",
+    "playout_skew_for": (
+        'ROADMAP "Frames during the run": per-second playout skew records'
+    ),
     "paper_vs_measured": "ROADMAP item 11: the paper-vs-measured claims table",
     "routing_table_of": _ITEM_1D,
     "forwarding_targets": _ITEM_1D,
