@@ -56,7 +56,7 @@ from repro.sim.transport import (
     ViewChangeAck,
 )
 from repro.traces.workload import ViewerEvent
-from repro.util.validation import require_positive
+from repro.util.validation import require_non_negative, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (telecast imports us)
     from repro.core.telecast import TeleCastSystem
@@ -101,6 +101,8 @@ class _DriverBase:
         self.system = system
         self.views = list(views)
         self.by_id = {viewer.viewer_id: viewer for viewer in viewers}
+        if snapshot_every is not None:
+            require_non_negative(snapshot_every, "snapshot_every")
         self.snapshot_every = snapshot_every
         self.joins_seen = 0
         self.data_plane = None

@@ -62,18 +62,6 @@ from repro.util.validation import require_non_negative
 #: Out-degree value the paper assigns to empty child slots.
 EMPTY_SLOT_DEGREE = -1
 
-#: Candidate-list length above which the free-slot and repair scans
-#: switch to the vectorized approximate prefilter (read at call time so
-#: tests can pin either path).
-BATCH_PREFILTER_MIN = 16
-
-#: Safety margin on ``d_max`` for approximate rejections: the batch path
-#: recomputes the same per-pair draw with numpy transcendentals, which
-#: can differ from ``math.*`` by ulps -- orders of magnitude below this
-#: margin -- so a candidate over ``d_max + margin`` is a definite reject
-#: and every survivor is re-checked through the exact scalar path.
-_BATCH_PREFILTER_MARGIN = 1e-6
-
 #: Sort key type of the per-level indices.
 _Key = Tuple[int, float, str]
 
@@ -279,19 +267,7 @@ class StreamTree:
                 (self._nodes[key[2]] for key in level.free if key[2] not in blocked),
                 key=lambda n: (-n.free_slots, -n.outbound_capacity, n.node_id),
             )
-            viable: Optional[List[bool]] = None
-            if len(candidates) > BATCH_PREFILTER_MIN:
-                head = candidates[0]
-                delay = self.delay_model.end_to_end_via_parent(
-                    head.end_to_end_delay, head.node_id, orphan_id
-                )
-                if delay <= self.d_max:
-                    return head.node_id
-                candidates = candidates[1:]
-                viable = self._prefilter_parents(candidates, orphan_id)
-            for position, candidate in enumerate(candidates):
-                if viable is not None and not viable[position]:
-                    continue
+            for candidate in candidates:
                 delay = self.delay_model.end_to_end_via_parent(
                     candidate.end_to_end_delay, candidate.node_id, orphan_id
                 )
@@ -508,53 +484,13 @@ class StreamTree:
             # Then consider empty slots of this level's nodes (the paper's
             # virtual children with out-degree -1, which live one level down
             # but are always weaker than any real node there).
-            if not level.free:
-                continue  # the common case: no list to build, nothing to try
-            free_parents = [nodes[key[2]] for key in level.free]
-            viable: Optional[List[bool]] = None
-            if len(free_parents) > BATCH_PREFILTER_MIN:
-                # The head candidate usually accepts immediately; keep it
-                # on the exact scalar path and batch-prefilter the tail.
+            for key in level.free:
                 result = self._try_fill_slot(
-                    node_id, out_degree, outbound_capacity, free_parents[0]
-                )
-                if result is not None:
-                    return result
-                free_parents = free_parents[1:]
-                viable = self._prefilter_parents(free_parents, node_id)
-            for position, parent in enumerate(free_parents):
-                if viable is not None and not viable[position]:
-                    continue
-                result = self._try_fill_slot(
-                    node_id, out_degree, outbound_capacity, parent
+                    node_id, out_degree, outbound_capacity, nodes[key[2]]
                 )
                 if result is not None:
                     return result
         return None
-
-    def _prefilter_parents(
-        self, parents: List[TreeNode], child_id: str
-    ) -> Optional[List[bool]]:
-        """Approximate viability mask of candidate parents for ``child_id``.
-
-        ``False`` entries are definite rejects (approximate end-to-end
-        delay beyond ``d_max`` plus the ulp margin) and are never looked
-        up through the matrix, so the scan skips them without touching
-        the lazy memo.  ``True`` entries must still be confirmed by the
-        exact scalar path -- that keeps accept/reject decisions, tree
-        shapes and memoized delays bit-identical to the unbatched scan.
-        Returns ``None`` when no vectorized path exists.
-        """
-        approx = self.delay_model.approx_hop_delays(
-            [parent.node_id for parent in parents], child_id
-        )
-        if approx is None:
-            return None
-        bound = self.d_max + _BATCH_PREFILTER_MARGIN
-        return [
-            parent.end_to_end_delay + hop <= bound
-            for parent, hop in zip(parents, approx)
-        ]
 
     def _try_displace(
         self,

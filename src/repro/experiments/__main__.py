@@ -191,6 +191,7 @@ def _run_main(argv: List[str]) -> int:
         run_random_scenario,
         run_telecast_scenario,
     )
+    from repro.util.validation import require_non_negative
 
     parser = build_run_parser()
     args = parser.parse_args(argv)
@@ -209,6 +210,10 @@ def _run_main(argv: List[str]) -> int:
                 parser.error(f"{flag} requires --system telecast")
     if args.shards > 1 and args.replay_frames is not None:
         parser.error("--shards cannot run the frame replay")
+    if args.snapshot_every is not None:
+        # The library refuses it too, but a TeleCast run only once its
+        # world is built.
+        _checked(parser, require_non_negative, args.snapshot_every, "snapshot_every")
     config = _checked(
         parser,
         PAPER_CONFIG.with_scaled_population,
@@ -633,10 +638,18 @@ def build_serve_parser() -> argparse.ArgumentParser:
 
 
 def _serve_main(arguments: List[str]) -> int:
-    from repro.service.daemon import ServeConfig, ServiceDaemon
+    from repro.service.daemon import (
+        ServeConfig,
+        ServiceDaemon,
+        ServiceState,
+        experiment_config,
+    )
 
-    args = build_serve_parser().parse_args(arguments)
-    serve = ServeConfig(
+    parser = build_serve_parser()
+    args = parser.parse_args(arguments)
+    serve = _checked(
+        parser,
+        ServeConfig,
         host=args.host,
         port=args.port,
         viewers=args.viewers,
@@ -652,7 +665,8 @@ def _serve_main(arguments: List[str]) -> int:
     if args.restore:
         daemon = ServiceDaemon.restore(serve, args.restore)
     else:
-        daemon = ServiceDaemon(serve)
+        config = _checked(parser, experiment_config, serve)
+        daemon = ServiceDaemon(serve, ServiceState.build(config))
     daemon.serve_forever()
     return 0
 

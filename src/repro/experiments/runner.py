@@ -56,6 +56,7 @@ from repro.traces.workload import (
     alive_before,
     overlay_oscillation,
 )
+from repro.util.validation import require_non_negative
 
 
 @dataclass
@@ -635,6 +636,8 @@ def run_random_scenario(
     # module and never load the baseline.
     from repro.baselines.random_routing import RandomDisseminationSystem
 
+    if snapshot_every is not None:
+        require_non_negative(snapshot_every, "snapshot_every")
     if scenario is None:
         scenario = build_scenario(config)
     system = RandomDisseminationSystem(

@@ -18,14 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.net.planetlab import (
-    PlanetLabTraceConfig,
-    _numpy,
-    _pair_delay,
-    _pair_delays_np,
-)
+from repro.net.planetlab import PlanetLabTraceConfig, _pair_delay
 from repro.net.regions import RegionMap
 from repro.util.validation import require_non_negative
 
@@ -114,68 +109,6 @@ class LatencyMatrix:
         self._known[(a, b)] = delay
         return delay
 
-    def approx_delays_to(
-        self, sources: Sequence[str], target: str
-    ) -> Optional[List[float]]:
-        """Approximate delays from every source to ``target``, batched.
-
-        Stored pairs return their exact value; the rest get one
-        vectorized evaluation of the same per-pair log-normal draw, which
-        may differ from the exact scalar path by float ulps.  Nothing is
-        stored, so a caller prefiltering candidates must re-verify the
-        survivors through :meth:`delay` -- that keeps accept/reject
-        decisions (and the stored pairs) bit-identical to the
-        scalar-only path.
-
-        Returns ``None`` when ``target`` has no generator key or numpy is
-        unavailable; callers fall back to the scalar path.
-        """
-        nodes = self.nodes
-        key_target = nodes.get(target)
-        if key_target is None:
-            return None
-        np = _numpy()
-        if np is None:
-            return None
-        known = self._known
-        region_of = self.regions.region_of
-        region_target = region_of(target)
-        out: List[float] = [0.0] * len(sources)
-        miss_indices: List[int] = []
-        miss_low: List[int] = []
-        miss_high: List[int] = []
-        miss_intra: List[bool] = []
-        for index, source in enumerate(sources):
-            if source == target:
-                continue  # out[index] already 0.0, matching delay(a, a)
-            flipped = source > target  # pairs are symmetric in name order
-            exact = known.get((target, source) if flipped else (source, target))
-            if exact is not None:
-                out[index] = exact
-                continue
-            key_source = nodes.get(source)
-            if key_source is None:
-                out[index] = self.default_delay
-                continue
-            miss_indices.append(index)
-            miss_low.append(key_target if flipped else key_source)
-            miss_high.append(key_source if flipped else key_target)
-            miss_intra.append(region_of(source) == region_target)
-        if miss_indices:
-            log_median = np.where(
-                np.asarray(miss_intra), self._log_intra, self._log_inter
-            )
-            with np.errstate(over="ignore"):
-                delays = _pair_delays_np(
-                    np.asarray(miss_low, dtype=np.uint64),
-                    np.asarray(miss_high, dtype=np.uint64),
-                    log_median,
-                    self._sigma,
-                )
-            for position, index in enumerate(miss_indices):
-                out[index] = float(delays[position])
-        return out
-
     def pairs(self) -> Iterable[Tuple[str, str, float]]:
         """Every stored ``(a, b, delay)`` with ``a < b``, in storage order."""
         for (a, b), value in self._known.items():
@@ -233,24 +166,12 @@ class DelayModel:
     def approx_hop_delays(
         self, parents: Iterable[str], child: str
     ) -> Optional[List[float]]:
-        """Approximate :meth:`hop_delay` for many parents at once.
+        """Always ``None``: there is no batched hop-delay path.
 
-        Delegates to the matrix's vectorized batch path when it has one
-        (:meth:`LatencyMatrix.approx_delays_to`).  Values may
-        differ from :meth:`hop_delay` by float ulps for pairs that were
-        never materialized, so callers may only use them to prefilter
-        with a safety margin and must confirm survivors through the
-        exact scalar path.  Returns ``None`` when no batch path exists.
+        The method stays only because ``benchmarks/e2e/layers.py`` binds
+        the name as a span point; ROADMAP items 1(d)/3 remove it.
         """
-        approx = getattr(self.matrix, "approx_delays_to", None)
-        if approx is None:
-            return None
-        parents = list(parents)
-        delays = approx(parents, child)
-        if delays is None:
-            return None
-        processing = self.processing_delay
-        return [delay + processing for delay in delays]
+        return None
 
     def end_to_end_via_parent(
         self, parent_end_to_end: float, parent: str, child: str

@@ -16,7 +16,6 @@ consume pairwise one-way delays and region labels, nothing else.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -66,21 +65,6 @@ class PlanetLabTraceConfig:
             raise ValueError("sigma must be >= 0")
         if not self.region_names:
             raise ValueError("at least one region name is required")
-
-
-@functools.cache
-def _numpy():
-    """numpy, imported on first use; ``None`` where it is not installed.
-
-    Only the vectorized candidate prefilter needs it, and that runs only
-    after a head candidate was rejected for ``d_max``: a process that
-    never gets there never pays the import (~100 ms, ~13 MiB).
-    """
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
 
 
 _MASK64 = (1 << 64) - 1
@@ -166,36 +150,6 @@ def _pair_delay(
     u2 = ((value ^ (value >> 31)) + 1) / 2.0**64
     gauss = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
     return math.exp(log_median + sigma * gauss)
-
-
-def _mix64_np(value):
-    """Vectorized splitmix64 finalizer over a uint64 array.
-
-    uint64 arithmetic wraps mod 2**64, so the integer mixing is exact
-    (bit-identical to :func:`_mix64`); only the float transcendentals in
-    the Box-Muller step downstream can differ from ``math.*`` by ulps.
-    """
-    np = _numpy()
-    value = value + np.uint64(0x9E3779B97F4A7C15)
-    value = (value ^ (value >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    value = (value ^ (value >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return value ^ (value >> np.uint64(31))
-
-
-def _pair_delays_np(key_low, key_high, log_median, sigma: float):
-    """Vectorized :func:`_pair_delay` over uint64 key arrays.
-
-    ``log_median`` is a per-pair float64 array (intra vs inter region).
-    Approximate only in the last-ulp sense: ``np.log``/``np.cos`` etc.
-    may round differently from ``math.*``, so callers that need exact
-    values must re-verify candidates through the scalar path.
-    """
-    np = _numpy()
-    base = _mix64_np(key_low ^ (key_high * np.uint64(0x9E3779B97F4A7C15)))
-    u1 = (_mix64_np(base).astype(np.float64) + 1.0) / 2.0**64
-    u2 = (_mix64_np(base ^ np.uint64(_U2_SALT)).astype(np.float64) + 1.0) / 2.0**64
-    gauss = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return np.exp(log_median + sigma * gauss)
 
 
 def generate_planetlab_matrix(

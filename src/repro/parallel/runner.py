@@ -39,6 +39,7 @@ from repro.sim.transport import (
     ShardResult,
     ShardResume,
 )
+from repro.util.validation import require_non_negative
 
 #: Seconds without any worker message before the coordinator declares the
 #: run wedged and tears the workers down.
@@ -115,6 +116,9 @@ def run_sharded_scenario(
             f"(got {config.data_plane!r}); the frame replay is a "
             "whole-system event loop"
         )
+    if snapshot_every is not None:
+        # Refused here too, so a bad cadence never reaches a worker.
+        require_non_negative(snapshot_every, "snapshot_every")
     workers = resolve_worker_count(config, num_workers)
     # Computed once here and handed to every worker; _coordinate checks
     # what the workers report hosting against it.

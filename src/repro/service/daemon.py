@@ -50,6 +50,7 @@ from repro.service.metrics_export import (
 from repro.service.snapshot import load_snapshot, save_snapshot
 from repro.sim.rng import SeededRandom
 from repro.traces.teeve import TeeveSessionTrace
+from repro.util.validation import require_non_negative
 
 #: Ops that mutate session state and therefore count into the pickled
 #: :attr:`ServiceState.ops_applied` (read-only ops are daemon-local).
@@ -115,8 +116,14 @@ class ServeConfig:
     snapshot_dir: str = "snapshots"
     #: Restore the session from this snapshot instead of building fresh.
     restore: Optional[str] = None
-    #: Exit the loop after this many wall seconds (soak CI guard).
+    #: Exit the loop after this many wall seconds (soak CI guard); ``0``
+    #: stops after the first tick.
     max_wall_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        require_non_negative(self.time_dilation, "time_dilation")
+        if self.max_wall_seconds is not None:
+            require_non_negative(self.max_wall_seconds, "max_wall_seconds")
 
 
 def experiment_config(serve: ServeConfig) -> ExperimentConfig:

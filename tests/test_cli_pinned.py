@@ -175,6 +175,14 @@ def test_cli_module_imports_no_system_internals():
         (["run", "--system", "random", "--shards", "2"], "--shards requires --system"),
         # NaN fails every comparison, so only ``not value > 0`` refuses it.
         (["run", "--heartbeat-period", "nan"], "heartbeat_period must be > 0"),
+        # Rejected by ServeConfig and the snapshot cadence's check, through
+        # the same bridge.
+        (["run", "--snapshot-every", "-7"], "snapshot_every must be >= 0"),
+        (["serve", "--viewers", "0"], "num_viewers must be > 0"),
+        (["serve", "--heartbeat-period", "0"], "heartbeat_period must be > 0"),
+        (["serve", "--dilation", "-2", "--max-wall-seconds", "0"], "time_dilation must be >= 0"),
+        (["serve", "--dilation", "nan", "--max-wall-seconds", "0"], "time_dilation must be >= 0"),
+        (["serve", "--max-wall-seconds", "-1"], "max_wall_seconds must be >= 0"),
     ],
 )
 def test_invalid_values_are_usage_errors_in_the_library_s_words(

@@ -120,6 +120,17 @@ class TestRunner:
         assert result.final_snapshot.num_requests == 60
         assert 0.0 < result.acceptance_ratio <= 1.0
 
+    def test_a_negative_snapshot_cadence_is_refused(self, tiny_config):
+        from repro.parallel import run_sharded_scenario
+
+        for run in (run_telecast_scenario, run_random_scenario, run_sharded_scenario):
+            with pytest.raises(ValueError, match="snapshot_every must be >= 0"):
+                run(tiny_config, snapshot_every=-7)
+        # 0 and None both mean "at the end only".
+        for cadence in (0, None):
+            result = run_telecast_scenario(tiny_config, snapshot_every=cadence)
+            assert len(result.metrics.snapshots) == 1
+
     def test_scenarios_are_deterministic(self, tiny_config):
         first = run_telecast_scenario(tiny_config, snapshot_every=None)
         second = run_telecast_scenario(tiny_config, snapshot_every=None)

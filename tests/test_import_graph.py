@@ -182,33 +182,3 @@ def test_a_handed_over_region_table_builds_the_same_region_map():
         assert handed.regions.region_of(node_id) == derived.regions.region_of(node_id)
     assert list(handed.regions.node_ids()) == list(derived.regions.node_ids())
     assert list(handed.nodes.items()) == list(derived.nodes.items())
-
-
-#: The vectorized prefilter from a cold interpreter, numpy present or not.
-FIRST_USE = """
-import sys
-if {blocked}:
-    sys.modules["numpy"] = None
-from repro.net.latency import DelayModel
-from repro.net.planetlab import generate_planetlab_matrix
-
-nodes = [f"viewer-{{i:03d}}" for i in range(40)]
-matrix = generate_planetlab_matrix(nodes)
-model = DelayModel(matrix, processing_delay=0.1)
-assert model.hop_delay(nodes[1], nodes[2]) > 0.1
-assert sys.modules.get("numpy") is None  # a build and scalar lookups: no import
-approx = model.approx_hop_delays(nodes[1:], nodes[0])  # nothing memoized yet
-exact = [model.hop_delay(node, nodes[0]) for node in nodes[1:]]
-if {blocked}:
-    assert approx is None and matrix.approx_delays_to(nodes[1:], nodes[0]) is None
-else:
-    assert "numpy" in sys.modules
-    assert all(abs(a - e) <= 1e-9 for a, e in zip(approx, exact))
-"""
-
-
-@pytest.mark.parametrize("blocked", [False, True])
-def test_the_prefilter_imports_numpy_on_first_use_or_reports_no_batch_path(blocked):
-    if not blocked:
-        pytest.importorskip("numpy")
-    run_python(FIRST_USE.format(blocked=blocked))

@@ -425,20 +425,6 @@ class TestLazyMissPath:
         ]
         assert ("b", "c") not in lazy._known  # never read: not materialized
 
-    def test_the_batch_path_reports_stored_pairs_exactly(self):
-        pytest.importorskip("numpy")  # without it there is no batch path
-        lazy = self._world()
-        lazy.set_delay("c", "d", 0.25)
-        derived = lazy.delay("a", "d")
-        # Stored pairs exactly, the override included; the rest
-        # approximated; nothing memoized.
-        approx = lazy.approx_delays_to(["a", "c", "b", "d"], "d")
-        assert approx[0] == derived
-        assert approx[1] == 0.25
-        assert approx[2] == pytest.approx(self._derived("b", "d"), rel=1e-12)
-        assert approx[3] == 0.0
-        assert lazy.explicit_pair_count() == 2
-
     @pytest.mark.parametrize("with_override", [False, True])
     def test_unknown_node_gets_the_default_and_is_not_memoized(self, with_override):
         lazy = self._world()

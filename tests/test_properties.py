@@ -377,37 +377,6 @@ class TestPlacementEquivalence:
             assert indexed.free_p2p_slots() == reference.free_p2p_slots()
             indexed.validate()
 
-    def test_batched_prefilter_matches_scalar_scan_on_lazy_matrix(self, monkeypatch):
-        # The vectorized candidate prefilter only activates over a lazy
-        # PlanetLab matrix (the eager matrix has no batch path).  Force
-        # the batch path on and off around the same op scripts: accept /
-        # reject decisions, tree shapes and exact delays must not move.
-        from repro.core import topology as top_mod
-
-        producers = make_default_producers()
-        stream = producers[0].streams[0]
-        node_ids = [f"viewer-{i:03d}" for i in range(70)] + [CDN_NODE_ID]
-        settings_grid = [(0.1, 65.0), (1.5, 66.0), (2.5, 63.0)]
-        for scenario in range(12):
-            rng = random.Random(17_000 + scenario)
-            processing, d_max = settings_grid[scenario % len(settings_grid)]
-            ops = _make_op_sequence(rng)
-            outcomes, shapes = [], []
-            for threshold in (0, 1 << 30):  # always-batch vs never-batch
-                monkeypatch.setattr(top_mod, "BATCH_PREFILTER_MIN", threshold)
-                matrix = generate_planetlab_matrix(
-                    node_ids, rng=SeededRandom(600 + scenario)
-                )
-                delay_model = DelayModel(
-                    matrix, processing_delay=processing, cdn_delta=60.0
-                )
-                tree = StreamTree(stream, delay_model, d_max=d_max)
-                outcomes.append(_replay_ops(tree, ops))
-                shapes.append(_tree_shape(tree))
-                tree.validate()
-            assert outcomes[0] == outcomes[1], f"scenario {scenario}: outcome divergence"
-            assert shapes[0] == shapes[1], f"scenario {scenario}: tree shape divergence"
-
     def test_insert_results_share_field_layout_with_reference(self):
         # The value-tuple comparison above relies on both InsertResult
         # records having the same fields in the same order.

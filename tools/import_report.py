@@ -48,6 +48,8 @@ TARGETS: Dict[str, List[str]] = {
 #: Modules (and everything below them) a target must not have loaded by
 #: the time it exits.  tests/test_import_graph.py holds the same lists
 #: against longer sessions (400 viewers of scripted ops, a 4000-viewer run).
+#: The package has no runtime dependency; the ``numpy`` rows keep one from
+#: coming back onto the daemon's or a run's import path.
 FORBIDDEN: Dict[str, Tuple[str, ...]] = {
     "serve": (
         "numpy",
@@ -99,7 +101,7 @@ def _package(module: str) -> str:
     parts = module.split(".")
     if parts[0] == "repro":
         return ".".join(parts[:2])
-    return parts[0] if parts[0] == "numpy" else "(stdlib)"
+    return "(stdlib)"
 
 
 def child_env() -> Dict[str, str]:
@@ -180,8 +182,7 @@ def main(argv=None) -> int:
             continue
         print(
             f"== {name}: {len(modules)} modules "
-            f"({sum(m.startswith('repro') for m in modules)} repro, "
-            f"{sum(m.split('.')[0] == 'numpy' for m in modules)} numpy), "
+            f"({sum(m.startswith('repro') for m in modules)} repro), "
             f"rss at exit {report['rss_kib'] / 1024.0:.1f} MiB, "
             f"first output after {first_output_ms(arguments):.0f} ms "
             f"(median of {_RUNS})"
