@@ -62,11 +62,7 @@ def _build_session() -> TeleCastSystem:
     )
     cdn = CDN(config.cdn_capacity_mbps, delta=config.cdn_delta)
     system = TeleCastSystem(producers, cdn, delay_model, config.layer_config())
-    views = build_views(
-        producers,
-        num_views=config.num_views,
-        streams_per_site=config.streams_per_site_in_view,
-    )
+    views = build_views(producers, num_views=config.num_views)
     by_view = {
         viewer.viewer_id: views[index % len(views)]
         for index, viewer in enumerate(viewers)

@@ -46,6 +46,9 @@ from repro.model.viewer import Viewer
 from repro.net.latency import DelayModel
 from repro.sim.rng import SeededRandom
 
+#: Random peers probed per stream before the CDN fallback (Section VII).
+PROBE_COUNT = 3
+
 
 @dataclass
 class _RandomReceiver:
@@ -72,23 +75,13 @@ class RandomDisseminationSystem:
         layer_config: Optional[DelayLayerConfig] = None,
         *,
         rng: Optional[SeededRandom] = None,
-        probe_count: int = 5,
-        strict_admission: bool = True,
     ) -> None:
         if not producers:
             raise ValueError("at least one producer site is required")
-        if probe_count <= 0:
-            raise ValueError("probe_count must be > 0")
         self.producers = list(producers)
         self.cdn = cdn
         self.delay_model = delay_model
         self.layer_config = layer_config or DelayLayerConfig(delta=cdn.delta)
-        self.probe_count = probe_count
-        #: The random scheme has no priority-based degradation: with strict
-        #: admission (the default, mirroring the paper's description) a
-        #: request is accepted only if *every* requested stream is served;
-        #: set to ``False`` to allow the TeleCast-style partial acceptance.
-        self.strict_admission = strict_admission
         self._rng = rng or SeededRandom(0)
         self.metrics = SessionMetrics()
         self._receivers: Dict[str, _RandomReceiver] = {}
@@ -111,8 +104,9 @@ class RandomDisseminationSystem:
         Streams are provisioned one by one in the order the sites list them
         (camera order); each stream is attached to a uniformly random
         candidate parent with spare outbound capacity (or to the CDN).  The
-        request is accepted only if the highest-priority stream of every
-        site could be served -- the same acceptance rule 4D TeleCast uses.
+        random scheme has no priority-based degradation: the request is
+        accepted only if *every* requested stream is served, and a
+        rejected request releases whatever it had reserved.
         """
         if viewer.viewer_id in self._receivers:
             raise ValueError(f"viewer {viewer.viewer_id} already joined")
@@ -133,14 +127,7 @@ class RandomDisseminationSystem:
             allocations.append((stream, parent_id))
             inbound_left -= stream.bandwidth_mbps
 
-        must_have = set(view.highest_priority_per_site.values())
-        accepted_ids = set(receiver.streams)
-        if self.strict_admission:
-            request_accepted = len(accepted_ids) == len(requested)
-        else:
-            request_accepted = (
-                must_have.issubset(accepted_ids) and len(accepted_ids) >= view.site_count
-            )
+        request_accepted = len(receiver.streams) == len(requested)
         if not request_accepted:
             for stream, parent_id in allocations:
                 self._release(stream, parent_id)
@@ -166,10 +153,10 @@ class RandomDisseminationSystem:
         The random scheme has no notion of stream priority, so nothing
         protects the per-site highest-priority streams: when capacity runs
         out mid-request, whichever streams happen to be provisioned last
-        fail -- and if one of them is a must-have stream the whole request
-        is rejected and the viewer's outbound capacity is lost to the
-        system.  4D TeleCast's priority-ordered allocation is exactly what
-        avoids this failure mode.
+        fail -- and any failed stream rejects the whole request, so the
+        viewer's outbound capacity is lost to the system.  4D TeleCast's
+        priority-ordered allocation is exactly what avoids this failure
+        mode.
         """
         ordered: List[Stream] = [
             entry.stream for local_view in view.local_views for entry in local_view.streams
@@ -180,17 +167,17 @@ class RandomDisseminationSystem:
     def _attach_randomly(self, viewer: Viewer, stream: Stream):
         """Probe random peers for the stream; fall back to the CDN.
 
-        Up to ``probe_count`` uniformly random connected viewers are probed;
-        the first probe that (a) receives the stream, (b) has spare outbound
-        capacity and (c) keeps the end-to-end delay within ``d_max`` becomes
-        the parent.  When every probe misses, the request falls back to the
+        Up to :data:`PROBE_COUNT` uniformly random connected viewers are
+        probed; the first probe that (a) receives the stream, (b) has spare
+        outbound capacity and (c) keeps the end-to-end delay within
+        ``d_max`` becomes the parent.  When every probe misses, the request falls back to the
         CDN; when the CDN has no capacity left either, the stream fails.
         Without clustering or pre-allocation the scheme has no directory of
         who can serve what, which is exactly the coordination 4D TeleCast's
         LSCs provide.
         """
         connected = list(self._receivers)
-        probes = min(self.probe_count, len(connected))
+        probes = min(PROBE_COUNT, len(connected))
         if probes:
             for candidate_id in self._rng.sample(connected, probes):
                 receiver = self._receivers[candidate_id]

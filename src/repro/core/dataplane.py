@@ -24,7 +24,7 @@ says about the link:
 playout accounting (:class:`QoEReport`) and the observed-delay ``kappa``
 refresh of :class:`~repro.core.adaptation.AdaptationManager`.  With
 ``bandwidth_headroom=None`` and zero loss its chunks go through the same
-constant-delay function, one call per ``batch_quantum``.
+constant-delay function, one call per :data:`BATCH_QUANTUM`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.model.stream import Frame, StreamId
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import DataChannel, DataLink, GilbertElliottConfig
 from repro.traces.teeve import TeeveSessionTrace
-from repro.util.validation import require_non_negative, require_positive
+from repro.util.validation import require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (telecast imports us)
     from repro.core.telecast import TeleCastSystem
@@ -64,6 +64,15 @@ class DeliveryRecord(NamedTuple):
         """Capture-to-gateway delay of the frame."""
         return self.delivery_time - self.capture_time
 
+
+#: Replay seconds of frames one engine event transmits per edge.  With
+#: the feedback loop disabled this is purely an engine-granularity
+#: constant -- delivery timestamps are independent of it (pinned by
+#: ``tests/test_dataplane_sim.py``).  With ``refresh_interval`` set it also
+#: bounds how stale an edge's layer state can be when its frames
+#: transmit: frames due inside one quantum all use the layer decisions in
+#: force at the chunk's start.
+BATCH_QUANTUM = 1.0
 
 #: Report order, ``(delivery_time, viewer_id)``, as a C-level sort key.
 _BY_DELIVERY_THEN_VIEWER = itemgetter(4, 0)
@@ -235,25 +244,10 @@ class DataPlaneConfig:
         each edge exactly the stream's nominal bandwidth, so size jitter
         queues frames; larger values drain queues faster; ``None``
         removes the bandwidth model entirely (zero serialization delay).
-    transit_delay_scale:
-        Extra per-edge network transit, as a multiple of the last-hop
-        propagation delay between the current parent and the viewer.
-        The structural (analytic) delay already folds the nominal path
-        in, so this models additional data-path jitter; ``0.0`` keeps
-        delivery at the analytic schedule.
     refresh_interval:
         Period (replay seconds) of the observed-delay ``kappa`` layer
         refresh (:meth:`repro.core.adaptation.AdaptationManager.\
 refresh_layers_from_observed`); ``None`` disables the feedback loop.
-    batch_quantum:
-        Replay seconds of frames one engine event transmits per edge.
-        With the feedback loop disabled this is purely an engine-
-        granularity knob -- delivery timestamps are independent of it
-        (pinned by ``tests/test_dataplane_sim.py``).  With
-        ``refresh_interval`` set it also bounds how stale an edge's
-        layer state can be when its frames transmit: frames due inside
-        one quantum all use the layer decisions in force at the chunk's
-        start, so a coarser quantum reacts to refreshes more coarsely.
     max_frames_per_stream:
         Truncate every stream's trace to its first N frames
         (``None`` replays the full trace).
@@ -265,9 +259,7 @@ refresh_layers_from_observed`); ``None`` disables the feedback loop.
     loss_model: str = "bernoulli"
     mean_burst_length: float = 1.0
     bandwidth_headroom: Optional[float] = 1.0
-    transit_delay_scale: float = 0.0
     refresh_interval: Optional[float] = 5.0
-    batch_quantum: float = 1.0
     max_frames_per_stream: Optional[int] = None
     seed: int = 0
 
@@ -284,10 +276,8 @@ refresh_layers_from_observed`); ``None`` disables the feedback loop.
             )
         if self.bandwidth_headroom is not None:
             require_positive(self.bandwidth_headroom, "bandwidth_headroom")
-        require_non_negative(self.transit_delay_scale, "transit_delay_scale")
         if self.refresh_interval is not None:
             require_positive(self.refresh_interval, "refresh_interval")
-        require_positive(self.batch_quantum, "batch_quantum")
         if self.max_frames_per_stream is not None and self.max_frames_per_stream < 0:
             raise ValueError("max_frames_per_stream must be >= 0 or None")
 
@@ -643,7 +633,7 @@ class SimulatedDataPlane:
 
     Frames of every subscribed stream travel in chunks on the session's
     :class:`~repro.sim.engine.Simulator`: each subscription edge schedules
-    one engine event per ``batch_quantum`` of trace time, and every event
+    one engine event per :data:`BATCH_QUANTUM` of trace time, and every event
     serializes the frames due in its quantum through the parent's
     reserved forwarding bin (FIFO queueing, loss), stamps the deliveries,
     inserts the frames into the viewer's gateway buffer and updates the
@@ -695,9 +685,7 @@ class SimulatedDataPlane:
         for edge in self._edges:
             # One reusable engine callback per edge.
             edge.callback = partial(self._transmit_chunk, edge)
-            sim.schedule_at(
-                self._t0 + edge.frames[0].capture_time, edge.callback, label="data:chunk"
-            )
+            sim.schedule_at(self._t0 + edge.frames[0].capture_time, edge.callback)
         if cfg.refresh_interval is not None and self._edges:
             horizon = max(edge.frames[-1].capture_time for edge in self._edges)
             self._schedule_refresh(self._t0 + cfg.refresh_interval, horizon)
@@ -727,13 +715,9 @@ class SimulatedDataPlane:
         frames = edge.frames
         total = len(frames)
         index = edge.index
-        end_rel = (sim.now - self._t0) + cfg.batch_quantum
+        end_rel = (sim.now - self._t0) + BATCH_QUANTUM
         delay = sub.effective_delay or sub.end_to_end_delay
         parent_id = sub.parent_id
-        if cfg.transit_delay_scale > 0.0:
-            delay += cfg.transit_delay_scale * self.system.delay_model.propagation(
-                parent_id, edge.viewer_id
-            )
 
         stop = index
         while stop < total and frames[stop].capture_time < end_rel:
@@ -758,9 +742,7 @@ class SimulatedDataPlane:
 
         edge.index = stop
         if stop < total:
-            sim.schedule_at(
-                self._t0 + frames[stop].capture_time, edge.callback, label="data:chunk"
-            )
+            sim.schedule_at(self._t0 + frames[stop].capture_time, edge.callback)
 
     # -- observed-delay layer refresh --------------------------------------------
 
@@ -772,10 +754,10 @@ class SimulatedDataPlane:
             next_at = at_holder[0] + self.config.refresh_interval
             if next_at - self._t0 <= horizon:
                 at_holder[0] = next_at
-                sim.schedule_at(next_at, refresh, label="data:refresh")
+                sim.schedule_at(next_at, refresh)
 
         at_holder = [at]
-        sim.schedule_at(at, refresh, label="data:refresh")
+        sim.schedule_at(at, refresh)
 
     def _run_refresh(self) -> None:
         """Feed the last window's observed delays into the layer adaptation."""

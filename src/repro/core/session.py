@@ -332,19 +332,13 @@ class EventDrivenSession(_DriverBase):
         sim = self.system.simulator
         ordered = sorted(events, key=event_sort_key)
         for event in ordered:
-            sim.schedule_at(
-                event.time,
-                partial(dispatch_event, self, event),
-                label=f"intent:{event.kind}",
-            )
+            sim.schedule_at(event.time, partial(dispatch_event, self, event))
         if ordered:
-            self._sweeper = PeriodicProcess(
-                sim, self.heartbeat_period, self._sweep, label="failure-sweep"
-            )
+            self._sweeper = PeriodicProcess(sim, self.heartbeat_period, self._sweep)
             # After the last workload intent the session winds down: no new
             # beats, but everything already in flight is still delivered
             # (and can still race).
-            sim.schedule_at(ordered[-1].time, self._close, label="close")
+            sim.schedule_at(ordered[-1].time, self._close)
         else:
             self._closing = True
 
@@ -377,10 +371,7 @@ class EventDrivenSession(_DriverBase):
         self._closing = False
         if self._sweeper is None:
             self._sweeper = PeriodicProcess(
-                self.system.simulator,
-                self.heartbeat_period,
-                self._sweep,
-                label="failure-sweep",
+                self.system.simulator, self.heartbeat_period, self._sweep
             )
         for lsc in self.system.gsc.lscs:
             for viewer_id in lsc.sessions:

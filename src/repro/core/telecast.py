@@ -101,7 +101,6 @@ class TeleCastSystem:
         num_lscs: int = 1,
         lsc_regions: Optional[Sequence[Sequence[str]]] = None,
         lsc_ids: Optional[Sequence[str]] = None,
-        simulator: Optional[Simulator] = None,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     ) -> None:
         if not producers:
@@ -119,7 +118,7 @@ class TeleCastSystem:
         self.cdn = cdn
         self.delay_model = delay_model
         self.layer_config = layer_config or DelayLayerConfig(delta=cdn.delta)
-        self.simulator = simulator or Simulator()
+        self.simulator = Simulator()
         self.metrics = SessionMetrics()
 
         self.gsc = GlobalSessionController(cdn, delay_model, self.layer_config)
@@ -474,7 +473,6 @@ class TeleCastSystem:
         heartbeat_period: Optional[float] = None,
         control_delay_scale: float = 1.0,
         data_plane: Optional[DataPlaneConfig] = None,
-        trace: Optional[TeeveSessionTrace] = None,
     ) -> SessionMetrics:
         """Replay a workload schedule through the system.
 
@@ -502,8 +500,8 @@ class TeleCastSystem:
 
         With a ``data_plane`` configuration, both drivers append a frame
         *replay phase* on the event loop after the control-plane schedule
-        drains: the TEEVE ``trace`` (a default synthetic one when not
-        given) is replayed through the final overlay by
+        drains: a synthetic TEEVE trace seeded by ``data_plane.seed`` is
+        replayed through the final overlay by
         :class:`~repro.core.dataplane.SimulatedDataPlane`, and the
         resulting QoE report (startup delay, continuity, inter-stream
         skew, loss/late counters, observed-delay layer refreshes) is
@@ -533,10 +531,7 @@ class TeleCastSystem:
                 "expected 'instant' or 'simulated'"
             )
         if data_plane is not None:
-            if trace is None:
-                trace = TeeveSessionTrace(
-                    self.producers, rng=SeededRandom(data_plane.seed)
-                )
+            trace = TeeveSessionTrace(self.producers, rng=SeededRandom(data_plane.seed))
             driver.attach_data_plane(SimulatedDataPlane(self, trace, data_plane))
         return driver.run(events)
 

@@ -11,7 +11,7 @@ Examples::
     python -m repro.experiments sweep --list
     python -m repro.experiments sweep smoke --jobs 2
     python -m repro.experiments sweep scale10k --jobs 3
-    python -m repro.experiments sweep --preset controlplane --jobs 2
+    python -m repro.experiments sweep controlplane --jobs 2
     python -m repro.experiments scenario --list
     python -m repro.experiments scenario outage --smoke
     python -m repro.experiments scenario flash-crowd --viewers 2000 --seed 42
@@ -57,6 +57,12 @@ def _checked(parser: argparse.ArgumentParser, build, *args, **kwargs):
         return build(*args, **kwargs)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _check_step(parser: argparse.ArgumentParser, step: int) -> None:
+    """Refuse a population step below 10 (scaling figures and sweeps)."""
+    if step < 10:
+        parser.error(f"--step must be >= 10, got {step}")
 
 
 def render_figure(figure_id: str, config: ExperimentConfig, step: int) -> str:
@@ -312,11 +318,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("name", nargs="?", help="sweep name, e.g. smoke, scale")
     parser.add_argument(
-        "--preset",
-        default=None,
-        help="alias for the positional sweep name (e.g. --preset controlplane)",
-    )
-    parser.add_argument(
         "--viewers", type=int, default=400, help="population scale of the sweep"
     )
     parser.add_argument(
@@ -486,15 +487,11 @@ def _sweep_main(argv: List[str]) -> int:
 
     parser = build_sweep_parser()
     args = parser.parse_args(argv)
-    if args.name and args.preset and args.name != args.preset:
-        parser.error("give the sweep name either positionally or via --preset, not both")
-    args.name = args.name or args.preset
+    _check_step(parser, args.step)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     sweeps = _checked(
-        parser,
-        named_sweeps,
-        viewers=args.viewers,
-        step=max(10, args.step),
-        num_lscs=args.lscs,
+        parser, named_sweeps, viewers=args.viewers, step=args.step, num_lscs=args.lscs
     )
     if args.list or not args.name:
         for name, spec in sorted(sweeps.items()):
@@ -508,7 +505,7 @@ def _sweep_main(argv: List[str]) -> int:
     store = None if args.no_store else ResultsStore(args.results)
     result = run_sweep(
         spec,
-        jobs=max(1, args.jobs),
+        jobs=args.jobs,
         store=store,
         progress=lambda point: print(
             f"  {point.point_id}: "
@@ -704,9 +701,10 @@ def main(argv=None) -> int:
     figure_id = args.figure.lower().removeprefix("fig").lstrip(".")
     if figure_id not in FIGURES:
         parser.error(f"unknown figure {args.figure!r}; use --list to see the options")
+    _check_step(parser, args.step)
     viewers = PAPER_CONFIG.num_viewers if args.viewers is None else args.viewers
     config = _checked(parser, PAPER_CONFIG.with_scaled_population, viewers)
-    print(render_figure(figure_id, config, max(10, args.step)))
+    print(render_figure(figure_id, config, args.step))
     return 0
 
 

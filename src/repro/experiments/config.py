@@ -16,7 +16,8 @@ Choices the paper leaves open (documented here and in DESIGN.md):
 * the per-hop relay processing delay is 100 ms,
 * the Random baseline probes 3 random peers per stream before falling back
   to the CDN and performs all-or-nothing admission (it has no
-  priority-based degradation).
+  priority-based degradation).  Both are fixed in
+  :mod:`repro.baselines.random_routing` (``PROBE_COUNT``), not fields here.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class ExperimentConfig:
     frame_rate: float = 10.0
 
     # Views (3 streams per site per view; 8 candidate view orientations).
-    streams_per_site_in_view: int = 3
     num_views: int = 8
     view_popularity_alpha: float = 1.0
 
@@ -93,10 +93,6 @@ class ExperimentConfig:
     kappa: int = 2
     processing_delay: float = 0.1
     control_processing_delay: float = 0.05
-
-    # Baseline knobs.
-    random_probe_count: int = 3
-    random_strict_admission: bool = True
 
     # Workload dynamics.
     view_change_probability: float = 0.0
@@ -154,9 +150,6 @@ class ExperimentConfig:
     #: Multiplier on each edge's reserved forwarding rate (``None``
     #: removes the bandwidth model: zero serialization delay).
     data_bandwidth_headroom: Optional[float] = 1.0
-    #: Extra per-edge data transit, as a multiple of the last-hop
-    #: propagation delay (``0.0`` keeps the analytic schedule).
-    data_transit_delay_scale: float = 0.0
     #: Period of the observed-delay ``kappa`` layer refresh during the
     #: replay (``None`` disables the feedback loop).
     data_refresh_interval: Optional[float] = 5.0
@@ -222,8 +215,8 @@ class ExperimentConfig:
 
     @property
     def streams_per_view(self) -> int:
-        """Number of streams in every view request."""
-        return self.num_sites * self.streams_per_site_in_view
+        """Number of streams in every view request (3 per site)."""
+        return self.num_sites * 3
 
     @property
     def demand_mbps(self) -> float:
@@ -252,7 +245,6 @@ class ExperimentConfig:
             loss_model=self.data_loss_model,
             mean_burst_length=self.data_mean_burst_length,
             bandwidth_headroom=self.data_bandwidth_headroom,
-            transit_delay_scale=self.data_transit_delay_scale,
             refresh_interval=self.data_refresh_interval,
             max_frames_per_stream=self.replay_frames_per_stream,
             seed=self.seed,

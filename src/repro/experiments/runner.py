@@ -495,11 +495,7 @@ def build_scenario(
         control_processing_delay=config.control_processing_delay,
     )
     cdn = CDN(config.cdn_capacity_mbps, delta=config.cdn_delta)
-    views = build_views(
-        producers,
-        num_views=config.num_views,
-        streams_per_site=config.streams_per_site_in_view,
-    )
+    views = build_views(producers, num_views=config.num_views)
     return Scenario(
         config=config,
         viewers=viewers,
@@ -646,8 +642,6 @@ def run_random_scenario(
         scenario.delay_model,
         config.layer_config(),
         rng=SeededRandom(config.baseline_seed),
-        probe_count=config.random_probe_count,
-        strict_admission=config.random_strict_admission,
     )
     by_id = {viewer.viewer_id: viewer for viewer in scenario.viewers}
     joins_seen = 0

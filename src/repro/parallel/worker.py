@@ -37,15 +37,9 @@ maps, so a later failover moves them again.
 from __future__ import annotations
 
 import pickle
-import sys
 import time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-try:
-    import resource
-except ImportError:  # pragma: no cover - platform without getrusage
-    resource = None
 
 from repro.core.controllers import nearest_lsc
 from repro.core.session import InstantDriver, event_sort_key
@@ -60,6 +54,7 @@ from repro.sim.transport import (
     ShardResume,
 )
 from repro.traces.workload import ViewerEvent
+from repro.util.rusage import peak_rss_kib
 
 #: How long a worker waits on a coordinator resume before giving up.
 DEFAULT_BARRIER_TIMEOUT = 600.0
@@ -112,15 +107,6 @@ def failover_replay_order(
     for event in segment:
         (failed if lsc_of(event) == failed_index else others).append(event)
     return failed, others
-
-
-def _ru_maxrss() -> int:
-    """This process's peak resident set in KiB, on every platform."""
-    if resource is None:  # pragma: no cover - platform without getrusage
-        return 0
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # macOS reports bytes; Linux and the BSDs report KiB.
-    return usage // 1024 if sys.platform == "darwin" else usage
 
 
 def run_shard_worker(
@@ -355,7 +341,7 @@ def _run(
                 ("finalize_s", time.perf_counter() - finalize_started),
                 ("events", events_applied),
                 ("viewers", len(scenario.viewers)),
-                ("ru_maxrss", _ru_maxrss()),
+                ("ru_maxrss", peak_rss_kib() or 0),
             ),
         )
     )

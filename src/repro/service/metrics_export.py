@@ -17,12 +17,12 @@ declaration on :class:`~repro.metrics.collectors.SessionMetrics`.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.metrics.collectors import COUNTERS, SERIES, SessionMetrics
 from repro.metrics.stats import percentile
+from repro.util.rusage import peak_rss_kib
 
 #: Quantiles exported for every latency distribution.
 _QUANTILES = (0.5, 0.95, 0.99)
@@ -226,11 +226,5 @@ def rss_bytes() -> Optional[int]:
                     return int(line.split()[1]) * 1024
     except OSError:
         pass
-    try:
-        import resource
-
-        usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        # macOS reports bytes; Linux and the BSDs report KiB.
-        return usage if sys.platform == "darwin" else usage * 1024
-    except Exception:  # pragma: no cover - platform without getrusage
-        return None
+    peak_kib = peak_rss_kib()
+    return None if peak_kib is None else peak_kib * 1024

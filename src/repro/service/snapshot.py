@@ -42,7 +42,7 @@ import time
 from typing import Any, Dict, Tuple
 
 SNAPSHOT_MAGIC = "repro-service-snapshot"
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 
 
 class SnapshotError(RuntimeError):

@@ -2,17 +2,16 @@
 
 The paper evaluates 4D TeleCast "using a discrete event simulator"
 (Section VII).  This package rebuilds that substrate: a deterministic,
-seedable event loop (:class:`~repro.sim.engine.Simulator`), event records,
-periodic processes and an event trace that experiments can inspect.
+seedable event loop (:class:`~repro.sim.engine.Simulator`) with
+cancellable events, periodic processes and the control/data transport.
 """
 
-from repro.sim.engine import Event, EventHandle, Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import ControlChannel, ControlMessage
 
 __all__ = [
-    "Event",
     "EventHandle",
     "Simulator",
     "PeriodicProcess",

@@ -22,27 +22,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.util.validation import require_non_negative
 
 
-@dataclass(frozen=True)
-class Event:
-    """A record of a fired simulation event (used for tracing)."""
-
-    time: float
-    seq: int
-    label: str
-
-
-# A heap entry is a plain list ``[time, seq, callback, label, state]``:
+# A heap entry is a plain list ``[time, seq, callback, state]``:
 # ``heapq`` orders lists element-wise in C, and ``seq`` is unique, so the
 # comparison is decided by ``(time, seq)`` and never reaches the callback.
 # The list is mutable because cancellation and firing flip ``state`` in
 # place while an :class:`EventHandle` shares the entry with the heap.
-_TIME, _SEQ, _CALLBACK, _LABEL, _STATE = range(5)
+_TIME, _SEQ, _CALLBACK, _STATE = range(4)
 _PENDING, _CANCELLED, _FIRED = range(3)
 
 
@@ -111,22 +101,12 @@ class EventHandle:
 
 
 class Simulator:
-    """Deterministic discrete-event simulator.
+    """Deterministic discrete-event simulator."""
 
-    Parameters
-    ----------
-    trace:
-        When ``True``, every fired event is appended to :attr:`history` as an
-        :class:`Event`.  Tracing is off by default because large sweeps fire
-        millions of events.
-    """
-
-    def __init__(self, *, trace: bool = False) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._queue: List[list] = []
         self._seq = itertools.count()
-        self._trace = trace
-        self.history: List[Event] = []
         self._fired = 0
 
     @property
@@ -144,9 +124,7 @@ class Simulator:
         """Total number of events executed so far."""
         return self._fired
 
-    def schedule(
-        self, delay: float, callback: Callable[[], Any], *, label: str = ""
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         Returns an :class:`EventHandle` that can be used to cancel the event
@@ -155,7 +133,7 @@ class Simulator:
         Example
         -------
         >>> sim = Simulator()
-        >>> handle = sim.schedule(2.5, lambda: None, label="timeout")
+        >>> handle = sim.schedule(2.5, lambda: None)
         >>> handle.time
         2.5
         >>> sim.run()
@@ -164,11 +142,9 @@ class Simulator:
         2.5
         """
         require_non_negative(delay, "delay")
-        return self._push(self._now + delay, callback, label)
+        return self._push(self._now + delay, callback)
 
-    def schedule_at(
-        self, time: float, callback: Callable[[], Any], *, label: str = ""
-    ) -> EventHandle:
+    def schedule_at(self, time: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` at exactly ``time`` (absolute, >= now).
 
         The entry carries ``time`` itself, not ``now + (time - now)``,
@@ -179,36 +155,15 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule event in the past: {time} < now={self._now}"
             )
-        return self._push(time, callback, label)
+        return self._push(time, callback)
 
-    def _push(self, time: float, callback: Callable[[], Any], label: str) -> EventHandle:
-        entry = [time, next(self._seq), callback, label, _PENDING]
+    def _push(self, time: float, callback: Callable[[], Any]) -> EventHandle:
+        entry = [time, next(self._seq), callback, _PENDING]
         heapq.heappush(self._queue, entry)
         return EventHandle(entry)
 
-    def step(self) -> Optional[Event]:
-        """Execute the next pending event and return its trace record.
-
-        Returns ``None`` when the queue is empty.  Cancelled events are
-        silently discarded.
-        """
-        queue = self._queue
-        while queue:
-            entry = heapq.heappop(queue)
-            if entry[_STATE] == _CANCELLED:
-                continue
-            self._now = entry[_TIME]
-            entry[_STATE] = _FIRED
-            entry[_CALLBACK]()
-            self._fired += 1
-            record = Event(time=entry[_TIME], seq=entry[_SEQ], label=entry[_LABEL])
-            if self._trace:
-                self.history.append(record)
-            return record
-        return None
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` is reached, or ``max_events`` fire.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run events until the queue drains or ``until`` is reached.
 
         Returns the number of events executed by this call.  When ``until``
         is given, the clock is advanced to exactly ``until`` even if the last
@@ -216,14 +171,11 @@ class Simulator:
         like contiguous epochs.
         """
         # The engine's hot loop: peek, pop and fire inline (no per-event
-        # method call), and no Event record unless tracing asks for one.
+        # method call).
         queue = self._queue
         pop = heapq.heappop
-        trace = self._trace
         executed = 0
         while queue:
-            if max_events is not None and executed >= max_events:
-                return executed
             entry = queue[0]
             if entry[_STATE] == _CANCELLED:
                 pop(queue)
@@ -235,10 +187,6 @@ class Simulator:
             entry[_STATE] = _FIRED
             entry[_CALLBACK]()
             self._fired += 1
-            if trace:
-                self.history.append(
-                    Event(time=entry[_TIME], seq=entry[_SEQ], label=entry[_LABEL])
-                )
             executed += 1
         if until is not None and until > self._now:
             self._now = until

@@ -24,42 +24,24 @@ class PeriodicProcess:
     period:
         Interval between invocations, in seconds.
     callback:
-        Zero-argument callable invoked at every tick.
-    start_after:
-        Delay before the first tick; defaults to one full period.
+        Zero-argument callable invoked at every tick, the first one
+        period after construction.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        period: float,
-        callback: Callable[[], None],
-        *,
-        start_after: Optional[float] = None,
-        label: str = "periodic",
-    ) -> None:
+    def __init__(self, sim: Simulator, period: float, callback: Callable[[], None]) -> None:
         require_positive(period, "period")
         self._sim = sim
         self._period = period
         self._callback = callback
-        self._label = label
-        self._handle: Optional[EventHandle] = None
-        self._running = False
-        first = period if start_after is None else start_after
-        self._start(first)
-
-    def _start(self, delay: float) -> None:
         self._running = True
-        self._handle = self._sim.schedule(delay, self._tick, label=self._label)
+        self._handle: Optional[EventHandle] = sim.schedule(period, self._tick)
 
     def _tick(self) -> None:
         if not self._running:
             return
         self._callback()
         if self._running:
-            self._handle = self._sim.schedule(
-                self._period, self._tick, label=self._label
-            )
+            self._handle = self._sim.schedule(self._period, self._tick)
 
     @property
     def running(self) -> bool:

@@ -30,7 +30,7 @@ that plays them out (there is no per-frame message object or call).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.latency import DelayModel
 from repro.sim.engine import EventHandle, Simulator
@@ -51,15 +51,6 @@ class ControlMessage:
     src: str
     dst: str
     sent_at: float
-
-    #: Engine event label of a delivery of this message type (read only
-    #: when the simulator traces), fixed per class so ``send`` formats
-    #: nothing per message.
-    LABEL: ClassVar[str] = "msg:ControlMessage"
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.LABEL = f"msg:{cls.__name__}"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -285,19 +276,6 @@ class ControlChannel:
         dm = self.delay_model
         return dm.propagation(src, dst) + dm.control_processing_delay
 
-    def path_delay(self, *hops: str, processing_steps: int = 1) -> float:
-        """Unscaled delay of a multi-hop control path.
-
-        ``hops`` are the node ids the message traverses in order; the
-        result is the sum of per-leg propagation delays plus
-        ``processing_steps`` controller processing delays.
-        """
-        dm = self.delay_model
-        total = processing_steps * dm.control_processing_delay
-        for a, b in zip(hops, hops[1:]):
-            total += dm.propagation(a, b)
-        return total
-
     def send(
         self,
         message: ControlMessage,
@@ -308,8 +286,8 @@ class ControlChannel:
         """Put a message in flight; ``handler(message)`` runs at delivery.
 
         ``delay`` is the message's *unscaled* protocol transit time
-        (compose it from :meth:`transit_delay` / :meth:`path_delay` or
-        the controllers' per-leg delay methods); without one, the default
+        (compose it from :meth:`transit_delay` or the controllers'
+        per-leg delay methods); without one, the default
         single-leg :meth:`transit_delay` between the message's ``src``
         and ``dst`` applies.  The channel's ``scale`` is applied exactly
         once, here, so no caller can accidentally break the
@@ -320,9 +298,7 @@ class ControlChannel:
         delay *= self.scale
         require_non_negative(delay, "delay")
         self.sent += 1
-        return self.simulator.schedule(
-            delay, _Delivery(self, handler, message), label=message.LABEL
-        )
+        return self.simulator.schedule(delay, _Delivery(self, handler, message))
 
     def deliver_at(
         self,
@@ -332,9 +308,7 @@ class ControlChannel:
     ) -> EventHandle:
         """Queue the delivery of a message already counted as sent (a
         beat the session's heartbeat ledger still holds in flight)."""
-        return self.simulator.schedule_at(
-            arrival, _Delivery(self, handler, message), label=message.LABEL
-        )
+        return self.simulator.schedule_at(arrival, _Delivery(self, handler, message))
 
 
 class _Delivery:

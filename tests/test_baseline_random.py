@@ -66,25 +66,6 @@ class TestJoin:
         # The rolled back request must not leak CDN bandwidth.
         assert system.cdn.used_outbound_mbps == 0.0
 
-    def test_partial_admission_mode(self, producers, flat_delay_model, layer_config, default_view):
-        system = RandomDisseminationSystem(
-            producers,
-            CDN(8.0, delta=60.0),
-            flat_delay_model,
-            layer_config,
-            rng=SeededRandom(3),
-            strict_admission=False,
-        )
-        viewer = make_viewers(1, outbound=0.0)[0]
-        accepted = system.join_viewer(viewer, default_view)
-        # 8 Mbps of CDN can carry 4 streams; whether the request is accepted
-        # depends on which streams they are, but bookkeeping must agree.
-        snapshot = system.snapshot()
-        if accepted:
-            assert snapshot.accepted_stream_counts[viewer.viewer_id] >= 2
-        else:
-            assert snapshot.accepted_stream_counts[viewer.viewer_id] == 0
-
     def test_delay_bound_respected(self, random_system, default_view):
         for viewer in make_viewers(30, outbound=2.0):
             random_system.join_viewer(viewer, default_view)
@@ -92,12 +73,6 @@ class TestJoin:
         for receiver in random_system._receivers.values():
             for parent_id, delay in receiver.streams.values():
                 assert delay <= d_max + 1e-9
-
-    def test_probe_count_validation(self, producers, flat_delay_model, layer_config):
-        with pytest.raises(ValueError):
-            RandomDisseminationSystem(
-                producers, CDN(100.0), flat_delay_model, layer_config, probe_count=0
-            )
 
     def test_snapshot_layers_derived_from_delays(self, random_system, default_view):
         for viewer in make_viewers(10, outbound=6.0):

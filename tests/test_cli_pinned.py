@@ -183,6 +183,10 @@ def test_cli_module_imports_no_system_internals():
         (["serve", "--dilation", "-2", "--max-wall-seconds", "0"], "time_dilation must be >= 0"),
         (["serve", "--dilation", "nan", "--max-wall-seconds", "0"], "time_dilation must be >= 0"),
         (["serve", "--max-wall-seconds", "-1"], "max_wall_seconds must be >= 0"),
+        # CLI floors: a population step below 10, a sweep with no worker.
+        (["13c", "--viewers", "20", "--step", "5"], "--step must be >= 10"),
+        (["sweep", "smoke", "--step", "5", "--no-store"], "--step must be >= 10"),
+        (["sweep", "smoke", "--jobs", "0", "--no-store"], "--jobs must be >= 1"),
     ],
 )
 def test_invalid_values_are_usage_errors_in_the_library_s_words(

@@ -57,11 +57,6 @@ class TestControlChannel:
         sim.run()
         assert delivered_at == [0.0, 0.0]
 
-    def test_path_delay_sums_legs(self):
-        _sim, channel = self._channel()
-        # two 50 ms legs + one processing step
-        assert channel.path_delay("v", "GSC", "LSC-0") == pytest.approx(0.15)
-
     def test_send_tracks_in_flight_and_delivers_at_transit_time(self):
         sim, channel = self._channel()
         seen = []

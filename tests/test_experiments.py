@@ -82,7 +82,6 @@ class TestExperimentConfig:
             {"data_loss_model": "markov"},
             {"data_mean_burst_length": 0.5},
             {"data_bandwidth_headroom": 0.0},
-            {"data_transit_delay_scale": -1.0},
             {"data_refresh_interval": 0.0},
             {"replay_frames_per_stream": -1},
         ],

@@ -196,7 +196,6 @@ class TestVersusRandom:
             DelayModel(matrix, processing_delay=0.1, cdn_delta=60.0),
             DelayLayerConfig(),
             rng=SeededRandom(11),
-            probe_count=3,
         )
         by_id = {viewer.viewer_id: viewer for viewer in viewers}
         for event in events:

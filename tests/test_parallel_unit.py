@@ -736,19 +736,20 @@ def test_worker_maxrss_is_kib_on_every_platform(monkeypatch, platform, maxrss):
     from types import SimpleNamespace
 
     from repro.experiments.reporting import format_worker_stats
+    from repro.util import rusage
 
     monkeypatch.setattr(sys, "platform", platform)
     monkeypatch.setattr(
-        worker_module,
+        rusage,
         "resource",
         SimpleNamespace(
             RUSAGE_SELF=0, getrusage=lambda _who: SimpleNamespace(ru_maxrss=maxrss)
         ),
     )
-    assert worker_module._ru_maxrss() == 100 * 2**10
+    assert rusage.peak_rss_kib() == 100 * 2**10
     stats = dict.fromkeys(
         ("build_s", "busy_s", "barrier_wait_s", "finalize_s", "events", "viewers"), 1
     )
-    stats["ru_maxrss"] = worker_module._ru_maxrss()
+    stats["ru_maxrss"] = rusage.peak_rss_kib()
     sharded = SimpleNamespace(worker_stats={0: stats}, placement=(0,), imbalance=1.0)
     assert "maxrss=100MiB" in format_worker_stats(sharded)

@@ -6,7 +6,7 @@ and made one ``DataLink.transmit`` call per frame).  The batched path must
 reproduce it byte for byte: every delivery record, every per-viewer QoE
 field and every gateway buffer's ``(frame_number, received_at)`` list,
 under Bernoulli and Gilbert-Elliott loss, with and without the bandwidth
-model, the layer refresh and extra transit.
+model and the layer refresh (late frames: ``underprovisioned_drop``).
 
 The delivery digest hashes *sorted* rows, so it cannot see the report's
 own order.  ``tests/golden/replay_order.json`` pins that: a digest of
@@ -82,14 +82,6 @@ PLANES = {
     ),
     "underprovisioned_drop": DataPlaneConfig(
         bandwidth_headroom=0.5, refresh_interval=4.0, max_frames_per_stream=200
-    ),
-    "extra_transit_late": DataPlaneConfig(
-        loss_rate=0.02,
-        bandwidth_headroom=0.9,
-        transit_delay_scale=2.0,
-        refresh_interval=None,
-        max_frames_per_stream=80,
-        seed=11,
     ),
 }
 

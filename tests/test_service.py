@@ -44,6 +44,7 @@ from repro.service.metrics_export import (
     service_metrics,
 )
 from repro.service.snapshot import (
+    SNAPSHOT_VERSION,
     SnapshotError,
     load_snapshot,
     save_snapshot,
@@ -289,6 +290,22 @@ class TestDaemonOps:
         assert 'repro_ops_total{op="join"} 12' in text
 
 
+#: What each earlier snapshot layout pickled that the current code no
+#: longer has.
+RETIRED_SNAPSHOT_VERSIONS = {
+    1: "StreamId / MatchField as dataclass instances",
+    2: "the simulator queue as _QueueEntry dataclasses, DeliveryRecord as a dataclass",
+    3: "StreamSubscription, RoutingEntry and ChildForwardingState with a __dict__, "
+    "TreeNode without its sort_key slot",
+    4: "every ViewerSession with a stored routing table and two outbound-allocation dicts",
+    5: "one heartbeat timer per connected viewer and a stored in-flight count",
+    6: "gateway buffers as one deque of BufferedFrame records",
+    7: "the latency world as a LazyPlanetLabMatrix with an interner and triangular rows",
+    8: "[time, seq, callback, label, state] heap entries, PeriodicProcess labels, "
+    "four ExperimentConfig and two DataPlaneConfig fields that are gone",
+}
+
+
 class TestSnapshotFile:
     def test_save_load_round_trip(self, tmp_path):
         path = str(tmp_path / "state.snap")
@@ -319,8 +336,10 @@ class TestSnapshotFile:
         with pytest.raises(SnapshotError):
             save_snapshot("/tmp/never-written.snap", lambda: None, sim_time=0.0)
 
-    @staticmethod
-    def _assert_version_refused(tmp_path, version):
+    @pytest.mark.parametrize("version", sorted(RETIRED_SNAPSHOT_VERSIONS))
+    def test_retired_version_file_refused_by_name(self, tmp_path, version):
+        # Refused before pickle ever sees the payload (the reason each
+        # layout no longer unpickles is RETIRED_SNAPSHOT_VERSIONS[version]).
         payload = pickle.dumps({"hello": [1, 2, 3]}, protocol=4)
         header = {
             "created_at": "2026-01-01T00:00:00Z",
@@ -337,46 +356,8 @@ class TestSnapshotFile:
         with pytest.raises(SnapshotError, match=f"unsupported version {version}"):
             load_snapshot(path)
 
-    def test_version_1_file_refused_by_name(self, tmp_path):
-        # A v1 payload pickled StreamId/MatchField as dataclass instances;
-        # the version check must refuse it before pickle ever sees it.
-        self._assert_version_refused(tmp_path, 1)
-
-    def test_version_2_file_refused_by_name(self, tmp_path):
-        # A v2 payload pickled the simulator queue as _QueueEntry
-        # dataclasses (now plain lists) and DeliveryRecord as a dataclass.
-        self._assert_version_refused(tmp_path, 2)
-
-    def test_version_3_file_refused_by_name(self, tmp_path):
-        # A v3 payload pickled StreamSubscription, RoutingEntry and
-        # ChildForwardingState with a ``__dict__`` (now slotted) and
-        # TreeNode without its stored ``sort_key`` slot.
-        self._assert_version_refused(tmp_path, 3)
-
-    def test_version_4_file_refused_by_name(self, tmp_path):
-        # A v4 payload pickled every ViewerSession with its stored routing
-        # table and the two outbound-allocation dicts (three fields that
-        # no longer exist: Table I is read off the trees).
-        self._assert_version_refused(tmp_path, 4)
-
-    def test_version_5_file_refused_by_name(self, tmp_path):
-        # A v5 payload pickled the driver with one heartbeat timer per
-        # connected viewer (two dicts of event handles and callbacks, the
-        # ticks themselves in the simulator queue) and the channel with a
-        # stored in-flight count; beats are a ledger on the driver now.
-        self._assert_version_refused(tmp_path, 5)
-
-    def test_version_6_file_refused_by_name(self, tmp_path):
-        # A v6 payload pickled every gateway buffer as one deque of
-        # BufferedFrame records (a class that no longer exists); a buffer
-        # is two deques now, the frames and their arrival times.
-        self._assert_version_refused(tmp_path, 6)
-
-    def test_version_7_file_refused_by_name(self, tmp_path):
-        # A v7 payload pickled the latency world as a LazyPlanetLabMatrix
-        # with an interner, triangular rows and a per-region node index;
-        # it is one LatencyMatrix with a pair dict and a node dict now.
-        self._assert_version_refused(tmp_path, 7)
+    def test_every_earlier_version_is_retired_with_a_reason(self):
+        assert sorted(RETIRED_SNAPSHOT_VERSIONS) == list(range(1, SNAPSHOT_VERSION))
 
 
 class TestInFlightSnapshot:
