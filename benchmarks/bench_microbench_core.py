@@ -5,7 +5,7 @@ insertion, bandwidth allocation, the view-synchronization planning, the
 lazy latency lookup (miss and hit), the re-subscription cascade below a
 displacement and a whole 400-viewer broadcast -- so regressions in their
 cost (they all run on every viewer join) are visible in the benchmark
-history.  CI runs the file with ``--benchmark-disable`` (every body
+history -- and the simulated frame replay over a 300-viewer overlay.  CI runs the file with ``--benchmark-disable`` (every body
 once), so it cannot rot.
 """
 
@@ -14,6 +14,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro.core.bandwidth import allocate_inbound, allocate_outbound
+from repro.core.dataplane import SimulatedDataPlane
 from repro.core.layering import DelayLayerConfig
 from repro.core.state import StreamSubscription
 from repro.core.subscription import plan_view_synchronization
@@ -28,6 +29,7 @@ from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import generate_planetlab_matrix
 from repro.scenarios.invariants import layer_bound_violations
 from repro.sim.rng import SeededRandom
+from repro.traces.teeve import TeeveSessionTrace
 
 
 def _default_view():
@@ -189,3 +191,37 @@ def test_bench_broadcast_join_400(benchmark):
     result = benchmark.pedantic(broadcast, setup=fresh_scenario, rounds=3, iterations=1)
     assert result.metrics.accepted_requests == 346
     assert result.metrics.rejected_requests == 54
+
+
+def test_bench_simulated_replay_300(benchmark):
+    """The simulated body of the ``replay_qoe`` workload of
+    ``benchmarks/e2e`` without its joins: 300 viewers, 3 LSCs, 60 frames
+    a stream, 2 % loss, headroom 1.0, a layer refresh every 5 s, seed 7.
+    One drain event per quiet window sends the chunks."""
+    config = (
+        PAPER_CONFIG.with_scaled_population(300, num_lscs=3)
+        .with_(
+            data_plane="simulated",
+            data_loss_rate=0.02,
+            data_bandwidth_headroom=1.0,
+            data_refresh_interval=5.0,
+            replay_frames_per_stream=60,
+        )
+        .with_seed(7)
+    )
+
+    def joined_overlay():
+        scenario = runner.build_scenario(config)
+        system = runner.build_telecast_system(scenario)
+        system.run_workload(scenario.viewers, scenario.events, scenario.views)
+        trace = TeeveSessionTrace(scenario.producers, rng=SeededRandom(config.seed))
+        return (SimulatedDataPlane(system, trace, config.data_plane_config()),), {}
+
+    def replay(plane):
+        fired = plane.system.simulator.fired
+        return plane.run(), plane.system.simulator.fired - fired
+
+    report, events = benchmark.pedantic(replay, setup=joined_overlay, rounds=3, iterations=1)
+    assert report.frames_sent == report.frames_delivered + report.frames_lost > 0
+    # One refresh at 5 s inside the 6 s trace: drain, refresh, drain.
+    assert events == 3

@@ -20,9 +20,10 @@ says about the link:
   (:class:`~repro.sim.transport.DataLink`), lost and played out in one pass.
 
 :class:`SimulatedDataPlane` adds what needs the
-:class:`~repro.sim.engine.Simulator`: per-edge chunk events, per-viewer
-playout accounting (:class:`QoEReport`) and the observed-delay ``kappa``
-refresh of :class:`~repro.core.adaptation.AdaptationManager`.  With
+:class:`~repro.sim.engine.Simulator`: one drain event per quiet window
+between control events, per-viewer playout accounting
+(:class:`QoEReport`) and the observed-delay ``kappa`` refresh of
+:class:`~repro.core.adaptation.AdaptationManager`.  With
 ``bandwidth_headroom=None`` and zero loss its chunks go through the same
 constant-delay function, one call per :data:`BATCH_QUANTUM`.
 """
@@ -30,12 +31,11 @@ constant-delay function, one call per :data:`BATCH_QUANTUM`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import repeat
+from heapq import heapify, heappop, heappush
+from itertools import count, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.model.cdn import CDN_NODE_ID
 from repro.model.stream import Frame, StreamId
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import DataChannel, DataLink, GilbertElliottConfig
@@ -65,13 +65,13 @@ class DeliveryRecord(NamedTuple):
         return self.delivery_time - self.capture_time
 
 
-#: Replay seconds of frames one engine event transmits per edge.  With
-#: the feedback loop disabled this is purely an engine-granularity
-#: constant -- delivery timestamps are independent of it (pinned by
-#: ``tests/test_dataplane_sim.py``).  With ``refresh_interval`` set it also
-#: bounds how stale an edge's layer state can be when its frames
-#: transmit: frames due inside one quantum all use the layer decisions in
-#: force at the chunk's start.
+#: Replay seconds of frames in one chunk of an edge, which starts at its
+#: first frame's capture time.  Delivery timestamps are independent of it
+#: (pinned by ``tests/test_dataplane_sim.py``).  It bounds how stale an
+#: edge's layer state can be when its frames transmit: a control event
+#: inside a chunk takes effect from the edge's next chunk on.  It does not
+#: set the engine's granularity: one drain covers every chunk that starts
+#: before the next control event.
 BATCH_QUANTUM = 1.0
 
 #: Report order, ``(delivery_time, viewer_id)``, as a C-level sort key.
@@ -130,23 +130,22 @@ class PlaybackReport:
         For every frame number present in all of the viewer's streams,
         the two skews are spreads of the same dependent-frame delays --
         raw, and clamped from below at ``playout_point`` -- so both follow
-        from the fastest and slowest of those delays.  ``(None, None)``
-        when the viewer received fewer than two streams.
+        from the fastest and slowest of those delays.  A trace numbers a
+        stream's frames from 0, so frame ``i`` is row ``i`` of every lane,
+        and the rows are read column-wise.  ``(None, None)`` when the
+        viewer received fewer than two streams.
         """
-        tables = []
-        for _, _, frames, arrivals in self._lanes.get(viewer_id, ()):
-            table = {
-                frame.frame_number: arrival - frame.capture_time
-                for frame, arrival in zip(frames, arrivals)
-                if arrival is not None
-            }
-            if table:
-                tables.append(table)
-        if len(tables) < 2:
+        columns = [
+            [None if at is None else at - f.capture_time for f, at in zip(frames, arrivals)]
+            for _, _, frames, arrivals in self._lanes.get(viewer_id, ())
+            if arrivals.count(None) < len(arrivals)
+        ]
+        if len(columns) < 2:
             return None, None
         skew = playout_skew = 0.0
-        for frame_number in set(tables[0]).intersection(*tables[1:]):
-            delays = [table[frame_number] for table in tables]
+        for delays in zip(*columns):
+            if None in delays:
+                continue
             fastest = min(delays)
             slowest = max(delays)
             if slowest - fastest > skew:
@@ -409,7 +408,6 @@ class _EdgeState:
         "prev_ok",
         "window_sum",
         "window_count",
-        "callback",
         "link",
         "link_parent",
     )
@@ -438,7 +436,6 @@ class _EdgeState:
         self.prev_ok = False
         self.window_sum = 0.0
         self.window_count = 0
-        self.callback = None
         # The link of the current parent, looked up again only when the
         # parent changes.
         self.link: Optional[DataLink] = None
@@ -631,16 +628,23 @@ def _send_chunk(
 class SimulatedDataPlane:
     """Event-driven frame replay over the overlay of a TeleCast session.
 
-    Frames of every subscribed stream travel in chunks on the session's
-    :class:`~repro.sim.engine.Simulator`: each subscription edge schedules
-    one engine event per :data:`BATCH_QUANTUM` of trace time, and every event
-    serializes the frames due in its quantum through the parent's
-    reserved forwarding bin (FIFO queueing, loss), stamps the deliveries,
-    inserts the frames into the viewer's gateway buffer and updates the
-    playout accounting in one pass.  Edge state (parent, effective delay,
-    still-subscribed) is re-read at every event, so the observed-delay
-    layer refresh running on the same engine feeds back into subsequent
+    Frames of every subscribed stream travel in chunks of
+    :data:`BATCH_QUANTUM` trace seconds: each chunk serializes its frames
+    through the parent's reserved forwarding bin (FIFO queueing, loss),
+    stamps the deliveries, inserts the frames into the viewer's gateway
+    buffer and updates the playout accounting in one pass.  Edge state
+    (parent, effective delay, still-subscribed) is read again after every
+    control event, so the observed-delay layer refresh running on the
+    same :class:`~repro.sim.engine.Simulator` feeds back into subsequent
     deliveries.
+
+    Chunks wait on the plane's own ``(start, seq)`` heap behind one engine
+    event, the drain.  Between two control events (a refresh, or any other
+    engine event) edges share only additive counters and link creation
+    order, so the drain pops every chunk that starts strictly before the
+    next control event, in a per-chunk engine's order; an edge reads its
+    subscription, deadline and link at its first pop and sends the
+    window's link frames in one :func:`_send_chunk` call.
 
     The replay starts at the simulator's current time (frames are
     rebased onto the live clock); all recorded times are relative to the
@@ -660,6 +664,9 @@ class SimulatedDataPlane:
         self._t0 = 0.0
         self._channel: Optional[DataChannel] = None
         self._edges: List[_EdgeState] = []
+        self._due: List[Tuple[float, int, _EdgeState]] = []
+        self._seq = count()
+        self._last_start = 0.0
         self._report: Optional[QoEReport] = None
 
     # -- replay ------------------------------------------------------------------
@@ -683,66 +690,77 @@ class SimulatedDataPlane:
             d_buff=self.system.layer_config.buffer_duration,
         )
         for edge in self._edges:
-            # One reusable engine callback per edge.
-            edge.callback = partial(self._transmit_chunk, edge)
-            sim.schedule_at(self._t0 + edge.frames[0].capture_time, edge.callback)
+            self._due.append((self._t0 + edge.frames[0].capture_time, next(self._seq), edge))
+        heapify(self._due)
+        if self._due:
+            sim.schedule_at(self._due[0][0], self._drain)
         if cfg.refresh_interval is not None and self._edges:
             horizon = max(edge.frames[-1].capture_time for edge in self._edges)
             self._schedule_refresh(self._t0 + cfg.refresh_interval, horizon)
         sim.run()
+        # Stop the clock where a per-chunk engine would: the last chunk start.
+        sim.run(until=self._last_start)
         return self._finalize()
 
-    def _transmit_chunk(self, edge: _EdgeState) -> None:
+    def _drain(self) -> None:
+        """Send every chunk that starts before the next event on the engine."""
         sim = self.system.simulator
         cfg = self.config
         channel = self._channel
-        sub = edge.session.subscriptions.get(edge.stream_id)
-        if sub is None:
-            # Dropped by the layer refresh: the edge terminates, and the
-            # undeliverable tail still counts against the viewer's
-            # continuity -- losing a whole stream IS a playout failure.
-            remaining = len(edge.frames) - edge.index
-            edge.expected += remaining
-            edge.dropped += remaining
-            edge.gap_len += remaining
-            edge.index = len(edge.frames)
-            return
-        if cfg.refresh_interval is not None:
-            # The playout point tracks the refreshed layers: a push-down
-            # re-buffers the viewer, moving its deadline along (static
-            # without the feedback loop, so such runs skip this).
-            edge.deadline = _playout_deadline(edge.session)
-        frames = edge.frames
-        total = len(frames)
-        index = edge.index
-        end_rel = (sim.now - self._t0) + BATCH_QUANTUM
-        delay = sub.effective_delay or sub.end_to_end_delay
-        parent_id = sub.parent_id
-
-        stop = index
-        while stop < total and frames[stop].capture_time < end_rel:
-            stop += 1
-
-        if cfg.bandwidth_headroom is None and cfg.loss_rate == 0.0:
-            # No serialization, no loss: the constant-delay cost model.
-            batch = frames[index:stop]
-            channel.sent += len(batch)
-            channel.delivered += len(batch)
-            _deliver_constant_delay(edge, batch, delay)
-        else:
-            if edge.link_parent != parent_id:
-                rate = (
-                    None
-                    if cfg.bandwidth_headroom is None
-                    else cfg.bandwidth_headroom * sub.stream.bandwidth_mbps
-                )
-                edge.link = channel.link(parent_id, edge.viewer_id, edge.stream_id, rate)
-                edge.link_parent = parent_id
-            _send_chunk(channel, edge.link, edge, frames[index:stop], self._t0, delay)
-
-        edge.index = stop
-        if stop < total:
-            sim.schedule_at(self._t0 + frames[stop].capture_time, edge.callback)
+        t0 = self._t0
+        constant = cfg.bandwidth_headroom is None and cfg.loss_rate == 0.0
+        window_end = sim.next_time()
+        due = self._due
+        window: Dict[_EdgeState, Tuple[int, float]] = {}
+        while due and due[0][0] < window_end:
+            start, _, edge = heappop(due)
+            if edge not in window:
+                sub = edge.session.subscriptions.get(edge.stream_id)
+                if sub is None:
+                    # Dropped by the layer refresh: the edge terminates, and
+                    # the undeliverable tail still counts against the viewer's
+                    # continuity -- losing a whole stream IS a playout failure.
+                    self._last_start = max(self._last_start, start)
+                    remaining = len(edge.frames) - edge.index
+                    edge.expected += remaining
+                    edge.dropped += remaining
+                    edge.gap_len += remaining
+                    edge.index = len(edge.frames)
+                    continue
+                if cfg.refresh_interval is not None:
+                    # The playout point tracks the refreshed layers: a
+                    # push-down re-buffers the viewer, moving its deadline
+                    # along (static without the feedback loop, so such runs
+                    # skip this).
+                    edge.deadline = _playout_deadline(edge.session)
+                if not constant and edge.link_parent != sub.parent_id:
+                    headroom = cfg.bandwidth_headroom
+                    rate = None if headroom is None else headroom * sub.stream.bandwidth_mbps
+                    edge.link = channel.link(sub.parent_id, edge.viewer_id, edge.stream_id, rate)
+                    edge.link_parent = sub.parent_id
+                window[edge] = (edge.index, sub.effective_delay or sub.end_to_end_delay)
+            frames = edge.frames
+            total = len(frames)
+            index = stop = edge.index
+            end_rel = (start - t0) + BATCH_QUANTUM
+            while stop < total and frames[stop].capture_time < end_rel:
+                stop += 1
+            edge.index = stop
+            if constant:
+                # No serialization, no loss: one constant-delay call per
+                # chunk (its delay sum is not split-invariant).
+                channel.sent += stop - index
+                channel.delivered += stop - index
+                _deliver_constant_delay(edge, frames[index:stop], window[edge][1])
+            if stop < total:
+                heappush(due, (t0 + frames[stop].capture_time, next(self._seq), edge))
+            else:
+                self._last_start = max(self._last_start, start)
+        if not constant:
+            for edge, (index, delay) in window.items():
+                _send_chunk(channel, edge.link, edge, edge.frames[index : edge.index], t0, delay)
+        if due:
+            sim.schedule_at(due[0][0], self._drain)
 
     # -- observed-delay layer refresh --------------------------------------------
 

@@ -153,8 +153,8 @@ def parse_op(line: str) -> Op:
             seconds = float(parts[1])
         except ValueError:
             raise ProtocolError(f"seconds must be a number, got {parts[1]!r}") from None
-        if seconds < 0:
-            raise ProtocolError(f"seconds must be >= 0, got {seconds}")
+        if not 0 <= seconds < float("inf"):
+            raise ProtocolError(f"seconds must be finite and >= 0, got {seconds}")
         return Op(kind=kind, seconds=seconds)
     if kind == "replay":
         _require_args(parts, 1, 1)

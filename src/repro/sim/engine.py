@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional
 
 from repro.util.validation import require_non_negative
@@ -124,6 +125,24 @@ class Simulator:
         """Total number of events executed so far."""
         return self._fired
 
+    def next_time(self) -> float:
+        """Time of the earliest pending event, or ``math.inf`` if none.
+
+        Cancelled entries at the head are discarded, as :meth:`run` would.
+
+        >>> sim = Simulator()
+        >>> sim.next_time()
+        inf
+        >>> sim.schedule(1.0, lambda: None).cancel()
+        True
+        >>> _ = sim.schedule(2.0, lambda: None)
+        >>> sim.next_time()
+        2.0
+        """
+        while self._queue and self._queue[0][_STATE] == _CANCELLED:
+            heapq.heappop(self._queue)
+        return self._queue[0][_TIME] if self._queue else math.inf
+
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
@@ -168,8 +187,10 @@ class Simulator:
         Returns the number of events executed by this call.  When ``until``
         is given, the clock is advanced to exactly ``until`` even if the last
         event fired earlier, so back-to-back ``run(until=...)`` calls behave
-        like contiguous epochs.
+        like contiguous epochs.  A NaN ``until`` would never stop the run.
         """
+        if until is not None and math.isnan(until):
+            raise ValueError("until must be a number, got nan")
         # The engine's hot loop: peek, pop and fire inline (no per-event
         # method call).
         queue = self._queue

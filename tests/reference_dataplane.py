@@ -1,8 +1,9 @@
-"""Frozen chunk step of the simulated data plane: the executable spec.
+"""Frozen chunk step and chunk schedule of the simulated data plane: the
+executable specs.
 
-The FIFO-link branch of ``SimulatedDataPlane._transmit_chunk`` as it was
-before a chunk became one pass: ``DataLink.transmit_chunk`` computed the
-absolute delivery times, ``DataChannel.transmit_chunk`` folded the
+**The chunk step.**  The FIFO-link branch of ``_transmit_chunk`` (below)
+as it was before a chunk became one pass: ``DataLink.transmit_chunk``
+computed the absolute delivery times, ``DataChannel.transmit_chunk`` folded the
 channel counters, a list re-based the times onto the replay epoch, and a
 playout loop consumed that list.  The three bodies are kept statement for
 statement, as functions of the state-only link and channel, comments
@@ -11,16 +12,46 @@ random chunks through it and through
 :func:`repro.core.dataplane._send_chunk` and asserts equal arrival
 columns, link, channel, buffer and edge state.
 
+**The chunk schedule.**  :class:`PerChunkSimulatedDataPlane` is the
+driver ``SimulatedDataPlane`` had before one engine event drained every
+due edge up to the next control event: one engine event per edge per
+:data:`~repro.core.dataplane.BATCH_QUANTUM` of trace time, each
+re-reading the subscription, the playout deadline and the link.  Its
+``run`` and ``_transmit_chunk`` are kept statement for statement; the
+callback that was stored on the edge (an ``_EdgeState.callback`` slot)
+is built afresh per event, which fires the same function at the same
+``(time, seq)``.  Everything else -- edge collection, the chunk
+functions, the layer refresh, the report -- is the production code.
+``tests/test_properties.py::TestDrainMatchesPerChunkSchedule`` runs both
+drivers on identically built overlays and asserts equal deliveries,
+QoE, channel counters, links, buffers, edges and the final clock.  The
+chunk end is read as ``dataplane.BATCH_QUANTUM`` so that a test that
+patches the constant patches both drivers.
+
 Do not use it in production code and do not "fix" it -- behaviour
 changes here silently weaken the equivalence guarantee.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from typing import Any, List, Optional, Sequence
 
+from repro.core import dataplane
+from repro.core.dataplane import (
+    PlaybackReport,
+    QoEReport,
+    SimulatedDataPlane,
+    _collect_edges,
+    _deliver_constant_delay,
+    _lanes,
+    _playout_deadline,
+    _send_chunk,
+)
 from repro.model.stream import Frame
+from repro.sim.rng import SeededRandom
+from repro.sim.transport import DataChannel
 
 
 def link_transmit_chunk(
@@ -116,3 +147,82 @@ def transmit_link_chunk(
     edge.first_delivery = first_delivery
     edge.window_sum = window_sum
     edge.window_count += delivered
+
+
+class PerChunkSimulatedDataPlane(SimulatedDataPlane):
+    """The one-event-per-edge-per-quantum driver (see the module docstring)."""
+
+    def run(self) -> QoEReport:
+        sim = self.system.simulator
+        cfg = self.config
+        self._t0 = sim.now
+        self._channel = DataChannel(
+            sim,
+            loss_rate=cfg.loss_rate,
+            rng=SeededRandom(cfg.seed),
+            gilbert=cfg.gilbert_config(),
+        )
+        self._edges = _collect_edges(
+            self.system, self.trace, cfg.max_frames_per_stream
+        )
+        self._report = QoEReport(
+            playback=PlaybackReport(_lanes(self._edges)),
+            d_buff=self.system.layer_config.buffer_duration,
+        )
+        for edge in self._edges:
+            sim.schedule_at(
+                self._t0 + edge.frames[0].capture_time,
+                partial(self._transmit_chunk, edge),
+            )
+        if cfg.refresh_interval is not None and self._edges:
+            horizon = max(edge.frames[-1].capture_time for edge in self._edges)
+            self._schedule_refresh(self._t0 + cfg.refresh_interval, horizon)
+        sim.run()
+        return self._finalize()
+
+    def _transmit_chunk(self, edge) -> None:
+        sim = self.system.simulator
+        cfg = self.config
+        channel = self._channel
+        sub = edge.session.subscriptions.get(edge.stream_id)
+        if sub is None:
+            remaining = len(edge.frames) - edge.index
+            edge.expected += remaining
+            edge.dropped += remaining
+            edge.gap_len += remaining
+            edge.index = len(edge.frames)
+            return
+        if cfg.refresh_interval is not None:
+            edge.deadline = _playout_deadline(edge.session)
+        frames = edge.frames
+        total = len(frames)
+        index = edge.index
+        end_rel = (sim.now - self._t0) + dataplane.BATCH_QUANTUM
+        delay = sub.effective_delay or sub.end_to_end_delay
+        parent_id = sub.parent_id
+
+        stop = index
+        while stop < total and frames[stop].capture_time < end_rel:
+            stop += 1
+
+        if cfg.bandwidth_headroom is None and cfg.loss_rate == 0.0:
+            batch = frames[index:stop]
+            channel.sent += len(batch)
+            channel.delivered += len(batch)
+            _deliver_constant_delay(edge, batch, delay)
+        else:
+            if edge.link_parent != parent_id:
+                rate = (
+                    None
+                    if cfg.bandwidth_headroom is None
+                    else cfg.bandwidth_headroom * sub.stream.bandwidth_mbps
+                )
+                edge.link = channel.link(parent_id, edge.viewer_id, edge.stream_id, rate)
+                edge.link_parent = parent_id
+            _send_chunk(channel, edge.link, edge, frames[index:stop], self._t0, delay)
+
+        edge.index = stop
+        if stop < total:
+            sim.schedule_at(
+                self._t0 + frames[stop].capture_time, partial(self._transmit_chunk, edge)
+            )

@@ -22,6 +22,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import reference_dataplane
 from repro.core import dataplane
 from repro.core.dataplane import (
     DataPlaneConfig,
@@ -341,6 +342,78 @@ class TestOfflineEquivalence:
                 assert other.frames_lost == reports[0].frames_lost
                 assert other.per_viewer == reports[0].per_viewer
             assert (reports[0].frames_lost > 0) == bool(loss)
+
+
+class TestEngineEventsPerReplay:
+    """A deterministic guard for the replay's engine overhead.
+
+    Wall-clock gains do not survive a shared CI runner; event counts do.
+    Edges share no state between two control events, so one drain event
+    sends every due edge's chunks up to the next one: a replay fires one
+    drain per quiet window plus its control events, at most
+    ``2 * (refreshes + 1)`` without other traffic.  The counts below are
+    pinned on the 30-viewer overlay (146 edges, 60 frames a stream, 2 %
+    loss); they may only fall, and a change that lowers one states why
+    here.  With one engine event per edge per ``BATCH_QUANTUM`` they were
+    876 with the refresh off and 877 with it on.
+    """
+
+    #: ``(frames a stream, refresh interval) -> (engine events, refreshes)``.
+    PINNED = {
+        (60, None): (1, 0),
+        (60, 5.0): (3, 1),
+        (600, 5.0): (23, 11),
+    }
+
+    @pytest.mark.parametrize("frames, refresh", sorted(PINNED, key=str))
+    def test_a_replay_fires_one_drain_per_quiet_window(self, frames, refresh):
+        system, trace = _joined_system(SMALL_CONFIG)
+        plane = SimulatedDataPlane(
+            system,
+            trace,
+            DataPlaneConfig(
+                loss_rate=0.02,
+                refresh_interval=refresh,
+                max_frames_per_stream=frames,
+                seed=7,
+            ),
+        )
+        refreshes = []
+        run_refresh = plane._run_refresh
+
+        def counted_refresh():
+            refreshes.append(system.simulator.now)
+            run_refresh()
+
+        plane._run_refresh = counted_refresh
+        before = system.simulator.fired
+        report = plane.run()
+        events = system.simulator.fired - before
+        pinned_events, pinned_refreshes = self.PINNED[frames, refresh]
+        assert len(plane._edges) == 146
+        assert report.frames_sent + report.frames_dropped == sum(
+            len(edge.frames) for edge in plane._edges
+        )
+        assert len(refreshes) == pinned_refreshes
+        assert events <= 2 * (len(refreshes) + 1)
+        assert events <= pinned_events
+
+
+    def test_the_clock_stops_where_the_per_chunk_schedule_stopped(self):
+        # The drain runs ahead of its chunks, yet a replay leaves the
+        # clock at the last event a per-chunk engine fired: here every
+        # edge is dropped at 0.5 s and ends at its next chunk start.
+        clocks = []
+        for driver in (SimulatedDataPlane, reference_dataplane.PerChunkSimulatedDataPlane):
+            system, trace = _joined_system(SMALL_CONFIG)
+            sessions = [s for lsc in system.gsc.lscs for s in lsc.sessions.values()]
+            system.simulator.schedule_at(
+                0.5, lambda: [session.subscriptions.clear() for session in sessions]
+            )
+            config = DataPlaneConfig(refresh_interval=None, max_frames_per_stream=60)
+            assert driver(system, trace, config).run().frames_dropped > 0
+            clocks.append(system.simulator.now)
+        assert clocks[0] == clocks[1] >= 1.0
 
 
 class TestQoEMetrics:

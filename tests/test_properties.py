@@ -16,6 +16,9 @@ Covered invariants:
 * a data link serializing a frame sequence in chunks -- any split -- is
   bit-identical to the per-frame FIFO/loss recurrence it replaced, and
   the one-pass chunk step to the pre-change chunk step,
+* the simulated replay's drain (one engine event per quiet window) is
+  bit-identical to the one-event-per-edge-per-quantum schedule it
+  replaced, whatever control events land during the replay,
 * the layer formula of Equation 1 matches the layer implied by the delay
   interval definition,
 * the view-synchronization plan always bounds the layer spread by kappa
@@ -44,6 +47,8 @@ from repro.core.subscription import (
 )
 from repro.core.telecast import build_views
 from repro.core.topology import StreamTree
+from repro.experiments.config import PAPER_CONFIG
+from repro.experiments.runner import build_scenario, build_telecast_system
 from repro.metrics.stats import cdf_points
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.producer import make_default_producers
@@ -60,6 +65,7 @@ from repro.sim.transport import (
     GilbertElliottConfig,
     GilbertElliottLoss,
 )
+from repro.traces.teeve import TeeveSessionTrace
 
 PRODUCERS = make_default_producers()
 VIEW = build_views(PRODUCERS, num_views=1, streams_per_site=3)[0]
@@ -599,6 +605,203 @@ class TestChunkedLinkEquivalence:
                     buffer.held(),
                 )
             )
+        assert sides[0] == sides[1]
+
+
+#: A two-LSC overlay small enough to build twice per example.
+DRAIN_CONFIG = PAPER_CONFIG.with_scaled_population(24, num_lscs=2)
+
+#: Data-plane cost models: constant delay, lossless FIFO links, and the
+#: two loss processes.
+DRAIN_PLANES = {
+    "constant": {"bandwidth_headroom": None},
+    "fifo": {"bandwidth_headroom": 0.7},
+    "bernoulli": {"bandwidth_headroom": 1.0, "loss_rate": 0.1},
+    "gilbert": {
+        "bandwidth_headroom": None,
+        "loss_rate": 0.1,
+        "loss_model": "gilbert",
+        "mean_burst_length": 3.0,
+    },
+}
+
+
+def _drain_overlay(t0):
+    """A joined overlay whose clock stands at ``t0``, and its trace."""
+    scenario = build_scenario(DRAIN_CONFIG)
+    system = build_telecast_system(scenario)
+    system.run_workload(scenario.viewers, scenario.events, scenario.views)
+    system.simulator.run(until=t0)
+    trace = TeeveSessionTrace(scenario.producers, rng=SeededRandom(DRAIN_CONFIG.seed))
+    return system, trace
+
+
+def _chunk_starts(frames, t0):
+    """Engine times of one edge's chunks under the per-chunk schedule."""
+    starts, index = [], 0
+    while index < len(frames):
+        start = t0 + frames[index].capture_time
+        starts.append(start)
+        end_rel = (start - t0) + dataplane.BATCH_QUANTUM
+        while index < len(frames) and frames[index].capture_time < end_rel:
+            index += 1
+    return starts
+
+
+def _schedule_control_events(system, trace, t0, frames, events):
+    """Put the drawn control events on the engine before the replay starts.
+
+    ``(kind, pick, on_chunk, at)``: ``pick`` chooses a session and one of
+    its streams; the event fires exactly at one of that edge's chunk
+    starts (``on_chunk``) or at a fraction ``at`` of the trace.
+    """
+    sim = system.simulator
+    sessions = [
+        (viewer_id, session)
+        for lsc in system.gsc.lscs
+        for viewer_id, session in lsc.sessions.items()
+        if session.subscriptions
+    ]
+    for number, (kind, pick, on_chunk, at) in enumerate(events):
+        viewer_id, session = sessions[pick % len(sessions)]
+        streams = list(session.subscriptions)
+        stream_id = streams[pick % len(streams)]
+        if on_chunk:
+            starts = _chunk_starts(trace.frames_for_stream(stream_id, frames), t0)
+            time = starts[int(at * len(starts))]
+        else:
+            time = t0 + at * frames / 10.0
+        if kind == "reparent":
+
+            def act(session=session, stream_id=stream_id, parent=f"relay-{number}"):
+                sub = session.subscriptions.get(stream_id)
+                if sub is not None:
+                    sub.parent_id = parent
+
+        elif kind == "drop":
+
+            def act(session=session, stream_id=stream_id):
+                session.subscriptions.pop(stream_id, None)
+
+        else:
+
+            def act(viewer_id=viewer_id):
+                system.depart_viewer(viewer_id)
+
+        sim.schedule_at(time, act)
+
+
+def _replay_observables(plane, report):
+    channel = plane._channel
+    return {
+        "deliveries": report.deliveries,
+        "per_viewer": report.per_viewer,
+        "report": (
+            report.frames_sent,
+            report.frames_delivered,
+            report.frames_lost,
+            report.frames_late,
+            report.frames_dropped,
+            report.layer_adjustments,
+            report.streams_dropped,
+        ),
+        "channel": (channel.sent, channel.delivered, channel.lost),
+        # Insertion order is creation order, which salts each link's RNG.
+        "links": [(key, link.free_at) for key, link in channel._links.items()],
+        "edges": [[getattr(edge, name) for name in _EDGE_COUNTERS] for edge in plane._edges],
+        "buffers": [edge.viewer.buffer_for(edge.stream_id).held() for edge in plane._edges],
+        "clock": plane.system.simulator.now,
+    }
+
+
+control_events = st.lists(
+    st.tuples(
+        st.sampled_from(["reparent", "drop", "depart"]),
+        st.integers(0, 10_000),
+        st.booleans(),
+        st.floats(0.0, 0.999),
+    ),
+    max_size=4,
+)
+
+
+class TestDrainMatchesPerChunkSchedule:
+    """The drain replays what one engine event per edge per quantum
+    (``tests/reference_dataplane.py``) replays, bit for bit: deliveries,
+    QoE, channel counters, links in creation order, buffers, edges and
+    the clock the replay leaves behind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        plane=st.sampled_from(sorted(DRAIN_PLANES)),
+        refresh=st.sampled_from([None, 1.0, 2.5, 5.0]),
+        # A far epoch rounds ``t0 + capture - t0`` at a coarse ulp, so a
+        # chunk boundary computed from the capture time alone would move.
+        t0=st.one_of(st.just(0.0), st.just(2.0**45), st.floats(0.0, 500.0)),
+        frames=st.integers(1, 60),
+        events=control_events,
+        seed=st.integers(0, 2**16),
+    )
+    @example(  # each kind lands on a chunk start, one at the very first
+        plane="bernoulli",
+        refresh=2.5,
+        t0=123.456,
+        frames=45,
+        events=[
+            ("reparent", 3, True, 0.0),
+            ("drop", 8, True, 0.5),
+            ("depart", 1, True, 0.7),
+            ("reparent", 11, True, 0.3),
+        ],
+        seed=5,
+    )
+    @example(
+        plane="constant",
+        refresh=1.0,
+        t0=0.0,
+        frames=60,
+        events=[("depart", 0, True, 0.2), ("drop", 5, False, 0.41)],
+        seed=0,
+    )
+    @example(
+        plane="gilbert", refresh=None, t0=77.7, frames=60, events=[], seed=9
+    )
+    @example(  # a departure re-links several edges in one window
+        plane="bernoulli",
+        refresh=None,
+        t0=0.0,
+        frames=11,
+        events=[("reparent", 0, False, 0.5), ("depart", 0, False, 0.5)],
+        seed=0,
+    )
+    @example(  # at a far epoch two streams' chunks start at the same instant
+        plane="bernoulli",
+        refresh=None,
+        t0=2.0**45,
+        frames=23,
+        events=[("depart", 42, False, 0.5)],
+        seed=0,
+    )
+    @example(plane="fifo", refresh=5.0, t0=2.0**45, frames=60, events=[], seed=1)
+    @example(plane="constant", refresh=None, t0=2.0**45, frames=60, events=[], seed=1)
+    def test_drain_matches_the_per_chunk_schedule(
+        self, plane, refresh, t0, frames, events, seed
+    ):
+        config = dataplane.DataPlaneConfig(
+            refresh_interval=refresh,
+            max_frames_per_stream=frames,
+            seed=seed,
+            **DRAIN_PLANES[plane],
+        )
+        sides = []
+        for driver in (
+            dataplane.SimulatedDataPlane,
+            reference_dataplane.PerChunkSimulatedDataPlane,
+        ):
+            system, trace = _drain_overlay(t0)
+            _schedule_control_events(system, trace, t0, frames, events)
+            replay = driver(system, trace, config)
+            sides.append(_replay_observables(replay, replay.run()))
         assert sides[0] == sides[1]
 
 

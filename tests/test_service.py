@@ -88,6 +88,9 @@ class TestProtocol:
             "advance",
             "advance -1",
             "advance much",
+            "advance nan",
+            "advance inf",
+            "advance 1e999",
             "replay 0",
             "replay -3",
             "ping extra",

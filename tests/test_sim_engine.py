@@ -154,6 +154,18 @@ class TestRun:
         assert fired == [("a", 1.0), ("b", 2.0)]
 
 
+    def test_run_refuses_a_nan_until(self):
+        # No event time compares greater than NaN: the run would never
+        # stop against a self-rescheduling event.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match="nan"):
+            sim.run(until=float("nan"))
+        assert fired == [] and sim.now == 0.0
+        assert sim.run(until=1.0) == 1
+
+
 class TestEdgeCases:
     def test_run_until_fires_events_exactly_at_boundary(self):
         # run(until=t) is inclusive: an event at exactly t executes and the
