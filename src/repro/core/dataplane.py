@@ -18,6 +18,9 @@ says about the link:
 * **FIFO link with loss** (:func:`_send_chunk`) -- each chunk is
   serialized through the parent's reserved forwarding bin
   (:class:`~repro.sim.transport.DataLink`), lost and played out in one pass.
+  Loss is one process per link, the Gilbert-Elliott channel
+  :class:`~repro.sim.transport.LossProcess`, set by a mean rate and a
+  mean burst length; burst length 1 is i.i.d. loss.
 
 :class:`SimulatedDataPlane` adds what needs the
 :class:`~repro.sim.engine.Simulator`: one drain event per quiet window
@@ -30,6 +33,7 @@ constant-delay function, one call per :data:`BATCH_QUANTUM`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import count, repeat
@@ -38,7 +42,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Se
 
 from repro.model.stream import Frame, StreamId
 from repro.sim.rng import SeededRandom
-from repro.sim.transport import DataChannel, DataLink, GilbertElliottConfig
+from repro.sim.transport import DataChannel, DataLink
 from repro.traces.teeve import TeeveSessionTrace
 from repro.util.validation import require_positive
 
@@ -225,17 +229,12 @@ class DataPlaneConfig:
     Attributes
     ----------
     loss_rate:
-        Per-frame, per-edge loss probability in ``[0, 1)`` (for the
-        Gilbert-Elliott model this is the target *stationary* loss rate).
-    loss_model:
-        ``"bernoulli"`` draws each frame's fate independently;
-        ``"gilbert"`` runs a two-state Gilbert-Elliott channel per edge
-        (:class:`~repro.sim.transport.GilbertElliottConfig`), producing
-        correlated loss bursts at the same mean rate.
+        Mean (stationary) per-frame, per-edge loss rate in ``[0, 1)``.
     mean_burst_length:
-        Expected consecutive-loss run length of the Gilbert-Elliott
-        channel (``1.0`` is the memoryless limit, which reduces exactly
-        to the Bernoulli path).  Ignored under ``"bernoulli"``.
+        Expected consecutive-loss run length of each edge's
+        Gilbert-Elliott channel (:class:`~repro.sim.transport.LossProcess`);
+        ``1.0`` draws each frame's fate independently (i.i.d. loss),
+        longer runs give correlated loss bursts at the same mean rate.
     bandwidth_headroom:
         Multiplier on each edge's reserved forwarding rate (one
         stream-bandwidth bin per child, the unit of
@@ -255,7 +254,6 @@ refresh_layers_from_observed`); ``None`` disables the feedback loop.
     """
 
     loss_rate: float = 0.0
-    loss_model: str = "bernoulli"
     mean_burst_length: float = 1.0
     bandwidth_headroom: Optional[float] = 1.0
     refresh_interval: Optional[float] = 5.0
@@ -265,28 +263,21 @@ refresh_layers_from_observed`); ``None`` disables the feedback loop.
     def __post_init__(self) -> None:
         if not (0.0 <= self.loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
-        if self.loss_model not in ("bernoulli", "gilbert"):
+        if not (1.0 <= self.mean_burst_length < math.inf):
             raise ValueError(
-                f"loss_model must be 'bernoulli' or 'gilbert', got {self.loss_model!r}"
-            )
-        if self.mean_burst_length < 1.0:
-            raise ValueError(
-                f"mean_burst_length must be >= 1, got {self.mean_burst_length}"
+                f"mean_burst_length must be finite and >= 1, "
+                f"got {self.mean_burst_length}"
             )
         if self.bandwidth_headroom is not None:
             require_positive(self.bandwidth_headroom, "bandwidth_headroom")
-        if self.refresh_interval is not None:
-            require_positive(self.refresh_interval, "refresh_interval")
+        if self.refresh_interval is not None and not (
+            0.0 < self.refresh_interval < math.inf
+        ):
+            raise ValueError(
+                f"refresh_interval must be finite and > 0, got {self.refresh_interval}"
+            )
         if self.max_frames_per_stream is not None and self.max_frames_per_stream < 0:
             raise ValueError("max_frames_per_stream must be >= 0 or None")
-
-    def gilbert_config(self) -> Optional[GilbertElliottConfig]:
-        """The burst-loss channel parameters, or ``None`` under Bernoulli."""
-        if self.loss_model != "gilbert" or self.loss_rate <= 0.0:
-            return None
-        return GilbertElliottConfig.from_mean_loss(
-            self.loss_rate, self.mean_burst_length
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -677,10 +668,9 @@ class SimulatedDataPlane:
         cfg = self.config
         self._t0 = sim.now
         self._channel = DataChannel(
-            sim,
             loss_rate=cfg.loss_rate,
+            mean_burst_length=cfg.mean_burst_length,
             rng=SeededRandom(cfg.seed),
-            gilbert=cfg.gilbert_config(),
         )
         self._edges = _collect_edges(
             self.system, self.trace, cfg.max_frames_per_stream

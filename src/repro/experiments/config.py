@@ -138,14 +138,11 @@ class ExperimentConfig:
     #: the built overlay as event-driven data messages with per-edge
     #: bandwidth serialization, loss and QoE playout accounting.
     data_plane: str = "off"
-    #: Per-frame, per-edge loss probability of the simulated data plane
-    #: (the stationary rate under the Gilbert-Elliott model).
+    #: Mean per-frame, per-edge loss rate of the simulated data plane
+    #: (the stationary rate of each edge's Gilbert-Elliott channel).
     data_loss_rate: float = 0.0
-    #: Loss process per edge: ``"bernoulli"`` (i.i.d.) or ``"gilbert"``
-    #: (two-state bursty channel at the same mean rate).
-    data_loss_model: str = "bernoulli"
-    #: Expected consecutive-loss run length of the Gilbert-Elliott
-    #: channel; ``1.0`` is the memoryless limit (identical to Bernoulli).
+    #: Expected consecutive-loss run length of that channel; ``1.0`` is
+    #: i.i.d. loss, longer runs are bursts at the same mean rate.
     data_mean_burst_length: float = 1.0
     #: Multiplier on each edge's reserved forwarding rate (``None``
     #: removes the bandwidth model: zero serialization delay).
@@ -242,7 +239,6 @@ class ExperimentConfig:
     def _data_plane_config(self) -> DataPlaneConfig:
         return DataPlaneConfig(
             loss_rate=self.data_loss_rate,
-            loss_model=self.data_loss_model,
             mean_burst_length=self.data_mean_burst_length,
             bandwidth_headroom=self.data_bandwidth_headroom,
             refresh_interval=self.data_refresh_interval,

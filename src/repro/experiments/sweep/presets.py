@@ -265,7 +265,7 @@ def qoe_sweep(
     (``data_plane="simulated"``): 200 frames per stream travel through
     the built overlay with per-edge serialization at
     ``data_bandwidth_headroom`` times the reserved stream rate and a
-    ``data_loss_rate`` Bernoulli drop per edge, with the observed-delay
+    ``data_loss_rate`` i.i.d. drop per edge, with the observed-delay
     ``kappa`` layer refresh closing the feedback loop.  Summaries carry
     the QoE keys (``qoe_startup_delay_*``, ``qoe_continuity_mean``,
     ``qoe_skew_*``, ``qoe_skew_within_dbuff``) next to the usual

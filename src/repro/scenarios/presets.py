@@ -192,7 +192,6 @@ BURST_LOSS = ScenarioSpec(
     overrides={
         "data_plane": "simulated",
         "data_loss_rate": 0.08,
-        "data_loss_model": "gilbert",
         "data_mean_burst_length": 5.0,
         "replay_frames_per_stream": 200,
         "num_lscs": 2,

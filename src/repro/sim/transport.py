@@ -21,14 +21,18 @@ equivalence tests that pin the simulated driver to the instant one).
 The *data* plane has its own channel: :class:`DataChannel` holds the
 state of the two effects the control plane does not model -- per-edge
 bandwidth-constrained serialization (queueing at the parent's reserved
-forwarding bin, :class:`DataLink`) and configurable loss.  It holds state
-only: :mod:`repro.core.dataplane` serializes a chunk of a stream's
-:class:`~repro.model.stream.Frame` objects over a link in the same loop
-that plays them out (there is no per-frame message object or call).
+forwarding bin, :class:`DataLink`) and loss.  Loss is one process, the
+two-state Gilbert-Elliott channel (:class:`LossProcess`), set by a mean
+loss rate and a mean burst length; burst length 1 is i.i.d. loss.  The
+channel holds state only: :mod:`repro.core.dataplane` serializes a chunk
+of a stream's :class:`~repro.model.stream.Frame` objects over a link in
+the same loop that plays them out (there is no per-frame message object
+or call).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -337,139 +341,58 @@ class _Delivery:
         self.handler(self.message)
 
 
-@dataclass(frozen=True)
-class GilbertElliottConfig:
-    """Two-state (good/bad) Markov loss channel parameters.
+class LossProcess:
+    """One link's loss channel: two-state (good/bad) Gilbert-Elliott.
 
     In the GOOD state a frame is lost exactly when the channel flips to
-    BAD for that frame (probability ``p_good_to_bad``); in the BAD state
-    every frame is lost until the channel recovers (each frame recovers
-    with probability ``p_bad_to_good`` *before* its loss decision).  The
-    stationary loss rate is ``a / (a + b - a*b)`` with ``a`` the flip and
-    ``b`` the recovery probability, and the mean burst length is ``1/b``.
+    BAD for that frame (probability ``flip``); in the BAD state every
+    frame is lost until the channel recovers (each frame recovers with
+    probability ``recover`` *before* its loss decision).  The stationary
+    loss rate is ``a / (a + b - a*b)`` with ``a`` the flip and ``b`` the
+    recovery probability, and the mean burst length is ``1/b``; the
+    constructor inverts both once: ``b = 1/L``, ``a = l*b / (1 - l*(1 - b))``.
 
-    Deterministic transitions (probability 0 or 1) consume no RNG draws,
-    so the memoryless limit ``p_bad_to_good=1.0`` spends exactly one
-    uniform draw per frame -- the same stream of draws the Bernoulli path
-    makes, which keeps the two byte-identical on the same seed.
+    At ``mean_burst_length=1.0`` the BAD state never survives a frame, so
+    the channel is i.i.d. loss at ``loss_rate`` (``a == l`` exactly):
+    :meth:`draw` then decides each frame with one uniform draw, in one
+    batch.  Longer bursts walk the two states frame by frame, the state
+    persisting across the draws of the link.
     """
 
-    p_good_to_bad: float
-    p_bad_to_good: float
+    __slots__ = ("flip", "recover", "bad")
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p_good_to_bad < 1.0):
-            raise ValueError(
-                f"p_good_to_bad must be in [0, 1), got {self.p_good_to_bad}"
-            )
-        if not (0.0 < self.p_bad_to_good <= 1.0):
-            raise ValueError(
-                f"p_bad_to_good must be in (0, 1], got {self.p_bad_to_good}"
-            )
-
-    @property
-    def mean_loss_rate(self) -> float:
-        """Stationary fraction of frames lost."""
-        a, b = self.p_good_to_bad, self.p_bad_to_good
-        return a / (a + b - a * b)
-
-    @property
-    def mean_burst_length(self) -> float:
-        """Expected number of consecutive losses once a burst starts."""
-        return 1.0 / self.p_bad_to_good
-
-    @classmethod
-    def from_mean_loss(
-        cls, mean_loss_rate: float, mean_burst_length: float = 1.0
-    ) -> "GilbertElliottConfig":
-        """Parameters hitting a target stationary loss rate and burst length.
-
-        Inverts the stationary equation: ``b = 1/L`` and
-        ``a = l*b / (1 - l*(1 - b))``.  ``mean_burst_length=1.0`` is the
-        memoryless limit (``p_bad_to_good=1.0``), which reduces exactly
-        to Bernoulli loss at ``mean_loss_rate``.
-        """
-        if not (0.0 <= mean_loss_rate < 1.0):
-            raise ValueError(
-                f"mean_loss_rate must be in [0, 1), got {mean_loss_rate}"
-            )
-        if mean_burst_length < 1.0:
-            raise ValueError(
-                f"mean_burst_length must be >= 1, got {mean_burst_length}"
-            )
-        b = 1.0 / mean_burst_length
-        a = mean_loss_rate * b / (1.0 - mean_loss_rate * (1.0 - b))
-        return cls(p_good_to_bad=a, p_bad_to_good=b)
-
-
-class BernoulliLoss:
-    """Independent per-frame loss: each frame lost with fixed probability."""
-
-    __slots__ = ("loss_rate",)
-
-    def __init__(self, loss_rate: float) -> None:
+    def __init__(self, loss_rate: float, mean_burst_length: float = 1.0) -> None:
         if not (0.0 < loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in (0, 1), got {loss_rate}")
-        self.loss_rate = loss_rate
-
-    def draw(self, rng: SeededRandom, count: int) -> List[bool]:
-        """Fates of the next ``count`` frames (one uniform draw each)."""
-        loss_rate = self.loss_rate
-        return [uniform < loss_rate for uniform in rng.randoms(count)]
-
-
-class GilbertElliottLoss:
-    """Stateful burst-loss channel following :class:`GilbertElliottConfig`.
-
-    One instance per link: the good/bad state persists across the frames
-    of that edge, producing correlated loss runs instead of i.i.d. drops.
-    """
-
-    __slots__ = ("config", "bad")
-
-    def __init__(self, config: GilbertElliottConfig) -> None:
-        self.config = config
+        if not (1.0 <= mean_burst_length < math.inf):
+            raise ValueError(
+                f"mean_burst_length must be finite and >= 1, got {mean_burst_length}"
+            )
+        b = 1.0 / mean_burst_length
+        self.flip = loss_rate * b / (1.0 - loss_rate * (1.0 - b))
+        self.recover = b
         self.bad = False
 
     def draw(self, rng: SeededRandom, count: int) -> List[bool]:
-        """Advance the channel ``count`` frames; return each frame's fate.
-
-        Probability-one and probability-zero transitions are applied
-        without drawing from the RNG -- see
-        :class:`GilbertElliottConfig` for why that matters.
-        """
-        flip = self.config.p_good_to_bad
-        recover = self.config.p_bad_to_good
+        """Fates (``True`` = lost) of the link's next ``count`` frames."""
+        flip = self.flip
+        if self.recover == 1.0:
+            return [uniform < flip for uniform in rng.randoms(count)]
+        recover = self.recover
         random = rng.random
         bad = self.bad
         fates = []
         for _ in range(count):
             if bad:
-                if recover < 1.0 and random() >= recover:
+                if random() >= recover:
                     fates.append(True)
                     continue
                 bad = False
-            if flip > 0.0 and random() < flip:
+            if random() < flip:
                 bad = True
             fates.append(bad)
         self.bad = bad
         return fates
-
-
-#: A per-link loss process: ``draw(rng, count) -> List[bool]`` decides the
-#: fates (``True`` = lost) of the link's next ``count`` frames, in order.
-LossProcess = Any
-
-
-def make_loss_process(
-    loss_rate: float, gilbert: Optional[GilbertElliottConfig]
-) -> Optional[LossProcess]:
-    """Build one link's loss process, or ``None`` for a lossless link."""
-    if gilbert is not None:
-        return GilbertElliottLoss(gilbert)
-    if loss_rate > 0.0:
-        return BernoulliLoss(loss_rate)
-    return None
 
 
 class DataLink:
@@ -506,34 +429,23 @@ class DataChannel:
     Links are created on first use and keyed by
     ``(src, dst, stream_id)``; a subscription that is re-parented mid-
     replay (CDN re-provision) therefore starts on a fresh link while the
-    old parent's bin drains.  Each link draws loss decisions from its own
-    deterministically forked RNG, so edge outcomes are independent of the
-    order in which other edges transmit.
+    old parent's bin drains.  Each link of a lossy channel runs its own
+    :class:`LossProcess` on its own deterministically forked RNG, so edge
+    outcomes are independent of the order in which other edges transmit.
     """
 
     def __init__(
-        self,
-        simulator: Simulator,
-        *,
-        loss_rate: float = 0.0,
-        rng: Optional[SeededRandom] = None,
-        gilbert: Optional[GilbertElliottConfig] = None,
+        self, *, loss_rate: float, mean_burst_length: float, rng: SeededRandom
     ) -> None:
         if not (0.0 <= loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        self.simulator = simulator
         self.loss_rate = loss_rate
-        self.gilbert = gilbert
-        self._rng = rng or SeededRandom(0)
+        self.mean_burst_length = mean_burst_length
+        self._rng = rng
         self._links: Dict[Tuple[str, str, Any], DataLink] = {}
         self.sent = 0
         self.delivered = 0
         self.lost = 0
-
-    @property
-    def lossy(self) -> bool:
-        """Whether this channel's links drop frames at all."""
-        return self.gilbert is not None or self.loss_rate > 0.0
 
     def link(
         self, src: str, dst: str, stream_id: Any, rate_mbps: Optional[float]
@@ -543,11 +455,13 @@ class DataChannel:
         existing = self._links.get(key)
         if existing is not None:
             return existing
-        lossy = self.lossy
-        created = DataLink(
-            rate_mbps,
-            loss=make_loss_process(self.loss_rate, self.gilbert) if lossy else None,
-            rng=self._rng.fork(len(self._links)) if lossy else None,
-        )
+        if self.loss_rate > 0.0:
+            created = DataLink(
+                rate_mbps,
+                loss=LossProcess(self.loss_rate, self.mean_burst_length),
+                rng=self._rng.fork(len(self._links)),
+            )
+        else:
+            created = DataLink(rate_mbps)
         self._links[key] = created
         return created

@@ -157,10 +157,9 @@ class PerChunkSimulatedDataPlane(SimulatedDataPlane):
         cfg = self.config
         self._t0 = sim.now
         self._channel = DataChannel(
-            sim,
             loss_rate=cfg.loss_rate,
+            mean_burst_length=cfg.mean_burst_length,
             rng=SeededRandom(cfg.seed),
-            gilbert=cfg.gilbert_config(),
         )
         self._edges = _collect_edges(
             self.system, self.trace, cfg.max_frames_per_stream

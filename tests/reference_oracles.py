@@ -10,17 +10,22 @@ suites use them as oracles, so they sit beside their tests instead.
 * :func:`deterministic_stats` -- a daemon's ``stats`` minus the
   wall-clock and process-local keys: the snapshot and heartbeat parity
   suites compare two daemons through it.
+* :func:`gilbert_elliott_walk` -- the two-state loss channel one frame
+  at a time, which :class:`repro.sim.transport.LossProcess` must match
+  draw for draw (``tests/test_properties.py``,
+  ``tests/test_dataplane_sim.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bandwidth import _EPSILON, OutboundAllocation, PrioritizedStream
 from repro.core.layering import DelayLayerConfig, compute_layer
 from repro.model.cdn import CDN_NODE_ID
 from repro.net.latency import DelayModel
 from repro.service.daemon import VOLATILE_STATS_KEYS
+from repro.sim.rng import SeededRandom
 
 
 def priority_monotonic(
@@ -73,3 +78,27 @@ def deterministic_stats(daemon) -> Dict[str, object]:
         for key, value in daemon.stats().items()
         if key not in VOLATILE_STATS_KEYS
     }
+
+
+def gilbert_elliott_walk(
+    flip: float, recover: float, rng: SeededRandom, count: int, bad: bool = False
+) -> Tuple[List[bool], bool]:
+    """Fates of ``count`` frames of a two-state channel, and its last state.
+
+    One frame at a time: a BAD frame first recovers with probability
+    ``recover``, and a GOOD frame flips to BAD (and is lost) with
+    probability ``flip``.  A transition of
+    probability 0 or 1 consumes no draw, so at ``recover == 1.0`` the
+    walk spends one uniform per frame: the i.i.d. draw.
+    """
+    fates = []
+    for _ in range(count):
+        if bad:
+            if recover < 1.0 and rng.random() >= recover:
+                fates.append(True)
+                continue
+            bad = False
+        if flip > 0.0 and rng.random() < flip:
+            bad = True
+        fates.append(bad)
+    return fates, bad

@@ -18,11 +18,13 @@ Covers the properties the tentpole promises:
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
 
 import reference_dataplane
+from reference_oracles import gilbert_elliott_walk
 from repro.core import dataplane
 from repro.core.dataplane import (
     DataPlaneConfig,
@@ -38,15 +40,8 @@ from repro.experiments.runner import (
 )
 from repro.model.stream import Frame, StreamId
 from repro.model.viewer import Viewer
-from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRandom
-from repro.sim.transport import (
-    BernoulliLoss,
-    DataChannel,
-    DataLink,
-    GilbertElliottConfig,
-    GilbertElliottLoss,
-)
+from repro.sim.transport import DataChannel, DataLink, LossProcess
 from repro.traces.teeve import TeeveSessionTrace
 
 SMALL_CONFIG = PAPER_CONFIG.with_scaled_population(30, num_lscs=1)
@@ -99,6 +94,10 @@ def _edge(frames):
     return dataplane._EdgeState("v", STREAM, session, frames, float("inf"))
 
 
+def _channel(loss_rate=0.0, seed=0):
+    return DataChannel(loss_rate=loss_rate, mean_burst_length=1.0, rng=SeededRandom(seed))
+
+
 def _send(channel, link, frames, *, path_delay, edge=None):
     """Arrival times of one chunk sent through ``link`` on a fresh (or given) edge."""
     if edge is None:
@@ -117,14 +116,14 @@ class TestDataMessagePlumbing:
         # 0.2 Mb at 2 Mbps = 100 ms of link time per frame; the second
         # frame queues behind the first.
         assert _send(
-            DataChannel(Simulator()), link, _frames([0.0, 0.0]), path_delay=1.0
+            _channel(), link, _frames([0.0, 0.0]), path_delay=1.0
         ) == pytest.approx([1.1, 1.2])
         assert link.free_at == pytest.approx(0.2)
 
     def test_unconstrained_link_has_zero_serialization(self):
         link = DataLink(None)
         assert _send(
-            DataChannel(Simulator()),
+            _channel(),
             link,
             _frames([3.0], size_megabits=5.0),
             path_delay=0.5,
@@ -134,7 +133,7 @@ class TestDataMessagePlumbing:
         frames = _frames([number * 0.1 for number in range(20)])
         outcomes = []
         for _ in range(2):
-            channel = DataChannel(Simulator(), loss_rate=0.5, rng=SeededRandom(7))
+            channel = _channel(0.5, seed=7)
             link = channel.link("p", "v", "s", 2.0)
             deliveries = _send(channel, link, frames, path_delay=0.0)
             outcomes.append((tuple(deliveries), channel.sent, channel.lost))
@@ -145,11 +144,11 @@ class TestDataMessagePlumbing:
         assert deliveries.count(None) == lost
         # Lost frames still occupied the link: every survivor arrives
         # exactly when a lossless link of the same rate delivers it.
-        lossless = _send(DataChannel(Simulator()), DataLink(2.0), frames, path_delay=0.0)
+        lossless = _send(_channel(), DataLink(2.0), frames, path_delay=0.0)
         assert all(d is None or d == t for d, t in zip(deliveries, lossless))
 
     def test_channel_counters_fold_once_per_chunk(self):
-        channel = DataChannel(Simulator(), loss_rate=0.4, rng=SeededRandom(3))
+        channel = _channel(0.4, seed=3)
         link = channel.link("p", "v", STREAM, 2.0)
         frames = _frames([number * 0.05 for number in range(30)])
         edge = _edge(frames)
@@ -208,21 +207,23 @@ class TestDataMessagePlumbing:
         with pytest.raises(ValueError):
             DataLink(0.0)
         with pytest.raises(ValueError):
-            BernoulliLoss(1.0)
-        with pytest.raises(ValueError):
-            DataChannel(Simulator(), loss_rate=-0.1)
+            _channel(-0.1)
         with pytest.raises(ValueError):
             DataPlaneConfig(loss_rate=1.0)
         with pytest.raises(ValueError):
             DataPlaneConfig(bandwidth_headroom=0.0)
         with pytest.raises(ValueError):
-            GilbertElliottConfig(p_good_to_bad=1.0, p_bad_to_good=0.5)
-        with pytest.raises(ValueError):
-            GilbertElliottConfig(p_good_to_bad=0.1, p_bad_to_good=0.0)
-        with pytest.raises(ValueError):
-            DataPlaneConfig(loss_model="markov")
-        with pytest.raises(ValueError):
             DataPlaneConfig(mean_burst_length=0.5)
+        # A loss process is built only for a lossy link, with a finite burst.
+        for loss_rate, burst in (
+            (0.0, 1.0),
+            (1.0, 1.0),
+            (0.1, 0.5),
+            (0.1, math.inf),
+            (0.1, math.nan),
+        ):
+            with pytest.raises(ValueError):
+                LossProcess(loss_rate, burst)
 
 
 class TestOfflineEquivalence:
@@ -324,7 +325,7 @@ class TestOfflineEquivalence:
         for loss in (
             {},
             {"loss_rate": 0.05, "seed": 7},
-            {"loss_rate": 0.05, "loss_model": "gilbert", "mean_burst_length": 3.0, "seed": 7},
+            {"loss_rate": 0.05, "mean_burst_length": 3.0, "seed": 7},
         ):
             reports = []
             for quantum in (0.25, 1.0, 2.0):
@@ -581,30 +582,26 @@ class TestTwoThousandViewerReplay:
 
 
 class TestGilbertElliottChannel:
-    """The bursty two-state loss channel and its Bernoulli memoryless limit."""
+    """The one loss process: a two-state Gilbert-Elliott channel whose
+    burst length 1 is i.i.d. (Bernoulli) loss."""
 
     def test_from_mean_loss_roundtrips(self):
-        config = GilbertElliottConfig.from_mean_loss(0.08, mean_burst_length=5.0)
-        assert config.mean_loss_rate == pytest.approx(0.08)
-        assert config.mean_burst_length == pytest.approx(5.0)
+        process = LossProcess(0.08, mean_burst_length=5.0)
+        a, b = process.flip, process.recover
+        assert a / (a + b - a * b) == pytest.approx(0.08)
+        assert 1.0 / b == pytest.approx(5.0)
 
     def test_memoryless_limit_is_exactly_bernoulli_parameters(self):
-        config = GilbertElliottConfig.from_mean_loss(0.1, mean_burst_length=1.0)
-        assert config.p_bad_to_good == pytest.approx(1.0)
-        assert config.p_good_to_bad == pytest.approx(0.1)
+        process = LossProcess(0.1, mean_burst_length=1.0)
+        assert process.recover == 1.0
+        assert process.flip == 0.1
 
     def test_memoryless_limit_matches_bernoulli_draw_for_draw(self):
-        # With p_bad_to_good = 1.0 the bad state never survives a frame
-        # and the deterministic transition consumes no RNG draw, so the
-        # loss sequence is bit-identical to Bernoulli on the same seed.
-        gilbert = GilbertElliottLoss(
-            GilbertElliottConfig.from_mean_loss(0.3, mean_burst_length=1.0)
-        )
-        bernoulli = BernoulliLoss(0.3)
-        rng_a, rng_b = SeededRandom(42), SeededRandom(42)
-        sequence_a = [gilbert.draw(rng_a, 1)[0] for _ in range(500)]
-        sequence_b = [bernoulli.draw(rng_b, 1)[0] for _ in range(500)]
-        assert sequence_a == sequence_b
+        # Burst length 1 never stays BAD, so each frame's fate is one
+        # uniform draw: the Bernoulli sequence on the same seed, exactly.
+        process, rng = LossProcess(0.3), SeededRandom(42)
+        sequence = [process.draw(rng, 1)[0] for _ in range(500)]
+        assert sequence == [uniform < 0.3 for uniform in SeededRandom(42).randoms(500)]
 
     def test_bursty_channel_produces_longer_runs_at_matched_mean(self):
         def loss_runs(process, seed, frames=20_000):
@@ -620,32 +617,34 @@ class TestGilbertElliottChannel:
                 runs.append(current)
             return runs
 
-        bursty = loss_runs(
-            GilbertElliottLoss(
-                GilbertElliottConfig.from_mean_loss(0.1, mean_burst_length=5.0)
-            ),
-            seed=9,
-        )
-        iid = loss_runs(BernoulliLoss(0.1), seed=9)
+        bursty = loss_runs(LossProcess(0.1, mean_burst_length=5.0), seed=9)
+        iid = loss_runs(LossProcess(0.1), seed=9)
         mean = lambda runs: sum(runs) / len(runs)  # noqa: E731
         # Matched stationary rate, very different temporal structure.
         assert sum(bursty) == pytest.approx(sum(iid), rel=0.15)
         assert mean(bursty) == pytest.approx(5.0, rel=0.25)
         assert mean(iid) == pytest.approx(1.0 / 0.9, rel=0.1)
 
-    def test_memoryless_gilbert_replay_is_byte_identical_to_bernoulli(self):
-        # Acceptance criterion: the Gilbert-Elliott path at burst length
-        # 1.0 produces byte-identical DeliveryRecords to the Bernoulli
-        # path on the same seed -- not statistically close, identical.
+    def test_memoryless_gilbert_replay_is_byte_identical_to_bernoulli(self, monkeypatch):
+        # A replay at burst length 1 is byte-identical whether each link
+        # draws its fates in one i.i.d. batch or walks the two states frame
+        # by frame -- not statistically close, identical.
+        def walk(process, rng, count):
+            fates, process.bad = gilbert_elliott_walk(
+                process.flip, process.recover, rng, count, process.bad
+            )
+            return fates
+
         records = []
-        for loss_model in ("bernoulli", "gilbert"):
+        for two_state in (False, True):
+            if two_state:
+                monkeypatch.setattr(LossProcess, "draw", walk)
             system, trace = _joined_system(SMALL_CONFIG)
             report = SimulatedDataPlane(
                 system,
                 trace,
                 DataPlaneConfig(
                     loss_rate=0.1,
-                    loss_model=loss_model,
                     mean_burst_length=1.0,
                     refresh_interval=None,
                     max_frames_per_stream=100,
@@ -660,11 +659,10 @@ class TestGilbertElliottChannel:
         # concealment while i.i.d. losses mostly don't, so the
         # concealment-aware playable continuity separates the two where
         # plain (linear) continuity cannot.
-        def qoe(loss_model, burst):
+        def qoe(burst):
             config = SMALL_CONFIG.with_(
                 data_plane="simulated",
                 data_loss_rate=0.1,
-                data_loss_model=loss_model,
                 data_mean_burst_length=burst,
                 data_refresh_interval=None,
                 replay_frames_per_stream=150,
@@ -672,8 +670,8 @@ class TestGilbertElliottChannel:
             summary = run_telecast_scenario(config, snapshot_every=None).metrics.summary()
             return summary["qoe_continuity_mean"], summary["qoe_playable_continuity_mean"]
 
-        iid_plain, iid_playable = qoe("bernoulli", 1.0)
-        bursty_plain, bursty_playable = qoe("gilbert", 5.0)
+        iid_plain, iid_playable = qoe(1.0)
+        bursty_plain, bursty_playable = qoe(5.0)
         # Same mean rate: plain continuity is statistically indistinguishable...
         assert bursty_plain == pytest.approx(iid_plain, abs=0.05)
         # ...but bursts are unconcealable, so playable continuity drops.

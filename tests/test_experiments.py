@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from repro.core.dataplane import DataPlaneConfig
 from repro.experiments.config import (
     FIGURE_13_BANDWIDTH_SETTINGS,
     PAPER_CONFIG,
@@ -79,7 +80,6 @@ class TestExperimentConfig:
         "override",
         [
             {"data_loss_rate": 1.0},
-            {"data_loss_model": "markov"},
             {"data_mean_burst_length": 0.5},
             {"data_bandwidth_headroom": 0.0},
             {"data_refresh_interval": 0.0},
@@ -91,6 +91,23 @@ class TestExperimentConfig:
         # The rules live once, on DataPlaneConfig; they must not turn lazy.
         with pytest.raises(ValueError):
             ExperimentConfig(data_plane="off", **override)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("refresh_interval", math.inf),
+            ("mean_burst_length", math.nan),
+            ("mean_burst_length", math.inf),
+        ],
+    )
+    def test_non_finite_data_plane_values_are_refused_up_front(self, field, value):
+        # Accepted, an infinite refresh would run every join and then
+        # overflow when it fires at t = inf, and a NaN burst length would
+        # turn loss off: both must fail at construction, naming the field.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DataPlaneConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ExperimentConfig(data_plane="simulated", **{f"data_{field}": value})
 
     def test_figure13_settings_cover_paper_legend(self):
         labels = {setting.label() for setting in FIGURE_13_BANDWIDTH_SETTINGS}

@@ -13,6 +13,9 @@ Covered invariants:
   guarantee the performance core rests on,
 * the smoke sweep's metrics summaries are byte-identical to the golden
   record captured before the performance-core refactor,
+* the one loss process draws the fates of the two-state Gilbert-Elliott
+  walk whatever the chunk split, Bernoulli draws at burst length 1, and
+  its stationary loss rate and mean loss run at burst lengths 1 and 3,
 * a data link serializing a frame sequence in chunks -- any split -- is
   bit-identical to the per-frame FIFO/loss recurrence it replaced, and
   the one-pass chunk step to the pre-change chunk step,
@@ -31,11 +34,12 @@ import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_dataplane
-from reference_oracles import minimum_layer_for, priority_monotonic
+from reference_oracles import gilbert_elliott_walk, minimum_layer_for, priority_monotonic
 from reference_topology import ReferenceStreamTree
 from repro.core import dataplane
 from repro.core.bandwidth import allocate_inbound, allocate_outbound
@@ -56,15 +60,8 @@ from repro.model.stream import Frame, StreamId
 from repro.model.viewer import Viewer
 from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import generate_planetlab_matrix
-from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRandom
-from repro.sim.transport import (
-    BernoulliLoss,
-    DataChannel,
-    DataLink,
-    GilbertElliottConfig,
-    GilbertElliottLoss,
-)
+from repro.sim.transport import DataChannel, DataLink, LossProcess
 from repro.traces.teeve import TeeveSessionTrace
 
 PRODUCERS = make_default_producers()
@@ -461,21 +458,82 @@ def _link_frames(gaps, sizes):
     return frames
 
 
-def _lossy_channel(loss_kind, seed):
-    """A channel whose links lose nothing, i.i.d. or in bursts, at 30 %."""
-    if loss_kind == "none":
-        return DataChannel(Simulator())
-    gilbert = (
-        GilbertElliottConfig.from_mean_loss(0.3, mean_burst_length=3.0)
-        if loss_kind == "gilbert"
-        else None
+def _lossy_channel(burst, seed):
+    """A channel whose links lose nothing (``burst=None``) or 30 % of
+    frames in runs of mean length ``burst``."""
+    return DataChannel(
+        loss_rate=0.0 if burst is None else 0.3,
+        mean_burst_length=burst or 1.0,
+        rng=SeededRandom(seed),
     )
-    return DataChannel(Simulator(), loss_rate=0.3, rng=SeededRandom(seed), gilbert=gilbert)
 
 
 def _link_edge(frames, deadline):
     session = ViewerSession(viewer=Viewer(viewer_id="child"), view=VIEW, lsc_id="LSC-0")
     return dataplane._EdgeState("child", LINK_STREAM, session, frames, deadline)
+
+
+def _loss_runs(fates):
+    """Lengths of the runs of consecutive losses in ``fates``."""
+    runs, current = [], 0
+    for lost in fates:
+        if lost:
+            current += 1
+        elif current:
+            runs.append(current)
+            current = 0
+    return runs + [current] if current else runs
+
+
+class TestLossProcess:
+    """One loss process: the two-state Gilbert-Elliott channel, drawn in
+    one batch at burst length 1 and frame by frame above it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        loss_rate=st.floats(0.001, 0.999),
+        burst=st.sampled_from([1.0, 3.0]),
+        counts=st.lists(st.integers(0, 30), max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_chunk_split_matches_the_two_state_walk(
+        self, loss_rate, burst, counts, seed
+    ):
+        process, rng = LossProcess(loss_rate, burst), SeededRandom(seed)
+        drawn = [fate for count in counts for fate in process.draw(rng, count)]
+        walk_rng = SeededRandom(seed)
+        walked, bad = gilbert_elliott_walk(
+            process.flip, process.recover, walk_rng, sum(counts)
+        )
+        assert drawn == walked
+        # At burst length 1 a BAD frame always recovers: no state carries.
+        assert process.bad == bad or burst == 1.0
+        # Draw for draw: the link's RNG is left where the walk leaves it.
+        assert rng.random() == walk_rng.random()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        loss_rate=st.floats(0.001, 0.999),
+        counts=st.lists(st.integers(0, 30), max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_burst_length_one_is_the_bernoulli_oracle(self, loss_rate, counts, seed):
+        process, rng = LossProcess(loss_rate), SeededRandom(seed)
+        drawn = [fate for count in counts for fate in process.draw(rng, count)]
+        oracle = SeededRandom(seed).randoms(sum(counts))
+        assert drawn == [uniform < loss_rate for uniform in oracle]
+
+    @pytest.mark.parametrize("burst", [1.0, 3.0])
+    def test_stationary_rate_and_mean_loss_run(self, burst):
+        # A loss run continues while the channel stays BAD (1 - b) or
+        # recovers and flips straight back (b * a): mean 1 / (b * (1 - a)).
+        loss_rate, frames = 0.2, 60_000
+        process = LossProcess(loss_rate, burst)
+        fates = process.draw(SeededRandom(11), frames)
+        runs = _loss_runs(fates)
+        a, b = process.flip, process.recover
+        assert sum(fates) / frames == pytest.approx(loss_rate, rel=0.05)
+        assert sum(runs) / len(runs) == pytest.approx(1.0 / (b * (1.0 - a)), rel=0.05)
 
 
 class TestChunkedLinkEquivalence:
@@ -488,25 +546,19 @@ class TestChunkedLinkEquivalence:
         gaps=st.lists(st.floats(0.0, 0.2), min_size=1, max_size=40),
         sizes=st.lists(st.floats(0.01, 2.0), min_size=40, max_size=40),
         rate=st.one_of(st.none(), st.floats(0.1, 20.0)),
-        loss_kind=st.sampled_from(["none", "bernoulli", "gilbert"]),
+        burst=st.sampled_from([None, 1.0, 3.0]),
         cuts=st.sets(st.integers(1, 39)),
         epoch=st.floats(0.0, 500.0),
         path_delay=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**16),
     )
     def test_any_chunk_split_matches_per_frame_reference(
-        self, gaps, sizes, rate, loss_kind, cuts, epoch, path_delay, seed
+        self, gaps, sizes, rate, burst, cuts, epoch, path_delay, seed
     ):
         frames = _link_frames(gaps, sizes)
 
         def make_link():
-            loss = {
-                "none": lambda: None,
-                "bernoulli": lambda: BernoulliLoss(0.3),
-                "gilbert": lambda: GilbertElliottLoss(
-                    GilbertElliottConfig.from_mean_loss(0.3, mean_burst_length=3.0)
-                ),
-            }[loss_kind]()
+            loss = None if burst is None else LossProcess(0.3, burst)
             return loss, SeededRandom(seed)
 
         loss, rng = make_link()
@@ -516,7 +568,7 @@ class TestChunkedLinkEquivalence:
         bounds = [0, *sorted(cut for cut in cuts if cut < len(frames)), len(frames)]
         for splits in (bounds, list(range(len(frames) + 1)), [0, len(frames)]):
             loss, rng = make_link()
-            channel, link = DataChannel(Simulator()), DataLink(rate, loss=loss, rng=rng)
+            channel, link = _lossy_channel(None, 0), DataLink(rate, loss=loss, rng=rng)
             edge = _link_edge(frames, float("inf"))
             for start, stop in zip(splits, splits[1:]):
                 dataplane._send_chunk(
@@ -532,7 +584,7 @@ class TestChunkedLinkEquivalence:
         gaps=st.lists(st.floats(0.0, 0.2), min_size=1, max_size=40),
         sizes=st.lists(st.floats(0.01, 2.0), min_size=40, max_size=40),
         rate=st.one_of(st.none(), st.floats(0.1, 20.0)),
-        loss_kind=st.sampled_from(["none", "bernoulli", "gilbert"]),
+        burst=st.sampled_from([None, 1.0, 3.0]),
         cuts=st.sets(st.integers(1, 39)),
         epoch=st.floats(0.0, 500.0),
         path_delay=st.floats(0.0, 1.0),
@@ -545,7 +597,7 @@ class TestChunkedLinkEquivalence:
         gaps=[0.1] * 12,
         sizes=[0.25] * 40,
         rate=2.0,
-        loss_kind="gilbert",
+        burst=3.0,
         cuts={3, 7},
         epoch=123.456,
         path_delay=0.3,
@@ -558,7 +610,7 @@ class TestChunkedLinkEquivalence:
         gaps=[0.0] * 5,
         sizes=[0.25] * 40,
         rate=None,
-        loss_kind="none",
+        burst=None,
         cuts=set(),
         epoch=0.0,
         path_delay=0.25,
@@ -572,7 +624,7 @@ class TestChunkedLinkEquivalence:
         gaps,
         sizes,
         rate,
-        loss_kind,
+        burst,
         cuts,
         epoch,
         path_delay,
@@ -585,7 +637,7 @@ class TestChunkedLinkEquivalence:
         bounds = [0, *sorted(cut for cut in cuts if cut < len(frames)), len(frames)]
         sides = []
         for step in (dataplane._send_chunk, reference_dataplane.transmit_link_chunk):
-            channel = _lossy_channel(loss_kind, seed)
+            channel = _lossy_channel(burst, seed)
             link = channel.link("parent", "child", LINK_STREAM, rate)
             edge = _link_edge(frames, deadline)
             buffer = edge.viewer.buffer_for(LINK_STREAM)
@@ -611,18 +663,13 @@ class TestChunkedLinkEquivalence:
 #: A two-LSC overlay small enough to build twice per example.
 DRAIN_CONFIG = PAPER_CONFIG.with_scaled_population(24, num_lscs=2)
 
-#: Data-plane cost models: constant delay, lossless FIFO links, and the
-#: two loss processes.
+#: Data-plane cost models: constant delay, lossless FIFO links, and loss
+#: at burst lengths 1 (i.i.d.) and 3.
 DRAIN_PLANES = {
     "constant": {"bandwidth_headroom": None},
     "fifo": {"bandwidth_headroom": 0.7},
     "bernoulli": {"bandwidth_headroom": 1.0, "loss_rate": 0.1},
-    "gilbert": {
-        "bandwidth_headroom": None,
-        "loss_rate": 0.1,
-        "loss_model": "gilbert",
-        "mean_burst_length": 3.0,
-    },
+    "gilbert": {"bandwidth_headroom": None, "loss_rate": 0.1, "mean_burst_length": 3.0},
 }
 
 

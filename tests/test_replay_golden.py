@@ -63,7 +63,6 @@ PLANES = {
     ),
     "gilbert_burst3": DataPlaneConfig(
         loss_rate=0.05,
-        loss_model="gilbert",
         mean_burst_length=3.0,
         refresh_interval=None,
         max_frames_per_stream=80,

@@ -161,7 +161,7 @@ class TestScenarioSweepFamily:
         overridden = set()
         for point in spec.expand():
             overridden.update(dict(point.overrides))
-        assert {"outage", "oscillation", "data_loss_model", "heartbeat_period"} <= overridden
+        assert {"outage", "oscillation", "data_mean_burst_length", "heartbeat_period"} <= overridden
 
 
 class TestScenarioCLI:

@@ -481,6 +481,28 @@ class TestSnapshotParity:
         assert deterministic_stats(restored) == deterministic_stats(straight)
         assert _detector_times(restored) == _detector_times(straight)
 
+    def test_a_config_carrying_a_retired_field_restores_without_a_bump(self, tmp_path):
+        # A version-9 file written while ExperimentConfig still had
+        # ``data_loss_model`` unpickles that attribute onto the config.
+        # Nothing reads it (``replace``, ``asdict`` and ``config_hash``
+        # read fields only), so the file restores and continues exactly.
+        script = _script(joins=15)
+        extra = ["join viewer-00030 1", "advance 5", "replay 10", "advance 10"]
+        path = str(tmp_path / "retired.snap")
+
+        interrupted = _daemon()
+        _run_script(interrupted, script)
+        object.__setattr__(interrupted.state.config, "data_loss_model", "bernoulli")
+        assert interrupted.handle_line(f"snapshot {path}").startswith("ok")
+        restored = ServiceDaemon.restore(interrupted.serve, path)
+        assert restored.state.config.data_loss_model == "bernoulli"
+        _run_script(restored, extra)
+
+        straight = _daemon()
+        _run_script(straight, script + extra)
+
+        assert deterministic_stats(restored) == deterministic_stats(straight)
+
     def test_parity_over_seeds_and_snapshot_times(self, tmp_path):
         """Property: parity holds for any seed and any snapshot point."""
         rng = SeededRandom(2026)
