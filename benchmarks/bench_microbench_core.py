@@ -5,8 +5,10 @@ insertion, bandwidth allocation, the view-synchronization planning, the
 lazy latency lookup (miss and hit), the re-subscription cascade below a
 displacement and a whole 400-viewer broadcast -- so regressions in their
 cost (they all run on every viewer join) are visible in the benchmark
-history -- and the simulated frame replay over a 300-viewer overlay.  CI runs the file with ``--benchmark-disable`` (every body
-once), so it cannot rot.
+history -- and both frame replays over a 300-viewer overlay: the
+simulated one and the offline one with its sorted delivery report.  CI
+runs the file with ``--benchmark-disable`` (every body once), so it
+cannot rot.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro.core.bandwidth import allocate_inbound, allocate_outbound
-from repro.core.dataplane import SimulatedDataPlane
+from repro.core.dataplane import OverlayDataPlane, SimulatedDataPlane
 from repro.core.layering import DelayLayerConfig
 from repro.core.state import StreamSubscription
 from repro.core.subscription import plan_view_synchronization
@@ -193,29 +195,37 @@ def test_bench_broadcast_join_400(benchmark):
     assert result.metrics.rejected_requests == 54
 
 
-def test_bench_simulated_replay_300(benchmark):
-    """The simulated body of the ``replay_qoe`` workload of
-    ``benchmarks/e2e`` without its joins: 300 viewers, 3 LSCs, 60 frames
-    a stream, 2 % loss, headroom 1.0, a layer refresh every 5 s, seed 7.
-    One drain event per quiet window sends the chunks."""
-    config = (
-        PAPER_CONFIG.with_scaled_population(300, num_lscs=3)
-        .with_(
-            data_plane="simulated",
-            data_loss_rate=0.02,
-            data_bandwidth_headroom=1.0,
-            data_refresh_interval=5.0,
-            replay_frames_per_stream=60,
-        )
-        .with_seed(7)
+#: The ``replay_qoe`` workload of ``benchmarks/e2e``: 300 viewers, 3 LSCs,
+#: 60 frames a stream, 2 % loss, headroom 1.0, a layer refresh every 5 s,
+#: seed 7.
+REPLAY_300 = (
+    PAPER_CONFIG.with_scaled_population(300, num_lscs=3)
+    .with_(
+        data_plane="simulated",
+        data_loss_rate=0.02,
+        data_bandwidth_headroom=1.0,
+        data_refresh_interval=5.0,
+        replay_frames_per_stream=60,
     )
+    .with_seed(7)
+)
+
+
+def _joined_300():
+    """``REPLAY_300``'s overlay after its joins, and its trace."""
+    scenario = runner.build_scenario(REPLAY_300)
+    system = runner.build_telecast_system(scenario)
+    system.run_workload(scenario.viewers, scenario.events, scenario.views)
+    return system, TeeveSessionTrace(scenario.producers, rng=SeededRandom(REPLAY_300.seed))
+
+
+def test_bench_simulated_replay_300(benchmark):
+    """The simulated body of the ``replay_qoe`` workload without its
+    joins.  One drain event per quiet window sends the chunks."""
 
     def joined_overlay():
-        scenario = runner.build_scenario(config)
-        system = runner.build_telecast_system(scenario)
-        system.run_workload(scenario.viewers, scenario.events, scenario.views)
-        trace = TeeveSessionTrace(scenario.producers, rng=SeededRandom(config.seed))
-        return (SimulatedDataPlane(system, trace, config.data_plane_config()),), {}
+        system, trace = _joined_300()
+        return (SimulatedDataPlane(system, trace, REPLAY_300.data_plane_config()),), {}
 
     def replay(plane):
         fired = plane.system.simulator.fired
@@ -225,3 +235,22 @@ def test_bench_simulated_replay_300(benchmark):
     assert report.frames_sent == report.frames_delivered + report.frames_lost > 0
     # One refresh at 5 s inside the 6 s trace: drain, refresh, drain.
     assert events == 3
+
+
+def test_bench_delivery_report_300(benchmark):
+    """The offline body of the ``replay_qoe`` workload without its joins:
+    ``OverlayDataPlane.replay`` over the 300-viewer overlay, the sorted
+    ``deliveries`` list included (the replay builds it)."""
+    frames = REPLAY_300.replay_frames_per_stream
+
+    def joined_overlay():
+        return (OverlayDataPlane(*_joined_300()),), {}
+
+    def replay(plane):
+        return plane.replay(max_frames_per_stream=frames)
+
+    report = benchmark.pedantic(replay, setup=joined_overlay, rounds=3, iterations=1)
+    deliveries = report.deliveries
+    assert len(deliveries) > 0
+    keys = [(record.delivery_time, record.viewer_id) for record in deliveries]
+    assert keys == sorted(keys)

@@ -78,28 +78,31 @@ class DeliveryRecord(NamedTuple):
 #: before the next control event.
 BATCH_QUANTUM = 1.0
 
-#: Report order, ``(delivery_time, viewer_id)``, as a C-level sort key.
-_BY_DELIVERY_THEN_VIEWER = itemgetter(4, 0)
-
 #: One edge's results: ``(viewer_id, stream_id, frames, arrivals)``, where
 #: ``arrivals[i]`` is the replay-relative delivery time of ``frames[i]``
 #: (``None`` if it was lost) for every frame sent on the edge.
 Lane = Tuple[str, StreamId, Sequence[Frame], List[Optional[float]]]
 
 
-def _delivery_records(lanes: Iterable[Lane]) -> List[DeliveryRecord]:
+def _delivery_records(lanes_by_viewer: Dict[str, List[Lane]]) -> List[DeliveryRecord]:
     """The lanes' deliveries, sorted by ``(delivery_time, viewer_id)``.
 
-    Built lane by lane, each in frame order, so equal keys keep the
-    order in which the replay sent the frames.
+    Rows are built in ``viewer_id`` order -- each viewer's lanes in
+    stored order, each lane in frame order -- so one stable sort on the
+    float ``delivery_time`` alone yields the ``(delivery_time,
+    viewer_id)`` order, with equal keys in the order the replay sent the
+    frames.  A float key costs the sort only its pointer arrays; a
+    ``(delivery_time, viewer_id)`` tuple key would allocate one tuple
+    per delivery.
     """
     records = [
         DeliveryRecord(viewer_id, stream_id, frame.frame_number, frame.capture_time, arrival)
-        for viewer_id, stream_id, frames, arrivals in lanes
+        for viewer_id in sorted(lanes_by_viewer)
+        for _, stream_id, frames, arrivals in lanes_by_viewer[viewer_id]
         for frame, arrival in zip(frames, arrivals)
         if arrival is not None
     ]
-    records.sort(key=_BY_DELIVERY_THEN_VIEWER)
+    records.sort(key=itemgetter(4))
     return records
 
 
@@ -121,9 +124,7 @@ class PlaybackReport:
     def deliveries(self) -> List[DeliveryRecord]:
         """Every frame delivery, sorted by (delivery_time, viewer_id)."""
         if self._deliveries is None:
-            self._deliveries = _delivery_records(
-                lane for lanes in self._lanes.values() for lane in lanes
-            )
+            self._deliveries = _delivery_records(self._lanes)
         return self._deliveries
 
     def skews_for(
@@ -131,13 +132,17 @@ class PlaybackReport:
     ) -> Tuple[Optional[float], Optional[float]]:
         """``(skew_for, playout_skew_for)`` from one pass over the lanes.
 
-        For every frame number present in all of the viewer's streams,
-        the two skews are spreads of the same dependent-frame delays --
-        raw, and clamped from below at ``playout_point`` -- so both follow
-        from the fastest and slowest of those delays.  A trace numbers a
-        stream's frames from 0, so frame ``i`` is row ``i`` of every lane,
-        and the rows are read column-wise.  ``(None, None)`` when the
-        viewer received fewer than two streams.
+        The samples are the frame numbers delivered on every stream the
+        viewer received (a stream with at least one delivered frame).  A
+        frame lost on any received stream is not a sample, and neither is
+        a frame past the shortest lane: a stream the layer refresh dropped
+        mid-replay ends the samples at its last sent frame.  For each
+        sample the two skews are spreads of the same dependent-frame
+        delays -- raw, and clamped from below at ``playout_point`` -- so
+        both follow from the fastest and slowest of those delays.  A trace
+        numbers a stream's frames from 0, so frame ``i`` is row ``i`` of
+        every lane, and the rows are read column-wise.  ``(None, None)``
+        when the viewer received fewer than two streams.
         """
         columns = [
             [None if at is None else at - f.capture_time for f, at in zip(frames, arrivals)]
@@ -165,11 +170,13 @@ class PlaybackReport:
     def skew_for(self, viewer_id: str) -> Optional[float]:
         """Worst inter-stream delay skew observed at a viewer.
 
-        For every frame number present in more than one stream at the
-        viewer, the skew is the spread of the end-to-end delays of those
-        dependent frames (``|d_Si - d_Sk|`` in the paper, which Layer
-        Property 2 bounds by ``d_buff``); the method returns the maximum
-        spread, or ``None`` when the viewer received fewer than two streams.
+        For every frame number delivered on all of the viewer's received
+        streams, up to the shortest of them (the samples of
+        :meth:`skews_for`), the skew is the spread of the end-to-end
+        delays of those dependent frames (``|d_Si - d_Sk|`` in the paper,
+        which Layer Property 2 bounds by ``d_buff``); the method returns
+        the maximum spread, or ``None`` when the viewer received fewer
+        than two streams.
         """
         return self.skews_for(viewer_id, 0.0)[0]
 
@@ -284,8 +291,10 @@ refresh_layers_from_observed`); ``None`` disables the feedback loop.
 class ViewerQoE:
     """Playout quality observed by one viewer over a simulated replay.
 
-    ``startup_delay`` is the time until every subscribed stream has
-    delivered its first frame (the paper's user-perceived session start);
+    ``startup_delay`` is the time from the replay epoch (capture time 0
+    of the trace) to the latest first arrival among the viewer's streams
+    that delivered any frame, so it includes the end-to-end delay of the
+    slowest of them (``None`` when no stream delivered);
     ``continuity`` the fraction of expected frames that arrived before
     the viewer's playout deadline (structural playout point plus
     ``d_buff``).  Two skews are reported: ``skew`` is the raw

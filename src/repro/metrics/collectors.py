@@ -166,7 +166,7 @@ class SessionMetrics:
     #: QoE measurements of the simulated data plane; all empty/zero when
     #: the frame replay did not run (instant summaries stay golden).
     qoe_startup_delays: ReservoirSample = _series(
-        "Join to first playable frame", "p50", "p95"
+        "Replay start to the latest first arrival among delivering streams", "p50", "p95"
     )
     qoe_continuities: ReservoirSample = _series("Playback continuity", "mean")
     qoe_playable_continuities: ReservoirSample = _series(

@@ -28,6 +28,13 @@ QoE, channel counters, links, buffers, edges and the final clock.  The
 chunk end is read as ``dataplane.BATCH_QUANTUM`` so that a test that
 patches the constant patches both drivers.
 
+**The report order.**  :func:`tuple_key_delivery_records` is the
+``deliveries`` builder as it was before rows were built in viewer order:
+one pass over the lanes in the order given, then one stable sort on a
+``(delivery_time, viewer_id)`` tuple key.
+``tests/test_properties.py::TestDeliveryOrder`` asserts that
+``PlaybackReport(lanes).deliveries`` equals it element for element.
+
 Do not use it in production code and do not "fix" it -- behaviour
 changes here silently weaken the equivalence guarantee.
 """
@@ -36,10 +43,13 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from typing import Any, List, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.core import dataplane
 from repro.core.dataplane import (
+    DeliveryRecord,
+    Lane,
     PlaybackReport,
     QoEReport,
     SimulatedDataPlane,
@@ -225,3 +235,19 @@ class PerChunkSimulatedDataPlane(SimulatedDataPlane):
             sim.schedule_at(
                 self._t0 + frames[stop].capture_time, partial(self._transmit_chunk, edge)
             )
+
+
+def tuple_key_delivery_records(lanes: Iterable[Lane]) -> List[DeliveryRecord]:
+    """The lanes' deliveries, sorted by ``(delivery_time, viewer_id)``.
+
+    Built lane by lane, each in frame order, so equal keys keep the
+    order in which the replay sent the frames.
+    """
+    records = [
+        DeliveryRecord(viewer_id, stream_id, frame.frame_number, frame.capture_time, arrival)
+        for viewer_id, stream_id, frames, arrivals in lanes
+        for frame, arrival in zip(frames, arrivals)
+        if arrival is not None
+    ]
+    records.sort(key=itemgetter(4, 0))
+    return records

@@ -13,6 +13,8 @@ Covers the properties the tentpole promises:
   ``kappa`` refresh feeds back into subsequent deliveries.
 * **Golden protection** -- QoE summary keys appear only when the
   simulated data plane ran.
+* **Skew samples** -- the inter-stream skew reads only frames delivered
+  on every received stream, up to the shortest lane.
 """
 
 from __future__ import annotations
@@ -506,6 +508,45 @@ class TestQoEMetrics:
         assert summary["control_messages_sent"] > 0
         assert summary["data_frames_sent"] > 0
         assert "qoe_continuity_mean" in summary
+
+
+def _skew_report(*delay_columns):
+    """A report of viewer ``v``: one lane per column of per-frame delays
+    (``None`` is a lost frame), frames captured every 0.25 s."""
+    lanes = []
+    for site, delays in enumerate(delay_columns):
+        stream_id = StreamId(f"site-{site}", 0)
+        frames = [Frame(stream_id, number, 0.25 * number) for number in range(len(delays))]
+        arrivals = [
+            None if delay is None else frame.capture_time + delay
+            for frame, delay in zip(frames, delays)
+        ]
+        lanes.append(("v", stream_id, frames, arrivals))
+    return dataplane.PlaybackReport(lanes)
+
+
+class TestSkewSamples:
+    """Which frames ``PlaybackReport.skews_for`` spreads, on hand-built lanes."""
+
+    def test_a_frame_lost_on_one_received_stream_is_not_a_sample(self):
+        # Frame 1 is lost on the third stream: the 8 s spread of the
+        # other two at frame 1 is not read; frame 2's 0.5 s is the worst.
+        report = _skew_report([1.0, 9.0, 1.0], [1.0, 1.0, 1.5], [1.0, None, 1.0])
+        assert report.skews_for("v", 0.0) == (0.5, 0.5)
+        assert report.skew_for("v") == 0.5
+
+    def test_no_frame_past_a_dropped_stream_is_a_sample(self):
+        # The third stream was dropped after frame 2 (its lane is
+        # shorter): frame 3's 8 s spread on the two others is not read.
+        report = _skew_report([1.0, 1.0, 1.0, 9.0], [1.0, 1.0, 1.0, 1.0], [1.0, 1.25, 1.0])
+        assert report.skews_for("v", 0.0) == (0.25, 0.25)
+
+    def test_fewer_than_two_received_streams_give_no_skew(self):
+        one_stream = _skew_report([1.0, 9.0])
+        all_lost_second = _skew_report([1.0, 9.0], [None, None])
+        for report in (one_stream, all_lost_second):
+            assert report.skews_for("v", 0.0) == (None, None)
+        assert _skew_report().skews_for("v", 0.0) == (None, None)
 
 
 class TestObservedDelayFeedback:

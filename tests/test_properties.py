@@ -22,6 +22,9 @@ Covered invariants:
 * the simulated replay's drain (one engine event per quiet window) is
   bit-identical to the one-event-per-edge-per-quantum schedule it
   replaced, whatever control events land during the replay,
+* the replay report's ``deliveries`` order (rows built in viewer order,
+  one float-key sort) is the ``(delivery_time, viewer_id)`` tuple-key
+  sort it replaced, ties, losses and backward steps included,
 * the layer formula of Equation 1 matches the layer implied by the delay
   interval definition,
 * the view-synchronization plan always bounds the layer spread by kappa
@@ -850,6 +853,53 @@ class TestDrainMatchesPerChunkSchedule:
             replay = driver(system, trace, config)
             sides.append(_replay_observables(replay, replay.run()))
         assert sides[0] == sides[1]
+
+
+#: Viewer ids whose sorted order ("v-10" < "v-9" < "v-a" < "v-b") is not
+#: the order the lanes below name them in.
+ORDER_VIEWERS = ("v-9", "v-b", "v-10", "v-a")
+
+#: Arrivals on a coarse grid, so equal delivery times are common, across
+#: viewers and within one; ``None`` is a lost frame.  Drawn per frame,
+#: they step backwards as often as forwards, as after a re-parent onto a
+#: shorter path.
+order_arrivals = st.lists(
+    st.one_of(st.none(), st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 4.0)),
+    max_size=6,
+)
+
+
+def _order_lanes(spec):
+    """One lane per ``(viewer_id, arrivals)``, each on its own stream."""
+    lanes = []
+    for index, (viewer_id, arrivals) in enumerate(spec):
+        stream_id = StreamId(f"site-{index}", 0)
+        frames = [Frame(stream_id, number, 0.1 * number) for number in range(len(arrivals))]
+        lanes.append((viewer_id, stream_id, frames, list(arrivals)))
+    return lanes
+
+
+class TestDeliveryOrder:
+    """``PlaybackReport.deliveries`` -- rows built in viewer order, one
+    stable sort on the float delivery time -- is the one-pass tuple-key
+    sort in ``tests/reference_dataplane.py``, element for element: rows
+    tied on ``(delivery_time, viewer_id)`` keep lane, then frame order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.lists(st.tuples(st.sampled_from(ORDER_VIEWERS), order_arrivals), max_size=8))
+    @example(
+        spec=[
+            ("v-b", [1.0, 0.5, None, 0.25]),  # steps back; ties v-a and v-10
+            ("v-a", [0.5, 0.5, 1.0]),  # a tie within one lane
+            ("v-b", [0.5, None, 1.0]),  # v-b's second lane ties its first
+            ("v-10", [0.25, 1.0]),
+            ("v-a", [None, None]),  # every frame lost
+        ]
+    )
+    def test_deliveries_match_the_tuple_key_oracle(self, spec):
+        lanes = _order_lanes(spec)
+        deliveries = dataplane.PlaybackReport(lanes).deliveries
+        assert deliveries == reference_dataplane.tuple_key_delivery_records(lanes)
 
 
 def _eighths(limit):

@@ -19,7 +19,10 @@ count.  It was captured on the code that appended one record per frame.
 A replay stores one arrival float per frame sent, by edge, and builds the
 per-frame records only when ``deliveries`` is read; the allocation guard
 below holds it to that (the per-frame code left 2.17 GC-tracked objects
-behind per delivered frame on the guard's replay).
+behind per delivered frame on the guard's replay).  Ordering the records
+on that first read allocates no key per record: the rows are built in
+viewer order and sorted on the float delivery time alone, and the sort
+guard below holds the transient bytes to the sort's pointer arrays.
 
 Regenerate (only for an intentional behaviour change) with
 ``PYTHONPATH=src python tests/test_replay_golden.py``.
@@ -31,6 +34,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -190,6 +194,29 @@ def test_replay_leaves_no_object_per_delivered_frame():
     grown = len(gc.get_objects()) - before
     assert report.frames_delivered > 30_000
     assert grown <= TRACKED_PER_DELIVERY * report.frames_delivered
+
+
+#: Transient bytes the first ``deliveries`` read may allocate per delivery
+#: beyond the list it keeps: a float-key sort's pointer arrays (16.0 on
+#: the replay below).  A ``(delivery_time, viewer_id)`` tuple key per
+#: record read 68.7.
+SORT_BYTES_PER_DELIVERY = 24
+
+
+def test_ordering_the_report_builds_no_key_per_delivery():
+    system, trace = joined_world()
+    config = dataclasses.replace(
+        PLANES["bernoulli_2pct_refresh"], max_frames_per_stream=240
+    )
+    report = SimulatedDataPlane(system, trace, config).run()
+    tracemalloc.start()
+    try:
+        deliveries = report.deliveries
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(deliveries) > 30_000
+    assert peak - current <= SORT_BYTES_PER_DELIVERY * len(deliveries)
 
 
 def test_no_delivery_record_exists_until_deliveries_is_read(monkeypatch):
