@@ -38,7 +38,7 @@ from repro.core.controllers import (
     LocalSessionController,
 )
 from repro.core.group import ViewGroup
-from repro.core.layering import DelayLayerConfig, compute_layer, subscription_frame_number
+from repro.core.layering import DelayLayerConfig, subscription_frame_number
 from repro.core.recovery import (
     DEFAULT_HEARTBEAT_TIMEOUT,
     FailoverResult,
@@ -72,7 +72,6 @@ __all__ = [
     "LocalSessionController",
     "ViewGroup",
     "DelayLayerConfig",
-    "compute_layer",
     "subscription_frame_number",
     "DEFAULT_HEARTBEAT_TIMEOUT",
     "FailoverResult",

@@ -139,11 +139,9 @@ class LocalSessionController:
         delay_model: DelayModel,
         layer_config: DelayLayerConfig,
         monitor: GSCMonitor,
-        *,
-        node_id: Optional[str] = None,
     ) -> None:
         self.lsc_id = lsc_id
-        self.node_id = node_id or lsc_id
+        self.node_id = lsc_id
         self.cdn = cdn
         self.delay_model = delay_model
         self.layer_config = layer_config
@@ -708,13 +706,11 @@ class GlobalSessionController:
         cdn: CDN,
         delay_model: DelayModel,
         layer_config: DelayLayerConfig,
-        *,
-        node_id: str = GSC_NODE_ID,
     ) -> None:
         self.cdn = cdn
         self.delay_model = delay_model
         self.layer_config = layer_config
-        self.node_id = node_id
+        self.node_id = GSC_NODE_ID
         self.monitor = GSCMonitor()
         self._lscs: Dict[str, LocalSessionController] = {}
         self._region_to_lsc: Dict[str, str] = {}

@@ -114,31 +114,6 @@ class DelayLayerConfig:
         return 0 <= layer <= self.max_layer_index
 
 
-def compute_layer(
-    config: DelayLayerConfig,
-    parent_end_to_end_delay: float,
-    propagation_delay: float,
-    processing_delay: float,
-) -> int:
-    """Equation (1): the lowest layer index a viewer can achieve for a stream.
-
-    ``Layer_u_Si = floor((d_parent_Si - Delta + d_prop + delta) / tau)``.
-
-    The result is clamped to be non-negative: a viewer can never be in a
-    higher (fresher) layer than the CDN's Layer-0.
-    """
-    require_non_negative(parent_end_to_end_delay, "parent_end_to_end_delay")
-    require_non_negative(propagation_delay, "propagation_delay")
-    require_non_negative(processing_delay, "processing_delay")
-    raw = (
-        parent_end_to_end_delay
-        - config.delta
-        + propagation_delay
-        + processing_delay
-    ) / config.tau
-    return max(0, int(math.floor(raw)))
-
-
 def subscription_frame_number(
     config: DelayLayerConfig,
     latest_frame_number: int,

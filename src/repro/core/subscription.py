@@ -118,11 +118,10 @@ def plan_view_synchronization(
     # Equation 1 per stream, with the layer arithmetic inlined: this runs
     # for every join and every propagated re-subscription, so the
     # per-call overhead of the generic helpers adds up.  The float
-    # operations are exactly those of :func:`minimum_layer_for`; the
-    # argument validation of :func:`compute_layer` is redundant here
-    # because every parent delay is a tree delay (>= ``Delta`` >= 0) and
-    # every propagation delay is >= 0 (``set_delay`` validates it, a
-    # derived pair is an ``exp``).
+    # operations are exactly those of :func:`minimum_layer_for`; argument
+    # validation is redundant because every parent delay is a tree delay
+    # (>= ``Delta`` >= 0) and every propagation delay is >= 0
+    # (``set_delay`` validates it, a derived pair is an ``exp``).
     delta = config.delta
     tau = config.tau
     max_layer = config.max_layer_index

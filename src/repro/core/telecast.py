@@ -59,7 +59,6 @@ def build_views(
     *,
     num_views: int = 1,
     streams_per_site: int = 3,
-    cutoff_threshold: float = 0.0,
 ) -> List[GlobalView]:
     """Construct ``num_views`` candidate global views spread around the scene.
 
@@ -77,11 +76,7 @@ def build_views(
         angle = 2.0 * math.pi * index / num_views
         orientation = orientation_from_angle(angle)
         local_views = tuple(
-            site.local_view(
-                orientation,
-                cutoff_threshold=cutoff_threshold,
-                max_streams=streams_per_site,
-            )
+            site.local_view(orientation, max_streams=streams_per_site)
             for site in producers
         )
         views.append(GlobalView(view_id=f"view-{index}", local_views=local_views))

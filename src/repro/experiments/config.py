@@ -182,6 +182,12 @@ class ExperimentConfig:
                 f"got {self.control_plane!r}"
             )
         require_positive(self.heartbeat_period, "heartbeat_period")
+        # Accepted, an infinite duration overflows the frame clock after
+        # the whole world is built, and an infinite delay scale starts a
+        # daemon whose joins never deliver.
+        for name in ("session_duration", "control_delay_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         require_non_negative(self.control_delay_scale, "control_delay_scale")
         if self.data_plane not in ("off", "simulated"):
             raise ValueError(

@@ -215,15 +215,11 @@ def figure_14b_accepted_streams(
     )
 
 
-def figure_14c_overhead(
-    config: ExperimentConfig = PAPER_CONFIG,
-    *,
-    view_change_probability: float = 0.3,
-) -> DistributionFigure:
+def figure_14c_overhead(config: ExperimentConfig = PAPER_CONFIG) -> DistributionFigure:
     """Figure 14(c): CDFs of viewer join delay and view-change delay."""
     scenario = config.with_(
         outbound=BandwidthDistribution.uniform(0.0, 12.0),
-        view_change_probability=view_change_probability,
+        view_change_probability=0.3,
     )
     result = run_telecast_scenario(scenario, snapshot_every=None)
     joins = list(result.metrics.join_delays)
@@ -244,11 +240,7 @@ def figure_14c_overhead(
 # ---------------------------------------------------------------------------
 
 
-def figure_15a_vs_random_bandwidth(
-    config: ExperimentConfig = PAPER_CONFIG,
-    *,
-    bandwidth_values: Sequence[float] = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0),
-) -> FigureSeries:
+def figure_15a_vs_random_bandwidth(config: ExperimentConfig = PAPER_CONFIG) -> FigureSeries:
     """Figure 15(a): acceptance ratio vs. per-viewer outbound bandwidth.
 
     One point per fixed outbound value, for 4D TeleCast and for the Random
@@ -260,7 +252,7 @@ def figure_15a_vs_random_bandwidth(
     )
     telecast = ScalingSeries(label="TeleCast")
     random_series = ScalingSeries(label="Random")
-    for value in bandwidth_values:
+    for value in (0.0, 2.0, 4.0, 6.0, 8.0, 10.0):
         scenario = config.with_outbound(BandwidthDistribution.fixed(value))
         telecast_result = run_telecast_scenario(scenario, snapshot_every=None)
         random_result = run_random_scenario(scenario, snapshot_every=None)

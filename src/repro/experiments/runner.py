@@ -625,7 +625,6 @@ def run_random_scenario(
     config: ExperimentConfig,
     *,
     snapshot_every: Optional[int] = 100,
-    scenario: Optional[Scenario] = None,
 ) -> ScenarioResult:
     """Run the same scenario through the Random dissemination baseline."""
     # Imported here: the serve daemon and every TeleCast run import this
@@ -634,8 +633,7 @@ def run_random_scenario(
 
     if snapshot_every is not None:
         require_non_negative(snapshot_every, "snapshot_every")
-    if scenario is None:
-        scenario = build_scenario(config)
+    scenario = build_scenario(config)
     system = RandomDisseminationSystem(
         scenario.producers,
         scenario.cdn,

@@ -14,7 +14,6 @@ parameter combination cannot take down a 100-point sweep.
 
 from __future__ import annotations
 
-import functools
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -66,11 +65,12 @@ class PointResult:
         )
 
 
-def execute_point(point: SweepPoint, *, snapshot_every: Optional[int] = None) -> PointResult:
+def execute_point(point: SweepPoint) -> PointResult:
     """Run one sweep point, capturing any failure as data.
 
     Module-level (not a closure) so :class:`ProcessPoolExecutor` can
-    pickle it to worker processes.
+    pickle it to worker processes.  A point records no mid-run snapshots:
+    its record carries the summary of the finished run only.
     """
     started = time.perf_counter()
     metrics: Dict[str, float] = {}
@@ -78,9 +78,9 @@ def execute_point(point: SweepPoint, *, snapshot_every: Optional[int] = None) ->
     error = None
     try:
         if point.system == "telecast":
-            result = run_telecast_scenario(point.config, snapshot_every=snapshot_every)
+            result = run_telecast_scenario(point.config, snapshot_every=None)
         elif point.system == "random":
-            result = run_random_scenario(point.config, snapshot_every=snapshot_every)
+            result = run_random_scenario(point.config, snapshot_every=None)
         else:
             raise ValueError(f"unknown system {point.system!r}")
         metrics, viewers_per_lsc = result.summary(), result.viewers_per_lsc
@@ -129,7 +129,6 @@ def run_sweep(
     *,
     jobs: int = 1,
     store: Optional[ResultsStore] = None,
-    snapshot_every: Optional[int] = None,
     progress: Optional[Callable[[PointResult], None]] = None,
 ) -> SweepResult:
     """Execute every point of a sweep, optionally persisting the records.
@@ -143,15 +142,14 @@ def run_sweep(
     if jobs <= 1 or len(points) <= 1:
         results = []
         for point in points:
-            result = execute_point(point, snapshot_every=snapshot_every)
+            result = execute_point(point)
             if progress is not None:
                 progress(result)
             results.append(result)
     else:
-        worker = functools.partial(execute_point, snapshot_every=snapshot_every)
         with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
             results = []
-            for result in pool.map(worker, points):
+            for result in pool.map(execute_point, points):
                 if progress is not None:
                     progress(result)
                 results.append(result)

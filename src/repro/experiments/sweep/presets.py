@@ -35,54 +35,41 @@ _BANDWIDTH_SETTINGS = tuple(
 )
 
 
-def _scaled_points(
-    base: ExperimentConfig, counts: List[int], **extra: object
-) -> List[Mapping[str, object]]:
+def _scaled_points(counts: List[int], **extra: object) -> List[Mapping[str, object]]:
     """One point per population size, CDN cap scaled proportionally."""
     return [
         {
             "num_viewers": count,
-            "cdn_capacity_mbps": base.with_scaled_population(count).cdn_capacity_mbps,
+            "cdn_capacity_mbps": PAPER_CONFIG.with_scaled_population(count).cdn_capacity_mbps,
             **extra,
         }
         for count in counts
     ]
 
 
-def smoke_sweep(base: ExperimentConfig = PAPER_CONFIG) -> SweepSpec:
+def smoke_sweep() -> SweepSpec:
     """Tiny 6-point grid for CI: 3 populations x both systems, 3 LSCs."""
     return SweepSpec(
         name="smoke",
-        base=base,
-        points=_scaled_points(base, [40, 80, 120], num_lscs=3),
+        base=PAPER_CONFIG,
+        points=_scaled_points([40, 80, 120], num_lscs=3),
         systems=("telecast", "random"),
     )
 
 
-def scale_sweep(
-    base: ExperimentConfig = PAPER_CONFIG,
-    *,
-    viewers: int = 1000,
-    step: int = 100,
-    num_lscs: int = 3,
-) -> SweepSpec:
+def scale_sweep(*, viewers: int = 1000, step: int = 100, num_lscs: int = 3) -> SweepSpec:
     """Figure-15b-style scale curve: population sweep, TeleCast vs Random."""
     return SweepSpec(
         name="scale",
-        base=base,
-        points=_scaled_points(base, viewer_counts(viewers, step), num_lscs=num_lscs),
+        base=PAPER_CONFIG,
+        points=_scaled_points(viewer_counts(viewers, step), num_lscs=num_lscs),
         systems=("telecast", "random"),
     )
 
 
-def bandwidth_sweep(
-    base: ExperimentConfig = PAPER_CONFIG,
-    *,
-    viewers: int = 400,
-    num_lscs: int = 3,
-) -> SweepSpec:
+def bandwidth_sweep(*, viewers: int = 400, num_lscs: int = 3) -> SweepSpec:
     """Figure-13-style outbound-bandwidth grid at a fixed population."""
-    scaled = base.with_scaled_population(viewers, num_lscs=num_lscs)
+    scaled = PAPER_CONFIG.with_scaled_population(viewers, num_lscs=num_lscs)
     return SweepSpec(
         name="bandwidth",
         base=scaled,
@@ -90,9 +77,7 @@ def bandwidth_sweep(
     )
 
 
-def shard_sweep(
-    base: ExperimentConfig = PAPER_CONFIG, *, viewers: int = 400
-) -> SweepSpec:
+def shard_sweep(*, viewers: int = 400) -> SweepSpec:
     """Control-plane sharding sweep: the same network world over 1..5 LSCs.
 
     The latency trace derives every delay from a per-pair digest
@@ -100,7 +85,7 @@ def shard_sweep(
     differ *only* in control-plane layout -- viewer-to-viewer delays,
     regions and workloads are identical across the axis.
     """
-    scaled = base.with_scaled_population(viewers)
+    scaled = PAPER_CONFIG.with_scaled_population(viewers)
     return SweepSpec(
         name="shards",
         base=scaled,
@@ -116,9 +101,7 @@ def shard_sweep(
 SCALE10K_POPULATIONS = (2000, 5000, 10000)
 
 
-def scale10k_sweep(
-    base: ExperimentConfig = PAPER_CONFIG, *, num_lscs: int = 5
-) -> SweepSpec:
+def scale10k_sweep() -> SweepSpec:
     """Order-of-magnitude scale curve: 2k / 5k / 10k-viewer telecasts.
 
     Only feasible on the performance core: the latency world derives
@@ -128,8 +111,8 @@ def scale10k_sweep(
     """
     return SweepSpec(
         name="scale10k",
-        base=base,
-        points=_scaled_points(base, list(SCALE10K_POPULATIONS), num_lscs=num_lscs),
+        base=PAPER_CONFIG,
+        points=_scaled_points(list(SCALE10K_POPULATIONS), num_lscs=5),
         systems=("telecast",),
     )
 
@@ -139,16 +122,11 @@ def scale10k_sweep(
 SCALE100K_POPULATIONS = (20000, 50000, 100000)
 
 
-def scale100k_sweep(
-    base: ExperimentConfig = PAPER_CONFIG,
-    *,
-    num_lscs: int = 8,
-    shard_workers: int = 4,
-) -> SweepSpec:
+def scale100k_sweep() -> SweepSpec:
     """Scale curve toward the 100k-viewer target of the parallel engine.
 
     Every point runs on the shard-parallel engine
-    (``shard_workers`` worker processes over ``num_lscs`` LSCs), the
+    (4 worker processes over 8 LSCs), the
     lazy latency world and the streamed, generator-based workload
     (:meth:`~repro.traces.workload.ViewerWorkload.iter_events`), so no
     phase materializes O(n^2) state up front.  TeleCast only, like
@@ -158,13 +136,8 @@ def scale100k_sweep(
     """
     return SweepSpec(
         name="scale100k",
-        base=base,
-        points=_scaled_points(
-            base,
-            list(SCALE100K_POPULATIONS),
-            num_lscs=num_lscs,
-            shard_workers=shard_workers,
-        ),
+        base=PAPER_CONFIG,
+        points=_scaled_points(list(SCALE100K_POPULATIONS), num_lscs=8, shard_workers=4),
         systems=("telecast",),
     )
 
@@ -174,12 +147,7 @@ def scale100k_sweep(
 SCALE1M_POPULATIONS = (200000, 500000, 1000000)
 
 
-def scale1m_sweep(
-    base: ExperimentConfig = PAPER_CONFIG,
-    *,
-    num_lscs: int = 16,
-    shard_workers: int = 4,
-) -> SweepSpec:
+def scale1m_sweep() -> SweepSpec:
     """Scale curve toward the 1M-viewer target of the shard-filtered build.
 
     Same engine as ``scale100k`` -- shard workers over the lazy latency
@@ -196,20 +164,13 @@ def scale1m_sweep(
     """
     return SweepSpec(
         name="scale1m",
-        base=base,
-        points=_scaled_points(
-            base,
-            list(SCALE1M_POPULATIONS),
-            num_lscs=num_lscs,
-            shard_workers=shard_workers,
-        ),
+        base=PAPER_CONFIG,
+        points=_scaled_points(list(SCALE1M_POPULATIONS), num_lscs=16, shard_workers=4),
         systems=("telecast",),
     )
 
 
-def controlplane_sweep(
-    base: ExperimentConfig = PAPER_CONFIG, *, viewers: int = 120, num_lscs: int = 3
-) -> SweepSpec:
+def controlplane_sweep() -> SweepSpec:
     """Control-plane delay sensitivity on the event-driven driver.
 
     Every point runs with ``control_plane="simulated"``: joins arrive as
@@ -228,9 +189,9 @@ def controlplane_sweep(
     """
     from repro.traces.workload import ChurnConfig
 
-    scaled = base.with_scaled_population(
-        viewers,
-        num_lscs=num_lscs,
+    scaled = PAPER_CONFIG.with_scaled_population(
+        120,
+        num_lscs=3,
         control_plane="simulated",
         arrival_rate_per_second=4.0,
         view_change_probability=0.1,
@@ -256,9 +217,7 @@ def controlplane_sweep(
     )
 
 
-def qoe_sweep(
-    base: ExperimentConfig = PAPER_CONFIG, *, viewers: int = 80, num_lscs: int = 2
-) -> SweepSpec:
+def qoe_sweep() -> SweepSpec:
     """QoE sensitivity of the simulated data plane: loss x bandwidth headroom.
 
     Every point appends an event-driven frame replay to the workload run
@@ -272,9 +231,9 @@ def qoe_sweep(
     acceptance metrics -- the data behind the skew-vs-``d_buff`` table in
     ``docs/BENCHMARKS.md``.
     """
-    scaled = base.with_scaled_population(
-        viewers,
-        num_lscs=num_lscs,
+    scaled = PAPER_CONFIG.with_scaled_population(
+        80,
+        num_lscs=2,
         data_plane="simulated",
         replay_frames_per_stream=200,
     )
@@ -292,7 +251,7 @@ def qoe_sweep(
     )
 
 
-def scenarios_sweep(base: ExperimentConfig = PAPER_CONFIG) -> SweepSpec:
+def scenarios_sweep() -> SweepSpec:
     """Every adversarial scenario preset at smoke scale, one point each.
 
     Each point reproduces exactly the config of
@@ -315,12 +274,12 @@ def scenarios_sweep(base: ExperimentConfig = PAPER_CONFIG) -> SweepSpec:
             {
                 name.name: getattr(config, name.name)
                 for name in dataclasses.fields(ExperimentConfig)
-                if getattr(config, name.name) != getattr(base, name.name)
+                if getattr(config, name.name) != getattr(PAPER_CONFIG, name.name)
             }
         )
     return SweepSpec(
         name="scenarios",
-        base=base,
+        base=PAPER_CONFIG,
         points=points,
         derive_seeds=False,
     )

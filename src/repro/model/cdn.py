@@ -12,8 +12,12 @@ The only properties the overlay-construction logic relies on are
 * the ability to serve *any* delay layer to its direct children (its
   distribution storage is large).
 
-This module models exactly that, plus a set of edge servers so the
-experiments can report per-edge load if desired.
+This module models exactly that, with the outbound capacity split
+evenly over a set of edge servers.  A reservation must fit on one edge
+server, while :meth:`CDN.can_serve` reads the aggregate: once every edge
+is too full for a stream that the aggregate still fits, ``can_serve``
+says yes and :meth:`CDN.allocate` refuses.  That split binds in the
+suite's own worlds; it is a known defect, not a modelling choice.
 """
 
 from __future__ import annotations
@@ -74,10 +78,9 @@ class CDN:
     num_edge_servers:
         Number of edge servers the capacity is split across.  With an
         infinite capacity a single virtual edge server is used.
-    inbound_capacity_mbps:
-        ``C_cdn_ibw``; the paper assumes this bound is always met because
-        only the few producer sites upload, so it is tracked but never the
-        binding constraint.
+
+    The inbound capacity ``C_cdn_ibw`` is not modelled: the paper assumes
+    it is always met because only the few producer sites upload.
     """
 
     def __init__(
@@ -86,7 +89,6 @@ class CDN:
         *,
         delta: float = 60.0,
         num_edge_servers: int = 4,
-        inbound_capacity_mbps: float = math.inf,
     ) -> None:
         if outbound_capacity_mbps <= 0:
             raise ValueError("outbound_capacity_mbps must be > 0")
@@ -94,11 +96,9 @@ class CDN:
         if num_edge_servers <= 0:
             raise ValueError("num_edge_servers must be > 0")
         self.outbound_capacity_mbps = outbound_capacity_mbps
-        self.inbound_capacity_mbps = inbound_capacity_mbps
         self.delta = delta
         self.node_id = CDN_NODE_ID
         self._used_outbound = 0.0
-        self._used_inbound = 0.0
         self._per_stream_usage: Dict[StreamId, float] = {}
         self._stored_streams: Dict[StreamId, float] = {}
         self.edge_servers: List[EdgeServer] = self._make_edges(num_edge_servers)
@@ -117,11 +117,7 @@ class CDN:
     def ingest_stream(self, stream_id: StreamId, bandwidth_mbps: float) -> None:
         """Register a producer stream uploaded into the distribution storage."""
         require_positive(bandwidth_mbps, "bandwidth_mbps")
-        if stream_id not in self._stored_streams:
-            self._used_inbound += bandwidth_mbps
         self._stored_streams[stream_id] = bandwidth_mbps
-        if self._used_inbound > self.inbound_capacity_mbps + 1e-9:
-            raise ValueError("CDN inbound capacity exceeded by producer uploads")
 
     def has_stream(self, stream_id: StreamId) -> bool:
         """Whether the stream has been ingested and can be served."""

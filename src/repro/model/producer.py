@@ -47,15 +47,12 @@ class ProducerSite:
         Bandwidth of each camera stream (2 Mbps in the paper's evaluation).
     frame_rate:
         Frame rate of each camera stream.
-    gateway_node_id:
-        Network identity of the site gateway (used by the latency model).
     """
 
     site_id: str
     cameras: List[Camera]
     stream_bandwidth_mbps: float = 2.0
     frame_rate: float = 10.0
-    gateway_node_id: str = ""
     _streams: Dict[int, Stream] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -65,8 +62,6 @@ class ProducerSite:
             raise ValueError("a producer site needs at least one camera")
         require_positive(self.stream_bandwidth_mbps, "stream_bandwidth_mbps")
         require_positive(self.frame_rate, "frame_rate")
-        if not self.gateway_node_id:
-            self.gateway_node_id = f"gateway-{self.site_id}"
         for camera in self.cameras:
             self._streams[camera.index] = Stream(
                 stream_id=StreamId(site_id=self.site_id, camera_index=camera.index),
@@ -89,24 +84,14 @@ class ProducerSite:
         """Return the stream of a specific camera."""
         return self._streams[camera_index]
 
-    def local_view(
-        self,
-        orientation: Orientation,
-        *,
-        cutoff_threshold: float = 0.0,
-        max_streams: int = 0,
-    ) -> LocalView:
+    def local_view(self, orientation: Orientation, *, max_streams: int = 0) -> LocalView:
         """Compute the local view for a requested view orientation.
 
         This applies the differentiation function and cut-off of
         Section II-B to the site's streams.
         """
         return make_local_view(
-            self.streams,
-            orientation,
-            cutoff_threshold=cutoff_threshold,
-            site_id=self.site_id,
-            max_streams=max_streams,
+            self.streams, orientation, site_id=self.site_id, max_streams=max_streams
         )
 
 
@@ -116,7 +101,6 @@ def make_ring_site(
     *,
     stream_bandwidth_mbps: float = 2.0,
     frame_rate: float = 10.0,
-    gateway_node_id: str = "",
 ) -> ProducerSite:
     """Create a producer site whose cameras are evenly spaced around a ring.
 
@@ -136,7 +120,6 @@ def make_ring_site(
         cameras=cameras,
         stream_bandwidth_mbps=stream_bandwidth_mbps,
         frame_rate=frame_rate,
-        gateway_node_id=gateway_node_id,
     )
 
 

@@ -57,7 +57,7 @@ from repro.traces.workload import ViewerEvent
 from repro.util.rusage import peak_rss_kib
 
 #: How long a worker waits on a coordinator resume before giving up.
-DEFAULT_BARRIER_TIMEOUT = 600.0
+BARRIER_TIMEOUT = 600.0
 
 
 def place_lscs(weights: Sequence[int], num_workers: int) -> Tuple[int, ...]:
@@ -117,13 +117,14 @@ def run_shard_worker(
     profile: bool,
     inbox,
     outbox,
-    barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
-    placement: Optional[Tuple[int, ...]] = None,
+    *,
+    placement: Tuple[int, ...],
 ) -> None:
     """Process entry point of one shard worker (module-level: picklable).
 
-    ``placement`` is the coordinator's LSC -> worker map; without one
-    the worker derives it from the config by the same function.
+    ``placement`` is the coordinator's LSC -> worker map
+    (:func:`repro.experiments.runner.shard_placement`); the worker hosts
+    the LSCs it maps to ``worker_index``.
     """
     transport = ShardQueueTransport(inbox, outbox)
     try:
@@ -134,7 +135,6 @@ def run_shard_worker(
             snapshot_every,
             profile,
             transport,
-            barrier_timeout,
             placement,
         )
     except Exception:  # pragma: no cover - surfaced by the coordinator
@@ -156,8 +156,7 @@ def _run(
     snapshot_every: Optional[int],
     profile: bool,
     transport: ShardQueueTransport,
-    barrier_timeout: float,
-    placement: Optional[Tuple[int, ...]] = None,
+    placement: Tuple[int, ...],
 ) -> None:
     # Imported here so a spawn-started worker pays the import once, in
     # the child, instead of requiring the parent's module state.
@@ -166,12 +165,9 @@ def _run(
         _OwnershipTimeline,
         _region_names_for,
         build_scenario,
-        shard_placement,
     )
 
     started = time.perf_counter()
-    if placement is None:
-        placement = shard_placement(config, num_workers)
     my_indices = [i for i, worker in enumerate(placement) if worker == worker_index]
     if not my_indices:
         raise ValueError(
@@ -291,7 +287,7 @@ def _run(
         # anywhere the owner books them as lost.  Nobody else waits.
         if lsc_to_worker[target or failed] == worker_index:
             mark = time.perf_counter()
-            resume = transport.recv(timeout=barrier_timeout)
+            resume = transport.recv(timeout=BARRIER_TIMEOUT)
             barrier_wait_s += time.perf_counter() - mark
             if not isinstance(resume, ShardResume) or resume.barrier_seq != barrier_seq:
                 raise RuntimeError(

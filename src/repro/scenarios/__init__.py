@@ -18,7 +18,6 @@ _EXPORTS = {
     "SCENARIOS": "repro.scenarios.presets",
     "ScenarioSpec": "repro.scenarios.presets",
     "ScenarioRun": "repro.scenarios.runner",
-    "live_op_script": "repro.scenarios.runner",
     "resolve_spec": "repro.scenarios.runner",
     "run_record": "repro.scenarios.runner",
     "run_scenario": "repro.scenarios.runner",

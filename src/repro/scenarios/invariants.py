@@ -55,7 +55,7 @@ Catalog
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping
 
 from repro.model.cdn import CDN_NODE_ID
 
@@ -344,20 +344,16 @@ INVARIANTS: Dict[str, Callable[..., List[str]]] = {
 }
 
 
-def check_invariants(
-    run, names: Optional[Iterable[str]] = None
-) -> Dict[str, List[str]]:
+def check_invariants(run) -> Dict[str, List[str]]:
     """Evaluate the run's declared invariants; return violations per name.
 
-    ``names`` overrides the run's spec declaration (used by tests).  An
-    unknown invariant name is itself a violation -- a preset must never
-    silently declare a check that does not exist.
+    An unknown invariant name is itself a violation -- a preset must
+    never silently declare a check that does not exist.
     """
     spec = run.spec
-    selected = list(names) if names is not None else list(spec.invariants)
     params = spec.invariant_params
     violations: Dict[str, List[str]] = {}
-    for name in selected:
+    for name in spec.invariants:
         check = INVARIANTS.get(name)
         if check is None:
             violations[name] = [f"unknown invariant {name!r}"]

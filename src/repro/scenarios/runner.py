@@ -63,7 +63,6 @@ def run_scenario(
     viewers: Optional[int] = None,
     seed: Optional[int] = None,
     smoke: bool = False,
-    snapshot_every: Optional[int] = 100,
 ) -> ScenarioRun:
     """Run one scenario preset end to end and check its invariants.
 
@@ -76,9 +75,7 @@ def run_scenario(
     resolved = resolve_spec(spec)
     config = resolved.config(viewers=viewers, seed=seed, smoke=smoke)
     scenario = build_scenario(config)
-    result = run_telecast_scenario(
-        config, snapshot_every=snapshot_every, scenario=scenario
-    )
+    result = run_telecast_scenario(config, scenario=scenario)
     run = ScenarioRun(
         spec=resolved,
         config=config,
@@ -89,42 +86,6 @@ def run_scenario(
     )
     run.violations = check_invariants(run)
     return run
-
-
-def live_op_script(
-    spec: Union[str, ScenarioSpec],
-    *,
-    viewers: Optional[int] = None,
-    seed: Optional[int] = None,
-    smoke: bool = False,
-) -> "tuple[ExperimentConfig, List[str]]":
-    """A preset's schedule as a service-daemon op script.
-
-    Returns ``(config, lines)``: the experiment config the preset would
-    run under (so a daemon can be provisioned to match -- same viewer
-    pool, same seeds) and the pre-baked workload converted to protocol
-    lines, with ``advance`` ops supplying the inter-event simulated
-    time.  Streaming the lines at a ``--dilation 0`` daemon replays the
-    adversarial preset through the live op path instead of the batch
-    driver -- flash crowds, outages and oscillation become wire traffic.
-    """
-    # Imported lazily: repro.service pulls in this package at import
-    # time (the daemon uses the invariant catalog), so a module-level
-    # import here would be circular.
-    from repro.core.session import event_sort_key
-    from repro.service import protocol as service_protocol
-
-    resolved = resolve_spec(spec)
-    config = resolved.config(viewers=viewers, seed=seed, smoke=smoke)
-    scenario = build_scenario(config)
-    lines: List[str] = []
-    now_s = 0.0
-    for event in sorted(scenario.events, key=event_sort_key):
-        if event.time > now_s:
-            lines.append(f"advance {event.time - now_s:g}")
-            now_s = event.time
-        lines.append(service_protocol.format_op(service_protocol.op_of_event(event)))
-    return config, lines
 
 
 def run_record(run: ScenarioRun, *, wall_clock_s: float = 0.0) -> SweepRecord:

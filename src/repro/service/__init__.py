@@ -32,7 +32,6 @@ _EXPORTS = {
     "SnapshotError": "repro.service.snapshot",
     "load_snapshot": "repro.service.snapshot",
     "save_snapshot": "repro.service.snapshot",
-    "snapshot_roundtrip": "repro.service.snapshot",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -34,7 +34,6 @@ exactly this reason).
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -122,14 +121,3 @@ def load_snapshot(path: str) -> Tuple[Any, Dict[str, Any]]:
     if digest != header.get("sha256"):
         raise SnapshotError(f"snapshot {path!r}: payload digest mismatch (truncated?)")
     return load_state(payload), header
-
-
-def snapshot_roundtrip(state: Any) -> Any:
-    """Serialise and restore a state graph in memory.
-
-    Equivalent to saving to disk and loading in a fresh process (pickle
-    rebuilds every object from scratch either way); the parity tests use
-    this to snapshot mid-run without touching the filesystem.
-    """
-    buffer = io.BytesIO(dump_state(state))
-    return load_state(buffer.getvalue())

@@ -12,7 +12,7 @@ package generates statistically equivalent substitutes:
   including flash crowds (large simultaneous arrivals).
 """
 
-from repro.traces.teeve import TeeveSessionConfig, TeeveSessionTrace, FrameRecord
+from repro.traces.teeve import TeeveSessionConfig, TeeveSessionTrace
 from repro.traces.workload import (
     BandwidthDistribution,
     ChurnConfig,
@@ -25,7 +25,6 @@ from repro.traces.workload import (
 __all__ = [
     "TeeveSessionConfig",
     "TeeveSessionTrace",
-    "FrameRecord",
     "BandwidthDistribution",
     "ChurnConfig",
     "ChurnWorkload",

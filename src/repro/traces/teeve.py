@@ -27,14 +27,6 @@ from repro.sim.rng import SeededRandom
 from repro.util.validation import require_positive
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    """One generated frame together with the stream it belongs to."""
-
-    frame: Frame
-    stream: Stream
-
-
 @dataclass
 class TeeveSessionConfig:
     """Parameters of the synthetic TEEVE session generator.

@@ -1,41 +1,6 @@
-"""Shared utilities: units, validation helpers and lightweight logging."""
+"""Shared utilities: validation helpers, lazy package re-exports and
+the process's peak memory reading."""
 
-from repro.util.units import (
-    Mbps,
-    Kbps,
-    Gbps,
-    mbps_to_kbps,
-    kbps_to_mbps,
-    seconds,
-    milliseconds,
-    ms_to_s,
-    s_to_ms,
-    bits_for_duration,
-    megabits,
-)
-from repro.util.validation import (
-    require,
-    require_positive,
-    require_non_negative,
-    require_in_range,
-    require_type,
-)
+from repro.util.validation import require, require_non_negative, require_positive
 
-__all__ = [
-    "Mbps",
-    "Kbps",
-    "Gbps",
-    "mbps_to_kbps",
-    "kbps_to_mbps",
-    "seconds",
-    "milliseconds",
-    "ms_to_s",
-    "s_to_ms",
-    "bits_for_duration",
-    "megabits",
-    "require",
-    "require_positive",
-    "require_non_negative",
-    "require_in_range",
-    "require_type",
-]
+__all__ = ["require", "require_non_negative", "require_positive"]

@@ -5,6 +5,9 @@ suites use them as oracles, so they sit beside their tests instead.
 
 * :func:`priority_monotonic` -- the paper's outbound-allocation
   invariant (``tests/test_core_bandwidth.py``, ``tests/test_properties.py``).
+* :func:`compute_layer` -- Equation 1 with its argument checks: the
+  property suite compares the two copies inlined in ``src/`` against it
+  (``tests/test_core_layering.py``, ``tests/test_properties.py``).
 * :func:`minimum_layer_for` -- Equation 1 for one parent/child pair
   (``tests/test_core_subscription.py``, ``tests/test_properties.py``).
 * :func:`deterministic_stats` -- a daemon's ``stats`` minus the
@@ -18,14 +21,16 @@ suites use them as oracles, so they sit beside their tests instead.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bandwidth import _EPSILON, OutboundAllocation, PrioritizedStream
-from repro.core.layering import DelayLayerConfig, compute_layer
+from repro.core.layering import DelayLayerConfig
 from repro.model.cdn import CDN_NODE_ID
 from repro.net.latency import DelayModel
 from repro.service.daemon import VOLATILE_STATS_KEYS
 from repro.sim.rng import SeededRandom
+from repro.util.validation import require_non_negative
 
 
 def priority_monotonic(
@@ -42,6 +47,31 @@ def priority_monotonic(
             return False
         previous = current
     return True
+
+
+def compute_layer(
+    config: DelayLayerConfig,
+    parent_end_to_end_delay: float,
+    propagation_delay: float,
+    processing_delay: float,
+) -> int:
+    """Equation (1): the lowest layer index a viewer can achieve for a stream.
+
+    ``Layer_u_Si = floor((d_parent_Si - Delta + d_prop + delta) / tau)``.
+
+    The result is clamped to be non-negative: a viewer can never be in a
+    higher (fresher) layer than the CDN's Layer-0.
+    """
+    require_non_negative(parent_end_to_end_delay, "parent_end_to_end_delay")
+    require_non_negative(propagation_delay, "propagation_delay")
+    require_non_negative(processing_delay, "processing_delay")
+    raw = (
+        parent_end_to_end_delay
+        - config.delta
+        + propagation_delay
+        + processing_delay
+    ) / config.tau
+    return max(0, int(math.floor(raw)))
 
 
 def minimum_layer_for(

@@ -187,6 +187,7 @@ def test_cli_module_imports_no_system_internals():
         (["13c", "--viewers", "20", "--step", "5"], "--step must be >= 10"),
         (["sweep", "smoke", "--step", "5", "--no-store"], "--step must be >= 10"),
         (["sweep", "smoke", "--jobs", "0", "--no-store"], "--jobs must be >= 1"),
+        (["serve", "--control-delay-scale", "inf"], "control_delay_scale must be finite"),
     ],
 )
 def test_invalid_values_are_usage_errors_in_the_library_s_words(

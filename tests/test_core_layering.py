@@ -4,11 +4,8 @@ import math
 
 import pytest
 
-from repro.core.layering import (
-    DelayLayerConfig,
-    compute_layer,
-    subscription_frame_number,
-)
+from reference_oracles import compute_layer
+from repro.core.layering import DelayLayerConfig, subscription_frame_number
 
 
 def shareable_layer_range(

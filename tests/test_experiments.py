@@ -109,6 +109,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ExperimentConfig(data_plane="simulated", **{f"data_{field}": value})
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("field", ["session_duration", "control_delay_scale"])
+    def test_non_finite_duration_and_delay_scale_are_refused_up_front(self, field, value):
+        # Accepted, an infinite duration builds the whole world and then
+        # overflows the frame clock, and an infinite delay scale serves a
+        # daemon whose joins never deliver.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ExperimentConfig(**{field: value})
+
     def test_figure13_settings_cover_paper_legend(self):
         labels = {setting.label() for setting in FIGURE_13_BANDWIDTH_SETTINGS}
         assert "C_obw=0" in labels
@@ -190,7 +199,7 @@ class TestFigures:
         assert set(figure.samples["accepted_streams"]) <= set(range(0, 7))
 
     def test_figure_14c_produces_both_cdfs(self, tiny_config):
-        figure = figure_14c_overhead(tiny_config, view_change_probability=0.5)
+        figure = figure_14c_overhead(tiny_config)
         assert figure.samples["join_delay"]
         assert figure.samples["view_change_delay"]
 

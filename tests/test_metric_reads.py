@@ -36,7 +36,11 @@ from repro.baselines.random_routing import RandomDisseminationSystem
 from repro.core.session import InstantDriver, _DriverBase
 from repro.core.state import ViewerSession
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
-from repro.experiments.runner import run_random_scenario, run_telecast_scenario
+from repro.experiments.runner import (
+    run_random_scenario,
+    run_telecast_scenario,
+    shard_placement,
+)
 from repro.metrics import placement
 from repro.parallel.worker import run_shard_worker
 from repro.scenarios.presets import SCENARIOS
@@ -205,7 +209,10 @@ def test_cadence_counts_equal_the_recount_in_shard_workers(monkeypatch):
     )
     for worker in range(2):
         inbox, outbox = queue.Queue(), queue.Queue()
-        run_shard_worker(worker, 2, config, 10, False, inbox, outbox)
+        run_shard_worker(
+            worker, 2, config, 10, False, inbox, outbox,
+            placement=shard_placement(config, 2),
+        )
         outbox.get_nowait()  # ShardReady
         message = outbox.get_nowait()
         assert hasattr(message, "payload"), getattr(message, "error", message)

@@ -32,9 +32,6 @@ class TestProducerSite:
         cameras = {entry.stream.stream_id.camera_index for entry in view.streams}
         assert cameras == {0, 1, 7}
 
-    def test_gateway_node_id_defaults(self):
-        assert make_ring_site("C", 2).gateway_node_id == "gateway-C"
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             make_ring_site("A", 0)
@@ -222,6 +219,24 @@ class TestCDN:
         # Enough aggregate room is not enough: no single edge fits 1.5.
         assert cdn.can_serve(1.5)
         assert not cdn.allocate(stream_id, 1.5)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect, the edge split binds: can_serve reads the aggregate "
+            "while allocate needs one edge to fit the whole reservation, so "
+            "LocalSessionController._place_stream rejects a stream it could "
+            "place P2P (ROADMAP open items)"
+        ),
+    )
+    def test_a_reservation_can_serve_admits_is_allocated(self):
+        cdn = CDN(10.0)  # four edges of 2.5
+        stream_id = StreamId("A", 0)
+        cdn.ingest_stream(stream_id, 2.0)
+        for _ in range(4):
+            assert cdn.allocate(stream_id, 2.0)
+        assert cdn.can_serve(2.0)
+        assert cdn.allocate(stream_id, 2.0)
 
     def test_edge_server_allocation_and_release(self):
         edge = EdgeServer(server_id="edge-0", outbound_capacity_mbps=4.0)

@@ -541,7 +541,9 @@ def test_worker_with_empty_shard_reports_a_shard_error():
     """A worker index beyond the LSC count must fail loudly, not idle."""
     config = ExperimentConfig(num_viewers=10, num_lscs=2)
     inbox, outbox = queue.Queue(), queue.Queue()
-    run_shard_worker(2, 3, config, None, False, inbox, outbox)
+    run_shard_worker(
+        2, 3, config, None, False, inbox, outbox, placement=shard_placement(config, 3)
+    )
     message = outbox.get_nowait()
     assert isinstance(message, ShardError)
     assert "owns no LSCs" in message.error

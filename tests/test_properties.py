@@ -42,11 +42,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_dataplane
-from reference_oracles import gilbert_elliott_walk, minimum_layer_for, priority_monotonic
+from reference_oracles import (
+    compute_layer,
+    gilbert_elliott_walk,
+    minimum_layer_for,
+    priority_monotonic,
+)
 from reference_topology import ReferenceStreamTree
 from repro.core import dataplane
 from repro.core.bandwidth import allocate_inbound, allocate_outbound
-from repro.core.layering import DelayLayerConfig, compute_layer
+from repro.core.layering import DelayLayerConfig
 from repro.core.state import StreamSubscription, ViewerSession
 from repro.core.subscription import (
     needs_resubscription,

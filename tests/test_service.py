@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pickle
 import signal
 import socket
@@ -26,8 +27,9 @@ import threading
 import pytest
 
 from reference_oracles import deterministic_stats
-from repro.core.session import EventDrivenSession
-from repro.scenarios import live_op_script
+from repro.core.session import EventDrivenSession, event_sort_key
+from repro.experiments.runner import build_scenario
+from repro.scenarios.runner import resolve_spec
 from repro.service import protocol
 from repro.service.daemon import (
     ServeConfig,
@@ -46,12 +48,42 @@ from repro.service.metrics_export import (
 from repro.service.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
+    dump_state,
     load_snapshot,
+    load_state,
     save_snapshot,
-    snapshot_roundtrip,
 )
 from repro.sim.rng import SeededRandom
 from repro.traces.workload import ViewerEvent
+
+
+def snapshot_roundtrip(state):
+    """Serialise and restore a state graph in memory.
+
+    Equivalent to saving to disk and loading in a fresh process (pickle
+    rebuilds every object from scratch either way), without a file.
+    """
+    return load_state(dump_state(state))
+
+
+def live_op_script(spec, *, viewers=None, seed=None, smoke=False):
+    """A scenario preset's schedule as a daemon op script.
+
+    Returns ``(config, lines)``: the config the preset runs under (so a
+    daemon can be provisioned to match: same viewer pool, same seeds)
+    and its workload as protocol lines, with ``advance`` ops supplying
+    the time between events.  Streaming the lines at a daemon replays
+    the preset through the live op path instead of the batch driver.
+    """
+    config = resolve_spec(spec).config(viewers=viewers, seed=seed, smoke=smoke)
+    lines = []
+    now_s = 0.0
+    for event in sorted(build_scenario(config).events, key=event_sort_key):
+        if event.time > now_s:
+            lines.append(f"advance {event.time - now_s:g}")
+            now_s = event.time
+        lines.append(protocol.format_op(protocol.op_of_event(event)))
+    return config, lines
 
 
 class TestProtocol:
@@ -496,6 +528,35 @@ class TestSnapshotParity:
         assert interrupted.handle_line(f"snapshot {path}").startswith("ok")
         restored = ServiceDaemon.restore(interrupted.serve, path)
         assert restored.state.config.data_loss_model == "bernoulli"
+        _run_script(restored, extra)
+
+        straight = _daemon()
+        _run_script(straight, script + extra)
+
+        assert deterministic_stats(restored) == deterministic_stats(straight)
+
+    def test_a_world_carrying_retired_attributes_restores_without_a_bump(self, tmp_path):
+        # A version-9 file written while producer sites had a
+        # ``gateway_node_id`` and the CDN an inbound ledger unpickles those
+        # attributes onto the restored objects.  Nothing reads them, so the
+        # file restores and continues exactly.
+        script = _script(joins=15)
+        extra = ["join viewer-00030 1", "advance 5", "replay 10", "advance 10"]
+        path = str(tmp_path / "retired.snap")
+
+        interrupted = _daemon()
+        _run_script(interrupted, script)
+        system = interrupted.state.system
+        for site in system.producers:
+            site.gateway_node_id = f"gateway-{site.site_id}"
+        system.cdn.inbound_capacity_mbps = math.inf
+        system.cdn._used_inbound = sum(
+            stream.bandwidth_mbps for site in system.producers for stream in site.streams
+        )
+        assert interrupted.handle_line(f"snapshot {path}").startswith("ok")
+        restored = ServiceDaemon.restore(interrupted.serve, path)
+        assert restored.state.system.producers[0].gateway_node_id == "gateway-A"
+        assert restored.state.system.cdn._used_inbound == 32.0
         _run_script(restored, extra)
 
         straight = _daemon()

@@ -23,6 +23,7 @@ from repro.experiments.runner import (
     build_scenario,
     build_telecast_system,
     run_telecast_scenario,
+    shard_placement,
 )
 from repro.metrics.placement import per_lsc_placement_digests
 from repro.parallel import run_sharded_scenario
@@ -165,7 +166,9 @@ def test_a_worker_ships_the_final_snapshot_finalize_appended(monkeypatch):
         worker, "per_lsc_placement_digests", digests_after_a_fresh_snapshot
     )
     inbox, outbox = queue.Queue(), queue.Queue()
-    run_shard_worker(0, 2, BASE, None, False, inbox, outbox)
+    run_shard_worker(
+        0, 2, BASE, None, False, inbox, outbox, placement=shard_placement(BASE, 2)
+    )
     outbox.get_nowait()  # ShardReady
     shipped = pickle.loads(outbox.get_nowait().payload)
     assert shipped["final_snapshot"] is shipped["metrics"].snapshots[-1]

@@ -6,12 +6,15 @@ when its name appears nowhere in those trees except
 
 * inside a definition of the same name (its own body),
 * inside a definition that is itself uncalled (hence the fixpoint), or
-* in a docstring, which covers the ``>>>`` lines of a doctest.
+* in a docstring, which covers the ``>>>`` lines of a doctest, or
+* in a package ``__init__.py``'s re-exports: its ``from ... import``
+  aliases, its ``__all__`` strings and the strings of the table it hands
+  to ``lazy_exports``.  A re-export publishes a name; it does not call it.
 
 Any other string constant counts as a use of every identifier in it,
 and the argument of a ``startswith`` call as a use of every name it
-prefixes: that keeps ``getattr`` dispatch (``EVENT_DISPATCH``), lazy
-re-export tables and the e2e benchmark's ``record_*`` probe loop alive.
+prefixes: that keeps ``getattr`` dispatch (``EVENT_DISPATCH``) and the
+e2e benchmark's ``record_*`` probe loop alive.
 Dunder methods are called by the interpreter and are never reported.
 
 The scan is by name, not by binding, so a common name (``get``,
@@ -92,6 +95,36 @@ def _docstrings(tree: ast.AST) -> Set[int]:
     return found
 
 
+def _reexports(tree: ast.Module) -> Set[int]:
+    """``id()`` of every re-export node of a package ``__init__``.
+
+    Those are the ``from ... import`` aliases, the strings of ``__all__``
+    and the strings of the table passed to ``lazy_exports``.
+    """
+    tables = {"__all__"}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports"
+        ):
+            tables.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            found.update(id(alias) for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id in tables
+            for target in node.targets
+        ):
+            found.update(
+                id(part)
+                for part in ast.walk(node.value)
+                if isinstance(part, ast.Constant)
+            )
+    return found
+
+
 def _uses(node: ast.AST, docstrings: Set[int]) -> Iterator[str]:
     """Names one AST node mentions (a string constant: every word).
 
@@ -130,11 +163,13 @@ def scan() -> Tuple[Dict[str, List[Tuple[str, int, int]]], List[Tuple[str, Tuple
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             docstrings = _docstrings(tree)
+            reexports = _reexports(tree) if path.name == "__init__.py" else set()
             relative = str(path.relative_to(ROOT))
 
             def visit(node: ast.AST, enclosing: Tuple[str, ...]) -> None:
-                for name in _uses(node, docstrings):
-                    uses.append((name, enclosing))
+                if id(node) not in reexports:
+                    for name in _uses(node, docstrings):
+                        uses.append((name, enclosing))
                 if isinstance(node, _DEFINITION):
                     if top == "src" and not (
                         node.name.startswith("__") and node.name.endswith("__")

@@ -4,6 +4,9 @@
 Scans every ``*.md`` file (skipping hidden directories) for inline
 Markdown links and checks that relative targets exist on disk. External
 links (``http(s)://``, ``mailto:``) and pure in-page anchors are ignored.
+``docs/ARCHITECTURE.md`` is also held to its module paths: every
+back-ticked ``*.py`` path in it must exist under ``src/repro/`` or from
+the repository root, so a row for a deleted module fails.
 Exits non-zero listing every broken link, so CI can gate on it.
 """
 
@@ -15,6 +18,8 @@ from pathlib import Path
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 SKIPPED_SCHEMES = ("http://", "https://", "mailto:")
+MODULE_PATH_PATTERN = re.compile(r"`([^`\s]+\.py)`")
+ARCHITECTURE = Path("docs") / "ARCHITECTURE.md"
 
 
 def iter_markdown_files(root: Path):
@@ -41,9 +46,20 @@ def broken_links(root: Path):
     return broken
 
 
+def missing_module_paths(root: Path):
+    """``(ARCHITECTURE.md, path)`` of every back-ticked module path that
+    exists neither under ``src/repro/`` nor from the repository root."""
+    text = (root / ARCHITECTURE).read_text(encoding="utf-8")
+    return [
+        (ARCHITECTURE, path)
+        for path in dict.fromkeys(MODULE_PATH_PATTERN.findall(text))
+        if not (root / "src" / "repro" / path).exists() and not (root / path).exists()
+    ]
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
-    broken = broken_links(root)
+    broken = broken_links(root) + missing_module_paths(root)
     for md_file, target in broken:
         print(f"BROKEN  {md_file}: {target}")
     if broken:
