@@ -193,9 +193,7 @@ class RandomDisseminationSystem:
                     continue
                 receiver.used_outbound_mbps += stream.bandwidth_mbps
                 return candidate_id, delay
-        if self.cdn.can_serve(stream.bandwidth_mbps) and self.cdn.allocate(
-            stream.stream_id, stream.bandwidth_mbps
-        ):
+        if self.cdn.allocate(stream.stream_id, stream.bandwidth_mbps):
             return CDN_NODE_ID, self.delay_model.cdn_end_to_end(viewer.viewer_id)
         return None
 

@@ -390,8 +390,6 @@ class LocalSessionController:
         if session.viewer_id not in tree:
             return False
         stream = tree.stream
-        if not self.cdn.can_serve(stream.bandwidth_mbps):
-            return False
         if not self.cdn.allocate(stream_id, stream.bandwidth_mbps):
             return False
         if not tree.reparent(session.viewer_id, CDN_NODE_ID).accepted:
@@ -549,7 +547,7 @@ class LocalSessionController:
                     parent_id = tree.find_repair_parent(orphan_id)
                     if parent_id is None:
                         continue
-                elif cdn.can_serve(bandwidth) and cdn.allocate(stream_id, bandwidth):
+                elif cdn.allocate(stream_id, bandwidth):
                     parent_id = CDN_NODE_ID
                 else:
                     continue

@@ -67,21 +67,12 @@ class ViewGroup:
         """Return a member session; raises ``KeyError`` when absent."""
         return self.sessions[viewer_id]
 
-    def available_supply_mbps(self, stream_id: StreamId, cdn: CDN) -> float:
-        """``abw_vm_Si``: outbound bandwidth currently able to serve one more child.
-
-        This is the free forwarding bandwidth inside the group's tree for
-        the stream plus whatever the CDN still has available.
-        """
-        tree = self.trees.get(stream_id)
-        p2p = tree.free_p2p_bandwidth_mbps() if tree is not None else 0.0
-        return p2p + cdn.available_outbound_mbps
-
     def supply_map(self, cdn: CDN) -> Dict[StreamId, float]:
-        """Available supply for every stream of the view.
+        """``abw_vm_Si`` for every stream of the view.
 
-        :meth:`available_supply_mbps` of every tree, with the CDN's
-        availability -- the same for all of them -- read once.
+        A stream's supply is the free forwarding bandwidth inside the
+        group's tree for it plus whatever the CDN still has available; the
+        CDN's availability -- the same for all of them -- is read once.
         """
         cdn_available = cdn.available_outbound_mbps
         return {

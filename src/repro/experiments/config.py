@@ -35,6 +35,7 @@ from repro.traces.workload import (
     ChurnConfig,
     OscillationConfig,
     OutageConfig,
+    WorkloadConfig,
 )
 from repro.util.validation import require_non_negative, require_positive
 
@@ -210,11 +211,13 @@ class ExperimentConfig:
                 "shard_workers",
                 clamp_shard_workers(self.shard_workers, self.num_lscs),
             )
-        # The data_* rules live on DataPlaneConfig: building the one this
-        # config would hand out applies them, whether or not the plane is on.
+        require_positive(self.cdn_capacity_mbps, "cdn_capacity_mbps")
+        # The data_*, delay-layer and workload rules live on the configs
+        # handed out: building each one applies them here, before any
+        # world is built, whether or not the data plane is on.
         self._data_plane_config()
-        if self.d_max <= self.cdn_delta:
-            raise ValueError("d_max must exceed the CDN delay Delta")
+        self.layer_config()
+        self.workload_config()
 
     @property
     def streams_per_view(self) -> int:
@@ -233,6 +236,22 @@ class ExperimentConfig:
             buffer_duration=self.buffer_duration,
             kappa=self.kappa,
             d_max=self.d_max,
+            cache_duration=self.cache_duration,
+        )
+
+    def workload_config(self) -> WorkloadConfig:
+        """The viewer-workload parameters implied by these parameters."""
+        return WorkloadConfig(
+            num_viewers=self.num_viewers,
+            outbound=self.outbound,
+            inbound_mbps=self.inbound_mbps,
+            num_views=self.num_views,
+            view_popularity_alpha=self.view_popularity_alpha,
+            arrival_rate_per_second=self.arrival_rate_per_second,
+            view_change_probability=self.view_change_probability,
+            departure_probability=self.departure_probability,
+            session_duration=self.session_duration,
+            buffer_duration=self.buffer_duration,
             cache_duration=self.cache_duration,
         )
 

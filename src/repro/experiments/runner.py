@@ -52,7 +52,6 @@ from repro.traces.workload import (
     OutageConfig,
     ViewerEvent,
     ViewerWorkload,
-    WorkloadConfig,
     alive_before,
     overlay_oscillation,
 )
@@ -117,22 +116,6 @@ class ScenarioResult:
         metrics["num_requests"] = snapshot.num_requests
         metrics["active_subscriptions"] = snapshot.active_subscriptions
         return metrics
-
-
-def _workload_config(config: ExperimentConfig) -> WorkloadConfig:
-    return WorkloadConfig(
-        num_viewers=config.num_viewers,
-        outbound=config.outbound,
-        inbound_mbps=config.inbound_mbps,
-        num_views=config.num_views,
-        view_popularity_alpha=config.view_popularity_alpha,
-        arrival_rate_per_second=config.arrival_rate_per_second,
-        view_change_probability=config.view_change_probability,
-        departure_probability=config.departure_probability,
-        session_duration=config.session_duration,
-        buffer_duration=config.buffer_duration,
-        cache_duration=config.cache_duration,
-    )
 
 
 def _region_names_for(config: ExperimentConfig) -> Sequence[str]:
@@ -440,7 +423,7 @@ def build_scenario(
             )
             return owner is not None and placement[owner] == worker_index
 
-    workload = ViewerWorkload(_workload_config(config), rng=SeededRandom(config.seed))
+    workload = ViewerWorkload(config.workload_config(), rng=SeededRandom(config.seed))
     viewers: List[Viewer] = []
     owned_regions: List[int] = []  # region index of each captured viewer
 

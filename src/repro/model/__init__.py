@@ -11,10 +11,10 @@ This package contains the passive data model of a 3DTI session:
 * :mod:`repro.model.viewer` -- viewer nodes with their gateway buffer and
   cache,
 * :mod:`repro.model.cdn` -- the content-distribution network: distribution
-  storage, core and edge servers, and a bounded outbound capacity.
+  storage and one bounded aggregate outbound capacity.
 """
 
-from repro.model.cdn import CDN, CDN_NODE_ID, EdgeServer
+from repro.model.cdn import CDN, CDN_NODE_ID
 from repro.model.producer import Camera, ProducerSite
 from repro.model.stream import Frame, Stream, StreamId
 from repro.model.view import (
@@ -30,7 +30,6 @@ from repro.model.viewer import StreamBuffer, Viewer
 __all__ = [
     "CDN",
     "CDN_NODE_ID",
-    "EdgeServer",
     "Camera",
     "ProducerSite",
     "Frame",

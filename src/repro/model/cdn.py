@@ -12,57 +12,21 @@ The only properties the overlay-construction logic relies on are
 * the ability to serve *any* delay layer to its direct children (its
   distribution storage is large).
 
-This module models exactly that, with the outbound capacity split
-evenly over a set of edge servers.  A reservation must fit on one edge
-server, while :meth:`CDN.can_serve` reads the aggregate: once every edge
-is too full for a stream that the aggregate still fits, ``can_serve``
-says yes and :meth:`CDN.allocate` refuses.  That split binds in the
-suite's own worlds; it is a known defect, not a modelling choice.
+This module models exactly that: one ledger against the one aggregate
+bound, so :meth:`CDN.allocate` grants exactly what :meth:`CDN.can_serve`
+admits for any stream the CDN has ingested.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.model.stream import StreamId
 from repro.util.validation import require_non_negative, require_positive
 
 #: Node identifier used for the CDN in overlay trees and latency lookups.
 CDN_NODE_ID = "CDN"
-
-
-@dataclass
-class EdgeServer:
-    """A single CDN edge server with its own outbound capacity."""
-
-    server_id: str
-    outbound_capacity_mbps: float
-    used_outbound_mbps: float = 0.0
-
-    def __post_init__(self) -> None:
-        require_positive(self.outbound_capacity_mbps, "outbound_capacity_mbps")
-        require_non_negative(self.used_outbound_mbps, "used_outbound_mbps")
-
-    @property
-    def available_outbound_mbps(self) -> float:
-        """Remaining outbound capacity on this edge server."""
-        available = self.outbound_capacity_mbps - self.used_outbound_mbps
-        return available if available > 0.0 else 0.0
-
-    def allocate(self, bandwidth_mbps: float) -> bool:
-        """Reserve ``bandwidth_mbps``; returns ``False`` if it does not fit."""
-        require_positive(bandwidth_mbps, "bandwidth_mbps")
-        if bandwidth_mbps > self.available_outbound_mbps + 1e-9:
-            return False
-        self.used_outbound_mbps += bandwidth_mbps
-        return True
-
-    def release(self, bandwidth_mbps: float) -> None:
-        """Release previously reserved bandwidth."""
-        require_positive(bandwidth_mbps, "bandwidth_mbps")
-        self.used_outbound_mbps = max(0.0, self.used_outbound_mbps - bandwidth_mbps)
 
 
 class CDN:
@@ -75,9 +39,6 @@ class CDN:
         allowed and used by the uncapped experiment of Figure 13(a).
     delta:
         ``Delta``: capture-to-viewer delay of CDN-served streams (seconds).
-    num_edge_servers:
-        Number of edge servers the capacity is split across.  With an
-        infinite capacity a single virtual edge server is used.
 
     The inbound capacity ``C_cdn_ibw`` is not modelled: the paper assumes
     it is always met because only the few producer sites upload.
@@ -88,29 +49,15 @@ class CDN:
         outbound_capacity_mbps: float = math.inf,
         *,
         delta: float = 60.0,
-        num_edge_servers: int = 4,
     ) -> None:
-        if outbound_capacity_mbps <= 0:
-            raise ValueError("outbound_capacity_mbps must be > 0")
+        require_positive(outbound_capacity_mbps, "outbound_capacity_mbps")
         require_non_negative(delta, "delta")
-        if num_edge_servers <= 0:
-            raise ValueError("num_edge_servers must be > 0")
         self.outbound_capacity_mbps = outbound_capacity_mbps
         self.delta = delta
         self.node_id = CDN_NODE_ID
         self._used_outbound = 0.0
         self._per_stream_usage: Dict[StreamId, float] = {}
         self._stored_streams: Dict[StreamId, float] = {}
-        self.edge_servers: List[EdgeServer] = self._make_edges(num_edge_servers)
-
-    def _make_edges(self, count: int) -> List[EdgeServer]:
-        if math.isinf(self.outbound_capacity_mbps):
-            return [EdgeServer(server_id="edge-0", outbound_capacity_mbps=math.inf)]
-        per_edge = self.outbound_capacity_mbps / count
-        return [
-            EdgeServer(server_id=f"edge-{i}", outbound_capacity_mbps=per_edge)
-            for i in range(count)
-        ]
 
     # -- producer side -----------------------------------------------------
 
@@ -154,20 +101,6 @@ class CDN:
             return False
         if not self.can_serve(bandwidth_mbps):
             return False
-        # The (first) least-loaded edge server that fits the reservation,
-        # read off its fields: ``available_outbound_mbps`` inlined, and
-        # the reservation is ``EdgeServer.allocate`` less the re-check.
-        best: Optional[EdgeServer] = None
-        for edge in self.edge_servers:
-            used = edge.used_outbound_mbps
-            available = edge.outbound_capacity_mbps - used
-            if (available if available > 0.0 else 0.0) + 1e-9 >= bandwidth_mbps and (
-                best is None or used < best.used_outbound_mbps
-            ):
-                best = edge
-        if best is None:
-            return False
-        best.used_outbound_mbps += bandwidth_mbps
         self._used_outbound += bandwidth_mbps
         self._per_stream_usage[stream_id] = (
             self._per_stream_usage.get(stream_id, 0.0) + bandwidth_mbps
@@ -183,7 +116,3 @@ class CDN:
             return
         self._per_stream_usage[stream_id] = current - released
         self._used_outbound = max(0.0, self._used_outbound - released)
-        # Release from the most loaded edge; exact edge bookkeeping is not
-        # visible to the algorithms, only the aggregate matters.
-        edge = max(self.edge_servers, key=lambda e: e.used_outbound_mbps)
-        edge.release(released)

@@ -10,7 +10,7 @@ matrix is generated and expose the mapping here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ class RegionMap:
 
     def __len__(self) -> int:
         return len(self._assignment)
-
-    def node_ids(self) -> Iterable[str]:
-        """Iterate over all assigned node ids."""
-        return self._assignment.keys()
 
 
 def shard_regions(

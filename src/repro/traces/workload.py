@@ -138,6 +138,8 @@ class WorkloadConfig:
         if self.num_viewers <= 0:
             raise ValueError("num_viewers must be > 0")
         require_positive(self.inbound_mbps, "inbound_mbps")
+        if self.arrival_rate_per_second is not None:
+            require_non_negative(self.arrival_rate_per_second, "arrival_rate_per_second")
         if self.num_views <= 0:
             raise ValueError("num_views must be > 0")
         require_non_negative(self.view_popularity_alpha, "view_popularity_alpha")

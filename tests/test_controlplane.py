@@ -168,7 +168,7 @@ def _race_world(fast_viewer: str, slow_viewer: str):
     matrix.set_delay(fast_viewer, "LSC-0", 0.01)
     matrix.set_delay(slow_viewer, "LSC-0", 0.2)
     delay_model = DelayModel(matrix, control_processing_delay=0.05)
-    cdn = CDN(2.0, delta=60.0, num_edge_servers=1)
+    cdn = CDN(2.0, delta=60.0)
     system = TeleCastSystem(producers, cdn, delay_model)
     views = build_views(producers, num_views=1, streams_per_site=1)
     viewers = [
@@ -216,7 +216,7 @@ class TestLastSlotRace:
             matrix.set_delay(fast, "LSC-0", 0.01)
             matrix.set_delay(slow, "LSC-0", 0.2)
             system = TeleCastSystem(
-                producers, CDN(2.0, delta=60.0, num_edge_servers=1), DelayModel(matrix)
+                producers, CDN(2.0, delta=60.0), DelayModel(matrix)
             )
             views = build_views(producers, num_views=1, streams_per_site=1)
             viewers = [

@@ -26,12 +26,10 @@ class TestViewGroup:
         cdn = CDN(100.0, delta=60.0)
         stream_id = default_view.stream_ids[0]
         cdn.ingest_stream(stream_id, 2.0)
-        assert group.available_supply_mbps(stream_id, cdn) == pytest.approx(100.0)
+        assert group.supply_map(cdn)[stream_id] == pytest.approx(100.0)
         tree = group.tree(stream_id)
         tree.insert("seed", 2, 4.0)
-        assert group.available_supply_mbps(stream_id, cdn) == pytest.approx(104.0)
-        supply_map = group.supply_map(cdn)
-        assert supply_map[stream_id] == pytest.approx(104.0)
+        assert group.supply_map(cdn)[stream_id] == pytest.approx(104.0)
 
     def test_parent_effective_delay_fallbacks(self, group, default_view):
         stream_id = default_view.stream_ids[0]

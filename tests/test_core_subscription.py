@@ -279,7 +279,7 @@ class TestDropOrder:
     def test_a_cdn_with_room_for_one_rescues_the_first_subscribed_drop(
         self, producers, flat_delay_model, layer_config, default_view
     ):
-        cdn = CDN(10_000.0, delta=60.0, num_edge_servers=1)
+        cdn = CDN(10_000.0, delta=60.0)
         gsc = GlobalSessionController(cdn, flat_delay_model, layer_config)
         gsc.register_producer_streams([s for site in producers for s in site.streams])
         lsc = gsc.add_lsc("LSC-0")

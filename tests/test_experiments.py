@@ -118,6 +118,25 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("cdn_capacity_mbps", math.nan, "cdn_capacity_mbps must be > 0"),
+            ("cdn_capacity_mbps", -5.0, "cdn_capacity_mbps must be > 0"),
+            ("d_max", math.nan, "d_max must be > 0"),
+            ("buffer_duration", math.nan, "buffer_duration must be > 0"),
+            ("cache_duration", math.nan, "cache_duration must be >= 0"),
+            ("kappa", 0, "kappa must be >= 2"),
+            ("view_change_probability", math.nan, "view_change_probability must be in"),
+            ("arrival_rate_per_second", math.nan, "arrival_rate_per_second must be >= 0"),
+        ],
+    )
+    def test_substrate_rules_are_applied_at_construction(self, field, value, message):
+        # Accepted, each of these is refused only once the workload and
+        # the latency world are built, some under another field's name.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: value})
+
     def test_figure13_settings_cover_paper_legend(self):
         labels = {setting.label() for setting in FIGURE_13_BANDWIDTH_SETTINGS}
         assert "C_obw=0" in labels

@@ -22,6 +22,13 @@ below must reproduce the parent's record to the last bit:
 * ``intent_tie`` -- a hand-timed batch session whose ``depart`` intent
   lands exactly on a beat: the intent wins, that beat is never sent.
 
+Nine batch runs were re-captured, by one rule, when the CDN became one
+aggregate ledger: those whose CDN capacity split over four edge servers
+is not a whole number of 2 Mbps streams (``burst-loss`` and ``flapping``
+at 150 viewers, 225 Mbps an edge; ``outage`` at 250 viewers, 375 Mbps an
+edge; seeds 1-3 each).  The split refused CDN slots the aggregate held.
+Every other run, ``ties`` and ``intent_tie`` stayed byte-identical.
+
 Regenerate the golden (only for an intentional change) with
 ``PYTHONPATH=src python tests/test_heartbeat_parity.py``.
 """

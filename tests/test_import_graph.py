@@ -180,5 +180,5 @@ def test_a_handed_over_region_table_builds_the_same_region_map():
     )
     for node_id in viewers + control:
         assert handed.regions.region_of(node_id) == derived.regions.region_of(node_id)
-    assert list(handed.regions.node_ids()) == list(derived.regions.node_ids())
+    assert list(handed.regions._assignment) == list(derived.regions._assignment)
     assert list(handed.nodes.items()) == list(derived.nodes.items())

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.model.cdn import CDN, CDN_NODE_ID, EdgeServer
+from repro.model.cdn import CDN, CDN_NODE_ID
 from repro.model.producer import make_default_producers, make_ring_site
 from repro.model.stream import Frame, StreamId
 from repro.model.viewer import StreamBuffer, Viewer
@@ -162,7 +162,7 @@ class TestCDN:
         assert not cdn.allocate(StreamId("A", 0), 2.0)
 
     def test_capacity_bound_enforced(self):
-        cdn = CDN(4.0, num_edge_servers=1)
+        cdn = CDN(4.0)
         stream_id = StreamId("A", 0)
         cdn.ingest_stream(stream_id, 2.0)
         assert cdn.allocate(stream_id, 2.0)
@@ -171,7 +171,7 @@ class TestCDN:
         assert cdn.available_outbound_mbps == 0.0
 
     def test_release_restores_capacity(self):
-        cdn = CDN(4.0, num_edge_servers=1)
+        cdn = CDN(4.0)
         stream_id = StreamId("A", 0)
         cdn.ingest_stream(stream_id, 2.0)
         cdn.allocate(stream_id, 2.0)
@@ -194,43 +194,8 @@ class TestCDN:
             assert cdn.allocate(stream_id, 2.0)
         assert math.isinf(cdn.available_outbound_mbps)
 
-    def test_edge_servers_split_capacity(self):
-        cdn = CDN(8.0, num_edge_servers=4)
-        assert len(cdn.edge_servers) == 4
-        assert all(edge.outbound_capacity_mbps == 2.0 for edge in cdn.edge_servers)
-
-    def test_allocation_goes_to_the_first_least_loaded_edge_that_fits(self):
-        cdn = CDN(8.0, num_edge_servers=4)  # four edges of 2.0
-        stream_id = StreamId("A", 0)
-        cdn.ingest_stream(stream_id, 1.5)
-        loads = []
-        for bandwidth in (1.5, 1.0, 1.0, 0.5, 1.0, 1.0, 0.5):
-            assert cdn.allocate(stream_id, bandwidth)
-            loads.append([edge.used_outbound_mbps for edge in cdn.edge_servers])
-        assert loads == [
-            [1.5, 0.0, 0.0, 0.0],
-            [1.5, 1.0, 0.0, 0.0],  # edge-0 cannot fit 1.0
-            [1.5, 1.0, 1.0, 0.0],
-            [1.5, 1.0, 1.0, 0.5],
-            [1.5, 1.0, 1.0, 1.5],
-            [1.5, 2.0, 1.0, 1.5],  # edge-1 and edge-2 tie: the first wins
-            [1.5, 2.0, 1.5, 1.5],
-        ]
-        # Enough aggregate room is not enough: no single edge fits 1.5.
-        assert cdn.can_serve(1.5)
-        assert not cdn.allocate(stream_id, 1.5)
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "known defect, the edge split binds: can_serve reads the aggregate "
-            "while allocate needs one edge to fit the whole reservation, so "
-            "LocalSessionController._place_stream rejects a stream it could "
-            "place P2P (ROADMAP open items)"
-        ),
-    )
     def test_a_reservation_can_serve_admits_is_allocated(self):
-        cdn = CDN(10.0)  # four edges of 2.5
+        cdn = CDN(10.0)  # one aggregate ledger: 2.0 is left after four grants
         stream_id = StreamId("A", 0)
         cdn.ingest_stream(stream_id, 2.0)
         for _ in range(4):
@@ -238,16 +203,14 @@ class TestCDN:
         assert cdn.can_serve(2.0)
         assert cdn.allocate(stream_id, 2.0)
 
-    def test_edge_server_allocation_and_release(self):
-        edge = EdgeServer(server_id="edge-0", outbound_capacity_mbps=4.0)
-        assert edge.allocate(2.0)
-        assert not edge.allocate(3.0)
-        edge.release(2.0)
-        assert edge.available_outbound_mbps == 4.0
-
     def test_node_id_constant(self):
         assert CDN(10.0).node_id == CDN_NODE_ID
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             CDN(0.0)
+
+    @pytest.mark.parametrize("capacity", [math.nan, -1.0])
+    def test_nan_and_negative_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="outbound_capacity_mbps"):
+            CDN(capacity)

@@ -24,6 +24,13 @@ on that first read allocates no key per record: the rows are built in
 viewer order and sorted on the float delivery time alone, and the sort
 guard below holds the transient bytes to the sort's pointer arrays.
 
+Both files were re-captured, by one rule, when the CDN became one
+aggregate ledger: this 30-viewer world's 180 Mbps CDN had been split
+into four 45 Mbps edge servers, and 45 Mbps is not a whole number of
+2 Mbps streams, so the split refused CDN slots the aggregate held.  Every
+plane moved with the overlay (11 680 offline deliveries at zero loss
+before, 11 520 after); nothing else did.
+
 Regenerate (only for an intentional behaviour change) with
 ``PYTHONPATH=src python tests/test_replay_golden.py``.
 """

@@ -315,6 +315,23 @@ class TestScenarioRecords:
         )
 
 
+def test_acceptance_does_not_fall_when_the_cdn_grows():
+    # A 900 Mbps CDN split into four edges of 225 Mbps would strand
+    # 1 Mbps on each (not a whole number of 2 Mbps streams), admit
+    # against 4 Mbps that no reservation can take, and accept more
+    # streams at 900 than at 904 Mbps.  One aggregate bound has no gap.
+    config = SCENARIOS["burst-loss"].config(smoke=True, seed=1)
+    assert config.cdn_capacity_mbps == 900.0
+
+    def acceptance(capacity: float) -> float:
+        result = run_telecast_scenario(
+            config.with_(cdn_capacity_mbps=capacity), snapshot_every=None
+        )
+        return result.metrics.acceptance_ratio
+
+    assert acceptance(900.0) <= acceptance(904.0)
+
+
 class TestScenarioWorkloadsAreHostile:
     """The presets really exercise their hostile condition (not benign runs)."""
 

@@ -338,6 +338,7 @@ RETIRED_SNAPSHOT_VERSIONS = {
     7: "the latency world as a LazyPlanetLabMatrix with an interner and triangular rows",
     8: "[time, seq, callback, label, state] heap entries, PeriodicProcess labels, "
     "four ExperimentConfig and two DataPlaneConfig fields that are gone",
+    9: "a CDN holding a list of EdgeServer objects",
 }
 
 

@@ -10,6 +10,10 @@ when its name appears nowhere in those trees except
 * in a package ``__init__.py``'s re-exports: its ``from ... import``
   aliases, its ``__all__`` strings and the strings of the table it hands
   to ``lazy_exports``.  A re-export publishes a name; it does not call it.
+* as an assignment target (a bare name or an attribute), or
+* as a bare name that is a parameter or an assignment target of an
+  enclosing function: that name is the local, not the definition.  A
+  nested ``def`` or ``class`` of that name still counts as a use.
 
 Any other string constant counts as a use of every identifier in it,
 and the argument of a ``startswith`` call as a use of every name it
@@ -35,7 +39,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "examples", "benchmarks", "tools")
@@ -69,6 +73,9 @@ ALLOW_LIST: Dict[str, str] = {
     "delay_violations": _OBSERVER,
     "kept_stream_ids": _OBSERVER + " (the plan's kept streams)",
     "pushed_down": _OBSERVER + " (the plan's push-downs)",
+    "per_stream": _OBSERVER + " (the plan's rows; reference_subscription.py)",
+    "held": _OBSERVER + " (a buffer's contents; the replay goldens)",
+    "allocated_inbound_mbps": _OBSERVER + " (a session's inbound bandwidth)",
     # Read by a doctest.
     "cancelled": "the sim/engine.py module doctest reads it",
     # The explicit latency world's builder.
@@ -76,6 +83,7 @@ ALLOW_LIST: Dict[str, str] = {
     "set_delay": "builds an explicit latency world (README); the unit suites use it",
 }
 
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 _DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -125,11 +133,52 @@ def _reexports(tree: ast.Module) -> Set[int]:
     return found
 
 
-def _uses(node: ast.AST, docstrings: Set[int]) -> Iterator[str]:
+def _locals(function: ast.AST) -> FrozenSet[str]:
+    """A function's parameters and the bare names it assigns.
+
+    Names bound inside a nested ``def``, ``class`` or ``lambda`` belong to
+    that scope, and a name this function binds with a nested ``def`` or
+    ``class`` is not a local here, even where it is also assigned.
+    """
+    args = function.args
+    found = {
+        arg.arg
+        for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        if arg is not None
+    }
+    nested = set()
+    body = function.body if isinstance(function.body, list) else [function.body]
+    pending = list(body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        if isinstance(node, ast.Lambda):
+            pending.extend(node.args.defaults)
+            continue
+        if isinstance(node, _DEFINITION):
+            nested.add(node.name)
+            # Its decorators and defaults run in this scope; its body does not.
+            pending.extend(node.decorator_list)
+            if not isinstance(node, ast.ClassDef):
+                pending.extend(node.args.defaults)
+                pending.extend(d for d in node.args.kw_defaults if d is not None)
+            continue
+        pending.extend(ast.iter_child_nodes(node))
+    return frozenset(found - nested)
+
+
+def _uses(
+    node: ast.AST, docstrings: Set[int], local: FrozenSet[str]
+) -> Iterator[str]:
     """Names one AST node mentions (a string constant: every word).
 
-    A ``startswith`` prefix is yielded with a trailing ``*``.
+    A ``startswith`` prefix is yielded with a trailing ``*``.  An
+    assignment target and a bare name in ``local`` (the enclosing
+    functions' locals) mention nothing.
     """
+    if isinstance(getattr(node, "ctx", None), ast.Store):
+        return
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
@@ -140,7 +189,8 @@ def _uses(node: ast.AST, docstrings: Set[int]) -> Iterator[str]:
     ):
         yield node.args[0].value + "*"
     elif isinstance(node, ast.Name):
-        yield node.id
+        if node.id not in local:
+            yield node.id
     elif isinstance(node, ast.Attribute):
         yield node.attr
     elif isinstance(node, ast.alias):
@@ -166,9 +216,11 @@ def scan() -> Tuple[Dict[str, List[Tuple[str, int, int]]], List[Tuple[str, Tuple
             reexports = _reexports(tree) if path.name == "__init__.py" else set()
             relative = str(path.relative_to(ROOT))
 
-            def visit(node: ast.AST, enclosing: Tuple[str, ...]) -> None:
+            def visit(
+                node: ast.AST, enclosing: Tuple[str, ...], local: FrozenSet[str]
+            ) -> None:
                 if id(node) not in reexports:
-                    for name in _uses(node, docstrings):
+                    for name in _uses(node, docstrings, local):
                         uses.append((name, enclosing))
                 if isinstance(node, _DEFINITION):
                     if top == "src" and not (
@@ -178,10 +230,12 @@ def scan() -> Tuple[Dict[str, List[Tuple[str, int, int]]], List[Tuple[str, Tuple
                             (relative, node.lineno, node.end_lineno)
                         )
                     enclosing = enclosing + (node.name,)
+                if isinstance(node, _FUNCTION):
+                    local = local | _locals(node)
                 for child in ast.iter_child_nodes(node):
-                    visit(child, enclosing)
+                    visit(child, enclosing, local)
 
-            visit(tree, ())
+            visit(tree, (), frozenset())
     return definitions, uses
 
 
@@ -216,6 +270,28 @@ def test_every_uncalled_definition_is_on_the_allow_list():
 
 def test_every_allow_list_entry_has_a_reason():
     assert all(reason.strip() for reason in ALLOW_LIST.values())
+
+
+def test_a_local_is_not_a_use_but_a_nested_definition_is():
+    outer = ast.parse(
+        "def outer(held, *rest):\n"
+        "    total = held + per_stream\n"
+        "    def tracked():\n"
+        "        inner = total\n"
+        "        return inner\n"
+        "    tracked = tracked if rest else None\n"
+        "    return tracked, lambda arg: arg\n"
+    ).body[0]
+    local = _locals(outer)
+    assert local == {"held", "rest", "total"}
+    mentioned = [
+        name
+        for node in ast.walk(outer)
+        if node is not outer
+        for name in _uses(node, set(), local)
+    ]
+    assert "held" not in mentioned and "total" not in mentioned
+    assert "per_stream" in mentioned and "tracked" in mentioned
 
 
 if __name__ == "__main__":
