@@ -18,10 +18,9 @@ from time import perf_counter
 from repro.core.bandwidth import allocate_inbound, allocate_outbound
 from repro.core.dataplane import OverlayDataPlane, SimulatedDataPlane
 from repro.core.layering import DelayLayerConfig
-from repro.core.state import StreamSubscription
 from repro.core.subscription import plan_view_synchronization
 from repro.core.telecast import TeleCastSystem, build_views
-from repro.core.topology import StreamTree
+from repro.core.topology import StreamTree, TreeNode
 from repro.experiments import runner
 from repro.experiments.config import PAPER_CONFIG
 from repro.model.cdn import CDN, CDN_NODE_ID
@@ -78,13 +77,15 @@ def test_bench_view_sync_planning(benchmark):
     subscriptions = {}
     parent_delays = {}
     for index, stream in enumerate(view.streams):
-        subscriptions[stream.stream_id] = StreamSubscription(
-            stream=stream,
-            parent_id=CDN_NODE_ID if index % 2 == 0 else "viewer-parent",
-            end_to_end_delay=60.0 + 0.1 * index,
-            effective_delay=60.0 + 0.1 * index,
-            via_cdn=index % 2 == 0,
+        node = TreeNode(
+            "viewer-under-test",
+            0,
+            0.0,
+            CDN_NODE_ID if index % 2 == 0 else "viewer-parent",
+            60.0 + 0.1 * index,
         )
+        node.effective_delay = node.end_to_end_delay
+        subscriptions[stream.stream_id] = node
         parent_delays[stream.stream_id] = 60.0 + 0.05 * index
 
     plan = benchmark(

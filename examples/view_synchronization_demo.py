@@ -56,7 +56,11 @@ def main() -> None:
             print(f"{viewer_id:>10} (rejected)")
             continue
         layers = [session.subscriptions[sid].layer for sid in sorted(session.subscriptions)]
-        delayed = max(sub.delayed_receive for sub in session.subscriptions.values())
+        # The deliberate delayed receive: effective minus structural delay.
+        delayed = max(
+            node.effective_delay - node.end_to_end_delay
+            for node in session.subscriptions.values()
+        )
         print(
             f"{viewer_id:>10} {str(layers):>28} {session.layer_spread():>7} "
             f"{delayed * 1000:>13.0f} ms"

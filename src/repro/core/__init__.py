@@ -53,7 +53,7 @@ from repro.core.routing_table import (
     RoutingEntry,
     SessionRoutingTable,
 )
-from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.state import ViewerSession
 from repro.core.subscription import SubscriptionPlan, plan_view_synchronization
 from repro.core.telecast import TeleCastSystem, build_views
 from repro.core.topology import InsertResult, StreamTree, TreeNode
@@ -83,7 +83,6 @@ __all__ = [
     "MatchField",
     "RoutingEntry",
     "SessionRoutingTable",
-    "StreamSubscription",
     "ViewerSession",
     "SubscriptionPlan",
     "plan_view_synchronization",

@@ -7,8 +7,8 @@ metadata queries.  Each LSC handles the join/leave/view-change requests of
 the viewers in its cluster: bandwidth allocation, topology formation via
 degree push-down and the stream-subscription (view synchronization)
 process, in the order of Figure 5 of the paper.  Figure 5's routing
-installation is not a step here: Table I is read off the trees and
-subscriptions these steps leave behind.
+installation is not a step here: Table I is read off the tree nodes these
+steps leave behind, each of which is also the viewer's subscription.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.bandwidth import allocate_inbound, allocate_outbound
 from repro.core.group import ViewGroup
 from repro.core.layering import DelayLayerConfig
-from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.state import ViewerSession
 from repro.core.subscription import (
     apply_plan,
     needs_resubscription,
     plan_view_synchronization,
 )
-from repro.core.topology import InsertResult
+from repro.core.topology import InsertResult, TreeNode
 from repro.model.cdn import CDN, CDN_NODE_ID
 from repro.model.stream import Stream, StreamId
 from repro.model.view import GlobalView
@@ -42,6 +42,12 @@ GSC_NODE_ID = "GSC"
 #: crash orphans try the overlay first and the CDN only as a last resort.
 CDN_FIRST = (True, False)
 P2P_FIRST = (False, True)
+
+
+def _raise_effective_delay(node: TreeNode) -> None:
+    """After a structural move: receive no earlier than the new position allows."""
+    if node.end_to_end_delay > node.effective_delay:
+        node.effective_delay = node.end_to_end_delay
 
 
 def nearest_lsc(
@@ -229,7 +235,7 @@ class LocalSessionController:
             )
 
         for stream_id, displaced_id in displaced:
-            self._sync_subscription(group, stream_id, self.sessions.get(displaced_id))
+            _raise_effective_delay(group.tree(stream_id).node(displaced_id))
 
         dropped = self._run_view_sync(group, session, now)
 
@@ -283,34 +289,12 @@ class LocalSessionController:
             if not self.cdn.allocate(stream.stream_id, stream.bandwidth_mbps):
                 tree.remove(viewer.viewer_id)
                 return None
-        delay = result.end_to_end_delay
-        session.subscriptions[stream.stream_id] = StreamSubscription(
-            stream,
-            result.parent_id or CDN_NODE_ID,
-            delay,
-            0,  # layer: decided by the subscription process
-            delay,  # effective delay: structural until then
-            result.via_cdn,
-        )
+        node = tree.node(viewer.viewer_id)
+        # Layer 0 until the subscription process decides; the effective
+        # delay is the structural one until then.
+        node.effective_delay = node.end_to_end_delay
+        session.subscriptions[stream.stream_id] = node
         return result
-
-    def _sync_subscription(
-        self, group: ViewGroup, stream_id: StreamId, session: Optional[ViewerSession]
-    ) -> None:
-        """Copy a viewer's position in a stream tree into its subscription.
-
-        A structural move -- push-down, in-place re-attachment, orphan
-        repair, CDN re-provision -- has one writer, the tree; this is the
-        one copier, and it reads parent and delay off the tree node.
-        """
-        sub = session.subscriptions.get(stream_id) if session is not None else None
-        if sub is None:
-            return
-        node = group.tree(stream_id).node(session.viewer_id)
-        sub.parent_id = node.parent_id
-        sub.via_cdn = node.parent_id == CDN_NODE_ID
-        sub.end_to_end_delay = node.end_to_end_delay
-        sub.effective_delay = max(sub.effective_delay, sub.end_to_end_delay)
 
     # -- view synchronization --------------------------------------------------
 
@@ -347,8 +331,9 @@ class LocalSessionController:
         """Compute the view-synchronization plan from current parent delays.
 
         Only viewer-fed streams are resolved: the plan puts a CDN-fed
-        stream in Layer-0 without reading its parent's delay.  A parent
-        that is a member subscribed to the stream is read here, as
+        stream in Layer-0 and keeps an orphaned one at its layer without
+        reading a parent's delay.  A parent that is a member subscribed
+        to the stream is read here, as
         :meth:`ViewGroup.parent_effective_delay
         <repro.core.group.ViewGroup.parent_effective_delay>` reads it; any
         other parent is left to that method.
@@ -357,7 +342,7 @@ class LocalSessionController:
         parent_delays = {}
         for sid, sub in session.subscriptions.items():
             parent_id = sub.parent_id
-            if parent_id == CDN_NODE_ID:
+            if parent_id == CDN_NODE_ID or parent_id is None:
                 continue
             parent = members.get(parent_id)
             held = parent.subscriptions.get(sid) if parent is not None else None
@@ -383,21 +368,18 @@ class LocalSessionController:
         parent exceeds the maximum acceptable layer.  Returns ``False`` when
         the parent already is the CDN or the CDN has no capacity left.
         """
-        sub = session.subscriptions.get(stream_id)
-        if sub is None or sub.via_cdn:
+        node = session.subscriptions.get(stream_id)
+        if node is None or node.via_cdn:
             return False
         tree = group.tree(stream_id)
-        if session.viewer_id not in tree:
-            return False
         stream = tree.stream
         if not self.cdn.allocate(stream_id, stream.bandwidth_mbps):
             return False
         if not tree.reparent(session.viewer_id, CDN_NODE_ID).accepted:
             self.cdn.release(stream_id, stream.bandwidth_mbps)
             return False
-        self._sync_subscription(group, stream_id, session)
-        sub.effective_delay = sub.end_to_end_delay
-        sub.layer = 0
+        node.effective_delay = node.end_to_end_delay
+        node.layer = 0
         return True
 
     def _propagate_subscription(
@@ -406,11 +388,10 @@ class LocalSessionController:
         """Propagate delay changes down a stream tree after a push-down.
 
         Walks the subtree rooted at ``start_viewer_id`` in breadth-first
-        order; every affected viewer refreshes the structural delay of the
-        stream and re-runs its own subscription process when its structural
-        delay now exceeds its effective one (tested first: it reads no
-        delay) or the parent's new effective delay can no longer support
-        its current layer.
+        order; every affected viewer re-runs its own subscription process
+        when its structural delay now exceeds its effective one (tested
+        first: it reads no delay) or the parent's new effective delay can
+        no longer support its current layer.
         """
         tree = group.tree(stream_id)
         if start_viewer_id not in tree:
@@ -422,16 +403,13 @@ class LocalSessionController:
             current_session = sessions.get(current_id)
             if current_session is None:
                 continue
-            sub = current_session.subscriptions.get(stream_id)
-            if sub is None:
+            node = current_session.subscriptions.get(stream_id)
+            if node is None:
                 continue
-            if current_id in tree:
-                node = tree.node(current_id)
-                sub.end_to_end_delay = node.end_to_end_delay
-                queue.extend(node.children)
-            if sub.end_to_end_delay > sub.effective_delay or needs_resubscription(
+            queue.extend(node.children)
+            if node.end_to_end_delay > node.effective_delay or needs_resubscription(
                 self.layer_config, self.delay_model, current_session, stream_id,
-                group.parent_effective_delay(stream_id, sub.parent_id),
+                group.parent_effective_delay(stream_id, node.parent_id),
             ):
                 self._run_view_sync(group, current_session, now)
 
@@ -477,7 +455,7 @@ class LocalSessionController:
                         self.cdn.release(stream_id, tree.stream.bandwidth_mbps)
                     remaining.append(orphan)
                 else:
-                    self._sync_subscription(group, stream_id, self.sessions.get(orphan))
+                    _raise_effective_delay(tree.node(orphan))
             orphans = remaining
         return orphans
 
@@ -523,9 +501,10 @@ class LocalSessionController:
         subscription and the free forwarding slot the degree push-down
         level order finds (:meth:`StreamTree.find_repair_parent
         <repro.core.topology.StreamTree.find_repair_parent>`).  After a
-        successful re-parent the orphan's subscription follows its tree
-        node and the view-synchronization process propagates down its
-        subtree, so delay layers stay acceptable and within ``kappa``.
+        successful re-parent the orphan's effective delay is raised to
+        its new end-to-end delay and the view-synchronization process
+        propagates down its subtree, so delay layers stay acceptable and
+        within ``kappa``.
         An orphan neither attempt can place loses the subscription and
         its own children become orphans of the same stream.
         """
@@ -568,7 +547,7 @@ class LocalSessionController:
                 repaired_cdn += 1
             else:
                 repaired_p2p += 1
-            self._sync_subscription(group, stream_id, orphan_session)
+            _raise_effective_delay(tree.node(orphan_id))
             self._propagate_subscription(group, stream_id, orphan_id, now)
         return repaired_p2p, repaired_cdn, lost
 

@@ -220,9 +220,9 @@ class OverlayDataPlane:
         """
         edges = _collect_edges(self.system, self.trace, max_frames_per_stream)
         for edge in edges:
-            sub = edge.session.subscriptions[edge.stream_id]
+            node = edge.session.subscriptions[edge.stream_id]
             _deliver_constant_delay(
-                edge, edge.frames, sub.effective_delay or sub.end_to_end_delay
+                edge, edge.frames, node.effective_delay or node.end_to_end_delay
             )
         report = PlaybackReport(_lanes(edges))
         report.deliveries  # the sorted list is this plane's product: build it here
@@ -457,8 +457,8 @@ def _lanes(edges: Iterable[_EdgeState]) -> List[Lane]:
 def _playout_deadline(session) -> float:
     """Latest on-time delay at a viewer: its slowest stream plus ``d_buff``."""
     playout = 0.0
-    for sub in session.subscriptions.values():
-        delay = sub.effective_delay or sub.end_to_end_delay
+    for node in session.subscriptions.values():
+        delay = node.effective_delay or node.end_to_end_delay
         if delay > playout:
             playout = delay
     return playout + session.viewer.buffer_duration
@@ -714,8 +714,8 @@ class SimulatedDataPlane:
         while due and due[0][0] < window_end:
             start, _, edge = heappop(due)
             if edge not in window:
-                sub = edge.session.subscriptions.get(edge.stream_id)
-                if sub is None:
+                node = edge.session.subscriptions.get(edge.stream_id)
+                if node is None:
                     # Dropped by the layer refresh: the edge terminates, and
                     # the undeliverable tail still counts against the viewer's
                     # continuity -- losing a whole stream IS a playout failure.
@@ -732,12 +732,15 @@ class SimulatedDataPlane:
                     # along (static without the feedback loop, so such runs
                     # skip this).
                     edge.deadline = _playout_deadline(edge.session)
-                if not constant and edge.link_parent != sub.parent_id:
+                if not constant and edge.link_parent != node.parent_id:
                     headroom = cfg.bandwidth_headroom
-                    rate = None if headroom is None else headroom * sub.stream.bandwidth_mbps
-                    edge.link = channel.link(sub.parent_id, edge.viewer_id, edge.stream_id, rate)
-                    edge.link_parent = sub.parent_id
-                window[edge] = (edge.index, sub.effective_delay or sub.end_to_end_delay)
+                    rate = None
+                    if headroom is not None:
+                        stream = edge.session.view.stream_by_id[edge.stream_id]
+                        rate = headroom * stream.bandwidth_mbps
+                    edge.link = channel.link(node.parent_id, edge.viewer_id, edge.stream_id, rate)
+                    edge.link_parent = node.parent_id
+                window[edge] = (edge.index, node.effective_delay or node.end_to_end_delay)
             frames = edge.frames
             total = len(frames)
             index = stop = edge.index

@@ -90,11 +90,11 @@ class ViewGroup:
             return self.delay_model.cdn_end_to_end()
         parent_session = self.sessions.get(parent_id)
         if parent_session is not None:
-            sub = parent_session.subscriptions.get(stream_id)
-            if sub is not None:
-                if sub.effective_delay > 0:
-                    return sub.effective_delay
-                return sub.end_to_end_delay
+            node = parent_session.subscriptions.get(stream_id)
+            if node is not None:
+                if node.effective_delay > 0:
+                    return node.effective_delay
+                return node.end_to_end_delay
         tree = self.trees[stream_id]
         if parent_id in tree:
             return tree.end_to_end_delay(parent_id)
@@ -110,15 +110,17 @@ class ViewGroup:
     def routing_table_of(self, viewer_id: str) -> SessionRoutingTable:
         """The session routing table (Table I) of a member, built on read.
 
-        One row per subscription, matched on ``(sub.parent_id,
-        stream_id)``; one forwarding address per child of the member's
-        tree node, at that child's current subscription point.  Nothing
-        is stored, so the table cannot disagree with the trees.
+        One row per subscribed tree node, matched on ``(node.parent_id,
+        stream_id)``; one forwarding address per child of that node, at
+        the child's current subscription point.  Nothing is stored, so
+        the table cannot disagree with the trees.
         """
         table = SessionRoutingTable()
-        for stream_id, sub in self.sessions[viewer_id].subscriptions.items():
-            entry = table.upsert(sub.parent_id, stream_id)
-            for child_id in self.children_of(viewer_id, stream_id):
-                child_sub = self.sessions[child_id].subscriptions[stream_id]
-                entry.add_child(child_id, subscription_frame=child_sub.subscription_frame)
+        for stream_id, node in self.sessions[viewer_id].subscriptions.items():
+            entry = table.upsert(node.parent_id, stream_id)
+            tree_node = self.trees[stream_id].node
+            for child_id in node.children:
+                entry.add_child(
+                    child_id, subscription_frame=tree_node(child_id).subscription_frame
+                )
         return table

@@ -207,9 +207,10 @@ def evict_sessions(
     failed = gsc.remove_lsc(failed_lsc_id)
     sessions = sorted(failed.sessions.values(), key=lambda s: (s.join_time, s.viewer_id))
     for session in sessions:
-        for sub in session.subscriptions.values():
-            if sub.via_cdn:
-                gsc.cdn.release(sub.stream_id, sub.bandwidth_mbps)
+        streams = session.view.stream_by_id
+        for stream_id, node in session.subscriptions.items():
+            if node.via_cdn:
+                gsc.cdn.release(stream_id, streams[stream_id].bandwidth_mbps)
     return sessions, gsc.reassign_regions(failed_lsc_id, None)
 
 

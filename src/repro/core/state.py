@@ -1,11 +1,12 @@
-"""Run-time state of connected viewers: subscriptions and sessions.
+"""Run-time state of connected viewers: their sessions.
 
-These records tie together everything the control plane knows about one
-connected viewer: the view it requested, which streams were accepted, who
-its parents are and the delay layer of every accepted stream.  What the
-viewer forwards -- out-degree and children per stream -- is held by its
-:class:`~repro.core.topology.TreeNode` alone; the view group reads the
-paper's Table I off the two.
+A session ties together everything the control plane knows about one
+connected viewer: the view it requested and which of its streams were
+accepted.  Each accepted stream maps to the viewer's
+:class:`~repro.core.topology.TreeNode` in that stream's tree, the one
+record of the overlay edge: parent, structural and effective delay, delay
+layer, subscription point, out-degree and children.  The view group reads
+the paper's Table I off those nodes.
 """
 
 from __future__ import annotations
@@ -13,58 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.model.stream import Stream, StreamId
+from repro.core.topology import TreeNode
+from repro.model.stream import StreamId
 from repro.model.view import GlobalView
 from repro.model.viewer import Viewer
-
-
-@dataclass(slots=True)
-class StreamSubscription:
-    """One accepted stream at one viewer.
-
-    Attributes
-    ----------
-    stream:
-        The subscribed stream.
-    parent_id:
-        Node currently delivering the stream (a viewer id or the CDN).
-    end_to_end_delay:
-        Capture-to-gateway delay of the stream at this viewer as implied by
-        the overlay position (before any layer push-down).
-    layer:
-        Delay layer the viewer currently subscribes at (after push-down).
-    effective_delay:
-        End-to-end delay implied by ``layer`` (>= ``end_to_end_delay``; the
-        difference is the deliberate delayed receive).
-    via_cdn:
-        Whether the parent is the CDN (relevant for cost accounting).
-    subscription_frame:
-        Frame number sent to the parent as the subscription point, when a
-        push-down required requesting frames back in time.
-    """
-
-    stream: Stream
-    parent_id: str
-    end_to_end_delay: float
-    layer: int = 0
-    effective_delay: float = 0.0
-    via_cdn: bool = False
-    subscription_frame: Optional[int] = None
-
-    @property
-    def stream_id(self) -> StreamId:
-        """Identifier of the subscribed stream."""
-        return self.stream.stream_id
-
-    @property
-    def bandwidth_mbps(self) -> float:
-        """Inbound bandwidth the subscription consumes."""
-        return self.stream.bandwidth_mbps
-
-    @property
-    def delayed_receive(self) -> float:
-        """How much the stream is deliberately delayed to stay synchronous."""
-        return max(0.0, self.effective_delay - self.end_to_end_delay)
 
 
 @dataclass
@@ -74,7 +27,8 @@ class ViewerSession:
     viewer: Viewer
     view: GlobalView
     lsc_id: str
-    subscriptions: Dict[StreamId, StreamSubscription] = field(default_factory=dict)
+    #: Accepted stream -> the viewer's node in that stream's tree.
+    subscriptions: Dict[StreamId, TreeNode] = field(default_factory=dict)
     join_time: float = 0.0
     join_delay: float = 0.0
     rejected_stream_ids: Tuple[StreamId, ...] = ()
@@ -97,7 +51,8 @@ class ViewerSession:
     @property
     def allocated_inbound_mbps(self) -> float:
         """Inbound bandwidth consumed by the accepted streams."""
-        return sum(sub.bandwidth_mbps for sub in self.subscriptions.values())
+        streams = self.view.stream_by_id
+        return sum(streams[stream_id].bandwidth_mbps for stream_id in self.subscriptions)
 
     @property
     def max_layer(self) -> Optional[int]:
@@ -113,11 +68,7 @@ class ViewerSession:
         layers = [sub.layer for sub in self.subscriptions.values()]
         return max(layers) - min(layers)
 
-    def subscription(self, stream_id: StreamId) -> StreamSubscription:
-        """Return the subscription of one stream; raises ``KeyError`` if absent."""
-        return self.subscriptions[stream_id]
-
-    def drop_subscription(self, stream_id: StreamId) -> Optional[StreamSubscription]:
+    def drop_subscription(self, stream_id: StreamId) -> Optional[TreeNode]:
         """Remove a stream subscription and its buffer (if present)."""
         sub = self.subscriptions.pop(stream_id, None)
         if sub is not None:

@@ -36,7 +36,8 @@ from repro.core.layering import (
     DelayLayerConfig,
     subscription_frame_number,
 )
-from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.state import ViewerSession
+from repro.core.topology import TreeNode
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.stream import StreamId
 from repro.net.latency import DelayModel
@@ -100,7 +101,7 @@ def plan_view_synchronization(
     config: DelayLayerConfig,
     delay_model: DelayModel,
     viewer_id: str,
-    subscriptions: Mapping[StreamId, StreamSubscription],
+    subscriptions: Mapping[StreamId, TreeNode],
     parent_effective_delays: Mapping[StreamId, float],
 ) -> SubscriptionPlan:
     """Compute the layer push-down plan for a viewer's accepted streams.
@@ -108,8 +109,9 @@ def plan_view_synchronization(
     Parameters
     ----------
     subscriptions:
-        The viewer's current stream subscriptions (parents already decided
-        by the overlay construction).
+        The viewer's current stream subscriptions: its node in each
+        stream's tree (parents already decided by the overlay
+        construction).
     parent_effective_delays:
         For each stream, the *effective* end-to-end delay at the parent
         (its own layer position), which is what the child's achievable
@@ -138,7 +140,13 @@ def plan_view_synchronization(
         parent_id = sub.parent_id
         hop = None
         layer = 0
-        if parent_id != CDN_NODE_ID:
+        if parent_id is None:
+            # Orphaned, its repair still queued: no parent to read, so the
+            # stream keeps its layer (and may still be pushed down).
+            layer = sub.layer
+            if layer > anchor:
+                anchor = layer
+        elif parent_id != CDN_NODE_ID:
             hop = propagation(parent_id, viewer_id)
             layer = floor(
                 (parent_delay(stream_id, delta) - delta + hop + processing) / tau
@@ -194,7 +202,8 @@ def apply_plan(
     the associated overlay and bandwidth resources).
 
     Equation 2 reuses the ``d_prop`` the plan read for a stream only while
-    the stream's parent is still the one the plan was made for.
+    the stream's parent is still the one the plan was made for; an
+    orphaned stream has no parent to send a subscription point to.
     """
     subscriptions = session.subscriptions
     for stream_id, minimum, target, effective, parent_id, hop in plan.rows:
@@ -205,13 +214,13 @@ def apply_plan(
         sub.effective_delay = effective
         if target > minimum and latest_frame_numbers is not None:  # pushed down
             latest = latest_frame_numbers.get(stream_id)
-            if latest is not None:
+            if latest is not None and sub.parent_id is not None:
                 if hop is None or sub.parent_id != parent_id:
                     hop = delay_model.propagation(sub.parent_id, session.viewer_id)
                 sub.subscription_frame = subscription_frame_number(
                     config,
                     latest,
-                    sub.stream.frame_rate,
+                    session.view.stream_by_id[stream_id].frame_rate,
                     target,
                     hop,
                     delay_model.processing_delay,

@@ -68,7 +68,10 @@ _Key = Tuple[int, float, str]
 
 @dataclass(slots=True)
 class TreeNode:
-    """A viewer's position in one stream tree.
+    """A viewer's position in one stream tree, and its subscription to the stream.
+
+    The node is the one record of the overlay edge to its parent: the
+    viewer's session maps the stream to it (``ViewerSession.subscriptions``).
 
     ``out_degree`` is the number of children the viewer can serve for this
     stream (derived from its outbound allocation); ``outbound_capacity``
@@ -98,9 +101,24 @@ class TreeNode:
     #: Algorithm 1's priority key.  None of its three parts changes after
     #: construction, so it is built once instead of on every index probe.
     sort_key: _Key = field(init=False, repr=False, compare=False)
+    #: The viewer's subscription to the stream (the rest of its Table I
+    #: row): the delay layer it receives at, the end-to-end delay that
+    #: layer implies (>= ``end_to_end_delay``; the difference is the
+    #: deliberate delayed receive) and the frame number sent to the parent
+    #: as the subscription point when a push-down asked for frames back in
+    #: time.  The subscription process writes them; the tree never reads
+    #: them.
+    layer: int = field(default=0, init=False)
+    effective_delay: float = field(default=0.0, init=False)
+    subscription_frame: Optional[int] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         self.sort_key = (self.out_degree, self.outbound_capacity, self.node_id)
+
+    @property
+    def via_cdn(self) -> bool:
+        """Whether the CDN feeds the node directly."""
+        return self.parent_id == CDN_NODE_ID
 
     @property
     def free_slots(self) -> int:

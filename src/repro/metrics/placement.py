@@ -24,25 +24,25 @@ _BATCH_ROWS = 1024
 def _edge_rows(lsc) -> Iterator[Tuple]:
     """Every subscription edge of one LSC as a canonical tuple, sorted.
 
-    One row per (viewer, stream) subscription: parent, delay layer, CDN
-    flag and the two delay figures rounded to nanoseconds (so a digest
-    never depends on sub-float-epsilon noise that a different summation
-    order could introduce -- with identical placement the values are
-    bit-identical anyway).
+    One row per (viewer, stream) subscription, read off the viewer's tree
+    node: parent, delay layer, CDN flag and the two delay figures rounded
+    to nanoseconds (so a digest never depends on sub-float-epsilon noise
+    that a different summation order could introduce -- with identical
+    placement the values are bit-identical anyway).
     """
     for viewer_id in sorted(lsc.sessions):
         subscriptions = lsc.sessions[viewer_id].subscriptions
         for stream_id in sorted(subscriptions, key=str):
-            sub = subscriptions[stream_id]
+            node = subscriptions[stream_id]
             yield (
                 lsc.lsc_id,
                 viewer_id,
                 str(stream_id),
-                sub.parent_id,
-                sub.layer,
-                bool(sub.via_cdn),
-                round(sub.end_to_end_delay, 9),
-                round(sub.effective_delay, 9),
+                node.parent_id,
+                node.layer,
+                node.via_cdn,
+                round(node.end_to_end_delay, 9),
+                round(node.effective_delay, 9),
             )
 
 

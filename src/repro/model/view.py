@@ -204,6 +204,11 @@ class GlobalView:
         return tuple(entry.stream for entry in self.prioritized_streams)
 
     @cached_property
+    def stream_by_id(self) -> Dict[StreamId, Stream]:
+        """Every stream of the view by its identifier."""
+        return {stream.stream_id: stream for stream in self.streams}
+
+    @cached_property
     def stream_ids(self) -> Tuple[StreamId, ...]:
         """Stream identifiers of the view in global priority order."""
         return tuple(entry.stream_id for entry in self.prioritized_streams)

@@ -11,9 +11,9 @@ are used for local playback (Section V-B2, Figure 11).
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.model.stream import Frame, StreamId
 from repro.util.validation import require_non_negative, require_positive
@@ -22,9 +22,11 @@ from repro.util.validation import require_non_negative, require_positive
 class StreamBuffer:
     """Per-stream local buffer + cache at a viewer gateway.
 
-    Two aligned columns, the frames and their arrival times: a replay
-    buffers one entry per delivered frame, and a per-entry record object
-    would dominate its allocations and memory.
+    Two aligned flat columns, a list of the frames and an ``array('d')``
+    of their arrival times: a replay buffers one entry per delivered
+    frame, and a per-entry record object would dominate its allocations
+    and memory.  The arrivals are stored as raw doubles, so the buffer
+    keeps no reference to the float objects a data plane delivered.
 
     Parameters
     ----------
@@ -43,8 +45,8 @@ class StreamBuffer:
         require_non_negative(cache_duration, "cache_duration")
         self.buffer_duration = buffer_duration
         self.cache_duration = cache_duration
-        self._frames: Deque[Frame] = deque()
-        self._arrivals: Deque[float] = deque()
+        self._frames: List[Frame] = []
+        self._arrivals = array("d")
 
     def insert(self, frame: Frame, received_at: float) -> None:
         """Insert a newly received frame.
@@ -74,10 +76,14 @@ class StreamBuffer:
     def evict_expired(self, now: float) -> List[Frame]:
         """Discard frames older than ``d_buff + d_cache`` and return them."""
         horizon = self.buffer_duration + self.cache_duration
-        evicted: List[Frame] = []
-        while self._arrivals and now - self._arrivals[0] > horizon:
-            self._arrivals.popleft()
-            evicted.append(self._frames.popleft())
+        arrivals = self._arrivals
+        held = len(arrivals)
+        expired = 0
+        while expired < held and now - arrivals[expired] > horizon:
+            expired += 1
+        evicted = self._frames[:expired]
+        del self._frames[:expired]
+        del arrivals[:expired]
         return evicted
 
     def in_buffer(self, now: float) -> List[Frame]:

@@ -19,11 +19,11 @@ Catalog
     No session, group, tree or subscription references a viewer that is
     no longer connected; all trees validate structurally.
 ``routing_matches_trees``
-    The two copies of every overlay edge agree: each tree member has a
-    session subscribed to the stream, and each subscription's viewer
-    sits in the stream's tree under ``sub.parent_id``, with ``via_cdn``
-    set exactly when that parent is the CDN.  (Table I is read off these
-    two, so it has nothing left to disagree with.)
+    Sessions and trees agree on membership: each tree member has a
+    session subscribed to the stream, and each subscription is the node
+    the stream's tree holds for its viewer.  (A subscription *is* that
+    node, so parent and CDN flag cannot disagree, and Table I is read
+    off the nodes.)
 ``layer_bounds``
     Every connected viewer satisfies the skew bound (``kappa``) and
     every subscription sits in an acceptable delay layer.
@@ -114,7 +114,7 @@ def dangling_reference_violations(
 
 
 def routing_tree_mismatches(system: "TeleCastSystem") -> List[str]:
-    """Tree positions and subscriptions that disagree about an overlay edge."""
+    """Tree members without a subscription, and subscriptions their tree lacks."""
     violations: List[str] = []
     for lsc in system.gsc.lscs:
         for group in lsc.groups.values():
@@ -130,23 +130,15 @@ def routing_tree_mismatches(system: "TeleCastSystem") -> List[str]:
                             f"{viewer_id}/{stream_id}: in tree but not subscribed"
                         )
             for viewer_id, session in group.sessions.items():
-                for stream_id, sub in session.subscriptions.items():
+                for stream_id, node in session.subscriptions.items():
                     tree = group.trees.get(stream_id)
-                    if tree is None or viewer_id not in tree:
+                    if (
+                        tree is None
+                        or viewer_id not in tree
+                        or tree.node(viewer_id) is not node
+                    ):
                         violations.append(
                             f"{viewer_id}/{stream_id}: subscribed but not in tree"
-                        )
-                        continue
-                    parent_id = tree.node(viewer_id).parent_id
-                    if sub.parent_id != parent_id:
-                        violations.append(
-                            f"{viewer_id}/{stream_id}: subscribed to "
-                            f"{sub.parent_id} but tree parent is {parent_id}"
-                        )
-                    if sub.via_cdn != (parent_id == CDN_NODE_ID):
-                        violations.append(
-                            f"{viewer_id}/{stream_id}: via_cdn={sub.via_cdn} "
-                            f"under tree parent {parent_id}"
                         )
     return violations
 

@@ -56,6 +56,13 @@ from repro.util.validation import require_non_negative
 #: :attr:`ServiceState.ops_applied` (read-only ops are daemon-local).
 STATEFUL_OPS = ("join", "leave", "view_change", "fail", "lsc_fail", "advance", "replay")
 
+#: Most failure sweeps one ``advance`` op may span.  The sweeper fires
+#: once per heartbeat period even on an idle daemon, so an ``advance``
+#: covers ``seconds / heartbeat_period`` sweeps whatever the load; at the
+#: default 2 s period the cap is 20 000 simulated seconds, about 0.1 s
+#: of wall time idle.  A longer advance is refused, not run for hours.
+MAX_ADVANCE_SWEEPS = 10_000
+
 #: Stats keys that legitimately differ between a restored daemon and an
 #: uninterrupted one (wall-clock, process-local or op-accounting noise).
 #: Everything else must match exactly after a snapshot/restore -- the
@@ -277,6 +284,13 @@ class ServiceDaemon:
             self.state.count_op(op.kind)
             return f"ok queued t={sim.now:.6f}"
         if op.kind == "advance":
+            period = self.state.driver.heartbeat_period
+            if op.seconds > MAX_ADVANCE_SWEEPS * period:
+                raise protocol.ProtocolError(
+                    f"advance {op.seconds:g} spans more than MAX_ADVANCE_SWEEPS="
+                    f"{MAX_ADVANCE_SWEEPS} failure sweeps "
+                    f"({MAX_ADVANCE_SWEEPS * period:g} s at heartbeat period {period:g} s)"
+                )
             started = time.perf_counter()
             sim.run(until=sim.now + op.seconds)
             self._lag = time.perf_counter() - started

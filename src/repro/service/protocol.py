@@ -13,7 +13,10 @@ number of responses back.  Grammar (square brackets = optional)::
     lsc_fail <lsc_id>                 controller crash (applies immediately)
     advance <seconds>                 advance simulation time explicitly
                                       (the deterministic lever when the
-                                      daemon runs with time dilation 0)
+                                      daemon runs with time dilation 0);
+                                      the daemon refuses one that spans
+                                      more than MAX_ADVANCE_SWEEPS (10 000)
+                                      heartbeat periods
     replay <frames_per_stream>        run a data-plane frame replay over
                                       the current overlay (populates QoE)
     snapshot [<path>]                 persist full session state to disk

@@ -224,7 +224,8 @@ class PerChunkSimulatedDataPlane(SimulatedDataPlane):
                 rate = (
                     None
                     if cfg.bandwidth_headroom is None
-                    else cfg.bandwidth_headroom * sub.stream.bandwidth_mbps
+                    else cfg.bandwidth_headroom
+                    * edge.session.view.stream_by_id[edge.stream_id].bandwidth_mbps
                 )
                 edge.link = channel.link(parent_id, edge.viewer_id, edge.stream_id, rate)
                 edge.link_parent = parent_id

@@ -14,7 +14,13 @@ emits them in subscription order; and this ``apply_plan`` re-reads for
 Equation 2 the ``d_prop`` its plan had just read for the same parent.
 
 Do not use it in production code and do not "fix" it -- behaviour
-changes here silently weaken the equivalence guarantee.
+changes here silently weaken the equivalence guarantee.  It reads the
+subscription off a :class:`~repro.core.topology.TreeNode` and a stream's
+frame rate off the session's view, as the code under test does.
+
+:func:`subscribed_node` is not part of the spec: it builds the record a
+subscription is -- a tree node outside any tree -- for tests that plan
+without running the overlay.
 """
 
 from __future__ import annotations
@@ -24,10 +30,28 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.core.layering import DelayLayerConfig, subscription_frame_number
-from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.state import ViewerSession
+from repro.core.topology import TreeNode
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.stream import StreamId
 from repro.net.latency import DelayModel
+
+
+def subscribed_node(
+    viewer_id: str,
+    parent_id: Optional[str],
+    end_to_end_delay: float,
+    *,
+    layer: int = 0,
+    effective_delay: Optional[float] = None,
+) -> TreeNode:
+    """A viewer's subscription to one stream, as the node that records it."""
+    node = TreeNode(viewer_id, 0, 0.0, parent_id, end_to_end_delay)
+    node.layer = layer
+    node.effective_delay = (
+        end_to_end_delay if effective_delay is None else effective_delay
+    )
+    return node
 
 
 class StreamSubscriptionPlan(NamedTuple):
@@ -63,7 +87,7 @@ def plan_view_synchronization(
     config: DelayLayerConfig,
     delay_model: DelayModel,
     viewer_id: str,
-    subscriptions: Mapping[StreamId, StreamSubscription],
+    subscriptions: Mapping[StreamId, TreeNode],
     parent_effective_delays: Mapping[StreamId, float],
 ) -> SubscriptionPlan:
     """Compute the layer push-down plan for a viewer's accepted streams."""
@@ -155,7 +179,7 @@ def apply_plan(
                 sub.subscription_frame = subscription_frame_number(
                     config,
                     latest,
-                    sub.stream.frame_rate,
+                    session.view.stream_by_id[stream_id].frame_rate,
                     target_layer,
                     delay_model.propagation(sub.parent_id, session.viewer_id),
                     delay_model.processing_delay,

@@ -169,14 +169,14 @@ class TestLayerRefresh:
         join(lsc, "child", default_view, outbound=0.0)
         child_session = lsc.session_of("child")
         # Simulate a network event: one P2P-fed stream suddenly lags far behind.
-        victim_sub = next(
-            sub for sub in child_session.subscriptions.values() if not sub.via_cdn
+        victim_id = next(
+            sid for sid, sub in child_session.subscriptions.items() if not sub.via_cdn
         )
         group = lsc.groups[default_view.view_id]
-        tree = group.tree(victim_sub.stream_id)
+        tree = group.tree(victim_id)
         tree.node("child").end_to_end_delay = 61.5
         adjusted, _dropped = manager.refresh_layers_from_observed(
-            {("child", victim_sub.stream_id): 61.5}
+            {("child", victim_id): 61.5}
         )
         assert adjusted
         assert child_session.skew_bound_satisfied(lsc.layer_config.kappa)

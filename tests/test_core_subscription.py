@@ -13,7 +13,7 @@ import reference_subscription as reference
 from reference_oracles import minimum_layer_for
 from repro.core.controllers import GlobalSessionController
 from repro.core.layering import DelayLayerConfig
-from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.state import ViewerSession
 from repro.core.subscription import (
     apply_plan,
     needs_resubscription,
@@ -40,13 +40,7 @@ def make_subscriptions(view, parents_and_delays):
     """Build subscriptions for the first len(parents_and_delays) streams of a view."""
     subs = {}
     for stream, (parent, delay) in zip(view.streams, parents_and_delays):
-        subs[stream.stream_id] = StreamSubscription(
-            stream=stream,
-            parent_id=parent,
-            end_to_end_delay=delay,
-            effective_delay=delay,
-            via_cdn=parent == CDN_NODE_ID,
-        )
+        subs[stream.stream_id] = reference.subscribed_node("u", parent, delay)
     return subs
 
 
@@ -124,6 +118,36 @@ class TestPlanning:
         kept = plan.kept_stream_ids
         assert len(kept) == 1
 
+    def test_an_orphaned_stream_keeps_its_layer_and_sends_no_subscription_point(
+        self, config, delay_model, default_view
+    ):
+        # A repair cascade can re-plan a viewer whose other stream is still
+        # orphaned (parent ``None``, its own repair queued).  No parent is
+        # read for it: it keeps its layer, which anchors the view, and a
+        # push-down of it writes no subscription point.
+        subs = make_subscriptions(
+            default_view, [(CDN_NODE_ID, 60.0), (None, 60.6), (None, 60.3)]
+        )
+        orphan, low_orphan = list(subs)[1:]
+        subs[orphan].layer = 4
+        subs[low_orphan].layer = 1
+        session = ViewerSession(viewer=Viewer(viewer_id="u"), view=default_view, lsc_id="LSC-0")
+        session.subscriptions.update(subs)
+        lookups = []
+        propagation = delay_model.propagation
+        delay_model.propagation = lambda a, b: lookups.append((a, b)) or propagation(a, b)
+        plan = plan_view_synchronization(config, delay_model, "u", subs, {})
+        per_stream = plan.per_stream
+        assert (per_stream[orphan].minimum_layer, per_stream[orphan].target_layer) == (4, 4)
+        floor_layer = 4 - config.kappa
+        assert per_stream[low_orphan].pushed_down
+        assert per_stream[low_orphan].target_layer == floor_layer
+        latest = {sid: 1000 for sid in subs}
+        assert apply_plan(config, delay_model, session, plan, latest_frame_numbers=latest) == []
+        assert subs[low_orphan].layer == floor_layer
+        assert subs[low_orphan].subscription_frame is None
+        assert all(None not in pair for pair in lookups)
+
     def test_empty_subscriptions(self, config, delay_model):
         plan = plan_view_synchronization(config, delay_model, "u", {}, {})
         assert plan.per_stream == {}
@@ -191,12 +215,8 @@ class TestResubscriptionTrigger:
     def _session_with_layers(self, view, layers):
         session = ViewerSession(viewer=Viewer(viewer_id="child"), view=view, lsc_id="LSC-0")
         for stream, layer in zip(view.streams, layers):
-            session.subscriptions[stream.stream_id] = StreamSubscription(
-                stream=stream,
-                parent_id="parent",
-                end_to_end_delay=60.0 + layer * 0.15,
-                effective_delay=60.0 + layer * 0.15,
-                layer=layer,
+            session.subscriptions[stream.stream_id] = reference.subscribed_node(
+                "child", "parent", 60.0 + layer * 0.15, layer=layer
             )
         return session
 
@@ -225,8 +245,9 @@ VIEW = build_views(make_default_producers(), num_views=1, streams_per_site=3)[0]
 _FOUR_DROPS = """
 import json
 from repro.core.layering import DelayLayerConfig
-from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.state import ViewerSession
 from repro.core.subscription import apply_plan, plan_view_synchronization
+from repro.core.topology import TreeNode
 from repro.core.telecast import build_views
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.producer import make_default_producers
@@ -240,9 +261,9 @@ session = ViewerSession(viewer=Viewer(viewer_id="u"), view=view, lsc_id="LSC-0")
 parent_delays = {}
 for index, stream in enumerate(view.streams):
     parent = CDN_NODE_ID if index < 2 else f"deep-{index}"
-    session.subscriptions[stream.stream_id] = StreamSubscription(
-        stream, parent, 60.0, 0, 60.0, parent == CDN_NODE_ID
-    )
+    node = TreeNode("u", 0, 0.0, parent, 60.0)
+    node.effective_delay = 60.0
+    session.subscriptions[stream.stream_id] = node
     if parent != CDN_NODE_ID:
         parent_delays[stream.stream_id] = 64.95
 plan = plan_view_synchronization(config, model, "u", session.subscriptions, parent_delays)
@@ -296,7 +317,7 @@ class TestDropOrder:
                 layer_config.d_max - 0.05
             )
         # Everything but one re-provision of the CDN is taken.
-        bandwidth = child.subscriptions[deep[0]].bandwidth_mbps
+        bandwidth = child.view.stream_by_id[deep[0]].bandwidth_mbps
         elsewhere = next(
             stream.stream_id
             for site in producers
@@ -375,9 +396,7 @@ class TestPlanMatchesTheReference:
         latest = {} if with_latest else None
         for stream, (parent, structural, parent_delay, _moved, frame) in zip(VIEW.streams, specs):
             sid = stream.stream_id
-            session.subscriptions[sid] = StreamSubscription(
-                stream, parent, structural, 0, structural, parent == CDN_NODE_ID
-            )
+            session.subscriptions[sid] = reference.subscribed_node("u", parent, structural)
             if parent != CDN_NODE_ID and parent_delay is not None:
                 parent_delays[sid] = parent_delay
             if latest is not None and frame is not None:

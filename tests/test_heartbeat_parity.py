@@ -29,6 +29,16 @@ at 150 viewers, 225 Mbps an edge; ``outage`` at 250 viewers, 375 Mbps an
 edge; seeds 1-3 each).  The split refused CDN slots the aggregate held.
 Every other run, ``ties`` and ``intent_tie`` stayed byte-identical.
 
+Four batch runs and one tie run were re-captured when the tree node
+became the only record of a subscription, because their parent planned
+over a stale copy of it; every message count stayed the same, only the
+digest moved.  ``flash-crowd/seed{2,3}`` and ``outage/seed2``: a join's
+push-down cascade re-planned a viewer displaced in two of the joiner's
+trees while its other stream's copy still held the pre-push-down delay.
+``controlplane/001/telecast/seed5/scale40`` and ``ties`` ``seed7/scale0``:
+an orphan repair re-planned a viewer whose other orphaned stream's copy
+still named the departed parent; an orphaned stream now keeps its layer.
+
 Regenerate the golden (only for an intentional change) with
 ``PYTHONPATH=src python tests/test_heartbeat_parity.py``.
 """

@@ -11,9 +11,10 @@ under ``src/repro/`` is counted.  Two things are pinned:
   reservations) equal the counts captured on the commit before the
   overhead was removed, and
 * the *overhead* stays removed: Python-level calls per join stay under a
-  budget set 5 % above the last measurement (284 per join on CPython
-  3.11; 355 before view sync took one pass, 375 while every
-  join still wrote routing tables, 614 before the join fast path).
+  budget set 5 % above the last measurement (266 per join on CPython
+  3.11; 284 while a subscription was a copy of its tree node, 355
+  before view sync took one pass, 375 while every join still wrote
+  routing tables, 614 before the join fast path).
 
 ``DelayModel.propagation`` was pinned at 7711 until a plan became rows.
 It is 6602 since, and the view-sync algorithm is the same: 626 of the
@@ -26,6 +27,15 @@ in a different order: the mean of the latency world's stored pairs after
 the body, summed left to right in storage (= derivation) order, is pinned
 too.
 
+``plan_view_synchronization`` was pinned at 986 and
+``DelayModel.propagation`` at 6602 while a subscription was a copy of
+its tree node.  The push-down cascade re-planned a viewer displaced in
+several of the joiner's trees while its other streams' copies still held
+their pre-push-down delays; the stale structural delay then forced a
+second plan when that stream's own cascade arrived.  With the node as
+the one record every plan reads the current delay, and 40 plans (145
+lookups) fall away.  The stored pairs are unchanged.
+
 ``SessionRoutingTable.upsert`` was the fifth pinned function (3995
 calls).  It left the list when the stored table did: Table I is built on
 read by ``ViewGroup.routing_table_of`` and a join writes none of it, so
@@ -34,10 +44,19 @@ the count is 0 by construction and pins nothing.
 Comprehensions and generator resumptions are ``call`` events; 3.12
 inlines comprehensions, so a budget measured on 3.11 bounds every newer
 interpreter from above.
+
+Beside the call budget sits an object budget: the GC-tracked objects the
+same body leaves behind, per tree position (one viewer in one stream
+tree).  It read 3.53 (7324 objects over 2074 positions) while a
+``StreamSubscription`` record sat beside every ``TreeNode``, and 2.53
+(5251) once the node became the subscription, on CPython 3.11 and 3.12
+alike.  CPython 3.10 tracks every instance ``__dict__`` as an object of
+its own, 384 more here: it read 3.72 (7708) and reads 2.72 (5635).
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import Counter
@@ -55,12 +74,13 @@ SEED = 7
 
 #: Calls into the functions that do the work, captured on the parent
 #: commit (be283b3; ``DelayModel.propagation`` re-captured when a plan
-#: became rows, see above): a change to any of them is a change of
-#: algorithm.
+#: became rows, it and ``plan_view_synchronization`` when the tree node
+#: became the subscription, see above): a change to any of them is a
+#: change of algorithm.
 WORK_CALLS = {
-    "DelayModel.propagation": 6602,
+    "DelayModel.propagation": 6457,
     "StreamTree.insert": 2076,
-    "plan_view_synchronization": 986,
+    "plan_view_synchronization": 946,
     "CDN.allocate": 1200,
 }
 
@@ -69,8 +89,12 @@ WORK_CALLS = {
 MEAN_DELAY = 0.04665910749195726
 DERIVED_PAIRS = 1716
 
-#: Python-level calls per join: 5 % above the 283.8 measured on CPython 3.11.
-CALLS_PER_JOIN_BUDGET = 298
+#: Python-level calls per join: 5 % above the 266.2 measured on CPython 3.11.
+CALLS_PER_JOIN_BUDGET = 279
+
+#: GC-tracked objects the body adds per tree position: 5 % above the
+#: 2.53 of CPython 3.11+ (2.72 on 3.10, see above).
+OBJECTS_PER_POSITION_BUDGET = 2.66 if sys.version_info >= (3, 11) else 2.85
 
 _WORK_CODE = {
     DelayModel.propagation.__code__: "DelayModel.propagation",
@@ -134,4 +158,26 @@ def test_join_path_work_is_unchanged_and_its_overhead_stays_within_budget():
     assert (_running_mean(matrix), matrix.explicit_pair_count()) == (MEAN_DELAY, DERIVED_PAIRS)
     assert total / joins <= CALLS_PER_JOIN_BUDGET, (
         f"{total} Python-level calls for {joins} joins = {total / joins:.1f} per join"
+    )
+
+
+def test_the_body_leaves_under_the_object_budget_per_tree_position():
+    config = PAPER_CONFIG.with_scaled_population(
+        VIEWERS, num_lscs=3, num_views=1
+    ).with_seed(SEED)
+    scenario = runner.build_scenario(config)
+    gc.collect()
+    before = len(gc.get_objects())
+    result = runner.run_telecast_scenario(config, scenario=scenario, snapshot_every=None)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    positions = sum(
+        len(tree)
+        for lsc in result.system.gsc.lscs
+        for group in lsc.groups.values()
+        for tree in group.trees.values()
+    )
+    assert positions == 2074
+    assert added / positions <= OBJECTS_PER_POSITION_BUDGET, (
+        f"{added} objects over {positions} tree positions = {added / positions:.2f}"
     )

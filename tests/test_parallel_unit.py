@@ -86,12 +86,39 @@ def _worker_loads(weights, placement, num_workers):
     return loads
 
 
-def _optimal_max_load(weights, num_workers):
-    """Brute force over every assignment (n <= 7: at most 7**7 of them)."""
+def _brute_force_max_load(weights, num_workers):
+    """Brute force over every assignment (k**n of them)."""
     return min(
         max(_worker_loads(weights, assignment, num_workers))
         for assignment in itertools.product(range(num_workers), repeat=len(weights))
     )
+
+
+def _optimal_max_load(weights, num_workers):
+    """The least heaviest-worker load, by a DP over LSC subsets.
+
+    ``best[s]`` is the least max load the workers placed so far reach on
+    the LSC subset ``s``; each further worker takes a sub-subset.  That
+    is ``k * 3**n`` steps (15 309 at n = k = 7) where the brute force
+    takes ``k**n`` (823 543).
+    """
+    subsets = 1 << len(weights)
+    load = [0] * subsets
+    for subset in range(1, subsets):
+        lowest = subset & -subset
+        load[subset] = load[subset ^ lowest] + weights[lowest.bit_length() - 1]
+    best = load  # one worker holds the whole subset
+    for _ in range(num_workers - 1):
+        placed = best[:]
+        for subset in range(subsets):
+            part = subset
+            while part:  # the next worker takes ``part``
+                candidate = max(load[part], best[subset ^ part])
+                if candidate < placed[subset]:
+                    placed[subset] = candidate
+                part = (part - 1) & subset
+        best = placed
+    return best[subsets - 1]
 
 
 def test_place_lscs_partitions_and_leaves_no_worker_empty():
@@ -161,6 +188,8 @@ def test_place_lscs_max_load_within_the_lpt_bound_of_optimal():
         assert set(placement) == set(range(num_workers))
         worst = max(_worker_loads(weights, placement, num_workers))
         optimum = _optimal_max_load(weights, num_workers)
+        if len(weights) <= 5:
+            assert optimum == _brute_force_max_load(weights, num_workers)
         # Graham's bound, cross-multiplied to stay in integers:
         # worst <= (4/3 - 1/(3k)) * optimum.
         assert 3 * num_workers * worst <= (4 * num_workers - 1) * optimum

@@ -32,6 +32,7 @@ Covered invariants:
 * the empirical CDF helper is monotone and normalised.
 """
 
+import copy
 import dataclasses
 import json
 import random
@@ -48,11 +49,12 @@ from reference_oracles import (
     minimum_layer_for,
     priority_monotonic,
 )
+from reference_subscription import subscribed_node
 from reference_topology import ReferenceStreamTree
 from repro.core import dataplane
 from repro.core.bandwidth import allocate_inbound, allocate_outbound
 from repro.core.layering import DelayLayerConfig
-from repro.core.state import StreamSubscription, ViewerSession
+from repro.core.state import ViewerSession
 from repro.core.subscription import (
     needs_resubscription,
     plan_view_synchronization,
@@ -729,9 +731,15 @@ def _schedule_control_events(system, trace, t0, frames, events):
         if kind == "reparent":
 
             def act(session=session, stream_id=stream_id, parent=f"relay-{number}"):
-                sub = session.subscriptions.get(stream_id)
-                if sub is not None:
-                    sub.parent_id = parent
+                # The session's record moves to a parent outside the tree
+                # (a copy: the tree keeps its node, so a later departure
+                # still tears the real edge down); the planes only read
+                # the session.
+                node = session.subscriptions.get(stream_id)
+                if node is not None:
+                    moved = copy.copy(node)
+                    moved.parent_id = parent
+                    session.subscriptions[stream_id] = moved
 
         elif kind == "drop":
 
@@ -967,12 +975,12 @@ class TestLayeringProperties:
         # The first held stream is viewer-fed, the rest come from the CDN.
         session = ViewerSession(viewer=Viewer(viewer_id="child"), view=VIEW, lsc_id="LSC-0")
         for index, (stream, layer) in enumerate(zip(VIEW.streams, held_layers)):
-            session.subscriptions[stream.stream_id] = StreamSubscription(
-                stream=stream,
-                parent_id="parent" if index == 0 else CDN_NODE_ID,
-                end_to_end_delay=delta,
+            session.subscriptions[stream.stream_id] = subscribed_node(
+                "child",
+                "parent" if index == 0 else CDN_NODE_ID,
+                delta,
                 layer=layer,
-                via_cdn=index > 0,
+                effective_delay=0.0,
             )
         fed_by_viewer, *fed_by_cdn = session.subscriptions
         plan = plan_view_synchronization(
@@ -1000,13 +1008,7 @@ class TestLayeringProperties:
         parent_delays = {}
         for stream, delay in zip(streams, delays):
             parent = CDN_NODE_ID if delay <= 60.05 else f"parent-of-{stream.stream_id}"
-            subscriptions[stream.stream_id] = StreamSubscription(
-                stream=stream,
-                parent_id=parent,
-                end_to_end_delay=delay,
-                effective_delay=delay,
-                via_cdn=parent == CDN_NODE_ID,
-            )
+            subscriptions[stream.stream_id] = subscribed_node("viewer", parent, delay)
             parent_delays[stream.stream_id] = max(60.0, delay - 0.15)
         plan = plan_view_synchronization(
             LAYER_CONFIG, DELAY_MODEL, "viewer", subscriptions, parent_delays

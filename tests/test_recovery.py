@@ -217,10 +217,10 @@ class TestLscFailover:
         # The CDN reservations now on the books must exactly match the live
         # CDN-fed subscriptions; nothing leaked from the failed controller.
         via_cdn_mbps = sum(
-            sub.bandwidth_mbps
+            session.view.stream_by_id[stream_id].bandwidth_mbps
             for lsc in system.gsc.lscs
             for session in lsc.sessions.values()
-            for sub in session.subscriptions.values()
+            for stream_id, sub in session.subscriptions.items()
             if sub.via_cdn
         )
         assert system.cdn.used_outbound_mbps == pytest.approx(via_cdn_mbps)

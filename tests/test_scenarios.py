@@ -13,6 +13,7 @@ exit non-zero.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import re
@@ -38,7 +39,6 @@ from repro.scenarios import (
     run_record,
     run_scenario,
 )
-from repro.model.cdn import CDN_NODE_ID
 from repro.scenarios import invariants
 from repro.scenarios.presets import BURST_LOSS
 
@@ -233,39 +233,24 @@ class TestScenarioCLI:
         assert "ghost_check" in run.violations
 
     def test_a_subscription_that_disagrees_with_its_tree_node_is_named(self):
-        # Mutation check: an overlay edge is held twice, by the tree node
-        # and by the child's subscription.  Point one subscription at a
-        # different connected viewer and flip one ``via_cdn``:
+        # Mutation check: a subscription is the viewer's tree node, so
+        # parent and CDN flag cannot disagree; membership still can.  Drop
+        # one session's subscription (its node stays in the tree) and swap
+        # another's for a copy the tree does not hold:
         # ``routing_matches_trees`` must name both.
         system = run_scenario(SCENARIOS["slot-oscillation"], viewers=60, seed=1).system
         assert invariants.routing_tree_mismatches(system) == []
         sessions = max((lsc.sessions for lsc in system.gsc.lscs), key=len)
-        subs = [
-            (viewer_id, stream_id, sub)
-            for viewer_id, session in sessions.items()
-            for stream_id, sub in session.subscriptions.items()
-        ]
-        moved_id, moved_stream, moved = next(
-            entry for entry in subs if entry[2].parent_id != CDN_NODE_ID
-        )
-        moved.parent_id = next(
-            viewer_id for viewer_id in sessions
-            if viewer_id not in (moved_id, moved.parent_id)
-        )
-        flipped_id, flipped_stream, flipped = next(
-            entry for entry in subs if entry[2].via_cdn
-        )
-        flipped.via_cdn = False
+        (unsubscribed_id, unsubscribed), (copied_id, copied) = list(sessions.items())[:2]
+        dropped_stream = next(iter(unsubscribed.subscriptions))
+        del unsubscribed.subscriptions[dropped_stream]
+        copied_stream = next(iter(copied.subscriptions))
+        copied.subscriptions[copied_stream] = copy.copy(copied.subscriptions[copied_stream])
         violations = invariants.routing_tree_mismatches(system)
-        assert len(violations) == 2
-        assert any(
-            v.startswith(f"{moved_id}/{moved_stream}: subscribed to {moved.parent_id}")
-            for v in violations
-        )
-        assert any(
-            v.startswith(f"{flipped_id}/{flipped_stream}: via_cdn=False")
-            for v in violations
-        )
+        assert sorted(violations) == sorted([
+            f"{unsubscribed_id}/{dropped_stream}: in tree but not subscribed",
+            f"{copied_id}/{copied_stream}: subscribed but not in tree",
+        ])
 
 
 class TestScenarioRecords:

@@ -32,6 +32,7 @@ from repro.experiments.runner import build_scenario
 from repro.scenarios.runner import resolve_spec
 from repro.service import protocol
 from repro.service.daemon import (
+    MAX_ADVANCE_SWEEPS,
     ServeConfig,
     ServiceDaemon,
     ServiceState,
@@ -277,6 +278,22 @@ class TestDaemonOps:
         assert daemon.handle_line("advance banana").startswith("err")
         assert daemon.handle_line("ping").startswith("ok")
 
+    def test_an_advance_past_the_sweep_limit_is_refused_at_once(self):
+        # ``advance 1e12`` used to run 5e11 idle failure sweeps and never
+        # answer.  The limit is MAX_ADVANCE_SWEEPS heartbeat periods: at
+        # the limit the advance runs, one period past it is refused and
+        # the clock stays where it was.
+        daemon = _daemon()
+        period = daemon.state.driver.heartbeat_period
+        limit = MAX_ADVANCE_SWEEPS * period
+        for seconds in (1e12, limit + period):
+            reply = daemon.handle_line(f"advance {seconds:g}")
+            assert reply.startswith("err advance") and "MAX_ADVANCE_SWEEPS" in reply
+        assert daemon.state.system.simulator.now == 0.0
+        assert daemon.handle_line(f"advance {limit:g}") == (
+            f"ok t={limit:.6f} pending={daemon.state.system.simulator.pending}"
+        )
+
     def test_check_needs_replay_for_qoe_invariants(self):
         daemon = _daemon()
         for line in _script():
@@ -339,6 +356,7 @@ RETIRED_SNAPSHOT_VERSIONS = {
     8: "[time, seq, callback, label, state] heap entries, PeriodicProcess labels, "
     "four ExperimentConfig and two DataPlaneConfig fields that are gone",
     9: "a CDN holding a list of EdgeServer objects",
+    10: "a StreamSubscription beside every TreeNode, gateway buffers as two deques",
 }
 
 
