@@ -16,14 +16,9 @@ from __future__ import annotations
 
 import time
 
-from repro.core.telecast import TeleCastSystem, build_views
+from repro.core.telecast import TeleCastSystem
 from repro.experiments.config import PAPER_CONFIG
-from repro.model.cdn import CDN
-from repro.model.producer import make_default_producers
-from repro.net.latency import DelayModel
-from repro.net.planetlab import generate_planetlab_matrix
-from repro.sim.rng import SeededRandom
-from repro.traces.workload import ViewerWorkload, WorkloadConfig
+from repro.experiments.runner import build_scenario, build_telecast_system
 
 #: The acceptance scenario is pinned to a 500-viewer session.
 NUM_VIEWERS = 500
@@ -33,42 +28,11 @@ NUM_FAILURES = 25
 
 def _build_session() -> TeleCastSystem:
     """One fully-joined 500-viewer session (identical across calls)."""
-    config = PAPER_CONFIG.with_(
-        num_viewers=NUM_VIEWERS,
-        cdn_capacity_mbps=PAPER_CONFIG.cdn_capacity_mbps
-        * NUM_VIEWERS
-        / PAPER_CONFIG.num_viewers,
-    )
-    producers = make_default_producers(
-        config.num_sites,
-        config.cameras_per_site,
-        stream_bandwidth_mbps=config.stream_bandwidth_mbps,
-        frame_rate=config.frame_rate,
-    )
-    workload = ViewerWorkload(
-        WorkloadConfig(num_viewers=config.num_viewers, outbound=config.outbound),
-        rng=SeededRandom(config.seed),
-    )
-    viewers = workload.viewers()
-    matrix = generate_planetlab_matrix(
-        [viewer.viewer_id for viewer in viewers] + ["GSC", "LSC-0", "CDN"],
-        rng=SeededRandom(config.latency_seed),
-    )
-    delay_model = DelayModel(
-        matrix,
-        processing_delay=config.processing_delay,
-        cdn_delta=config.cdn_delta,
-        control_processing_delay=config.control_processing_delay,
-    )
-    cdn = CDN(config.cdn_capacity_mbps, delta=config.cdn_delta)
-    system = TeleCastSystem(producers, cdn, delay_model, config.layer_config())
-    views = build_views(producers, num_views=config.num_views)
-    by_view = {
-        viewer.viewer_id: views[index % len(views)]
-        for index, viewer in enumerate(viewers)
-    }
-    for viewer in viewers:
-        system.join_viewer(viewer, by_view[viewer.viewer_id])
+    scenario = build_scenario(PAPER_CONFIG.with_scaled_population(NUM_VIEWERS))
+    system = build_telecast_system(scenario)
+    views = scenario.views
+    for index, viewer in enumerate(scenario.viewers):
+        system.join_viewer(viewer, views[index % len(views)])
     return system
 
 

@@ -5,38 +5,36 @@ benchmark (``bench_scale.py``) runs -- one headline view, region-sharded
 control plane -- pushed an order of magnitude further and executed on
 the shard-parallel engine (:mod:`repro.parallel`): each group of LSCs
 runs its controller, stream trees and event loop in its own worker
-process.  The benchmark times one single-process leg and one sharded leg
-over the identical seeded scenario and checks three things:
+process.  The benchmark times, in calibrated seconds, one single-process
+leg and one sharded leg over the identical seeded scenario, and writes
+``BENCH_scale_parallel.json`` in the one record shape
+(``benchmarks/records.py``) with three gates:
 
-* **Parity** (always enforced): the per-LSC placement digests of the
-  sharded run must be byte-identical to the single-process run's -- the
-  parallel engine may only change wall-clock time, never placement.
-* **Build speedup** (enforced on full runs): the slowest worker's
+* ``placement_parity`` (always armed): the per-LSC placement digests of
+  the sharded run are byte-identical to the single-process run's at
+  every population -- the parallel engine may only change wall-clock
+  time, never placement.
+* ``build_speedup`` (armed on full runs): the slowest worker's
   shard-filtered scenario build
   (:class:`~repro.experiments.runner.ShardSelection`; every worker's is
-  timed, the critical one gates) must be at least
-  ``--min-build-speedup`` (default 2x) faster than the
-  one-worker build (the whole world) at the headline population.  This
-  gate needs no
-  spare cores -- it compares two builds in the same process -- so it is
-  armed everywhere except ``--quick`` (tiny populations, where constant
-  substrate costs dominate the build).
-* **Run speedup** (enforced on >= 4 cores): the sharded leg must be at
-  least ``--min-speedup`` (default 3x) faster at the headline
-  population.  On smaller machines process parallelism cannot win
-  anything, so the measured speedup is reported in the record
-  (``speedup_gate_armed`` says whether it was enforced) but not gated.
+  timed, the critical one gates) is at least :data:`MIN_BUILD_SPEEDUP`
+  times faster than the one-worker build (the whole world) at the
+  headline population.  It compares two builds in one process, so it
+  needs no spare cores; a quick run's tiny population is dominated by
+  constant substrate costs.
+* ``run_speedup`` (armed on >= :data:`MIN_CORES_FOR_GATE` cores): the
+  sharded leg is at least :data:`MIN_SPEEDUP` times faster at the
+  headline population.  On smaller machines process parallelism cannot
+  win anything, so the speedup is reported but not gated.
 
 ``--scale1m`` switches to the 1M-viewer scale axis: a single 1M-viewer
 point over 16 LSCs and 4 workers, sharded leg only (the single-process
 leg at that population is exactly the O(n) cost the projection removes;
-parity is pinned by the default mode and the test suite).  Its results
-merge into the same record under a ``scale1m`` key.  With ``--quick``
-the scale1m leg shrinks to a 20k-viewer smoke point on 2 workers.
-
-Output is the machine-readable ``BENCH_scale_parallel.json``
-perf-trajectory record (``cpu_count`` reports the machine,
-``workers_used`` the actual worker processes).
+parity is pinned by the default mode and the test suite).  It writes
+``BENCH_scale1m.json`` with the build-speedup gate and a ``connected``
+gate (every viewer connected).  With ``--quick`` the scale1m leg
+shrinks to a 20k-viewer smoke point on 2 workers.  Quick runs write
+their record under ``benchmarks/out/``.
 
 Usage::
 
@@ -49,12 +47,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import records
 
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.experiments.runner import (
@@ -64,16 +61,12 @@ from repro.experiments.runner import (
 )
 from repro.metrics.placement import per_lsc_placement_digests
 from repro.parallel import run_sharded_scenario
+from repro.parallel.runner import DEFAULT_STALL_TIMEOUT
 
-#: Populations of the full benchmark (the --quick CI mode uses QUICK_*).
+#: Populations, LSCs and workers of the full benchmark and of --quick.
 POPULATIONS = (20000, 50000, 100000)
-
-#: LSC count of the full benchmark (shards spread over the workers).
 NUM_LSCS = 8
-
-#: Worker processes of the full benchmark.
 WORKERS = 4
-
 QUICK_POPULATION = 10000
 QUICK_WORKERS = 2
 QUICK_NUM_LSCS = 4
@@ -93,10 +86,13 @@ SCALE1M_QUICK_WORKERS = 2
 SCALE1M_STALL_TIMEOUT = 7200.0
 
 #: Required sharded-vs-single-process speedup at the headline population.
-DEFAULT_MIN_SPEEDUP = 3.0
+MIN_SPEEDUP = 3.0
 
 #: Required shard-filtered-vs-full scenario build speedup (per worker).
-DEFAULT_MIN_BUILD_SPEEDUP = 2.0
+MIN_BUILD_SPEEDUP = 2.0
+
+#: Repetitions of the build measurement (the best of them counts).
+BUILD_REPS = 3
 
 #: Cores below which the run-speedup gate is report-only: with fewer
 #: cores than this there is nothing for process parallelism to win.
@@ -115,177 +111,107 @@ def _broadcast_config(num_viewers: int, num_lscs: int) -> ExperimentConfig:
     ).with_uncapped_cdn()
 
 
-def _measure_builds(
-    config: ExperimentConfig, workers: int, *, reps: int = 3
-) -> Dict[str, object]:
+def _measure_builds(config: ExperimentConfig, workers: int) -> Dict[str, object]:
     """Time a worker's scenario build: one-worker build vs its own slice.
 
-    ``build_full_s`` is the one-worker build -- the whole world, what
-    every worker paid before shard projection.  Under load-aware placement
-    no single worker is "the" typical shard, so every worker's projected
-    build is timed (``build_filtered_per_worker_s``) and
-    ``build_filtered_s`` -- the gated figure -- is the slowest of them:
-    the critical worker's build is what the run waits for.  Best of
-    ``reps`` on every leg: single-run wall times on a busy box are noisy
-    enough to flip the gate.
+    ``build_full`` is the one-worker build -- the whole world, what every
+    worker paid before shard projection.  Under load-aware placement no
+    single worker is "the" typical shard, so every worker's projected
+    build is timed (``build_worker_<i>``) and the gated speedup divides
+    by the slowest of them: the critical worker's build is what the run
+    waits for.  Best of :data:`BUILD_REPS` on every leg: single-run wall
+    times on a busy box are noisy enough to flip the gate.
     """
-    build_full = float("inf")
-    per_worker = [float("inf")] * workers
-    for _ in range(reps):
-        started = time.perf_counter()
-        build_scenario(config)
-        build_full = min(build_full, time.perf_counter() - started)
-        for index in range(workers):
-            started = time.perf_counter()
-            build_scenario(
-                config, shard=ShardSelection(num_workers=workers, worker_index=index)
-            )
-            per_worker[index] = min(per_worker[index], time.perf_counter() - started)
-    build_filtered = max(per_worker)
+    best = {}
+    for _ in range(BUILD_REPS):
+        with records.STOPWATCH.bracket() as timed:
+            timed("build_full", lambda: build_scenario(config))
+            for index in range(workers):
+                shard = ShardSelection(num_workers=workers, worker_index=index)
+                timed(f"build_worker_{index}", lambda: build_scenario(config, shard=shard))
+        for name, timing in timed.timings.items():
+            if name not in best or timing.cal_s < best[name].cal_s:
+                best[name] = timing
+    slowest = max(timing.cal_s for name, timing in best.items() if name != "build_full")
     return {
-        "build_full_s": round(build_full, 4),
-        "build_filtered_s": round(build_filtered, 4),
-        "build_filtered_per_worker_s": [round(seconds, 4) for seconds in per_worker],
-        "build_speedup": round(build_full / build_filtered, 2)
-        if build_filtered > 0
-        else float("inf"),
+        "timings": {name: timing.to_json() for name, timing in best.items()},
+        "build_speedup": best["build_full"].cal_s / slowest,
     }
 
 
-def _measure_single(config: ExperimentConfig) -> Dict[str, object]:
+def _leg(snapshot, workers: int, timing) -> Dict[str, object]:
+    """One timed run's outcome and throughput, raw and calibrated."""
+    return {
+        "workers_used": workers,
+        "connected": snapshot.num_viewers,
+        "acceptance_ratio": snapshot.acceptance_ratio,
+        "timings": {"run": timing.to_json()},
+        "joins_per_s": snapshot.num_requests / timing.wall_s,
+        "cal_joins_per_s": snapshot.num_requests / timing.cal_s,
+    }
+
+
+def _measure_single(config: ExperimentConfig) -> Tuple[Dict[str, object], Dict[str, str]]:
     """Single-process leg: full workload run plus placement digests."""
     scenario = build_scenario(config)
     system = build_telecast_system(scenario)
-    started = time.perf_counter()
-    metrics = system.run_workload(
-        scenario.viewers, scenario.events, scenario.views, snapshot_every=None
-    )
-    elapsed = time.perf_counter() - started
-    snapshot = system.snapshot()
-    return {
-        "num_viewers": config.num_viewers,
-        "workers_used": 1,
-        "connected": snapshot.num_viewers,
-        "acceptance_ratio": snapshot.acceptance_ratio,
-        "wall_clock_s": round(elapsed, 4),
-        "joins_per_s": round(snapshot.num_requests / elapsed, 2)
-        if elapsed > 0
-        else float("inf"),
-        "digests": per_lsc_placement_digests(system),
-    }
+    with records.STOPWATCH.bracket() as timed:
+        timed(
+            "run",
+            lambda: system.run_workload(
+                scenario.viewers, scenario.events, scenario.views, snapshot_every=None
+            ),
+        )
+    leg = _leg(system.snapshot(), 1, timed.timings["run"])
+    return leg, per_lsc_placement_digests(system)
 
 
 def _measure_sharded(
-    config: ExperimentConfig,
-    workers: int,
-    *,
-    stall_timeout: Optional[float] = None,
-) -> Dict[str, object]:
+    config: ExperimentConfig, workers: int, stall_timeout: float = DEFAULT_STALL_TIMEOUT
+) -> Tuple[Dict[str, object], Dict[str, str]]:
     """Sharded leg: the same scenario over ``workers`` processes."""
-    kwargs = {} if stall_timeout is None else {"stall_timeout": stall_timeout}
-    started = time.perf_counter()
-    sharded = run_sharded_scenario(
-        config.with_(shard_workers=workers), snapshot_every=None, **kwargs
-    )
-    elapsed = time.perf_counter() - started
-    snapshot = sharded.result.final_snapshot
-    return {
-        "num_viewers": config.num_viewers,
-        "workers_used": sharded.num_workers,
-        "connected": snapshot.num_viewers,
-        "acceptance_ratio": snapshot.acceptance_ratio,
-        "wall_clock_s": round(elapsed, 4),
-        "joins_per_s": round(snapshot.num_requests / elapsed, 2)
-        if elapsed > 0
-        else float("inf"),
-        "digests": dict(sharded.placement_digests),
-        # Which worker hosted which LSC, and where each worker's wall
-        # time went (JSON keys are strings: worker index as text).
-        "placement": list(sharded.placement),
-        "worker_stats": {
-            str(index): {name: round(value, 4) for name, value in stats.items()}
-            for index, stats in sharded.worker_stats.items()
-        },
-        "imbalance": round(sharded.imbalance, 3),
-    }
-
-
-def _check_build_gate(
-    headline: Dict[str, object], min_build_speedup: float, armed: bool
-) -> bool:
-    """Print the build-speedup verdict; return True on failure."""
-    speedup = headline["build"]["build_speedup"]
-    if not armed:
-        print(f"build-speedup gate: report-only (--quick): measured {speedup:.2f}x")
-        return False
-    if speedup < min_build_speedup:
-        print(
-            f"FAIL: shard-filtered build speedup {speedup:.2f}x below "
-            f"required {min_build_speedup:.1f}x"
+    with records.STOPWATCH.bracket() as timed:
+        sharded = timed(
+            "run",
+            lambda: run_sharded_scenario(
+                config.with_(shard_workers=workers),
+                snapshot_every=None,
+                stall_timeout=stall_timeout,
+            ),
         )
-        return True
-    print(f"build-speedup gate: {speedup:.2f}x >= {min_build_speedup:.1f}x: ok")
-    return False
+    leg = _leg(sharded.result.final_snapshot, sharded.num_workers, timed.timings["run"])
+    # Which worker hosted which LSC, and where each worker's wall time
+    # went (JSON keys are strings: worker index as text).
+    leg["placement"] = list(sharded.placement)
+    leg["worker_stats"] = {
+        str(index): dict(stats) for index, stats in sharded.worker_stats.items()
+    }
+    leg["imbalance"] = sharded.imbalance
+    return leg, dict(sharded.placement_digests)
 
 
-def _run_scale1m(args, cores: int) -> int:
-    """The 1M-viewer axis: sharded leg only, merged into the record."""
-    if args.quick:
-        population = SCALE1M_QUICK_POPULATION
-        num_lscs = SCALE1M_QUICK_NUM_LSCS
-        workers = SCALE1M_QUICK_WORKERS
+def _run_scale1m(quick: bool, record: Optional[str]) -> int:
+    """The 1M-viewer axis: sharded leg only, in its own record."""
+    if quick:
+        population, num_lscs, workers = (
+            SCALE1M_QUICK_POPULATION, SCALE1M_QUICK_NUM_LSCS, SCALE1M_QUICK_WORKERS
+        )
     else:
-        population = SCALE1M_POPULATION
-        num_lscs = SCALE1M_NUM_LSCS
-        workers = SCALE1M_WORKERS
+        population, num_lscs, workers = SCALE1M_POPULATION, SCALE1M_NUM_LSCS, SCALE1M_WORKERS
     config = _broadcast_config(population, num_lscs)
     build = _measure_builds(config, workers)
-    print(
-        f"n={population:>7}: build full {build['build_full_s']:8.2f}s, "
-        f"filtered {build['build_filtered_s']:8.2f}s, "
-        f"speedup {build['build_speedup']:5.2f}x"
-    )
-    sharded = _measure_sharded(
-        config, workers, stall_timeout=SCALE1M_STALL_TIMEOUT
-    )
-    sharded.pop("digests")
+    print(f"n={population:>7}: build speedup {build['build_speedup']:5.2f}x")
+    sharded, _digests = _measure_sharded(config, workers, SCALE1M_STALL_TIMEOUT)
     print(
         f"n={population:>7}: sharded[{sharded['workers_used']}w] "
-        f"{sharded['wall_clock_s']:8.2f}s, "
-        f"{sharded['joins_per_s']:8.2f} joins/s, "
-        f"connected {sharded['connected']}"
+        f"{sharded['cal_joins_per_s']:8.2f} cal joins/s, connected {sharded['connected']}"
     )
-
-    block = {
-        "quick": args.quick,
-        "cpu_count": cores,
-        "num_lscs": num_lscs,
-        "workers_used": workers,
-        "point": {"num_viewers": population, "build": build, "sharded": sharded},
-        "min_build_speedup": args.min_build_speedup,
-        "build_speedup_gate_armed": not args.quick,
-    }
-    record_path = Path(args.record)
-    try:
-        record = json.loads(record_path.read_text())
-        if not isinstance(record, dict):
-            record = {}
-    except (OSError, ValueError):
-        record = {}
-    record.setdefault("benchmark", "scale_parallel")
-    record["scale1m"] = block
-    record_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"scale1m block merged into {args.record}")
-
-    headline = {"build": build}
-    failed = _check_build_gate(headline, args.min_build_speedup, not args.quick)
-    if sharded["connected"] != population:
-        print(
-            f"FAIL: sharded run connected {sharded['connected']} of "
-            f"{population} viewers"
-        )
-        failed = True
-    return 1 if failed else 0
+    point = {"num_viewers": population, "num_lscs": num_lscs, "build": build, "sharded": sharded}
+    gates = [
+        records.gate("build_speedup", MIN_BUILD_SPEEDUP, build["build_speedup"], armed=not quick),
+        records.gate("connected", 1.0, sharded["connected"] / population),
+    ]
+    return records.write("scale1m", quick=quick, points=[point], gates=gates, path=record)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -293,7 +219,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=f"CI mode: {QUICK_POPULATION} viewers, {QUICK_WORKERS} workers",
+        help=f"CI mode: {QUICK_POPULATION} viewers, {QUICK_WORKERS} workers, "
+        "recorded under benchmarks/out/",
     )
     parser.add_argument(
         "--scale1m",
@@ -302,129 +229,63 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{SCALE1M_NUM_LSCS} LSCs, sharded leg only (--quick: "
         f"{SCALE1M_QUICK_POPULATION} viewers)",
     )
-    parser.add_argument(
-        "--record",
-        default="BENCH_scale_parallel.json",
-        help="where to write the JSON record (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=DEFAULT_MIN_SPEEDUP,
-        help="required sharded speedup at the headline population on "
-        f">= {MIN_CORES_FOR_GATE} cores (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--min-build-speedup",
-        type=float,
-        default=DEFAULT_MIN_BUILD_SPEEDUP,
-        help="required shard-filtered vs full scenario-build speedup at "
-        "the headline population (default: %(default)s)",
-    )
+    parser.add_argument("--record", help="where to write the JSON record")
     args = parser.parse_args(argv)
 
-    cores = os.cpu_count() or 1
     if args.scale1m:
-        return _run_scale1m(args, cores)
+        return _run_scale1m(args.quick, args.record)
     if args.quick:
-        populations = (QUICK_POPULATION,)
-        workers = QUICK_WORKERS
-        num_lscs = QUICK_NUM_LSCS
+        populations, workers, num_lscs = (QUICK_POPULATION,), QUICK_WORKERS, QUICK_NUM_LSCS
     else:
-        populations = POPULATIONS
-        workers = WORKERS
-        num_lscs = NUM_LSCS
+        populations, workers, num_lscs = POPULATIONS, WORKERS, NUM_LSCS
 
     points = []
-    parity_ok = True
     for count in populations:
         config = _broadcast_config(count, num_lscs)
         build = _measure_builds(config, workers)
-        single = _measure_single(config)
-        sharded = _measure_sharded(config, workers)
-        point_parity = single["digests"] == sharded["digests"]
-        parity_ok = parity_ok and point_parity
-        speedup = (
-            single["wall_clock_s"] / sharded["wall_clock_s"]
-            if sharded["wall_clock_s"] > 0
-            else float("inf")
-        )
-        single.pop("digests")
-        sharded.pop("digests")
+        single, single_digests = _measure_single(config)
+        sharded, sharded_digests = _measure_sharded(config, workers)
+        speedup = single["timings"]["run"]["cal_s"] / sharded["timings"]["run"]["cal_s"]
+        parity = single_digests == sharded_digests
         points.append(
             {
                 "num_viewers": count,
+                "num_lscs": num_lscs,
                 "build": build,
                 "single": single,
                 "sharded": sharded,
-                "speedup": round(speedup, 2),
-                "placement_parity": point_parity,
+                "speedup": speedup,
+                "placement_parity": parity,
             }
         )
         print(
-            f"n={count:>6}: build {build['build_full_s']:7.2f}s -> "
-            f"{build['build_filtered_s']:7.2f}s ({build['build_speedup']:.2f}x), "
-            f"single {single['wall_clock_s']:8.2f}s, "
-            f"sharded[{sharded['workers_used']}w] {sharded['wall_clock_s']:8.2f}s, "
-            f"speedup {speedup:5.2f}x, "
-            f"parity {'ok' if point_parity else 'FAIL'}"
+            f"n={count:>6}: build speedup {build['build_speedup']:.2f}x, "
+            f"single {single['cal_joins_per_s']:8.1f} cal joins/s, "
+            f"sharded[{sharded['workers_used']}w] {sharded['cal_joins_per_s']:8.1f} cal joins/s, "
+            f"speedup {speedup:5.2f}x, parity {'ok' if parity else 'FAIL'}"
         )
-        if not point_parity:
-            print(f"FAIL: sharded placement diverged at {count} viewers")
 
     headline = points[-1]
-    gate_armed = cores >= MIN_CORES_FOR_GATE
-    record = {
-        "benchmark": "scale_parallel",
-        "quick": args.quick,
-        "cpu_count": cores,
-        "workers_used": workers,
-        "scenario": (
-            f"telecast broadcast (num_views=1, num_lscs={num_lscs}, "
-            "uncapped CDN), sharded vs single-process"
+    cores = os.cpu_count() or 1
+    gates = [
+        records.gate(
+            "placement_parity",
+            1.0,
+            sum(point["placement_parity"] for point in points) / len(points),
         ),
-        "points": points,
-        "headline_speedup": headline["speedup"],
-        "headline_build_speedup": headline["build"]["build_speedup"],
-        "speedup_gate_armed": gate_armed,
-        "build_speedup_gate_armed": not args.quick,
-        "min_speedup": args.min_speedup,
-        "min_build_speedup": args.min_build_speedup,
-        "placement_parity": parity_ok,
-    }
-    record_path = Path(args.record)
-    try:
-        previous = json.loads(record_path.read_text())
-        if isinstance(previous, dict) and "scale1m" in previous:
-            record["scale1m"] = previous["scale1m"]
-    except (OSError, ValueError):
-        pass
-    record_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"record written to {args.record}")
-
-    failures = not parity_ok
-    failures = (
-        _check_build_gate(headline, args.min_build_speedup, not args.quick)
-        or failures
+        records.gate(
+            "build_speedup",
+            MIN_BUILD_SPEEDUP,
+            headline["build"]["build_speedup"],
+            armed=not args.quick,
+        ),
+        records.gate(
+            "run_speedup", MIN_SPEEDUP, headline["speedup"], armed=cores >= MIN_CORES_FOR_GATE
+        ),
+    ]
+    return records.write(
+        "scale_parallel", quick=args.quick, points=points, gates=gates, path=args.record
     )
-    if gate_armed:
-        if headline["speedup"] < args.min_speedup:
-            print(
-                f"FAIL: headline speedup {headline['speedup']:.2f}x below "
-                f"required {args.min_speedup:.1f}x on {cores} cores"
-            )
-            failures = True
-        else:
-            print(
-                f"speedup gate: {headline['speedup']:.2f}x >= "
-                f"{args.min_speedup:.1f}x on {cores} cores: ok"
-            )
-    else:
-        print(
-            f"speedup gate: report-only on {cores} core(s) "
-            f"(< {MIN_CORES_FOR_GATE}): measured {headline['speedup']:.2f}x"
-        )
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -3,22 +3,28 @@
 The sweep subsystem promises that process-parallel execution changes
 wall-clock time and nothing else.  This benchmark runs the same 6-point
 scale sweep (3 populations x TeleCast/Random, 3 region-sharded LSCs)
-serially and with two worker processes, asserts the metrics are
-identical point for point, and emits the machine-readable
-``BENCH_sweep.json`` perf-trajectory record: wall-clock per point, the
-parallel speedup and the peak population swept.
+serially and with two worker processes, times both legs in calibrated
+seconds and writes ``BENCH_sweep.json`` in the one record shape
+(``benchmarks/records.py``) with two gates: ``parity`` (every point ran
+and its metrics are identical on both legs) and ``speedup`` (at least
+:data:`MIN_SPEEDUP`).  The speedup itself is hardware-dependent (a
+single-core runner cannot beat serial execution), so its floor only
+says the pool did not collapse.
 
-The speedup itself is hardware-dependent (a single-core CI runner cannot
-beat serial execution), so the assertion guards result parity and sanity
-bounds, not a speedup floor; the JSON record is what tracks the
-trajectory across commits.
+Run as a test it writes ``benchmarks/out/BENCH_sweep.json``; run as a
+script it re-captures the checked-in record::
+
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_sweep.py
+    PYTHONPATH=src python benchmarks/bench_sweep.py
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
+import sys
+from typing import Tuple
+
+import records
 
 from repro.experiments.config import PAPER_CONFIG
 from repro.experiments.sweep import SweepSpec, run_sweep
@@ -28,6 +34,9 @@ POPULATIONS = (100, 200, 300)
 
 #: Worker processes of the parallel leg.
 JOBS = 2
+
+#: Parallel-over-serial speedup below which the pool counts as collapsed.
+MIN_SPEEDUP = 0.2
 
 
 def _spec() -> SweepSpec:
@@ -48,48 +57,57 @@ def _spec() -> SweepSpec:
     )
 
 
-def test_parallel_sweep_matches_serial_and_records_trajectory():
+def measure(quick: bool) -> Tuple[int, float]:
+    """Run both legs and write the record; (exit status, speedup)."""
     spec = _spec()
-    serial = run_sweep(spec, jobs=1)
-    parallel = run_sweep(spec, jobs=JOBS)
-
-    assert not serial.failed() and not parallel.failed()
+    with records.STOPWATCH.bracket() as timed:
+        serial = timed("serial", lambda: run_sweep(spec, jobs=1))
+        parallel = timed("parallel", lambda: run_sweep(spec, jobs=JOBS))
+    timings = timed.timings
+    speedup = timings["serial"].cal_s / timings["parallel"].cal_s
+    points = [
+        {
+            "jobs": jobs,
+            "timings": {"sweep": timings[leg].to_json()},
+            "sweep_points": [
+                {
+                    "point_id": point.point_id,
+                    "system": point.system,
+                    "num_viewers": point.params.get("num_viewers"),
+                    "wall_clock_s": point.wall_clock_s,
+                    "acceptance_ratio": point.metrics["acceptance_ratio"],
+                }
+                for point in result.results
+            ],
+        }
+        for leg, jobs, result in (("serial", 1, serial), ("parallel", JOBS, parallel))
+    ]
     # Parallelism must not change a single metric of a single point.
-    assert serial.metrics_by_point() == parallel.metrics_by_point()
-
-    speedup = serial.wall_clock_s / parallel.wall_clock_s
-    record = {
-        "benchmark": "sweep",
-        "jobs": JOBS,
-        "cpu_count": os.cpu_count(),
-        "num_points": len(serial.results),
-        "peak_viewers": max(POPULATIONS),
-        "serial_wall_clock_s": round(serial.wall_clock_s, 4),
-        "parallel_wall_clock_s": round(parallel.wall_clock_s, 4),
-        "speedup": round(speedup, 3),
-        "points": [
-            {
-                "point_id": point.point_id,
-                "system": point.system,
-                "num_viewers": point.params.get("num_viewers"),
-                "wall_clock_s": round(point.wall_clock_s, 4),
-                "acceptance_ratio": point.metrics["acceptance_ratio"],
-            }
-            for point in serial.results
-        ],
-    }
-    Path("BENCH_sweep.json").write_text(
-        json.dumps(record, indent=2, sort_keys=True) + "\n"
+    same = (
+        not serial.failed()
+        and not parallel.failed()
+        and serial.metrics_by_point() == parallel.metrics_by_point()
     )
+    print(
+        f"{len(serial.results)} points (populations {list(POPULATIONS)} x "
+        f"{list(spec.systems)}): serial {timings['serial'].cal_s * 1000:.1f} cal ms, "
+        f"parallel (--jobs {JOBS}) {timings['parallel'].cal_s * 1000:.1f} cal ms, "
+        f"speedup {speedup:.2f}x on {os.cpu_count()} CPU(s)"
+    )
+    gates = [
+        records.gate("parity", 1.0, float(same)),
+        records.gate("speedup", MIN_SPEEDUP, speedup),
+    ]
+    return records.write("sweep", quick=quick, points=points, gates=gates), speedup
 
-    print()
-    print(f"points                       : {len(serial.results)} "
-          f"(populations {list(POPULATIONS)} x {list(spec.systems)})")
-    print(f"serial                       : {serial.wall_clock_s * 1000:8.1f} ms")
-    print(f"parallel (--jobs {JOBS})         : {parallel.wall_clock_s * 1000:8.1f} ms")
-    print(f"speedup                      : {speedup:8.2f}x on {os.cpu_count()} CPU(s)")
 
-    # Sanity bounds: the pool must neither hang nor collapse.  A real
-    # speedup needs >= 2 cores; on one core the pool overhead must stay
-    # within 5x of serial (it is far lower in practice).
-    assert 0.2 < speedup < 50.0
+def test_parallel_sweep_matches_serial_and_records_trajectory():
+    status, speedup = measure(quick=True)
+    assert status == 0
+    # A two-worker pool cannot beat serial fifty-fold: a larger figure
+    # means the parallel leg did not do the work.
+    assert speedup < 50.0
+
+
+if __name__ == "__main__":
+    sys.exit(measure(quick=False)[0])

@@ -80,7 +80,6 @@ class ExperimentConfig:
 
     # Viewers.
     num_viewers: int = 1000
-    inbound_mbps: float = 12.0
     outbound: BandwidthDistribution = field(
         default_factory=lambda: BandwidthDistribution.uniform(0.0, 12.0)
     )
@@ -244,7 +243,6 @@ class ExperimentConfig:
         return WorkloadConfig(
             num_viewers=self.num_viewers,
             outbound=self.outbound,
-            inbound_mbps=self.inbound_mbps,
             num_views=self.num_views,
             view_popularity_alpha=self.view_popularity_alpha,
             arrival_rate_per_second=self.arrival_rate_per_second,

@@ -160,7 +160,8 @@ def scale1m_sweep() -> SweepSpec:
     populations near the ``scale100k`` regime.  TeleCast only; run with
     ``--jobs 1`` like ``scale100k``.  Budget hours, not minutes, for
     the full curve -- ``benchmarks/bench_scale_parallel.py --scale1m``
-    measures the single 1M point with gates if that is all you need.
+    measures the single 1M point with gates, into ``BENCH_scale1m.json``,
+    if that is all you need.
     """
     return SweepSpec(
         name="scale1m",

@@ -20,6 +20,9 @@ from repro.model.viewer import Viewer
 from repro.sim.rng import SeededRandom
 from repro.util.validation import require, require_non_negative, require_positive
 
+#: Inbound capacity of every viewer: the paper's 12 Mbps (Section VII).
+VIEWER_INBOUND_MBPS = 12.0
+
 
 @dataclass(frozen=True)
 class BandwidthDistribution:
@@ -99,8 +102,6 @@ class WorkloadConfig:
         Population size.
     outbound:
         Distribution of outbound capacities.
-    inbound_mbps:
-        Inbound capacity of every viewer (12 Mbps in the paper).
     num_views:
         Number of distinct candidate global views viewers choose from.
     view_popularity_alpha:
@@ -124,7 +125,6 @@ class WorkloadConfig:
     outbound: BandwidthDistribution = field(
         default_factory=lambda: BandwidthDistribution.uniform(0.0, 12.0)
     )
-    inbound_mbps: float = 12.0
     num_views: int = 1
     view_popularity_alpha: float = 1.0
     arrival_rate_per_second: Optional[float] = None
@@ -137,7 +137,6 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_viewers <= 0:
             raise ValueError("num_viewers must be > 0")
-        require_positive(self.inbound_mbps, "inbound_mbps")
         if self.arrival_rate_per_second is not None:
             require_non_negative(self.arrival_rate_per_second, "arrival_rate_per_second")
         if self.num_views <= 0:
@@ -217,7 +216,7 @@ class ViewerWorkload:
             if owned is None or owned(index, viewer_id):
                 yield Viewer(
                     viewer_id=viewer_id,
-                    inbound_capacity_mbps=cfg.inbound_mbps,
+                    inbound_capacity_mbps=VIEWER_INBOUND_MBPS,
                     outbound_capacity_mbps=sample,
                     buffer_duration=cfg.buffer_duration,
                     cache_duration=cfg.cache_duration,

@@ -9,11 +9,16 @@ two purposes only:
   replays identical operation sequences through this class and the
   indexed :class:`~repro.core.topology.StreamTree` and asserts
   bit-identical results and tree shapes, and
-* ``benchmarks/bench_scale.py`` swaps it in to measure the join-phase
-  speedup of the indexed implementation against the pre-refactor path.
+* ``benchmarks/bench_scale.py`` swaps it in at ``repro.core.group`` to
+  measure the join-phase speedup of the indexed implementation against
+  the pre-refactor path (``tests/test_core_topology.py`` pins that the
+  swapped-in join phase places every viewer as the live tree does).
 
-Do not use it in production code and do not "fix" it -- behaviour
-changes here silently weaken the equivalence guarantee.
+The controllers keep a viewer's subscription on its tree node, so the
+node carries the one read-only view they need, ``via_cdn``; the
+subscription fields they write are plain attributes.  Do not use it in
+production code and do not "fix" it -- behaviour changes here silently
+weaken the equivalence guarantee.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ class TreeNode:
     def free_slots(self) -> int:
         """Number of unfilled child slots."""
         return max(0, self.out_degree - len(self.children))
+
+    @property
+    def via_cdn(self) -> bool:
+        """Whether the CDN feeds this node directly."""
+        return self.parent_id == CDN_NODE_ID
 
 
 @dataclass(frozen=True)

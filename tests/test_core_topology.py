@@ -371,3 +371,33 @@ class TestRootPositionIndex:
         tree._root_positions["leaf-0"], tree._root_positions["leaf-1"] = 1, 0
         with pytest.raises(AssertionError, match="root position index"):
             tree.validate()
+
+
+class TestReferenceTreeSwap:
+    """``bench_scale.py``'s reference leg: the frozen tree under the live controllers."""
+
+    @staticmethod
+    def _join_phase(tree_class, monkeypatch):
+        import repro.core.group as group_module
+        from repro.experiments.config import PAPER_CONFIG
+        from repro.experiments.runner import build_scenario, build_telecast_system
+
+        config = PAPER_CONFIG.with_scaled_population(200, num_lscs=3, num_views=1)
+        scenario = build_scenario(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(group_module, "StreamTree", tree_class)
+            system = build_telecast_system(scenario)
+            by_id = {viewer.viewer_id: viewer for viewer in scenario.viewers}
+            for event in sorted(scenario.events, key=lambda e: (e.time, e.viewer_id)):
+                if event.kind == "join":
+                    view = scenario.views[event.view_index % len(scenario.views)]
+                    system.join_viewer(by_id[event.viewer_id], view, event.time)
+        snapshot = system.snapshot()
+        return snapshot.acceptance_ratio, snapshot.num_viewers
+
+    def test_swapped_in_reference_places_like_the_live_tree(self, monkeypatch):
+        from reference_topology import ReferenceStreamTree
+
+        live = self._join_phase(StreamTree, monkeypatch)
+        assert live[1] > 0
+        assert self._join_phase(ReferenceStreamTree, monkeypatch) == live

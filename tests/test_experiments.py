@@ -29,7 +29,7 @@ from repro.experiments.reporting import (
     paper_vs_measured,
 )
 from repro.experiments.runner import run_random_scenario, run_telecast_scenario
-from repro.traces.workload import BandwidthDistribution
+from repro.traces.workload import VIEWER_INBOUND_MBPS, BandwidthDistribution
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ class TestExperimentConfig:
         assert PAPER_CONFIG.cameras_per_site == 8
         assert PAPER_CONFIG.stream_bandwidth_mbps == 2.0
         assert PAPER_CONFIG.streams_per_view == 6
-        assert PAPER_CONFIG.inbound_mbps == 12.0
+        assert VIEWER_INBOUND_MBPS == 12.0
         assert PAPER_CONFIG.cdn_capacity_mbps == 6000.0
         assert PAPER_CONFIG.cdn_delta == 60.0
         assert PAPER_CONFIG.d_max == 65.0

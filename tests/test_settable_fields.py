@@ -70,13 +70,7 @@ SCANNED = ("src", "examples", "benchmarks", "tools")
 CLASSES = (ExperimentConfig, DataPlaneConfig, ServeConfig)
 
 #: ``Class.field`` names nobody sets that stay, each with the reason.
-ALLOW_LIST: Dict[str, str] = {
-    "ExperimentConfig.inbound_mbps": (
-        "the paper's 12 Mbps viewer inbound capacity (Section VII); only "
-        "ExperimentConfig.workload_config forwards it.  Deleting the field "
-        "moves every config hash the smoke baseline pins (ROADMAP open items)"
-    ),
-}
+ALLOW_LIST: Dict[str, str] = {}
 
 
 def _set_names(node: ast.AST) -> Iterator[str]:
