@@ -29,11 +29,21 @@ between control events, per-viewer playout accounting
 :class:`~repro.core.adaptation.AdaptationManager`.  With
 ``bandwidth_headroom=None`` and zero loss its chunks go through the same
 constant-delay function, one call per :data:`BATCH_QUANTUM`.
+
+Results are stored by edge, one :data:`Lane` each: the edge's frames and
+an ``array('d')`` of 8-byte replay-relative arrival times, one per frame
+sent, with :data:`LOST` (``-inf``; a real arrival is ``>= 0``) for a
+lost frame.  Per-viewer queries (:meth:`PlaybackReport.skews_for`) read
+the lanes.  The per-frame :class:`DeliveryRecord` rows are built, and
+sorted once, on the first read of a row of
+:attr:`PlaybackReport.deliveries`; counting them reads the lanes.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import count, repeat
@@ -78,10 +88,16 @@ class DeliveryRecord(NamedTuple):
 #: before the next control event.
 BATCH_QUANTUM = 1.0
 
+#: The arrival of a lost frame.  It compares equal to itself (NaN would
+#: not, and arrival columns are compared), and no delivered frame arrives
+#: before the replay epoch.
+LOST = -math.inf
+
 #: One edge's results: ``(viewer_id, stream_id, frames, arrivals)``, where
-#: ``arrivals[i]`` is the replay-relative delivery time of ``frames[i]``
-#: (``None`` if it was lost) for every frame sent on the edge.
-Lane = Tuple[str, StreamId, Sequence[Frame], List[Optional[float]]]
+#: ``arrivals`` is an ``array('d')`` whose ``arrivals[i]`` is the
+#: replay-relative delivery time of ``frames[i]`` (:data:`LOST` if it was
+#: lost) for every frame sent on the edge.
+Lane = Tuple[str, StreamId, Sequence[Frame], "array[float]"]
 
 
 def _delivery_records(lanes_by_viewer: Dict[str, List[Lane]]) -> List[DeliveryRecord]:
@@ -100,32 +116,67 @@ def _delivery_records(lanes_by_viewer: Dict[str, List[Lane]]) -> List[DeliveryRe
         for viewer_id in sorted(lanes_by_viewer)
         for _, stream_id, frames, arrivals in lanes_by_viewer[viewer_id]
         for frame, arrival in zip(frames, arrivals)
-        if arrival is not None
+        if arrival != LOST
     ]
     records.sort(key=itemgetter(4))
     return records
 
 
+class Deliveries(SequenceABC):
+    """A report's frame deliveries, sorted by ``(delivery_time, viewer_id)``.
+
+    ``len()`` and ``bool()`` count the delivered arrivals of the lanes.
+    Iterating, indexing or comparing builds the :class:`DeliveryRecord`
+    rows (:func:`_delivery_records`) on first use and keeps them.
+    """
+
+    __slots__ = ("_lanes", "_rows")
+
+    def __init__(self, lanes_by_viewer: Dict[str, List[Lane]]) -> None:
+        self._lanes = lanes_by_viewer
+        self._rows: Optional[List[DeliveryRecord]] = None
+
+    def _built(self) -> List[DeliveryRecord]:
+        if self._rows is None:
+            self._rows = _delivery_records(self._lanes)
+        return self._rows
+
+    def __len__(self) -> int:
+        if self._rows is not None:
+            return len(self._rows)
+        return sum(
+            len(arrivals) - arrivals.count(LOST)
+            for lanes in self._lanes.values()
+            for _, _, _, arrivals in lanes
+        )
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Deliveries):
+            other = other._built()
+        return self._built() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class PlaybackReport:
     """Result of replaying a trace through the overlay, stored by edge.
 
-    Per-viewer queries read that viewer's lanes; the per-frame
-    :class:`DeliveryRecord` list is built on the first read of
-    :attr:`deliveries`.
+    Per-viewer queries read that viewer's lanes; ``deliveries`` (a
+    :class:`Deliveries`) builds the per-frame rows on their first read.
     """
 
     def __init__(self, lanes: Iterable[Lane]) -> None:
         self._lanes: Dict[str, List[Lane]] = {}
         for lane in lanes:
             self._lanes.setdefault(lane[0], []).append(lane)
-        self._deliveries: Optional[List[DeliveryRecord]] = None
-
-    @property
-    def deliveries(self) -> List[DeliveryRecord]:
-        """Every frame delivery, sorted by (delivery_time, viewer_id)."""
-        if self._deliveries is None:
-            self._deliveries = _delivery_records(self._lanes)
-        return self._deliveries
+        #: Every frame delivery, sorted by (delivery_time, viewer_id).
+        self.deliveries = Deliveries(self._lanes)
 
     def skews_for(
         self, viewer_id: str, playout_point: float
@@ -145,17 +196,18 @@ class PlaybackReport:
         when the viewer received fewer than two streams.
         """
         columns = [
-            [None if at is None else at - f.capture_time for f, at in zip(frames, arrivals)]
+            [at - f.capture_time for f, at in zip(frames, arrivals)]
             for _, _, frames, arrivals in self._lanes.get(viewer_id, ())
-            if arrivals.count(None) < len(arrivals)
+            if arrivals.count(LOST) < len(arrivals)
         ]
         if len(columns) < 2:
             return None, None
         skew = playout_skew = 0.0
         for delays in zip(*columns):
-            if None in delays:
-                continue
             fastest = min(delays)
+            if fastest == LOST:
+                # Lost on some stream (LOST minus a capture time is LOST).
+                continue
             slowest = max(delays)
             if slowest - fastest > skew:
                 skew = slowest - fastest
@@ -224,9 +276,7 @@ class OverlayDataPlane:
             _deliver_constant_delay(
                 edge, edge.frames, node.effective_delay or node.end_to_end_delay
             )
-        report = PlaybackReport(_lanes(edges))
-        report.deliveries  # the sorted list is this plane's product: build it here
-        return report
+        return PlaybackReport(_lanes(edges))
 
 
 @dataclass(frozen=True)
@@ -347,11 +397,11 @@ class QoEReport:
     streams_dropped: int = 0
 
     @property
-    def deliveries(self) -> List[DeliveryRecord]:
+    def deliveries(self) -> Deliveries:
         """The frame deliveries, sorted by (delivery_time, viewer_id).
 
-        Built from the playback lanes on first read; the replay itself
-        never reads it.
+        The rows are built from the playback lanes on their first read;
+        the replay itself never reads one.
         """
         return self.playback.deliveries
 
@@ -418,7 +468,7 @@ class _EdgeState:
         self.session = session
         self.viewer = session.viewer
         self.frames = frames
-        self.arrivals: List[Optional[float]] = []
+        self.arrivals = array("d")
         self.index = 0
         self.deadline = deadline
         self.first_delivery: Optional[float] = None
@@ -545,18 +595,24 @@ def _send_chunk(
     Each frame enters ``link`` at ``epoch + capture_time``, starts when
     the link is free (FIFO), occupies it ``size_megabits / rate_mbps``
     seconds and arrives ``path_delay`` later; a lost frame still takes
-    its link time.  The fates are drawn once per chunk, in frame order,
-    from the link's own RNG, so no chunk split moves a draw.  The
-    replay-relative arrival ``free_at + path_delay - epoch`` (``None``
-    if lost) goes straight into the edge's arrival column, and the same
-    loop does the playout accounting and picks what the gateway buffer
-    takes (see :func:`_deliver_constant_delay`).  The link, channel and
-    edge counters are written once per chunk.
+    its link time.  The fates are the link's next ``len(chunk)`` stored
+    ones (drawn when the link was created), so no chunk split moves a
+    draw.  The replay-relative arrival ``free_at + path_delay - epoch``
+    (:data:`LOST` if lost) goes straight into the edge's arrival column,
+    and the same loop does the playout accounting and picks what the
+    gateway buffer takes (see :func:`_deliver_constant_delay`).  The
+    link, channel and edge counters are written once per chunk.
     """
     rate = link.rate_mbps
     free_at = link.free_at
     count = len(chunk)
-    fates = repeat(False) if link.loss is None else link.loss.draw(link.rng, count)
+    fates = link.fates
+    if fates is None:
+        fates = repeat(0)
+    else:
+        cursor = link.cursor
+        fates = fates[cursor : cursor + count]
+        link.cursor = cursor + count
     buffer = edge.viewer.buffer_for(edge.stream_id)
     latest = buffer.latest_frame()
     floor = latest.frame_number if latest is not None else -1
@@ -579,7 +635,7 @@ def _send_chunk(
         if rate is not None:
             free_at += frame.size_megabits / rate
         if dropped:
-            arrive(None)
+            arrive(LOST)
             lost += 1
             gap_len += 1
             continue
@@ -738,7 +794,13 @@ class SimulatedDataPlane:
                     if headroom is not None:
                         stream = edge.session.view.stream_by_id[edge.stream_id]
                         rate = headroom * stream.bandwidth_mbps
-                    edge.link = channel.link(node.parent_id, edge.viewer_id, edge.stream_id, rate)
+                    edge.link = channel.link(
+                        node.parent_id,
+                        edge.viewer_id,
+                        edge.stream_id,
+                        rate,
+                        len(edge.frames) - edge.index,
+                    )
                     edge.link_parent = node.parent_id
                 window[edge] = (edge.index, node.effective_delay or node.end_to_end_delay)
             frames = edge.frames

@@ -23,11 +23,12 @@ state of the two effects the control plane does not model -- per-edge
 bandwidth-constrained serialization (queueing at the parent's reserved
 forwarding bin, :class:`DataLink`) and loss.  Loss is one process, the
 two-state Gilbert-Elliott channel (:class:`LossProcess`), set by a mean
-loss rate and a mean burst length; burst length 1 is i.i.d. loss.  The
-channel holds state only: :mod:`repro.core.dataplane` serializes a chunk
-of a stream's :class:`~repro.model.stream.Frame` objects over a link in
-the same loop that plays them out (there is no per-frame message object
-or call).
+loss rate and a mean burst length; burst length 1 is i.i.d. loss.  A
+link's fates are drawn when the link is created and stored one byte a
+frame; no link keeps a generator.  The channel holds state only:
+:mod:`repro.core.dataplane` serializes a chunk of a stream's
+:class:`~repro.model.stream.Frame` objects over a link in the same loop
+that plays them out (there is no per-frame message object or call).
 """
 
 from __future__ import annotations
@@ -402,25 +403,21 @@ class DataLink:
     (:func:`repro.core.bandwidth.allocate_outbound`), so each subscription
     edge serializes its frames over its own FIFO link of ``rate_mbps``
     (``None`` models an unconstrained link: zero serialization delay).
-    State only: ``free_at`` is when the link finishes its last frame, and
-    ``loss`` draws fates from the link's own ``rng``.
+    State only: ``free_at`` is when the link finishes its last frame.  A
+    lossy link holds its frames' fates, one byte each (nonzero = lost),
+    and ``cursor`` is the first fate not yet used; a lossless link has
+    ``fates=None``.
     """
 
-    __slots__ = ("rate_mbps", "free_at", "rng", "loss")
+    __slots__ = ("rate_mbps", "free_at", "fates", "cursor")
 
-    def __init__(
-        self,
-        rate_mbps: Optional[float],
-        *,
-        loss: Optional[LossProcess] = None,
-        rng: Optional[SeededRandom] = None,
-    ) -> None:
+    def __init__(self, rate_mbps: Optional[float], *, fates: Optional[bytes] = None) -> None:
         if rate_mbps is not None and rate_mbps <= 0:
             raise ValueError(f"rate_mbps must be > 0 or None, got {rate_mbps}")
         self.rate_mbps = rate_mbps
-        self.loss = loss
         self.free_at = 0.0
-        self.rng = rng
+        self.fates = fates
+        self.cursor = 0
 
 
 class DataChannel:
@@ -429,9 +426,12 @@ class DataChannel:
     Links are created on first use and keyed by
     ``(src, dst, stream_id)``; a subscription that is re-parented mid-
     replay (CDN re-provision) therefore starts on a fresh link while the
-    old parent's bin drains.  Each link of a lossy channel runs its own
-    :class:`LossProcess` on its own deterministically forked RNG, so edge
-    outcomes are independent of the order in which other edges transmit.
+    old parent's bin drains, and one re-parented back carries on where
+    its old link stopped.  A lossy link's fates are drawn when it is
+    created, for every frame its edge has still to send: its own
+    :class:`LossProcess` walks them on an RNG forked from the channel's by
+    creation index, and both are then dropped.  Edge outcomes are
+    therefore independent of the order in which other edges transmit.
     """
 
     def __init__(
@@ -448,20 +448,25 @@ class DataChannel:
         self.lost = 0
 
     def link(
-        self, src: str, dst: str, stream_id: Any, rate_mbps: Optional[float]
+        self,
+        src: str,
+        dst: str,
+        stream_id: Any,
+        rate_mbps: Optional[float],
+        frames: int,
     ) -> DataLink:
-        """Get (creating on first use) the link of one subscription edge."""
+        """Get (creating on first use) the link of one subscription edge.
+
+        ``frames`` is how many frames the edge has still to send; a new
+        lossy link draws that many fates.
+        """
         key = (src, dst, stream_id)
         existing = self._links.get(key)
         if existing is not None:
             return existing
+        fates = None
         if self.loss_rate > 0.0:
-            created = DataLink(
-                rate_mbps,
-                loss=LossProcess(self.loss_rate, self.mean_burst_length),
-                rng=self._rng.fork(len(self._links)),
-            )
-        else:
-            created = DataLink(rate_mbps)
-        self._links[key] = created
+            loss = LossProcess(self.loss_rate, self.mean_burst_length)
+            fates = bytes(loss.draw(self._rng.fork(len(self._links)), frames))
+        created = self._links[key] = DataLink(rate_mbps, fates=fates)
         return created

@@ -48,6 +48,7 @@ from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.core import dataplane
 from repro.core.dataplane import (
+    LOST,
     DeliveryRecord,
     Lane,
     PlaybackReport,
@@ -70,8 +71,9 @@ def link_transmit_chunk(
     """``DataLink.transmit_chunk``: absolute delivery times, ``None`` if lost."""
     rate = link.rate_mbps
     free_at = link.free_at
-    if link.loss is not None and link.rng is not None:
-        fates = link.loss.draw(link.rng, len(frames))
+    if link.fates is not None:
+        fates = link.fates[link.cursor : link.cursor + len(frames)]
+        link.cursor += len(frames)
     else:
         fates = repeat(False)
     delivered_at: List[Optional[float]] = []
@@ -117,12 +119,12 @@ def transmit_link_chunk(
     gap_len = edge.gap_len
     prev_ok = edge.prev_ok
     late = 0
-    arrivals = [None if at is None else at - t0 for at in delivered_at]
+    arrivals = [LOST if at is None else at - t0 for at in delivered_at]
     edge.arrivals.extend(arrivals)
     held_frames: List[Frame] = []
     held_arrivals: List[float] = []
     for frame, delivery_rel in zip(chunk, arrivals):
-        if delivery_rel is None:
+        if delivery_rel == LOST:
             gap_len += 1
             continue
         frame_number = frame.frame_number
@@ -227,7 +229,9 @@ class PerChunkSimulatedDataPlane(SimulatedDataPlane):
                     else cfg.bandwidth_headroom
                     * edge.session.view.stream_by_id[edge.stream_id].bandwidth_mbps
                 )
-                edge.link = channel.link(parent_id, edge.viewer_id, edge.stream_id, rate)
+                edge.link = channel.link(
+                    parent_id, edge.viewer_id, edge.stream_id, rate, total - index
+                )
                 edge.link_parent = parent_id
             _send_chunk(channel, edge.link, edge, frames[index:stop], self._t0, delay)
 
@@ -248,7 +252,7 @@ def tuple_key_delivery_records(lanes: Iterable[Lane]) -> List[DeliveryRecord]:
         DeliveryRecord(viewer_id, stream_id, frame.frame_number, frame.capture_time, arrival)
         for viewer_id, stream_id, frames, arrivals in lanes
         for frame, arrival in zip(frames, arrivals)
-        if arrival is not None
+        if arrival != LOST
     ]
     records.sort(key=itemgetter(4, 0))
     return records

@@ -15,12 +15,18 @@ Covers the properties the tentpole promises:
   simulated data plane ran.
 * **Skew samples** -- the inter-stream skew reads only frames delivered
   on every received stream, up to the shortest lane.
+* **Replay bytes** -- a lossy replay keeps a bounded number of traced
+  bytes per frame sent, and no link keeps a random generator.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+import random
+import tracemalloc
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -106,7 +112,7 @@ def _send(channel, link, frames, *, path_delay, edge=None):
         edge = _edge(frames)
     sent = len(edge.arrivals)
     dataplane._send_chunk(channel, link, edge, frames, 0.0, path_delay)
-    return edge.arrivals[sent:]
+    return list(edge.arrivals[sent:])
 
 
 class TestDataMessagePlumbing:
@@ -136,28 +142,28 @@ class TestDataMessagePlumbing:
         outcomes = []
         for _ in range(2):
             channel = _channel(0.5, seed=7)
-            link = channel.link("p", "v", "s", 2.0)
+            link = channel.link("p", "v", "s", 2.0, len(frames))
             deliveries = _send(channel, link, frames, path_delay=0.0)
             outcomes.append((tuple(deliveries), channel.sent, channel.lost))
         assert outcomes[0] == outcomes[1]
         deliveries, sent, lost = outcomes[0]
         assert sent == 20
         assert 0 < lost < 20
-        assert deliveries.count(None) == lost
+        assert deliveries.count(dataplane.LOST) == lost
         # Lost frames still occupied the link: every survivor arrives
         # exactly when a lossless link of the same rate delivers it.
         lossless = _send(_channel(), DataLink(2.0), frames, path_delay=0.0)
-        assert all(d is None or d == t for d, t in zip(deliveries, lossless))
+        assert all(d == dataplane.LOST or d == t for d, t in zip(deliveries, lossless))
 
     def test_channel_counters_fold_once_per_chunk(self):
         channel = _channel(0.4, seed=3)
-        link = channel.link("p", "v", STREAM, 2.0)
         frames = _frames([number * 0.05 for number in range(30)])
+        link = channel.link("p", "v", STREAM, 2.0, len(frames))
         edge = _edge(frames)
         delivered_at = _send(channel, link, frames[:10], path_delay=0.0, edge=edge)
         delivered_at += _send(channel, link, frames[10:], path_delay=0.0, edge=edge)
         assert channel.sent == 30
-        assert channel.lost == delivered_at.count(None) > 0
+        assert channel.lost == delivered_at.count(dataplane.LOST) > 0
         assert channel.delivered == 30 - channel.lost
         assert (edge.expected, edge.lost, edge.delivered) == (
             30,
@@ -197,8 +203,8 @@ class TestDataMessagePlumbing:
             for edge in plane._edges
             if (edge.viewer_id, edge.stream_id) == (viewer_id, stream_id)
         )
-        old = plane._channel.link(old_parent, viewer_id, stream_id, None)
-        new = plane._channel.link("p2", viewer_id, stream_id, None)
+        old = plane._channel._links[old_parent, viewer_id, stream_id]
+        new = plane._channel._links["p2", viewer_id, stream_id]
         assert edge.link is new and new is not old
         assert edge.link_parent == "p2"
         # The old link carried the chunks up to the one at 2.0 (frames
@@ -296,7 +302,7 @@ class TestOfflineEquivalence:
         gap = frames[3].capture_time - frames[2].capture_time
         shorter = 1.0 - 1.5 * gap  # frame 3 too early, frame 4 on time
         dataplane._deliver_constant_delay(edge, frames[3:], shorter)
-        assert edge.arrivals == [frame.capture_time + 1.0 for frame in frames[:3]] + [
+        assert list(edge.arrivals) == [frame.capture_time + 1.0 for frame in frames[:3]] + [
             frame.capture_time + shorter for frame in frames[3:]
         ]
         records = dataplane.PlaybackReport(dataplane._lanes([edge])).deliveries
@@ -521,10 +527,13 @@ def _skew_report(*delay_columns):
     for site, delays in enumerate(delay_columns):
         stream_id = StreamId(f"site-{site}", 0)
         frames = [Frame(stream_id, number, 0.25 * number) for number in range(len(delays))]
-        arrivals = [
-            None if delay is None else frame.capture_time + delay
-            for frame, delay in zip(frames, delays)
-        ]
+        arrivals = array(
+            "d",
+            (
+                dataplane.LOST if delay is None else frame.capture_time + delay
+                for frame, delay in zip(frames, delays)
+            ),
+        )
         lanes.append(("v", stream_id, frames, arrivals))
     return dataplane.PlaybackReport(lanes)
 
@@ -551,6 +560,59 @@ class TestSkewSamples:
         for report in (one_stream, all_lost_second):
             assert report.skews_for("v", 0.0) == (None, None)
         assert _skew_report().skews_for("v", 0.0) == (None, None)
+
+
+class TestReplayByteBudget:
+    """What a lossy replay keeps, in traced bytes per frame sent."""
+
+    #: The 30-viewer overlay at 240 frames a stream and 2 % loss keeps
+    #: 48.5 B a frame sent: its frames (~17, shared by a stream's
+    #: subscribers), the gateway buffers (~16: a frame pointer and an
+    #: 8-byte receive time a held frame), the 8-byte arrival column, the
+    #: 1-byte stored fate and the per-edge state.  It kept 84.5 while an
+    #: arrival was a float object (32 B) and each lossy link held its own
+    #: ~2.5 KiB Mersenne Twister (10.5 B a frame here).  The budget fails
+    #: either of those alone and leaves ~15 % for interpreter versions.
+    BYTES_PER_FRAME_SENT = 56
+
+    def test_a_lossy_replay_keeps_few_bytes_per_frame_sent(self):
+        system, trace = _joined_system(SMALL_CONFIG)
+        plane = SimulatedDataPlane(
+            system,
+            trace,
+            DataPlaneConfig(
+                loss_rate=0.02, refresh_interval=5.0, max_frames_per_stream=240, seed=7
+            ),
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = plane.run()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.frames_sent > 30_000 and report.frames_lost > 0
+        assert kept <= self.BYTES_PER_FRAME_SENT * report.frames_sent
+
+    def test_no_link_keeps_a_generator(self):
+        system, trace = _joined_system(SMALL_CONFIG)
+        plane = SimulatedDataPlane(
+            system,
+            trace,
+            DataPlaneConfig(loss_rate=0.05, mean_burst_length=3.0, max_frames_per_stream=60),
+        )
+        plane.run()
+        links = list(plane._channel._links.values())
+        assert links and all(isinstance(link.fates, bytes) for link in links)
+        generators = (SeededRandom, random.Random, LossProcess)
+        assert not [
+            held
+            for link in links
+            for held in gc.get_referents(link)
+            if isinstance(held, generators)
+        ]
 
 
 class TestObservedDelayFeedback:

@@ -36,6 +36,7 @@ import copy
 import dataclasses
 import json
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -578,14 +579,15 @@ class TestChunkedLinkEquivalence:
         bounds = [0, *sorted(cut for cut in cuts if cut < len(frames)), len(frames)]
         for splits in (bounds, list(range(len(frames) + 1)), [0, len(frames)]):
             loss, rng = make_link()
-            channel, link = _lossy_channel(None, 0), DataLink(rate, loss=loss, rng=rng)
+            fates = None if loss is None else bytes(loss.draw(rng, len(frames)))
+            channel, link = _lossy_channel(None, 0), DataLink(rate, fates=fates)
             edge = _link_edge(frames, float("inf"))
             for start, stop in zip(splits, splits[1:]):
                 dataplane._send_chunk(
                     channel, link, edge, frames[start:stop], epoch, path_delay
                 )
-            assert edge.arrivals == [
-                None if at is None else at - epoch for at in expected
+            assert list(edge.arrivals) == [
+                dataplane.LOST if at is None else at - epoch for at in expected
             ]
             assert link.free_at == expected_free_at
 
@@ -648,7 +650,7 @@ class TestChunkedLinkEquivalence:
         sides = []
         for step in (dataplane._send_chunk, reference_dataplane.transmit_link_chunk):
             channel = _lossy_channel(burst, seed)
-            link = channel.link("parent", "child", LINK_STREAM, rate)
+            link = channel.link("parent", "child", LINK_STREAM, rate, len(frames))
             edge = _link_edge(frames, deadline)
             buffer = edge.viewer.buffer_for(LINK_STREAM)
             # A pre-filled buffer: the first frames were already received
@@ -888,7 +890,8 @@ def _order_lanes(spec):
     for index, (viewer_id, arrivals) in enumerate(spec):
         stream_id = StreamId(f"site-{index}", 0)
         frames = [Frame(stream_id, number, 0.1 * number) for number in range(len(arrivals))]
-        lanes.append((viewer_id, stream_id, frames, list(arrivals)))
+        column = array("d", (dataplane.LOST if at is None else at for at in arrivals))
+        lanes.append((viewer_id, stream_id, frames, column))
     return lanes
 
 

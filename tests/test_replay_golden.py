@@ -16,13 +16,14 @@ for every plane, from the simulated replay and from the engine-free
 :meth:`~repro.core.dataplane.OverlayDataPlane.replay` at the same frame
 count.  It was captured on the code that appended one record per frame.
 
-A replay stores one arrival float per frame sent, by edge, and builds the
-per-frame records only when ``deliveries`` is read; the allocation guard
-below holds it to that (the per-frame code left 2.17 GC-tracked objects
-behind per delivered frame on the guard's replay).  Ordering the records
-on that first read allocates no key per record: the rows are built in
-viewer order and sorted on the float delivery time alone, and the sort
-guard below holds the transient bytes to the sort's pointer arrays.
+A replay stores one 8-byte arrival per frame sent, by edge, and builds
+the per-frame records only when a row of ``deliveries`` is read (its
+``len()`` counts the lanes); the allocation guard below holds it to that
+(the per-frame code left 2.17 GC-tracked objects behind per delivered
+frame on the guard's replay).  Ordering the records on that first read
+allocates no key per record: the rows are built in viewer order and
+sorted on the float delivery time alone, and the sort guard below holds
+the transient bytes to the sort's pointer arrays.
 
 Both files were re-captured, by one rule, when the CDN became one
 aggregate ledger: this 30-viewer world's 180 Mbps CDN had been split
@@ -219,10 +220,11 @@ def test_ordering_the_report_builds_no_key_per_delivery():
     tracemalloc.start()
     try:
         deliveries = report.deliveries
+        deliveries[0]  # the first row read builds and sorts every row
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(deliveries) > 30_000
+    assert deliveries._rows is not None and len(deliveries) > 30_000
     assert peak - current <= SORT_BYTES_PER_DELIVERY * len(deliveries)
 
 
@@ -237,10 +239,34 @@ def test_no_delivery_record_exists_until_deliveries_is_read(monkeypatch):
     monkeypatch.setattr(dataplane, "DeliveryRecord", counted)
     system, trace = joined_world()
     report = SimulatedDataPlane(system, trace, PLANES["bernoulli_2pct_refresh"]).run()
-    assert report.per_viewer and not built
     deliveries = report.deliveries
-    assert len(built) == len(deliveries) == report.frames_delivered
-    assert report.deliveries is deliveries
+    # Counting reads the lanes: len() and bool() build no record.
+    counted = len(deliveries)
+    assert report.per_viewer and deliveries and not built
+    rows = list(deliveries)
+    assert len(built) == len(rows) == counted == report.frames_delivered
+    assert report.deliveries is deliveries and len(deliveries) == counted
+
+
+@pytest.mark.parametrize("side", ["simulated", "offline"])
+def test_counted_deliveries_are_the_rows(side):
+    # On the lossy plane, so the simulated lanes hold lost frames.
+    plane = PLANES["bernoulli_2pct_refresh"]
+    system, trace = joined_world()
+    if side == "simulated":
+        report = SimulatedDataPlane(system, trace, plane).run()
+        assert report.frames_lost > 0
+        delivered = report.frames_delivered
+    else:
+        report = OverlayDataPlane(system, trace).replay(
+            max_frames_per_stream=plane.max_frames_per_stream
+        )
+        delivered = json.loads(ORDER_PATH.read_text())[
+            "bernoulli_2pct_refresh"
+        ]["offline_deliveries"]
+    counted = len(report.deliveries)
+    assert counted == len(list(report.deliveries)) == delivered
+    assert len(report.deliveries) == delivered
 
 
 def test_a_replay_generates_only_the_frames_it_replays(monkeypatch):
