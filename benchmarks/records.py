@@ -85,8 +85,8 @@ def write(
     for entry in gates:
         verdict = ("ok" if entry["passed"] else "FAIL") if entry["armed"] else "report-only"
         print(
-            f"gate {entry['name']}: {entry['value']:.2f} "
-            f"(at least {entry['threshold']:.2f}): {verdict}"
+            f"gate {entry['name']}: {entry['value']:.4g} "
+            f"(at least {entry['threshold']:.4g}): {verdict}"
         )
         failed = failed or (entry["armed"] and not entry["passed"])
     return 1 if failed else 0

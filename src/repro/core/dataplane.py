@@ -267,7 +267,7 @@ class OverlayDataPlane:
         position plus any deliberate layer push-down).  Frames are also
         inserted into the viewer's gateway buffers so buffer/cache behaviour
         can be inspected afterwards; replaying again on the same system
-        inserts nothing (the buffers already hold every frame).  The
+        inserts nothing (each buffer already holds the newest frame).  The
         report is sorted by (delivery_time, viewer_id).
         """
         edges = _collect_edges(self.system, self.trace, max_frames_per_stream)
@@ -551,7 +551,10 @@ def _deliver_constant_delay(
     whose arrival would precede an already-buffered one (a re-provision
     shortened the path mid-replay), is skipped, so buffer contents track
     the arrivals frame for frame.  Frames are in capture order and arrive
-    in that order, so the skipped frames are a prefix of the batch.
+    in that order, so the skipped frames are a prefix of the batch.  The
+    buffer then evicts what arrived more than ``d_buff + d_cache`` before
+    its newest frame (:meth:`~repro.model.viewer.StreamBuffer.evict_expired`),
+    so it keeps the forwarding horizon, not the whole replay.
     """
     arrivals = [frame.capture_time + delay for frame in batch]
     edge.arrivals.extend(arrivals)
@@ -566,6 +569,7 @@ def _deliver_constant_delay(
     if skip < len(batch):
         buffer.extend(batch[skip:], arrivals[skip:])
         edge.last_received = arrivals[-1]
+        buffer.evict_expired(arrivals[-1])
     count = len(batch)
     edge.expected += count
     edge.delivered += count
@@ -663,7 +667,9 @@ def _send_chunk(
             first_delivery = delivery_rel
         window_sum += observed
     link.free_at = free_at
-    buffer.extend(held_frames, held_arrivals)
+    if held_frames:
+        buffer.extend(held_frames, held_arrivals)
+        buffer.evict_expired(last_received)
     delivered = count - lost
     channel.sent += count
     channel.lost += lost

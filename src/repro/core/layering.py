@@ -59,6 +59,9 @@ class DelayLayerConfig:
         if self.kappa < 2:
             raise ValueError(f"kappa must be >= 2, got {self.kappa}")
         require_positive(self.d_max, "d_max")
+        if math.isinf(self.d_max):
+            # No layer bound: the largest layer index would be infinite.
+            raise ValueError(f"d_max must be finite, got {self.d_max}")
         if self.d_max <= self.delta:
             raise ValueError(
                 f"d_max ({self.d_max}) must exceed the CDN delay Delta ({self.delta})"

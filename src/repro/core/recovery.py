@@ -26,7 +26,8 @@ events an explicit subsystem with three parts:
   direct CDN subscription only when no forwarding capacity remains.  The
   alternative -- tearing the orphaned subtrees down and pushing every
   affected viewer through the full join pipeline again -- is the baseline
-  ``benchmarks/bench_churn_recovery.py`` builds to quantify the benefit.
+  that the ``churn.*`` rows of ``benchmarks/bench_claims.py`` time it
+  against.
 * **LSC failover** -- when a Local Session Controller itself fails, its
   sessions are evicted (:func:`evict_sessions`: CDN share released,
   region mappings collected) and re-admitted at the nearest surviving LSC

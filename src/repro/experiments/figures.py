@@ -1,8 +1,9 @@
 """Regenerate the data series of every figure in the paper's evaluation.
 
 Every function returns a small dataclass holding labelled series in the
-same shape the corresponding figure plots, so the benchmark harness (and
-EXPERIMENTS.md) can print paper-vs-measured tables.  Absolute values are
+same shape the corresponding figure plots, so the claims benchmark
+(``benchmarks/bench_claims.py``) can check and record the paper's
+claims against them.  Absolute values are
 not expected to match the authors' testbed; the qualitative shape (who
 wins, monotonicity, where curves saturate) is what the reproduction
 checks.
@@ -316,7 +317,7 @@ class FigureSpec(NamedTuple):
         return self.formatter(figure, **self.formatter_kwargs)
 
 
-#: Figure id -> spec; the CLI and ``benchmarks/bench_figures.py`` both
+#: Figure id -> spec; the CLI and ``benchmarks/bench_claims.py`` both
 #: regenerate figures through this table.
 FIGURES: Dict[str, FigureSpec] = {
     "13a": FigureSpec(

@@ -1,9 +1,10 @@
 """Textual reports of the regenerated figures and of one run's wall time.
 
-The benchmark harness prints the figure tables so a run of
-``pytest benchmarks/ --benchmark-only`` reproduces, in text form, every
-series the paper plots; the CLI's ``run`` prints the per-phase and
-per-worker breakdowns.
+The CLI's figure mode and the claims benchmark
+(``benchmarks/bench_claims.py``) print the figure tables, so every series
+the paper plots is reproduced in text form; the claims benchmark prints
+its claims as a paper-vs-measured table, and the CLI's ``run`` prints the
+per-phase and per-worker breakdowns.
 """
 
 from __future__ import annotations

@@ -74,11 +74,17 @@ class StreamBuffer:
         return list(zip(self._frames, self._arrivals))
 
     def evict_expired(self, now: float) -> List[Frame]:
-        """Discard frames older than ``d_buff + d_cache`` and return them."""
+        """Discard frames older than ``d_buff + d_cache`` and return them.
+
+        When the oldest frame has not expired this costs one comparison,
+        so a replay can call it after every chunk it buffers.
+        """
         horizon = self.buffer_duration + self.cache_duration
         arrivals = self._arrivals
+        if not arrivals or now - arrivals[0] <= horizon:
+            return []
         held = len(arrivals)
-        expired = 0
+        expired = 1
         while expired < held and now - arrivals[expired] > horizon:
             expired += 1
         evicted = self._frames[:expired]

@@ -27,6 +27,7 @@ being handled.
 from __future__ import annotations
 
 import json
+import math
 import os
 import selectors
 import socket
@@ -129,6 +130,10 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         require_non_negative(self.time_dilation, "time_dilation")
+        # An infinite dilation paces the clock to ``until=inf``, which the
+        # self-rescheduling failure sweep never reaches.
+        if math.isinf(self.time_dilation):
+            raise ValueError(f"time_dilation must be finite, got {self.time_dilation}")
         if self.max_wall_seconds is not None:
             require_non_negative(self.max_wall_seconds, "max_wall_seconds")
 

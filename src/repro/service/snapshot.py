@@ -13,9 +13,9 @@ continues with byte-identical placement decisions: an in-flight
 ``JoinAck`` that crossed the snapshot point is delivered at its original
 simulated timestamp in the new process.
 
-File format (version 9; the version moves whenever the pickled layout
-of a persisted type does, so an older file is refused by name instead
-of failing inside :mod:`pickle`)::
+File format (version :data:`SNAPSHOT_VERSION`; it moves whenever the
+pickled layout of a persisted type does, so an older file is refused by
+name instead of failing inside :mod:`pickle`)::
 
     line 1: JSON header {"magic", "version", "sim_time", "sha256",
                          "created_at", "python"}

@@ -10,7 +10,11 @@ statement, as functions of the state-only link and channel, comments
 trimmed.  ``tests/test_properties.py::TestChunkedLinkEquivalence`` runs
 random chunks through it and through
 :func:`repro.core.dataplane._send_chunk` and asserts equal arrival
-columns, link, channel, buffer and edge state.
+columns, link, channel, buffer and edge state.  The step predates
+gateway-buffer eviction: :func:`held_within_horizon` restricts its buffer
+to the frames within ``d_buff + d_cache`` of the buffer's newest arrival,
+the rule the replay goldens were re-captured by when the replay began
+to evict.
 
 **The chunk schedule.**  :class:`PerChunkSimulatedDataPlane` is the
 driver ``SimulatedDataPlane`` had before one engine event drained every
@@ -63,6 +67,16 @@ from repro.core.dataplane import (
 from repro.model.stream import Frame
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import DataChannel
+
+
+def held_within_horizon(buffer) -> List[Any]:
+    """``buffer.held()`` without the frames an evicting replay drops."""
+    held = buffer.held()
+    if not held:
+        return held
+    horizon = buffer.buffer_duration + buffer.cache_duration
+    newest = held[-1][1]
+    return [(frame, at) for frame, at in held if not newest - at > horizon]
 
 
 def link_transmit_chunk(

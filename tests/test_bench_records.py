@@ -1,11 +1,13 @@
 """The checked-in root benchmark records all have one shape.
 
-``benchmarks/records.py`` writes ``BENCH_scale.json``,
-``BENCH_scale_parallel.json``, ``BENCH_scale1m.json`` and
-``BENCH_sweep.json``: which benchmark, on which machine, at which
+``benchmarks/records.py`` writes ``BENCH_claims.json``,
+``BENCH_scale.json``, ``BENCH_scale_parallel.json``, ``BENCH_scale1m.json``
+and ``BENCH_sweep.json``: which benchmark, on which machine, at which
 commit, quick or full, the measured points with raw and calibrated
 timings, and every gate with whether it armed and passed.
 ``BENCH_soak.json`` is the soak client's report and has its own shape.
+Every gate of ``BENCH_claims.json`` -- one per claim of the paper the
+repo checks -- is named in docs/BENCHMARKS.md "Figure reproductions".
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ def _timings(node: object) -> Iterator[dict]:
 
 def test_each_root_benchmark_has_its_record():
     assert [path.name for path in RECORDS] == [
+        "BENCH_claims.json",
         "BENCH_scale.json",
         "BENCH_scale1m.json",
         "BENCH_scale_parallel.json",
@@ -88,3 +91,10 @@ def test_no_armed_gate_failed(path):
 
 def test_every_known_failure_has_a_reason():
     assert all(reason.strip() for reason in KNOWN_FAILING.values())
+
+
+def test_every_claim_gate_is_named_in_the_figure_reproductions_section():
+    gates = json.loads((ROOT / "BENCH_claims.json").read_text())["gates"]
+    doc = (ROOT / "docs" / "BENCHMARKS.md").read_text()
+    section = doc.split("\n## Figure reproductions\n", 1)[1].split("\n## ", 1)[0]
+    assert [gate["name"] for gate in gates if f"`{gate['name']}`" not in section] == []

@@ -188,6 +188,8 @@ def test_cli_module_imports_no_system_internals():
         (["sweep", "smoke", "--step", "5", "--no-store"], "--step must be >= 10"),
         (["sweep", "smoke", "--jobs", "0", "--no-store"], "--jobs must be >= 1"),
         (["serve", "--control-delay-scale", "inf"], "control_delay_scale must be finite"),
+        # Accepted, the daemon paced its clock to inf and hung on its first tick.
+        (["serve", "--dilation", "inf", "--max-wall-seconds", "0"], "time_dilation must be finite"),
     ],
 )
 def test_invalid_values_are_usage_errors_in_the_library_s_words(

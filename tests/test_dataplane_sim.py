@@ -16,11 +16,13 @@ Covers the properties the tentpole promises:
 * **Skew samples** -- the inter-stream skew reads only frames delivered
   on every received stream, up to the shortest lane.
 * **Replay bytes** -- a lossy replay keeps a bounded number of traced
-  bytes per frame sent, and no link keeps a random generator.
+  bytes per frame sent, no link keeps a random generator, and no gateway
+  buffer keeps a frame ``d_buff + d_cache`` older than its newest one.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import math
@@ -613,6 +615,35 @@ class TestReplayByteBudget:
             for held in gc.get_referents(link)
             if isinstance(held, generators)
         ]
+
+    @pytest.mark.parametrize(
+        "plane",
+        [
+            DataPlaneConfig(loss_rate=0.02, refresh_interval=None, seed=7),
+            DataPlaneConfig(bandwidth_headroom=None, refresh_interval=None),
+            None,
+        ],
+        ids=["lossy-link", "constant-delay", "offline"],
+    )
+    def test_no_buffer_keeps_a_frame_past_the_cache_horizon(self, plane):
+        # 600 frames are 60 s of trace, past the 25.3 s d_buff + d_cache.
+        system, trace = _joined_system(SMALL_CONFIG)
+        if plane is None:
+            OverlayDataPlane(system, trace).replay(max_frames_per_stream=600)
+        else:
+            config = dataclasses.replace(plane, max_frames_per_stream=600)
+            SimulatedDataPlane(system, trace, config).run()
+        spans, evicted = [], 0
+        for lsc in system.gsc.lscs:
+            for session in lsc.sessions.values():
+                viewer = session.viewer
+                horizon = viewer.buffer_duration + viewer.cache_duration
+                for stream_id in viewer.buffered_streams:
+                    held = _held(viewer, stream_id)
+                    spans.append(held[-1][1] - held[0][1] - horizon)
+                    evicted += held[0][0] > 0
+        assert spans and max(spans) <= 0
+        assert evicted
 
 
 class TestObservedDelayFeedback:

@@ -118,6 +118,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ExperimentConfig(**{field: value})
 
+    def test_an_infinite_delay_bound_is_refused_up_front(self):
+        # Accepted, d_max = inf leaked an OverflowError from the layer
+        # bound floor((d_max - Delta) / tau).
+        with pytest.raises(ValueError, match="d_max must be finite"):
+            ExperimentConfig(d_max=math.inf)
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

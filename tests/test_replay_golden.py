@@ -32,6 +32,13 @@ into four 45 Mbps edge servers, and 45 Mbps is not a whole number of
 plane moved with the overlay (11 680 offline deliveries at zero loss
 before, 11 520 after); nothing else did.
 
+``underprovisioned_drop``'s ``buffers_sha256`` was re-captured, by one
+rule, when the replay began to evict its gateway buffers: the parent's
+buffers restricted to the frames within ``d_buff + d_cache`` of each
+buffer's last arrival.  It is the only plane whose arrivals span more
+than that 25.3 s horizon (its queues build up behind half the reserved
+rate); every other digest stayed byte-identical.
+
 Regenerate (only for an intentional behaviour change) with
 ``PYTHONPATH=src python tests/test_replay_golden.py``.
 """

@@ -54,7 +54,6 @@ _OBSERVER = "observer the property suites read after every op"
 #: Uncalled names that stay, each with the reason it stays.
 ALLOW_LIST: Dict[str, str] = {
     # Surface a named ROADMAP item will call.
-    "evict_expired": _FRAMES_DURING_THE_RUN,
     "in_buffer": _FRAMES_DURING_THE_RUN,
     "in_cache": _FRAMES_DURING_THE_RUN,
     "shareable": _FRAMES_DURING_THE_RUN,
@@ -65,7 +64,6 @@ ALLOW_LIST: Dict[str, str] = {
     "playout_skew_for": (
         'ROADMAP "Frames during the run": per-second playout skew records'
     ),
-    "paper_vs_measured": "ROADMAP item 11: the paper-vs-measured claims table",
     "routing_table_of": _ITEM_1D,
     "forwarding_targets": _ITEM_1D,
     # Observers the property suites read at every op.
