@@ -85,8 +85,6 @@ class RandomDisseminationSystem:
         self._rng = rng or SeededRandom(0)
         self.metrics = SessionMetrics()
         self._receivers: Dict[str, _RandomReceiver] = {}
-        #: For each stream, the viewers currently receiving it (candidate parents).
-        self._stream_receivers: Dict[StreamId, List[str]] = {}
         self._requested: Dict[str, int] = {}
         #: Streams accepted, and those the CDN serves: no stream of an
         #: accepted viewer ever moves, so counting at join is exact.
@@ -94,7 +92,6 @@ class RandomDisseminationSystem:
         for site in self.producers:
             for stream in site.streams:
                 cdn.ingest_stream(stream.stream_id, stream.bandwidth_mbps)
-                self._stream_receivers.setdefault(stream.stream_id, [])
 
     # -- joining --------------------------------------------------------------
 
@@ -134,8 +131,7 @@ class RandomDisseminationSystem:
             receiver.streams.clear()
         else:
             self._receivers[viewer.viewer_id] = receiver
-            for stream_id, (parent_id, _delay) in receiver.streams.items():
-                self._stream_receivers[stream_id].append(viewer.viewer_id)
+            for parent_id, _delay in receiver.streams.values():
                 self._via_cdn += parent_id == CDN_NODE_ID
             self._active += len(receiver.streams)
 

@@ -236,6 +236,20 @@ def _run_main(argv: List[str]) -> int:
         replay_frames_per_stream=args.replay_frames if args.data_plane else None,
         shard_workers=args.shards,
     )
+    # Flags the chosen planes never read, refused once the config has
+    # stated its own rules on their values.
+    for flag, name, needs, read in (
+        ("--loss-rate", "data_loss_rate", "--data-plane", args.data_plane),
+        ("--bandwidth-headroom", "data_bandwidth_headroom", "--data-plane", args.data_plane),
+        (
+            "--heartbeat-period",
+            "heartbeat_period",
+            "--control-plane simulated",
+            args.control_plane == "simulated",
+        ),
+    ):
+        if not read and getattr(config, name) != getattr(PAPER_CONFIG, name):
+            parser.error(f"{flag} requires {needs}")
     started = time.perf_counter()
     if args.system == "random":
         summary = run_random_scenario(

@@ -8,11 +8,11 @@ against wall-clock pacing, a line-oriented op protocol
 (:mod:`repro.service.protocol`) so joins/leaves/view changes arrive
 while the overlay is live, a Prometheus-text metrics exporter
 (:mod:`repro.service.metrics_export`), durable snapshot/restore of the
-full session graph (:mod:`repro.service.snapshot`) and a churn
-client/soak driver (:mod:`repro.service.soak`).
+full session graph (:mod:`repro.service.snapshot`) and a line-protocol
+client with a daemon spawner (:mod:`repro.service.soak`).
 
-Re-exported lazily: a client of the wire protocol or the soak driver
-does not load the daemon (and the whole control plane behind it).
+Re-exported lazily: a client of the wire protocol does not load the
+daemon (and the whole control plane behind it).
 """
 
 from repro.util.lazy import lazy_exports

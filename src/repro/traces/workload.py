@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -146,6 +147,10 @@ class WorkloadConfig:
             raise ValueError("view_change_probability must be in [0, 1]")
         if not (0.0 <= self.departure_probability <= 1.0):
             raise ValueError("departure_probability must be in [0, 1]")
+        # Accepted, an infinite duration overflows the frame clock after
+        # the whole world is built.
+        if not math.isfinite(self.session_duration):
+            raise ValueError(f"session_duration must be finite, got {self.session_duration}")
         require_positive(self.session_duration, "session_duration")
 
 

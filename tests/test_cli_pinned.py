@@ -190,6 +190,16 @@ def test_cli_module_imports_no_system_internals():
         (["serve", "--control-delay-scale", "inf"], "control_delay_scale must be finite"),
         # Accepted, the daemon paced its clock to inf and hung on its first tick.
         (["serve", "--dilation", "inf", "--max-wall-seconds", "0"], "time_dilation must be finite"),
+        # Accepted, each flag was read by a plane the run did not use.
+        (["run", "--viewers", "20", "--loss-rate", "0.02"], "--loss-rate requires --data-plane"),
+        (
+            ["run", "--viewers", "20", "--bandwidth-headroom", "2"],
+            "--bandwidth-headroom requires --data-plane",
+        ),
+        (
+            ["run", "--viewers", "20", "--heartbeat-period", "5"],
+            "--heartbeat-period requires --control-plane simulated",
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors_in_the_library_s_words(

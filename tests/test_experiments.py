@@ -5,6 +5,7 @@ whole suite stays fast; the full-scale shapes are checked by the benchmark
 harness.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -123,6 +124,26 @@ class TestExperimentConfig:
         # bound floor((d_max - Delta) / tau).
         with pytest.raises(ValueError, match="d_max must be finite"):
             ExperimentConfig(d_max=math.inf)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param(item.name, value, id=f"{item.name}-{value}")
+            for item in dataclasses.fields(ExperimentConfig)
+            if item.type in ("float", "Optional[float]")
+            for value in (math.inf, math.nan)
+            # The uncapped CDN of Figure 13(a) is infinite by design.
+            if (item.name, value) != ("cdn_capacity_mbps", math.inf)
+        ],
+    )
+    def test_every_non_finite_float_field_is_refused_naming_it(self, field, value):
+        # Accepted, a NaN frame rate failed far from its cause and an
+        # infinite processing delay or stream rate ran to nonsense.  A
+        # data-plane field is named as DataPlaneConfig names it, the CDN
+        # delay as DelayLayerConfig's delta (or Delta).
+        name = "(?i)delta" if field == "cdn_delta" else field.removeprefix("data_")
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "field, value, message",

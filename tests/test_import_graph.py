@@ -97,7 +97,7 @@ def test_a_serve_session_loads_no_batch_subsystem_and_no_numpy():
 
 
 @pytest.mark.parametrize(
-    "target, package", [("--help", "repro.experiments"), ("soak --help", "repro.service")]
+    "target, package", [("--help", "repro.experiments"), ("soak client", "repro.service")]
 )
 def test_help_loads_nothing_below_the_cli(target, package):
     # The soak client shares ``repro.service`` with the daemon it loads

@@ -790,24 +790,35 @@ class TestLiveOpScript:
 @pytest.mark.soak
 class TestSoakSmoke:
     def test_tiny_soak_passes_every_gate(self, tmp_path):
-        from repro.service.soak import SoakConfig, run_soak, write_report
+        # Churn through the socket, then the cross-process cycle the
+        # soak bench gates: snapshot, kill, spawn with --restore.
+        from repro.service.soak import SoakClient, spawn_daemon
 
-        config = SoakConfig(
-            target_joins=1200,
-            pool=300,
-            window=80,
-            batch=80,
-            frames_per_stream=8,
-            snapshot_path=str(tmp_path / "soak-mid.snap"),
-            out=str(tmp_path / "BENCH_soak.json"),
-        )
-        report = run_soak(config)
-        write_report(report, config.out)
-        assert report.passed, report.gates
-        assert report.joins_total >= 1200
-        assert report.restore_digest_match is True
-        stored = json.loads((tmp_path / "BENCH_soak.json").read_text())
-        assert stored["passed"] is True
+        serve = ["--viewers", "300", "--dilation", "0", "--seed", "7", "--port", "0"]
+        snapshot = str(tmp_path / "soak-mid.snap")
+        daemon = spawn_daemon(serve)
+        client = SoakClient(daemon.host, daemon.port)
+        try:
+            # 600 joins cycle the 300-viewer pool, 100 a round; the oldest
+            # leave once 150 are connected.
+            for start in range(0, 600, 100):
+                leaving = range(max(0, start - 150), max(0, start - 50))
+                ops = [f"join viewer-{i % 300:05d} {i % 3}" for i in range(start, start + 100)]
+                ops += [f"leave viewer-{i % 300:05d}" for i in leaving]
+                assert all(r.startswith("ok") for r in client.ops(ops + ["advance 2"]))
+            before = client.stats()["placement_digest"]
+            client.must(f"snapshot {snapshot}")
+            client.close()
+            daemon.kill()
+            daemon = spawn_daemon(serve + ["--restore", snapshot])
+            client = SoakClient(daemon.host, daemon.port)
+            assert client.stats()["placement_digest"] == before
+            client.must("advance 30")
+            client.must("replay 8")
+            assert client.op("check").startswith("ok")
+        finally:
+            daemon.quit(client)
+            client.close()
 
 
 class TestSpawnDaemon:

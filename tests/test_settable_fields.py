@@ -119,8 +119,8 @@ def unset_fields() -> Set[str]:
 #: ``callee(parameter)`` names nobody sets that stay, each with the reason.
 PARAMETER_ALLOW_LIST: Dict[str, str] = {
     "main(argv)": (
-        "both entry points (experiments CLI, soak client) read sys.argv when "
-        "run; the CLI suites pass an argv list in-process"
+        "the experiments CLI reads sys.argv when run; the CLI suites pass an "
+        "argv list in-process"
     ),
     "ServiceDaemon.serve_forever(ready)": (
         "the in-process daemon tests wait on this event before connecting"

@@ -8,8 +8,8 @@ exec to the first line of output (``serve``'s ready line) -- the table
 behind docs/BENCHMARKS.md "Cold start".  Wall times on a shared machine
 are not a measurement, so ``--check`` gates only on what must *not* have
 been imported (:data:`FORBIDDEN`): a long-lived ``serve`` daemon pays for
-every module at every restart, its soak client is stdlib only, and
-``--help`` should load nothing below the CLI.
+every module at every restart, its client is stdlib only, and ``--help``
+should load nothing below the CLI.
 
     python tools/import_report.py            # the tables
     python tools/import_report.py --check    # exit 1 on a forbidden import
@@ -35,14 +35,15 @@ _CLI = "repro.experiments"
 
 #: Target name -> ``python -m`` arguments, module first.  ``serve`` builds
 #: its 400-viewer world, binds, prints its ready line and stops after one
-#: tick; ``run`` is one small instant-driver scenario; ``soak --help`` is
-#: the churn client, which shares a package with the daemon and nothing else.
+#: tick; ``run`` is one small instant-driver scenario; ``soak client``
+#: imports the daemon's line-protocol client (``repro.service.soak``), which
+#: shares a package with the daemon and nothing else.
 TARGETS: Dict[str, List[str]] = {
     "serve": [_CLI, "serve", "--viewers", "400", "--dilation", "0", "--max-wall-seconds", "0"],
     "run": [_CLI, "run", "--viewers", "200"],
     "sweep --list": [_CLI, "sweep", "--list"],
     "--help": [_CLI, "--help"],
-    "soak --help": ["repro.service.soak", "--help"],
+    "soak client": ["repro.service.soak"],
 }
 
 #: Modules (and everything below them) a target must not have loaded by
@@ -60,7 +61,7 @@ FORBIDDEN: Dict[str, Tuple[str, ...]] = {
     ),
     "run": ("numpy",),
     "--help": ("repro.core", "repro.sim"),
-    "soak --help": ("repro.core", "repro.sim", "repro.service.daemon"),
+    "soak client": ("repro.core", "repro.sim", "repro.service.daemon"),
 }
 
 #: Runs the module as ``python -m`` does, then reports on stderr, after
@@ -144,7 +145,8 @@ def first_output_ms(arguments: Sequence[str], runs: int = _RUNS) -> float:
     """Median wall time from exec to ``python -m``'s first line of output.
 
     For ``serve`` that line is ``serving on host:port``: the cold start a
-    client waits for.  The other targets print when they are done.
+    client waits for.  The other targets print when they are done, and
+    ``soak client`` prints nothing: its end of output is its exit.
     """
     samples = []
     for _ in range(runs):
