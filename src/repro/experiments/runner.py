@@ -21,11 +21,12 @@ which is how the paper scales the control plane (Section III).
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.controllers import nearest_lsc
 from repro.core.dataplane import OverlayDataPlane, PlaybackReport
@@ -35,7 +36,7 @@ from repro.metrics.collectors import SessionMetrics, SystemSnapshot
 from repro.model.cdn import CDN
 from repro.model.producer import ProducerSite, make_default_producers
 from repro.model.view import GlobalView
-from repro.model.viewer import Viewer
+from repro.model.viewer import VIEWER_ID, VIEWER_INDEX_AT, Viewer
 from repro.net.latency import DelayModel
 from repro.net.planetlab import (
     DEFAULT_REGION_NAMES,
@@ -216,27 +217,60 @@ class _OwnershipTimeline:
         index = self.region_to_lsc_index.get(region)
         if index is None:
             return None
-        if (
-            self.transition_key is not None
-            and index == self.failed_index
-            and sort_key > self.transition_key
-        ):
+        if index == self.failed_index and self.sorts_after_failover(sort_key):
             return self.target_index
         return index
 
-    def ever_owned_regions(self, placement: Sequence[int], worker_index: int) -> set:
-        """Regions owned by one worker at any point in the timeline."""
-        owned = {
-            region
-            for region, index in self.region_to_lsc_index.items()
-            if placement[index] == worker_index
-        }
-        if (
-            self.target_index is not None
-            and placement[self.target_index] == worker_index
-        ):
-            owned.update(self.failed_regions)
-        return owned
+    def sorts_after_failover(self, sort_key: Tuple[float, str]) -> bool:
+        """Whether an event at ``sort_key`` sorts past the ``lsc_fail`` barrier."""
+        return self.transition_key is not None and sort_key > self.transition_key
+
+    def region_workers(
+        self, placement: Sequence[int]
+    ) -> Tuple[List[Optional[int]], List[Optional[int]]]:
+        """The worker hosting each region (by index) before and after the failover.
+
+        Read off :meth:`owner_lsc_index`; the two tables differ only at
+        the failed LSC's regions.
+        """
+        return (
+            self._workers_at(placement, (-math.inf, "")),
+            self._workers_at(placement, (math.inf, "")),
+        )
+
+    def _workers_at(
+        self, placement: Sequence[int], sort_key: Tuple[float, str]
+    ) -> List[Optional[int]]:
+        lscs = (self.owner_lsc_index(name, sort_key) for name in self.region_names)
+        return [None if lsc is None else placement[lsc] for lsc in lscs]
+
+    def slice_events(
+        self,
+        events: Sequence[ViewerEvent],
+        viewer_regions: Sequence[int],
+        region_workers: Tuple[List[Optional[int]], List[Optional[int]]],
+        worker_index: int,
+    ) -> List[ViewerEvent]:
+        """One worker's events: those of the regions it hosts at each event's key.
+
+        ``region_workers`` is :meth:`region_workers` of the placement and
+        ``viewer_regions`` the population's region-index table.
+        ``lsc_fail`` barriers reach every worker.
+        """
+        before, after = region_workers
+        kept = []
+        for event in events:
+            if event.kind != "lsc_fail":
+                region = viewer_regions[int(event.viewer_id[VIEWER_INDEX_AT:])]
+                worker = before[region]
+                if worker != after[region] and self.sorts_after_failover(
+                    (event.time, event.viewer_id)
+                ):
+                    worker = after[region]
+                if worker != worker_index:
+                    continue
+            kept.append(event)
+        return kept
 
     def lsc_weights(self, viewer_regions: Sequence[int]) -> List[int]:
         """Join load of every LSC over the whole schedule, in viewers.
@@ -245,7 +279,7 @@ class _OwnershipTimeline:
         outage failover additionally weighs the failed LSC's population
         (it re-admits the migrated sessions and serves those regions
         from then on).  ``viewer_regions`` is the region-index table of
-        the population (:func:`_viewer_region_table`).
+        the population (:func:`region_indices` of the viewers' :func:`node_keys`).
         """
         weights = [0] * len(self.lsc_regions)
         for region_index, viewers in Counter(viewer_regions).items():
@@ -265,23 +299,6 @@ class _OwnershipTimeline:
         return place_lscs(self.lsc_weights(viewer_regions), num_workers)
 
 
-def _viewer_keys(config: ExperimentConfig) -> List[int]:
-    """Latency-world node key of every viewer, in viewer-index order."""
-    return node_keys(
-        config.latency_seed,
-        (f"viewer-{index:05d}" for index in range(config.num_viewers)),
-    )
-
-
-def _viewer_region_table(config: ExperimentConfig, num_regions: int) -> List[int]:
-    """Region index of every viewer, batch-computed once.
-
-    Viewer ids are ``viewer-<index>``, so position 7 onward of an id is
-    the index into this table.
-    """
-    return region_indices(_viewer_keys(config), num_regions)
-
-
 def shard_placement(config: ExperimentConfig, num_workers: int) -> Tuple[int, ...]:
     """The worker index hosting each LSC of a sharded run of ``config``.
 
@@ -292,15 +309,15 @@ def shard_placement(config: ExperimentConfig, num_workers: int) -> Tuple[int, ..
     """
     region_names = _region_names_for(config)
     timeline = _OwnershipTimeline(config, region_names)
-    viewer_regions = _viewer_region_table(config, len(region_names))
-    return timeline.placement(viewer_regions, num_workers)
+    keys = node_keys(config.latency_seed, VIEWER_ID, config.num_viewers)
+    return timeline.placement(region_indices(keys, len(region_names)), num_workers)
 
 
 def _overlay_outage(
     events: List[ViewerEvent],
     outage: OutageConfig,
     timeline: _OwnershipTimeline,
-    region_of_viewer: Callable[[str], str],
+    viewer_regions: Sequence[int],
 ) -> List[ViewerEvent]:
     """Overlay one correlated regional outage on a time-ordered schedule.
 
@@ -315,7 +332,8 @@ def _overlay_outage(
     candidates = sorted(
         viewer_id
         for viewer_id in alive_before(events, outage.time)
-        if region_of_viewer(viewer_id) in timeline.failed_regions
+        if timeline.region_names[viewer_regions[int(viewer_id[VIEWER_INDEX_AT:])]]
+        in timeline.failed_regions
     )
     count = int(round(outage.viewer_fraction * len(candidates)))
     rng = SeededRandom(outage.seed)
@@ -361,17 +379,12 @@ def build_scenario(
     of per-node keys (derived once, in one batch, and shared by the
     ownership table and the latency matrix), so any worker's substrates
     are byte-identical to the corresponding slice of the full build.
-
-    Schedules with churn or oscillation overlays generate the full event
-    list before filtering (both overlays are functions of global
-    connectedness); the viewer population and latency world are
-    projected regardless.
     """
     if shard is None:
         shard = ShardSelection(num_workers=1, worker_index=0)
     region_names = _region_names_for(config)
     timeline = _OwnershipTimeline(config, region_names)
-    viewer_keys = _viewer_keys(config)
+    viewer_keys = node_keys(config.latency_seed, VIEWER_ID, config.num_viewers)
     viewer_regions = region_indices(viewer_keys, len(region_names))
     placement = shard.placement or timeline.placement(
         viewer_regions, shard.num_workers
@@ -383,76 +396,45 @@ def build_scenario(
         )
     worker_index = shard.worker_index
 
-    def region_of_viewer(viewer_id: str) -> str:
-        # Viewer ids are ``viewer-<index>``: position 7 onward indexes
-        # the region table.
-        return region_names[viewer_regions[int(viewer_id[7:])]]
-
-    if all(worker == worker_index for worker in placement):
-        # The one worker hosting every LSC owns every viewer and event
-        # for the whole timeline: no ownership predicate is passed down.
-        # (Ever-owning every *region* is not enough -- a failover target
-        # owns the failed regions only after the barrier.)
-        owned_viewer = tracked = keep = None
-    else:
-        ever_owned = timeline.ever_owned_regions(placement, worker_index)
-        region_owned = [name in ever_owned for name in region_names]
-        owned_flags = [region_owned[region] for region in viewer_regions]
-        viewer_keys = list(compress(viewer_keys, owned_flags))
-        failed_regions = timeline.failed_regions
-
-        def owned_viewer(index: int, _viewer_id: str) -> bool:
-            return owned_flags[index]
-
-        def tracked(viewer: Viewer) -> bool:
-            # Owned viewers arrive from the feed as real Viewer objects,
-            # everyone else as an id-only stub.  The outage overlay
-            # samples its victims from the viewers alive in the failed
-            # LSC's regions, so their events must exist even when another
-            # shard owns them pre-failover.
-            return (
-                viewer.__class__ is Viewer
-                or region_of_viewer(viewer.viewer_id) in failed_regions
-            )
-
-        def keep(event: ViewerEvent) -> bool:
-            if event.kind == "lsc_fail":
-                return True  # barriers reach every worker
-            owner = timeline.owner_lsc_index(
-                region_of_viewer(event.viewer_id), (event.time, event.viewer_id)
-            )
-            return owner is not None and placement[owner] == worker_index
+    # The ownership table: each region's worker before and after the
+    # failover; ``owned`` flags the viewers this worker hosts
+    # at any point, ``tracked`` those whose events it generates -- the
+    # owned ones plus the failed regions' (the outage overlay samples its
+    # victims from their alive viewers), or all of them under churn or
+    # oscillation, which read global connectedness.  The worker hosting
+    # every LSC keeps everything.
+    region_workers = timeline.region_workers(placement)
+    owned = tracked = None
+    if any(worker != worker_index for worker in placement):
+        region_owned = [worker_index in pair for pair in zip(*region_workers)]
+        region_tracked = [
+            mine or name in timeline.failed_regions
+            for mine, name in zip(region_owned, region_names)
+        ]
+        owned = [region_owned[region] for region in viewer_regions]
+        if config.churn is None and config.oscillation is None:
+            tracked = owned if region_tracked == region_owned else [
+                region_tracked[region] for region in viewer_regions
+            ]
 
     workload = ViewerWorkload(config.workload_config(), rng=SeededRandom(config.seed))
-    viewers: List[Viewer] = []
-    owned_regions: List[int] = []  # region index of each captured viewer
+    viewers = list(workload.iter_viewers(owned=owned))
+    owned_regions = viewer_regions if owned is None else list(compress(viewer_regions, owned))
+    for viewer, region in zip(viewers, owned_regions):
+        viewer.region_name = region_names[region]
+    if owned is not None:
+        viewer_keys = list(compress(viewer_keys, owned))
 
-    def viewer_feed() -> Iterator[Viewer]:
-        # Feed the full population to the event generator (its RNG
-        # stream must stay byte-identical) while capturing the owned
-        # viewers as they stream past; viewers of other shards arrive
-        # as id-only stubs that skip Viewer construction entirely.
-        population = workload.iter_viewers(owned=owned_viewer)
-        for viewer, region in zip(population, viewer_regions):
-            if viewer.__class__ is Viewer:
-                viewer.region_name = region_names[region]
-                viewers.append(viewer)
-                owned_regions.append(region)
-            yield viewer
-
-    # Churn and oscillation are functions of global connectedness, so
-    # they overlay the full stream; it is cut down to the slice after.
-    overlays = config.churn is not None or config.oscillation is not None
-    events = workload.events(viewer_feed(), owned=None if overlays else tracked)
+    events = workload.events(owned=tracked)
     if config.churn is not None:
         churn = ChurnWorkload(config.churn, rng=SeededRandom(config.churn_seed))
         events = churn.events(events)
     if config.oscillation is not None:
         events = overlay_oscillation(events, config.oscillation)
     if config.outage is not None:
-        events = _overlay_outage(events, config.outage, timeline, region_of_viewer)
-    if keep is not None:
-        events = [event for event in events if keep(event)]
+        events = _overlay_outage(events, config.outage, timeline, viewer_regions)
+    if owned is not None:
+        events = timeline.slice_events(events, viewer_regions, region_workers, worker_index)
 
     producers = make_default_producers(
         config.num_sites,

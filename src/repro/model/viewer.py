@@ -18,6 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.model.stream import Frame, StreamId
 from repro.util.validation import require_non_negative, require_positive
 
+#: The id of viewer ``index`` of a generated population: ``VIEWER_ID % index``.
+VIEWER_ID = "viewer-%05d"
+#: Where the index starts in such an id: ``int(viewer_id[VIEWER_INDEX_AT:])``.
+VIEWER_INDEX_AT = VIEWER_ID.index("%")
+
 
 class StreamBuffer:
     """Per-stream local buffer + cache at a viewer gateway.

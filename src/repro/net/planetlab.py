@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
 
 from repro.util.validation import require_positive
 
@@ -68,6 +69,8 @@ class PlanetLabTraceConfig:
 
 
 _MASK64 = (1 << 64) - 1
+#: A node key: the first eight bytes of its digest, big-endian.
+_KEY = struct.Struct(">Q")
 #: Distinct stream constants for the two Box-Muller uniforms.
 _U2_SALT = 0xD6E8FEB86659FD93
 
@@ -88,25 +91,22 @@ def _node_key(seed: int, node_id: str) -> int:
     matrix, so adding control nodes (or another LSC) never perturbs the
     delays of existing pairs.
     """
-    digest = hashlib.sha256(f"{seed}|node|{node_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return _KEY.unpack_from(hashlib.sha256(f"{seed}|node|{node_id}".encode()).digest())[0]
 
 
-def node_keys(seed: int, node_ids: Iterable[str]) -> List[int]:
-    """:func:`_node_key` of many nodes at once, in ``node_ids`` order.
+def node_keys(seed: int, id_format: str, count: int) -> List[int]:
+    """:func:`_node_key` of the nodes ``id_format % index``, ``index < count``.
 
     The scenario build derives every viewer's key here exactly once and
     reuses the batch twice: :func:`region_indices` turns it into the
     ownership table, and :func:`generate_planetlab_matrix` takes the
     owned slice as ``known_keys`` instead of hashing those ids again.
+    No id string is made: a key is one format, one SHA-256 and one unpack.
     """
     sha256 = hashlib.sha256
-    prefix = f"{seed}|node|".encode("utf-8")
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(sha256(prefix + node_id.encode("utf-8")).digest()[:8], "big")
-        for node_id in node_ids
-    ]
+    unpack = _KEY.unpack_from
+    template = b"%d|node|" % seed + id_format.encode()
+    return [unpack(sha256(template % index).digest())[0] for index in range(count)]
 
 
 def region_indices(keys: Sequence[int], num_regions: int) -> List[int]:

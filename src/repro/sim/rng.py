@@ -11,7 +11,7 @@ popularity).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -48,6 +48,22 @@ class SeededRandom:
     def random(self) -> float:
         """Uniform float in ``[0, 1)``."""
         return self._random.random()
+
+    @property
+    def draw(self) -> Callable[[], float]:
+        """:meth:`random` as the generator's bound method: one C call a draw."""
+        return self._random.random
+
+    def skip(self, count: int) -> None:
+        """Advance past the next ``count`` draws of :meth:`random` unmade.
+
+        A draw takes two 32-bit words of the Mersenne Twister state and
+        ``getrandbits(k)`` takes ``ceil(k / 32)``, so ``getrandbits(64 *
+        n)`` leaves the state where ``n`` draws would; 1024 draws a call
+        keep each integer it builds at 8 KiB.
+        """
+        for start in range(0, count, 1024):
+            self._random.getrandbits(64 * min(1024, count - start))
 
     def randoms(self, count: int) -> List[float]:
         """The next ``count`` uniform floats in ``[0, 1)``, in draw order.

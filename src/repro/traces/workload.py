@@ -15,9 +15,10 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.model.viewer import Viewer
+from repro.model.viewer import VIEWER_ID, Viewer
 from repro.sim.rng import SeededRandom
 from repro.util.validation import require, require_non_negative, require_positive
 
@@ -56,12 +57,6 @@ class BandwidthDistribution:
     def is_fixed(self) -> bool:
         """Whether the distribution is a single point."""
         return self.low_mbps == self.high_mbps
-
-    def sample(self, rng: SeededRandom) -> float:
-        """Draw one outbound capacity value."""
-        if self.is_fixed:
-            return self.low_mbps
-        return rng.uniform(self.low_mbps, self.high_mbps)
 
     def label(self) -> str:
         """Human-readable label matching the paper's legend style."""
@@ -154,20 +149,6 @@ class WorkloadConfig:
         require_positive(self.session_duration, "session_duration")
 
 
-class _StubViewer:
-    """Placeholder for a viewer some other shard owns.
-
-    Carries only the id the event generator needs; a shard's scenario
-    build never constructs (or validates) a full
-    :class:`~repro.model.viewer.Viewer` for population it will drop.
-    """
-
-    __slots__ = ("viewer_id",)
-
-    def __init__(self, viewer_id: str) -> None:
-        self.viewer_id = viewer_id
-
-
 class ViewerWorkload:
     """Deterministic generator of viewer populations and event schedules."""
 
@@ -181,59 +162,44 @@ class ViewerWorkload:
         """Generate the viewer population."""
         return list(self.iter_viewers())
 
-    def iter_viewers(
-        self, *, owned: Optional[Callable[[int, str], bool]] = None
-    ) -> Iterator[Viewer]:
+    def iter_viewers(self, *, owned: Optional[Sequence[bool]] = None) -> Iterator[Viewer]:
         """Stream the viewer population in id order.
 
-        Yields exactly the sequence :meth:`viewers` returns (same RNG
-        consumption, same ids) without materializing the whole list, so
-        a shard's scenario build can walk the population keeping only
-        the viewers its shard owns.
-
-        ``owned`` is that build's ownership predicate, called with each
-        viewer's ``(index, viewer_id)``: positions it rejects still
-        consume their bandwidth draw (the stream stays byte-identical)
-        but arrive as slim id-only stubs instead of validated
-        :class:`~repro.model.viewer.Viewer` objects, so the per-viewer
-        construction cost tracks the shard, not the population.
+        Yields exactly the sequence :meth:`viewers` returns without
+        materializing the whole list.  ``owned`` flags, per viewer index,
+        the viewers a shard's scenario build keeps: only those are
+        constructed, and a run of the others skips its bandwidth draws in
+        bulk (:meth:`~repro.sim.rng.SeededRandom.skip`), so the result is
+        exactly the flagged subsequence of the full population.
         """
         cfg = self.config
         rng = self._rng.fork(1)
+        random = rng.draw
         outbound = cfg.outbound
-        # Hoisted out of the per-viewer loop: the draw is the same one
-        # ``outbound.sample`` makes, minus 100k dispatches at scale.
-        if outbound.is_fixed:
-            fixed_value = outbound.low_mbps
-
-            def draw() -> float:
-                return fixed_value
-
-        else:
-            low, high, uniform = outbound.low_mbps, outbound.high_mbps, rng.uniform
-
-            def draw() -> float:
-                return uniform(low, high)
-
-        for index in range(cfg.num_viewers):
-            viewer_id = f"viewer-{index:05d}"
-            sample = draw()
-            if owned is None or owned(index, viewer_id):
-                yield Viewer(
-                    viewer_id=viewer_id,
-                    inbound_capacity_mbps=VIEWER_INBOUND_MBPS,
-                    outbound_capacity_mbps=sample,
-                    buffer_duration=cfg.buffer_duration,
-                    cache_duration=cfg.cache_duration,
-                )
-            else:
-                yield _StubViewer(viewer_id)  # type: ignore[misc]
+        fixed = outbound.is_fixed
+        low, span = outbound.low_mbps, outbound.high_mbps - outbound.low_mbps
+        indices = range(cfg.num_viewers)
+        drawn = 0  # bandwidth draws consumed so far
+        for index in indices if owned is None else itertools.compress(indices, owned):
+            sample = low
+            if not fixed:
+                if index > drawn:
+                    rng.skip(index - drawn)
+                drawn = index + 1
+                sample += span * random()  # Random.uniform(low, high), inline
+            yield Viewer(
+                viewer_id=VIEWER_ID % index,
+                inbound_capacity_mbps=VIEWER_INBOUND_MBPS,
+                outbound_capacity_mbps=sample,
+                buffer_duration=cfg.buffer_duration,
+                cache_duration=cfg.cache_duration,
+            )
 
     def events(
         self,
         viewers: Optional[Iterable[Viewer]] = None,
         *,
-        owned: Optional[Callable[[Viewer], bool]] = None,
+        owned: Optional[Sequence[bool]] = None,
     ) -> List[ViewerEvent]:
         """Generate the time-ordered event schedule for the population.
 
@@ -249,33 +215,29 @@ class ViewerWorkload:
         self,
         viewers: Optional[Iterable[Viewer]] = None,
         *,
-        owned: Optional[Callable[[Viewer], bool]] = None,
+        owned: Optional[Sequence[bool]] = None,
     ) -> Iterator[ViewerEvent]:
         """Stream the schedule in sorted order without materializing it.
 
-        Yields exactly the sequence :meth:`events` returns (same RNG
-        consumption, same ``(time, viewer_id, kind)`` order), but holds
-        only a bounded reorder buffer: per-viewer follow-up events
-        (view changes, departures) fire after later viewers' joins, so
-        they are heap-buffered until no earlier-sorting event can still
-        be generated -- join times are non-decreasing and viewer ids
-        increase, so everything sorting strictly before the next join's
-        key is safe to emit.  A churn-free 100k-viewer schedule streams
-        in O(1) memory; churn only buffers the in-flight sessions.
+        ``viewers`` defaults to this workload's own population; only its
+        ids and order are read.  ``owned`` flags, per viewer index, the
+        viewers whose events are constructed: every viewer still makes
+        its draws (its arrival adds to every later join time), so the
+        result is exactly the flagged subsequence of the full schedule.
 
-        ``owned`` is the ownership predicate pushed down from a shard's
-        scenario build: every RNG draw still happens for every viewer
-        (so the stream stays byte-identical to the full schedule), but
-        events of viewers it rejects are never even constructed.  The
-        result is exactly the filtered subsequence of the unfiltered
-        stream.  It is called with the incoming viewer object itself
-        (typically a class check against the stubs :meth:`iter_viewers`
-        substitutes).
+        Events are heap-buffered until the next join's key passes them:
+        follow-ups (view changes, departures) fire after later viewers'
+        joins, join times never fall and ids rise.  With one view and
+        neither view changes nor departures, a viewer ``owned`` leaves
+        out costs no Python-level call.
         """
         cfg = self.config
-        if viewers is None:
-            viewers = self.iter_viewers()
         rng = self._rng.fork(2)
+        random, log = rng.draw, math.log
+        if viewers is None:
+            viewer_ids = map(VIEWER_ID.__mod__, range(cfg.num_viewers))
+        else:
+            viewer_ids = map(attrgetter("viewer_id"), viewers)
         # Heap of (time, viewer_id, kind, event); a viewer emits at most
         # one event of each kind, so the key triple is unique and the
         # ViewerEvent itself is never compared.
@@ -290,16 +252,16 @@ class ViewerWorkload:
         heappush, heappop = heapq.heappush, heapq.heappop
 
         join_time = 0.0
-        for viewer in viewers:
-            viewer_id = viewer.viewer_id
+        for index, viewer_id in enumerate(viewer_ids):
             if arrival_rate:
-                join_time += rng.poisson_interarrival(arrival_rate)
+                # Random.expovariate(arrival_rate), drawn inline.
+                join_time += -log(1.0 - random()) / arrival_rate
             # Every event generated from here on sorts at or after
             # (join_time, viewer_id): follow-up times are bounded below
             # by their own viewer's join time, and ids increase.
             while buffered and buffered[0][:2] < (join_time, viewer_id):
                 yield heappop(buffered)[3]
-            mine = owned is None or owned(viewer)
+            mine = owned is None or owned[index]
             view_index = 0 if single_view else self._pick_view(rng)
             if mine:
                 join_event = ViewerEvent(
@@ -477,15 +439,12 @@ def alive_before(events: Sequence[ViewerEvent], time: float) -> dict:
     target viewers actually in the session at injection time.
     """
     alive: dict = {}
-    view_of: dict = {}
     for event in events:
         if event.time >= time:
             break
         if event.kind == "join":
-            view_of[event.viewer_id] = event.view_index
             alive[event.viewer_id] = event.view_index
         elif event.kind == "view_change":
-            view_of[event.viewer_id] = event.view_index
             if event.viewer_id in alive:
                 alive[event.viewer_id] = event.view_index
         elif event.kind in ("depart", "fail"):

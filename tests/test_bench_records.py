@@ -24,14 +24,7 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 #: record, each with the reason.  Shrink-only: an entry whose gate
 #: passes again must go, and a new failure may not be added to make a
 #: record pass.
-KNOWN_FAILING: Dict[Tuple[str, str], str] = {
-    ("BENCH_scale_parallel.json", "build_speedup"): (
-        "the slowest of 4 workers' shard-filtered builds is 1.87x faster than "
-        "the one-worker build at 100k viewers in the record (2 cores), not 2x: "
-        "every worker still derives every viewer's key and region and walks "
-        "every viewer's bandwidth draw (ROADMAP open items)"
-    ),
-}
+KNOWN_FAILING: Dict[Tuple[str, str], str] = {}
 
 
 def _timings(node: object) -> Iterator[dict]:

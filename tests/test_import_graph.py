@@ -169,7 +169,7 @@ def test_a_handed_over_region_table_builds_the_same_region_map():
     viewers = [f"viewer-{index:05d}" for index in range(500)]
     control = ["GSC", "LSC-0", "LSC-1", "CDN"]
     config = PlanetLabTraceConfig()
-    keys = node_keys(11, viewers)
+    keys = node_keys(11, "viewer-%05d", len(viewers))
     regions = region_indices(keys, len(config.region_names))
     derived = generate_planetlab_matrix(viewers + control, rng=SeededRandom(11))
     handed = generate_planetlab_matrix(

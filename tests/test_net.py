@@ -13,9 +13,9 @@ from repro.net.planetlab import (
     _U2_SALT,
     PlanetLabTraceConfig,
     _mix64,
+    _node_key,
     _pair_delay,
     generate_planetlab_matrix,
-    node_keys,
 )
 from repro.net.regions import RegionMap
 from repro.sim.rng import SeededRandom
@@ -289,7 +289,7 @@ class TestLazyPlanetLabMatrix:
     def test_every_pair_is_the_pure_function_of_its_keys(self):
         config = PlanetLabTraceConfig()
         matrix = generate_planetlab_matrix(PINNED_NODES, rng=SeededRandom(7))
-        keys = dict(zip(PINNED_NODES, node_keys(7, PINNED_NODES)))
+        keys = {node: _node_key(7, node) for node in PINNED_NODES}
         assert matrix.nodes == keys
         region_of = matrix.regions.region_of
         for a in PINNED_NODES:

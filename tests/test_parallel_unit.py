@@ -32,7 +32,6 @@ from repro.experiments.runner import (
     ShardSelection,
     _OwnershipTimeline,
     _region_names_for,
-    _viewer_region_table,
     build_scenario,
     build_telecast_system,
     run_telecast_scenario,
@@ -43,6 +42,8 @@ from repro.metrics.placement import (
     per_lsc_placement_digests,
     placement_digest,
 )
+from repro.model.viewer import VIEWER_ID
+from repro.net.planetlab import node_keys, region_indices
 from repro.parallel.runner import _coordinate, resolve_worker_count, run_sharded_scenario
 from repro.parallel.worker import (
     place_lscs,
@@ -208,7 +209,8 @@ SKEWED_OUTAGE = SKEWED.with_(
 def _lsc_weights(config):
     region_names = _region_names_for(config)
     timeline = _OwnershipTimeline(config, region_names)
-    return timeline, timeline.lsc_weights(_viewer_region_table(config, len(region_names)))
+    keys = node_keys(config.latency_seed, VIEWER_ID, config.num_viewers)
+    return timeline, timeline.lsc_weights(region_indices(keys, len(region_names)))
 
 
 def test_lsc_weights_are_region_populations():

@@ -76,13 +76,15 @@ class TestBandwidthDistribution:
     def test_fixed(self):
         dist = BandwidthDistribution.fixed(6.0)
         assert dist.is_fixed
-        assert dist.sample(SeededRandom(0)) == 6.0
+        viewers = ViewerWorkload(WorkloadConfig(num_viewers=5, outbound=dist)).viewers()
+        assert {viewer.outbound_capacity_mbps for viewer in viewers} == {6.0}
         assert dist.label() == "C_obw=6"
 
     def test_uniform_sampling_within_range(self):
         dist = BandwidthDistribution.uniform(2.0, 10.0)
-        rng = SeededRandom(1)
-        assert all(2.0 <= dist.sample(rng) <= 10.0 for _ in range(100))
+        config = WorkloadConfig(num_viewers=100, outbound=dist)
+        viewers = ViewerWorkload(config, rng=SeededRandom(1)).viewers()
+        assert all(2.0 <= viewer.outbound_capacity_mbps <= 10.0 for viewer in viewers)
         assert dist.label() == "C_obw=2-10"
 
     def test_invalid_range_rejected(self):
