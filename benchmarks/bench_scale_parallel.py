@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -91,7 +92,7 @@ MIN_SPEEDUP = 3.0
 #: Required shard-filtered-vs-full scenario build speedup (per worker).
 MIN_BUILD_SPEEDUP = 2.0
 
-#: Repetitions of the build measurement (the best of them counts).
+#: Repetitions of the build measurement (the median speedup counts).
 BUILD_REPS = 3
 
 #: Cores below which the run-speedup gate is report-only: with fewer
@@ -117,25 +118,30 @@ def _measure_builds(config: ExperimentConfig, workers: int) -> Dict[str, object]
     ``build_full`` is the one-worker build -- the whole world, what every
     worker paid before shard projection.  Under load-aware placement no
     single worker is "the" typical shard, so every worker's projected
-    build is timed (``build_worker_<i>``) and the gated speedup divides
-    by the slowest of them: the critical worker's build is what the run
-    waits for.  Best of :data:`BUILD_REPS` on every leg: single-run wall
-    times on a busy box are noisy enough to flip the gate.
+    build is timed (``build_worker_<i>``) and a rep's speedup divides by
+    the slowest of them: the critical worker's build is what the run
+    waits for.  Each rep times every leg inside one stopwatch bracket,
+    so the bracket's calibration cancels in the rep's ratio; the gated
+    speedup is the median over :data:`BUILD_REPS` reps, since single-run
+    wall times on a busy box are noisy enough to flip the gate.
     """
-    best = {}
+    reps = []
     for _ in range(BUILD_REPS):
         with records.STOPWATCH.bracket() as timed:
             timed("build_full", lambda: build_scenario(config))
             for index in range(workers):
                 shard = ShardSelection(num_workers=workers, worker_index=index)
                 timed(f"build_worker_{index}", lambda: build_scenario(config, shard=shard))
-        for name, timing in timed.timings.items():
-            if name not in best or timing.cal_s < best[name].cal_s:
-                best[name] = timing
-    slowest = max(timing.cal_s for name, timing in best.items() if name != "build_full")
+        slowest = max(wall for name, wall in timed.walls.items() if name != "build_full")
+        reps.append(
+            {
+                "timings": {name: timing.to_json() for name, timing in timed.timings.items()},
+                "build_speedup": timed.walls["build_full"] / slowest,
+            }
+        )
     return {
-        "timings": {name: timing.to_json() for name, timing in best.items()},
-        "build_speedup": best["build_full"].cal_s / slowest,
+        "reps": reps,
+        "build_speedup": statistics.median(rep["build_speedup"] for rep in reps),
     }
 
 

@@ -17,7 +17,7 @@ Run with::
 from __future__ import annotations
 
 from repro.core import DelayLayerConfig, TeleCastSystem, build_views
-from repro.core.dataplane import OverlayDataPlane
+from repro.core.dataplane import DataPlaneConfig, SimulatedDataPlane
 from repro.model.cdn import CDN
 from repro.model.producer import make_default_producers
 from repro.model.viewer import Viewer
@@ -70,13 +70,18 @@ def main() -> None:
     trace = TeeveSessionTrace(
         producers, config=TeeveSessionConfig(duration=5.0), rng=SeededRandom(2)
     )
-    report = OverlayDataPlane(system, trace).replay(max_frames_per_stream=40)
+    # Reference mode: every frame arrives at its stream's effective delay
+    # (no loss, no bandwidth model, no layer refresh).
+    reference = DataPlaneConfig(
+        bandwidth_headroom=None, refresh_interval=None, max_frames_per_stream=40
+    )
+    report = SimulatedDataPlane(system, trace, reference).run()
 
     print()
     print("frame-level skew between dependent streams at each viewer:")
     bound = layer_config.buffer_duration + layer_config.tau
     for viewer_id in viewer_ids:
-        skew = report.skew_for(viewer_id)
+        skew = report.playback.skew_for(viewer_id)
         if skew is None:
             continue
         status = "ok" if skew <= bound else "VIOLATION"

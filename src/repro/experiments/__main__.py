@@ -6,7 +6,7 @@ Examples::
     python -m repro.experiments 14a
     python -m repro.experiments 13c --viewers 400 --step 100
     python -m repro.experiments run --viewers 2000 --lscs 3 --profile
-    python -m repro.experiments run --viewers 10000 --profile --replay-frames 0
+    python -m repro.experiments run --viewers 10000 --profile --replay-frames 3
     python -m repro.experiments run --viewers 400 --control-plane simulated
     python -m repro.experiments sweep --list
     python -m repro.experiments sweep smoke --jobs 2
@@ -142,15 +142,16 @@ def build_run_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="after the control-plane run, replay N frames per stream "
-        "through the data plane (TeleCast only; with --data-plane this "
-        "truncates the simulated replay instead of running the offline one)",
+        "through the simulated data plane (TeleCast only); alone it runs in "
+        "reference mode (constant per-edge delay, no loss, no layer "
+        "refresh), with --data-plane it truncates the modelled replay",
     )
     parser.add_argument(
         "--data-plane",
         action="store_true",
         help="replay the TEEVE trace through the overlay as event-driven "
-        "data messages (bandwidth serialization, loss, QoE metrics) "
-        "instead of the offline constant-delay replay",
+        "data messages with bandwidth serialization, loss and the "
+        "observed-delay layer refresh (QoE metrics)",
     )
     parser.add_argument(
         "--loss-rate",
@@ -192,34 +193,18 @@ def build_run_parser() -> argparse.ArgumentParser:
 def _run_main(argv: List[str]) -> int:
     from repro.experiments.config import PAPER_CONFIG
     from repro.experiments.reporting import format_profile, format_worker_stats
-    from repro.experiments.runner import (
-        run_offline_replay,
-        run_random_scenario,
-        run_telecast_scenario,
-    )
+    from repro.experiments.runner import run_random_scenario, run_telecast_scenario
     from repro.util.validation import require_non_negative
 
     parser = build_run_parser()
     args = parser.parse_args(argv)
-    # What no config can reject: the offline replay's frame count and
-    # flag combinations that pick an engine the request cannot run on.
-    if args.replay_frames is not None and args.replay_frames < 0:
-        parser.error("--replay-frames must be >= 0")
-    if args.system == "random":
-        for flag, given in (
-            ("--shards", args.shards > 1),
-            ("--replay-frames", args.replay_frames is not None),
-            ("--control-plane simulated", args.control_plane != "instant"),
-            ("--data-plane", args.data_plane),
-        ):
-            if given:
-                parser.error(f"{flag} requires --system telecast")
-    if args.shards > 1 and args.replay_frames is not None:
-        parser.error("--shards cannot run the frame replay")
     if args.snapshot_every is not None:
         # The library refuses it too, but a TeleCast run only once its
         # world is built.
         _checked(parser, require_non_negative, args.snapshot_every, "snapshot_every")
+    # --replay-frames alone replays through the simulated plane in
+    # reference mode: constant per-edge delay, no loss, no refresh.
+    reference = args.replay_frames is not None and not args.data_plane
     config = _checked(
         parser,
         PAPER_CONFIG.with_scaled_population,
@@ -228,32 +213,31 @@ def _run_main(argv: List[str]) -> int:
         num_views=args.views,
         control_plane=args.control_plane,
         heartbeat_period=args.heartbeat_period,
-        data_plane="simulated" if args.data_plane else "off",
-        data_loss_rate=args.loss_rate,
+        data_plane="simulated" if args.data_plane or reference else "off",
+        data_loss_rate=0.0 if reference else args.loss_rate,
         data_bandwidth_headroom=(
-            None if math.isinf(args.bandwidth_headroom) else args.bandwidth_headroom
+            None
+            if reference or math.isinf(args.bandwidth_headroom)
+            else args.bandwidth_headroom
         ),
-        replay_frames_per_stream=args.replay_frames if args.data_plane else None,
+        data_refresh_interval=None if reference else PAPER_CONFIG.data_refresh_interval,
+        replay_frames_per_stream=args.replay_frames,
         shard_workers=args.shards,
     )
     # Flags the chosen planes never read, refused once the config has
     # stated its own rules on their values.
-    for flag, name, needs, read in (
-        ("--loss-rate", "data_loss_rate", "--data-plane", args.data_plane),
-        ("--bandwidth-headroom", "data_bandwidth_headroom", "--data-plane", args.data_plane),
-        (
-            "--heartbeat-period",
-            "heartbeat_period",
-            "--control-plane simulated",
-            args.control_plane == "simulated",
-        ),
+    for flag, needs, read in (
+        ("--loss-rate", "--data-plane", args.data_plane),
+        ("--bandwidth-headroom", "--data-plane", args.data_plane),
+        ("--heartbeat-period", "--control-plane simulated", args.control_plane == "simulated"),
     ):
-        if not read and getattr(config, name) != getattr(PAPER_CONFIG, name):
+        dest = flag.lstrip("-").replace("-", "_")
+        if not read and getattr(args, dest) != parser.get_default(dest):
             parser.error(f"{flag} requires {needs}")
     started = time.perf_counter()
     if args.system == "random":
-        summary = run_random_scenario(
-            config, snapshot_every=args.snapshot_every
+        summary = _checked(
+            parser, run_random_scenario, config, snapshot_every=args.snapshot_every
         ).summary()
         print(f"random: {summary['connected_viewers']} connected, "
               f"acceptance={summary['acceptance_ratio']:.4f}, "
@@ -285,9 +269,6 @@ def _run_main(argv: List[str]) -> int:
     result = run_telecast_scenario(
         config, snapshot_every=args.snapshot_every, profile=args.profile
     )
-    if args.replay_frames is not None and not args.data_plane:
-        report = run_offline_replay(result, args.replay_frames, profile=args.profile)
-        print(f"replayed {len(report.deliveries)} frame deliveries")
     metrics_started = time.perf_counter()
     summary = result.summary()
     if args.profile:

@@ -29,7 +29,6 @@ from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.controllers import nearest_lsc
-from repro.core.dataplane import OverlayDataPlane, PlaybackReport
 from repro.core.telecast import TeleCastSystem, build_views
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
@@ -47,7 +46,6 @@ from repro.net.planetlab import (
 )
 from repro.net.regions import shard_regions
 from repro.sim.rng import SeededRandom
-from repro.traces.teeve import TeeveSessionTrace
 from repro.traces.workload import (
     ChurnWorkload,
     OutageConfig,
@@ -567,35 +565,31 @@ def run_telecast_scenario(
     )
 
 
-def run_offline_replay(
-    result: ScenarioResult, frames: int, *, profile: bool = False
-) -> PlaybackReport:
-    """Replay ``frames`` frames per stream over a finished run's overlay.
-
-    The engine-free data plane (:meth:`OverlayDataPlane.replay`:
-    constant per-edge delay, no loss, no refresh) over the overlay
-    ``run_telecast_scenario`` left behind; with ``profile`` the wall
-    time lands in ``metrics.phase_timings["replay"]``.
-    """
-    started = time.perf_counter()
-    system = result.system
-    trace = TeeveSessionTrace(system.producers, rng=SeededRandom(result.config.seed))
-    report = OverlayDataPlane(system, trace).replay(max_frames_per_stream=frames)
-    if profile:
-        result.metrics.add_phase_time("replay", time.perf_counter() - started)
-    return report
-
-
 def run_random_scenario(
     config: ExperimentConfig,
     *,
     snapshot_every: Optional[int] = 100,
 ) -> ScenarioResult:
-    """Run the same scenario through the Random dissemination baseline."""
+    """Run the same scenario through the Random dissemination baseline.
+
+    The baseline places joins alone, instantly, in one process: a config
+    asking for a simulated plane or shard workers is refused by field
+    name before anything is built, not run as if it had not asked.
+    """
     # Imported here: the serve daemon and every TeleCast run import this
     # module and never load the baseline.
     from repro.baselines.random_routing import RandomDisseminationSystem
 
+    for name, runnable in (
+        ("control_plane", config.control_plane == "instant"),
+        ("data_plane", config.data_plane == "off"),
+        ("shard_workers", (config.shard_workers or 1) == 1),
+    ):
+        if not runnable:
+            raise ValueError(
+                f"the Random baseline cannot run {name}={getattr(config, name)!r} "
+                "(it places joins alone, instantly, in one process)"
+            )
     if snapshot_every is not None:
         require_non_negative(snapshot_every, "snapshot_every")
     scenario = build_scenario(config)

@@ -43,11 +43,6 @@ class PeriodicProcess:
         if self._running:
             self._handle = self._sim.schedule(self._period, self._tick)
 
-    @property
-    def running(self) -> bool:
-        """Whether the process is still scheduled."""
-        return self._running
-
     def stop(self) -> None:
         """Stop the process; any pending tick is cancelled."""
         self._running = False

@@ -9,7 +9,11 @@ test), wall-clock fields masked by :data:`WALL_CLOCK`, and the ``--help``
 text of every subcommand (no flag added or removed).  The ``figures``
 entries (``--list`` and one scaling / one distribution table) were
 captured at the parent of the one-figure-registry change, when
-``render_figure`` was an if-chain.
+``render_figure`` was an if-chain.  ``run.profile_replay`` and
+``help.run`` were re-captured when ``--replay-frames`` alone moved from
+the engine-free replay to the simulated plane's reference mode: the
+replay now prints the data-plane line, with the 1131 deliveries the
+engine-free replay counted.
 
 Regenerate (only for an intentional output change) with
 ``PYTHONPATH=src python tests/test_cli_pinned.py``.
@@ -28,7 +32,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.dataplane import OverlayDataPlane
 from repro.experiments import __main__ as cli
+from repro.experiments.config import PAPER_CONFIG
+from repro.experiments.runner import run_telecast_scenario
+from repro.sim.rng import SeededRandom
+from repro.traces.teeve import TeeveSessionTrace
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "cli_outputs.json"
 
@@ -169,10 +178,26 @@ def test_cli_module_imports_no_system_internals():
         (["sweep", "scale", "--lscs", "0"], "num_lscs must be > 0"),
         (["scenario", "outage", "--viewers", "0"], "num_viewers must be > 0"),
         (["14a", "--viewers", "-3"], "num_viewers must be > 0"),
-        # Rules only the CLI can state.
-        (["run", "--replay-frames", "-1"], "--replay-frames must be >= 0"),
-        (["run", "--shards", "2", "--replay-frames", "3"], "--shards cannot run"),
-        (["run", "--system", "random", "--shards", "2"], "--shards requires --system"),
+        (["run", "--replay-frames", "-1"], "max_frames_per_stream must be >= 0"),
+        # --replay-frames alone is the reference-mode simulated replay.
+        (["run", "--shards", "2", "--replay-frames", "3"], "shard_workers > 1 requires"),
+        # Refused by run_random_scenario, by field name.
+        (
+            ["run", "--system", "random", "--shards", "2"],
+            "the Random baseline cannot run shard_workers=2",
+        ),
+        (
+            ["run", "--system", "random", "--replay-frames", "3"],
+            "the Random baseline cannot run data_plane='simulated'",
+        ),
+        (
+            ["run", "--system", "random", "--data-plane"],
+            "the Random baseline cannot run data_plane='simulated'",
+        ),
+        (
+            ["run", "--system", "random", "--control-plane", "simulated"],
+            "the Random baseline cannot run control_plane='simulated'",
+        ),
         # NaN fails every comparison, so only ``not value > 0`` refuses it.
         (["run", "--heartbeat-period", "nan"], "heartbeat_period must be > 0"),
         # Rejected by ServeConfig and the snapshot cadence's check, through
@@ -200,6 +225,15 @@ def test_cli_module_imports_no_system_internals():
             ["run", "--viewers", "20", "--heartbeat-period", "5"],
             "--heartbeat-period requires --control-plane simulated",
         ),
+        # The reference replay sets neither field from its flag.
+        (
+            ["run", "--viewers", "20", "--replay-frames", "3", "--loss-rate", "0.02"],
+            "--loss-rate requires --data-plane",
+        ),
+        (
+            ["run", "--viewers", "20", "--replay-frames", "3", "--bandwidth-headroom", "2"],
+            "--bandwidth-headroom requires --data-plane",
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors_in_the_library_s_words(
@@ -209,6 +243,28 @@ def test_invalid_values_are_usage_errors_in_the_library_s_words(
         cli.main(arguments)
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_reference_replay_delivers_what_the_offline_plane_does():
+    # ``run --replay-frames N`` without --data-plane replays through the
+    # simulated plane in reference mode; it must deliver every frame the
+    # engine-free replay delivers over the identically built overlay.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["run", *SCALE, "--replay-frames", "3"]) == 0
+    counts = re.search(
+        r"data plane: (\d+)/(\d+) frames delivered \((\d+) lost, (\d+) late\)",
+        out.getvalue(),
+    )
+    assert counts is not None, out.getvalue()
+    delivered, sent, lost, late = map(int, counts.groups())
+
+    config = PAPER_CONFIG.with_scaled_population(80, num_lscs=3)
+    system = run_telecast_scenario(config, snapshot_every=None).system
+    trace = TeeveSessionTrace(system.producers, rng=SeededRandom(config.seed))
+    offline = OverlayDataPlane(system, trace).replay(max_frames_per_stream=3)
+    assert len(offline.deliveries) > 0
+    assert (delivered, sent, lost, late) == (len(offline.deliveries),) * 2 + (0, 0)
 
 
 def test_mask_leaves_simulated_time_alone():

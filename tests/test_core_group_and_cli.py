@@ -147,7 +147,8 @@ class TestRunSubcommand:
         assert "phase breakdown (wall clock):" in out
         for phase in ("build", "join", "replay", "metrics", "total"):
             assert phase in out
-        assert "replayed" in out
+        # --replay-frames alone is the reference-mode simulated replay.
+        assert "(0 lost, 0 late), continuity=1.0000" in out
 
     def test_run_random_system(self, capsys):
         assert main(["run", "--viewers", "40", "--system", "random"]) == 0
@@ -166,9 +167,6 @@ class TestRunSubcommand:
         out = capsys.readouterr().out
         assert "data plane:" in out
         assert "continuity=" in out
-        # The offline replay line must NOT appear: --replay-frames
-        # truncated the simulated replay instead.
-        assert "replayed" not in out
 
     def test_run_data_plane_unconstrained_bandwidth(self, capsys):
         assert (

@@ -45,7 +45,6 @@ from repro.experiments.config import PAPER_CONFIG
 from repro.experiments.runner import (
     build_scenario,
     build_telecast_system,
-    run_offline_replay,
     run_telecast_scenario,
 )
 from repro.model.stream import Frame, StreamId
@@ -324,8 +323,6 @@ class TestOfflineEquivalence:
         message = "max_frames_per_stream must be >= 0 or None"
         with pytest.raises(ValueError, match=message):
             OverlayDataPlane(result.system, trace).replay(max_frames_per_stream=-1)
-        with pytest.raises(ValueError, match=message):
-            run_offline_replay(result, -1)
         with pytest.raises(ValueError, match=message):
             DataPlaneConfig(max_frames_per_stream=-1)
 

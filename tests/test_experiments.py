@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro.core.dataplane import DataPlaneConfig
+from repro.experiments import runner as runner_module
 from repro.experiments.config import (
     FIGURE_13_BANDWIDTH_SETTINGS,
     PAPER_CONFIG,
@@ -190,6 +191,26 @@ class TestRunner:
         result = run_random_scenario(tiny_config, snapshot_every=20)
         assert result.final_snapshot.num_requests == 60
         assert 0.0 < result.acceptance_ratio <= 1.0
+
+    @pytest.mark.parametrize(
+        "field_name, overrides",
+        [
+            ("control_plane", {"control_plane": "simulated"}),
+            ("data_plane", {"data_plane": "simulated"}),
+            ("shard_workers", {"num_lscs": 2, "shard_workers": 2}),
+        ],
+    )
+    def test_random_scenario_refuses_what_the_baseline_cannot_run(
+        self, tiny_config, monkeypatch, field_name, overrides
+    ):
+        # The baseline places joins alone, instantly, in one process; it
+        # used to run such a config as if the field were unset.
+        def no_build(*args, **kwargs):
+            raise AssertionError("refused configs must not build a world")
+
+        monkeypatch.setattr(runner_module, "build_scenario", no_build)
+        with pytest.raises(ValueError, match=f"cannot run {field_name}="):
+            run_random_scenario(tiny_config.with_(**overrides), snapshot_every=None)
 
     def test_a_negative_snapshot_cadence_is_refused(self, tiny_config):
         from repro.parallel import run_sharded_scenario

@@ -301,7 +301,7 @@ class TestPeriodicProcess:
         process.stop()
         sim.run(until=10.0)
         assert ticks == [1.0, 2.0]
-        assert not process.running
+        assert not process._running
 
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
