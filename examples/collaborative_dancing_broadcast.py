@@ -42,7 +42,7 @@ def main() -> None:
         rng=SeededRandom(21),
     )
     audience = workload.viewers()
-    schedule = workload.events(audience)
+    schedule = workload.events()
 
     latency = generate_planetlab_matrix(
         [viewer.viewer_id for viewer in audience] + ["GSC", "LSC-0", "CDN"],

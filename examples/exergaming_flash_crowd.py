@@ -47,7 +47,7 @@ def main() -> None:
         rng=SeededRandom(8),
     )
     spectators = workload.viewers()
-    schedule = workload.events(spectators)
+    schedule = workload.events()
 
     latency = generate_planetlab_matrix(
         [viewer.viewer_id for viewer in spectators] + ["GSC", "LSC-0", "CDN"],

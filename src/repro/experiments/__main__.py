@@ -280,18 +280,25 @@ def _run_main(argv: List[str]) -> int:
         f"cdn_fraction={summary['cdn_fraction']:.4f}, "
         f"cdn={summary['cdn_outbound_mbps']:.1f}Mbps"
     )
-    if "qoe_continuity_mean" in summary:
-        print(
-            f"data plane: {int(summary['data_frames_delivered'])}/"
-            f"{int(summary['data_frames_sent'])} frames delivered "
-            f"({int(summary['data_frames_lost'])} lost, "
-            f"{int(summary['data_frames_late'])} late), "
-            f"continuity={summary['qoe_continuity_mean']:.4f}, "
-            f"startup p95={summary.get('qoe_startup_delay_p95', float('nan')):.2f}s, "
-            f"playout skew p99="
-            f"{summary.get('qoe_playout_skew_p99', 0.0) * 1000:.0f}ms "
-            f"(within d_buff: {summary.get('qoe_skew_within_dbuff', 1.0):.2%})"
+    if config.data_plane == "simulated":
+        # The frame counters enter the summary once a frame was sent, and
+        # each QoE field once it has samples.
+        line = "data plane: {}/{} frames delivered ({} lost, {} late)".format(
+            *(
+                int(summary.get(f"data_frames_{kind}", 0))
+                for kind in ("delivered", "sent", "lost", "late")
+            )
         )
+        if "qoe_continuity_mean" in summary:
+            line += f", continuity={summary['qoe_continuity_mean']:.4f}"
+        if "qoe_startup_delay_p95" in summary:
+            line += f", startup p95={summary['qoe_startup_delay_p95']:.2f}s"
+        if "qoe_playout_skew_p99" in summary:
+            line += (
+                f", playout skew p99={summary['qoe_playout_skew_p99'] * 1000:.0f}ms "
+                f"(within d_buff: {summary['qoe_skew_within_dbuff']:.2%})"
+            )
+        print(line)
     if "observed_join_delay_p50" in summary:
         analytic = summary.get("join_delay_p50", float("nan"))
         print(

@@ -2,21 +2,21 @@
 
 The coordinator owns no session state at all.  It spawns one worker
 process per shard (:func:`repro.parallel.worker.run_shard_worker`),
-relays the barrier protocol -- every worker sends one
-:class:`~repro.sim.transport.ShardBarrierAck` per cross-shard event, and
-each is checked against the barrier's first (failed, target) decision
-as it arrives; as soon as the failed LSC's host has acked, one
+referees the one ``lsc_fail`` barrier a schedule can hold -- every
+worker sends one :class:`~repro.sim.transport.ShardBarrierAck`, each
+checked against the first ack's (failed, target) decision as it
+arrives; as soon as the failed LSC's host has acked, one
 :class:`~repro.sim.transport.ShardResume` carrying the migrated sessions
-goes to the target's worker, the only one that waits for it -- and
-merges the per-shard results (metrics, snapshots, placement digests,
-CDN usage) in shard-index order, so the merged record is a
-deterministic function of the seeds.
+goes to the worker the placement gives the target, the only one that
+waits for it -- and merges the per-shard results (metrics, snapshots,
+placement digests, CDN usage) in shard-index order, so the merged
+record is a deterministic function of the seeds.
 
-Clock-merge rule: between barriers every shard's simulator clock runs
-independently (shard-local events commute across shards); a barrier
-sits at its ``lsc_fail`` event's timestamp, which every ack carries and
-every shard aligns to before replaying past it, so nothing is merged
-there; the merged run clock is the max over final shard clocks.
+Clock-merge rule: away from the barrier every shard's simulator clock
+runs independently (shard-local events commute across shards); the
+barrier sits at its ``lsc_fail`` event's timestamp, which every shard
+aligns to before replaying past it, so nothing is merged there; the
+merged run clock is the max over final shard clocks.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def run_sharded_scenario(
         require_non_negative(snapshot_every, "snapshot_every")
     workers = resolve_worker_count(config, num_workers)
     # Computed once here and handed to every worker; _coordinate checks
-    # what the workers report hosting against it.
+    # what the workers report hosting against it and routes the resume by it.
     placement = shard_placement(config, workers)
     ctx = (
         multiprocessing.get_context(mp_start_method)
@@ -151,7 +151,7 @@ def run_sharded_scenario(
         process.start()
     try:
         payload_messages = _coordinate(
-            workers, coord_queue, inboxes, processes, stall_timeout, config.num_lscs
+            workers, coord_queue, inboxes, processes, stall_timeout, placement
         )
     except BaseException:
         # Failing fast only helps if teardown is fast too: a failover
@@ -176,34 +176,29 @@ def _coordinate(
     inboxes,
     processes,
     stall_timeout: float,
-    num_lscs: int,
+    placement: Tuple[int, ...],
 ) -> Dict[int, ShardResult]:
     """Pump the coordinator protocol until every shard reported its result.
 
-    The LSC ids the workers report hosting (:class:`ShardReady`) must be
-    pairwise disjoint and together cover ``LSC-0..LSC-(num_lscs-1)``: a
-    worker that derived a different placement would otherwise silently
-    double-host or drop an LSC.  The same report routes each barrier's
-    resume: an ack from the failed LSC's host releases it, to the
-    target's host (the owner's when no LSC survives) and nobody else; a
-    bystander's ack only cross-checks the decision.
+    Each worker must report hosting (:class:`ShardReady`) exactly the
+    LSCs ``placement`` gives it: a worker that derived a different
+    placement would otherwise silently double-host or drop an LSC.  Each
+    ack must carry the first ack's (failed, target) decision.  The
+    failed LSC's host's ack releases the one resume, to the worker the
+    placement gives the target (the failed LSC's own when no LSC
+    survives) and nobody else.
 
     A worker that dies without delivering its :class:`ShardResult` --
     crash, kill signal, or a clean exit that skipped the protocol --
     fails the run promptly instead of leaving the coordinator (and a
-    failover target blocked at a barrier) waiting out the stall
+    failover target blocked at the barrier) waiting out the stall
     timeout.  A worker that exited ``0`` gets one extra poll of grace so
     a result still draining through the queue's feeder pipe is not
     misread as a death.
     """
     results: Dict[int, ShardResult] = {}
-    hosted: Dict[int, Tuple[str, ...]] = {}
-    #: LSC id -> hosting worker, once every worker reported its LSCs.
-    host_of: Dict[str, int] = {}
-    #: The (failed, target) decision of each barrier, from its first ack.
-    decisions: Dict[int, Tuple[str, str]] = {}
-    #: Failed hosts' acks whose resume waits for ``host_of``.
-    due: List[ShardBarrierAck] = []
+    #: The (failed, target) decision of the first ack.
+    decision: Optional[Tuple[str, str]] = None
     waited = 0.0
     missing_polls = 0
     while len(results) < workers:
@@ -249,61 +244,47 @@ def _coordinate(
                 f"shard {message.shard_index} failed:\n{message.error}"
             )
         if isinstance(message, ShardReady):
-            hosted[message.shard_index] = message.lsc_ids
-            if len(hosted) == workers:
-                _check_hosted_lscs(hosted, num_lscs)
-                host_of = {
-                    lsc_id: index
-                    for index, lsc_ids in hosted.items()
-                    for lsc_id in lsc_ids
-                }
+            expected = tuple(
+                f"LSC-{lsc}"
+                for lsc, worker in enumerate(placement)
+                if worker == message.shard_index
+            )
+            if message.lsc_ids != expected:
+                raise RuntimeError(
+                    f"shard placement mismatch: shard-{message.shard_index} "
+                    f"must host {list(expected)}, reported {list(message.lsc_ids)}"
+                )
         elif isinstance(message, ShardResult):
             results[message.shard_index] = message
         elif isinstance(message, ShardBarrierAck):
-            decision = (message.failed_lsc_id, message.target_lsc_id)
-            agreed = decisions.setdefault(message.barrier_seq, decision)
-            if decision != agreed:
+            acked = (message.failed_lsc_id, message.target_lsc_id)
+            decision = decision or acked
+            if acked != decision:
                 raise RuntimeError(
-                    f"shards disagree on failover decision at barrier "
-                    f"{message.barrier_seq}: {sorted({agreed, decision})}"
+                    "shards disagree on the failover decision: "
+                    f"{sorted({decision, acked})}"
                 )
-            # A worker's own ShardReady precedes its acks on the queue.
-            if message.failed_lsc_id in hosted[message.shard_index]:
-                due.append(message)
-        else:
-            raise RuntimeError(f"unexpected coordinator message: {message!r}")
-        if host_of:
-            for ack in due:
+            if placement[_lsc_index(message.failed_lsc_id)] == message.shard_index:
                 # The target's worker re-admits; with no survivor, the owner.
-                index = host_of[ack.target_lsc_id or ack.failed_lsc_id]
+                index = placement[
+                    _lsc_index(message.target_lsc_id or message.failed_lsc_id)
+                ]
                 inboxes[index].put(
                     ShardResume(
                         src="coordinator",
                         dst=f"shard-{index}",
-                        sent_at=ack.local_clock,
-                        barrier_seq=ack.barrier_seq,
-                        barrier_time=ack.local_clock,
-                        failed_lsc_id=ack.failed_lsc_id,
-                        target_lsc_id=ack.target_lsc_id,
-                        sessions=ack.sessions,
+                        sent_at=message.sent_at,
+                        sessions=message.sessions,
                     )
                 )
-            due.clear()
+        else:
+            raise RuntimeError(f"unexpected coordinator message: {message!r}")
     return results
 
 
-def _check_hosted_lscs(hosted: Dict[int, Tuple[str, ...]], num_lscs: int) -> None:
-    """Fail the run unless the workers host every LSC exactly once."""
-    claimed = [lsc_id for index in sorted(hosted) for lsc_id in hosted[index]]
-    expected = [f"LSC-{i}" for i in range(num_lscs)]
-    if sorted(claimed) != sorted(expected):
-        detail = ", ".join(
-            f"shard-{index}: {list(hosted[index])}" for index in sorted(hosted)
-        )
-        raise RuntimeError(
-            "shard placement mismatch: the workers must host "
-            f"LSC-0..LSC-{num_lscs - 1} exactly once each, got {detail}"
-        )
+def _lsc_index(lsc_id: str) -> int:
+    """``LSC-3`` -> 3."""
+    return int(lsc_id.rsplit("-", 1)[1])
 
 
 def _merge(

@@ -15,23 +15,26 @@ the build: ``viewer -> region -> owning LSC -> worker``, the last step
 being the weighted placement of :func:`place_lscs` (heaviest LSC first
 onto the least-loaded worker; the coordinator computes it once and hands
 it to every worker).  A worker replays every event its slice holds.
-The one cross-shard operation, ``lsc_fail``, is a barrier, and only
-the worker that needs its sessions waits at it.  The worker hosting the
-failed LSC replays that LSC's own pre-failure events first
-(:func:`failover_replay_order`), evicts it
+
+The one cross-shard operation is the configured outage's ``lsc_fail``,
+at most one per schedule (a second one is refused).  Its failover -- the
+failed LSC, the barrier time, the target and the regions that move -- is
+decided once, by the build's ownership timeline, and every worker reads
+it from there.  Only the worker that needs the sessions waits at the
+barrier.  The worker hosting the failed LSC replays that LSC's own
+pre-failure events first (:func:`failover_replay_order`), evicts it
 (``TeleCastSystem.evict_lsc``: CDN reservations released, sessions
 sorted by ``(join_time, viewer_id)``) and ships the sessions in its
 :class:`~repro.sim.transport.ShardBarrierAck` at once; only then does
 it replay its other LSCs' events.  Every other worker acks too (the
 coordinator cross-checks the failover decision) and replays its segment
-without stopping.  The worker hosting the nearest surviving LSC then
-blocks on the coordinator's one :class:`~repro.sim.transport.ShardResume`
-and re-admits the sessions through its normal join pipeline
-(``TeleCastSystem.absorb_failover``) -- the same two halves
-:func:`repro.core.recovery.failover_lsc` runs back to back in one
-process.  Every worker aligns its simulator clock to the barrier's
-timestamp and repoints the failed regions at the target in its barrier
-maps, so a later failover moves them again.
+without stopping.  Every worker then aligns its simulator clock to the
+barrier.  The worker hosting the target (the failed LSC's own host when
+no LSC survives) blocks on the coordinator's one
+:class:`~repro.sim.transport.ShardResume` and re-admits the sessions
+through its normal join pipeline (``TeleCastSystem.absorb_failover``) --
+the same two halves :func:`repro.core.recovery.failover_lsc` runs back
+to back in one process.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from __future__ import annotations
 import pickle
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.controllers import nearest_lsc
 from repro.core.session import InstantDriver, event_sort_key
 from repro.core.telecast import TeleCastSystem
 from repro.metrics.placement import per_lsc_placement_digests
@@ -213,20 +215,12 @@ def _run(
         )
     )
 
-    # The scenario build already cut the schedule down to this worker's
-    # events (the ownership timeline applies the failover transition), so
-    # nothing is filtered here.  The global maps below serve the barrier
-    # alone -- who hosts the failed LSC and its target, which regions move
-    # -- and every worker updates identical copies at the same barriers.
-    region_to_lsc: Dict[str, str] = {
-        region: f"LSC-{i}"
-        for i, group in enumerate(scenario.lsc_regions)
-        for region in group
-    }
-    lsc_to_worker = {f"LSC-{i}": worker for i, worker in enumerate(placement)}
-    alive = [f"LSC-{i}" for i in range(config.num_lscs)]
     viewers_by_id = {viewer.viewer_id: viewer for viewer in scenario.viewers}
     views_by_id = {view.view_id: view for view in scenario.views}
+    # The build already cut the schedule to this worker's events by its
+    # ownership timeline, which is also the one failover decision: the
+    # failed LSC, the barrier time, the target and the regions that move.
+    # The worker reads that decision; it derives none of it again.
     timeline = _OwnershipTimeline(config, _region_names_for(config))
 
     def lsc_of(event) -> Optional[int]:
@@ -242,75 +236,74 @@ def _run(
         events_applied += len(events)
 
     ordered = sorted(scenario.events, key=event_sort_key)
-    barrier_seq = 0
-    pending: List = []
-    for event in ordered:
-        if event.kind != "lsc_fail":
-            pending.append(event)
-            continue
-        failed = event.viewer_id
-        if failed not in alive:
-            # A second crash of an already-failed controller is a no-op in
-            # the single-process driver; every worker skips it identically,
-            # so no barrier round-trip is spent on it.
-            continue
-        barrier_seq += 1
-        alive.remove(failed)
-        target = nearest_lsc(scenario.delay_model, failed, alive)
+    barriers = [event for event in ordered if event.kind == "lsc_fail"]
+    if len(barriers) > 1:
+        second = barriers[1]
+        raise RuntimeError(
+            f"shard {worker_index}: second lsc_fail barrier ({second.viewer_id} "
+            f"at t={second.time:g}); a sharded schedule holds at most one, "
+            "the configured outage's"
+        )
+    if [event_sort_key(event) for event in barriers] != (
+        [timeline.transition_key] if timeline.transition_key else []
+    ):
+        raise RuntimeError(
+            f"shard {worker_index}: lsc_fail barriers {barriers} do not match "
+            f"the outage's failover {timeline.transition_key}"
+        )
+    if not barriers:
+        replay(ordered)
+    else:
+        barrier_time, failed = timeline.transition_key
+        failed_index, target_index = timeline.failed_index, timeline.target_index
+        target = None if target_index is None else f"LSC-{target_index}"
+        cut = ordered.index(barriers[0])
         # Only the failed LSC's host holds events of it: elsewhere the
         # first part is empty and the ack goes out before the segment.
-        failed_first, others = failover_replay_order(pending, int(failed[4:]), lsc_of)
-        pending = []
+        failed_first, others = failover_replay_order(
+            ordered[:cut], failed_index, lsc_of
+        )
         replay(failed_first)
         sessions: Tuple[Tuple[str, str, float], ...] = ()
-        if lsc_to_worker[failed] == worker_index:
-            sessions = tuple(system.evict_lsc(failed, event.time))
+        if placement[failed_index] == worker_index:
+            sessions = tuple(system.evict_lsc(failed, barrier_time))
         transport.send(
             ShardBarrierAck(
                 src=me,
                 dst="coordinator",
-                sent_at=event.time,
+                sent_at=barrier_time,
                 shard_index=worker_index,
-                barrier_seq=barrier_seq,
-                local_clock=event.time,
                 failed_lsc_id=failed,
                 target_lsc_id=target or "",
                 sessions=sessions,
             )
         )
         replay(others)
-        driver.advance(event.time)
-        reassigned = sorted(
-            region for region, lsc_id in region_to_lsc.items() if lsc_id == failed
-        )
+        driver.advance(barrier_time)
         # The target's worker re-admits the sessions; with no survivor
         # anywhere the owner books them as lost.  Nobody else waits.
-        if lsc_to_worker[target or failed] == worker_index:
+        readmitter = failed_index if target_index is None else target_index
+        if placement[readmitter] == worker_index:
             mark = time.perf_counter()
             resume = transport.recv(timeout=BARRIER_TIMEOUT)
             barrier_wait_s += time.perf_counter() - mark
-            if not isinstance(resume, ShardResume) or resume.barrier_seq != barrier_seq:
+            if not isinstance(resume, ShardResume):
                 raise RuntimeError(
-                    f"shard {worker_index}: expected resume for barrier "
-                    f"{barrier_seq}, got {resume!r}"
+                    f"shard {worker_index}: expected the failover resume, "
+                    f"got {resume!r}"
                 )
             mark = time.perf_counter()
             system.absorb_failover(
                 failed,
                 target,
                 resume.sessions,
-                event.time,
+                barrier_time,
                 viewers_by_id=viewers_by_id,
                 views_by_id=views_by_id,
-                regions=reassigned,
+                regions=sorted(timeline.failed_regions),
             )
             busy_s += time.perf_counter() - mark
-        for region in reassigned:
-            if target is None:
-                del region_to_lsc[region]
-            else:
-                region_to_lsc[region] = target
-    replay(pending)
+        replay(ordered[cut + 1 :])
     finalize_started = time.perf_counter()
     metrics = driver.finalize()
     payload = pickle.dumps(

@@ -143,22 +143,19 @@ class ShardReady(ControlMessage):
 
 @dataclass(frozen=True, kw_only=True)
 class ShardBarrierAck(ControlMessage):
-    """Worker -> coordinator: this shard reached a cross-shard barrier.
+    """Worker -> coordinator: this shard reached the ``lsc_fail`` barrier.
 
-    Every worker sends exactly one ack per barrier, carrying the
-    barrier's timestamp (``local_clock``: the ``lsc_fail`` event's time,
-    which every shard aligns to) and its view of the failover decision,
-    which the coordinator cross-checks.  The worker hosting the failed
-    LSC acks as soon as it has replayed that LSC's pre-failure events and
-    evicted it, attaching the serialized sessions to migrate, sorted by
-    ``(join_time, viewer_id)`` -- the exact order the single-process
-    :func:`repro.core.recovery.failover_lsc` re-admits them in.  Its ack
-    releases the barrier; every other ack only confirms the decision.
+    Every worker sends exactly one, at the barrier's time (``sent_at``),
+    carrying the failover decision it read off the build's ownership
+    timeline, which the coordinator cross-checks.  The worker hosting
+    the failed LSC acks as soon as it has replayed that LSC's
+    pre-failure events and evicted it, attaching the serialized sessions
+    to migrate, sorted by ``(join_time, viewer_id)`` -- the exact order
+    the single-process :func:`repro.core.recovery.failover_lsc`
+    re-admits them in.  Its ack releases the barrier.
     """
 
     shard_index: int
-    barrier_seq: int
-    local_clock: float
     failed_lsc_id: str
     target_lsc_id: str  # "" when no LSC survives
     #: ``(viewer_id, view_id, join_time)`` per migrated session.
@@ -169,17 +166,12 @@ class ShardBarrierAck(ControlMessage):
 class ShardResume(ControlMessage):
     """Coordinator -> the target's worker: here are the failed LSC's sessions.
 
-    Sent once per barrier, as soon as the failed LSC's host has acked, to
-    the worker hosting the failover target (the failed LSC's own host
+    Sent once, as soon as the failed LSC's host has acked, to the worker
+    the placement gives the failover target (the failed LSC's own host
     when no LSC survives), which re-admits the sessions.  That worker is
-    the only one that waits for it; every other worker repoints its
-    region-ownership map on its own and never receives a resume.
+    the only one that waits for it.
     """
 
-    barrier_seq: int
-    barrier_time: float
-    failed_lsc_id: str
-    target_lsc_id: str
     sessions: Tuple[Tuple[str, str, float], ...] = ()
 
 

@@ -15,10 +15,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.model.viewer import VIEWER_ID, Viewer
+from repro.model.viewer import VIEWER_ID, VIEWER_INDEX_AT, Viewer
 from repro.sim.rng import SeededRandom
 from repro.util.validation import require, require_non_negative, require_positive
 
@@ -195,12 +194,7 @@ class ViewerWorkload:
                 cache_duration=cfg.cache_duration,
             )
 
-    def events(
-        self,
-        viewers: Optional[Iterable[Viewer]] = None,
-        *,
-        owned: Optional[Sequence[bool]] = None,
-    ) -> List[ViewerEvent]:
+    def events(self, *, owned: Optional[Sequence[bool]] = None) -> List[ViewerEvent]:
         """Generate the time-ordered event schedule for the population.
 
         Every viewer joins exactly once.  A subset (per the configured
@@ -209,35 +203,29 @@ class ViewerWorkload:
         flash-crowd arrival the paper calls out as a target scenario.
         ``owned`` is passed through to :meth:`iter_events`.
         """
-        return list(self.iter_events(viewers, owned=owned))
+        return list(self.iter_events(owned=owned))
 
     def iter_events(
-        self,
-        viewers: Optional[Iterable[Viewer]] = None,
-        *,
-        owned: Optional[Sequence[bool]] = None,
+        self, *, owned: Optional[Sequence[bool]] = None
     ) -> Iterator[ViewerEvent]:
-        """Stream the schedule in sorted order without materializing it.
+        """Stream the schedule of :meth:`viewers` in time order, lazily.
 
-        ``viewers`` defaults to this workload's own population; only its
-        ids and order are read.  ``owned`` flags, per viewer index, the
-        viewers whose events are constructed: every viewer still makes
-        its draws (its arrival adds to every later join time), so the
-        result is exactly the flagged subsequence of the full schedule.
+        ``owned`` flags, per viewer index, the viewers whose events are
+        constructed: every viewer still makes its draws (its arrival adds
+        to every later join time), so the result is exactly the flagged
+        subsequence of the full schedule.
 
-        Events are heap-buffered until the next join's key passes them:
-        follow-ups (view changes, departures) fire after later viewers'
-        joins, join times never fall and ids rise.  With one view and
-        neither view changes nor departures, a viewer ``owned`` leaves
-        out costs no Python-level call.
+        Events are heap-buffered until the next flagged viewer's join
+        key passes them: follow-ups (view changes, departures) fire after
+        later viewers' joins, join times never fall and ids rise within
+        one id width.  A viewer ``owned`` leaves out pushes nothing, so it
+        neither formats its id nor flushes the heap (unless it is the
+        last of its width), and with one view and neither view changes
+        nor departures it costs no Python-level call.
         """
         cfg = self.config
         rng = self._rng.fork(2)
         random, log = rng.draw, math.log
-        if viewers is None:
-            viewer_ids = map(VIEWER_ID.__mod__, range(cfg.num_viewers))
-        else:
-            viewer_ids = map(attrgetter("viewer_id"), viewers)
         # Heap of (time, viewer_id, kind, event); a viewer emits at most
         # one event of each kind, so the key triple is unique and the
         # ViewerEvent itself is never compared.
@@ -251,17 +239,27 @@ class ViewerWorkload:
         single_view = cfg.num_views == 1
         heappush, heappop = heapq.heappush, heapq.heappop
 
+        # Ids compare as strings, so a wider id sorts lower
+        # ("viewer-100000" < "viewer-99999"): the flush at the last id of
+        # each width is the one place the order falls back, and it runs
+        # whether or not that viewer is flagged.
+        last_of_width = 10 ** len((VIEWER_ID % 0)[VIEWER_INDEX_AT:]) - 1
         join_time = 0.0
-        for index, viewer_id in enumerate(viewer_ids):
+        for index in range(cfg.num_viewers):
             if arrival_rate:
                 # Random.expovariate(arrival_rate), drawn inline.
                 join_time += -log(1.0 - random()) / arrival_rate
-            # Every event generated from here on sorts at or after
-            # (join_time, viewer_id): follow-up times are bounded below
-            # by their own viewer's join time, and ids increase.
-            while buffered and buffered[0][:2] < (join_time, viewer_id):
-                yield heappop(buffered)[3]
             mine = owned is None or owned[index]
+            if mine or index == last_of_width:
+                if index == last_of_width:
+                    last_of_width = 10 * last_of_width + 9
+                viewer_id = VIEWER_ID % index
+                # Every event generated from here on sorts at or after
+                # (join_time, viewer_id): follow-up times are bounded
+                # below by their own viewer's join time, and ids increase
+                # up to the next width.
+                while buffered and buffered[0][:2] < (join_time, viewer_id):
+                    yield heappop(buffered)[3]
             view_index = 0 if single_view else self._pick_view(rng)
             if mine:
                 join_event = ViewerEvent(

@@ -267,6 +267,15 @@ def test_reference_replay_delivers_what_the_offline_plane_does():
     assert (delivered, sent, lost, late) == (len(offline.deliveries),) * 2 + (0, 0)
 
 
+def test_a_replay_that_sends_nothing_still_prints_the_data_plane_line():
+    # The frame counters enter the summary only once a frame was sent;
+    # the line follows the configured plane, and the QoE fields, which
+    # have no samples, stay off it.
+    assert run_stdout(["--replay-frames", "0"]).splitlines()[1:] == [
+        "data plane: 0/0 frames delivered (0 lost, 0 late)"
+    ]
+
+
 def test_mask_leaves_simulated_time_alone():
     line = "clock=60.0s, 1.46s wall clock, startup p95=61.25s, skew p99=122ms"
     assert WALL_CLOCK.sub("#", line) == (

@@ -102,7 +102,7 @@ class TestTeleCastSystem:
         )
         workload = ViewerWorkload(config, rng=SeededRandom(5))
         viewers = workload.viewers()
-        events = workload.events(viewers)
+        events = workload.events()
         views = build_views(producers, num_views=4, streams_per_site=3)
         metrics = system.run_workload(viewers, events, views, snapshot_every=10)
         assert metrics.accepted_requests + metrics.rejected_requests >= 30

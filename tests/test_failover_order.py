@@ -1,4 +1,9 @@
-"""The replay order of the failed LSC's host at an ``lsc_fail`` barrier.
+"""The one ``lsc_fail`` barrier of a sharded run, and its replay order.
+
+A shard worker reads the failover off the build's ownership timeline,
+which decides one outage, so a schedule may hold at most one barrier:
+every build and every shard slice holds exactly the configured outage's,
+and a worker refuses a second one loudly.
 
 :func:`repro.parallel.worker.failover_replay_order` splits the events
 before the barrier into the failed LSC's own and the rest; the host
@@ -10,12 +15,95 @@ LSC runs before the eviction.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import queue
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.runner as runner_module
 from repro.core.session import event_sort_key
-from repro.parallel.worker import failover_replay_order
-from repro.traces.workload import ViewerEvent
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import ShardSelection, build_scenario, shard_placement
+from repro.parallel.runner import _coordinate
+from repro.parallel.worker import failover_replay_order, run_shard_worker
+from repro.traces.workload import (
+    ChurnConfig,
+    OscillationConfig,
+    OutageConfig,
+    ViewerEvent,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    outage=st.booleans(),
+    churn=st.booleans(),
+    oscillation=st.booleans(),
+    num_lscs=st.integers(min_value=2, max_value=5),
+    num_viewers=st.integers(min_value=10, max_value=50),
+    lsc_index=st.integers(min_value=0, max_value=6),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_every_build_and_slice_holds_only_the_outage_s_lsc_fail(
+    outage, churn, oscillation, num_lscs, num_viewers, lsc_index, seed
+):
+    config = ExperimentConfig(
+        num_viewers=num_viewers,
+        num_views=2,
+        num_lscs=num_lscs,
+        cdn_capacity_mbps=math.inf,
+        arrival_rate_per_second=10.0,
+        seed=seed,
+        outage=OutageConfig(time=2.0, lsc_index=lsc_index) if outage else None,
+        churn=ChurnConfig(failure_rate_per_second=0.1, rejoin_probability=0.5)
+        if churn
+        else None,
+        oscillation=OscillationConfig(start_time=1.0, cycles=3) if oscillation else None,
+    )
+    expected = [(2.0, f"LSC-{lsc_index % num_lscs}")] if outage else []
+    builds = [build_scenario(config)] + [
+        build_scenario(config, shard=ShardSelection(workers, index))
+        for workers in range(1, num_lscs + 1)
+        for index in range(workers)
+    ]
+    for scenario in builds:
+        barriers = [event for event in scenario.events if event.kind == "lsc_fail"]
+        assert [event_sort_key(event) for event in barriers] == expected
+
+
+def test_a_second_lsc_fail_in_a_worker_s_slice_is_refused(monkeypatch):
+    config = ExperimentConfig(
+        num_viewers=40,
+        num_views=2,
+        num_lscs=2,
+        cdn_capacity_mbps=math.inf,
+        arrival_rate_per_second=10.0,
+        outage=OutageConfig(time=2.0, lsc_index=1),
+    )
+    build = runner_module.build_scenario
+
+    def build_with_a_second_barrier(config, shard=None):
+        scenario = build(config, shard=shard)
+        second = ViewerEvent(time=3.0, kind="lsc_fail", viewer_id="LSC-0")
+        return dataclasses.replace(scenario, events=[*scenario.events, second])
+
+    monkeypatch.setattr(runner_module, "build_scenario", build_with_a_second_barrier)
+    placement = shard_placement(config, 2)
+    outbox = queue.Queue()
+    run_shard_worker(0, 2, config, None, False, queue.Queue(), outbox, placement=placement)
+    alive = [
+        SimpleNamespace(name=f"repro-shard-{index}", is_alive=lambda: True, exitcode=None)
+        for index in range(2)
+    ]
+    with pytest.raises(
+        RuntimeError,
+        match=r"(?s)shard 0 failed:.*second lsc_fail barrier \(LSC-0 at t=3\)",
+    ):
+        _coordinate(2, outbox, [queue.Queue(), queue.Queue()], alive, 60.0, placement)
 
 KINDS = ("join", "view_change", "depart", "fail")
 

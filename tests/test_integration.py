@@ -32,7 +32,7 @@ def build_system(num_viewers, outbound, cdn_capacity, *, num_views=4, seed=7):
     )
     workload = ViewerWorkload(config, rng=SeededRandom(seed))
     viewers = workload.viewers()
-    events = workload.events(viewers)
+    events = workload.events()
     matrix = generate_planetlab_matrix(
         [viewer.viewer_id for viewer in viewers] + ["GSC", "LSC-0", "CDN"],
         rng=SeededRandom(3),
@@ -153,7 +153,7 @@ class TestDynamics:
         )
         workload = ViewerWorkload(config, rng=SeededRandom(11))
         viewers = workload.viewers()
-        events = workload.events(viewers)
+        events = workload.events()
         matrix = generate_planetlab_matrix(
             [viewer.viewer_id for viewer in viewers] + ["GSC", "LSC-0", "CDN"],
             rng=SeededRandom(3),

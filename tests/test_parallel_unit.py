@@ -315,7 +315,7 @@ def test_resolve_worker_count_clamps_to_lscs():
         resolve_worker_count(config, 0)
 
 
-def test_nearest_lsc_is_the_one_rule_of_gsc_worker_and_timeline():
+def test_nearest_lsc_is_the_one_rule_of_gsc_and_timeline():
     class Delays:
         def __init__(self, **pairs):
             self.pairs = pairs
@@ -328,10 +328,12 @@ def test_nearest_lsc_is_the_one_rule_of_gsc_worker_and_timeline():
     # A smaller delay beats a smaller id.
     assert nearest_lsc(Delays(LSC1_LSC2=0.5), "LSC-1", ["LSC-0", "LSC-2"]) == "LSC-2"
     assert nearest_lsc(Delays(), "LSC-0", []) is None
-    # The GSC's failover, the shard worker's barrier and the build's
-    # ownership timeline call this function; none keeps a transcription.
-    for module in (recovery, worker_module, runner_module):
+    # The GSC's failover and the build's ownership timeline call this
+    # function; none keeps a transcription.  A shard worker reads the
+    # timeline's decision and holds no rule of its own.
+    for module in (recovery, runner_module):
         assert module.nearest_lsc is nearest_lsc
+    assert not hasattr(worker_module, "nearest_lsc")
 
 
 def test_config_rejects_sharding_simulated_planes():
@@ -412,8 +414,8 @@ def test_iter_events_streams_the_exact_event_sequence():
     )
     eager = ViewerWorkload(config, rng=SeededRandom(7))
     lazy = ViewerWorkload(config, rng=SeededRandom(7))
-    viewers = eager.viewers()
-    assert eager.events(viewers) == list(lazy.iter_events(lazy.viewers()))
+    eager.viewers()  # the population's draws leave the schedule's alone
+    assert eager.events() == list(lazy.iter_events())
 
 
 def test_iter_events_flash_crowd_buffers_one_join_at_a_time():
@@ -596,7 +598,7 @@ def test_coordinator_fails_fast_on_crashed_worker():
         _FakeProcess("repro-shard-1", alive=True, exitcode=None),
     ]
     with pytest.raises(RuntimeError, match=r"repro-shard-0 \(exit code -9\)"):
-        _coordinate(2, queue.Queue(), [queue.Queue(), queue.Queue()], processes, 60.0, 2)
+        _coordinate(2, queue.Queue(), [queue.Queue(), queue.Queue()], processes, 60.0, (0, 1))
 
 
 def test_coordinator_fails_fast_on_silent_clean_exit():
@@ -607,7 +609,7 @@ def test_coordinator_fails_fast_on_silent_clean_exit():
         _FakeProcess("repro-shard-1", alive=True, exitcode=None),
     ]
     with pytest.raises(RuntimeError, match="without reporting a result"):
-        _coordinate(2, queue.Queue(), [queue.Queue(), queue.Queue()], processes, 60.0, 2)
+        _coordinate(2, queue.Queue(), [queue.Queue(), queue.Queue()], processes, 60.0, (0, 1))
 
 
 def _ready(shard_index: int, *lsc_ids: str) -> ShardReady:
@@ -622,11 +624,11 @@ def _ready(shard_index: int, *lsc_ids: str) -> ShardReady:
 
 @pytest.mark.parametrize(
     "second",
-    [("LSC-1", "LSC-2"), ("LSC-3",), ("LSC-1", "LSC-3", "LSC-4")],
-    ids=["double-hosted", "dropped", "unknown"],
+    [("LSC-1", "LSC-2"), ("LSC-3",), ("LSC-1", "LSC-3", "LSC-4"), ("LSC-3", "LSC-1")],
+    ids=["double-hosted", "dropped", "unknown", "reordered"],
 )
-def test_coordinator_rejects_a_placement_that_is_not_a_partition(second):
-    """Workers reporting overlapping, missing or foreign LSCs fail the run."""
+def test_coordinator_rejects_a_worker_hosting_other_than_its_placement(second):
+    """A worker must report exactly the LSCs the placement gives it."""
     processes = [
         _FakeProcess("repro-shard-0", alive=True, exitcode=None),
         _FakeProcess("repro-shard-1", alive=True, exitcode=None),
@@ -634,8 +636,10 @@ def test_coordinator_rejects_a_placement_that_is_not_a_partition(second):
     coord_queue = queue.Queue()
     coord_queue.put(_ready(0, "LSC-0", "LSC-2"))
     coord_queue.put(_ready(1, *second))
-    with pytest.raises(RuntimeError, match="shard placement mismatch.*shard-1"):
-        _coordinate(2, coord_queue, [queue.Queue(), queue.Queue()], processes, 60.0, 4)
+    with pytest.raises(RuntimeError, match="shard placement mismatch: shard-1"):
+        _coordinate(
+            2, coord_queue, [queue.Queue(), queue.Queue()], processes, 60.0, (0, 1, 0, 1)
+        )
 
 
 def _ack(shard_index: int, failed: str, target: str, sessions=()) -> ShardBarrierAck:
@@ -644,8 +648,6 @@ def _ack(shard_index: int, failed: str, target: str, sessions=()) -> ShardBarrie
         dst="coordinator",
         sent_at=5.0,
         shard_index=shard_index,
-        barrier_seq=1,
-        local_clock=5.0,
         failed_lsc_id=failed,
         target_lsc_id=target,
         sessions=sessions,
@@ -685,7 +687,7 @@ def _alive(workers):
     ]
 
 
-def test_coordinator_names_the_barrier_two_acks_disagree_on():
+def test_coordinator_names_the_two_failover_decisions_acks_disagree_on():
     coord_queue = _ScriptedQueue(
         [
             _ready(0, "LSC-0"),
@@ -695,8 +697,11 @@ def test_coordinator_names_the_barrier_two_acks_disagree_on():
         ]
     )
     inboxes = [queue.Queue(), queue.Queue()]
-    with pytest.raises(RuntimeError, match="failover decision at barrier 1"):
-        _coordinate(2, coord_queue, inboxes, _alive(2), 60.0, 2)
+    with pytest.raises(
+        RuntimeError,
+        match=r"disagree on the failover decision: \[\('LSC-1', ''\), \('LSC-1', 'LSC-0'\)\]",
+    ):
+        _coordinate(2, coord_queue, inboxes, _alive(2), 60.0, (0, 1))
 
 
 #: LSC-1 (worker 1) fails over to LSC-0 (worker 0); worker 2 hosts LSC-2.
@@ -712,11 +717,10 @@ def test_the_resume_lands_only_in_the_target_s_inbox():
         + [_result(index) for index in range(3)]
     )
     inboxes = [queue.Queue() for _ in range(3)]
-    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, 3)
+    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, (0, 1, 2))
     resume = inboxes[0].get_nowait()
     assert isinstance(resume, ShardResume)
-    assert (resume.dst, resume.barrier_seq, resume.barrier_time) == ("shard-0", 1, 5.0)
-    assert (resume.failed_lsc_id, resume.target_lsc_id) == ("LSC-1", "LSC-0")
+    assert (resume.dst, resume.sent_at) == ("shard-0", 5.0)
     assert resume.sessions == _SESSIONS
     assert all(inbox.empty() for inbox in inboxes)
 
@@ -735,15 +739,15 @@ def test_the_resume_goes_out_before_a_bystander_acks():
         + [_result(index) for index in range(3)],
         before,
     )
-    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, 3)
+    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, (0, 1, 2))
     # Both the bystander's and the target's own ack arrive after the resume.
     assert seen == {2: 1, 0: 1}
     assert inboxes[0].qsize() == 1
 
 
-def test_a_resume_waits_until_every_worker_reported_its_lscs():
-    # The target's worker has not sent its ShardReady yet: the resume is
-    # held, not routed by a partial host map, and goes out once it has.
+def test_the_resume_goes_to_the_placement_s_host_before_that_host_s_ready():
+    # The target's worker has not sent its ShardReady yet: the placement
+    # alone routes the resume, at once.
     inboxes = [queue.Queue() for _ in range(3)]
     seen = []
 
@@ -755,9 +759,20 @@ def test_a_resume_waits_until_every_worker_reported_its_lscs():
         + [_result(index) for index in range(3)],
         before,
     )
-    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, 3)
-    assert seen[:4] == [0, 0, 0, 0]
-    assert seen[4:] == [1, 1, 1]
+    _coordinate(3, coord_queue, inboxes, _alive(3), 60.0, (0, 1, 2))
+    assert seen == [0, 0, 1, 1, 1, 1, 1]
+
+
+def test_the_resume_goes_back_to_the_owner_when_no_lsc_survives():
+    inboxes = [queue.Queue() for _ in range(2)]
+    coord_queue = _ScriptedQueue(
+        [_ready(0, "LSC-0"), _ready(1, "LSC-1"), _ack(1, "LSC-1", "", _SESSIONS)]
+        + [_ack(0, "LSC-1", "")]
+        + [_result(index) for index in range(2)]
+    )
+    _coordinate(2, coord_queue, inboxes, _alive(2), 60.0, (0, 1))
+    assert inboxes[0].empty()
+    assert inboxes[1].get_nowait().sessions == _SESSIONS
 
 
 @pytest.mark.parametrize(

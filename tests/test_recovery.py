@@ -362,7 +362,7 @@ class TestChurnSchedules:
             rng=SeededRandom(seed),
         )
         viewers = workload.viewers()
-        return viewers, workload.events(viewers)
+        return viewers, workload.events()
 
     def test_fail_event_kind_is_valid(self):
         event = ViewerEvent(time=1.0, kind="fail", viewer_id="v")

@@ -158,14 +158,31 @@ def test_slice_walk_is_the_full_walk_filtered(
             join_time += arrivals.poisson_interarrival(arrival_rate)
             join_times.append(join_time)
         assert [event.time for event in events] == join_times
-    # A population passed in is read for its ids alone.
-    assert workload.events(viewers) == events
-
     assert list(workload.iter_viewers(owned=mask)) == [
         viewer for viewer, mine in zip(viewers, mask) if mine
     ]
     assert workload.events(owned=mask) == [
         event for event in events if mask[int(event.viewer_id[VIEWER_INDEX_AT:])]
+    ]
+
+
+def test_a_slice_across_the_id_width_edge_is_the_full_walk_filtered():
+    """Ids compare as strings: ``viewer-100000`` sorts below ``viewer-99999``.
+
+    In a flash crowd every join ties on time, so the id decides, and a
+    slice whose viewer 99 999 is not flagged must still flush there.
+    """
+    num_viewers = 100_004
+    workload = ViewerWorkload(
+        WorkloadConfig(num_viewers=num_viewers, departure_probability=0.2),
+        rng=SeededRandom(3),
+    )
+    mask = [index % 3 == 1 for index in range(num_viewers)]
+    assert not mask[99_999]
+    assert workload.events(owned=mask) == [
+        event
+        for event in workload.events()
+        if mask[int(event.viewer_id[VIEWER_INDEX_AT:])]
     ]
 
 

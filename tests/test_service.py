@@ -20,9 +20,11 @@ import hashlib
 import json
 import math
 import pickle
+import re
 import signal
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +89,9 @@ def live_op_script(spec, *, viewers=None, seed=None, smoke=False):
     return config, lines
 
 
+ARCHITECTURE = Path(__file__).parent.parent / "docs" / "ARCHITECTURE.md"
+
+
 class TestProtocol:
     def test_round_trip_every_session_op(self):
         for line in (
@@ -144,6 +149,21 @@ class TestProtocol:
     def test_non_event_op_refuses_conversion(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.parse_op("stats").to_event(0.0)
+
+    def test_the_architecture_grammar_names_exactly_the_op_kinds(self):
+        section = ARCHITECTURE.read_text().split("### Op protocol grammar", 1)[1]
+        block = section.split("```\n", 2)[1]
+        entries = []  # one per op: its line and the continuation lines
+        for line in block.splitlines():
+            if line.startswith(" "):
+                entries[-1] += " " + line.strip()
+            else:
+                entries.append(line)
+        assert tuple(entry.split()[0] for entry in entries) == protocol.OP_KINDS
+        (advance,) = [entry for entry in entries if entry.startswith("advance ")]
+        limit = re.search(r"MAX_ADVANCE_SWEEPS \(([\d ]+)\)", advance)
+        assert limit is not None, advance
+        assert int(limit.group(1).replace(" ", "")) == MAX_ADVANCE_SWEEPS
 
 
 class TestMetricsExport:

@@ -119,7 +119,7 @@ class TestViewerWorkload:
         config = WorkloadConfig(num_viewers=30, view_change_probability=0.5, departure_probability=0.5)
         workload = ViewerWorkload(config, rng=SeededRandom(4))
         viewers = workload.viewers()
-        events = workload.events(viewers)
+        events = workload.events()
         joins = [event.viewer_id for event in events if event.kind == "join"]
         assert sorted(joins) == sorted(viewer.viewer_id for viewer in viewers)
 
@@ -127,7 +127,7 @@ class TestViewerWorkload:
         config = WorkloadConfig(num_viewers=40, num_views=4, view_change_probability=1.0)
         workload = ViewerWorkload(config, rng=SeededRandom(4))
         viewers = workload.viewers()
-        events = workload.events(viewers)
+        events = workload.events()
         joins = {e.viewer_id: e.view_index for e in events if e.kind == "join"}
         changes = [e for e in events if e.kind == "view_change"]
         assert changes
@@ -137,7 +137,7 @@ class TestViewerWorkload:
         config = WorkloadConfig(num_viewers=25, departure_probability=1.0)
         workload = ViewerWorkload(config, rng=SeededRandom(4))
         viewers = workload.viewers()
-        events = workload.events(viewers)
+        events = workload.events()
         join_time = {e.viewer_id: e.time for e in events if e.kind == "join"}
         departures = [e for e in events if e.kind == "depart"]
         assert departures

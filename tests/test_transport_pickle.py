@@ -66,18 +66,12 @@ SAMPLES = [
     ShardBarrierAck(
         **_COMMON,
         shard_index=0,
-        barrier_seq=2,
-        local_clock=10.0,
         failed_lsc_id="LSC-1",
         target_lsc_id="LSC-0",
         sessions=(("viewer-00001", "view-0", 0.5), ("viewer-00002", "view-1", 1.0)),
     ),
     ShardResume(
         **_COMMON,
-        barrier_seq=2,
-        barrier_time=10.0,
-        failed_lsc_id="LSC-1",
-        target_lsc_id="LSC-0",
         sessions=(("viewer-00001", "view-0", 0.5),),
     ),
     ShardResult(
