@@ -39,7 +39,12 @@ def main() -> None:
     cdn = CDN(outbound_capacity_mbps=600.0, delta=60.0)
     layer_config = DelayLayerConfig(delta=60.0, buffer_duration=0.3, kappa=2, d_max=65.0)
     system = TeleCastSystem(
-        producers, cdn, delay_model, layer_config, num_lscs=2, heartbeat_timeout=10.0
+        producers,
+        cdn,
+        delay_model,
+        layer_config,
+        lsc_regions=[["region-0"], ["region-1"]],
+        heartbeat_timeout=10.0,
     )
     views = build_views(producers, num_views=2, streams_per_site=3)
 

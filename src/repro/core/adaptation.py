@@ -14,13 +14,13 @@ Section VI of the paper describes three adaptation mechanisms:
   process re-runs, and streams that exceed the maximum acceptable layer
   are dropped or re-provisioned from the CDN.
 
-Two refresh entry points exist: :meth:`AdaptationManager.refresh_layers`
-re-evaluates *structural* (overlay-position) delays, while
-:meth:`AdaptationManager.refresh_layers_from_observed` is driven by
-delays the simulated data plane actually measured at the gateways --
-queueing on a congested forwarding bin shows up there long before any
-structural change would, which is exactly the signal the paper's
-periodic re-subscription reacts to.
+The periodic refresh,
+:meth:`AdaptationManager.refresh_layers_from_observed`, is driven by
+delays the simulated data plane actually measured at the gateways, not
+by *structural* (overlay-position) delays -- queueing on a congested
+forwarding bin shows up there long before any structural change would,
+which is exactly the signal the paper's periodic re-subscription reacts
+to.
 """
 
 from __future__ import annotations

@@ -36,6 +36,27 @@ from repro.net.latency import DelayModel
 #: Node identifier of the Global Session Controller in the latency matrix.
 GSC_NODE_ID = "GSC"
 
+
+def lsc_node_id(index: int) -> str:
+    """The id of the LSC with index ``index`` (``LSC-3``).
+
+    One id names the controller everywhere: its GSC registry key, its
+    latency-world node and the ``viewer_id`` of its ``lsc_fail`` event.
+    This and :func:`lsc_index` are the one place an LSC id is formatted
+    or parsed.
+    """
+    return f"LSC-{index}"
+
+
+def lsc_index(lsc_id: str) -> int:
+    """``LSC-3`` -> 3: the inverse of :func:`lsc_node_id`."""
+    return int(lsc_id.rsplit("-", 1)[1])
+
+
+def control_node_ids(num_lscs: int) -> Tuple[str, ...]:
+    """The control plane's latency-world nodes: the GSC, every LSC, the CDN."""
+    return (GSC_NODE_ID, *map(lsc_node_id, range(num_lscs)), CDN_NODE_ID)
+
 #: Attempt orders of :meth:`LocalSessionController.repair_orphans`: whether
 #: each attempt, in turn, goes to the CDN.  Graceful victims (Section VI)
 #: are supported from the CDN first and fall back to a free P2P slot;

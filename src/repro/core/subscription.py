@@ -120,7 +120,8 @@ def plan_view_synchronization(
     # Equation 1 per stream, with the layer arithmetic inlined: this runs
     # for every join and every propagated re-subscription, so the
     # per-call overhead of the generic helpers adds up.  The float
-    # operations are exactly those of :func:`minimum_layer_for`; argument
+    # operations are exactly those of ``minimum_layer_for`` (Equation 1
+    # for one pair, kept in ``tests/reference_oracles.py``); argument
     # validation is redundant because every parent delay is a tree delay
     # (>= ``Delta`` >= 0) and every propagation delay is >= 0
     # (``set_delay`` validates it, a derived pair is an ``exp``).
@@ -254,7 +255,7 @@ def needs_resubscription(
     parent_id = sub.parent_id
     achievable = 0
     if parent_id != CDN_NODE_ID:
-        # Equation 1 with the floats of :func:`minimum_layer_for`, inlined
+        # Equation 1 with the floats of ``minimum_layer_for``, inlined
         # as in :func:`plan_view_synchronization` (the validators are
         # redundant for the same reason): this runs for every viewer a
         # push-down shifts.

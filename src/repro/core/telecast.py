@@ -28,6 +28,7 @@ from repro.core.controllers import (
     GlobalSessionController,
     JoinResult,
     LocalSessionController,
+    lsc_node_id,
 )
 from repro.core.layering import DelayLayerConfig
 from repro.core.recovery import (
@@ -93,21 +94,26 @@ class TeleCastSystem:
         delay_model: DelayModel,
         layer_config: Optional[DelayLayerConfig] = None,
         *,
-        num_lscs: int = 1,
-        lsc_regions: Optional[Sequence[Sequence[str]]] = None,
+        lsc_regions: Sequence[Sequence[str]] = ((),),
         lsc_ids: Optional[Sequence[str]] = None,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
     ) -> None:
+        """One LSC per ``lsc_regions`` group, serving that group's regions.
+
+        ``lsc_ids`` names them (``LSC-0``, ``LSC-1``, ... by default); a
+        shard worker passes the global ids of the LSCs it hosts.  The
+        default is one LSC serving no region, which every viewer joins.
+        """
         if not producers:
             raise ValueError("at least one producer site is required")
-        if lsc_regions is not None:
-            num_lscs = len(lsc_regions)
-        if num_lscs <= 0:
-            raise ValueError("num_lscs must be > 0")
-        if lsc_ids is not None and len(lsc_ids) != num_lscs:
+        if not lsc_regions:
+            raise ValueError("at least one LSC region group is required")
+        if lsc_ids is None:
+            lsc_ids = [lsc_node_id(index) for index in range(len(lsc_regions))]
+        if len(lsc_ids) != len(lsc_regions):
             raise ValueError(
                 f"lsc_ids must name one controller per region group: "
-                f"got {len(lsc_ids)} ids for {num_lscs} groups"
+                f"got {len(lsc_ids)} ids for {len(lsc_regions)} groups"
             )
         self.producers = list(producers)
         self.cdn = cdn
@@ -123,15 +129,7 @@ class TeleCastSystem:
         self._adaptation: Dict[str, AdaptationManager] = {}
         self._recovery: Dict[str, RecoveryManager] = {}
         self._heartbeat_timeout = heartbeat_timeout
-        if lsc_regions is None:
-            region_groups: List[Sequence[str]] = [
-                [name] if name else [] for name in self._region_names(num_lscs)
-            ]
-        else:
-            region_groups = [list(group) for group in lsc_regions]
-        if lsc_ids is None:
-            lsc_ids = [f"LSC-{index}" for index in range(len(region_groups))]
-        for lsc_id, group in zip(lsc_ids, region_groups):
+        for lsc_id, group in zip(lsc_ids, lsc_regions):
             lsc = self.gsc.add_lsc(lsc_id)
             for region_name in group:
                 self.gsc.add_lsc(lsc.lsc_id, region_name=region_name)
@@ -144,12 +142,6 @@ class TeleCastSystem:
         #: used to report per-viewer accepted stream counts including
         #: rejected viewers (Figure 14(b)).
         self._requested: Dict[str, int] = {}
-
-    @staticmethod
-    def _region_names(num_lscs: int) -> List[str]:
-        if num_lscs == 1:
-            return [""]
-        return [f"region-{i}" for i in range(num_lscs)]
 
     # -- viewer lifecycle --------------------------------------------------------
 

@@ -44,7 +44,7 @@ def clamp_shard_workers(requested: int, num_lscs: int) -> int:
     """Shard workers actually usable: at most one per LSC, warning on a clamp.
 
     The LSC is the shard unit and the placement rule
-    (:func:`repro.parallel.worker.place_lscs`) gives every worker at
+    (:func:`repro.experiments.runner.place_lscs`) gives every worker at
     least one LSC only while workers do not outnumber LSCs; a worker
     beyond that would host nothing.  Shared by
     ``ExperimentConfig(shard_workers=...)`` and

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence
 
+from repro.core.controllers import lsc_node_id
 from repro.metrics.stats import fraction_at_most, percentile
 
 if TYPE_CHECKING:  # pragma: no cover - figures imports the formatters
@@ -103,7 +104,7 @@ def format_worker_stats(sharded) -> str:
     lines = []
     for index, stats in sharded.worker_stats.items():
         hosted = ",".join(
-            f"LSC-{lsc}"
+            lsc_node_id(lsc)
             for lsc, worker in enumerate(sharded.placement)
             if worker == index
         )

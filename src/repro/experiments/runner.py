@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.controllers import nearest_lsc
+from repro.core.controllers import control_node_ids, lsc_index, lsc_node_id, nearest_lsc
 from repro.core.telecast import TeleCastSystem, build_views
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
@@ -64,6 +64,10 @@ class Scenario:
     ``lsc_regions`` holds, per LSC index, the region names that LSC
     serves; ``control_node_ids`` lists the GSC, every LSC and the CDN in
     the order they were inserted into the latency matrix.
+    ``hosted_lscs`` are the indices of the LSCs this slice hosts (every
+    LSC in a single-process build), and ``timeline`` is the ownership
+    timeline the slice was cut by: it also carries the configured
+    outage's one failover decision.
     """
 
     config: ExperimentConfig
@@ -75,6 +79,8 @@ class Scenario:
     views: List[GlobalView]
     lsc_regions: Tuple[Tuple[str, ...], ...]
     control_node_ids: Tuple[str, ...]
+    hosted_lscs: Tuple[int, ...]
+    timeline: _OwnershipTimeline
 
 
 @dataclass
@@ -163,11 +169,13 @@ class _OwnershipTimeline:
 
     The one place events are assigned to workers: a region is owned by
     the LSC of its shard group until that LSC fails, after which it is
-    owned by the nearest surviving LSC (the same failover target the
-    workers resolve at the barrier).  The transition applies to every
+    owned by the nearest surviving LSC.  The transition applies to every
     event sorting strictly after the ``lsc_fail`` event's
     ``(time, "LSC-i")`` key -- exactly where the barrier sits in a
-    worker's sorted replay.
+    worker's sorted replay.  The build hands it on as
+    :attr:`Scenario.timeline`, so a shard worker reads the failover --
+    failed LSC, target, regions that move, barrier key -- off the same
+    object that cut its events.
     """
 
     def __init__(self, config: ExperimentConfig, region_names: Sequence[str]):
@@ -187,27 +195,22 @@ class _OwnershipTimeline:
         if config.outage is None:
             return
         failed_index = config.outage.lsc_index % len(lsc_regions)
-        failed_id = f"LSC-{failed_index}"
+        failed_id = lsc_node_id(failed_index)
         # The failover target is derived from the control-node delays
         # alone; delays are composition-independent, so this tiny
         # matrix resolves the same target as any worker's full world.
-        control_nodes = (
-            ["GSC"] + [f"LSC-{i}" for i in range(config.num_lscs)] + ["CDN"]
-        )
         control_matrix = generate_planetlab_matrix(
-            control_nodes,
+            control_node_ids(config.num_lscs),
             rng=SeededRandom(config.latency_seed),
             config=PlanetLabTraceConfig(region_names=region_names),
         )
         survivors = [
-            f"LSC-{i}" for i in range(config.num_lscs) if i != failed_index
+            lsc_node_id(i) for i in range(config.num_lscs) if i != failed_index
         ]
         target_id = nearest_lsc(DelayModel(control_matrix), failed_id, survivors)
         self.failed_index = failed_index
         self.failed_regions = frozenset(lsc_regions[failed_index])
-        self.target_index = (
-            int(target_id.rsplit("-", 1)[1]) if target_id is not None else None
-        )
+        self.target_index = None if target_id is None else lsc_index(target_id)
         self.transition_key = (config.outage.time, failed_id)
 
     def owner_lsc_index(self, region: str, sort_key: Tuple[float, str]) -> Optional[int]:
@@ -291,16 +294,40 @@ class _OwnershipTimeline:
         self, viewer_regions: Sequence[int], num_workers: int
     ) -> Tuple[int, ...]:
         """The LSC -> worker map of this schedule (see :func:`shard_placement`)."""
-        # Imported lazily: repro.parallel imports this module.
-        from repro.parallel.worker import place_lscs
-
         return place_lscs(self.lsc_weights(viewer_regions), num_workers)
+
+
+def place_lscs(weights: Sequence[int], num_workers: int) -> Tuple[int, ...]:
+    """The worker index hosting each LSC: the one shard placement rule.
+
+    Longest-processing-time-first: LSCs are taken heaviest first (ties
+    to the lower LSC index) and each goes to the least-loaded worker,
+    ties to the worker hosting fewer LSCs, then to the lower worker
+    index.  The hosted-count tie-break spreads zero-weight LSCs too, so
+    no worker is left empty while ``num_workers <= len(weights)``, and
+    equal weights -- zero included -- deal round-robin (LSC ``i`` on
+    worker ``i mod k``, the mapping this function replaced).
+    The heaviest worker's load is within ``4/3 - 1/(3k)`` of the
+    optimum.  Weights are integers (viewer counts), so the result is the
+    same in every process that computes it.
+    """
+    if num_workers < 1:
+        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
+    # Per worker: [load, hosted LSCs, worker index] -- min() is the rule.
+    workers = [[0, 0, index] for index in range(num_workers)]
+    placement = [0] * len(weights)
+    for lsc in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
+        worker = min(workers)
+        placement[lsc] = worker[2]
+        worker[0] += weights[lsc]
+        worker[1] += 1
+    return tuple(placement)
 
 
 def shard_placement(config: ExperimentConfig, num_workers: int) -> Tuple[int, ...]:
     """The worker index hosting each LSC of a sharded run of ``config``.
 
-    Load-aware: :func:`repro.parallel.worker.place_lscs` over the
+    Load-aware: :func:`place_lscs` over the
     schedule-derived weights of :meth:`_OwnershipTimeline.lsc_weights`.
     A pure function of the config seeds, so the coordinator, every
     worker and a bare ``ShardSelection(k, i)`` build agree on it.
@@ -340,7 +367,7 @@ def _overlay_outage(
         ViewerEvent(
             time=outage.time,
             kind="lsc_fail",
-            viewer_id=f"LSC-{timeline.failed_index}",
+            viewer_id=lsc_node_id(timeline.failed_index),
         )
     ]
     injected.extend(
@@ -393,6 +420,13 @@ def build_scenario(
             f"LSCs, got {len(placement)} entries"
         )
     worker_index = shard.worker_index
+    hosted = tuple(lsc for lsc, worker in enumerate(placement) if worker == worker_index)
+    if not hosted:
+        raise ValueError(
+            f"shard worker {worker_index} of {shard.num_workers} owns no LSCs "
+            f"(num_lscs={config.num_lscs}); workers beyond the LSC count "
+            "would replay an empty schedule and silently skew the merge"
+        )
 
     # The ownership table: each region's worker before and after the
     # failover; ``owned`` flags the viewers this worker hosts
@@ -440,12 +474,10 @@ def build_scenario(
         stream_bandwidth_mbps=config.stream_bandwidth_mbps,
         frame_rate=config.frame_rate,
     )
-    control_nodes = (
-        ["GSC"] + [f"LSC-{index}" for index in range(config.num_lscs)] + ["CDN"]
-    )
+    control_nodes = control_node_ids(config.num_lscs)
     viewer_ids = [viewer.viewer_id for viewer in viewers]
     matrix = generate_planetlab_matrix(
-        viewer_ids + control_nodes,
+        [*viewer_ids, *control_nodes],
         rng=SeededRandom(config.latency_seed),
         config=PlanetLabTraceConfig(region_names=region_names),
         known_keys=dict(zip(viewer_ids, viewer_keys)),
@@ -468,19 +500,27 @@ def build_scenario(
         cdn=cdn,
         views=views,
         lsc_regions=timeline.lsc_regions,
-        control_node_ids=tuple(control_nodes),
+        control_node_ids=control_nodes,
+        hosted_lscs=hosted,
+        timeline=timeline,
     )
 
 
 def build_telecast_system(scenario: Scenario) -> TeleCastSystem:
-    """Instantiate the 4D TeleCast control plane over a built scenario."""
+    """Instantiate the 4D TeleCast control plane over a built scenario.
+
+    The system holds exactly the LSCs the scenario's slice hosts, under
+    their global ids: every LSC for a single-process build, one worker's
+    group for a shard slice.
+    """
     config = scenario.config
     return TeleCastSystem(
         scenario.producers,
         scenario.cdn,
         scenario.delay_model,
         config.layer_config(),
-        lsc_regions=scenario.lsc_regions,
+        lsc_regions=[scenario.lsc_regions[lsc] for lsc in scenario.hosted_lscs],
+        lsc_ids=[lsc_node_id(lsc) for lsc in scenario.hosted_lscs],
         heartbeat_timeout=config.heartbeat_timeout,
     )
 

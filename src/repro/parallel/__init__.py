@@ -21,9 +21,9 @@ merged run clock is the max over final shard clocks.  See
 ARCHITECTURE.md ("Shard-parallel engine") for the topology and the
 determinism boundaries.
 
-Re-exported lazily: every scenario build asks :mod:`repro.parallel.worker`
-for the LSC placement, and a single-process run should not load the
-coordinator and ``multiprocessing`` with it.
+Re-exported lazily: ``run_telecast_scenario`` imports the coordinator
+only for a sharded config, so a single-process run loads neither it nor
+``multiprocessing``.
 """
 
 from repro.util.lazy import lazy_exports

@@ -1,8 +1,13 @@
 """The shard-parallel coordinator: spawn workers, referee barriers, merge.
 
-The coordinator owns no session state at all.  It spawns one worker
-process per shard (:func:`repro.parallel.worker.run_shard_worker`),
-referees the one ``lsc_fail`` barrier a schedule can hold -- every
+The coordinator owns no session state at all.  It computes the LSC ->
+worker placement once (:func:`repro.experiments.runner.shard_placement`),
+spawns one worker process per shard
+(:func:`repro.parallel.worker.run_shard_worker`) with that placement --
+each worker's build turns it into the LSCs the worker hosts, and every
+:class:`~repro.sim.transport.ShardReady` must name exactly those --
+moves typed messages over plain multiprocessing queues (one inbox per
+worker, one shared result queue), referees the one ``lsc_fail`` barrier a schedule can hold -- every
 worker sends one :class:`~repro.sim.transport.ShardBarrierAck`, each
 checked against the first ack's (failed, target) decision as it
 arrives; as soon as the failed LSC's host has acked, one
@@ -28,6 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.controllers import lsc_index, lsc_node_id
 from repro.experiments.config import ExperimentConfig, clamp_shard_workers
 from repro.experiments.runner import ScenarioResult, shard_placement
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
@@ -245,7 +251,7 @@ def _coordinate(
             )
         if isinstance(message, ShardReady):
             expected = tuple(
-                f"LSC-{lsc}"
+                lsc_node_id(lsc)
                 for lsc, worker in enumerate(placement)
                 if worker == message.shard_index
             )
@@ -264,10 +270,10 @@ def _coordinate(
                     "shards disagree on the failover decision: "
                     f"{sorted({decision, acked})}"
                 )
-            if placement[_lsc_index(message.failed_lsc_id)] == message.shard_index:
+            if placement[lsc_index(message.failed_lsc_id)] == message.shard_index:
                 # The target's worker re-admits; with no survivor, the owner.
                 index = placement[
-                    _lsc_index(message.target_lsc_id or message.failed_lsc_id)
+                    lsc_index(message.target_lsc_id or message.failed_lsc_id)
                 ]
                 inboxes[index].put(
                     ShardResume(
@@ -280,11 +286,6 @@ def _coordinate(
         else:
             raise RuntimeError(f"unexpected coordinator message: {message!r}")
     return results
-
-
-def _lsc_index(lsc_id: str) -> int:
-    """``LSC-3`` -> 3."""
-    return int(lsc_id.rsplit("-", 1)[1])
 
 
 def _merge(

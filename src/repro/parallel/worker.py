@@ -4,25 +4,29 @@ Each worker builds its own slice of the scenario deterministically from
 the :class:`~repro.experiments.config.ExperimentConfig` seeds
 (``build_scenario(config, shard=...)``: cheaper and safer than pickling a
 built world across the process boundary -- only control messages ever
-cross it), instantiates a :class:`~repro.core.telecast.TeleCastSystem`
-holding *only its own LSCs* under their global ids, and replays that
-slice of the schedule segment by segment through
+cross it), and the build decides everything the worker hosts: the
+slice's LSCs (``Scenario.hosted_lscs``, refused by the build when
+empty), its events, and the ownership timeline that cut them.  The
+worker only runs it: :func:`~repro.experiments.runner.build_telecast_system`
+instantiates exactly the hosted LSCs under their global ids, and the
+slice replays segment by segment through
 :class:`~repro.core.session.InstantDriver`
 (``apply`` / ``advance`` / ``finalize``).
 
 Event ownership is a pure function of the config seeds, applied once, by
 the build: ``viewer -> region -> owning LSC -> worker``, the last step
-being the weighted placement of :func:`place_lscs` (heaviest LSC first
-onto the least-loaded worker; the coordinator computes it once and hands
-it to every worker).  A worker replays every event its slice holds.
+being the weighted placement of
+:func:`~repro.experiments.runner.place_lscs` (heaviest LSC first onto
+the least-loaded worker; the coordinator computes it once and hands it
+to every worker).  A worker replays every event its slice holds.
 
 The one cross-shard operation is the configured outage's ``lsc_fail``,
 at most one per schedule (a second one is refused).  Its failover -- the
 failed LSC, the barrier time, the target and the regions that move -- is
-decided once, by the build's ownership timeline, and every worker reads
-it from there.  Only the worker that needs the sessions waits at the
-barrier.  The worker hosting the failed LSC replays that LSC's own
-pre-failure events first (:func:`failover_replay_order`), evicts it
+read off the slice's ``Scenario.timeline``, the one decision.  Only the
+worker that needs the sessions waits at the barrier.  The worker hosting
+the failed LSC replays that LSC's own pre-failure events first
+(:func:`failover_replay_order`), evicts it
 (``TeleCastSystem.evict_lsc``: CDN reservations released, sessions
 sorted by ``(join_time, viewer_id)``) and ships the sessions in its
 :class:`~repro.sim.transport.ShardBarrierAck` at once; only then does
@@ -34,7 +38,10 @@ no LSC survives) blocks on the coordinator's one
 :class:`~repro.sim.transport.ShardResume` and re-admits the sessions
 through its normal join pipeline (``TeleCastSystem.absorb_failover``) --
 the same two halves :func:`repro.core.recovery.failover_lsc` runs back
-to back in one process.
+to back in one process.  Messages travel as typed
+:class:`~repro.sim.transport.ControlMessage` records over two plain
+multiprocessing queues, the worker's ``inbox`` and the coordinator's
+``outbox``.
 """
 
 from __future__ import annotations
@@ -44,13 +51,12 @@ import time
 import traceback
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.core.controllers import lsc_node_id
 from repro.core.session import InstantDriver, event_sort_key
-from repro.core.telecast import TeleCastSystem
 from repro.metrics.placement import per_lsc_placement_digests
 from repro.sim.transport import (
     ShardBarrierAck,
     ShardError,
-    ShardQueueTransport,
     ShardReady,
     ShardResult,
     ShardResume,
@@ -60,33 +66,6 @@ from repro.util.rusage import peak_rss_kib
 
 #: How long a worker waits on a coordinator resume before giving up.
 BARRIER_TIMEOUT = 600.0
-
-
-def place_lscs(weights: Sequence[int], num_workers: int) -> Tuple[int, ...]:
-    """The worker index hosting each LSC: the one shard placement rule.
-
-    Longest-processing-time-first: LSCs are taken heaviest first (ties
-    to the lower LSC index) and each goes to the least-loaded worker,
-    ties to the worker hosting fewer LSCs, then to the lower worker
-    index.  The hosted-count tie-break spreads zero-weight LSCs too, so
-    no worker is left empty while ``num_workers <= len(weights)``, and
-    equal weights -- zero included -- deal round-robin (LSC ``i`` on
-    worker ``i mod k``, the mapping this function replaced).
-    The heaviest worker's load is within ``4/3 - 1/(3k)`` of the
-    optimum.  Weights are integers (viewer counts), so the result is the
-    same in every process that computes it.
-    """
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    # Per worker: [load, hosted LSCs, worker index] -- min() is the rule.
-    workers = [[0, 0, index] for index in range(num_workers)]
-    placement = [0] * len(weights)
-    for lsc_index in sorted(range(len(weights)), key=lambda i: (-weights[i], i)):
-        worker = min(workers)
-        placement[lsc_index] = worker[2]
-        worker[0] += weights[lsc_index]
-        worker[1] += 1
-    return tuple(placement)
 
 
 def failover_replay_order(
@@ -128,7 +107,6 @@ def run_shard_worker(
     (:func:`repro.experiments.runner.shard_placement`); the worker hosts
     the LSCs it maps to ``worker_index``.
     """
-    transport = ShardQueueTransport(inbox, outbox)
     try:
         _run(
             worker_index,
@@ -136,11 +114,12 @@ def run_shard_worker(
             config,
             snapshot_every,
             profile,
-            transport,
+            inbox,
+            outbox,
             placement,
         )
     except Exception:  # pragma: no cover - surfaced by the coordinator
-        transport.send(
+        outbox.put(
             ShardError(
                 src=f"shard-{worker_index}",
                 dst="coordinator",
@@ -157,40 +136,23 @@ def _run(
     config,
     snapshot_every: Optional[int],
     profile: bool,
-    transport: ShardQueueTransport,
+    inbox,
+    outbox,
     placement: Tuple[int, ...],
 ) -> None:
     # Imported here so a spawn-started worker pays the import once, in
     # the child, instead of requiring the parent's module state.
     from repro.experiments.runner import (
         ShardSelection,
-        _OwnershipTimeline,
-        _region_names_for,
         build_scenario,
+        build_telecast_system,
     )
 
     started = time.perf_counter()
-    my_indices = [i for i, worker in enumerate(placement) if worker == worker_index]
-    if not my_indices:
-        raise ValueError(
-            f"shard worker {worker_index} of {num_workers} owns no LSCs "
-            f"(num_lscs={config.num_lscs}); workers beyond the LSC count "
-            "would replay an empty schedule and silently skew the merge"
-        )
-    shard = ShardSelection(
-        num_workers=num_workers, worker_index=worker_index, placement=placement
+    scenario = build_scenario(
+        config, shard=ShardSelection(num_workers, worker_index, placement)
     )
-    scenario = build_scenario(config, shard=shard)
-    lsc_ids = [f"LSC-{i}" for i in my_indices]
-    system = TeleCastSystem(
-        scenario.producers,
-        scenario.cdn,
-        scenario.delay_model,
-        config.layer_config(),
-        lsc_regions=[scenario.lsc_regions[i] for i in my_indices],
-        lsc_ids=lsc_ids,
-        heartbeat_timeout=config.heartbeat_timeout,
-    )
+    system = build_telecast_system(scenario)
     driver = InstantDriver(
         system,
         scenario.viewers,
@@ -205,13 +167,13 @@ def _run(
     busy_s = 0.0
     barrier_wait_s = 0.0
     events_applied = 0
-    transport.send(
+    outbox.put(
         ShardReady(
             src=me,
             dst="coordinator",
             sent_at=0.0,
             shard_index=worker_index,
-            lsc_ids=tuple(lsc_ids),
+            lsc_ids=tuple(lsc.lsc_id for lsc in system.gsc.lscs),
         )
     )
 
@@ -221,7 +183,7 @@ def _run(
     # ownership timeline, which is also the one failover decision: the
     # failed LSC, the barrier time, the target and the regions that move.
     # The worker reads that decision; it derives none of it again.
-    timeline = _OwnershipTimeline(config, _region_names_for(config))
+    timeline = scenario.timeline
 
     def lsc_of(event) -> Optional[int]:
         # The build's ownership rule, read off the viewer's stamped region.
@@ -256,7 +218,7 @@ def _run(
     else:
         barrier_time, failed = timeline.transition_key
         failed_index, target_index = timeline.failed_index, timeline.target_index
-        target = None if target_index is None else f"LSC-{target_index}"
+        target = None if target_index is None else lsc_node_id(target_index)
         cut = ordered.index(barriers[0])
         # Only the failed LSC's host holds events of it: elsewhere the
         # first part is empty and the ack goes out before the segment.
@@ -265,9 +227,9 @@ def _run(
         )
         replay(failed_first)
         sessions: Tuple[Tuple[str, str, float], ...] = ()
-        if placement[failed_index] == worker_index:
+        if failed_index in scenario.hosted_lscs:
             sessions = tuple(system.evict_lsc(failed, barrier_time))
-        transport.send(
+        outbox.put(
             ShardBarrierAck(
                 src=me,
                 dst="coordinator",
@@ -283,9 +245,9 @@ def _run(
         # The target's worker re-admits the sessions; with no survivor
         # anywhere the owner books them as lost.  Nobody else waits.
         readmitter = failed_index if target_index is None else target_index
-        if placement[readmitter] == worker_index:
+        if readmitter in scenario.hosted_lscs:
             mark = time.perf_counter()
-            resume = transport.recv(timeout=BARRIER_TIMEOUT)
+            resume = inbox.get(timeout=BARRIER_TIMEOUT)
             barrier_wait_s += time.perf_counter() - mark
             if not isinstance(resume, ShardResume):
                 raise RuntimeError(
@@ -315,7 +277,7 @@ def _run(
             "viewers_per_lsc": system.viewers_per_lsc(),
         }
     )
-    transport.send(
+    outbox.put(
         ShardResult(
             src=me,
             dst="coordinator",

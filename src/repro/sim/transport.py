@@ -127,10 +127,11 @@ class RepairNotify(ControlMessage):
 #
 # The shard-parallel engine (:mod:`repro.parallel`) runs each group of
 # LSCs in its own worker process; everything that crosses a process
-# boundary is one of the typed messages below, pickled over a
-# multiprocessing queue by :class:`ShardQueueTransport`.  Like the rest of
-# the control plane they are frozen keyword-only dataclasses, so adding an
-# unpicklable field is caught by the round-trip test suite.
+# boundary is one of the typed messages below, put on a plain
+# multiprocessing queue (which pickles it) by the worker or the
+# coordinator.  Like the rest of the control plane they are frozen
+# keyword-only dataclasses, so adding an unpicklable field is caught by
+# the round-trip test suite.
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -199,42 +200,6 @@ class ShardError(ControlMessage):
 
     shard_index: int
     error: str
-
-
-class ShardQueueTransport:
-    """Cross-process :class:`ControlMessage` transport over two queues.
-
-    The picklable counterpart of :class:`ControlChannel`: where the
-    in-process channel schedules deliveries on the simulator with
-    latency, this transport moves already-serialized control messages
-    between the shard workers and the coordinator of the parallel engine
-    (:mod:`repro.parallel`).  ``inbox``/``outbox`` are
-    ``multiprocessing.Queue`` objects (or anything with the same
-    ``put``/``get`` API); only :class:`ControlMessage` instances may
-    travel, which keeps the process boundary typed and testable.
-    """
-
-    def __init__(self, inbox, outbox) -> None:
-        self.inbox = inbox
-        self.outbox = outbox
-        self.sent = 0
-        self.received = 0
-
-    def send(self, message: ControlMessage) -> None:
-        """Enqueue one message for the peer (pickled by the queue)."""
-        if not isinstance(message, ControlMessage):
-            raise TypeError(
-                f"only ControlMessages cross the shard boundary, "
-                f"got {type(message).__name__}"
-            )
-        self.outbox.put(message)
-        self.sent += 1
-
-    def recv(self, timeout: Optional[float] = None) -> ControlMessage:
-        """Dequeue the next message from the peer (blocks up to ``timeout``)."""
-        message = self.inbox.get(timeout=timeout) if timeout else self.inbox.get()
-        self.received += 1
-        return message
 
 
 class ControlChannel:

@@ -70,7 +70,11 @@ class TestMultiLSC:
 
     def test_telecast_system_with_multiple_lscs(self, producers, flat_delay_model, layer_config):
         system = TeleCastSystem(
-            producers, CDN(10_000.0, delta=60.0), flat_delay_model, layer_config, num_lscs=2
+            producers,
+            CDN(10_000.0, delta=60.0),
+            flat_delay_model,
+            layer_config,
+            lsc_regions=[["region-0"], ["region-1"]],
         )
         views = build_views(producers, num_views=2, streams_per_site=3)
         for index, viewer in enumerate(make_viewers(6, outbound=6.0)):

@@ -1,4 +1,5 @@
-"""``tools/check_doc_links.py``: ARCHITECTURE.md names only modules that exist."""
+"""``tools/check_doc_links.py``: ARCHITECTURE.md names every module and only
+modules that exist, and every Sphinx role in ``src/`` names a real target."""
 
 from __future__ import annotations
 
@@ -37,3 +38,54 @@ def test_a_module_path_that_exists_nowhere_fails(tmp_path):
 
 def test_every_module_path_in_the_architecture_exists():
     assert check_doc_links.missing_module_paths(REPO) == []
+
+
+def test_a_module_the_architecture_does_not_name_fails(tmp_path):
+    root = _tree(
+        tmp_path,
+        ["src/repro/__init__.py", "src/repro/core/__init__.py", "src/repro/core/telecast.py",
+         "src/repro/core/layering.py", "src/repro/version.py"],
+        "| `core/telecast.py` | the facade |\n| `src/repro/version.py` | the version |\n",
+    )
+    assert check_doc_links.unnamed_modules(root) == [
+        (Path("docs") / "ARCHITECTURE.md", "core/layering.py")
+    ]
+
+
+def test_architecture_names_every_module():
+    assert check_doc_links.unnamed_modules(REPO) == []
+
+
+def test_a_role_naming_nothing_src_defines_fails(tmp_path):
+    root = _tree(tmp_path, ["src/repro/__init__.py"], "")
+    (root / "src" / "repro" / "engine.py").write_text(
+        '''"""The engine: :class:`Engine`, :meth:`Engine.run`, :attr:`Engine.clock`,
+:meth:`~repro.engine.Engine.stop` and :meth:`Engine.gone`.
+
+Also :func:`math.isclose`, :class:`ValueError`, :func:`reference_helper`
+and :func:`repro.worker.place`.
+"""
+
+
+class Base:
+    def stop(self):
+        pass
+
+
+class Engine(Base):
+    def __init__(self):
+        self.clock = 0.0
+
+    def run(self):
+        pass
+'''
+    )
+    assert check_doc_links.unresolved_roles(root) == [
+        (Path("src/repro/engine.py"), ":meth:`Engine.gone`"),
+        (Path("src/repro/engine.py"), ":func:`reference_helper`"),
+        (Path("src/repro/engine.py"), ":func:`repro.worker.place`"),
+    ]
+
+
+def test_every_role_in_src_resolves():
+    assert check_doc_links.unresolved_roles(REPO) == []

@@ -34,6 +34,7 @@ from repro.experiments.runner import (
     _region_names_for,
     build_scenario,
     build_telecast_system,
+    place_lscs,
     run_telecast_scenario,
     shard_placement,
 )
@@ -45,10 +46,7 @@ from repro.metrics.placement import (
 from repro.model.viewer import VIEWER_ID
 from repro.net.planetlab import node_keys, region_indices
 from repro.parallel.runner import _coordinate, resolve_worker_count, run_sharded_scenario
-from repro.parallel.worker import (
-    place_lscs,
-    run_shard_worker,
-)
+from repro.parallel.worker import run_shard_worker
 from repro.sim.rng import SeededRandom
 from repro.sim.transport import (
     ShardBarrierAck,
@@ -580,6 +578,59 @@ def test_worker_with_empty_shard_reports_a_shard_error():
     message = outbox.get_nowait()
     assert isinstance(message, ShardError)
     assert "owns no LSCs" in message.error
+
+
+@pytest.mark.parametrize("num_lscs", [2, 3, 4, 5])
+def test_a_slice_s_system_registers_exactly_the_lscs_its_worker_hosts(num_lscs):
+    """The build names a worker's LSCs; ``build_telecast_system`` builds those alone."""
+    config = ExperimentConfig(
+        num_viewers=40,
+        num_views=2,
+        num_lscs=num_lscs,
+        cdn_capacity_mbps=math.inf,
+        outage=OutageConfig(time=2.0, lsc_index=1),
+    )
+    for workers in range(1, num_lscs + 1):
+        placement = shard_placement(config, workers)
+        for index in range(workers):
+            scenario = build_scenario(config, shard=ShardSelection(workers, index))
+            system = build_telecast_system(scenario)
+            assert [lsc.lsc_id for lsc in system.gsc.lscs] == [
+                f"LSC-{lsc}" for lsc, worker in enumerate(placement) if worker == index
+            ], (workers, index, placement)
+    # A slice that hosts nothing is refused by the build itself.
+    with pytest.raises(ValueError, match="shard worker 2 of 3 owns no LSCs"):
+        build_scenario(config, shard=ShardSelection(3, 2, placement=(0,) * num_lscs))
+
+
+def test_a_shard_worker_constructs_the_ownership_timeline_once(monkeypatch):
+    """The worker reads the failover off its build's timeline; it makes no second one."""
+    config = ExperimentConfig(
+        num_viewers=40,
+        num_views=2,
+        num_lscs=2,
+        cdn_capacity_mbps=math.inf,
+        arrival_rate_per_second=10.0,
+        outage=OutageConfig(time=2.0, lsc_index=1),
+    )
+    # LSC-1 fails over to LSC-0, which carries both populations and so
+    # sits on the other worker: worker 1 evicts and acks without waiting.
+    placement = shard_placement(config, 2)
+    assert placement == (0, 1)
+    constructed = []
+    init = runner_module._OwnershipTimeline.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(runner_module._OwnershipTimeline, "__init__", counting)
+    outbox = queue.Queue()
+    run_shard_worker(1, 2, config, None, False, queue.Queue(), outbox, placement=placement)
+    sent = [outbox.get_nowait() for _ in range(outbox.qsize())]
+    assert [type(message) for message in sent] == [ShardReady, ShardBarrierAck, ShardResult]
+    assert (sent[1].failed_lsc_id, sent[1].target_lsc_id) == ("LSC-1", "LSC-0")
+    assert len(constructed) == 1
 
 
 class _FakeProcess:

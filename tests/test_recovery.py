@@ -178,7 +178,11 @@ class TestLscFailover:
         )
         delay_model = DelayModel(matrix, processing_delay=0.1, cdn_delta=60.0)
         system = TeleCastSystem(
-            producers, CDN(10_000.0), delay_model, layer_config, num_lscs=2
+            producers,
+            CDN(10_000.0),
+            delay_model,
+            layer_config,
+            lsc_regions=[["region-0"], ["region-1"]],
         )
         views = build_views(producers, num_views=2)
         for viewer in viewers:
@@ -296,7 +300,7 @@ class TestFailoverHalves:
     ):
         system = TeleCastSystem(
             producers, CDN(10_000.0, delta=60.0), flat_delay_model, layer_config,
-            num_lscs=2,
+            lsc_regions=[["region-0"], ["region-1"]],
         )
         views = build_views(producers, num_views=2)
         viewers = [

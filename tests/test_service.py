@@ -377,6 +377,7 @@ RETIRED_SNAPSHOT_VERSIONS = {
     "four ExperimentConfig and two DataPlaneConfig fields that are gone",
     9: "a CDN holding a list of EdgeServer objects",
     10: "a StreamSubscription beside every TreeNode, gateway buffers as two deques",
+    11: "a Scenario without its hosted LSC indices and ownership timeline",
 }
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue
 import subprocess
 import sys
 
@@ -41,7 +40,6 @@ from repro.sim.transport import (
     RepairNotify,
     ShardBarrierAck,
     ShardError,
-    ShardQueueTransport,
     ShardReady,
     ShardResult,
     ShardResume,
@@ -113,27 +111,6 @@ def test_pickle_round_trip_is_byte_identical(message):
     assert type(clone) is type(message)
     assert clone == message
     assert pickle.dumps(clone) == blob
-
-
-def test_queue_round_trip_through_shard_transport():
-    """ShardQueueTransport over real queues preserves every sample."""
-    inbox: "queue.Queue[ControlMessage]" = queue.Queue()
-    outbox: "queue.Queue[ControlMessage]" = queue.Queue()
-    sender = ShardQueueTransport(inbox=queue.Queue(), outbox=outbox)
-    receiver = ShardQueueTransport(inbox=outbox, outbox=inbox)
-    for message in SAMPLES:
-        sender.send(message)
-    for message in SAMPLES:
-        received = receiver.recv(timeout=1.0)
-        assert received == message
-    assert sender.sent == len(SAMPLES)
-    assert receiver.received == len(SAMPLES)
-
-
-def test_shard_transport_rejects_non_messages():
-    channel = ShardQueueTransport(inbox=queue.Queue(), outbox=queue.Queue())
-    with pytest.raises(TypeError):
-        channel.send("not a message")  # type: ignore[arg-type]
 
 
 # -- tuple-backed control-plane ids -------------------------------------------
