@@ -25,13 +25,12 @@ to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from repro.core.controllers import CDN_FIRST, JoinResult, LocalSessionController
 from repro.model.stream import StreamId
 from repro.model.view import GlobalView
-from repro.model.viewer import Viewer
 
 
 @dataclass(frozen=True)

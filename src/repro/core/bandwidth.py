@@ -21,7 +21,7 @@ changes view):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.model.stream import StreamId

@@ -14,7 +14,7 @@ steps leave behind, each of which is also the viewer's subscription.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import allocate_inbound, allocate_outbound

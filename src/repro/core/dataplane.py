@@ -18,15 +18,17 @@ says about the link:
 * **FIFO link with loss** (:func:`_send_chunk`) -- each chunk is
   serialized through the parent's reserved forwarding bin
   (:class:`~repro.sim.transport.DataLink`), lost and played out in one pass.
-  Loss is one process per link, the Gilbert-Elliott channel
-  :class:`~repro.sim.transport.LossProcess`, set by a mean rate and a
-  mean burst length; burst length 1 is i.i.d. loss.
+  The departure column of the FIFO (:func:`_departures`) depends only on
+  the frames, the link's ``free_at`` and its rate, so edges whose links
+  are in one state share it.  Loss is one process per link, the
+  Gilbert-Elliott channel :class:`~repro.sim.transport.LossProcess`, set
+  by a mean rate and a mean burst length; burst length 1 is i.i.d. loss.
 
 :class:`SimulatedDataPlane` adds what needs the
 :class:`~repro.sim.engine.Simulator`: one drain event per quiet window
-between control events, per-viewer playout accounting
-(:class:`QoEReport`) and the observed-delay ``kappa`` refresh of
-:class:`~repro.core.adaptation.AdaptationManager`.  With
+between control events, which pops each live edge once, per-viewer
+playout accounting (:class:`QoEReport`) and the observed-delay ``kappa``
+refresh of :class:`~repro.core.adaptation.AdaptationManager`.  With
 ``bandwidth_headroom=None`` and zero loss its chunks go through the same
 constant-delay function, one call per :data:`BATCH_QUANTUM`.
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
@@ -203,12 +206,10 @@ class PlaybackReport:
         if len(columns) < 2:
             return None, None
         skew = playout_skew = 0.0
-        for delays in zip(*columns):
-            fastest = min(delays)
+        for fastest, slowest in zip(map(min, *columns), map(max, *columns)):
             if fastest == LOST:
                 # Lost on some stream (LOST minus a capture time is LOST).
                 continue
-            slowest = max(delays)
             if slowest - fastest > skew:
                 skew = slowest - fastest
             # Clamping at the playout point is monotone, so the aligned
@@ -540,6 +541,54 @@ def _collect_edges(
     return edges
 
 
+class _WindowChunks(NamedTuple):
+    """The chunks of one stream's edges inside one drain window."""
+
+    #: ``frames[bounds[i]:bounds[i + 1]]`` is the window's chunk ``i``.
+    bounds: List[int]
+    #: The chunks' engine start times, newest first.
+    starts: Tuple[float, ...]
+    #: Every frame of the window's chunks.
+    frames: List[Frame]
+    #: Start of the first chunk at or after the window's end; ``None``
+    #: when the stream has no frame left.
+    next_start: Optional[float]
+
+
+def _window_chunks(
+    frames: List[Frame],
+    captures: List[float],
+    index: int,
+    start: float,
+    t0: float,
+    window_end: float,
+) -> _WindowChunks:
+    """Walk the chunks from ``frames[index]``, which starts at ``start``.
+
+    A chunk holds the frames captured less than :data:`BATCH_QUANTUM`
+    after its start (the first by ``bisect_left`` on the capture column
+    ``captures``); the next chunk starts at its first frame's capture
+    time.  The walk stops at the first chunk that starts at or after
+    ``window_end``.
+    """
+    total = len(captures)
+    bounds = [index]
+    starts = []
+    next_start: Optional[float] = None
+    while True:
+        starts.append(start)
+        index = bisect_left(captures, (start - t0) + BATCH_QUANTUM, index)
+        bounds.append(index)
+        if index == total:
+            break
+        start = t0 + captures[index]
+        if not start < window_end:
+            next_start = start
+            break
+    starts.reverse()
+    return _WindowChunks(bounds, tuple(starts), frames[bounds[0] : index], next_start)
+
+
 def _deliver_constant_delay(
     edge: _EdgeState, batch: Sequence[Frame], delay: float
 ) -> None:
@@ -557,7 +606,7 @@ def _deliver_constant_delay(
     so it keeps the forwarding horizon, not the whole replay.
     """
     arrivals = [frame.capture_time + delay for frame in batch]
-    edge.arrivals.extend(arrivals)
+    edge.arrivals.fromlist(arrivals)
     buffer = edge.viewer.buffer_for(edge.stream_id)
     latest = buffer.latest_frame()
     floor = latest.frame_number if latest is not None else -1
@@ -586,6 +635,29 @@ def _deliver_constant_delay(
     edge.window_count += count
 
 
+def _departures(
+    chunk: Sequence[Frame], epoch: float, free_at: float, rate: Optional[float]
+) -> List[float]:
+    """When each frame of ``chunk`` leaves a FIFO link that is free at ``free_at``.
+
+    Each frame enters the link at ``epoch + capture_time``, starts when
+    the link is free and occupies it ``size_megabits / rate`` seconds
+    (``rate=None``: no time).  The column is the link's ``free_at`` after
+    each frame.  Nothing in it is edge-specific, so every edge whose link
+    is in the same state shares one column.
+    """
+    column: List[float] = []
+    depart = column.append
+    for frame in chunk:
+        sent_at = epoch + frame.capture_time
+        if sent_at > free_at:
+            free_at = sent_at
+        if rate is not None:
+            free_at += frame.size_megabits / rate
+        depart(free_at)
+    return column
+
+
 def _send_chunk(
     channel: DataChannel,
     link: DataLink,
@@ -593,22 +665,25 @@ def _send_chunk(
     chunk: Sequence[Frame],
     epoch: float,
     path_delay: float,
+    *,
+    departures: Optional[Sequence[float]] = None,
 ) -> None:
     """Serialize, lose and play out ``chunk`` on ``edge`` in one pass.
 
-    Each frame enters ``link`` at ``epoch + capture_time``, starts when
-    the link is free (FIFO), occupies it ``size_megabits / rate_mbps``
-    seconds and arrives ``path_delay`` later; a lost frame still takes
-    its link time.  The fates are the link's next ``len(chunk)`` stored
-    ones (drawn when the link was created), so no chunk split moves a
-    draw.  The replay-relative arrival ``free_at + path_delay - epoch``
-    (:data:`LOST` if lost) goes straight into the edge's arrival column,
+    The frames leave ``link`` at ``departures`` (:func:`_departures` of
+    the link's state, computed here unless the caller shares one) and
+    arrive ``path_delay`` later; a lost frame still takes its link time.
+    The fates are the link's next ``len(chunk)`` stored ones (drawn when
+    the link was created), so no chunk split moves a draw.  The
+    replay-relative arrival ``departure + path_delay - epoch``
+    (:data:`LOST` if lost) is collected for the edge's arrival column,
     and the same loop does the playout accounting and picks what the
     gateway buffer takes (see :func:`_deliver_constant_delay`).  The
-    link, channel and edge counters are written once per chunk.
+    arrival column, the link, channel and edge counters are written once
+    per chunk.
     """
-    rate = link.rate_mbps
-    free_at = link.free_at
+    if departures is None:
+        departures = _departures(chunk, epoch, link.free_at, link.rate_mbps)
     count = len(chunk)
     fates = link.fates
     if fates is None:
@@ -628,24 +703,19 @@ def _send_chunk(
     gap_len = edge.gap_len
     prev_ok = edge.prev_ok
     lost = late = 0
-    arrive = edge.arrivals.append
+    arrivals: List[float] = []
+    arrive = arrivals.append
     held_frames: List[Frame] = []
     held_arrivals: List[float] = []
-    for frame, dropped in zip(chunk, fates):
-        capture_time = frame.capture_time
-        sent_at = epoch + capture_time
-        if sent_at > free_at:
-            free_at = sent_at
-        if rate is not None:
-            free_at += frame.size_megabits / rate
+    for frame, dropped, departed in zip(chunk, fates, departures):
         if dropped:
             arrive(LOST)
             lost += 1
             gap_len += 1
             continue
-        delivery_rel = free_at + path_delay - epoch
+        delivery_rel = departed + path_delay - epoch
         arrive(delivery_rel)
-        observed = delivery_rel - capture_time
+        observed = delivery_rel - frame.capture_time
         if observed > deadline:
             late += 1
             gap_len += 1
@@ -666,7 +736,9 @@ def _send_chunk(
         if first_delivery is None:
             first_delivery = delivery_rel
         window_sum += observed
-    link.free_at = free_at
+    if count:
+        link.free_at = departures[count - 1]
+    edge.arrivals.fromlist(arrivals)
     if held_frames:
         buffer.extend(held_frames, held_arrivals)
         buffer.evict_expired(last_received)
@@ -700,13 +772,24 @@ class SimulatedDataPlane:
     same :class:`~repro.sim.engine.Simulator` feeds back into subsequent
     deliveries.
 
-    Chunks wait on the plane's own ``(start, seq)`` heap behind one engine
-    event, the drain.  Between two control events (a refresh, or any other
-    engine event) edges share only additive counters and link creation
-    order, so the drain pops every chunk that starts strictly before the
-    next control event, in a per-chunk engine's order; an edge reads its
-    subscription, deadline and link at its first pop and sends the
-    window's link frames in one :func:`_send_chunk` call.
+    Edges wait on the plane's own ``(start, seq)`` heap, keyed by their
+    next chunk, behind one engine event, the drain.  Between two control
+    events (a refresh, or any other engine event) edges share only
+    additive counters and link creation order, so the drain pops each
+    edge whose next chunk starts strictly before the next control event
+    once: the edge reads its subscription, deadline and link, walks its
+    chunks up to that event on the stream's capture-time column
+    (:func:`_window_chunks`) and sends their frames in one
+    :func:`_send_chunk` call.  Within a window, edges share the chunk
+    walk of their stream, the departure column of their link state and
+    their viewer's playout deadline.
+
+    The edges still live are pushed back in the order a per-chunk engine
+    would have pushed them, which decides the order of later ties and so
+    of link creation (each link's loss RNG is salted by it): by the
+    window's chunk starts compared newest first, then, for equal starts,
+    an edge with fewer chunks in the window first, then by the seq the
+    edge entered the window with.
 
     The replay starts at the simulator's current time (frames are
     rebased onto the live clock); all recorded times are relative to the
@@ -727,6 +810,8 @@ class SimulatedDataPlane:
         self._channel: Optional[DataChannel] = None
         self._edges: List[_EdgeState] = []
         self._due: List[Tuple[float, int, _EdgeState]] = []
+        #: Capture-time column of each stream's frames, for the replay.
+        self._captures: Dict[StreamId, List[float]] = {}
         self._seq = count()
         self._last_start = 0.0
         self._report: Optional[QoEReport] = None
@@ -746,6 +831,11 @@ class SimulatedDataPlane:
         self._edges = _collect_edges(
             self.system, self.trace, cfg.max_frames_per_stream
         )
+        frames_by_stream = {edge.stream_id: edge.frames for edge in self._edges}
+        self._captures = {
+            stream_id: [frame.capture_time for frame in frames]
+            for stream_id, frames in frames_by_stream.items()
+        }
         self._report = QoEReport(
             playback=PlaybackReport(_lanes(self._edges)),
             d_buff=self.system.layer_config.buffer_duration,
@@ -761,10 +851,12 @@ class SimulatedDataPlane:
         sim.run()
         # Stop the clock where a per-chunk engine would: the last chunk start.
         sim.run(until=self._last_start)
+        self._captures = {}
         return self._finalize()
 
     def _drain(self) -> None:
-        """Send every chunk that starts before the next event on the engine."""
+        """Send every chunk that starts before the next event on the engine,
+        popping each live edge once (see :class:`SimulatedDataPlane`)."""
         sim = self.system.simulator
         cfg = self.config
         channel = self._channel
@@ -772,63 +864,90 @@ class SimulatedDataPlane:
         constant = cfg.bandwidth_headroom is None and cfg.loss_rate == 0.0
         window_end = sim.next_time()
         due = self._due
-        window: Dict[_EdgeState, Tuple[int, float]] = {}
+        # Shared by the window's edges: chunk walks by (stream, index),
+        # departure columns by link state, playout deadlines by viewer.
+        walks: Dict[Tuple[StreamId, int], _WindowChunks] = {}
+        departures: Dict[Tuple[StreamId, int, float, Optional[float]], List[float]] = {}
+        deadlines: Dict[str, float] = {}
+        pushes: List[Tuple[Tuple[Tuple[float, ...], int], float, _EdgeState]] = []
         while due and due[0][0] < window_end:
-            start, _, edge = heappop(due)
-            if edge not in window:
-                node = edge.session.subscriptions.get(edge.stream_id)
-                if node is None:
-                    # Dropped by the layer refresh: the edge terminates, and
-                    # the undeliverable tail still counts against the viewer's
-                    # continuity -- losing a whole stream IS a playout failure.
-                    self._last_start = max(self._last_start, start)
-                    remaining = len(edge.frames) - edge.index
-                    edge.expected += remaining
-                    edge.dropped += remaining
-                    edge.gap_len += remaining
-                    edge.index = len(edge.frames)
-                    continue
-                if cfg.refresh_interval is not None:
-                    # The playout point tracks the refreshed layers: a
-                    # push-down re-buffers the viewer, moving its deadline
-                    # along (static without the feedback loop, so such runs
-                    # skip this).
-                    edge.deadline = _playout_deadline(edge.session)
-                if not constant and edge.link_parent != node.parent_id:
-                    headroom = cfg.bandwidth_headroom
-                    rate = None
-                    if headroom is not None:
-                        stream = edge.session.view.stream_by_id[edge.stream_id]
-                        rate = headroom * stream.bandwidth_mbps
-                    edge.link = channel.link(
-                        node.parent_id,
-                        edge.viewer_id,
-                        edge.stream_id,
-                        rate,
-                        len(edge.frames) - edge.index,
-                    )
-                    edge.link_parent = node.parent_id
-                window[edge] = (edge.index, node.effective_delay or node.end_to_end_delay)
-            frames = edge.frames
-            total = len(frames)
-            index = stop = edge.index
-            end_rel = (start - t0) + BATCH_QUANTUM
-            while stop < total and frames[stop].capture_time < end_rel:
-                stop += 1
-            edge.index = stop
+            start, seq, edge = heappop(due)
+            stream_id = edge.stream_id
+            node = edge.session.subscriptions.get(stream_id)
+            if node is None:
+                # Dropped by the layer refresh: the edge terminates, and
+                # the undeliverable tail still counts against the viewer's
+                # continuity -- losing a whole stream IS a playout failure.
+                self._last_start = max(self._last_start, start)
+                remaining = len(edge.frames) - edge.index
+                edge.expected += remaining
+                edge.dropped += remaining
+                edge.gap_len += remaining
+                edge.index = len(edge.frames)
+                continue
+            if cfg.refresh_interval is not None:
+                # The playout point tracks the refreshed layers: a
+                # push-down re-buffers the viewer, moving its deadline
+                # along (static without the feedback loop, so such runs
+                # skip this).
+                deadline = deadlines.get(edge.viewer_id)
+                if deadline is None:
+                    deadline = deadlines[edge.viewer_id] = _playout_deadline(edge.session)
+                edge.deadline = deadline
+            if not constant and edge.link_parent != node.parent_id:
+                headroom = cfg.bandwidth_headroom
+                rate = None
+                if headroom is not None:
+                    stream = edge.session.view.stream_by_id[stream_id]
+                    rate = headroom * stream.bandwidth_mbps
+                edge.link = channel.link(
+                    node.parent_id,
+                    edge.viewer_id,
+                    stream_id,
+                    rate,
+                    len(edge.frames) - edge.index,
+                )
+                edge.link_parent = node.parent_id
+            delay = node.effective_delay or node.end_to_end_delay
+            index = edge.index
+            chunks = walks.get((stream_id, index))
+            if chunks is None:
+                chunks = walks[(stream_id, index)] = _window_chunks(
+                    edge.frames, self._captures[stream_id], index, start, t0, window_end
+                )
+            bounds = chunks.bounds
+            edge.index = stop = bounds[-1]
             if constant:
                 # No serialization, no loss: one constant-delay call per
                 # chunk (its delay sum is not split-invariant).
+                frames = edge.frames
                 channel.sent += stop - index
                 channel.delivered += stop - index
-                _deliver_constant_delay(edge, frames[index:stop], window[edge][1])
-            if stop < total:
-                heappush(due, (t0 + frames[stop].capture_time, next(self._seq), edge))
+                for low, high in zip(bounds, bounds[1:]):
+                    _deliver_constant_delay(edge, frames[low:high], delay)
             else:
-                self._last_start = max(self._last_start, start)
-        if not constant:
-            for edge, (index, delay) in window.items():
-                _send_chunk(channel, edge.link, edge, edge.frames[index : edge.index], t0, delay)
+                link = edge.link
+                state = (stream_id, index, link.free_at, link.rate_mbps)
+                column = departures.get(state)
+                if column is None:
+                    column = departures[state] = _departures(
+                        chunks.frames, t0, link.free_at, link.rate_mbps
+                    )
+                _send_chunk(channel, link, edge, chunks.frames, t0, delay, departures=column)
+            if chunks.next_start is None:
+                self._last_start = max(self._last_start, chunks.starts[0])
+            else:
+                pushes.append(((chunks.starts, seq), chunks.next_start, edge))
+        # A per-chunk schedule pushes an edge when it pops the edge's last
+        # chunk of the window.  Chunks pop by (start, seq) and a chunk's
+        # seq is the pop rank of the chunk before it, so that order is
+        # the edges' chunk starts compared newest first, then (an edge
+        # with fewer chunks in the window first, its first chunk holding
+        # an older seq) the seq it entered the window with.  It decides
+        # the order of later ties, and with it link creation order.
+        pushes.sort(key=itemgetter(0))
+        for _, next_start, edge in pushes:
+            heappush(due, (next_start, next(self._seq), edge))
         if due:
             sim.schedule_at(due[0][0], self._drain)
 

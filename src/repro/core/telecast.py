@@ -24,7 +24,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.adaptation import AdaptationManager, DepartureResult, ViewChangeResult
 from repro.core.dataplane import DataPlaneConfig, SimulatedDataPlane
 from repro.core.controllers import (
-    GSC_NODE_ID,
     GlobalSessionController,
     JoinResult,
     LocalSessionController,

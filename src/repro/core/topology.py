@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.model.cdn import CDN_NODE_ID
-from repro.model.stream import Stream, StreamId
+from repro.model.stream import Stream
 from repro.net.latency import DelayModel
 from repro.util.validation import require_non_negative
 

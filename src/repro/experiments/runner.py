@@ -61,13 +61,12 @@ from repro.util.validation import require_non_negative
 class Scenario:
     """Every substrate one scenario run needs, built exactly once.
 
-    ``lsc_regions`` holds, per LSC index, the region names that LSC
-    serves; ``control_node_ids`` lists the GSC, every LSC and the CDN in
-    the order they were inserted into the latency matrix.
     ``hosted_lscs`` are the indices of the LSCs this slice hosts (every
     LSC in a single-process build), and ``timeline`` is the ownership
     timeline the slice was cut by: it also carries the configured
-    outage's one failover decision.
+    outage's one failover decision.  ``lsc_regions`` and
+    ``control_node_ids`` are read-only views derived from the timeline
+    and the config, so no caller can set them out of step.
     """
 
     config: ExperimentConfig
@@ -77,10 +76,18 @@ class Scenario:
     delay_model: DelayModel
     cdn: CDN
     views: List[GlobalView]
-    lsc_regions: Tuple[Tuple[str, ...], ...]
-    control_node_ids: Tuple[str, ...]
     hosted_lscs: Tuple[int, ...]
     timeline: _OwnershipTimeline
+
+    @property
+    def lsc_regions(self) -> Tuple[Tuple[str, ...], ...]:
+        """Per LSC index, the region names that LSC serves (the timeline's)."""
+        return self.timeline.lsc_regions
+
+    @property
+    def control_node_ids(self) -> Tuple[str, ...]:
+        """The GSC, every LSC and the CDN, in latency-matrix insertion order."""
+        return control_node_ids(self.config.num_lscs)
 
 
 @dataclass
@@ -499,8 +506,6 @@ def build_scenario(
         delay_model=delay_model,
         cdn=cdn,
         views=views,
-        lsc_regions=timeline.lsc_regions,
-        control_node_ids=control_nodes,
         hosted_lscs=hosted,
         timeline=timeline,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.model.stream import Stream, StreamId, orientation_from_angle
 from repro.model.view import LocalView, Orientation, make_local_view

@@ -17,7 +17,7 @@ Section II-B of the paper defines how a viewer's *view* maps to streams:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 

@@ -65,15 +65,6 @@ class SeededRandom:
         for start in range(0, count, 1024):
             self._random.getrandbits(64 * min(1024, count - start))
 
-    def randoms(self, count: int) -> List[float]:
-        """The next ``count`` uniform floats in ``[0, 1)``, in draw order.
-
-        Draw-for-draw identical to ``count`` calls of :meth:`random`, at
-        one Python-level call per batch instead of one per draw.
-        """
-        draw = self._random.random
-        return [draw() for _ in range(count)]
-
     def sample(self, items: Sequence[T], k: int) -> List[T]:
         """Choose ``k`` distinct elements."""
         return self._random.sample(items, k)

@@ -334,10 +334,10 @@ class LossProcess:
     def draw(self, rng: SeededRandom, count: int) -> List[bool]:
         """Fates (``True`` = lost) of the link's next ``count`` frames."""
         flip = self.flip
+        random = rng.draw
         if self.recover == 1.0:
-            return [uniform < flip for uniform in rng.randoms(count)]
+            return [random() < flip for _ in range(count)]
         recover = self.recover
-        random = rng.random
         bad = self.bad
         fates = []
         for _ in range(count):

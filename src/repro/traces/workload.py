@@ -156,6 +156,9 @@ class ViewerWorkload:
     ) -> None:
         self.config = config
         self._rng = rng or SeededRandom(0)
+        # Viewer ids by index, formatted on first use: a build's
+        # iter_viewers and iter_events share one string per viewer.
+        self._ids: List[Optional[str]] = [None] * config.num_viewers
 
     def viewers(self) -> List[Viewer]:
         """Generate the viewer population."""
@@ -178,6 +181,7 @@ class ViewerWorkload:
         fixed = outbound.is_fixed
         low, span = outbound.low_mbps, outbound.high_mbps - outbound.low_mbps
         indices = range(cfg.num_viewers)
+        ids = self._ids
         drawn = 0  # bandwidth draws consumed so far
         for index in indices if owned is None else itertools.compress(indices, owned):
             sample = low
@@ -186,8 +190,11 @@ class ViewerWorkload:
                     rng.skip(index - drawn)
                 drawn = index + 1
                 sample += span * random()  # Random.uniform(low, high), inline
+            viewer_id = ids[index]
+            if viewer_id is None:
+                viewer_id = ids[index] = VIEWER_ID % index
             yield Viewer(
-                viewer_id=VIEWER_ID % index,
+                viewer_id=viewer_id,
                 inbound_capacity_mbps=VIEWER_INBOUND_MBPS,
                 outbound_capacity_mbps=sample,
                 buffer_duration=cfg.buffer_duration,
@@ -221,7 +228,8 @@ class ViewerWorkload:
         one id width.  A viewer ``owned`` leaves out pushes nothing, so it
         neither formats its id nor flushes the heap (unless it is the
         last of its width), and with one view and neither view changes
-        nor departures it costs no Python-level call.
+        nor departures it costs no Python-level call.  An id
+        :meth:`iter_viewers` formatted is reused, not formatted again.
         """
         cfg = self.config
         rng = self._rng.fork(2)
@@ -238,6 +246,7 @@ class ViewerWorkload:
         depart_probability = cfg.departure_probability
         single_view = cfg.num_views == 1
         heappush, heappop = heapq.heappush, heapq.heappop
+        ids = self._ids
 
         # Ids compare as strings, so a wider id sorts lower
         # ("viewer-100000" < "viewer-99999"): the flush at the last id of
@@ -253,7 +262,9 @@ class ViewerWorkload:
             if mine or index == last_of_width:
                 if index == last_of_width:
                     last_of_width = 10 * last_of_width + 9
-                viewer_id = VIEWER_ID % index
+                viewer_id = ids[index]
+                if viewer_id is None:
+                    viewer_id = ids[index] = VIEWER_ID % index
                 # Every event generated from here on sorts at or after
                 # (join_time, viewer_id): follow-up times are bounded
                 # below by their own viewer's join time, and ids increase

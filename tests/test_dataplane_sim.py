@@ -736,7 +736,8 @@ class TestGilbertElliottChannel:
         # uniform draw: the Bernoulli sequence on the same seed, exactly.
         process, rng = LossProcess(0.3), SeededRandom(42)
         sequence = [process.draw(rng, 1)[0] for _ in range(500)]
-        assert sequence == [uniform < 0.3 for uniform in SeededRandom(42).randoms(500)]
+        oracle = SeededRandom(42)
+        assert sequence == [oracle.random() < 0.3 for _ in range(500)]
 
     def test_bursty_channel_produces_longer_runs_at_matched_mean(self):
         def loss_runs(process, seed, frames=20_000):

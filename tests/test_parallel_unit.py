@@ -25,7 +25,7 @@ import pytest
 import repro.experiments.runner as runner_module
 import repro.parallel.worker as worker_module
 from repro.core import recovery
-from repro.core.controllers import nearest_lsc
+from repro.core.controllers import control_node_ids, nearest_lsc
 from repro.core.session import InstantDriver, event_sort_key
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
@@ -601,6 +601,15 @@ def test_a_slice_s_system_registers_exactly_the_lscs_its_worker_hosts(num_lscs):
     # A slice that hosts nothing is refused by the build itself.
     with pytest.raises(ValueError, match="shard worker 2 of 3 owns no LSCs"):
         build_scenario(config, shard=ShardSelection(3, 2, placement=(0,) * num_lscs))
+
+
+def test_a_scenario_s_regions_and_control_nodes_are_views_of_its_timeline():
+    scenario = build_scenario(SKEWED_OUTAGE, shard=ShardSelection(2, 1))
+    assert scenario.lsc_regions is scenario.timeline.lsc_regions
+    assert scenario.control_node_ids == control_node_ids(SKEWED_OUTAGE.num_lscs)
+    for name in ("lsc_regions", "control_node_ids"):
+        with pytest.raises(AttributeError):
+            setattr(scenario, name, ())
 
 
 def test_a_shard_worker_constructs_the_ownership_timeline_once(monkeypatch):

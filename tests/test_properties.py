@@ -531,8 +531,8 @@ class TestLossProcess:
     def test_burst_length_one_is_the_bernoulli_oracle(self, loss_rate, counts, seed):
         process, rng = LossProcess(loss_rate), SeededRandom(seed)
         drawn = [fate for count in counts for fate in process.draw(rng, count)]
-        oracle = SeededRandom(seed).randoms(sum(counts))
-        assert drawn == [uniform < loss_rate for uniform in oracle]
+        oracle = SeededRandom(seed)
+        assert drawn == [oracle.random() < loss_rate for _ in range(sum(counts))]
 
     @pytest.mark.parametrize("burst", [1.0, 3.0])
     def test_stationary_rate_and_mean_loss_run(self, burst):
@@ -849,6 +849,23 @@ class TestDrainMatchesPerChunkSchedule:
         t0=2.0**45,
         frames=23,
         events=[("depart", 42, False, 0.5)],
+        seed=0,
+    )
+    @example(  # two re-parented edges create their links in the second
+        # window, and their streams' chunks start at the same instant
+        plane="bernoulli",
+        refresh=None,
+        t0=2.0**46,
+        frames=22,
+        events=[("reparent", 0, False, 0.5), ("reparent", 2056, False, 0.5)],
+        seed=0,
+    )
+    @example(  # the same after a layer refresh, re-parented on a chunk start
+        plane="bernoulli",
+        refresh=2.5,
+        t0=2.0**44,
+        frames=33,
+        events=[("reparent", 2005, True, 0.75), ("reparent", 3980, True, 0.75)],
         seed=0,
     )
     @example(plane="fifo", refresh=5.0, t0=2.0**45, frames=60, events=[], seed=1)

@@ -27,13 +27,6 @@ class TestDeterminism:
         parent_b.random()  # consuming the parent must not change the fork
         assert parent_a.fork(1).random() == parent_b.fork(1).random()
 
-    def test_randoms_is_draw_for_draw_the_scalar_stream(self):
-        a = SeededRandom(42)
-        b = SeededRandom(42)
-        batched = a.randoms(3) + a.randoms(0) + a.randoms(7)
-        assert batched == [b.random() for _ in range(10)]
-        assert a.random() == b.random()
-
     def test_seed_property(self):
         assert SeededRandom(9).seed == 9
 
