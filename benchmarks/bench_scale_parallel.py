@@ -92,8 +92,9 @@ MIN_SPEEDUP = 3.0
 #: Required shard-filtered-vs-full scenario build speedup (per worker).
 MIN_BUILD_SPEEDUP = 2.0
 
-#: Repetitions of the build measurement (the median speedup counts).
-BUILD_REPS = 3
+#: Repetitions of the build measurement (the median speedup counts),
+#: after one untimed warm-up build of each leg.
+BUILD_REPS = 5
 
 #: Cores below which the run-speedup gate is report-only: with fewer
 #: cores than this there is nothing for process parallelism to win.
@@ -123,14 +124,19 @@ def _measure_builds(config: ExperimentConfig, workers: int) -> Dict[str, object]
     waits for.  Each rep times every leg inside one stopwatch bracket,
     so the bracket's calibration cancels in the rep's ratio; the gated
     speedup is the median over :data:`BUILD_REPS` reps, since single-run
-    wall times on a busy box are noisy enough to flip the gate.
+    wall times on a busy box are noisy enough to flip the gate.  Every
+    leg is first built once untimed, so no rep pays a first build's
+    warm-up (at 100k the first of three reps read the slowest).
     """
+    shards = [ShardSelection(num_workers=workers, worker_index=index) for index in range(workers)]
+    build_scenario(config)
+    for shard in shards:
+        build_scenario(config, shard=shard)
     reps = []
     for _ in range(BUILD_REPS):
         with records.STOPWATCH.bracket() as timed:
             timed("build_full", lambda: build_scenario(config))
-            for index in range(workers):
-                shard = ShardSelection(num_workers=workers, worker_index=index)
+            for index, shard in enumerate(shards):
                 timed(f"build_worker_{index}", lambda: build_scenario(config, shard=shard))
         slowest = max(wall for name, wall in timed.walls.items() if name != "build_full")
         reps.append(
@@ -140,6 +146,7 @@ def _measure_builds(config: ExperimentConfig, workers: int) -> Dict[str, object]
             }
         )
     return {
+        "warmup_builds_per_leg": 1,
         "reps": reps,
         "build_speedup": statistics.median(rep["build_speedup"] for rep in reps),
     }

@@ -173,10 +173,19 @@ class Viewer:
     def __post_init__(self) -> None:
         if not self.viewer_id:
             raise ValueError("viewer_id must be non-empty")
-        require_non_negative(self.inbound_capacity_mbps, "inbound_capacity_mbps")
-        require_non_negative(self.outbound_capacity_mbps, "outbound_capacity_mbps")
-        require_positive(self.buffer_duration, "buffer_duration")
-        require_non_negative(self.cache_duration, "cache_duration")
+        # A build constructs one viewer per member of the audience: one
+        # guard (NaN fails it) tests all four, and the validators run,
+        # in field order, only to raise the first failing one's message.
+        if not (
+            self.inbound_capacity_mbps >= 0
+            and self.outbound_capacity_mbps >= 0
+            and self.buffer_duration > 0
+            and self.cache_duration >= 0
+        ):
+            require_non_negative(self.inbound_capacity_mbps, "inbound_capacity_mbps")
+            require_non_negative(self.outbound_capacity_mbps, "outbound_capacity_mbps")
+            require_positive(self.buffer_duration, "buffer_duration")
+            require_non_negative(self.cache_duration, "cache_duration")
 
     @property
     def node_id(self) -> str:

@@ -39,7 +39,10 @@ class RegionMap:
 
     def assign(self, node_id: str, region: Region) -> None:
         """Assign a node to a region (overwrites any previous assignment)."""
-        if region not in self.regions:
+        # ``add_region`` files a region at its own id: the one-slot slice
+        # keeps ``in``'s identity-then-equality test, and no list scan.
+        index = region.region_id
+        if region not in self.regions[index : index + 1]:
             raise ValueError(f"unknown region {region!r}")
         self._assignment[node_id] = region
 

@@ -41,7 +41,7 @@ import time
 from typing import Any, Dict, Tuple
 
 SNAPSHOT_MAGIC = "repro-service-snapshot"
-SNAPSHOT_VERSION = 12
+SNAPSHOT_VERSION = 13
 
 
 class SnapshotError(RuntimeError):

@@ -64,7 +64,7 @@ class BandwidthDistribution:
         return f"C_obw={self.low_mbps:g}-{self.high_mbps:g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ViewerEvent:
     """A scheduled workload event.
 
@@ -74,6 +74,13 @@ class ViewerEvent:
     ``"lsc_fail"`` (a whole-controller crash; ``viewer_id`` carries the
     LSC node id).  ``view_index`` selects which of the experiment's
     candidate views the viewer requests (for joins and view changes).
+
+    A build constructs one or more per viewer, so the constructor is
+    written out: both checks run inline (``require_non_negative`` is
+    called only to raise its message, and NaN fails ``time >= 0``) and
+    the fields are stored through their slot descriptors, one C call
+    each (the generated frozen ``__init__`` would pay an
+    ``object.__setattr__`` per field and a ``__post_init__``).
     """
 
     time: float
@@ -81,10 +88,25 @@ class ViewerEvent:
     viewer_id: str
     view_index: int = 0
 
-    def __post_init__(self) -> None:
-        require_non_negative(self.time, "time")
-        if self.kind not in ("join", "view_change", "depart", "fail", "lsc_fail"):
-            raise ValueError(f"unknown event kind {self.kind!r}")
+    def __init__(
+        self, time: float, kind: str, viewer_id: str, view_index: int = 0
+    ) -> None:
+        if not time >= 0:
+            require_non_negative(time, "time")
+        if kind not in ("join", "view_change", "depart", "fail", "lsc_fail"):
+            raise ValueError(f"unknown event kind {kind!r}")
+        _set_time(self, time)
+        _set_kind(self, kind)
+        _set_viewer_id(self, viewer_id)
+        _set_view_index(self, view_index)
+
+
+# The slot descriptors exist only once ``dataclass(slots=True)`` has
+# rebuilt the class, so the constructor reads them from module globals.
+_set_time = ViewerEvent.time.__set__
+_set_kind = ViewerEvent.kind.__set__
+_set_viewer_id = ViewerEvent.viewer_id.__set__
+_set_view_index = ViewerEvent.view_index.__set__
 
 
 @dataclass
@@ -180,6 +202,7 @@ class ViewerWorkload:
         outbound = cfg.outbound
         fixed = outbound.is_fixed
         low, span = outbound.low_mbps, outbound.high_mbps - outbound.low_mbps
+        buffer_duration, cache_duration = cfg.buffer_duration, cfg.cache_duration
         indices = range(cfg.num_viewers)
         ids = self._ids
         drawn = 0  # bandwidth draws consumed so far
@@ -194,11 +217,7 @@ class ViewerWorkload:
             if viewer_id is None:
                 viewer_id = ids[index] = VIEWER_ID % index
             yield Viewer(
-                viewer_id=viewer_id,
-                inbound_capacity_mbps=VIEWER_INBOUND_MBPS,
-                outbound_capacity_mbps=sample,
-                buffer_duration=cfg.buffer_duration,
-                cache_duration=cfg.cache_duration,
+                viewer_id, VIEWER_INBOUND_MBPS, sample, buffer_duration, cache_duration
             )
 
     def events(self, *, owned: Optional[Sequence[bool]] = None) -> List[ViewerEvent]:
@@ -273,12 +292,7 @@ class ViewerWorkload:
                     yield heappop(buffered)[3]
             view_index = 0 if single_view else self._pick_view(rng)
             if mine:
-                join_event = ViewerEvent(
-                    time=join_time,
-                    kind="join",
-                    viewer_id=viewer_id,
-                    view_index=view_index,
-                )
+                join_event = ViewerEvent(join_time, "join", viewer_id, view_index)
                 heappush(buffered, (join_time, viewer_id, "join", join_event))
             horizon_start = join_time
             if change_probability > 0 and rng.random() < change_probability:
@@ -291,10 +305,7 @@ class ViewerWorkload:
                         new_view = self._pick_view(rng)
                 if mine:
                     change_event = ViewerEvent(
-                        time=change_time,
-                        kind="view_change",
-                        viewer_id=viewer_id,
-                        view_index=new_view,
+                        change_time, "view_change", viewer_id, new_view
                     )
                     heappush(
                         buffered,
@@ -306,11 +317,7 @@ class ViewerWorkload:
                     0.0, max(1e-9, cfg.session_duration - horizon_start)
                 )
                 if mine:
-                    depart_event = ViewerEvent(
-                        time=depart_time,
-                        kind="depart",
-                        viewer_id=viewer_id,
-                    )
+                    depart_event = ViewerEvent(depart_time, "depart", viewer_id)
                     heappush(
                         buffered, (depart_time, viewer_id, "depart", depart_event)
                     )

@@ -111,6 +111,28 @@ class TestViewer:
         with pytest.raises(ValueError):
             Viewer(viewer_id="v", inbound_capacity_mbps=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("inbound_capacity_mbps", -1.0, "inbound_capacity_mbps must be >= 0, got -1.0"),
+            ("inbound_capacity_mbps", math.nan, "inbound_capacity_mbps must be >= 0, got nan"),
+            ("outbound_capacity_mbps", -0.5, "outbound_capacity_mbps must be >= 0, got -0.5"),
+            ("outbound_capacity_mbps", math.nan, "outbound_capacity_mbps must be >= 0, got nan"),
+            ("buffer_duration", 0.0, "buffer_duration must be > 0, got 0.0"),
+            ("buffer_duration", math.nan, "buffer_duration must be > 0, got nan"),
+            ("cache_duration", -1.0, "cache_duration must be >= 0, got -1.0"),
+            ("cache_duration", math.nan, "cache_duration must be >= 0, got nan"),
+        ],
+    )
+    def test_each_field_refused_with_its_validator_message(self, field, value, message):
+        with pytest.raises(ValueError) as raised:
+            Viewer("v", **{field: value})
+        assert str(raised.value) == message
+
+    def test_first_bad_field_in_order_names_the_error(self):
+        with pytest.raises(ValueError, match="^outbound_capacity_mbps"):
+            Viewer("v", 12.0, math.nan, 0.0, -1.0)
+
     def test_buffer_created_on_demand_and_dropped(self):
         viewer = Viewer(viewer_id="v1")
         stream_id = StreamId("A", 0)

@@ -5,12 +5,14 @@ hands its flags to the population walk: ``iter_viewers(owned=...)``
 constructs only the owned viewers and skips the others' bandwidth draws
 in bulk (``SeededRandom.skip``), and ``events(owned=...)`` constructs
 only the tracked viewers' events while every viewer still draws its
-arrival.  These tests hold both halves to the full walk, and the build
-to a Python-call budget that does not grow with the untracked viewers.
+arrival.  These tests hold both halves to the full walk, the slice build
+to a Python-call budget that does not grow with the untracked viewers,
+and the full build to a fixed number of Python calls per viewer.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import sys
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.runner as runner
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.experiments.runner import ShardSelection, _region_names_for, build_scenario
 from repro.model.viewer import VIEWER_ID, VIEWER_INDEX_AT
 from repro.net.planetlab import _node_key, node_keys
@@ -47,7 +49,12 @@ BUDGET_SHARD = ShardSelection(num_workers=2, worker_index=1, placement=(0, 1, 0)
 
 
 def _python_calls(build):
-    """Python-level calls (frames entered or resumed) made by ``build()``."""
+    """Python-level calls (frames entered or resumed) made by ``build()``.
+
+    The cyclic collector is emptied first and held off while counting:
+    a collection inside the build would finalize earlier tests' garbage
+    (closing a generator is a call), which is not the build's.
+    """
     calls = 0
 
     def count(_frame, event, _arg):
@@ -55,11 +62,14 @@ def _python_calls(build):
         if event == "call":
             calls += 1
 
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         result = build()
     finally:
         sys.setprofile(None)
+        gc.enable()
     return calls, result
 
 
@@ -94,6 +104,36 @@ def test_slice_build_makes_no_python_call_per_untracked_viewer(monkeypatch):
         v.viewer_id for v in scenarios[600].viewers
     ]
     assert calls[1200] == calls[600]
+
+
+#: Python-level calls the full build makes per viewer: the region
+#: assignment (``RegionMap.assign``) and the ``_mix64`` that picks its
+#: region, one resume of each walk generator, the join's
+#: ``ViewerEvent.__init__``, and the ``Viewer`` generated ``__init__`` and
+#: its ``__post_init__``.  A validator either constructor calls on a
+#: valid value would add one per viewer.
+FULL_BUILD_CALLS_PER_VIEWER = 7
+
+
+def test_full_build_makes_seven_python_calls_per_viewer():
+    """The one-worker build of a broadcast pays a fixed handful a viewer.
+
+    Counted as the difference between two populations, so the constant
+    part (the control plane, the region table) cancels, after one
+    uncounted build: a process's first build pays one-off set-up.
+    """
+    configs = {
+        num_viewers: PAPER_CONFIG.with_scaled_population(
+            num_viewers, num_lscs=3, num_views=1
+        ).with_(seed=7)
+        for num_viewers in (400, 600)
+    }
+    build_scenario(configs[400])
+    calls = {}
+    for num_viewers, config in configs.items():
+        calls[num_viewers], scenario = _python_calls(lambda: build_scenario(config))
+        assert len(scenario.viewers) == len(scenario.events) == num_viewers
+    assert (calls[600] - calls[400]) / 200 == FULL_BUILD_CALLS_PER_VIEWER
 
 
 def _mask(kind: str, size: int, seed: int):

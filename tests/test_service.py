@@ -378,6 +378,8 @@ RETIRED_SNAPSHOT_VERSIONS = {
     9: "a CDN holding a list of EdgeServer objects",
     10: "a StreamSubscription beside every TreeNode, gateway buffers as two deques",
     11: "a Scenario without its hosted LSC indices and ownership timeline",
+    12: "ViewerEvent with a __dict__ (its slots __setstate__ would read the old "
+    "dict's keys as field values)",
 }
 
 

@@ -1,11 +1,20 @@
 """Tests for the synthetic TEEVE traces and the viewer workload generator."""
 
+import dataclasses
+import math
+import pickle
+
 import pytest
 
 from repro.model.producer import make_default_producers
 from repro.sim.rng import SeededRandom
 from repro.traces.teeve import TeeveSessionConfig, TeeveSessionTrace
-from repro.traces.workload import BandwidthDistribution, ViewerWorkload, WorkloadConfig
+from repro.traces.workload import (
+    BandwidthDistribution,
+    ViewerEvent,
+    ViewerWorkload,
+    WorkloadConfig,
+)
 
 
 def _mean_bandwidth_mbps(trace, stream_id):
@@ -175,3 +184,49 @@ class TestViewerWorkload:
             WorkloadConfig(view_change_probability=1.5)
         with pytest.raises(ValueError):
             WorkloadConfig(num_views=0)
+
+
+class TestViewerEvent:
+    """The frozen-record contract the hand-written constructor keeps."""
+
+    def test_fields_are_frozen(self):
+        event = ViewerEvent(1.0, "join", "v", 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.time = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.kind
+
+    def test_equality_and_hash_are_by_fields(self):
+        event = ViewerEvent(1.0, "join", "v", 2)
+        same = ViewerEvent(time=1.0, kind="join", viewer_id="v", view_index=2)
+        assert event == same and hash(event) == hash(same)
+        assert event != ViewerEvent(1.0, "join", "v")
+        assert ViewerEvent(1.0, "depart", "v").view_index == 0
+        assert repr(event) == "ViewerEvent(time=1.0, kind='join', viewer_id='v', view_index=2)"
+
+    def test_astuple_and_replace(self):
+        event = ViewerEvent(1.0, "join", "v", 2)
+        assert dataclasses.astuple(event) == (1.0, "join", "v", 2)
+        moved = dataclasses.replace(event, time=3.0, kind="view_change")
+        assert moved == ViewerEvent(3.0, "view_change", "v", 2)
+        with pytest.raises(ValueError, match="time must be >= 0, got -1.0"):
+            dataclasses.replace(event, time=-1.0)
+
+    def test_pickle_round_trip(self):
+        event = ViewerEvent(4.5, "lsc_fail", "LSC-1", 3)
+        restored = pickle.loads(pickle.dumps(event, protocol=4))
+        assert restored == event and type(restored) is ViewerEvent
+        assert restored.view_index == 3
+
+    @pytest.mark.parametrize(
+        "time, kind, message",
+        [
+            (math.nan, "join", "time must be >= 0, got nan"),
+            (-1, "join", "time must be >= 0, got -1"),
+            (1.0, "explode", "unknown event kind 'explode'"),
+        ],
+    )
+    def test_invalid_events_refused_with_their_message(self, time, kind, message):
+        with pytest.raises(ValueError) as raised:
+            ViewerEvent(time, kind, "v")
+        assert str(raised.value) == message
