@@ -308,7 +308,8 @@ refresh_layers_from_observed`); ``None`` disables the feedback loop.
         Truncate every stream's trace to its first N frames
         (``None`` replays the full trace).
     seed:
-        Seed of the loss RNG (forked per edge, deterministically).
+        Seed of the loss RNG; each link forks it by its
+        ``(src, dst, stream_id)`` key.
     """
 
     loss_rate: float = 0.0
@@ -546,8 +547,8 @@ class _WindowChunks(NamedTuple):
 
     #: ``frames[bounds[i]:bounds[i + 1]]`` is the window's chunk ``i``.
     bounds: List[int]
-    #: The chunks' engine start times, newest first.
-    starts: Tuple[float, ...]
+    #: Engine start time of the window's last chunk.
+    last_start: float
     #: Every frame of the window's chunks.
     frames: List[Frame]
     #: Start of the first chunk at or after the window's end; ``None``
@@ -573,10 +574,9 @@ def _window_chunks(
     """
     total = len(captures)
     bounds = [index]
-    starts = []
+    last_start = start
     next_start: Optional[float] = None
     while True:
-        starts.append(start)
         index = bisect_left(captures, (start - t0) + BATCH_QUANTUM, index)
         bounds.append(index)
         if index == total:
@@ -585,8 +585,8 @@ def _window_chunks(
         if not start < window_end:
             next_start = start
             break
-    starts.reverse()
-    return _WindowChunks(bounds, tuple(starts), frames[bounds[0] : index], next_start)
+        last_start = start
+    return _WindowChunks(bounds, last_start, frames[bounds[0] : index], next_start)
 
 
 def _deliver_constant_delay(
@@ -775,21 +775,16 @@ class SimulatedDataPlane:
     Edges wait on the plane's own ``(start, seq)`` heap, keyed by their
     next chunk, behind one engine event, the drain.  Between two control
     events (a refresh, or any other engine event) edges share only
-    additive counters and link creation order, so the drain pops each
-    edge whose next chunk starts strictly before the next control event
-    once: the edge reads its subscription, deadline and link, walks its
-    chunks up to that event on the stream's capture-time column
-    (:func:`_window_chunks`) and sends their frames in one
+    additive counters (a link's losses are keyed by its edge), so the
+    drain pops each edge whose next chunk starts strictly before the next
+    control event once: the edge reads its subscription, deadline and
+    link, walks its chunks up to that event on the stream's capture-time
+    column (:func:`_window_chunks`) and sends their frames in one
     :func:`_send_chunk` call.  Within a window, edges share the chunk
     walk of their stream, the departure column of their link state and
-    their viewer's playout deadline.
-
-    The edges still live are pushed back in the order a per-chunk engine
-    would have pushed them, which decides the order of later ties and so
-    of link creation (each link's loss RNG is salted by it): by the
-    window's chunk starts compared newest first, then, for equal starts,
-    an edge with fewer chunks in the window first, then by the seq the
-    edge entered the window with.
+    their viewer's playout deadline.  An edge still live goes straight
+    back on the heap at its next chunk; the order in which tied edges
+    pop decides nothing.
 
     The replay starts at the simulator's current time (frames are
     rebased onto the live clock); all recorded times are relative to the
@@ -869,9 +864,8 @@ class SimulatedDataPlane:
         walks: Dict[Tuple[StreamId, int], _WindowChunks] = {}
         departures: Dict[Tuple[StreamId, int, float, Optional[float]], List[float]] = {}
         deadlines: Dict[str, float] = {}
-        pushes: List[Tuple[Tuple[Tuple[float, ...], int], float, _EdgeState]] = []
         while due and due[0][0] < window_end:
-            start, seq, edge = heappop(due)
+            start, _, edge = heappop(due)
             stream_id = edge.stream_id
             node = edge.session.subscriptions.get(stream_id)
             if node is None:
@@ -935,19 +929,10 @@ class SimulatedDataPlane:
                     )
                 _send_chunk(channel, link, edge, chunks.frames, t0, delay, departures=column)
             if chunks.next_start is None:
-                self._last_start = max(self._last_start, chunks.starts[0])
+                self._last_start = max(self._last_start, chunks.last_start)
             else:
-                pushes.append(((chunks.starts, seq), chunks.next_start, edge))
-        # A per-chunk schedule pushes an edge when it pops the edge's last
-        # chunk of the window.  Chunks pop by (start, seq) and a chunk's
-        # seq is the pop rank of the chunk before it, so that order is
-        # the edges' chunk starts compared newest first, then (an edge
-        # with fewer chunks in the window first, its first chunk holding
-        # an older seq) the seq it entered the window with.  It decides
-        # the order of later ties, and with it link creation order.
-        pushes.sort(key=itemgetter(0))
-        for _, next_start, edge in pushes:
-            heappush(due, (next_start, next(self._seq), edge))
+                # At or after the window's end: not popped again here.
+                heappush(due, (chunks.next_start, next(self._seq), edge))
         if due:
             sim.schedule_at(due[0][0], self._drain)
 

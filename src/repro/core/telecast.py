@@ -44,9 +44,9 @@ from repro.core.session import EventDrivenSession, InstantDriver
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
 from repro.model.cdn import CDN
 from repro.model.producer import ProducerSite
-from repro.model.view import GlobalView, orientation_from_angle
+from repro.model.view import GlobalView
 from repro.model.viewer import Viewer
-from repro.model.stream import StreamId
+from repro.model.stream import StreamId, orientation_from_angle
 from repro.net.latency import DelayModel
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRandom

@@ -658,7 +658,6 @@ def _serve_main(arguments: List[str]) -> int:
         control_delay_scale=args.control_delay_scale,
         seed=args.seed,
         snapshot_dir=args.snapshot_dir,
-        restore=args.restore,
         max_wall_seconds=args.max_wall_seconds,
     )
     if args.restore:

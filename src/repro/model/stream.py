@@ -101,5 +101,5 @@ class Frame:
 
 
 def orientation_from_angle(angle_radians: float) -> Tuple[float, float]:
-    """Unit orientation vector for a camera pointing at ``angle_radians``."""
+    """Unit orientation vector along ``angle_radians`` (a camera's or a view's)."""
     return (math.cos(angle_radians), math.sin(angle_radians))

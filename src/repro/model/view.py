@@ -16,7 +16,6 @@ Section II-B of the paper defines how a viewer's *view* maps to streams:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
@@ -25,11 +24,6 @@ from repro.model.stream import Stream, StreamId
 
 #: A unit vector in the horizontal plane.
 Orientation = Tuple[float, float]
-
-
-def orientation_from_angle(angle_radians: float) -> Orientation:
-    """Unit orientation vector for a view looking along ``angle_radians``."""
-    return (math.cos(angle_radians), math.sin(angle_radians))
 
 
 def differentiation(stream: Stream, view_orientation: Orientation) -> float:

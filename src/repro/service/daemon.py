@@ -122,8 +122,6 @@ class ServeConfig:
     seed: Optional[int] = None
     #: Directory default ``snapshot`` ops write into.
     snapshot_dir: str = "snapshots"
-    #: Restore the session from this snapshot instead of building fresh.
-    restore: Optional[str] = None
     #: Exit the loop after this many wall seconds (soak CI guard); ``0``
     #: stops after the first tick.
     max_wall_seconds: Optional[float] = None

@@ -34,6 +34,7 @@ that plays them out (there is no per-frame message object or call).
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -387,8 +388,9 @@ class DataChannel:
     its old link stopped.  A lossy link's fates are drawn when it is
     created, for every frame its edge has still to send: its own
     :class:`LossProcess` walks them on an RNG forked from the channel's by
-    creation index, and both are then dropped.  Edge outcomes are
-    therefore independent of the order in which other edges transmit.
+    the CRC-32 of its key, and both are then dropped.  A link's fates
+    therefore depend on its edge alone, not on which links exist or were
+    created first.
     """
 
     def __init__(
@@ -424,6 +426,7 @@ class DataChannel:
         fates = None
         if self.loss_rate > 0.0:
             loss = LossProcess(self.loss_rate, self.mean_burst_length)
-            fates = bytes(loss.draw(self._rng.fork(len(self._links)), frames))
+            salt = zlib.crc32(f"{src}|{dst}|{stream_id}".encode("utf-8"))
+            fates = bytes(loss.draw(self._rng.fork(salt), frames))
         created = self._links[key] = DataLink(rate_mbps, fates=fates)
         return created

@@ -26,7 +26,10 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from types import SimpleNamespace
@@ -233,6 +236,70 @@ class TestDataMessagePlumbing:
         ):
             with pytest.raises(ValueError):
                 LossProcess(loss_rate, burst)
+
+
+#: Edges of one lossy channel: re-parented (same viewer and stream, new
+#: parent), sibling streams, and a viewer id that sorts before the rest.
+LINK_KEYS = [
+    ("cdn", "viewer-7", StreamId("site-0", 0)),
+    ("viewer-3", "viewer-7", StreamId("site-0", 0)),
+    ("viewer-3", "viewer-7", StreamId("site-0", 1)),
+    ("cdn", "viewer-12", StreamId("site-1", 2)),
+    ("viewer-12", "viewer-10", StreamId("site-1", 2)),
+]
+
+#: Prints the fates (hex) of ``LINK_KEYS`` created in reverse order.
+_LINK_FATES = """
+import json
+from repro.model.stream import StreamId
+from repro.sim.rng import SeededRandom
+from repro.sim.transport import DataChannel
+keys = [(src, dst, StreamId(*stream)) for src, dst, stream in json.loads(input())]
+channel = DataChannel(loss_rate=0.3, mean_burst_length=1.0, rng=SeededRandom(11))
+fates = {key: channel.link(*key, None, 200).fates.hex() for key in reversed(keys)}
+print(json.dumps([fates[key] for key in keys]))
+"""
+
+
+def _link_fates(keys, order):
+    """Fates (hex) of ``keys``, their links created in ``order``."""
+    channel = DataChannel(loss_rate=0.3, mean_burst_length=1.0, rng=SeededRandom(11))
+    fates = {key: channel.link(*key, None, 200).fates.hex() for key in order}
+    return [fates[key] for key in keys]
+
+
+class TestKeyedLinkFates:
+    """A lossy link's fates depend on its ``(src, dst, stream_id)`` key and
+    the channel seed alone: not on which links were created before it or
+    exist beside it, and not on the process's string-hash seed."""
+
+    def test_links_created_in_any_order_draw_the_same_fates(self):
+        forward = _link_fates(LINK_KEYS, LINK_KEYS)
+        assert _link_fates(LINK_KEYS, LINK_KEYS[::-1]) == forward
+        assert _link_fates(LINK_KEYS, LINK_KEYS[2:] + LINK_KEYS[:2]) == forward
+        # A link opened alone, as by a mid-run edge, draws what it draws
+        # among the others.
+        for key, fates in zip(LINK_KEYS, forward):
+            assert _link_fates([key], [key]) == [fates]
+        # Different keys still draw different fates.
+        assert len(set(forward)) == len(forward)
+
+    def test_fates_are_the_same_under_two_hash_seeds(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        keys = json.dumps([[src_id, dst, list(stream)] for src_id, dst, stream in LINK_KEYS])
+        forward = _link_fates(LINK_KEYS, LINK_KEYS)
+        for hash_seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", _LINK_FATES],
+                input=keys,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=False,
+            )
+            assert done.returncode == 0, done.stderr
+            assert json.loads(done.stdout) == forward, f"PYTHONHASHSEED={hash_seed}"
 
 
 class TestOfflineEquivalence:

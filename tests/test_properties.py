@@ -34,6 +34,7 @@ Covered invariants:
 
 import copy
 import dataclasses
+import itertools
 import json
 import random
 from array import array
@@ -775,8 +776,9 @@ def _replay_observables(plane, report):
             report.streams_dropped,
         ),
         "channel": (channel.sent, channel.delivered, channel.lost),
-        # Insertion order is creation order, which salts each link's RNG.
-        "links": [(key, link.free_at) for key, link in channel._links.items()],
+        # By key: a link's losses are keyed by its edge, so the order in
+        # which links were created decides nothing.
+        "links": {key: link.free_at for key, link in channel._links.items()},
         "edges": [[getattr(edge, name) for name in _EDGE_COUNTERS] for edge in plane._edges],
         "buffers": [edge.viewer.buffer_for(edge.stream_id).held() for edge in plane._edges],
         "clock": plane.system.simulator.now,
@@ -797,8 +799,8 @@ control_events = st.lists(
 class TestDrainMatchesPerChunkSchedule:
     """The drain replays what one engine event per edge per quantum
     (``tests/reference_dataplane.py``) replays, bit for bit: deliveries,
-    QoE, channel counters, links in creation order, buffers, edges and
-    the clock the replay leaves behind."""
+    QoE, channel counters, links by key, buffers, edges and the clock the
+    replay leaves behind."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -843,7 +845,9 @@ class TestDrainMatchesPerChunkSchedule:
         events=[("reparent", 0, False, 0.5), ("depart", 0, False, 0.5)],
         seed=0,
     )
-    @example(  # at a far epoch two streams' chunks start at the same instant
+    @example(  # at a far epoch chunk starts round at a coarse ulp (two
+        # streams' chunks start at the same instant), and each chunk's end
+        # is read back from its rounded start
         plane="bernoulli",
         refresh=None,
         t0=2.0**45,
@@ -851,8 +855,8 @@ class TestDrainMatchesPerChunkSchedule:
         events=[("depart", 42, False, 0.5)],
         seed=0,
     )
-    @example(  # two re-parented edges create their links in the second
-        # window, and their streams' chunks start at the same instant
+    @example(  # the same with two re-parented edges opening links in
+        # the second window
         plane="bernoulli",
         refresh=None,
         t0=2.0**46,
@@ -860,7 +864,8 @@ class TestDrainMatchesPerChunkSchedule:
         events=[("reparent", 0, False, 0.5), ("reparent", 2056, False, 0.5)],
         seed=0,
     )
-    @example(  # the same after a layer refresh, re-parented on a chunk start
+    @example(  # the same after a layer refresh, re-parented on a chunk
+        # start, so the window ends exactly on a boundary
         plane="bernoulli",
         refresh=2.5,
         t0=2.0**44,
@@ -887,6 +892,36 @@ class TestDrainMatchesPerChunkSchedule:
             system, trace = _drain_overlay(t0)
             _schedule_control_events(system, trace, t0, frames, events)
             replay = driver(system, trace, config)
+            sides.append(_replay_observables(replay, replay.run()))
+        assert sides[0] == sides[1]
+
+
+class TestPopOrder:
+    """Which of two edges tied on their next chunk start pops first decides
+    nothing: with the heap's seq counting down, every tie breaks the other
+    way -- links open in another order -- and the replay is the same,
+    lane for lane (``edges`` holds each lane's arrivals), down to the
+    links by key and the buffers by edge."""
+
+    @pytest.mark.parametrize("plane", sorted(DRAIN_PLANES))
+    @pytest.mark.parametrize(
+        "t0,events",
+        [
+            (0.0, []),
+            (123.456, [("reparent", 3, True, 0.0), ("depart", 1, True, 0.7), ("reparent", 11, True, 0.3)]),
+            (2.0**45, [("reparent", 0, False, 0.5), ("reparent", 2056, False, 0.5)]),
+        ],
+    )
+    def test_reversed_ties_replay_the_same(self, plane, t0, events):
+        config = dataplane.DataPlaneConfig(
+            refresh_interval=2.5, max_frames_per_stream=40, seed=3, **DRAIN_PLANES[plane]
+        )
+        sides = []
+        for seq in (itertools.count(), itertools.count(0, -1)):
+            system, trace = _drain_overlay(t0)
+            _schedule_control_events(system, trace, t0, 40, events)
+            replay = dataplane.SimulatedDataPlane(system, trace, config)
+            replay._seq = seq
             sides.append(_replay_observables(replay, replay.run()))
         assert sides[0] == sides[1]
 
