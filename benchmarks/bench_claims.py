@@ -68,7 +68,8 @@ def kappa() -> Dict[int, tuple]:
     runs = {}
     for k in (2, 4, 8):
         run = run_telecast_scenario(CONFIG.with_(kappa=k), snapshot_every=None)
-        top = max(run.final_snapshot.max_layers.values(), default=0)
+        max_layers, _counts = run.system.viewer_maps()
+        top = max(max_layers.values(), default=0)
         runs[k] = (top - run.config.layer_config().max_layer_index, run.acceptance_ratio)
     return runs
 

@@ -126,18 +126,22 @@ def _measure_builds(config: ExperimentConfig, workers: int) -> Dict[str, object]
     speedup is the median over :data:`BUILD_REPS` reps, since single-run
     wall times on a busy box are noisy enough to flip the gate.  Every
     leg is first built once untimed, so no rep pays a first build's
-    warm-up (at 100k the first of three reps read the slowest).
+    warm-up (at 100k the first of three reps read the slowest).  The
+    bracket collects garbage before each leg, and the legs run in
+    reverse order every other rep, so ``build_full`` is not always the
+    leg that runs on the heap the previous rep left.
     """
-    shards = [ShardSelection(num_workers=workers, worker_index=index) for index in range(workers)]
-    build_scenario(config)
-    for shard in shards:
+    legs = [("build_full", None)] + [
+        (f"build_worker_{index}", ShardSelection(num_workers=workers, worker_index=index))
+        for index in range(workers)
+    ]
+    for _name, shard in legs:
         build_scenario(config, shard=shard)
     reps = []
-    for _ in range(BUILD_REPS):
+    for rep in range(BUILD_REPS):
         with records.STOPWATCH.bracket() as timed:
-            timed("build_full", lambda: build_scenario(config))
-            for index, shard in enumerate(shards):
-                timed(f"build_worker_{index}", lambda: build_scenario(config, shard=shard))
+            for name, shard in legs if rep % 2 == 0 else legs[::-1]:
+                timed(name, lambda: build_scenario(config, shard=shard))
         slowest = max(wall for name, wall in timed.walls.items() if name != "build_full")
         reps.append(
             {

@@ -74,7 +74,7 @@ def main() -> None:
           f"({snapshot.cdn_fraction:.0%} of subscriptions)")
     print(f"CDN outbound bandwidth   : {snapshot.cdn_outbound_mbps:.0f} Mbps")
     print(f"stream acceptance ratio  : {system.metrics.acceptance_ratio:.2f}")
-    max_layers = snapshot.max_layers.values()
+    max_layers = system.viewer_maps()[0].values()
     if max_layers:
         print(f"delay layers (max/viewer): min={min(max_layers)} max={max(max_layers)}")
 

@@ -33,8 +33,8 @@ The class mirrors the measurement API of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.layering import DelayLayerConfig
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
@@ -85,7 +85,7 @@ class RandomDisseminationSystem:
         self._rng = rng or SeededRandom(0)
         self.metrics = SessionMetrics()
         self._receivers: Dict[str, _RandomReceiver] = {}
-        self._requested: Dict[str, int] = {}
+        self._requested: Set[str] = set()
         #: Streams accepted, and those the CDN serves: no stream of an
         #: accepted viewer ever moves, so counting at join is exact.
         self._active = self._via_cdn = 0
@@ -108,7 +108,7 @@ class RandomDisseminationSystem:
         if viewer.viewer_id in self._receivers:
             raise ValueError(f"viewer {viewer.viewer_id} already joined")
         requested = self._request_order(view)
-        self._requested[viewer.viewer_id] = len(requested)
+        self._requested.add(viewer.viewer_id)
         receiver = _RandomReceiver(viewer=viewer)
         inbound_left = viewer.inbound_capacity_mbps
         allocations: List[tuple] = []  # (stream, parent_id) for rollback
@@ -214,22 +214,8 @@ class RandomDisseminationSystem:
     # -- measurement -----------------------------------------------------------
 
     def snapshot(self) -> SystemSnapshot:
-        """Instantaneous state in the same shape TeleCast reports."""
-        counts = dict.fromkeys(self._requested, 0)
-        layers: Dict[str, int] = {}
-        for viewer_id, receiver in self._receivers.items():
-            counts[viewer_id] = len(receiver.streams)
-            if receiver.streams:
-                layers[viewer_id] = max(
-                    self.layer_config.layer_for_delay(delay)
-                    for _parent_id, delay in receiver.streams.values()
-                )
-        return replace(
-            self.count_snapshot(), max_layers=layers, accepted_stream_counts=counts
-        )
-
-    def count_snapshot(self) -> SystemSnapshot:
-        """A snapshot without the per-viewer maps, from counts kept at join."""
+        """The instantaneous counts, in the shape TeleCast reports, from
+        counts kept at join."""
         return SystemSnapshot(
             num_viewers=len(self._receivers),
             num_requests=len(self._requested),

@@ -102,7 +102,6 @@ class JoinResult:
     cdn_stream_ids: Tuple[StreamId, ...] = ()
     dropped_by_sync: Tuple[StreamId, ...] = ()
     join_delay: float = 0.0
-    reason: str = ""
 
     @property
     def num_requested(self) -> int:
@@ -175,11 +174,6 @@ class LocalSessionController:
         self.monitor = monitor
         self.groups: Dict[str, ViewGroup] = {}
         self.sessions: Dict[str, ViewerSession] = {}
-        #: In-flight control state (simulated control plane): viewers whose
-        #: join or view change was processed here but whose ack message has
-        #: not been delivered yet, mapped to the processing time.  The
-        #: instant control plane never populates this.
-        self.inflight_acks: Dict[str, float] = {}
 
     # -- group management ----------------------------------------------------
 
@@ -222,7 +216,6 @@ class LocalSessionController:
                 accepted=False,
                 requested_stream_ids=requested,
                 join_delay=self._join_delay(viewer, parents=()),
-                reason="insufficient inbound capacity or stream supply",
             )
 
         outbound = allocate_outbound(inbound.accepted, viewer.outbound_capacity_mbps)
@@ -231,7 +224,6 @@ class LocalSessionController:
             view=view,
             lsc_id=self.lsc_id,
             join_time=now,
-            rejected_stream_ids=tuple(e.stream_id for e in inbound.rejected),
         )
 
         displaced: List[Tuple[StreamId, str]] = []
@@ -252,7 +244,6 @@ class LocalSessionController:
                 accepted=False,
                 requested_stream_ids=requested,
                 join_delay=self._join_delay(viewer, parents=()),
-                reason="could not place the highest-priority stream of every site",
             )
 
         for stream_id, displaced_id in displaced:
@@ -271,7 +262,6 @@ class LocalSessionController:
             for sub in session.subscriptions.values()
             if sub.parent_id != CDN_NODE_ID
         )
-        session.join_delay = self._join_delay(viewer, parents=parents)
         return JoinResult(
             viewer_id=viewer.viewer_id,
             view_id=view.view_id,
@@ -282,7 +272,7 @@ class LocalSessionController:
                 sid for sid, sub in session.subscriptions.items() if sub.via_cdn
             ),
             dropped_by_sync=tuple(dropped),
-            join_delay=session.join_delay,
+            join_delay=self._join_delay(viewer, parents=parents),
         )
 
     def _place_stream(
@@ -678,16 +668,6 @@ class LocalSessionController:
             + dm.control_processing_delay
             + dm.propagation(CDN_NODE_ID, viewer.viewer_id)
         )
-
-    # -- simulated control-plane bookkeeping ---------------------------------------
-
-    def stage_ack(self, viewer_id: str, now: float) -> None:
-        """Record that an ack for ``viewer_id`` is in flight (sent ``now``)."""
-        self.inflight_acks[viewer_id] = now
-
-    def ack_delivered(self, viewer_id: str) -> None:
-        """Clear the in-flight ack of a viewer (delivery or teardown)."""
-        self.inflight_acks.pop(viewer_id, None)
 
     # -- aggregate accounting -------------------------------------------------------
 

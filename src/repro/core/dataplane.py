@@ -394,9 +394,6 @@ class QoEReport:
     frames_lost: int = 0
     frames_late: int = 0
     frames_dropped: int = 0
-    #: Streams adjusted / dropped by the observed-delay layer refresh.
-    layer_adjustments: int = 0
-    streams_dropped: int = 0
 
     @property
     def deliveries(self) -> Deliveries:
@@ -963,11 +960,7 @@ class SimulatedDataPlane:
                 edge.window_count = 0
         if not observed:
             return
-        adjusted, dropped = self.system.refresh_layers_from_observed(
-            observed, self.system.simulator.now
-        )
-        self._report.layer_adjustments += adjusted
-        self._report.streams_dropped += dropped
+        self.system.refresh_layers_from_observed(observed, self.system.simulator.now)
 
     # -- reporting ----------------------------------------------------------------
 

@@ -136,20 +136,16 @@ class _DriverBase:
     def _view_for(self, view_index: int) -> GlobalView:
         return self.views[view_index % len(self.views)]
 
-    def _snapshot(self, full: bool = True) -> None:
+    def _snapshot(self) -> None:
         started = self._started()
-        system = self.system
-        if full:
-            system.take_snapshot()
-        else:
-            system.metrics.add_snapshot(system.count_snapshot())
+        self.system.take_snapshot()
         self._timed("metrics", started)
 
     def _count_join(self) -> None:
-        """Advance the snapshot cadence (counts only) after one *applied* join."""
+        """Advance the snapshot cadence after one *applied* join."""
         self.joins_seen += 1
         if self.snapshot_every and self.joins_seen % self.snapshot_every == 0:
-            self._snapshot(full=False)
+            self._snapshot()
 
 
 class InstantDriver(_DriverBase):
@@ -303,7 +299,6 @@ class EventDrivenSession(_DriverBase):
         # a heap of (arrival, viewer, addressed LSC id, send time) in flight.
         self._next_beat: Dict[str, float] = {}
         self._beats_in_flight: List[Tuple[float, str, str, float]] = []
-        self._staged_acks: Dict[str, object] = {}
         self._sweeper: Optional[PeriodicProcess] = None
         # Oscillation support: departure notices still in flight, and the
         # rejoin requests that arrived before them (deferred, not dropped,
@@ -315,19 +310,10 @@ class EventDrivenSession(_DriverBase):
     # -- lifecycle -------------------------------------------------------------
 
     def run(self, events: Sequence[ViewerEvent]):
-        """Replay the schedule as in-flight control traffic; return metrics."""
-        self.begin(events)
-        return self.finish()
+        """Replay the schedule as in-flight control traffic; return metrics.
 
-    def begin(self, events: Sequence[ViewerEvent]) -> None:
-        """Schedule the whole workload as future intents (without running).
-
-        Splitting the schedule from the drain is what makes mid-run
-        snapshots possible: a caller can ``begin(events)``, advance the
-        simulator partway (``sim.run(until=t)``), pickle the session
-        graph -- the queue of scheduled-but-unfired intents and in-flight
-        messages travels inside it -- and ``finish()`` later, in the same
-        or a different process, with identical results.
+        The whole workload is scheduled as future intents, then every
+        intent and in-flight message drains.
         """
         sim = self.system.simulator
         ordered = sorted(events, key=event_sort_key)
@@ -341,10 +327,7 @@ class EventDrivenSession(_DriverBase):
             sim.schedule_at(ordered[-1].time, self._close)
         else:
             self._closing = True
-
-    def finish(self):
-        """Drain every scheduled intent and in-flight message; return metrics."""
-        self.system.simulator.run()
+        sim.run()
         metrics = self.system.metrics
         # Stale deliveries were already counted one by one via _stale().
         metrics.record_control_traffic(
@@ -407,7 +390,7 @@ class EventDrivenSession(_DriverBase):
         dispatch_event(self, event)
 
     def _close(self) -> None:
-        # Scheduled by ``begin`` ahead of the sweeper and of every beat:
+        # Scheduled by ``run`` ahead of the sweeper and of every beat:
         # at a tie the close came first.
         self._wind_down(inclusive=False)
 
@@ -562,8 +545,6 @@ class EventDrivenSession(_DriverBase):
                     for sub in session.subscriptions.values()
                     if sub.parent_id != CDN_NODE_ID
                 )
-        lsc.stage_ack(message.viewer_id, self._now)
-        self._staged_acks[message.viewer_id] = lsc
         ack = JoinAck(
             src=lsc.node_id,
             dst=message.viewer_id,
@@ -578,9 +559,6 @@ class EventDrivenSession(_DriverBase):
         )
 
     def _deliver_join_ack(self, message: ControlMessage) -> None:
-        staged = self._staged_acks.pop(message.viewer_id, None)
-        if staged is not None:
-            staged.ack_delivered(message.viewer_id)
         # The exchange completed either way; its observed latency is the
         # simulated-clock counterpart of the analytic join delay.
         self.system.metrics.record_observed_join(self._now - message.sent_at)
@@ -722,26 +700,14 @@ class EventDrivenSession(_DriverBase):
 
     def _notify_repairs(self, result: RepairResult, detected_at: float) -> None:
         """Tell every still-connected orphan of a repair that it moved."""
-        orphaned_streams: Dict[str, List] = {}
-        for stream_id, orphan_id in result.orphaned:
-            orphaned_streams.setdefault(orphan_id, []).append(stream_id)
-        for orphan_id, stream_ids in orphaned_streams.items():
+        for orphan_id in dict.fromkeys(orphan for _stream, orphan in result.orphaned):
             lsc = self.system.gsc.lsc_of_connected_viewer(orphan_id)
             if lsc is None:
                 continue
-            session = lsc.session_of(orphan_id)
-            if session is None:
-                continue
-            # Of the subscriptions this orphan lost to the failed parent,
-            # the ones it still holds were re-parented (repaired).
-            repaired = sum(
-                1 for stream_id in stream_ids if stream_id in session.subscriptions
-            )
             message = RepairNotify(
                 src=lsc.node_id,
                 dst=orphan_id,
                 sent_at=detected_at,
                 viewer_id=orphan_id,
-                repaired_subscriptions=repaired,
             )
             self.channel.send(message, self._deliver_repair_notify)

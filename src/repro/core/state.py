@@ -12,7 +12,7 @@ the paper's Table I off those nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.topology import TreeNode
 from repro.model.stream import StreamId
@@ -30,8 +30,6 @@ class ViewerSession:
     #: Accepted stream -> the viewer's node in that stream's tree.
     subscriptions: Dict[StreamId, TreeNode] = field(default_factory=dict)
     join_time: float = 0.0
-    join_delay: float = 0.0
-    rejected_stream_ids: Tuple[StreamId, ...] = ()
 
     @property
     def viewer_id(self) -> str:

@@ -18,7 +18,6 @@ generated :class:`~repro.traces.workload.ViewerWorkload` schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.adaptation import AdaptationManager, DepartureResult, ViewChangeResult
@@ -127,7 +126,6 @@ class TeleCastSystem:
 
         self._adaptation: Dict[str, AdaptationManager] = {}
         self._recovery: Dict[str, RecoveryManager] = {}
-        self._heartbeat_timeout = heartbeat_timeout
         for lsc_id, group in zip(lsc_ids, lsc_regions):
             lsc = self.gsc.add_lsc(lsc_id)
             for region_name in group:
@@ -404,21 +402,7 @@ class TeleCastSystem:
     # -- measurement ------------------------------------------------------------------
 
     def snapshot(self) -> SystemSnapshot:
-        """Capture the instantaneous state, per-viewer maps included."""
-        layers: Dict[str, int] = {}
-        counts = dict.fromkeys(self._requested, 0)
-        for lsc in self.gsc.lscs:
-            for viewer_id, session in lsc.sessions.items():
-                counts[viewer_id] = session.num_accepted_streams
-                layer = session.max_layer
-                if layer is not None:
-                    layers[viewer_id] = layer
-        return replace(
-            self.count_snapshot(), max_layers=layers, accepted_stream_counts=counts
-        )
-
-    def count_snapshot(self) -> SystemSnapshot:
-        """A snapshot without the per-viewer maps, in O(#LSCs + #trees).
+        """The instantaneous counts, in O(#LSCs + #trees).
 
         A subscription is one tree node, a CDN one also a child of the
         root: the counts are read off the trees, visiting no session.
@@ -438,6 +422,25 @@ class TeleCastSystem:
             cdn_outbound_mbps=self.cdn.used_outbound_mbps,
             acceptance_ratio=self.metrics.acceptance_ratio,
         )
+
+    def viewer_maps(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(max_layers, accepted_stream_counts)``, read off every session.
+
+        ``max_layers`` maps each connected viewer with a stream to the
+        largest delay layer among its accepted streams (Figure 14(a));
+        ``accepted_stream_counts`` maps every viewer that ever requested
+        to the streams it receives now, 0 when rejected (Figure 14(b)).
+        Both are as large as the audience, so only those figures read them.
+        """
+        layers: Dict[str, int] = {}
+        counts = dict.fromkeys(self._requested, 0)
+        for lsc in self.gsc.lscs:
+            for viewer_id, session in lsc.sessions.items():
+                counts[viewer_id] = session.num_accepted_streams
+                layer = session.max_layer
+                if layer is not None:
+                    layers[viewer_id] = layer
+        return layers, counts
 
     def take_snapshot(self) -> SystemSnapshot:
         """Capture a snapshot and append it to the metrics history."""

@@ -22,7 +22,6 @@ from repro.experiments.config import (
 )
 from repro.experiments.reporting import format_distribution_figure, format_scaling_figure
 from repro.experiments.runner import run_random_scenario, run_telecast_scenario
-from repro.metrics.stats import cdf_points
 from repro.traces.workload import BandwidthDistribution
 
 
@@ -68,9 +67,7 @@ class DistributionFigure:
 
     figure_id: str
     description: str
-    #: Label -> (value, cumulative fraction) points.
-    cdfs: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
-    #: Raw samples backing each CDF, for assertions and summaries.
+    #: Label -> the raw samples of that CDF.
     samples: Dict[str, List[float]] = field(default_factory=dict)
 
     def fraction_at_most(self, label: str, threshold: float) -> float:
@@ -189,11 +186,11 @@ def figure_14a_layer_distribution(
     """Figure 14(a): CDF of the maximum layer of accepted streams per viewer."""
     scenario = config.with_outbound(BandwidthDistribution.uniform(0.0, 12.0))
     result = run_telecast_scenario(scenario, snapshot_every=None)
-    layers = [float(layer) for layer in result.final_snapshot.max_layers.values()]
+    max_layers, _counts = result.system.viewer_maps()
+    layers = [float(layer) for layer in max_layers.values()]
     return DistributionFigure(
         figure_id="14a",
         description="Maximum delay layer of accepted streams per viewer",
-        cdfs={"max_layer": cdf_points(layers)},
         samples={"max_layer": layers},
     )
 
@@ -204,14 +201,11 @@ def figure_14b_accepted_streams(
     """Figure 14(b): CDF of the number of streams each requesting viewer receives."""
     scenario = config.with_outbound(BandwidthDistribution.uniform(0.0, 12.0))
     result = run_telecast_scenario(scenario, snapshot_every=None)
-    counts = [
-        float(count)
-        for count in result.final_snapshot.accepted_stream_counts.values()
-    ]
+    _layers, accepted = result.system.viewer_maps()
+    counts = [float(count) for count in accepted.values()]
     return DistributionFigure(
         figure_id="14b",
         description="Number of accepted streams per requesting viewer",
-        cdfs={"accepted_streams": cdf_points(counts)},
         samples={"accepted_streams": counts},
     )
 
@@ -228,10 +222,6 @@ def figure_14c_overhead(config: ExperimentConfig = PAPER_CONFIG) -> Distribution
     return DistributionFigure(
         figure_id="14c",
         description="Join delay and view-change delay at the viewers (seconds)",
-        cdfs={
-            "join_delay": cdf_points(joins),
-            "view_change_delay": cdf_points(changes),
-        },
         samples={"join_delay": joins, "view_change_delay": changes},
     )
 

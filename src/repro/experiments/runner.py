@@ -659,7 +659,7 @@ def run_random_scenario(
         system.join_viewer(by_id[event.viewer_id], view, event.time)
         joins_seen += 1
         if snapshot_every and joins_seen % snapshot_every == 0:
-            system.metrics.add_snapshot(system.count_snapshot())
+            system.take_snapshot()
     final_snapshot = system.take_snapshot()
     return ScenarioResult(
         config=config,

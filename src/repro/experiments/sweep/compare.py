@@ -38,7 +38,6 @@ class PointComparison:
     #: metric -> (baseline value, current value, current - baseline).
     deltas: Dict[str, Tuple[float, float, float]]
     regressed_metrics: Tuple[str, ...] = ()
-    config_drift: bool = False
     error: str = ""
 
     @property
@@ -93,10 +92,7 @@ def compare_records(
     for point_id in sorted(set(base_by_id) & set(current_by_id)):
         base = base_by_id[point_id]
         cur = current_by_id[point_id]
-        drift = bool(base.config_hash and cur.config_hash) and (
-            base.config_hash != cur.config_hash
-        )
-        if drift:
+        if base.config_hash and cur.config_hash and base.config_hash != cur.config_hash:
             report.warnings.append(
                 f"{point_id}: config hash drifted "
                 f"({base.config_hash} -> {cur.config_hash}); regenerate the baseline"
@@ -117,7 +113,6 @@ def compare_records(
                 point_id=point_id,
                 deltas=deltas,
                 regressed_metrics=tuple(regressed),
-                config_drift=drift,
                 error=error,
             )
         )

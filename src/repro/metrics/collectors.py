@@ -5,10 +5,12 @@ Two kinds of measurements feed the paper's figures:
 * **cumulative request accounting** -- every join or view-change request
   contributes its requested and accepted stream counts to the acceptance
   ratio, and its control-plane latency to the overhead CDFs,
-* **instantaneous snapshots** -- CDN bandwidth usage, the fraction of
-  active subscriptions served by the CDN, the per-viewer delay layers and
-  the per-viewer accepted stream counts, all read off the live session
-  state at a chosen population size.
+* **instantaneous snapshots** -- connected viewers, CDN bandwidth usage
+  and the fraction of active subscriptions served by the CDN, all counts
+  read off the live session state at a chosen population size.  The
+  per-viewer distributions of Figure 14(a)/(b) are not snapshot fields:
+  they are one read on the live system
+  (:meth:`~repro.core.telecast.TeleCastSystem.viewer_maps`).
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ from repro.metrics.stats import percentile
 
 @dataclass(frozen=True)
 class SystemSnapshot:
-    """Instantaneous state of the dissemination system.
+    """Instantaneous state of the dissemination system, as counts.
 
-    Only a full snapshot (``snapshot()``, the final one of every run)
-    carries the two per-viewer maps; a mid-run ``snapshot_every`` cadence
-    snapshot leaves them empty, so sampling a run never copies the
-    audience.
+    A snapshot holds no per-viewer field, so taking one -- the
+    ``snapshot_every`` cadence or the final one of a run -- never copies
+    the audience.
 
     Attributes
     ----------
@@ -43,12 +44,6 @@ class SystemSnapshot:
         Outbound CDN bandwidth currently reserved.
     acceptance_ratio:
         Cumulative accepted / requested streams over all requests so far.
-    max_layers:
-        Per connected viewer, the maximum delay layer among its accepted
-        streams (the quantity of Figure 14(a)).
-    accepted_stream_counts:
-        Per requesting viewer, the number of streams it currently receives
-        (0 for rejected viewers -- the quantity of Figure 14(b)).
     """
 
     num_viewers: int
@@ -57,8 +52,6 @@ class SystemSnapshot:
     cdn_subscriptions: int
     cdn_outbound_mbps: float
     acceptance_ratio: float
-    max_layers: Dict[str, int] = field(default_factory=dict)
-    accepted_stream_counts: Dict[str, int] = field(default_factory=dict)
 
     @property
     def cdn_fraction(self) -> float:

@@ -1,35 +1,16 @@
-"""Small statistics helpers (CDFs, percentiles, summaries).
+"""Small statistics helpers (fractions, percentiles, summaries).
 
 The evaluation figures of the paper are either line series (acceptance
 ratio vs. a swept parameter) or CDFs (layers, accepted streams, join /
-view-change delay); these helpers turn raw sample lists into those shapes.
+view-change delay); these helpers summarise the raw sample lists a CDF
+figure holds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-
-def cdf_points(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """Return the empirical CDF of ``samples`` as (value, fraction <= value) points.
-
-    The returned points are sorted by value; duplicate values are collapsed
-    to a single point carrying the highest cumulative fraction.
-    """
-    if not samples:
-        return []
-    ordered = sorted(samples)
-    n = len(ordered)
-    points: List[Tuple[float, float]] = []
-    for index, value in enumerate(ordered, start=1):
-        fraction = index / n
-        if points and math.isclose(points[-1][0], value, rel_tol=1e-12, abs_tol=1e-12):
-            points[-1] = (value, fraction)
-        else:
-            points.append((value, fraction))
-    return points
+from typing import Sequence
 
 
 def fraction_at_most(samples: Sequence[float], threshold: float) -> float:

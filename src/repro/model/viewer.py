@@ -78,8 +78,8 @@ class StreamBuffer:
         """Every retained ``(frame, received_at)``, oldest first."""
         return list(zip(self._frames, self._arrivals))
 
-    def evict_expired(self, now: float) -> List[Frame]:
-        """Discard frames older than ``d_buff + d_cache`` and return them.
+    def evict_expired(self, now: float) -> None:
+        """Discard frames older than ``d_buff + d_cache``.
 
         When the oldest frame has not expired this costs one comparison,
         so a replay can call it after every chunk it buffers.
@@ -87,15 +87,13 @@ class StreamBuffer:
         horizon = self.buffer_duration + self.cache_duration
         arrivals = self._arrivals
         if not arrivals or now - arrivals[0] <= horizon:
-            return []
+            return
         held = len(arrivals)
         expired = 1
         while expired < held and now - arrivals[expired] > horizon:
             expired += 1
-        evicted = self._frames[:expired]
         del self._frames[:expired]
         del arrivals[:expired]
-        return evicted
 
     def in_buffer(self, now: float) -> List[Frame]:
         """Frames currently between the buffer end and the playback point."""

@@ -352,15 +352,9 @@ def _merge_snapshots(
 ) -> SystemSnapshot:
     """Sum the per-shard final snapshots into one global snapshot.
 
-    Viewer populations are disjoint across shards, so the per-viewer
-    dicts union cleanly and the scalar gauges add; the acceptance ratio
-    comes from the merged cumulative counters.
+    Viewer populations are disjoint across shards, so the counts add;
+    the acceptance ratio comes from the merged cumulative counters.
     """
-    max_layers: Dict[str, int] = {}
-    accepted_counts: Dict[str, int] = {}
-    for snapshot in snapshots:
-        max_layers.update(snapshot.max_layers)
-        accepted_counts.update(snapshot.accepted_stream_counts)
     return SystemSnapshot(
         num_viewers=sum(s.num_viewers for s in snapshots),
         num_requests=sum(s.num_requests for s in snapshots),
@@ -368,6 +362,4 @@ def _merge_snapshots(
         cdn_subscriptions=sum(s.cdn_subscriptions for s in snapshots),
         cdn_outbound_mbps=sum(s.cdn_outbound_mbps for s in snapshots),
         acceptance_ratio=metrics.acceptance_ratio,
-        max_layers=max_layers,
-        accepted_stream_counts=accepted_counts,
     )

@@ -383,8 +383,8 @@ class ServiceDaemon:
     def _sync_control_traffic(self) -> None:
         """Publish the live channel counters into the session metrics.
 
-        The batch driver accumulates them once at ``finish()``; a live
-        session has no finish, so the cumulative totals are assigned
+        The batch driver accumulates them once, at the end of ``run``; a
+        live session has no end, so the cumulative totals are assigned
         (idempotently, not added) whenever stats or invariants read them
         -- after the heartbeat ledger has been settled through now.
         """

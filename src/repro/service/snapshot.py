@@ -3,9 +3,9 @@
 A snapshot is the *entire* session object graph -- the
 :class:`~repro.core.telecast.TeleCastSystem` with every LSC, tree,
 subscription and CDN reservation, the
-:class:`~repro.core.session.EventDrivenSession` driver with its staged
-acks and its heartbeat ledger (beats are settled from it, not queued),
-and the :class:`~repro.sim.engine.Simulator` with every
+:class:`~repro.core.session.EventDrivenSession` driver with its heartbeat
+ledger (beats are settled from it, not queued), and the
+:class:`~repro.sim.engine.Simulator` with every
 scheduled-but-unfired event (in-flight control messages included) --
 serialised with :mod:`pickle` behind a small self-describing header.
 Restoring re-materialises the graph exactly, so a restored daemon

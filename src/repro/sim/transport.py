@@ -121,7 +121,6 @@ class RepairNotify(ControlMessage):
     """LSC -> orphan: you were re-parented after an upstream failure."""
 
     viewer_id: str
-    repaired_subscriptions: int
 
 
 # -- shard-coordination plane (cross-process control traffic) -----------------

@@ -508,7 +508,7 @@ def overlay_oscillation(
                     view_index=view_index,
                 )
             )
-    merged = kept + sorted(injected, key=lambda event: event.time)
+    merged = kept + injected
     merged.sort(key=lambda event: event.time)
     return merged
 

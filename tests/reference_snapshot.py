@@ -1,21 +1,25 @@
-"""The session-recount snapshots: the oracle of the counts read off the trees.
+"""The session recounts: the oracles of the counts read off the trees.
 
 Statement for statement the snapshots of both systems before a snapshot
 read its counts off the overlay: every connected viewer's session (or
 Random receiver) is visited and its subscriptions are counted one by
-one, building both per-viewer maps on the way.  A cadence snapshot's
-counts, and a full snapshot field for field, must equal these.
+one, building TeleCast's two per-viewer maps on the way.  Every snapshot
+must equal the recount's counts, and ``TeleCastSystem.viewer_maps()``
+its maps.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.metrics.collectors import SystemSnapshot
 from repro.model.cdn import CDN_NODE_ID
 
 
-def telecast_snapshot(system) -> SystemSnapshot:
+def telecast_snapshot(
+    system,
+) -> Tuple[SystemSnapshot, Tuple[Dict[str, int], Dict[str, int]]]:
+    """``(counts, (max_layers, accepted_stream_counts))`` of a TeleCast system."""
     active = 0
     via_cdn = 0
     max_layers: Dict[str, int] = {}
@@ -32,33 +36,26 @@ def telecast_snapshot(system) -> SystemSnapshot:
             layer = session.max_layer
             if layer is not None:
                 max_layers[viewer_id] = layer
-    return SystemSnapshot(
+    counts = SystemSnapshot(
         num_viewers=connected,
         num_requests=len(system._requested),
         active_subscriptions=active,
         cdn_subscriptions=via_cdn,
         cdn_outbound_mbps=system.cdn.used_outbound_mbps,
         acceptance_ratio=system.metrics.acceptance_ratio,
-        max_layers=max_layers,
-        accepted_stream_counts=accepted_counts,
     )
+    return counts, (max_layers, accepted_counts)
 
 
 def random_snapshot(system) -> SystemSnapshot:
+    """The counts of a Random system (it reports no per-viewer map)."""
     active = 0
     via_cdn = 0
-    accepted_counts = {viewer_id: 0 for viewer_id in system._requested}
-    layers: Dict[str, int] = {}
-    for viewer_id, receiver in system._receivers.items():
-        accepted_counts[viewer_id] = len(receiver.streams)
+    for receiver in system._receivers.values():
         active += len(receiver.streams)
-        worst_layer = 0
-        for parent_id, delay in receiver.streams.values():
+        for parent_id, _delay in receiver.streams.values():
             if parent_id == CDN_NODE_ID:
                 via_cdn += 1
-            worst_layer = max(worst_layer, system.layer_config.layer_for_delay(delay))
-        if receiver.streams:
-            layers[viewer_id] = worst_layer
     return SystemSnapshot(
         num_viewers=len(system._receivers),
         num_requests=len(system._requested),
@@ -66,18 +63,4 @@ def random_snapshot(system) -> SystemSnapshot:
         cdn_subscriptions=via_cdn,
         cdn_outbound_mbps=system.cdn.used_outbound_mbps,
         acceptance_ratio=system.metrics.acceptance_ratio,
-        max_layers=layers,
-        accepted_stream_counts=accepted_counts,
-    )
-
-
-def counts(snapshot: SystemSnapshot) -> tuple:
-    """Every field of a snapshot but the two per-viewer maps."""
-    return (
-        snapshot.num_viewers,
-        snapshot.num_requests,
-        snapshot.active_subscriptions,
-        snapshot.cdn_subscriptions,
-        snapshot.cdn_outbound_mbps,
-        snapshot.acceptance_ratio,
     )

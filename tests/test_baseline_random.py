@@ -74,10 +74,12 @@ class TestJoin:
             for parent_id, delay in receiver.streams.values():
                 assert delay <= d_max + 1e-9
 
-    def test_snapshot_layers_derived_from_delays(self, random_system, default_view):
+    def test_take_snapshot_appends_the_counts(self, random_system, default_view):
         for viewer in make_viewers(10, outbound=6.0):
             random_system.join_viewer(viewer, default_view)
         snapshot = random_system.take_snapshot()
-        assert snapshot.max_layers
-        assert all(layer >= 0 for layer in snapshot.max_layers.values())
+        assert snapshot.num_requests == 10
+        assert snapshot.active_subscriptions == sum(
+            len(receiver.streams) for receiver in random_system._receivers.values()
+        )
         assert random_system.metrics.snapshots[-1] is snapshot

@@ -98,8 +98,7 @@ class TestZeroDelayEquivalence:
         )
         si = instant.final_snapshot
         ss = simulated.final_snapshot
-        assert ss.accepted_stream_counts == si.accepted_stream_counts
-        assert ss.max_layers == si.max_layers
+        assert simulated.system.viewer_maps() == instant.system.viewer_maps()
         assert ss.num_viewers == si.num_viewers
         assert ss.active_subscriptions == si.active_subscriptions
         assert ss.cdn_subscriptions == si.cdn_subscriptions
@@ -259,15 +258,12 @@ class TestStaleMessages:
         assert metrics.view_change_delays == []  # the change was never applied
         assert system.lsc_of("v-1") is not None  # bystander unharmed
 
-    def test_inflight_ack_state_is_visible_then_cleared(self, small_system, producers):
+    def test_observed_join_delay_equals_the_analytic_one(self, small_system, producers):
         system = small_system
         views = build_views(producers, num_views=1, streams_per_site=3)
         viewers = [Viewer("v-0", inbound_capacity_mbps=12.0, outbound_capacity_mbps=4.0)]
         events = [ViewerEvent(time=0.0, kind="join", viewer_id="v-0")]
         system.run_workload(viewers, events, views, control_plane="simulated")
-        # After the run every staged ack has been delivered and cleared.
-        for lsc in system.gsc.lscs:
-            assert lsc.inflight_acks == {}
         assert system.metrics.observed_join_delays
         # Observed latency equals the analytic protocol estimate for an
         # uncontended join (same legs, same delay model).

@@ -109,8 +109,7 @@ class TestGracefulDegradation:
             120, BandwidthDistribution.fixed(4.0), 500.0, num_views=1
         )
         system.run_workload(viewers, events, views)
-        snapshot = system.snapshot()
-        counts = list(snapshot.accepted_stream_counts.values())
+        counts = list(system.viewer_maps()[1].values())
         # Under scarcity some viewers receive partial views, but connected
         # viewers always keep at least one stream per site.
         assert any(0 < count < 6 for count in counts)

@@ -2,19 +2,22 @@
 
 Two reads of a live world used to build something as large as it: the
 placement digest (every subscription edge as a tuple list plus its JSON
-text) and every ``snapshot_every`` cadence snapshot (two per-viewer
-maps).  This module pins both to their pre-streaming oracles and
-guards the memory they may take:
+text) and every snapshot (two per-viewer maps).  This module pins both
+to their pre-streaming oracles and guards the memory they may take:
 
 * the streamed digests equal :mod:`reference_placement`'s list-and-dump
   digests on small systems (any batch size) and on a 4 000-viewer world;
 * the digest's ``tracemalloc`` peak does not grow with the audience;
-* every cadence snapshot's counts equal :mod:`reference_snapshot`'s
+* every snapshot, cadence and final, equals :mod:`reference_snapshot`'s
   session recount, on the five presets under both control planes, in
-  the shard workers of a k = 2 run and on Random, and every final
-  snapshot equals the recount field for field;
-* a cadence snapshot reads no ``ViewerSession`` property, and the memory
-  20 of them retain does not grow with the audience.
+  the shard workers of a k = 2 run and on Random, and
+  ``viewer_maps()`` equals the recount's maps, as do the Figure 14(a)/(b)
+  samples;
+* a cadence snapshot reads no ``ViewerSession`` property, the memory 20
+  of them retain does not grow with the audience, and a run's final
+  ``take_snapshot()`` allocates the same (< 1 KiB) at 2 000 and 4 000
+  viewers;
+* a shard worker ships counts, not per-viewer maps.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ from repro.baselines.random_routing import RandomDisseminationSystem
 from repro.core.session import InstantDriver, _DriverBase
 from repro.core.state import ViewerSession
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
+from repro.experiments.figures import (
+    figure_14a_layer_distribution,
+    figure_14b_accepted_streams,
+)
 from repro.experiments.runner import (
     run_random_scenario,
     run_telecast_scenario,
@@ -44,7 +51,7 @@ from repro.experiments.runner import (
 from repro.metrics import placement
 from repro.parallel.worker import run_shard_worker
 from repro.scenarios.presets import SCENARIOS
-from repro.traces.workload import ChurnConfig
+from repro.traces.workload import BandwidthDistribution, ChurnConfig
 
 
 def _config(viewers: int, *, num_lscs: int = 3, num_views: int = 1, seed: int = 7):
@@ -149,7 +156,7 @@ def test_digest_memory_does_not_grow_with_the_audience():
     assert large <= 1.5 * small, (small, large)
 
 
-# -- cadence snapshots ----------------------------------------------------------
+# -- snapshots -------------------------------------------------------------------
 
 
 class _CadenceOracle:
@@ -170,18 +177,12 @@ class _CadenceOracle:
                 return
             if not oracle.systems or oracle.systems[-1] is not driver.system:
                 oracle.systems.append(driver.system)
-            oracle.compare(snapshots[-1], reference_snapshot.telecast_snapshot(driver.system))
+            oracle.checked += 1
+            recount, _maps = reference_snapshot.telecast_snapshot(driver.system)
+            if snapshots[-1] != recount:
+                oracle.mismatches.append((recount, snapshots[-1]))
 
         monkeypatch.setattr(_DriverBase, "_count_join", count_join)
-
-    def compare(self, taken, recount) -> None:
-        self.checked += 1
-        got = reference_snapshot.counts(taken)
-        expected = reference_snapshot.counts(recount)
-        if got != expected:
-            self.mismatches.append((expected, got))
-        if taken.max_layers or taken.accepted_stream_counts:
-            self.mismatches.append(("cadence snapshot carries maps", taken))
 
 
 @pytest.mark.parametrize("control_plane", ["instant", "simulated"])
@@ -196,9 +197,9 @@ def test_cadence_counts_equal_the_recount_on_every_preset(
     result = run_telecast_scenario(config, snapshot_every=10)
     assert oracle.checked >= 5
     assert oracle.mismatches == []
-    assert dataclasses.asdict(result.final_snapshot) == dataclasses.asdict(
-        reference_snapshot.telecast_snapshot(result.system)
-    )
+    recount, maps = reference_snapshot.telecast_snapshot(result.system)
+    assert result.final_snapshot == recount
+    assert result.system.viewer_maps() == maps
 
 
 def test_cadence_counts_equal_the_recount_in_shard_workers(monkeypatch):
@@ -217,37 +218,47 @@ def test_cadence_counts_equal_the_recount_in_shard_workers(monkeypatch):
         message = outbox.get_nowait()
         assert hasattr(message, "payload"), getattr(message, "error", message)
         shipped = pickle.loads(message.payload)
-        assert dataclasses.asdict(shipped["final_snapshot"]) == dataclasses.asdict(
-            reference_snapshot.telecast_snapshot(oracle.systems[-1])
-        )
+        recount, maps = reference_snapshot.telecast_snapshot(oracle.systems[-1])
+        assert shipped["final_snapshot"] == recount
+        assert oracle.systems[-1].viewer_maps() == maps
     assert len(oracle.systems) == 2
     assert oracle.checked >= 10
     assert oracle.mismatches == []
 
 
-def test_random_cadence_counts_equal_the_recount(monkeypatch):
+def test_random_snapshots_equal_the_recount(monkeypatch):
     checked = []
-    systems = []
-    original = RandomDisseminationSystem.count_snapshot
+    original = RandomDisseminationSystem.snapshot
 
-    def count_snapshot(system):
+    def snapshot(system):
         taken = original(system)
-        systems.append(system)
-        checked.append(
-            reference_snapshot.counts(taken)
-            == reference_snapshot.counts(reference_snapshot.random_snapshot(system))
-        )
+        checked.append(taken == reference_snapshot.random_snapshot(system))
         return taken
 
-    monkeypatch.setattr(RandomDisseminationSystem, "count_snapshot", count_snapshot)
+    monkeypatch.setattr(RandomDisseminationSystem, "snapshot", snapshot)
     result = run_random_scenario(_config(300, num_views=4), snapshot_every=10)
-    cadence = result.metrics.snapshots[:-1]
-    assert len(cadence) >= 20
+    assert len(result.metrics.snapshots) >= 20
+    assert len(checked) == len(result.metrics.snapshots)
     assert all(checked)
-    assert not any(s.max_layers or s.accepted_stream_counts for s in cadence)
-    assert dataclasses.asdict(result.final_snapshot) == dataclasses.asdict(
-        reference_snapshot.random_snapshot(systems[-1])
+
+
+@pytest.mark.parametrize(
+    "figure, index, label",
+    [
+        (figure_14a_layer_distribution, 0, "max_layer"),
+        (figure_14b_accepted_streams, 1, "accepted_streams"),
+    ],
+)
+def test_figure_14_samples_equal_the_recount(figure, index, label):
+    config = _config(300, num_views=2)
+    run = run_telecast_scenario(
+        config.with_outbound(BandwidthDistribution.uniform(0.0, 12.0)),
+        snapshot_every=None,
     )
+    _counts, maps = reference_snapshot.telecast_snapshot(run.system)
+    samples = figure(config).samples[label]
+    assert samples == [float(value) for value in maps[index].values()]
+    assert len(samples) > 100
 
 
 def test_a_cadence_snapshot_reads_no_session_property(monkeypatch):
@@ -299,3 +310,44 @@ def test_cadence_snapshot_memory_does_not_grow_with_the_audience():
     small = _retained_by_cadence_snapshots(500)
     large = _retained_by_cadence_snapshots(2000)
     assert large <= 1.2 * small, (small, large)
+
+
+def _final_snapshot_peak_bytes(viewers: int) -> int:
+    """The ``tracemalloc`` peak of a finished run's final ``take_snapshot()``."""
+    system = _broadcast_system(viewers)
+    before = len(system.metrics.snapshots)
+    # Warm-up: CPython sizes a class's instance dicts from the instances
+    # made so far; the first ~20 snapshots each take 8 bytes less.
+    for _ in range(32):
+        system.take_snapshot()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system.take_snapshot()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        del system.metrics.snapshots[before:]
+
+
+def test_the_final_snapshot_allocates_the_same_at_any_audience():
+    """A snapshot is counts: 2x the audience, not one byte more."""
+    small = _final_snapshot_peak_bytes(2000)
+    large = _final_snapshot_peak_bytes(4000)
+    assert large == small < 1024, (small, large)
+
+
+def test_a_shard_worker_ships_no_per_viewer_map():
+    config = ExperimentConfig(num_viewers=200, num_views=2, num_lscs=4).with_uncapped_cdn()
+    inbox, outbox = queue.Queue(), queue.Queue()
+    run_shard_worker(
+        0, 2, config, None, False, inbox, outbox, placement=shard_placement(config, 2)
+    )
+    outbox.get_nowait()  # ShardReady
+    message = outbox.get_nowait()
+    shipped = pickle.loads(message.payload)["final_snapshot"]
+    assert shipped.num_viewers > 50
+    assert [field.type for field in dataclasses.fields(shipped)] == [
+        "int", "int", "int", "int", "float", "float"
+    ]
+    assert not any(isinstance(value, dict) for value in vars(shipped).values())

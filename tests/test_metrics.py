@@ -3,20 +3,10 @@
 import pytest
 
 from repro.metrics.collectors import SessionMetrics, SystemSnapshot
-from repro.metrics.stats import cdf_points, describe, fraction_at_most, percentile
+from repro.metrics.stats import describe, fraction_at_most, percentile
 
 
 class TestStats:
-    def test_cdf_points_shape(self):
-        points = cdf_points([3.0, 1.0, 2.0, 2.0])
-        assert points[0] == (1.0, 0.25)
-        assert points[-1] == (3.0, 1.0)
-        # Duplicate values collapse into one point with the larger fraction.
-        assert (2.0, 0.75) in points
-
-    def test_cdf_points_empty(self):
-        assert cdf_points([]) == []
-
     def test_fraction_at_most(self):
         samples = [1.0, 2.0, 3.0, 4.0]
         assert fraction_at_most(samples, 2.0) == 0.5

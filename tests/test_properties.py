@@ -65,7 +65,6 @@ from repro.core.telecast import build_views
 from repro.core.topology import StreamTree
 from repro.experiments.config import PAPER_CONFIG
 from repro.experiments.runner import build_scenario, build_telecast_system
-from repro.metrics.stats import cdf_points
 from repro.model.cdn import CDN_NODE_ID
 from repro.model.producer import make_default_producers
 from repro.model.stream import Frame, StreamId
@@ -763,6 +762,7 @@ def _schedule_control_events(system, trace, t0, frames, events):
 
 def _replay_observables(plane, report):
     channel = plane._channel
+    metrics = plane.system.metrics
     return {
         "deliveries": report.deliveries,
         "per_viewer": report.per_viewer,
@@ -772,8 +772,8 @@ def _replay_observables(plane, report):
             report.frames_lost,
             report.frames_late,
             report.frames_dropped,
-            report.layer_adjustments,
-            report.streams_dropped,
+            metrics.observed_layer_adjustments,
+            metrics.observed_streams_dropped,
         ),
         "channel": (channel.sent, channel.delivered, channel.lost),
         # By key: a link's losses are keyed by its edge, so the order in
@@ -1086,16 +1086,3 @@ class TestLayeringProperties:
             assert (not LAYER_CONFIG.is_acceptable_layer(minimum)) or (
                 not LAYER_CONFIG.is_acceptable_layer(max(minimum, anchor - LAYER_CONFIG.kappa))
             )
-
-
-class TestStatsProperties:
-    @given(samples=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=100))
-    @settings(max_examples=200, deadline=None)
-    def test_cdf_is_monotone_and_normalised(self, samples):
-        points = cdf_points(samples)
-        values = [value for value, _fraction in points]
-        fractions = [fraction for _value, fraction in points]
-        assert values == sorted(values)
-        assert all(b >= a for a, b in zip(fractions, fractions[1:]))
-        assert fractions[-1] == 1.0
-        assert all(0.0 < fraction <= 1.0 for fraction in fractions)

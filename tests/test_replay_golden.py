@@ -152,7 +152,7 @@ def replay_digest(plane: DataPlaneConfig) -> dict:
         "frames_lost": report.frames_lost,
         "frames_late": report.frames_late,
         "frames_dropped": report.frames_dropped,
-        "layer_adjustments": report.layer_adjustments,
+        "layer_adjustments": system.metrics.observed_layer_adjustments,
     }
 
 

@@ -57,6 +57,7 @@ from repro.service.snapshot import (
     save_snapshot,
 )
 from repro.sim.rng import SeededRandom
+from repro.sim.transport import RepairNotify
 from repro.traces.workload import ViewerEvent
 
 
@@ -506,6 +507,15 @@ def _run_script(daemon, lines):
         assert response.startswith("ok"), (line, response)
 
 
+def _in_flight(system, kind):
+    """The control messages of one kind queued on the simulator."""
+    return [
+        entry[2].message
+        for entry in system.simulator._queue
+        if isinstance(getattr(entry[2], "message", None), kind)
+    ]
+
+
 def _detector_times(daemon):
     """Every failure detector's last-heard-from timestamps, per LSC."""
     managers = daemon.state.system.recovery_managers()
@@ -602,6 +612,49 @@ class TestSnapshotParity:
         _run_script(restored, extra)
 
         straight = _daemon()
+        _run_script(straight, script + extra)
+
+        assert deterministic_stats(restored) == deterministic_stats(straight)
+
+    def test_write_only_control_state_restores_without_a_bump(self, tmp_path):
+        # A version-13 file written while the control plane still stored
+        # state nothing read -- each session's join delay and rejected
+        # streams, each LSC's in-flight acks, the system's heartbeat
+        # timeout, the driver's staged acks and the repaired count of an
+        # in-flight RepairNotify -- unpickles those attributes onto the
+        # restored objects.  Nothing reads them, so the file restores and
+        # continues exactly.
+        script = _script(joins=15) + ["fail viewer-00000"]
+        extra = ["join viewer-00030 1", "advance 5", "replay 10", "advance 10"]
+        path = str(tmp_path / "write-only.snap")
+
+        interrupted = _daemon(control_delay_scale=8.0)
+        _run_script(interrupted, script)
+        system = interrupted.state.system
+        for _ in range(400):
+            repairs = _in_flight(system, RepairNotify)
+            if repairs:
+                break
+            script.append("advance 0.05")
+            _run_script(interrupted, script[-1:])
+        assert repairs, "no RepairNotify ever in flight"
+        for message in repairs:
+            object.__setattr__(message, "repaired_subscriptions", 1)
+        for lsc in system.gsc.lscs:
+            lsc.inflight_acks = {}
+            for session in lsc.sessions.values():
+                session.join_delay = 0.25
+                session.rejected_stream_ids = ()
+        system._heartbeat_timeout = 6.0
+        interrupted.state.driver._staged_acks = {}
+        assert interrupted.handle_line(f"snapshot {path}").startswith("ok")
+        restored = ServiceDaemon.restore(interrupted.serve, path)
+        assert restored.state.system._heartbeat_timeout == 6.0
+        restored_repairs = _in_flight(restored.state.system, RepairNotify)
+        assert [m.repaired_subscriptions for m in restored_repairs] == [1] * len(repairs)
+        _run_script(restored, extra)
+
+        straight = _daemon(control_delay_scale=8.0)
         _run_script(straight, script + extra)
 
         assert deterministic_stats(restored) == deterministic_stats(straight)

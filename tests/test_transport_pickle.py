@@ -59,7 +59,7 @@ SAMPLES = [
     Heartbeat(**_COMMON, viewer_id="viewer-00003"),
     DepartNotice(**_COMMON, viewer_id="viewer-00004"),
     FailureNotice(**_COMMON, viewer_id="viewer-00005"),
-    RepairNotify(**_COMMON, viewer_id="viewer-00006", repaired_subscriptions=2),
+    RepairNotify(**_COMMON, viewer_id="viewer-00006"),
     ShardReady(**_COMMON, shard_index=1, lsc_ids=("LSC-1", "LSC-3")),
     ShardBarrierAck(
         **_COMMON,
