@@ -54,7 +54,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.model.stream import Frame, StreamId
-from repro.sim.rng import SeededRandom
 from repro.sim.transport import DataChannel, DataLink
 from repro.traces.teeve import TeeveSessionTrace
 from repro.util.validation import require_positive
@@ -291,7 +290,7 @@ class DataPlaneConfig:
     mean_burst_length:
         Expected consecutive-loss run length of each edge's
         Gilbert-Elliott channel (:class:`~repro.sim.transport.LossProcess`);
-        ``1.0`` draws each frame's fate independently (i.i.d. loss),
+        ``1.0`` gives each frame an independent fate (i.i.d. loss),
         longer runs give correlated loss bursts at the same mean rate.
     bandwidth_headroom:
         Multiplier on each edge's reserved forwarding rate (one
@@ -308,8 +307,8 @@ refresh_layers_from_observed`); ``None`` disables the feedback loop.
         Truncate every stream's trace to its first N frames
         (``None`` replays the full trace).
     seed:
-        Seed of the loss RNG; each link forks it by its
-        ``(src, dst, stream_id)`` key.
+        Seed of the losses: a frame's fate is a function of it, the
+        link's ``(src, dst, stream_id)`` key and the frame number.
     """
 
     loss_rate: float = 0.0
@@ -670,8 +669,9 @@ def _send_chunk(
     The frames leave ``link`` at ``departures`` (:func:`_departures` of
     the link's state, computed here unless the caller shares one) and
     arrive ``path_delay`` later; a lost frame still takes its link time.
-    The fates are the link's next ``len(chunk)`` stored ones (drawn when
-    the link was created), so no chunk split moves a draw.  The
+    A lossy link's fates are those of the chunk's frame numbers
+    (:meth:`~repro.sim.transport.DataChannel.fates`), so no chunk split
+    and no opening frame moves one.  The
     replay-relative arrival ``departure + path_delay - epoch``
     (:data:`LOST` if lost) is collected for the edge's arrival column,
     and the same loop does the playout accounting and picks what the
@@ -682,13 +682,11 @@ def _send_chunk(
     if departures is None:
         departures = _departures(chunk, epoch, link.free_at, link.rate_mbps)
     count = len(chunk)
-    fates = link.fates
-    if fates is None:
+    key = link.key
+    if key is None or not count:
         fates = repeat(0)
     else:
-        cursor = link.cursor
-        fates = fates[cursor : cursor + count]
-        link.cursor = cursor + count
+        fates = channel.fates(key, chunk[0].frame_number, count)
     buffer = edge.viewer.buffer_for(edge.stream_id)
     latest = buffer.latest_frame()
     floor = latest.frame_number if latest is not None else -1
@@ -818,7 +816,7 @@ class SimulatedDataPlane:
         self._channel = DataChannel(
             loss_rate=cfg.loss_rate,
             mean_burst_length=cfg.mean_burst_length,
-            rng=SeededRandom(cfg.seed),
+            seed=cfg.seed,
         )
         self._edges = _collect_edges(
             self.system, self.trace, cfg.max_frames_per_stream
@@ -891,13 +889,7 @@ class SimulatedDataPlane:
                 if headroom is not None:
                     stream = edge.session.view.stream_by_id[stream_id]
                     rate = headroom * stream.bandwidth_mbps
-                edge.link = channel.link(
-                    node.parent_id,
-                    edge.viewer_id,
-                    stream_id,
-                    rate,
-                    len(edge.frames) - edge.index,
-                )
+                edge.link = channel.link(node.parent_id, edge.viewer_id, stream_id, rate)
                 edge.link_parent = node.parent_id
             delay = node.effective_delay or node.end_to_end_delay
             index = edge.index

@@ -367,15 +367,14 @@ class TeleCastSystem:
         self,
         observed_delays: Mapping[Tuple[str, StreamId], float],
         now: Optional[float] = None,
-    ) -> Tuple[int, int]:
+    ) -> None:
         """Run the observed-delay ``kappa`` layer refresh on every LSC.
 
         ``observed_delays`` maps ``(viewer_id, stream_id)`` to the mean
         capture-to-gateway delay the data plane measured; each sample is
         routed to the LSC currently holding the viewer (samples whose
-        viewer departed or re-homed in flight are ignored there).
-        Returns the total ``(adjusted_streams, dropped_streams)`` and
-        records both in the session metrics.
+        viewer departed or re-homed in flight are ignored there).  The
+        adjusted and dropped stream totals go to the session metrics.
         """
         time = self.simulator.now if now is None else now
         total_adjusted = 0
@@ -397,7 +396,6 @@ class TeleCastSystem:
             self.metrics.record_observed_refresh(
                 adjusted=total_adjusted, dropped=total_dropped
             )
-        return total_adjusted, total_dropped
 
     # -- measurement ------------------------------------------------------------------
 

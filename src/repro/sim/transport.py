@@ -24,23 +24,24 @@ bandwidth-constrained serialization (queueing at the parent's reserved
 forwarding bin, :class:`DataLink`) and loss.  Loss is one process, the
 two-state Gilbert-Elliott channel (:class:`LossProcess`), set by a mean
 loss rate and a mean burst length; burst length 1 is i.i.d. loss.  A
-link's fates are drawn when the link is created and stored one byte a
-frame; no link keeps a generator.  The channel holds state only:
-:mod:`repro.core.dataplane` serializes a chunk of a stream's
-:class:`~repro.model.stream.Frame` objects over a link in the same loop
-that plays them out (there is no per-frame message object or call).
+frame's fate is a function of the plane seed, its link's edge and its
+frame number (:meth:`DataChannel.fates`); no link stores a fate or a
+generator.  The channel holds state only: :mod:`repro.core.dataplane`
+serializes a chunk of a stream's :class:`~repro.model.stream.Frame`
+objects over a link in the same loop that plays them out (there is no
+per-frame message object or call).
 """
 
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from hashlib import shake_128
+from struct import Struct
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.net.latency import DelayModel
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.rng import SeededRandom
 from repro.util.validation import require_non_negative
 
 
@@ -300,7 +301,7 @@ class _Delivery:
 
 
 class LossProcess:
-    """One link's loss channel: two-state (good/bad) Gilbert-Elliott.
+    """The loss channel of a lossy plane: two-state (good/bad) Gilbert-Elliott.
 
     In the GOOD state a frame is lost exactly when the channel flips to
     BAD for that frame (probability ``flip``); in the BAD state every
@@ -309,15 +310,11 @@ class LossProcess:
     loss rate is ``a / (a + b - a*b)`` with ``a`` the flip and ``b`` the
     recovery probability, and the mean burst length is ``1/b``; the
     constructor inverts both once: ``b = 1/L``, ``a = l*b / (1 - l*(1 - b))``.
-
     At ``mean_burst_length=1.0`` the BAD state never survives a frame, so
-    the channel is i.i.d. loss at ``loss_rate`` (``a == l`` exactly):
-    :meth:`draw` then decides each frame with one uniform draw, in one
-    batch.  Longer bursts walk the two states frame by frame, the state
-    persisting across the draws of the link.
+    the channel is i.i.d. loss at ``loss_rate`` (``a == l`` exactly).
     """
 
-    __slots__ = ("flip", "recover", "bad")
+    __slots__ = ("flip", "recover")
 
     def __init__(self, loss_rate: float, mean_burst_length: float = 1.0) -> None:
         if not (0.0 < loss_rate < 1.0):
@@ -329,28 +326,12 @@ class LossProcess:
         b = 1.0 / mean_burst_length
         self.flip = loss_rate * b / (1.0 - loss_rate * (1.0 - b))
         self.recover = b
-        self.bad = False
 
-    def draw(self, rng: SeededRandom, count: int) -> List[bool]:
-        """Fates (``True`` = lost) of the link's next ``count`` frames."""
-        flip = self.flip
-        random = rng.draw
-        if self.recover == 1.0:
-            return [random() < flip for _ in range(count)]
-        recover = self.recover
-        bad = self.bad
-        fates = []
-        for _ in range(count):
-            if bad:
-                if random() >= recover:
-                    fates.append(True)
-                    continue
-                bad = False
-            if random() < flip:
-                bad = True
-            fates.append(bad)
-        self.bad = bad
-        return fates
+
+#: One little-endian 64-bit word of a SHAKE-128 stream, and the scale
+#: that makes ``(word >> 11) + 1`` a uniform in ``(0, 1]``.
+_WORD = Struct("<Q").unpack_from
+_ULP = 2.0**-53
 
 
 class DataLink:
@@ -361,20 +342,18 @@ class DataLink:
     edge serializes its frames over its own FIFO link of ``rate_mbps``
     (``None`` models an unconstrained link: zero serialization delay).
     State only: ``free_at`` is when the link finishes its last frame.  A
-    lossy link holds its frames' fates, one byte each (nonzero = lost),
-    and ``cursor`` is the first fate not yet used; a lossless link has
-    ``fates=None``.
+    lossy link's ``key`` names its loss stream (the plane seed and the
+    edge, see :meth:`DataChannel.fates`); a lossless link has ``key=None``.
     """
 
-    __slots__ = ("rate_mbps", "free_at", "fates", "cursor")
+    __slots__ = ("rate_mbps", "free_at", "key")
 
-    def __init__(self, rate_mbps: Optional[float], *, fates: Optional[bytes] = None) -> None:
+    def __init__(self, rate_mbps: Optional[float], *, key: Optional[bytes] = None) -> None:
         if rate_mbps is not None and rate_mbps <= 0:
             raise ValueError(f"rate_mbps must be > 0 or None, got {rate_mbps}")
         self.rate_mbps = rate_mbps
         self.free_at = 0.0
-        self.fates = fates
-        self.cursor = 0
+        self.key = key
 
 
 class DataChannel:
@@ -384,48 +363,76 @@ class DataChannel:
     ``(src, dst, stream_id)``; a subscription that is re-parented mid-
     replay (CDN re-provision) therefore starts on a fresh link while the
     old parent's bin drains, and one re-parented back carries on where
-    its old link stopped.  A lossy link's fates are drawn when it is
-    created, for every frame its edge has still to send: its own
-    :class:`LossProcess` walks them on an RNG forked from the channel's by
-    the CRC-32 of its key, and both are then dropped.  A link's fates
-    therefore depend on its edge alone, not on which links exist or were
-    created first.
+    its old link stopped.  A lossy link draws nothing and stores no fate:
+    frame ``f``'s fate is a pure function of the plane seed, the link's
+    edge and ``f`` (:meth:`fates`), so it does not depend on which links
+    exist, which was created first, which frame a link opened at or how
+    its frames are split into chunks.
     """
 
-    def __init__(
-        self, *, loss_rate: float, mean_burst_length: float, rng: SeededRandom
-    ) -> None:
+    def __init__(self, *, loss_rate: float, mean_burst_length: float, seed: int) -> None:
         if not (0.0 <= loss_rate < 1.0):
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        self.loss_rate = loss_rate
-        self.mean_burst_length = mean_burst_length
-        self._rng = rng
+        self._key_prefix = f"{seed}|" if loss_rate > 0.0 else None
+        if loss_rate > 0.0:
+            loss = LossProcess(loss_rate, mean_burst_length)
+            self._log_good = math.log1p(-loss.flip)
+            # ``None`` when every loss run is one frame (i.i.d. loss).
+            self._log_bad = None if loss.recover == 1.0 else math.log1p(-loss.recover)
         self._links: Dict[Tuple[str, str, Any], DataLink] = {}
         self.sent = 0
         self.delivered = 0
         self.lost = 0
 
     def link(
-        self,
-        src: str,
-        dst: str,
-        stream_id: Any,
-        rate_mbps: Optional[float],
-        frames: int,
+        self, src: str, dst: str, stream_id: Any, rate_mbps: Optional[float]
     ) -> DataLink:
-        """Get (creating on first use) the link of one subscription edge.
-
-        ``frames`` is how many frames the edge has still to send; a new
-        lossy link draws that many fates.
-        """
+        """Get (creating on first use) the link of one subscription edge."""
         key = (src, dst, stream_id)
         existing = self._links.get(key)
         if existing is not None:
             return existing
-        fates = None
-        if self.loss_rate > 0.0:
-            loss = LossProcess(self.loss_rate, self.mean_burst_length)
-            salt = zlib.crc32(f"{src}|{dst}|{stream_id}".encode("utf-8"))
-            fates = bytes(loss.draw(self._rng.fork(salt), frames))
-        created = self._links[key] = DataLink(rate_mbps, fates=fates)
+        prefix = self._key_prefix
+        loss_key = None if prefix is None else f"{prefix}{src}|{dst}|{stream_id}".encode()
+        created = self._links[key] = DataLink(rate_mbps, key=loss_key)
         return created
+
+    def fates(self, key: bytes, first: int, count: int) -> bytearray:
+        """Fates (nonzero = lost) of frames ``first .. first + count - 1``
+        of the lossy link whose :attr:`DataLink.key` is ``key``.
+
+        The channel alternates runs from frame 0, GOOD first: a GOOD run
+        of ``Geom0(flip)`` delivered frames, then a BAD run of
+        ``Geom1(recover)`` lost ones (always 1 for i.i.d. loss, which
+        draws nothing for it), each run length the next word of ``key``'s
+        SHAKE-128 stream inverted as a uniform.  That is the two-state
+        walk of :class:`LossProcess` in distribution.  It restarts at
+        frame 0 on every call, one hash and one step per run, so no state
+        rides on the link.
+        """
+        end = first + count
+        fates = bytearray(count)
+        log, log_good, log_bad = math.log, self._log_good, self._log_bad
+        stream = shake_128(key)
+        size = 168  # SHAKE-128's rate: one Keccak permutation's output
+        digest = stream.digest(size)
+        at = frame = 0
+        while True:
+            if at + 16 > size:  # extendable output: a longer digest starts with this one
+                size *= 2
+                digest = stream.digest(size)
+            word = _WORD(digest, at)[0]
+            frame += int(log(((word >> 11) + 1) * _ULP) / log_good)
+            at += 8
+            if frame >= end:
+                return fates
+            stop = frame + 1
+            if log_bad is not None:
+                word = _WORD(digest, at)[0]
+                stop += int(log(((word >> 11) + 1) * _ULP) / log_bad)
+                at += 8
+            if stop > first:
+                low = frame - first if frame > first else 0
+                high = (stop if stop < end else end) - first
+                fates[low:high] = b"\x01" * (high - low)
+            frame = stop

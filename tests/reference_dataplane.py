@@ -65,7 +65,6 @@ from repro.core.dataplane import (
     _send_chunk,
 )
 from repro.model.stream import Frame
-from repro.sim.rng import SeededRandom
 from repro.sim.transport import DataChannel
 
 
@@ -80,14 +79,16 @@ def held_within_horizon(buffer) -> List[Any]:
 
 
 def link_transmit_chunk(
-    link, frames: Sequence[Any], *, epoch: float, path_delay: float
+    channel, link, frames: Sequence[Any], *, epoch: float, path_delay: float
 ) -> List[Optional[float]]:
-    """``DataLink.transmit_chunk``: absolute delivery times, ``None`` if lost."""
+    """``DataLink.transmit_chunk``: absolute delivery times, ``None`` if lost.
+
+    A lossy link's fates are read through ``channel.fates`` (a link
+    stores none), by the frame numbers of ``frames``."""
     rate = link.rate_mbps
     free_at = link.free_at
-    if link.fates is not None:
-        fates = link.fates[link.cursor : link.cursor + len(frames)]
-        link.cursor += len(frames)
+    if link.key is not None and frames:
+        fates = channel.fates(link.key, frames[0].frame_number, len(frames))
     else:
         fates = repeat(False)
     delivered_at: List[Optional[float]] = []
@@ -107,7 +108,9 @@ def channel_transmit_chunk(
     channel, link, frames: Sequence[Any], *, epoch: float, path_delay: float
 ) -> List[Optional[float]]:
     """``DataChannel.transmit_chunk``: the link call, counters folded once."""
-    delivered_at = link_transmit_chunk(link, frames, epoch=epoch, path_delay=path_delay)
+    delivered_at = link_transmit_chunk(
+        channel, link, frames, epoch=epoch, path_delay=path_delay
+    )
     lost = delivered_at.count(None)
     channel.sent += len(delivered_at)
     channel.lost += lost
@@ -185,7 +188,7 @@ class PerChunkSimulatedDataPlane(SimulatedDataPlane):
         self._channel = DataChannel(
             loss_rate=cfg.loss_rate,
             mean_burst_length=cfg.mean_burst_length,
-            rng=SeededRandom(cfg.seed),
+            seed=cfg.seed,
         )
         self._edges = _collect_edges(
             self.system, self.trace, cfg.max_frames_per_stream
@@ -243,9 +246,7 @@ class PerChunkSimulatedDataPlane(SimulatedDataPlane):
                     else cfg.bandwidth_headroom
                     * edge.session.view.stream_by_id[edge.stream_id].bandwidth_mbps
                 )
-                edge.link = channel.link(
-                    parent_id, edge.viewer_id, edge.stream_id, rate, total - index
-                )
+                edge.link = channel.link(parent_id, edge.viewer_id, edge.stream_id, rate)
                 edge.link_parent = parent_id
             _send_chunk(channel, edge.link, edge, frames[index:stop], self._t0, delay)
 

@@ -13,23 +13,24 @@ suites use them as oracles, so they sit beside their tests instead.
 * :func:`deterministic_stats` -- a daemon's ``stats`` minus the
   wall-clock and process-local keys: the snapshot and heartbeat parity
   suites compare two daemons through it.
-* :func:`gilbert_elliott_walk` -- the two-state loss channel one frame
-  at a time, which :class:`repro.sim.transport.LossProcess` must match
-  draw for draw (``tests/test_properties.py``,
+* :func:`gilbert_elliott_walk` -- a lossy link's fates, one frame at a
+  time from frame 0, which
+  :meth:`repro.sim.transport.DataChannel.fates` must match for any
+  window of frames (``tests/test_properties.py``,
   ``tests/test_dataplane_sim.py``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.bandwidth import _EPSILON, OutboundAllocation, PrioritizedStream
 from repro.core.layering import DelayLayerConfig
 from repro.model.cdn import CDN_NODE_ID
 from repro.net.latency import DelayModel
 from repro.service.daemon import VOLATILE_STATS_KEYS
-from repro.sim.rng import SeededRandom
 from repro.util.validation import require_non_negative
 
 
@@ -110,25 +111,39 @@ def deterministic_stats(daemon) -> Dict[str, object]:
     }
 
 
-def gilbert_elliott_walk(
-    flip: float, recover: float, rng: SeededRandom, count: int, bad: bool = False
-) -> Tuple[List[bool], bool]:
-    """Fates of ``count`` frames of a two-state channel, and its last state.
+def gilbert_elliott_walk(flip: float, recover: float, key: bytes, count: int) -> List[bool]:
+    """Fates of frames ``0 .. count - 1`` of the lossy link keyed ``key``.
 
-    One frame at a time: a BAD frame first recovers with probability
-    ``recover``, and a GOOD frame flips to BAD (and is lost) with
-    probability ``flip``.  A transition of
-    probability 0 or 1 consumes no draw, so at ``recover == 1.0`` the
-    walk spends one uniform per frame: the i.i.d. draw.
+    One frame at a time, the channel counting down what is left of its
+    current state's sojourn: it starts GOOD, and on entering a state
+    draws how many frames it stays there, GOOD for ``Geom0(flip)``
+    delivered frames, BAD for ``Geom1(recover)`` lost ones (no draw at
+    ``recover == 1.0``, the i.i.d. limit).  Each sojourn takes the next
+    little-endian 64-bit word ``w`` of ``key``'s SHAKE-128 stream as the
+    uniform ``u = (w // 2**11 + 1) / 2**53`` and inverts the geometric
+    law: ``floor(log(u) / log1p(-p))``.  A frame costs at most two
+    sojourns, so the walk reads at most ``2 * count + 1`` words.
     """
-    fates = []
-    for _ in range(count):
-        if bad:
-            if recover < 1.0 and rng.random() >= recover:
-                fates.append(True)
-                continue
-            bad = False
-        if flip > 0.0 and rng.random() < flip:
-            bad = True
-        fates.append(bad)
-    return fates, bad
+    stream = hashlib.shake_128(key).digest(8 * (2 * count + 1))
+    words = iter(
+        int.from_bytes(stream[at : at + 8], "little") for at in range(0, len(stream), 8)
+    )
+
+    def geometric(p: float) -> int:
+        uniform = (next(words) // 2**11 + 1) / 2**53
+        return math.floor(math.log(uniform) / math.log1p(-p))
+
+    fates: List[bool] = []
+    good, bad = geometric(flip), 0
+    while len(fates) < count:
+        if good:
+            fates.append(False)
+            good -= 1
+            continue
+        if not bad:
+            bad = 1 if recover == 1.0 else 1 + geometric(recover)
+        fates.append(True)
+        bad -= 1
+        if not bad:
+            good = geometric(flip)
+    return fates

@@ -13,7 +13,10 @@ captured at the parent of the one-figure-registry change, when
 ``help.run`` were re-captured when ``--replay-frames`` alone moved from
 the engine-free replay to the simulated plane's reference mode: the
 replay now prints the data-plane line, with the 1131 deliveries the
-engine-free replay counted.
+engine-free replay counted.  ``run.data_plane``, the one lossy replay,
+was re-captured each time the source of a link's losses changed (a
+generator keyed by the edge, then a keyed hash of the plane seed, the
+edge and the frame number).
 
 Regenerate (only for an intentional output change) with
 ``PYTHONPATH=src python tests/test_cli_pinned.py``.

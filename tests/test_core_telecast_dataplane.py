@@ -87,7 +87,9 @@ class TestTeleCastSystem:
     def test_refresh_layers_runs(self, small_system, default_view):
         for viewer in make_viewers(4, outbound=6.0):
             small_system.join_viewer(viewer, default_view)
-        assert small_system.refresh_layers_from_observed({}) == (0, 0)
+        small_system.refresh_layers_from_observed({})
+        metrics = small_system.metrics
+        assert (metrics.observed_layer_adjustments, metrics.observed_streams_dropped) == (0, 0)
         assert small_system.connected_viewer_count == 4
 
     def test_run_workload_with_dynamics(self, producers, flat_delay_model, layer_config):

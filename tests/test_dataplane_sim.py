@@ -7,7 +7,7 @@ Covers the properties the tentpole promises:
   to the offline :class:`~repro.core.dataplane.OverlayDataPlane` replay
   on the same seed (mirrors the PR-4 instant-vs-simulated pinning).
 * **Determinism** -- same seed, same QoE summary, run over run (including
-  under loss, whose RNG is forked per edge).
+  under loss, a function of the seed, the edge and the frame number).
 * **Physics** -- serialization queues frames at the parent's reserved
   forwarding bin, loss reduces continuity, and the observed-delay
   ``kappa`` refresh feeds back into subsequent deliveries.
@@ -16,7 +16,7 @@ Covers the properties the tentpole promises:
 * **Skew samples** -- the inter-stream skew reads only frames delivered
   on every received stream, up to the shortest lane.
 * **Replay bytes** -- a lossy replay keeps a bounded number of traced
-  bytes per frame sent, no link keeps a random generator, and no gateway
+  bytes per frame sent, no link holds fates or a random generator, and no gateway
   buffer keeps a frame ``d_buff + d_cache`` older than its newest one.
 """
 
@@ -27,7 +27,6 @@ import gc
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 import tracemalloc
@@ -35,6 +34,8 @@ from array import array
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_dataplane
 from reference_oracles import gilbert_elliott_walk
@@ -106,8 +107,8 @@ def _edge(frames):
     return dataplane._EdgeState("v", STREAM, session, frames, float("inf"))
 
 
-def _channel(loss_rate=0.0, seed=0):
-    return DataChannel(loss_rate=loss_rate, mean_burst_length=1.0, rng=SeededRandom(seed))
+def _channel(loss_rate=0.0, seed=0, burst=1.0):
+    return DataChannel(loss_rate=loss_rate, mean_burst_length=burst, seed=seed)
 
 
 def _send(channel, link, frames, *, path_delay, edge=None):
@@ -146,7 +147,7 @@ class TestDataMessagePlumbing:
         outcomes = []
         for _ in range(2):
             channel = _channel(0.5, seed=7)
-            link = channel.link("p", "v", "s", 2.0, len(frames))
+            link = channel.link("p", "v", "s", 2.0)
             deliveries = _send(channel, link, frames, path_delay=0.0)
             outcomes.append((tuple(deliveries), channel.sent, channel.lost))
         assert outcomes[0] == outcomes[1]
@@ -162,7 +163,7 @@ class TestDataMessagePlumbing:
     def test_channel_counters_fold_once_per_chunk(self):
         channel = _channel(0.4, seed=3)
         frames = _frames([number * 0.05 for number in range(30)])
-        link = channel.link("p", "v", STREAM, 2.0, len(frames))
+        link = channel.link("p", "v", STREAM, 2.0)
         edge = _edge(frames)
         delivered_at = _send(channel, link, frames[:10], path_delay=0.0, edge=edge)
         delivered_at += _send(channel, link, frames[10:], path_delay=0.0, edge=edge)
@@ -178,7 +179,7 @@ class TestDataMessagePlumbing:
     def test_an_edge_looks_its_link_up_again_when_its_parent_changes(self):
         # An edge keeps its link while its parent stays the same; a
         # re-parented subscription (a CDN re-provision) starts on the new
-        # parent's link, with its own queue and loss RNG.
+        # parent's link, with its own queue and loss key.
         system, trace = _joined_system(SMALL_CONFIG)
         plane = SimulatedDataPlane(
             system,
@@ -248,30 +249,78 @@ LINK_KEYS = [
     ("viewer-12", "viewer-10", StreamId("site-1", 2)),
 ]
 
-#: Prints the fates (hex) of ``LINK_KEYS`` created in reverse order.
+#: Prints the fates (hex) of ``LINK_KEYS``' first 200 frames, their
+#: links created in reverse order.
 _LINK_FATES = """
 import json
 from repro.model.stream import StreamId
-from repro.sim.rng import SeededRandom
 from repro.sim.transport import DataChannel
 keys = [(src, dst, StreamId(*stream)) for src, dst, stream in json.loads(input())]
-channel = DataChannel(loss_rate=0.3, mean_burst_length=1.0, rng=SeededRandom(11))
-fates = {key: channel.link(*key, None, 200).fates.hex() for key in reversed(keys)}
-print(json.dumps([fates[key] for key in keys]))
+channel = DataChannel(loss_rate=0.3, mean_burst_length=1.0, seed=11)
+links = {key: channel.link(*key, None) for key in reversed(keys)}
+print(json.dumps([channel.fates(links[key].key, 0, 200).hex() for key in keys]))
 """
 
 
 def _link_fates(keys, order):
-    """Fates (hex) of ``keys``, their links created in ``order``."""
-    channel = DataChannel(loss_rate=0.3, mean_burst_length=1.0, rng=SeededRandom(11))
-    fates = {key: channel.link(*key, None, 200).fates.hex() for key in order}
-    return [fates[key] for key in keys]
+    """Fates (hex) of ``keys``' first 200 frames, their links created in ``order``."""
+    channel = DataChannel(loss_rate=0.3, mean_burst_length=1.0, seed=11)
+    links = {key: channel.link(*key, None) for key in order}
+    return [channel.fates(links[key].key, 0, 200).hex() for key in keys]
+
+
+def _lost_frames(channel, link, frames):
+    """Frame numbers ``_send_chunk`` loses of ``frames`` sent on ``link``
+    as one chunk (the arrivals are not read)."""
+    edge = _edge(frames)
+    dataplane._send_chunk(channel, link, edge, frames, 0.0, 0.0)
+    return [
+        frame.frame_number
+        for frame, arrival in zip(frames, edge.arrivals)
+        if arrival == dataplane.LOST
+    ]
 
 
 class TestKeyedLinkFates:
-    """A lossy link's fates depend on its ``(src, dst, stream_id)`` key and
-    the channel seed alone: not on which links were created before it or
-    exist beside it, and not on the process's string-hash seed."""
+    """A lossy link's fates depend on its ``(src, dst, stream_id)`` key, the
+    channel seed and the frame numbers alone: not on which links were
+    created before it or exist beside it, not on how its frames are split
+    into chunks or which frame it opened at, and not on the process's
+    string-hash seed."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        burst=st.sampled_from([1.0, 3.0]),
+        cuts=st.sets(st.integers(1, 119)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_any_split_into_chunks_gives_the_same_fates(self, burst, cuts, seed):
+        frames = _frames([number * 0.1 for number in range(120)])
+        bounds = [0, *sorted(cuts), len(frames)]
+        sides = []
+        for splits in ([0, len(frames)], bounds):
+            channel = _channel(0.3, seed=seed, burst=burst)
+            link = channel.link("p", "v", STREAM, 2.0)
+            lost = []
+            for start, stop in zip(splits, splits[1:]):
+                lost += _lost_frames(channel, link, frames[start:stop])
+            sides.append(lost)
+        assert sides[0] == sides[1]
+        assert sides[0]  # 36 losses expected in 120 frames
+
+    @pytest.mark.parametrize("burst", [1.0, 3.0])
+    @pytest.mark.parametrize("opened_at", [1, 37, 150])
+    def test_a_link_opened_at_frame_f_loses_the_suffix(self, burst, opened_at):
+        # A child that subscribes mid-stream opens its link at frame f: it
+        # loses exactly the frames >= f that a link of the same edge
+        # opened at frame 0 loses, on a fresh channel of the same seed.
+        frames = _frames([number * 0.1 for number in range(200)])
+        whole = _channel(0.3, seed=3, burst=burst)
+        from_zero = _lost_frames(whole, whole.link("p", "v", STREAM, 2.0), frames)
+        late = _channel(0.3, seed=3, burst=burst)
+        suffix = _lost_frames(late, late.link("p", "v", STREAM, 2.0), frames[opened_at:])
+        assert suffix == [number for number in from_zero if number >= opened_at]
+        assert suffix
 
     def test_links_created_in_any_order_draw_the_same_fates(self):
         forward = _link_fates(LINK_KEYS, LINK_KEYS)
@@ -632,13 +681,15 @@ class TestReplayByteBudget:
     """What a lossy replay keeps, in traced bytes per frame sent."""
 
     #: The 30-viewer overlay at 240 frames a stream and 2 % loss keeps
-    #: 48.5 B a frame sent: its frames (~17, shared by a stream's
-    #: subscribers), the gateway buffers (~16: a frame pointer and an
-    #: 8-byte receive time a held frame), the 8-byte arrival column, the
-    #: 1-byte stored fate and the per-edge state.  It kept 84.5 while an
-    #: arrival was a float object (32 B) and each lossy link held its own
-    #: ~2.5 KiB Mersenne Twister (10.5 B a frame here).  The budget fails
-    #: either of those alone and leaves ~15 % for interpreter versions.
+    #: 47.9 B a frame sent (CPython 3.11): its frames (~17, shared by a
+    #: stream's subscribers), the gateway buffers (~16: a frame pointer
+    #: and an 8-byte receive time a held frame), the 8-byte arrival
+    #: column and the per-edge state.  No fate is stored: it kept 48.9
+    #: while each lossy link held one fate byte a frame, and 84.5 while
+    #: an arrival was a float object (32 B) and each lossy link held its
+    #: own ~2.5 KiB Mersenne Twister (10.5 B a frame here).  The budget
+    #: fails either of the last two alone and leaves ~17 % for
+    #: interpreter versions (55 would leave 14.8 %).
     BYTES_PER_FRAME_SENT = 56
 
     def test_a_lossy_replay_keeps_few_bytes_per_frame_sent(self):
@@ -662,23 +713,27 @@ class TestReplayByteBudget:
         assert report.frames_sent > 30_000 and report.frames_lost > 0
         assert kept <= self.BYTES_PER_FRAME_SENT * report.frames_sent
 
-    def test_no_link_keeps_a_generator(self):
+    def test_no_link_holds_fates_or_a_generator(self):
+        # A lossy link holds its rate, its FIFO clock and its loss key:
+        # no fate column, no cursor, no burst state and no generator.
         system, trace = _joined_system(SMALL_CONFIG)
         plane = SimulatedDataPlane(
             system,
             trace,
             DataPlaneConfig(loss_rate=0.05, mean_burst_length=3.0, max_frames_per_stream=60),
         )
-        plane.run()
+        report = plane.run()
+        assert report.frames_lost > 0
         links = list(plane._channel._links.values())
-        assert links and all(isinstance(link.fates, bytes) for link in links)
-        generators = (SeededRandom, random.Random, LossProcess)
-        assert not [
-            held
-            for link in links
-            for held in gc.get_referents(link)
-            if isinstance(held, generators)
-        ]
+        assert links
+        for link in links:
+            held = [item for item in gc.get_referents(link) if type(item) is not type]
+            # The key is the one bytes object; the rest is floats or None.
+            assert isinstance(link.key, bytes) and len(link.key) < 64
+            assert [item for item in held if type(item) is not float] in (
+                [link.key],
+                [None, link.key],
+            )
 
     @pytest.mark.parametrize(
         "plane",
@@ -798,20 +853,23 @@ class TestGilbertElliottChannel:
         assert process.recover == 1.0
         assert process.flip == 0.1
 
-    def test_memoryless_limit_matches_bernoulli_draw_for_draw(self):
-        # Burst length 1 never stays BAD, so each frame's fate is one
-        # uniform draw: the Bernoulli sequence on the same seed, exactly.
-        process, rng = LossProcess(0.3), SeededRandom(42)
-        sequence = [process.draw(rng, 1)[0] for _ in range(500)]
-        oracle = SeededRandom(42)
-        assert sequence == [oracle.random() < 0.3 for _ in range(500)]
+    def test_memoryless_limit_is_binomial_per_block(self):
+        # Burst length 1 is Bernoulli loss: the losses in a block of 10
+        # frames follow Binomial(10, p), whatever the blocks before it.
+        loss_rate, blocks = 0.3, 20_000
+        channel = _channel(loss_rate, seed=42)
+        fates = channel.fates(channel.link("p", "v", STREAM, None).key, 0, 10 * blocks)
+        counts = [sum(fates[at : at + 10]) for at in range(0, len(fates), 10)]
+        for losses in range(7):
+            binomial = math.comb(10, losses) * loss_rate**losses * (1 - loss_rate) ** (10 - losses)
+            assert counts.count(losses) / blocks == pytest.approx(binomial, abs=0.01)
 
     def test_bursty_channel_produces_longer_runs_at_matched_mean(self):
-        def loss_runs(process, seed, frames=20_000):
-            rng = SeededRandom(seed)
+        def loss_runs(burst, seed, frames=20_000):
+            channel = _channel(0.1, seed=seed, burst=burst)
             runs, current = [], 0
-            for _ in range(frames):
-                if process.draw(rng, 1)[0]:
+            for lost in channel.fates(channel.link("p", "v", STREAM, None).key, 0, frames):
+                if lost:
                     current += 1
                 elif current:
                     runs.append(current)
@@ -820,42 +878,43 @@ class TestGilbertElliottChannel:
                 runs.append(current)
             return runs
 
-        bursty = loss_runs(LossProcess(0.1, mean_burst_length=5.0), seed=9)
-        iid = loss_runs(LossProcess(0.1), seed=9)
+        bursty = loss_runs(5.0, seed=9)
+        iid = loss_runs(1.0, seed=9)
         mean = lambda runs: sum(runs) / len(runs)  # noqa: E731
         # Matched stationary rate, very different temporal structure.
         assert sum(bursty) == pytest.approx(sum(iid), rel=0.15)
         assert mean(bursty) == pytest.approx(5.0, rel=0.25)
         assert mean(iid) == pytest.approx(1.0 / 0.9, rel=0.1)
 
-    def test_memoryless_gilbert_replay_is_byte_identical_to_bernoulli(self, monkeypatch):
-        # A replay at burst length 1 is byte-identical whether each link
-        # draws its fates in one i.i.d. batch or walks the two states frame
-        # by frame -- not statistically close, identical.
-        def walk(process, rng, count):
-            fates, process.bad = gilbert_elliott_walk(
-                process.flip, process.recover, rng, count, process.bad
-            )
-            return fates
+    @pytest.mark.parametrize("burst", [1.0, 3.0])
+    def test_replay_is_byte_identical_to_the_frame_by_frame_walk(self, monkeypatch, burst):
+        # A replay is byte-identical whether each chunk's fates come from
+        # the run walk or from the frame-by-frame two-state oracle read at
+        # the chunk's frame numbers -- not statistically close, identical.
+        process = LossProcess(0.1, burst)
+
+        def walk(channel, key, first, count):
+            fates = gilbert_elliott_walk(process.flip, process.recover, key, first + count)
+            return bytes(fates[first:])
 
         records = []
-        for two_state in (False, True):
-            if two_state:
-                monkeypatch.setattr(LossProcess, "draw", walk)
+        for oracle in (False, True):
+            if oracle:
+                monkeypatch.setattr(DataChannel, "fates", walk)
             system, trace = _joined_system(SMALL_CONFIG)
             report = SimulatedDataPlane(
                 system,
                 trace,
                 DataPlaneConfig(
                     loss_rate=0.1,
-                    mean_burst_length=1.0,
+                    mean_burst_length=burst,
                     refresh_interval=None,
                     max_frames_per_stream=100,
                 ),
             ).run()
             records.append(sorted(report.deliveries, key=_RECORD_KEY))
+            assert report.frames_lost > 0
         assert records[0] == records[1]
-        assert len(records[0]) > 0
 
     def test_burst_loss_degrades_playable_continuity_below_iid(self):
         # Property: at matched mean loss, bursty losses beat single-frame

@@ -39,6 +39,12 @@ trees while its other stream's copy still held the pre-push-down delay.
 an orphan repair re-planned a viewer whose other orphaned stream's copy
 still named the departed parent; an orphaned stream now keeps its layer.
 
+The three ``burst-loss`` batch runs, the only runs that replay frames
+with loss, were re-captured each time the source of a link's losses
+changed (a generator keyed by the edge, then a keyed hash of the plane
+seed, the edge and the frame number); every other run, ``ties`` and
+``intent_tie`` stayed byte-identical.
+
 Regenerate the golden (only for an intentional change) with
 ``PYTHONPATH=src python tests/test_heartbeat_parity.py``.
 """

@@ -72,7 +72,7 @@ from repro.model.viewer import Viewer
 from repro.net.latency import DelayModel, LatencyMatrix
 from repro.net.planetlab import generate_planetlab_matrix
 from repro.sim.rng import SeededRandom
-from repro.sim.transport import DataChannel, DataLink, LossProcess
+from repro.sim.transport import DataChannel, LossProcess
 from repro.traces.teeve import TeeveSessionTrace
 
 PRODUCERS = make_default_producers()
@@ -425,17 +425,18 @@ class TestGoldenSmokeMetrics:
         )
 
 
-def _per_frame_reference(frames, rate, loss, rng, *, epoch, path_delay):
+def _per_frame_reference(frames, rate, fates, *, epoch, path_delay):
     """The per-frame ``DataLink.transmit`` this repo had before chunking:
-    one FIFO step and one ``lose`` call per frame, kept as the oracle."""
+    one FIFO step and one loss decision per frame (``fates[i]``, or none
+    lost when ``fates`` is ``None``), kept as the oracle."""
     free_at = 0.0
     delivered_at = []
-    for frame in frames:
+    for number, frame in enumerate(frames):
         sent_at = epoch + frame.capture_time
         start = free_at if free_at > sent_at else sent_at
         transmission = 0.0 if rate is None else frame.size_megabits / rate
         free_at = start + transmission
-        if loss is not None and loss.draw(rng, 1)[0]:
+        if fates is not None and fates[number]:
             delivered_at.append(None)
         else:
             delivered_at.append(free_at + path_delay)
@@ -475,7 +476,7 @@ def _lossy_channel(burst, seed):
     return DataChannel(
         loss_rate=0.0 if burst is None else 0.3,
         mean_burst_length=burst or 1.0,
-        rng=SeededRandom(seed),
+        seed=seed,
     )
 
 
@@ -496,9 +497,16 @@ def _loss_runs(fates):
     return runs + [current] if current else runs
 
 
+def _walked_fates(loss_rate, burst, key, count):
+    """The frame-by-frame oracle's fates of a link keyed ``key``."""
+    process = LossProcess(loss_rate, burst)
+    return gilbert_elliott_walk(process.flip, process.recover, key, count)
+
+
 class TestLossProcess:
-    """One loss process: the two-state Gilbert-Elliott channel, drawn in
-    one batch at burst length 1 and frame by frame above it."""
+    """One loss process, the two-state Gilbert-Elliott channel: a lossy
+    link's fates, read window by window through ``DataChannel.fates``,
+    are the frame-by-frame walk of ``tests/reference_oracles.py``."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -510,29 +518,33 @@ class TestLossProcess:
     def test_any_chunk_split_matches_the_two_state_walk(
         self, loss_rate, burst, counts, seed
     ):
-        process, rng = LossProcess(loss_rate, burst), SeededRandom(seed)
-        drawn = [fate for count in counts for fate in process.draw(rng, count)]
-        walk_rng = SeededRandom(seed)
-        walked, bad = gilbert_elliott_walk(
-            process.flip, process.recover, walk_rng, sum(counts)
-        )
-        assert drawn == walked
-        # At burst length 1 a BAD frame always recovers: no state carries.
-        assert process.bad == bad or burst == 1.0
-        # Draw for draw: the link's RNG is left where the walk leaves it.
-        assert rng.random() == walk_rng.random()
+        channel = DataChannel(loss_rate=loss_rate, mean_burst_length=burst, seed=seed)
+        key = channel.link("parent", "child", LINK_STREAM, None).key
+        drawn, first = [], 0
+        for count in counts:
+            drawn += map(bool, channel.fates(key, first, count))
+            first += count
+        assert drawn == _walked_fates(loss_rate, burst, key, first)
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        loss_rate=st.floats(0.001, 0.999),
-        counts=st.lists(st.integers(0, 30), max_size=12),
-        seed=st.integers(0, 2**16),
-    )
-    def test_burst_length_one_is_the_bernoulli_oracle(self, loss_rate, counts, seed):
-        process, rng = LossProcess(loss_rate), SeededRandom(seed)
-        drawn = [fate for count in counts for fate in process.draw(rng, count)]
-        oracle = SeededRandom(seed)
-        assert drawn == [oracle.random() < loss_rate for _ in range(sum(counts))]
+    @pytest.mark.parametrize("loss_rate", [0.1, 0.3])
+    def test_burst_length_one_is_memoryless(self, loss_rate):
+        # i.i.d. loss: a frame is lost at the stationary rate whether the
+        # frame before it was lost or not (a burst-3 channel, by contrast,
+        # loses a frame after a loss with probability 1 - b * (1 - a)).
+        frames = 100_000
+        for burst in (1.0, 3.0):
+            channel = DataChannel(loss_rate=loss_rate, mean_burst_length=burst, seed=5)
+            key = channel.link("parent", "child", LINK_STREAM, None).key
+            fates = channel.fates(key, 0, frames)
+            after_loss = [lost for before, lost in zip(fates, fates[1:]) if before]
+            after_delivery = [lost for before, lost in zip(fates, fates[1:]) if not before]
+            if burst == 1.0:
+                assert sum(after_loss) / len(after_loss) == pytest.approx(loss_rate, rel=0.1)
+                assert sum(after_delivery) / len(after_delivery) == pytest.approx(
+                    loss_rate, rel=0.1
+                )
+            else:
+                assert sum(after_loss) / len(after_loss) > 2 * loss_rate
 
     @pytest.mark.parametrize("burst", [1.0, 3.0])
     def test_stationary_rate_and_mean_loss_run(self, burst):
@@ -540,7 +552,8 @@ class TestLossProcess:
         # recovers and flips straight back (b * a): mean 1 / (b * (1 - a)).
         loss_rate, frames = 0.2, 60_000
         process = LossProcess(loss_rate, burst)
-        fates = process.draw(SeededRandom(11), frames)
+        channel = DataChannel(loss_rate=loss_rate, mean_burst_length=burst, seed=11)
+        fates = channel.fates(channel.link("parent", "child", LINK_STREAM, None).key, 0, frames)
         runs = _loss_runs(fates)
         a, b = process.flip, process.recover
         assert sum(fates) / frames == pytest.approx(loss_rate, rel=0.05)
@@ -567,20 +580,15 @@ class TestChunkedLinkEquivalence:
         self, gaps, sizes, rate, burst, cuts, epoch, path_delay, seed
     ):
         frames = _link_frames(gaps, sizes)
-
-        def make_link():
-            loss = None if burst is None else LossProcess(0.3, burst)
-            return loss, SeededRandom(seed)
-
-        loss, rng = make_link()
+        key = _lossy_channel(burst, seed).link("parent", "child", LINK_STREAM, rate).key
+        fates = None if burst is None else _walked_fates(0.3, burst, key, len(frames))
         expected, expected_free_at = _per_frame_reference(
-            frames, rate, loss, rng, epoch=epoch, path_delay=path_delay
+            frames, rate, fates, epoch=epoch, path_delay=path_delay
         )
         bounds = [0, *sorted(cut for cut in cuts if cut < len(frames)), len(frames)]
         for splits in (bounds, list(range(len(frames) + 1)), [0, len(frames)]):
-            loss, rng = make_link()
-            fates = None if loss is None else bytes(loss.draw(rng, len(frames)))
-            channel, link = _lossy_channel(None, 0), DataLink(rate, fates=fates)
+            channel = _lossy_channel(burst, seed)
+            link = channel.link("parent", "child", LINK_STREAM, rate)
             edge = _link_edge(frames, float("inf"))
             for start, stop in zip(splits, splits[1:]):
                 dataplane._send_chunk(
@@ -650,7 +658,7 @@ class TestChunkedLinkEquivalence:
         sides = []
         for step in (dataplane._send_chunk, reference_dataplane.transmit_link_chunk):
             channel = _lossy_channel(burst, seed)
-            link = channel.link("parent", "child", LINK_STREAM, rate, len(frames))
+            link = channel.link("parent", "child", LINK_STREAM, rate)
             edge = _link_edge(frames, deadline)
             buffer = edge.viewer.buffer_for(LINK_STREAM)
             # A pre-filled buffer: the first frames were already received

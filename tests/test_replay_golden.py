@@ -39,6 +39,15 @@ buffer's last arrival.  It is the only plane whose arrivals span more
 than that 25.3 s horizon (its queues build up behind half the reserved
 rate); every other digest stayed byte-identical.
 
+The three lossy planes (``bernoulli_2pct_refresh``, ``gilbert_burst3``,
+``unconstrained_lossy``; their ``simulated_*`` fields in the order
+file) were re-captured, by one rule, each time the source of a link's
+losses changed: when a link's generator was keyed by its edge instead of
+its creation index, and when a frame's fate became a keyed hash of the
+plane seed, the edge and the frame number instead of a per-link
+generator's draw.  Every lossless plane and every ``offline_*`` field
+stayed byte-identical both times.
+
 Regenerate (only for an intentional behaviour change) with
 ``PYTHONPATH=src python tests/test_replay_golden.py``.
 """
